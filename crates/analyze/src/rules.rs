@@ -86,7 +86,7 @@ pub const RULE_DOCS: [RuleDoc; 9] = [
     },
     RuleDoc {
         name: RULE_RAW_SPAWN,
-        summary: "thread creation outside the driver/engine modules",
+        summary: "thread creation outside the engine module",
         suppressible: true,
     },
     RuleDoc {
@@ -142,14 +142,11 @@ const DETERMINISM_SINKS: [&str; 7] = [
 ];
 
 /// Files that own thread management; `thread::spawn`/`scope` is legal here.
-const SPAWN_ALLOWLIST: [&str; 2] = [
-    "crates/expansion/src/driver.rs",
-    "crates/engine/src/engine.rs",
-];
+const SPAWN_ALLOWLIST: [&str; 1] = ["crates/engine/src/engine.rs"];
 
 /// Crates whose worker threads must not panic (a panicking worker poisons
 /// a whole multi-query batch).
-const WORKER_CRATES: [&str; 2] = ["engine", "expansion"];
+const WORKER_CRATES: [&str; 1] = ["engine"];
 
 /// Field types that make a struct concurrency-facing.
 const CONCURRENCY_MARKERS: [&str; 8] = [
@@ -602,9 +599,9 @@ fn float_eq(file: &SourceFile, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------- rule 4
 
 /// **panic-in-worker**: `unwrap()`/`expect()`/`panic!`-family calls inside
-/// a `spawn(…)` argument in the engine/expansion crates. A panicking
-/// worker tears down a scoped batch (or detaches a poisoned driver
-/// thread); workers must surface errors through their result channels.
+/// a `spawn(…)` argument in the engine crate. A panicking worker tears
+/// down a scoped batch; workers must surface errors through their result
+/// channels.
 fn panic_in_worker(file: &SourceFile, out: &mut Vec<Finding>) {
     if !WORKER_CRATES.contains(&file.crate_name.as_str()) {
         return;
@@ -656,10 +653,9 @@ fn panic_in_worker(file: &SourceFile, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------- rule 5
 
 /// **raw-spawn**: `thread::spawn`/`thread::scope`/`thread::Builder`
-/// outside the two modules that own thread lifecycles
-/// ([`SPAWN_ALLOWLIST`]). Ad-hoc threads bypass the driver's worker
-/// accounting and the engine's scoped shutdown. Test code may spawn
-/// freely (hammer tests do).
+/// outside the module that owns thread lifecycles ([`SPAWN_ALLOWLIST`]).
+/// Ad-hoc threads bypass the engine's worker accounting and scoped
+/// shutdown. Test code may spawn freely (hammer tests do).
 fn raw_spawn(file: &SourceFile, out: &mut Vec<Finding>) {
     if SPAWN_ALLOWLIST.contains(&file.path.as_str()) {
         return;
@@ -679,8 +675,8 @@ fn raw_spawn(file: &SourceFile, out: &mut Vec<Finding>) {
                 file,
                 RULE_RAW_SPAWN,
                 toks[k].line,
-                "raw thread creation outside the driver/engine modules; \
-                 route work through ParallelDriver or QueryEngine"
+                "raw thread creation outside the engine module; \
+                 route work through QueryEngine"
                     .to_string(),
             );
         }

@@ -306,12 +306,12 @@ fn raw_spawn_fires_outside_driver_modules() {
 
 #[test]
 fn raw_spawn_allows_driver_engine_and_tests() {
-    let driver = findings_for(
+    let engine = findings_for(
         rules::RULE_RAW_SPAWN,
-        "crates/expansion/src/driver.rs",
+        "crates/engine/src/engine.rs",
         "fn spawn_worker() { std::thread::spawn(|| work()); }\n",
     );
-    assert!(driver.is_empty(), "{driver:?}");
+    assert!(engine.is_empty(), "{engine:?}");
 
     let test_code = findings_for(
         rules::RULE_RAW_SPAWN,

@@ -43,6 +43,7 @@
 
 pub mod aggregate;
 pub mod candidate;
+mod coordinator;
 pub mod skyline;
 pub mod stats;
 pub mod topk;
@@ -53,8 +54,7 @@ pub(crate) mod test_support;
 pub use aggregate::{AggregateCost, WeightedSum};
 pub use candidate::{Candidate, CandidateSet};
 pub use skyline::{
-    baseline_skyline, parallel_lsa_skyline, skyline_query, Algorithm, SkylineFacility,
-    SkylineResult, SkylineSearch,
+    baseline_skyline, skyline_query, Algorithm, SkylineFacility, SkylineResult, SkylineSearch,
 };
 pub use stats::QueryStats;
 pub use topk::{baseline_topk, topk_query, TopKEntry, TopKIter, TopKResult};
@@ -63,8 +63,7 @@ pub use topk::{baseline_topk, topk_query, TopKEntry, TopKIter, TopKResult};
 pub mod prelude {
     pub use crate::aggregate::{AggregateCost, WeightedSum};
     pub use crate::skyline::{
-        baseline_skyline, parallel_lsa_skyline, skyline_query, Algorithm, SkylineFacility,
-        SkylineResult, SkylineSearch,
+        baseline_skyline, skyline_query, Algorithm, SkylineFacility, SkylineResult, SkylineSearch,
     };
     pub use crate::stats::QueryStats;
     pub use crate::topk::{baseline_topk, topk_query, TopKEntry, TopKIter, TopKResult};

@@ -20,24 +20,15 @@
 //!
 //! The search is **progressive**: [`SkylineSearch`] implements [`Iterator`]
 //! and yields every skyline facility the moment it is pinned.
-//!
-//! The search is also generic over an [`ExpansionDriver`]: with the default
-//! [`SerialDriver`] the `d` expansions are probed inline (the paper's
-//! behaviour), while [`SkylineSearch::lsa_parallel`] runs them on worker
-//! threads ([`ParallelDriver`]) and produces **byte-identical results** —
-//! the coordinator consumes the same per-expansion emission streams either
-//! way (see `mcn_expansion::driver` for the argument). CEA stays
-//! single-threaded per query: its point is to *share* fetched pages between
-//! the expansions, which a per-thread split would undo.
 
 use crate::candidate::CandidateSet;
+use crate::coordinator::{Coordinator, Stage};
 use crate::stats::QueryStats;
 use mcn_expansion::{
-    seeds_for_location, DirectAccess, Expansion, ExpansionDriver, FacilityMode, NetworkAccess,
-    ParallelDriver, SerialDriver, SharedAccess,
+    seeds_for_location, DirectAccess, Expansion, FacilityMode, NetworkAccess, SharedAccess,
 };
-use mcn_graph::{dominates_weak, CostVec, EdgeId, FacilityId, NetworkLocation};
-use mcn_storage::{IoStats, StoreView};
+use mcn_graph::{dominates_weak, CostVec, FacilityId, NetworkLocation};
+use mcn_storage::StoreView;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
@@ -80,40 +71,23 @@ pub struct SkylineResult {
     pub stats: QueryStats,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Stage {
-    Growing,
-    Shrinking,
-}
-
-/// A progressive MCN skyline computation, generic over the access discipline
-/// and the expansion driver (inline by default, worker threads via
-/// [`SkylineSearch::lsa_parallel`]).
+/// A progressive MCN skyline computation, generic over the access discipline.
 ///
 /// Use [`skyline_query`] for the common case; instantiate this type directly
 /// (or via [`SkylineSearch::lsa`] / [`SkylineSearch::cea`]) when progressive
 /// output is needed.
-pub struct SkylineSearch<A: NetworkAccess, D: ExpansionDriver = SerialDriver<A>> {
-    access: Arc<A>,
-    driver: D,
-    active: Vec<bool>,
+pub struct SkylineSearch<A: NetworkAccess> {
+    state: Coordinator<A>,
     next_probe: usize,
-    stage: Stage,
-    candidates: CandidateSet,
     emitted: Vec<SkylineFacility>,
     pending: VecDeque<SkylineFacility>,
     finished: bool,
-    algorithm: &'static str,
-    dominance_checks: usize,
-    start_io: IoStats,
-    started: Instant,
 }
 
 // Thread-safety contract: searches must be movable onto `QueryEngine`
-// worker threads at every driver/access combination.
+// worker threads under either access discipline.
 const _: () = crate::assert_send::<SkylineSearch<DirectAccess>>();
 const _: () = crate::assert_send::<SkylineSearch<SharedAccess>>();
-const _: () = crate::assert_send::<SkylineSearch<DirectAccess, ParallelDriver>>();
 
 impl<S: StoreView + ?Sized> SkylineSearch<DirectAccess<S>> {
     /// Starts an LSA skyline computation at `location`. The store may be
@@ -132,122 +106,29 @@ impl<S: StoreView + ?Sized> SkylineSearch<SharedAccess<S>> {
     }
 }
 
-impl<S: StoreView + ?Sized> SkylineSearch<DirectAccess<S>, ParallelDriver> {
-    /// Starts an LSA skyline computation whose `d` expansions run on worker
-    /// threads. Results (facilities, cost vectors, order) are byte-identical
-    /// to [`SkylineSearch::lsa`]; only the work/timing statistics may differ
-    /// because workers can run slightly ahead of the coordinator.
-    pub fn lsa_parallel(store: Arc<S>, location: NetworkLocation) -> Self {
-        Self::new_parallel(Arc::new(DirectAccess::new(store)), location, "LSA-par")
-    }
-}
-
-/// Builds the `d` seeded expansions shared by both constructors.
-fn make_expansions<A: NetworkAccess>(
-    access: &Arc<A>,
-    location: NetworkLocation,
-) -> Vec<Expansion<A>> {
-    let seeds = seeds_for_location(access.as_ref(), location);
-    (0..access.num_cost_types())
-        .map(|i| Expansion::new(access.clone(), i, &seeds, FacilityMode::All))
-        .collect()
-}
-
 impl<A: NetworkAccess> SkylineSearch<A> {
     /// Starts a skyline computation over an arbitrary access discipline.
     pub fn new(access: Arc<A>, location: NetworkLocation, algorithm: &'static str) -> Self {
-        let start_io = access.io_stats();
-        let started = Instant::now();
-        let expansions = make_expansions(&access, location);
-        Self::with_driver(
-            access,
-            SerialDriver::new(expansions),
-            algorithm,
-            start_io,
-            started,
-        )
-    }
-}
-
-impl<A: NetworkAccess + Send + Sync + 'static> SkylineSearch<A, ParallelDriver> {
-    /// Starts a skyline computation whose expansions run on worker threads.
-    pub fn new_parallel(
-        access: Arc<A>,
-        location: NetworkLocation,
-        algorithm: &'static str,
-    ) -> Self {
-        let start_io = access.io_stats();
-        let started = Instant::now();
-        let expansions = make_expansions(&access, location);
-        Self::with_driver(
-            access,
-            ParallelDriver::spawn(expansions),
-            algorithm,
-            start_io,
-            started,
-        )
-    }
-}
-
-impl<A: NetworkAccess, D: ExpansionDriver> SkylineSearch<A, D> {
-    fn with_driver(
-        access: Arc<A>,
-        driver: D,
-        algorithm: &'static str,
-        start_io: IoStats,
-        started: Instant,
-    ) -> Self {
-        let d = driver.d();
         Self {
-            access,
-            driver,
-            active: vec![true; d],
+            state: Coordinator::new(access, location, algorithm),
             next_probe: 0,
-            stage: Stage::Growing,
-            candidates: CandidateSet::new(d),
             emitted: Vec::new(),
             pending: VecDeque::new(),
             finished: false,
-            algorithm,
-            dominance_checks: 0,
-            start_io,
-            started,
         }
-    }
-
-    fn d(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Switches the search to the shrinking stage: admission to the candidate
-    /// set is closed, the candidates' edges are looked up in the facility tree
-    /// and the expansions stop touching the facility file (Section IV-A).
-    fn enter_shrinking(&mut self) {
-        self.stage = Stage::Shrinking;
-        let mut by_edge: HashMap<EdgeId, Vec<(FacilityId, f64)>> = HashMap::new();
-        for cand in self.candidates.iter() {
-            if let Some(info) = self.access.facility_info(cand.facility) {
-                by_edge
-                    .entry(info.edge)
-                    .or_default()
-                    .push((cand.facility, info.position));
-            }
-        }
-        self.driver
-            .set_facility_mode(FacilityMode::CandidatesOnly(Arc::new(by_edge)));
     }
 
     /// Handles a pinned facility: emits it and prunes the candidate set.
     fn pin(&mut self, facility: FacilityId, costs: CostVec) {
-        if self.stage == Stage::Growing {
-            self.enter_shrinking();
+        if self.state.stage == Stage::Growing {
+            self.state.enter_shrinking();
         }
-        let (_, checks) = self.candidates.eliminate_dominated(&costs);
-        self.dominance_checks += checks;
+        let (_, checks) = self.state.candidates.eliminate_dominated(&costs);
+        self.state.dominance_checks += checks;
         let member = SkylineFacility { facility, costs };
         self.emitted.push(member.clone());
         self.pending.push_back(member);
-        if self.candidates.is_empty() {
+        if self.state.candidates.is_empty() {
             self.finished = true;
         }
     }
@@ -257,18 +138,7 @@ impl<A: NetworkAccess, D: ExpansionDriver> SkylineSearch<A, D> {
     /// type, e.g. with directed edges): unknown costs are `+∞` and the usual
     /// dominance rules apply.
     fn resolve_leftovers(&mut self) {
-        let d = self.d();
-        let leftovers: Vec<(FacilityId, CostVec)> = self
-            .candidates
-            .iter()
-            .map(|c| {
-                let mut cv = CostVec::zeros(d);
-                for i in 0..d {
-                    cv[i] = c.known[i].unwrap_or(f64::INFINITY);
-                }
-                (c.facility, cv)
-            })
-            .collect();
+        let leftovers: Vec<(FacilityId, CostVec)> = self.state.leftover_costs().collect();
         for (facility, costs) in &leftovers {
             let dominated_by_emitted = self
                 .emitted
@@ -277,7 +147,7 @@ impl<A: NetworkAccess, D: ExpansionDriver> SkylineSearch<A, D> {
             let dominated_by_peer = leftovers
                 .iter()
                 .any(|(other, oc)| other != facility && mcn_graph::dominates(oc, costs));
-            self.dominance_checks += self.emitted.len() + leftovers.len();
+            self.state.dominance_checks += self.emitted.len() + leftovers.len();
             if !dominated_by_emitted && !dominated_by_peer {
                 let member = SkylineFacility {
                     facility: *facility,
@@ -287,7 +157,7 @@ impl<A: NetworkAccess, D: ExpansionDriver> SkylineSearch<A, D> {
                 self.pending.push_back(member);
             }
         }
-        self.candidates = CandidateSet::new(d);
+        self.state.candidates = CandidateSet::new(self.state.d());
         self.finished = true;
     }
 
@@ -297,7 +167,7 @@ impl<A: NetworkAccess, D: ExpansionDriver> SkylineSearch<A, D> {
         if self.finished {
             return false;
         }
-        if self.active.iter().all(|a| !a) {
+        if self.state.all_inactive() {
             // Every expansion is exhausted or was stopped early. If candidates
             // remain it is either because the early-stop optimisation turned
             // everything off (all their costs are known — resolve them) or
@@ -305,34 +175,29 @@ impl<A: NetworkAccess, D: ExpansionDriver> SkylineSearch<A, D> {
             self.resolve_leftovers();
             return false;
         }
-        let d = self.d();
         let i = self.next_probe;
-        self.next_probe = (self.next_probe + 1) % d;
-        if !self.active[i] {
+        self.next_probe = (self.next_probe + 1) % self.state.d();
+        if !self.state.active[i] {
             return true;
         }
+        let shrinking = self.state.stage == Stage::Shrinking;
         // Early-stop optimisation (Section IV-A): once every remaining
         // candidate knows its i-th cost, the i-th expansion contributes
         // nothing further.
-        if self.stage == Stage::Shrinking
-            && (self.candidates.is_empty() || self.candidates.all_know_cost(i))
+        if shrinking && (self.state.candidates.is_empty() || self.state.candidates.all_know_cost(i))
         {
-            self.active[i] = false;
-            self.driver.retire(i);
+            self.state.active[i] = false;
             return true;
         }
         // In the shrinking stage, facilities that are not (or no longer)
         // candidates may still surface from the frontier — they were
-        // en-heaped during the growing stage, or by a parallel worker that
-        // ran ahead of the mode switch. Recording them would be a no-op, so
-        // they are skipped without consuming this probe turn; this keeps the
-        // per-turn candidate streams identical between the serial and
-        // parallel drivers.
+        // en-heaped during the growing stage. Recording them would be a
+        // no-op, so they are skipped without consuming this probe turn.
         let hit = loop {
-            match self.driver.next_nearest(i) {
+            match self.state.expansions[i].next_nearest() {
                 None => break None,
                 Some((facility, cost)) => {
-                    if self.stage == Stage::Shrinking && !self.candidates.contains(facility) {
+                    if shrinking && !self.state.candidates.contains(facility) {
                         continue;
                     }
                     break Some((facility, cost));
@@ -340,18 +205,10 @@ impl<A: NetworkAccess, D: ExpansionDriver> SkylineSearch<A, D> {
             }
         };
         match hit {
-            None => {
-                self.active[i] = false;
-                self.driver.retire(i);
-            }
+            None => self.state.active[i] = false,
             Some((facility, cost)) => {
-                let admit = self.stage == Stage::Growing;
-                if let Some(cand) = self.candidates.record(facility, i, cost, admit) {
-                    if cand.is_pinned() {
-                        let costs = cand.cost_vector();
-                        self.candidates.remove(facility);
-                        self.pin(facility, costs);
-                    }
+                if let Some(costs) = self.state.record(facility, i, cost) {
+                    self.pin(facility, costs);
                 }
             }
         }
@@ -361,16 +218,6 @@ impl<A: NetworkAccess, D: ExpansionDriver> SkylineSearch<A, D> {
     /// Runs the search to completion and returns the full result.
     pub fn into_result(mut self) -> SkylineResult {
         while self.step() {}
-        // Retire every expansion (the search can finish while some are still
-        // running, e.g. when the candidate set empties) so a parallel driver
-        // joins its workers and reports exact final counters.
-        for i in 0..self.d() {
-            self.active[i] = false;
-            self.driver.retire(i);
-        }
-        // Drain anything still pending so `emitted` is the single source of
-        // truth for the result.
-        self.pending.clear();
         let stats = self.collect_stats();
         SkylineResult {
             facilities: self.emitted,
@@ -379,28 +226,13 @@ impl<A: NetworkAccess, D: ExpansionDriver> SkylineSearch<A, D> {
     }
 
     /// Execution statistics gathered so far.
-    ///
-    /// With the parallel driver the expansion work counters reflect what the
-    /// workers have *reported*; after the search finishes they are exact but
-    /// may exceed the serial counters (workers run slightly ahead).
     pub fn collect_stats(&self) -> QueryStats {
-        let s = self.driver.stats_total();
-        QueryStats {
-            algorithm: self.algorithm.to_string(),
-            elapsed: self.started.elapsed(),
-            io: self.access.io_stats() - self.start_io,
-            nodes_settled: s.nodes_settled,
-            heap_pushes: s.heap_pushes,
-            heap_pops: s.heap_pops,
-            candidates: self.candidates.admitted(),
-            pinned: self.emitted.len(),
-            dominance_checks: self.dominance_checks,
-            result_size: self.emitted.len(),
-        }
+        self.state
+            .collect_stats(self.emitted.len(), self.emitted.len())
     }
 }
 
-impl<A: NetworkAccess, D: ExpansionDriver> Iterator for SkylineSearch<A, D> {
+impl<A: NetworkAccess> Iterator for SkylineSearch<A> {
     type Item = SkylineFacility;
 
     /// Yields the next skyline facility as soon as it is pinned (progressive
@@ -428,19 +260,6 @@ pub fn skyline_query<S: StoreView + ?Sized>(
         Algorithm::Lsa => SkylineSearch::lsa(store.clone(), location).into_result(),
         Algorithm::Cea => SkylineSearch::cea(store.clone(), location).into_result(),
     }
-}
-
-/// Computes the complete skyline of `location` with LSA's access discipline,
-/// running the `d` per-cost-type expansions on worker threads.
-///
-/// The result (facilities, cost vectors, emission order) is identical to
-/// `skyline_query(store, location, Algorithm::Lsa)`; the parallelism
-/// overlaps the expansions' page fetches and heap work across cores.
-pub fn parallel_lsa_skyline<S: StoreView + ?Sized>(
-    store: &Arc<S>,
-    location: NetworkLocation,
-) -> SkylineResult {
-    SkylineSearch::lsa_parallel(store.clone(), location).into_result()
 }
 
 /// The straightforward baseline of Section IV: run `d` complete network
@@ -656,55 +475,38 @@ mod tests {
     }
 
     #[test]
-    fn parallel_lsa_matches_serial_lsa_exactly() {
-        // The tentpole determinism guarantee: the threaded LSA mode must
-        // reproduce the serial result bit for bit — same facilities, same
-        // cost bits, same emission order — across varied networks.
-        for seed in 0..8 {
-            let (store, _, q) = random_store(seed, 180, 110, 70, 3);
-            let store = Arc::new(store);
-            let serial = skyline_query(&store, q, Algorithm::Lsa);
-            let parallel = parallel_lsa_skyline(&store, q);
-            assert_eq!(
-                serial.facilities, parallel.facilities,
-                "parallel LSA diverged from serial LSA, seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_lsa_progressive_iterator_matches_batch() {
-        let (store, _, q) = random_store(17, 150, 90, 60, 4);
-        let store = Arc::new(store);
-        let batch = parallel_lsa_skyline(&store, q);
-        let streamed: Vec<SkylineFacility> =
-            SkylineSearch::lsa_parallel(store.clone(), q).collect();
-        assert_eq!(batch.facilities, streamed);
-    }
-
-    #[test]
-    fn parallel_lsa_handles_directed_unreachable_parts() {
-        // Exercises the resolve_leftovers path (exhausted expansions with
-        // candidates remaining) under the parallel driver.
+    fn directed_unreachable_parts_resolve_like_the_baseline() {
+        // One-way edges make parts of the network unreachable: from `c` the
+        // facility on a → c must stay out of the skyline, and from the sink
+        // `s` no facility is reachable at all, so every expansion runs dry
+        // with nothing pinned (the resolve_leftovers exit).
         let mut b = mcn_graph::GraphBuilder::new(2);
         let a = b.add_node(0.0, 0.0);
         let c = b.add_node(1.0, 0.0);
         let d = b.add_node(2.0, 0.0);
+        let s = b.add_node(3.0, 0.0);
         let e0 = b
             .add_directed_edge(a, c, mcn_graph::CostVec::from_slice(&[1.0, 2.0]))
             .unwrap();
         let e1 = b
             .add_edge(c, d, mcn_graph::CostVec::from_slice(&[1.0, 2.0]))
             .unwrap();
+        b.add_directed_edge(d, s, mcn_graph::CostVec::from_slice(&[1.0, 2.0]))
+            .unwrap();
         b.add_facility(e0, 0.5).unwrap();
         b.add_facility(e1, 0.5).unwrap();
         let g = b.build().unwrap();
         let store =
             Arc::new(mcn_storage::MCNStore::build_in_memory(&g, BufferConfig::Pages(8)).unwrap());
-        let q = NetworkLocation::Node(c);
-        let serial = skyline_query(&store, q, Algorithm::Lsa);
-        let parallel = parallel_lsa_skyline(&store, q);
-        assert_eq!(serial.facilities, parallel.facilities);
+        for (node, reachable) in [(c, 1), (s, 0)] {
+            let q = NetworkLocation::Node(node);
+            let lsa = skyline_query(&store, q, Algorithm::Lsa);
+            let cea = skyline_query(&store, q, Algorithm::Cea);
+            let base = baseline_skyline(&store, q);
+            assert_eq!(lsa.facilities.len(), reachable);
+            assert_eq!(lsa.facilities, cea.facilities);
+            assert_eq!(result_set(&lsa), result_set(&base));
+        }
     }
 
     #[test]

@@ -12,15 +12,15 @@
 //! be driven until the whole facility set is exhausted.
 
 use crate::aggregate::AggregateCost;
-use crate::candidate::CandidateSet;
+use crate::coordinator::{Coordinator, Stage};
 use crate::skyline::Algorithm;
 use crate::stats::QueryStats;
 use mcn_expansion::{
     seeds_for_location, DirectAccess, Expansion, ExpansionStep, FacilityMode, NetworkAccess,
     SharedAccess,
 };
-use mcn_graph::{CostVec, EdgeId, FacilityId, NetworkLocation};
-use mcn_storage::{IoStats, StoreView};
+use mcn_graph::{CostVec, FacilityId, NetworkLocation};
+use mcn_storage::StoreView;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -45,112 +45,34 @@ pub struct TopKResult {
     pub stats: QueryStats,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Stage {
-    Growing,
-    Shrinking,
-}
-
-struct TopKState<A: NetworkAccess, F: AggregateCost> {
+/// Starts the expansions of a top-k query scored by `aggregate`.
+fn start<A: NetworkAccess, F: AggregateCost>(
     access: Arc<A>,
-    aggregate: F,
-    expansions: Vec<Expansion<A>>,
-    active: Vec<bool>,
-    candidates: CandidateSet,
+    location: NetworkLocation,
+    aggregate: &F,
     algorithm: &'static str,
-    dominance_checks: usize,
-    start_io: IoStats,
-    started: Instant,
+) -> Coordinator<A> {
+    assert_eq!(
+        aggregate.arity(),
+        access.num_cost_types(),
+        "aggregate arity must match the number of cost types"
+    );
+    Coordinator::new(access, location, algorithm)
 }
 
-impl<A: NetworkAccess, F: AggregateCost> TopKState<A, F> {
-    fn new(
-        access: Arc<A>,
-        location: NetworkLocation,
-        aggregate: F,
-        algorithm: &'static str,
-    ) -> Self {
-        let d = access.num_cost_types();
-        assert_eq!(
-            aggregate.arity(),
-            d,
-            "aggregate arity must match the number of cost types"
-        );
-        let start_io = access.io_stats();
-        let started = Instant::now();
-        let seeds = seeds_for_location(access.as_ref(), location);
-        let expansions: Vec<Expansion<A>> = (0..d)
-            .map(|i| Expansion::new(access.clone(), i, &seeds, FacilityMode::All))
-            .collect();
-        Self {
-            access,
-            aggregate,
-            expansions,
-            active: vec![true; d],
-            candidates: CandidateSet::new(d),
-            algorithm,
-            dominance_checks: 0,
-            start_io,
-            started,
-        }
-    }
-
-    fn d(&self) -> usize {
-        self.expansions.len()
-    }
-
-    fn frontiers(&self) -> Vec<f64> {
-        self.expansions
-            .iter()
-            .map(|ex| ex.frontier_bound().unwrap_or(f64::INFINITY))
-            .collect()
-    }
-
-    fn all_inactive(&self) -> bool {
-        self.active.iter().all(|a| !a)
-    }
-
-    /// Switches to the facility-file-free shrinking mode (Section IV-A
-    /// optimisation, applied to top-k processing as described in Section V).
-    fn enter_shrinking(&mut self) {
-        let mut by_edge: HashMap<EdgeId, Vec<(FacilityId, f64)>> = HashMap::new();
-        for cand in self.candidates.iter() {
-            if let Some(info) = self.access.facility_info(cand.facility) {
-                by_edge
-                    .entry(info.edge)
-                    .or_default()
-                    .push((cand.facility, info.position));
-            }
-        }
-        let shared = Arc::new(by_edge);
-        for ex in &mut self.expansions {
-            ex.set_facility_mode(FacilityMode::CandidatesOnly(shared.clone()));
-        }
-    }
-
-    fn collect_stats(&self, pinned: usize, result_size: usize) -> QueryStats {
-        let mut nodes_settled = 0;
-        let mut heap_pushes = 0;
-        let mut heap_pops = 0;
-        for ex in &self.expansions {
-            let s = ex.stats();
-            nodes_settled += s.nodes_settled;
-            heap_pushes += s.heap_pushes;
-            heap_pops += s.heap_pops;
-        }
-        QueryStats {
-            algorithm: self.algorithm.to_string(),
-            elapsed: self.started.elapsed(),
-            io: self.access.io_stats() - self.start_io,
-            nodes_settled,
-            heap_pushes,
-            heap_pops,
-            candidates: self.candidates.admitted(),
-            pinned,
-            dominance_checks: self.dominance_checks,
-            result_size,
-        }
-    }
+/// Resolves the remaining candidates with `+∞` for unknown costs.
+fn leftover_entries<A: NetworkAccess, F: AggregateCost>(
+    state: &Coordinator<A>,
+    aggregate: &F,
+) -> Vec<TopKEntry> {
+    state
+        .leftover_costs()
+        .map(|(facility, costs)| TopKEntry {
+            facility,
+            costs,
+            score: aggregate.score(&costs),
+        })
+        .collect()
 }
 
 /// Runs a batch top-k query with the given access discipline.
@@ -161,9 +83,8 @@ fn topk_with_access<A: NetworkAccess, F: AggregateCost>(
     k: usize,
     algorithm: &'static str,
 ) -> TopKResult {
-    let mut state = TopKState::new(access, location, aggregate, algorithm);
+    let mut state = start(access, location, &aggregate, algorithm);
     let d = state.d();
-    let mut stage = Stage::Growing;
     // The tentative top-k, kept sorted by (score, facility id).
     let mut top: Vec<TopKEntry> = Vec::new();
     let mut pinned_total = 0usize;
@@ -188,7 +109,7 @@ fn topk_with_access<A: NetworkAccess, F: AggregateCost>(
         }
         // Early-stop optimisation: an expansion whose cost is known for every
         // remaining candidate contributes nothing further (shrinking only).
-        if stage == Stage::Shrinking
+        if state.stage == Stage::Shrinking
             && (state.candidates.is_empty() || state.candidates.all_know_cost(i))
         {
             state.active[i] = false;
@@ -197,7 +118,7 @@ fn topk_with_access<A: NetworkAccess, F: AggregateCost>(
 
         // Growing probes until the next NN; shrinking advances one step at a
         // time (facilities are rare in the heaps then — paper Section V).
-        let popped: Option<(FacilityId, f64)> = match stage {
+        let popped: Option<(FacilityId, f64)> = match state.stage {
             Stage::Growing => match state.expansions[i].next_nearest() {
                 Some(hit) => Some(hit),
                 None => {
@@ -216,22 +137,15 @@ fn topk_with_access<A: NetworkAccess, F: AggregateCost>(
         };
 
         if let Some((facility, cost)) = popped {
-            let admit = stage == Stage::Growing;
-            let pinned = state
-                .candidates
-                .record(facility, i, cost, admit)
-                .filter(|c| c.is_pinned())
-                .map(|c| c.cost_vector());
-            if let Some(costs) = pinned {
-                state.candidates.remove(facility);
+            if let Some(costs) = state.record(facility, i, cost) {
                 pinned_total += 1;
-                let score = state.aggregate.score(&costs);
+                let score = aggregate.score(&costs);
                 let entry = TopKEntry {
                     facility,
                     costs,
                     score,
                 };
-                match stage {
+                match state.stage {
                     Stage::Growing => {
                         top.push(entry);
                         top.sort_by(|a, b| {
@@ -240,7 +154,6 @@ fn topk_with_access<A: NetworkAccess, F: AggregateCost>(
                                 .then(a.facility.cmp(&b.facility))
                         });
                         if top.len() == k {
-                            stage = Stage::Shrinking;
                             state.enter_shrinking();
                         }
                     }
@@ -263,10 +176,9 @@ fn topk_with_access<A: NetworkAccess, F: AggregateCost>(
 
         // After every complete pass, prune candidates whose aggregate-cost
         // lower bound cannot beat the current k-th best (shrinking only).
-        if stage == Stage::Shrinking && probe % d == 0 && top.len() == k {
+        if state.stage == Stage::Shrinking && probe % d == 0 && top.len() == k {
             let kth = top.last().expect("top is full").score;
             let frontiers = state.frontiers();
-            let aggregate = &state.aggregate;
             let mut checks = 0usize;
             let to_remove: Vec<FacilityId> = state
                 .candidates
@@ -291,22 +203,7 @@ fn topk_with_access<A: NetworkAccess, F: AggregateCost>(
     // partially unreachable facility sets), fill up from the remaining
     // candidates, treating unknown costs as +∞.
     if top.len() < k {
-        let d = state.d();
-        let mut leftovers: Vec<TopKEntry> = state
-            .candidates
-            .iter()
-            .map(|c| {
-                let mut cv = CostVec::zeros(d);
-                for i in 0..d {
-                    cv[i] = c.known[i].unwrap_or(f64::INFINITY);
-                }
-                TopKEntry {
-                    facility: c.facility,
-                    costs: cv,
-                    score: state.aggregate.score(&cv),
-                }
-            })
-            .collect();
+        let mut leftovers = leftover_entries(&state, &aggregate);
         leftovers.sort_by(|a, b| {
             a.score
                 .total_cmp(&b.score)
@@ -432,7 +329,10 @@ pub fn baseline_topk<S: StoreView + ?Sized, F: AggregateCost>(
 /// aggregate cost among unreported pinned facilities, and (iii) no candidate's
 /// aggregate-cost lower bound beats it.
 pub struct TopKIter<A: NetworkAccess, F: AggregateCost> {
-    state: TopKState<A, F>,
+    /// Stays in the growing stage: incremental processing never closes
+    /// admission.
+    state: Coordinator<A>,
+    aggregate: F,
     /// Pinned but not yet reported, sorted ascending by (score, facility).
     ready: Vec<TopKEntry>,
     reported: usize,
@@ -476,7 +376,8 @@ impl<A: NetworkAccess, F: AggregateCost> TopKIter<A, F> {
         algorithm: &'static str,
     ) -> Self {
         Self {
-            state: TopKState::new(access, location, aggregate, algorithm),
+            state: start(access, location, &aggregate, algorithm),
+            aggregate,
             ready: Vec::new(),
             reported: 0,
             probe: 0,
@@ -512,7 +413,7 @@ impl<A: NetworkAccess, F: AggregateCost> TopKIter<A, F> {
         self.state
             .candidates
             .iter()
-            .all(|c| self.state.aggregate.lower_bound(&c.known, &frontiers) >= best.score)
+            .all(|c| self.aggregate.lower_bound(&c.known, &frontiers) >= best.score)
     }
 }
 
@@ -531,23 +432,7 @@ impl<A: NetworkAccess, F: AggregateCost> Iterator for TopKIter<A, F> {
                 if !self.exhausted_resolved {
                     // Resolve every remaining candidate with +∞ for unknown
                     // costs so the iteration can run through the whole set.
-                    let leftovers: Vec<TopKEntry> = self
-                        .state
-                        .candidates
-                        .iter()
-                        .map(|c| {
-                            let mut cv = CostVec::zeros(d);
-                            for i in 0..d {
-                                cv[i] = c.known[i].unwrap_or(f64::INFINITY);
-                            }
-                            TopKEntry {
-                                facility: c.facility,
-                                costs: cv,
-                                score: self.state.aggregate.score(&cv),
-                            }
-                        })
-                        .collect();
-                    for entry in leftovers {
+                    for entry in leftover_entries(&self.state, &self.aggregate) {
                         self.state.candidates.remove(entry.facility);
                         self.ready.push(entry);
                     }
@@ -569,16 +454,8 @@ impl<A: NetworkAccess, F: AggregateCost> Iterator for TopKIter<A, F> {
                     self.state.active[i] = false;
                 }
                 Some((facility, cost)) => {
-                    // Incremental processing never closes admission.
-                    let pinned = self
-                        .state
-                        .candidates
-                        .record(facility, i, cost, true)
-                        .filter(|c| c.is_pinned())
-                        .map(|c| c.cost_vector());
-                    if let Some(costs) = pinned {
-                        self.state.candidates.remove(facility);
-                        let score = self.state.aggregate.score(&costs);
+                    if let Some(costs) = self.state.record(facility, i, cost) {
+                        let score = self.aggregate.score(&costs);
                         self.ready.push(TopKEntry {
                             facility,
                             costs,

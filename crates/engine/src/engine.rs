@@ -224,7 +224,7 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
 
     /// Executes one request on the calling thread (no pool involved).
     pub fn run_one(&self, request: &QueryRequest) -> QueryOutcome {
-        request.execute_observed(&self.store, self.paths.as_deref(), self.obs.as_deref(), 0)
+        request.execute(&self.store, self.paths.as_deref(), self.obs.as_deref(), 0)
     }
 
     /// Executes `requests` across the worker pool and returns the outcomes
@@ -304,7 +304,7 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
                 o.tracer()
                     .record("schedule", tier, i as u64, started_ns, t0);
             }
-            let run = || requests[i].execute_observed(&self.store, paths, obs, i as u64);
+            let run = || requests[i].execute(&self.store, paths, obs, i as u64);
             let outcome = match regions {
                 Some(tags) => with_seed_region(tags[i], run),
                 None => run(),

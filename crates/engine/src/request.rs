@@ -100,41 +100,19 @@ impl QueryRequest {
     }
 
     /// Executes the request against `store` (any [`StoreView`] — monolithic
-    /// or region-partitioned) on the calling thread.
+    /// or region-partitioned) on the calling thread, serving path-flavored
+    /// requests from `paths` (the graph + prep-table cache).
     ///
-    /// # Panics
-    /// Panics on a [`QueryRequest::PathSkyline`] request: path queries need
-    /// a [`PathContext`]; use [`QueryRequest::execute_with`] (or an engine
-    /// built with [`crate::QueryEngine::with_path_context`]).
-    pub fn execute<S: StoreView + ?Sized>(&self, store: &Arc<S>) -> QueryOutcome {
-        self.execute_with(store, None)
-    }
-
-    /// Executes the request against `store`, serving path-skyline requests
-    /// from `paths` (the graph + prep-table cache).
-    ///
-    /// # Panics
-    /// Panics on a [`QueryRequest::PathSkyline`] request when `paths` is
-    /// `None`.
-    pub fn execute_with<S: StoreView + ?Sized>(
-        &self,
-        store: &Arc<S>,
-        paths: Option<&PathContext>,
-    ) -> QueryOutcome {
-        self.execute_observed(store, paths, None, 0)
-    }
-
-    /// [`QueryRequest::execute_with`] under an observability context: wall
-    /// time comes from the context's [`Clock`] (the process-wide monotonic
-    /// clock when `obs` is `None`), and — when tracing is enabled — each
-    /// phase of the query lifecycle (`prep-lookup`/`prep-build`, `search`,
-    /// `unpack`) is recorded as a span tagged with `query` (the request's
-    /// batch index). Observation never changes results: outputs are
-    /// byte-identical with any `obs` value.
+    /// Wall time comes from the observability context's [`Clock`] (the
+    /// process-wide monotonic clock when `obs` is `None`), and — when
+    /// tracing is enabled — each phase of the query lifecycle
+    /// (`prep-lookup`/`prep-build`, `search`, `unpack`) is recorded as a span
+    /// tagged with `query` (the request's batch index). Observation never
+    /// changes results: outputs are byte-identical with any `obs` value.
     ///
     /// # Panics
     /// Panics on path-flavored requests when `paths` is `None`.
-    pub fn execute_observed<S: StoreView + ?Sized>(
+    pub fn execute<S: StoreView + ?Sized>(
         &self,
         store: &Arc<S>,
         paths: Option<&PathContext>,

@@ -137,6 +137,7 @@ pub struct Expansion<A: NetworkAccess> {
 }
 
 const _: () = crate::assert_send_sync::<Expansion<crate::DirectAccess>>();
+const _: () = crate::assert_send_sync::<Expansion<crate::SharedAccess>>();
 
 impl<A: NetworkAccess> Expansion<A> {
     /// Creates an expansion for `cost_type` starting from the given seeds.

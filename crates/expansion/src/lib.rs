@@ -12,9 +12,6 @@
 //!   facility list fetched at most once per query).
 //! * [`seeds_for_location`] — turns a query location (node or edge interior)
 //!   into expansion seeds with partial-weight costs.
-//! * [`ExpansionDriver`] — how a query's `d` expansions are advanced:
-//!   inline ([`SerialDriver`]) or pipelined on worker threads
-//!   ([`ParallelDriver`]), with identical emission streams.
 //! * [`oracle`] — in-memory brute-force cost vectors used as the ground truth
 //!   in tests and by the straightforward baseline.
 
@@ -22,13 +19,11 @@
 #![warn(rust_2018_idioms)]
 
 pub mod access;
-pub mod driver;
 pub mod expansion;
 pub mod oracle;
 pub mod seeds;
 
 pub use access::{DirectAccess, NetworkAccess, SharedAccess, SharingStats};
-pub use driver::{ExpansionDriver, ParallelDriver, SerialDriver};
 pub use expansion::{Expansion, ExpansionStats, ExpansionStep, FacilityMode};
 pub use seeds::{seeds_for_location, Seeds};
 

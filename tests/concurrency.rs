@@ -1,5 +1,5 @@
-//! Concurrent-correctness integration tests: the multi-query engine and the
-//! parallel LSA mode must be *byte-identical* to serial execution.
+//! Concurrent-correctness integration tests: the multi-query engine must be
+//! *byte-identical* to serial execution.
 //!
 //! Run in CI in release mode (`cargo test --release -p mcn --test
 //! concurrency`) so the scheduler interleavings resemble production timing.
@@ -8,7 +8,7 @@ use mcn::engine::{QueryEngine, QueryRequest};
 use mcn::gen::{generate_workload, WorkloadSpec};
 use mcn::graph::NetworkLocation;
 use mcn::storage::{BufferConfig, MCNStore};
-use mcn::{parallel_lsa_skyline, skyline_query, Algorithm};
+use mcn::{skyline_query, Algorithm};
 use mcn_bench::{build_request_batch, ThroughputConfig};
 use std::sync::Arc;
 
@@ -73,22 +73,10 @@ fn engine_with_four_workers_matches_serial_byte_for_byte() {
 }
 
 #[test]
-fn parallel_lsa_equals_serial_lsa_through_the_facade() {
-    let workload = generate_workload(&WorkloadSpec::tiny(7));
-    let store =
-        Arc::new(MCNStore::build_in_memory(&workload.graph, BufferConfig::Fraction(0.01)).unwrap());
-    for &q in workload.queries.iter().take(4) {
-        let serial = skyline_query(&store, q, Algorithm::Lsa);
-        let parallel = parallel_lsa_skyline(&store, q);
-        assert_eq!(serial.facilities, parallel.facilities);
-    }
-}
-
-#[test]
 fn concurrent_engine_queries_race_with_parallel_lsa() {
-    // Mixed-mode stress: engine workers and an intra-query parallel LSA all
-    // hammer one shared store; results must stay correct and the pool
-    // counters consistent.
+    // Mixed-mode stress: engine workers and LSA queries issued in parallel
+    // from the test's own threads all hammer one shared store; results must
+    // stay correct and the pool counters consistent.
     let workload = generate_workload(&WorkloadSpec::tiny(23));
     let store =
         Arc::new(MCNStore::build_in_memory(&workload.graph, BufferConfig::Fraction(0.02)).unwrap());
@@ -106,11 +94,16 @@ fn concurrent_engine_queries_race_with_parallel_lsa() {
     std::thread::scope(|scope| {
         let store = &store;
         let expected = &expected;
-        scope.spawn(move || {
-            for _ in 0..3 {
-                assert_eq!(&parallel_lsa_skyline(store, q).facilities, expected);
-            }
-        });
+        for _ in 0..2 {
+            scope.spawn(move || {
+                for _ in 0..3 {
+                    assert_eq!(
+                        &skyline_query(store, q, Algorithm::Lsa).facilities,
+                        expected
+                    );
+                }
+            });
+        }
         engine.run_batch(&requests);
     });
     let io = store.io_stats();
