@@ -145,6 +145,12 @@ impl CandidateSet {
         self.candidates.remove(&facility)
     }
 
+    /// Keeps only the candidates `keep` accepts, asking it about each current
+    /// candidate exactly once, in facility order.
+    pub fn retain(&mut self, mut keep: impl FnMut(&Candidate) -> bool) {
+        self.candidates.retain(|_, cand| keep(cand));
+    }
+
     /// Removes every candidate dominated by the pinned cost vector `pinned`
     /// (using the partial-information dominance rule of Section IV-A) and
     /// returns how many were eliminated, along with the number of dominance
@@ -152,7 +158,7 @@ impl CandidateSet {
     pub fn eliminate_dominated(&mut self, pinned: &CostVec) -> (usize, usize) {
         let mut checks = 0;
         let before = self.candidates.len();
-        self.candidates.retain(|_, cand| {
+        self.retain(|cand| {
             checks += 1;
             !pinned_dominates_partial(pinned, &cand.known)
         });
@@ -217,6 +223,24 @@ mod tests {
         assert_eq!(checks, 2);
         assert!(cs.contains(FacilityId::new(1)));
         assert!(!cs.contains(FacilityId::new(0)));
+    }
+
+    #[test]
+    fn retain_visits_every_candidate_once_in_facility_order() {
+        let mut cs = CandidateSet::new(1);
+        for i in [4u32, 0, 2, 3, 1] {
+            cs.record(FacilityId::new(i), 0, f64::from(i), true);
+        }
+        let mut visited = Vec::new();
+        cs.retain(|c| {
+            visited.push(c.facility.raw());
+            c.facility.raw() % 2 == 0
+        });
+        assert_eq!(visited, vec![0, 1, 2, 3, 4]);
+        let left: Vec<u32> = cs.iter().map(|c| c.facility.raw()).collect();
+        assert_eq!(left, vec![0, 2, 4]);
+        // Removal by pruning is not un-admission.
+        assert_eq!(cs.admitted(), 5);
     }
 
     #[test]

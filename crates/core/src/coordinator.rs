@@ -4,7 +4,7 @@
 
 use crate::candidate::CandidateSet;
 use crate::stats::QueryStats;
-use mcn_expansion::{seeds_for_location, Expansion, FacilityMode, NetworkAccess};
+use mcn_expansion::{seeds_for_location, Expansion, FacilityMode, NetworkAccess, TablePool};
 use mcn_graph::{CostVec, EdgeId, FacilityId, NetworkLocation};
 use mcn_storage::IoStats;
 use std::collections::HashMap;
@@ -35,14 +35,20 @@ pub(crate) struct Coordinator<A: NetworkAccess> {
 const _: () = crate::assert_send::<Coordinator<mcn_expansion::DirectAccess>>();
 
 impl<A: NetworkAccess> Coordinator<A> {
-    /// Seeds one expansion per cost type at `location`, in the growing stage.
-    pub(crate) fn new(access: Arc<A>, location: NetworkLocation, algorithm: &'static str) -> Self {
+    /// Seeds one expansion per cost type at `location`, in the growing stage,
+    /// each on tables borrowed from `pool` until the coordinator is dropped.
+    pub(crate) fn new(
+        access: Arc<A>,
+        location: NetworkLocation,
+        algorithm: &'static str,
+        pool: &TablePool,
+    ) -> Self {
         let d = access.num_cost_types();
         let start_io = access.io_stats();
         let started = Instant::now();
         let seeds = seeds_for_location(access.as_ref(), location);
         let expansions = (0..d)
-            .map(|i| Expansion::new(access.clone(), i, &seeds, FacilityMode::All))
+            .map(|i| Expansion::with_pool(access.clone(), i, &seeds, FacilityMode::All, pool))
             .collect();
         Self {
             access,
@@ -65,13 +71,15 @@ impl<A: NetworkAccess> Coordinator<A> {
         self.active.iter().all(|a| !a)
     }
 
-    /// Per-cost-type lower bounds on the cost of any facility not yet
-    /// returned (`+∞` for an exhausted expansion).
-    pub(crate) fn frontiers(&self) -> Vec<f64> {
-        self.expansions
-            .iter()
-            .map(|ex| ex.frontier_bound().unwrap_or(f64::INFINITY))
-            .collect()
+    /// Fills `bounds` with the per-cost-type lower bounds on the cost of any
+    /// facility not yet returned (`+∞` for an exhausted expansion).
+    pub(crate) fn frontiers(&self, bounds: &mut Vec<f64>) {
+        bounds.clear();
+        bounds.extend(
+            self.expansions
+                .iter()
+                .map(|ex| ex.frontier_bound().unwrap_or(f64::INFINITY)),
+        );
     }
 
     /// Switches the search to the shrinking stage: admission to the candidate

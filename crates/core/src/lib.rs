@@ -54,19 +54,23 @@ pub(crate) mod test_support;
 pub use aggregate::{AggregateCost, WeightedSum};
 pub use candidate::{Candidate, CandidateSet};
 pub use skyline::{
-    baseline_skyline, skyline_query, Algorithm, SkylineFacility, SkylineResult, SkylineSearch,
+    baseline_skyline, skyline_query, skyline_query_in, Algorithm, SkylineFacility, SkylineResult,
+    SkylineSearch,
 };
 pub use stats::QueryStats;
-pub use topk::{baseline_topk, topk_query, TopKEntry, TopKIter, TopKResult};
+pub use topk::{baseline_topk, topk_query, topk_query_in, TopKEntry, TopKIter, TopKResult};
 
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::aggregate::{AggregateCost, WeightedSum};
     pub use crate::skyline::{
-        baseline_skyline, skyline_query, Algorithm, SkylineFacility, SkylineResult, SkylineSearch,
+        baseline_skyline, skyline_query, skyline_query_in, Algorithm, SkylineFacility,
+        SkylineResult, SkylineSearch,
     };
     pub use crate::stats::QueryStats;
-    pub use crate::topk::{baseline_topk, topk_query, TopKEntry, TopKIter, TopKResult};
+    pub use crate::topk::{
+        baseline_topk, topk_query, topk_query_in, TopKEntry, TopKIter, TopKResult,
+    };
 }
 
 /// Compile-time thread-safety proof: instantiated in a `const _` next to

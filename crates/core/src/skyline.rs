@@ -26,6 +26,7 @@ use crate::coordinator::{Coordinator, Stage};
 use crate::stats::QueryStats;
 use mcn_expansion::{
     seeds_for_location, DirectAccess, Expansion, FacilityMode, NetworkAccess, SharedAccess,
+    TablePool,
 };
 use mcn_graph::{dominates_weak, CostVec, FacilityId, NetworkLocation};
 use mcn_storage::StoreView;
@@ -109,8 +110,19 @@ impl<S: StoreView + ?Sized> SkylineSearch<SharedAccess<S>> {
 impl<A: NetworkAccess> SkylineSearch<A> {
     /// Starts a skyline computation over an arbitrary access discipline.
     pub fn new(access: Arc<A>, location: NetworkLocation, algorithm: &'static str) -> Self {
+        Self::with_pool(access, location, algorithm, &TablePool::new())
+    }
+
+    /// [`SkylineSearch::new`] with the expansions' tables borrowed from
+    /// `pool` until the search is dropped.
+    pub fn with_pool(
+        access: Arc<A>,
+        location: NetworkLocation,
+        algorithm: &'static str,
+        pool: &TablePool,
+    ) -> Self {
         Self {
-            state: Coordinator::new(access, location, algorithm),
+            state: Coordinator::new(access, location, algorithm, pool),
             next_probe: 0,
             emitted: Vec::new(),
             pending: VecDeque::new(),
@@ -256,9 +268,27 @@ pub fn skyline_query<S: StoreView + ?Sized>(
     location: NetworkLocation,
     algorithm: Algorithm,
 ) -> SkylineResult {
+    skyline_query_in(store, location, algorithm, &TablePool::new())
+}
+
+/// [`skyline_query`] with the expansions' tables borrowed from `pool` — the
+/// same search, minus the per-query table set-up when the pool is reused.
+pub fn skyline_query_in<S: StoreView + ?Sized>(
+    store: &Arc<S>,
+    location: NetworkLocation,
+    algorithm: Algorithm,
+    pool: &TablePool,
+) -> SkylineResult {
+    let name = algorithm.name();
     match algorithm {
-        Algorithm::Lsa => SkylineSearch::lsa(store.clone(), location).into_result(),
-        Algorithm::Cea => SkylineSearch::cea(store.clone(), location).into_result(),
+        Algorithm::Lsa => {
+            let access = Arc::new(DirectAccess::new(store.clone()));
+            SkylineSearch::with_pool(access, location, name, pool).into_result()
+        }
+        Algorithm::Cea => {
+            let access = Arc::new(SharedAccess::new(store.clone()));
+            SkylineSearch::with_pool(access, location, name, pool).into_result()
+        }
     }
 }
 

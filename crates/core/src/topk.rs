@@ -17,7 +17,7 @@ use crate::skyline::Algorithm;
 use crate::stats::QueryStats;
 use mcn_expansion::{
     seeds_for_location, DirectAccess, Expansion, ExpansionStep, FacilityMode, NetworkAccess,
-    SharedAccess,
+    SharedAccess, TablePool,
 };
 use mcn_graph::{CostVec, FacilityId, NetworkLocation};
 use mcn_storage::StoreView;
@@ -51,13 +51,14 @@ fn start<A: NetworkAccess, F: AggregateCost>(
     location: NetworkLocation,
     aggregate: &F,
     algorithm: &'static str,
+    pool: &TablePool,
 ) -> Coordinator<A> {
     assert_eq!(
         aggregate.arity(),
         access.num_cost_types(),
         "aggregate arity must match the number of cost types"
     );
-    Coordinator::new(access, location, algorithm)
+    Coordinator::new(access, location, algorithm, pool)
 }
 
 /// Resolves the remaining candidates with `+∞` for unknown costs.
@@ -82,9 +83,11 @@ fn topk_with_access<A: NetworkAccess, F: AggregateCost>(
     aggregate: F,
     k: usize,
     algorithm: &'static str,
+    pool: &TablePool,
 ) -> TopKResult {
-    let mut state = start(access, location, &aggregate, algorithm);
+    let mut state = start(access, location, &aggregate, algorithm, pool);
     let d = state.d();
+    let mut frontiers = Vec::with_capacity(d);
     // The tentative top-k, kept sorted by (score, facility id).
     let mut top: Vec<TopKEntry> = Vec::new();
     let mut pinned_total = 0usize;
@@ -178,21 +181,16 @@ fn topk_with_access<A: NetworkAccess, F: AggregateCost>(
         // lower bound cannot beat the current k-th best (shrinking only).
         if state.stage == Stage::Shrinking && probe % d == 0 && top.len() == k {
             let kth = top.last().expect("top is full").score;
-            let frontiers = state.frontiers();
+            state.frontiers(&mut frontiers);
             let mut checks = 0usize;
-            let to_remove: Vec<FacilityId> = state
-                .candidates
-                .iter()
-                .filter(|c| {
-                    checks += 1;
-                    aggregate.lower_bound(&c.known, &frontiers) >= kth
-                })
-                .map(|c| c.facility)
-                .collect();
+            state.candidates.retain(|c| {
+                checks += 1;
+                // Not `bound < kth`: a NaN bound (zero weight × ∞ frontier)
+                // has always kept its candidate.
+                let beaten = aggregate.lower_bound(&c.known, &frontiers) >= kth;
+                !beaten
+            });
             state.dominance_checks += checks;
-            for fid in to_remove {
-                state.candidates.remove(fid);
-            }
             if state.candidates.is_empty() {
                 break;
             }
@@ -240,21 +238,29 @@ pub fn topk_query<S: StoreView + ?Sized, F: AggregateCost>(
     k: usize,
     algorithm: Algorithm,
 ) -> TopKResult {
+    topk_query_in(store, location, aggregate, k, algorithm, &TablePool::new())
+}
+
+/// [`topk_query`] with the expansions' tables borrowed from `pool` — the
+/// same search, minus the per-query table set-up when the pool is reused.
+pub fn topk_query_in<S: StoreView + ?Sized, F: AggregateCost>(
+    store: &Arc<S>,
+    location: NetworkLocation,
+    aggregate: F,
+    k: usize,
+    algorithm: Algorithm,
+    pool: &TablePool,
+) -> TopKResult {
+    let name = algorithm.name();
     match algorithm {
-        Algorithm::Lsa => topk_with_access(
-            Arc::new(DirectAccess::new(store.clone())),
-            location,
-            aggregate,
-            k,
-            "LSA",
-        ),
-        Algorithm::Cea => topk_with_access(
-            Arc::new(SharedAccess::new(store.clone())),
-            location,
-            aggregate,
-            k,
-            "CEA",
-        ),
+        Algorithm::Lsa => {
+            let access = Arc::new(DirectAccess::new(store.clone()));
+            topk_with_access(access, location, aggregate, k, name, pool)
+        }
+        Algorithm::Cea => {
+            let access = Arc::new(SharedAccess::new(store.clone()));
+            topk_with_access(access, location, aggregate, k, name, pool)
+        }
     }
 }
 
@@ -338,6 +344,9 @@ pub struct TopKIter<A: NetworkAccess, F: AggregateCost> {
     reported: usize,
     probe: usize,
     exhausted_resolved: bool,
+    /// Scratch for the frontier bounds [`TopKIter::best_is_safe`] compares
+    /// against.
+    frontiers: Vec<f64>,
 }
 
 impl<S: StoreView + ?Sized, F: AggregateCost> TopKIter<DirectAccess<S>, F> {
@@ -375,13 +384,26 @@ impl<A: NetworkAccess, F: AggregateCost> TopKIter<A, F> {
         aggregate: F,
         algorithm: &'static str,
     ) -> Self {
+        Self::with_pool(access, location, aggregate, algorithm, &TablePool::new())
+    }
+
+    /// [`TopKIter::new`] with the expansions' tables borrowed from `pool`
+    /// until the iterator is dropped, however far it was driven.
+    pub fn with_pool(
+        access: Arc<A>,
+        location: NetworkLocation,
+        aggregate: F,
+        algorithm: &'static str,
+        pool: &TablePool,
+    ) -> Self {
         Self {
-            state: start(access, location, &aggregate, algorithm),
+            state: start(access, location, &aggregate, algorithm, pool),
             aggregate,
             ready: Vec::new(),
             reported: 0,
             probe: 0,
             exhausted_resolved: false,
+            frontiers: Vec::new(),
         }
     }
 
@@ -405,15 +427,15 @@ impl<A: NetworkAccess, F: AggregateCost> TopKIter<A, F> {
     }
 
     /// True iff the best ready entry may be reported (condition (iii)).
-    fn best_is_safe(&self) -> bool {
+    fn best_is_safe(&mut self) -> bool {
         let Some(best) = self.ready.first() else {
             return false;
         };
-        let frontiers = self.state.frontiers();
+        self.state.frontiers(&mut self.frontiers);
         self.state
             .candidates
             .iter()
-            .all(|c| self.aggregate.lower_bound(&c.known, &frontiers) >= best.score)
+            .all(|c| self.aggregate.lower_bound(&c.known, &self.frontiers) >= best.score)
     }
 }
 

@@ -2,6 +2,7 @@
 
 use crate::context::PathContext;
 use crate::request::{QueryOutcome, QueryRequest};
+use mcn_expansion::TablePool;
 use mcn_graph::RegionId;
 use mcn_obs::{
     default_clock, Clock, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, Obs,
@@ -224,7 +225,13 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
 
     /// Executes one request on the calling thread (no pool involved).
     pub fn run_one(&self, request: &QueryRequest) -> QueryOutcome {
-        request.execute(&self.store, self.paths.as_deref(), self.obs.as_deref(), 0)
+        request.execute(
+            &self.store,
+            self.paths.as_deref(),
+            self.obs.as_deref(),
+            0,
+            &TablePool::new(),
+        )
     }
 
     /// Executes `requests` across the worker pool and returns the outcomes
@@ -296,7 +303,7 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
         let paths = self.paths.as_deref();
         let latency_hist = &latency_hist;
         let tier_hists = &tier_hists;
-        let execute = |i: usize| {
+        let execute = |i: usize, pool: &TablePool| {
             let tier = requests[i].kind();
             let t0 = clock.now_ns();
             if let Some(o) = obs {
@@ -304,7 +311,7 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
                 o.tracer()
                     .record("schedule", tier, i as u64, started_ns, t0);
             }
-            let run = || requests[i].execute(&self.store, paths, obs, i as u64);
+            let run = || requests[i].execute(&self.store, paths, obs, i as u64, pool);
             let outcome = match regions {
                 Some(tags) => with_seed_region(tags[i], run),
                 None => run(),
@@ -348,6 +355,7 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
                     let affine_hits = &affine_hits;
                     let affine_steals = &affine_steals;
                     scope.spawn(move || {
+                        let pool = TablePool::new();
                         let mut last: Option<usize> = None;
                         loop {
                             let claimed = {
@@ -367,7 +375,7 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
                                     affine_steals.fetch_add(1, Ordering::Relaxed);
                                 }
                             }
-                            execute(i);
+                            execute(i, &pool);
                             {
                                 let mut st = state.lock();
                                 let _state_w = mcn_witness::acquire("engine::run.state");
@@ -381,12 +389,15 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
                 for _ in 0..workers {
                     let cursor = &cursor;
                     let execute = &execute;
-                    scope.spawn(move || loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
+                    scope.spawn(move || {
+                        let pool = TablePool::new();
+                        loop {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= n {
+                                break;
+                            }
+                            execute(i, &pool);
                         }
-                        execute(i);
                     });
                 }
             }
@@ -594,6 +605,44 @@ mod tests {
             serial.stats.io.logical_reads,
             concurrent.stats.io.logical_reads
         );
+    }
+
+    /// One worker serves a whole batch on one set of expansion tables, two
+    /// workers split it over two sets in a timing-dependent way, a second
+    /// batch starts on new ones and `run_one` uses fresh tables per request:
+    /// which tables a query ran on, and what ran on them before, must never
+    /// show in its result.
+    #[test]
+    fn table_reuse_never_shows_in_results() {
+        fn check<S: StoreView>(
+            store: Arc<S>,
+            requests: &[QueryRequest],
+            run: impl Fn(&QueryEngine<S>) -> BatchResult,
+        ) {
+            let one = QueryEngine::new(store.clone(), 1);
+            let fresh: Vec<String> = requests
+                .iter()
+                .map(|r| one.run_one(r).output.fingerprint())
+                .collect();
+            let first = run(&one);
+            let again = run(&one);
+            let two = run(&QueryEngine::new(store, 2));
+            assert_eq!(fingerprints(&first), fresh);
+            assert_eq!(fingerprints(&again), fresh);
+            assert_eq!(fingerprints(&two), fresh);
+            assert_eq!(first.stats.io.logical_reads, again.stats.io.logical_reads);
+            assert_eq!(first.stats.io.logical_reads, two.stats.io.logical_reads);
+        }
+
+        let (store, requests) = fixture();
+        let requests = [requests.clone(), requests.clone(), requests].concat();
+        check(store, &requests, |engine| engine.run_batch(&requests));
+
+        let (store, requests, tags) = partitioned_fixture(4);
+        let (requests, tags) = ([requests.clone(), requests].concat(), tags.repeat(2));
+        check(store, &requests, |engine| {
+            engine.run_batch_with_regions(&requests, &tags, true)
+        });
     }
 
     #[test]

@@ -3,9 +3,10 @@
 use crate::context::PathContext;
 use mcn_alpha::{scalarized_path_astar, Preference, ScalarPath};
 use mcn_core::{
-    skyline_query, topk_query, Algorithm, QueryStats, SkylineFacility, TopKEntry, TopKIter,
+    skyline_query_in, topk_query_in, Algorithm, QueryStats, SkylineFacility, TopKEntry, TopKIter,
     WeightedSum,
 };
+use mcn_expansion::{DirectAccess, NetworkAccess, SharedAccess, TablePool};
 use mcn_graph::{NetworkLocation, NodeId};
 use mcn_mcpp::{pareto_paths_prepped, ParetoLabel};
 use mcn_obs::{default_clock, Clock, Obs};
@@ -110,6 +111,11 @@ impl QueryRequest {
     /// tagged with `query` (the request's batch index). Observation never
     /// changes results: outputs are byte-identical with any `obs` value.
     ///
+    /// Facility searches run on expansion tables borrowed from `pool` and
+    /// returned before this call ends; a caller serving many requests keeps
+    /// one pool per thread. What the pool held before never shows in the
+    /// outcome.
+    ///
     /// # Panics
     /// Panics on path-flavored requests when `paths` is `None`.
     pub fn execute<S: StoreView + ?Sized>(
@@ -118,6 +124,7 @@ impl QueryRequest {
         paths: Option<&PathContext>,
         obs: Option<&Obs>,
         query: u64,
+        pool: &TablePool,
     ) -> QueryOutcome {
         let clock: &dyn Clock = match obs {
             Some(o) => o.clock(),
@@ -135,7 +142,7 @@ impl QueryRequest {
             } => {
                 let r = {
                     let _s = span("search");
-                    skyline_query(store, *location, *algorithm)
+                    skyline_query_in(store, *location, *algorithm, pool)
                 };
                 let _s = span("unpack");
                 (QueryOutput::Skyline(r.facilities), r.stats)
@@ -148,12 +155,13 @@ impl QueryRequest {
             } => {
                 let r = {
                     let _s = span("search");
-                    topk_query(
+                    topk_query_in(
                         store,
                         *location,
                         WeightedSum::new(weights.clone()),
                         *k,
                         *algorithm,
+                        pool,
                     )
                 };
                 let _s = span("unpack");
@@ -167,18 +175,24 @@ impl QueryRequest {
             } => {
                 let _s = span("search");
                 let aggregate = WeightedSum::new(weights.clone());
+                fn first<A: NetworkAccess>(
+                    mut it: TopKIter<A, WeightedSum>,
+                    take: usize,
+                ) -> (QueryOutput, QueryStats) {
+                    let entries: Vec<TopKEntry> = it.by_ref().take(take).collect();
+                    (QueryOutput::TopK(entries), it.stats())
+                }
+                let name = algorithm.name();
                 match algorithm {
                     Algorithm::Lsa => {
-                        let mut it = TopKIter::lsa(store.clone(), *location, aggregate);
-                        let entries: Vec<TopKEntry> = it.by_ref().take(*take).collect();
-                        let stats = it.stats();
-                        (QueryOutput::TopK(entries), stats)
+                        let access = Arc::new(DirectAccess::new(store.clone()));
+                        let it = TopKIter::with_pool(access, *location, aggregate, name, pool);
+                        first(it, *take)
                     }
                     Algorithm::Cea => {
-                        let mut it = TopKIter::cea(store.clone(), *location, aggregate);
-                        let entries: Vec<TopKEntry> = it.by_ref().take(*take).collect();
-                        let stats = it.stats();
-                        (QueryOutput::TopK(entries), stats)
+                        let access = Arc::new(SharedAccess::new(store.clone()));
+                        let it = TopKIter::with_pool(access, *location, aggregate, name, pool);
+                        first(it, *take)
                     }
                 }
             }

@@ -23,21 +23,25 @@
 
 use mcn_graph::{EdgeId, FacilityId, NodeId};
 use mcn_storage::store::{EdgeEndpoints, FacilityInfo};
-use mcn_storage::{AdjacencyList, FacilityRun, IoStats, MCNStore, StoreView};
+use mcn_storage::{AdjacencyList, FacilityRun, IdMap, IoStats, MCNStore, StoreView};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Witness lock-class ids — the exact strings `mcn-analyze` derives
 /// (`crate::Type.field`), so observed edges diff against the static graph.
 const W_ADJ: &str = "expansion::SharedAccess.adjacency";
 const W_RUNS: &str = "expansion::SharedAccess.runs";
-const W_STATS: &str = "expansion::SharedAccess.stats";
 
 /// Read interface used by the expansion engine.
 pub trait NetworkAccess {
     /// Number of cost types `d` of the underlying network.
     fn num_cost_types(&self) -> usize;
+
+    /// Number of nodes: node ids are `0..num_nodes()`.
+    fn num_nodes(&self) -> usize;
+
+    /// Number of facilities: facility ids are `0..num_facilities()`.
+    fn num_facilities(&self) -> usize;
 
     /// The adjacency record of `node`.
     fn adjacency(&self, node: NodeId) -> Arc<AdjacencyList>;
@@ -77,6 +81,14 @@ impl<S: StoreView + ?Sized> DirectAccess<S> {
 impl<S: StoreView + ?Sized> NetworkAccess for DirectAccess<S> {
     fn num_cost_types(&self) -> usize {
         self.store.num_cost_types()
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.store.num_nodes()
+    }
+
+    fn num_facilities(&self) -> usize {
+        self.store.num_facilities()
     }
 
     fn adjacency(&self, node: NodeId) -> Arc<AdjacencyList> {
@@ -120,22 +132,53 @@ pub struct SharingStats {
 /// expansion has paid the I/O to expand a node, the decoded record is kept in
 /// memory and every other expansion reuses it.
 pub struct SharedAccess<S: StoreView + ?Sized = MCNStore> {
-    adjacency: Mutex<HashMap<NodeId, Arc<AdjacencyList>>>,
-    runs: Mutex<HashMap<(u32, u16), Arc<Vec<(FacilityId, f64)>>>>,
-    stats: Mutex<SharingStats>,
+    adjacency: Mutex<SharedCache<NodeId, AdjacencyList>>,
+    runs: Mutex<SharedCache<(u32, u16), Vec<(FacilityId, f64)>>>,
     store: Arc<S>,
 }
 
 const _: () = crate::assert_send_sync::<SharedAccess>();
+
+/// One memo table with its hit/miss counters, which live under the table's
+/// own lock: a request takes exactly one lock.
+struct SharedCache<K, V> {
+    records: IdMap<K, Arc<V>>,
+    reuses: u64,
+    fetches: u64,
+}
+
+impl<K, V> Default for SharedCache<K, V> {
+    fn default() -> Self {
+        Self {
+            records: IdMap::default(),
+            reuses: 0,
+            fetches: 0,
+        }
+    }
+}
+
+impl<K: std::hash::Hash + Eq, V> SharedCache<K, V> {
+    /// The cached record of `key`, fetching it on first request.
+    fn get_or_fetch(&mut self, key: K, fetch: impl FnOnce() -> V) -> Arc<V> {
+        if let Some(hit) = self.records.get(&key) {
+            self.reuses += 1;
+            // mcn-lint: allow(hot-path-alloc, reason = "Arc refcount bump — the map hands back &Arc<V>, no record data is copied")
+            return hit.clone();
+        }
+        let record = Arc::new(fetch());
+        self.fetches += 1;
+        self.records.insert(key, record.clone());
+        record
+    }
+}
 
 impl<S: StoreView + ?Sized> SharedAccess<S> {
     /// Creates a sharing accessor over `store` with an empty cache.
     pub fn new(store: Arc<S>) -> Self {
         Self {
             store,
-            adjacency: Mutex::new(HashMap::new()),
-            runs: Mutex::new(HashMap::new()),
-            stats: Mutex::new(SharingStats::default()),
+            adjacency: Mutex::default(),
+            runs: Mutex::default(),
         }
     }
 
@@ -147,12 +190,22 @@ impl<S: StoreView + ?Sized> SharedAccess<S> {
     /// Number of distinct nodes whose adjacency has been fetched ("expanded"
     /// nodes in the paper's terminology).
     pub fn expanded_nodes(&self) -> usize {
-        self.adjacency.lock().len()
+        self.adjacency.lock().records.len()
     }
 
     /// Cache reuse counters.
     pub fn sharing_stats(&self) -> SharingStats {
-        *self.stats.lock()
+        let (adjacency_reuses, adjacency_fetches) = {
+            let cache = self.adjacency.lock();
+            (cache.reuses, cache.fetches)
+        };
+        let runs = self.runs.lock();
+        SharingStats {
+            adjacency_reuses,
+            adjacency_fetches,
+            run_reuses: runs.reuses,
+            run_fetches: runs.fetches,
+        }
     }
 }
 
@@ -161,45 +214,25 @@ impl<S: StoreView + ?Sized> NetworkAccess for SharedAccess<S> {
         self.store.num_cost_types()
     }
 
+    fn num_nodes(&self) -> usize {
+        self.store.num_nodes()
+    }
+
+    fn num_facilities(&self) -> usize {
+        self.store.num_facilities()
+    }
+
     fn adjacency(&self, node: NodeId) -> Arc<AdjacencyList> {
         let mut cache = self.adjacency.lock();
         let _cache_w = mcn_witness::acquire(W_ADJ);
-        if let Some(hit) = cache.get(&node) {
-            {
-                let mut stats = self.stats.lock();
-                let _stats_w = mcn_witness::acquire(W_STATS);
-                stats.adjacency_reuses += 1;
-            }
-            // mcn-lint: allow(hot-path-alloc, reason = "Arc refcount bump — cache.get hands back &Arc<AdjacencyList>, no list data is copied")
-            return hit.clone();
-        }
-        let record = Arc::new(self.store.adjacency(node));
-        cache.insert(node, record.clone());
-        let mut stats = self.stats.lock();
-        let _stats_w = mcn_witness::acquire(W_STATS);
-        stats.adjacency_fetches += 1;
-        record
+        cache.get_or_fetch(node, || self.store.adjacency(node))
     }
 
     fn facilities_in_run(&self, run: &FacilityRun) -> Arc<Vec<(FacilityId, f64)>> {
         let key = (run.start.page.raw(), run.start.offset);
         let mut cache = self.runs.lock();
         let _cache_w = mcn_witness::acquire(W_RUNS);
-        if let Some(hit) = cache.get(&key) {
-            {
-                let mut stats = self.stats.lock();
-                let _stats_w = mcn_witness::acquire(W_STATS);
-                stats.run_reuses += 1;
-            }
-            // mcn-lint: allow(hot-path-alloc, reason = "Arc refcount bump — cache.get hands back &Arc<Vec<…>>, no run data is copied")
-            return hit.clone();
-        }
-        let facilities = Arc::new(self.store.facilities_in_run(run));
-        cache.insert(key, facilities.clone());
-        let mut stats = self.stats.lock();
-        let _stats_w = mcn_witness::acquire(W_STATS);
-        stats.run_fetches += 1;
-        facilities
+        cache.get_or_fetch(key, || self.store.facilities_in_run(run))
     }
 
     fn facility_info(&self, facility: FacilityId) -> Option<FacilityInfo> {

@@ -9,10 +9,10 @@
 
 use crate::access::NetworkAccess;
 use crate::seeds::Seeds;
+use crate::tables::{StampedTable, TablePool, Tables};
 use mcn_graph::{EdgeId, FacilityId, NodeId};
 use std::cmp::Ordering;
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 /// How an expansion discovers facilities.
@@ -123,16 +123,16 @@ pub struct Expansion<A: NetworkAccess> {
     access: Arc<A>,
     cost_type: usize,
     facility_mode: FacilityMode,
+    frontier: Frontier,
+    /// Where `frontier.tables` came from and goes back to on drop.
+    pool: TablePool,
+}
+
+/// The mutable search state: the heap, the per-id tables that de-duplicate
+/// what enters it, and the work counters.
+struct Frontier {
     heap: BinaryHeap<HeapEntry>,
-    /// Best known (not necessarily final) distance per node.
-    best: HashMap<NodeId, f64>,
-    /// Nodes whose distance is final and whose adjacency has been consumed.
-    settled: HashSet<NodeId>,
-    /// Facilities already reported (a facility can be en-heaped from both
-    /// end-nodes of its edge).
-    emitted: HashSet<FacilityId>,
-    /// Best facility key seen so far, for de-duplicated en-heaping.
-    facility_best: HashMap<FacilityId, f64>,
+    tables: Tables,
     stats: ExpansionStats,
 }
 
@@ -140,7 +140,8 @@ const _: () = crate::assert_send_sync::<Expansion<crate::DirectAccess>>();
 const _: () = crate::assert_send_sync::<Expansion<crate::SharedAccess>>();
 
 impl<A: NetworkAccess> Expansion<A> {
-    /// Creates an expansion for `cost_type` starting from the given seeds.
+    /// Creates an expansion for `cost_type` starting from the given seeds,
+    /// on freshly made tables.
     ///
     /// # Panics
     /// Panics if `cost_type` is not a valid cost index for the network.
@@ -150,27 +151,44 @@ impl<A: NetworkAccess> Expansion<A> {
         seeds: &Seeds,
         facility_mode: FacilityMode,
     ) -> Self {
+        Self::with_pool(access, cost_type, seeds, facility_mode, &TablePool::new())
+    }
+
+    /// Like [`Expansion::new`], with the per-id tables taken from `pool` and
+    /// handed back to it when the expansion is dropped. Which tables an
+    /// expansion runs on never shows in its steps or counters.
+    ///
+    /// # Panics
+    /// Panics if `cost_type` is not a valid cost index for the network.
+    pub fn with_pool(
+        access: Arc<A>,
+        cost_type: usize,
+        seeds: &Seeds,
+        facility_mode: FacilityMode,
+        pool: &TablePool,
+    ) -> Self {
         assert!(
             cost_type < access.num_cost_types(),
             "cost type {cost_type} out of range (d = {})",
             access.num_cost_types()
         );
+        let tables = pool.take(access.num_nodes(), access.num_facilities());
         let mut ex = Self {
             access,
             cost_type,
             facility_mode,
-            heap: BinaryHeap::new(),
-            best: HashMap::new(),
-            settled: HashSet::new(),
-            emitted: HashSet::new(),
-            facility_best: HashMap::new(),
-            stats: ExpansionStats::default(),
+            frontier: Frontier {
+                heap: BinaryHeap::new(),
+                tables,
+                stats: ExpansionStats::default(),
+            },
+            pool: pool.clone(),
         };
         for (node, costs) in &seeds.node_seeds {
-            ex.push_node(*node, costs[cost_type]);
+            ex.frontier.push_node(*node, costs[cost_type]);
         }
         for (facility, costs) in &seeds.facility_seeds {
-            ex.push_facility(*facility, costs[cost_type]);
+            ex.frontier.push_facility(*facility, costs[cost_type]);
         }
         ex
     }
@@ -182,68 +200,25 @@ impl<A: NetworkAccess> Expansion<A> {
 
     /// Work counters.
     pub fn stats(&self) -> ExpansionStats {
-        self.stats
+        self.frontier.stats
     }
 
     /// Smallest key currently in the frontier, i.e. a lower bound on the cost
     /// of the next facility this expansion can return (the paper's `tᵢ`).
     /// `None` when the frontier is exhausted.
     pub fn frontier_bound(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.key)
+        self.frontier.heap.peek().map(|e| e.key)
     }
 
     /// True iff nothing remains in the frontier.
     pub fn is_exhausted(&self) -> bool {
-        self.heap.is_empty()
+        self.frontier.heap.is_empty()
     }
 
     /// Replaces the facility mode (used when a query transitions from the
     /// growing to the shrinking stage).
     pub fn set_facility_mode(&mut self, mode: FacilityMode) {
         self.facility_mode = mode;
-    }
-
-    fn push_node(&mut self, node: NodeId, key: f64) {
-        match self.best.entry(node) {
-            Entry::Occupied(mut o) => {
-                if key < *o.get() {
-                    o.insert(key);
-                } else {
-                    return;
-                }
-            }
-            Entry::Vacant(v) => {
-                v.insert(key);
-            }
-        }
-        self.heap.push(HeapEntry {
-            key,
-            item: HeapItem::Node(node),
-        });
-        self.stats.heap_pushes += 1;
-    }
-
-    fn push_facility(&mut self, facility: FacilityId, key: f64) {
-        if self.emitted.contains(&facility) {
-            return;
-        }
-        match self.facility_best.entry(facility) {
-            Entry::Occupied(mut o) => {
-                if key < *o.get() {
-                    o.insert(key);
-                } else {
-                    return;
-                }
-            }
-            Entry::Vacant(v) => {
-                v.insert(key);
-            }
-        }
-        self.heap.push(HeapEntry {
-            key,
-            item: HeapItem::Facility(facility),
-        });
-        self.stats.heap_pushes += 1;
     }
 
     /// En-heaps the facilities of an edge being relaxed from a node sitting at
@@ -258,21 +233,21 @@ impl<A: NetworkAccess> Expansion<A> {
         run: Option<&mcn_storage::FacilityRun>,
         base: f64,
     ) {
-        let targets: Vec<(FacilityId, f64)> = match &self.facility_mode {
-            FacilityMode::Ignore => return,
-            FacilityMode::All => match run {
-                // mcn-lint: allow(hot-path-alloc, reason = "materializes the per-edge run once per edge settle, not per label; push_facility below needs &mut self, so the Arc borrow cannot be held instead")
-                Some(run) => self.access.facilities_in_run(run).iter().copied().collect(),
+        let fetched;
+        let targets: &[(FacilityId, f64)] = match (&self.facility_mode, run) {
+            (FacilityMode::All, Some(run)) => {
+                fetched = self.access.facilities_in_run(run);
+                &fetched
+            }
+            (FacilityMode::CandidatesOnly(by_edge), _) => match by_edge.get(&edge) {
+                Some(candidates) => candidates,
                 None => return,
             },
-            FacilityMode::CandidatesOnly(by_edge) => match by_edge.get(&edge) {
-                // mcn-lint: allow(hot-path-alloc, reason = "clones the short per-edge candidate list so push_facility can take &mut self; bounded by candidates on one edge")
-                Some(cands) => cands.clone(),
-                None => return,
-            },
+            (FacilityMode::All, None) | (FacilityMode::Ignore, _) => return,
         };
-        for (fid, pos) in targets {
-            self.push_facility(fid, base + position_cost(pos) * edge_cost);
+        for &(fid, pos) in targets {
+            self.frontier
+                .push_facility(fid, base + position_cost(pos) * edge_cost);
         }
     }
 
@@ -281,37 +256,35 @@ impl<A: NetworkAccess> Expansion<A> {
     /// exhausted). Stale heap entries are skipped silently.
     pub fn advance(&mut self) -> ExpansionStep {
         loop {
-            let Some(entry) = self.heap.pop() else {
+            let Some(entry) = self.frontier.heap.pop() else {
                 return ExpansionStep::Exhausted;
             };
-            self.stats.heap_pops += 1;
+            self.frontier.stats.heap_pops += 1;
+            // Skip stale entries: the item is already finished, or a better
+            // key was en-heaped later.
+            let stale = |table: &StampedTable, id: u32| {
+                table
+                    .get(id)
+                    .is_some_and(|(best, done)| done || entry.key > best)
+            };
             match entry.item {
                 HeapItem::Facility(fid) => {
-                    // Skip stale entries (a better key was en-heaped later).
-                    if self.emitted.contains(&fid)
-                        || self
-                            .facility_best
-                            .get(&fid)
-                            .is_some_and(|&best| entry.key > best)
-                    {
+                    if stale(&self.frontier.tables.facilities, fid.raw()) {
                         continue;
                     }
-                    self.emitted.insert(fid);
-                    self.stats.facilities_emitted += 1;
+                    self.frontier.tables.facilities.mark_done(fid.raw());
+                    self.frontier.stats.facilities_emitted += 1;
                     return ExpansionStep::Facility {
                         facility: fid,
                         cost: entry.key,
                     };
                 }
                 HeapItem::Node(node) => {
-                    if self.settled.contains(&node) {
+                    if stale(&self.frontier.tables.nodes, node.raw()) {
                         continue;
                     }
-                    if self.best.get(&node).is_some_and(|&best| entry.key > best) {
-                        continue;
-                    }
-                    self.settled.insert(node);
-                    self.stats.nodes_settled += 1;
+                    self.frontier.tables.nodes.mark_done(node.raw());
+                    self.frontier.stats.nodes_settled += 1;
                     self.expand_node(node, entry.key);
                     return ExpansionStep::NodeSettled {
                         node,
@@ -331,7 +304,7 @@ impl<A: NetworkAccess> Expansion<A> {
             // `traversable` tells us whether we may leave `node` via this edge.
             let edge_cost = e.costs[self.cost_type];
             if e.traversable {
-                self.push_node(e.neighbor, dist + edge_cost);
+                self.frontier.push_node(e.neighbor, dist + edge_cost);
             }
             let run = e.facilities;
             // Position of a facility is the fraction from the edge's *source*.
@@ -377,6 +350,39 @@ impl<A: NetworkAccess> Expansion<A> {
                 ExpansionStep::Exhausted => return None,
             }
         }
+    }
+}
+
+impl Frontier {
+    fn push_node(&mut self, node: NodeId, key: f64) {
+        if !self.tables.nodes.improve(node.raw(), key) {
+            return;
+        }
+        self.heap.push(HeapEntry {
+            key,
+            item: HeapItem::Node(node),
+        });
+        self.stats.heap_pushes += 1;
+    }
+
+    fn push_facility(&mut self, facility: FacilityId, key: f64) {
+        if self.tables.facilities.is_done(facility.raw())
+            || !self.tables.facilities.improve(facility.raw(), key)
+        {
+            return;
+        }
+        self.heap.push(HeapEntry {
+            key,
+            item: HeapItem::Facility(facility),
+        });
+        self.stats.heap_pushes += 1;
+    }
+}
+
+impl<A: NetworkAccess> Drop for Expansion<A> {
+    fn drop(&mut self) {
+        self.pool
+            .give_back(std::mem::take(&mut self.frontier.tables));
     }
 }
 

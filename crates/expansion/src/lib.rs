@@ -22,10 +22,12 @@ pub mod access;
 pub mod expansion;
 pub mod oracle;
 pub mod seeds;
+mod tables;
 
 pub use access::{DirectAccess, NetworkAccess, SharedAccess, SharingStats};
 pub use expansion::{Expansion, ExpansionStats, ExpansionStep, FacilityMode};
 pub use seeds::{seeds_for_location, Seeds};
+pub use tables::TablePool;
 
 /// Compile-time thread-safety proof: instantiated in a `const _` next to
 /// each shared type, so the build fails the moment a field change makes the

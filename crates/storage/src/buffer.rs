@@ -34,10 +34,10 @@
 //! `concurrent_snapshots_are_consistent` below.
 
 use crate::disk::DiskManager;
+use crate::idhash::IdMap;
 use crate::page::{Page, PageId};
 use crate::stats::IoStats;
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Witness lock-class ids — the exact strings `mcn-analyze` derives
@@ -128,7 +128,7 @@ fn default_shard_count(capacity: usize) -> usize {
 struct Lru {
     capacity: usize,
     frames: Vec<Frame>,
-    map: HashMap<PageId, usize>,
+    map: IdMap<PageId, usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
     free: Vec<usize>,
@@ -148,7 +148,7 @@ impl Lru {
         Self {
             capacity,
             frames: Vec::with_capacity(capacity.min(1024)),
-            map: HashMap::with_capacity(capacity.min(1024)),
+            map: IdMap::with_capacity_and_hasher(capacity.min(1024), Default::default()),
             head: NIL,
             tail: NIL,
             free: Vec::new(),

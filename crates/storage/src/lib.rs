@@ -32,6 +32,7 @@ pub mod builder;
 pub mod codec;
 pub mod disk;
 pub mod error;
+pub mod idhash;
 pub mod meta;
 pub mod page;
 pub mod partitioned;
@@ -45,6 +46,7 @@ pub use buffer::BufferPool;
 pub use builder::{build_region_store, build_store};
 pub use disk::{DiskManager, FileDisk, InMemoryDisk};
 pub use error::StorageError;
+pub use idhash::IdMap;
 pub use meta::StorageMeta;
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use partitioned::{
