@@ -120,7 +120,9 @@ pub fn scalarized_path(
 /// L(v) is the per-cost lower-bound vector of `prep` (a backward scan
 /// towards `target`). Returns the exact same path as [`scalarized_path`]
 /// while settling only the nodes whose f-value does not exceed the optimum
-/// — the serving-tier fast path.
+/// — the serving-tier fast path. (When two distinct routes tie on exactly
+/// equal scalarized cost the two variants may each return a different one
+/// of the tied routes.)
 ///
 /// Panics if the table was built for a different target, graph size or
 /// cost-type count (same contract as `pareto_paths_prepped`).
@@ -383,6 +385,39 @@ mod tests {
             astar.stats.settled,
             plain.stats.settled
         );
+    }
+
+    /// The one input class where the two variants may disagree, pinned so
+    /// the caveat in the README stays true: two distinct routes of exactly
+    /// equal scalarized cost. Dijkstra breaks the s→p1 / s→p2 tie on node
+    /// id; A* orders the same two nodes by heuristic, and p2's side edge to
+    /// the target gives it the smaller bound. Same total, same costs,
+    /// different representative.
+    #[test]
+    fn exactly_tied_routes_may_differ_in_representative_only() {
+        let mut b = GraphBuilder::new(2);
+        let s = b.add_node(0.0, 0.0);
+        let p1 = b.add_node(1.0, 1.0);
+        let p2 = b.add_node(1.0, -1.0);
+        let v = b.add_node(2.0, 0.0);
+        let t = b.add_node(3.0, 0.0);
+        let zero = CostVec::from_slice(&[0.0, 0.0]);
+        for (from, to) in [(s, p1), (s, p2), (p1, v), (p2, v)] {
+            b.add_directed_edge(from, to, zero).unwrap();
+        }
+        b.add_directed_edge(v, t, CostVec::from_slice(&[1.0, 1.0]))
+            .unwrap();
+        b.add_directed_edge(p2, t, CostVec::from_slice(&[0.5, 5.0]))
+            .unwrap();
+        let g = b.build().unwrap();
+        let pref = Preference::new(&[0.5, 0.5]).unwrap();
+        let prep = PrepTable::build(&g, t);
+        let plain = scalarized_path(&g, s, t, &pref).path.unwrap();
+        let astar = scalarized_path_astar(&g, s, t, &pref, &prep).path.unwrap();
+        assert_eq!(plain.total.to_bits(), astar.total.to_bits());
+        assert_eq!(plain.costs, astar.costs);
+        assert_eq!(plain.edges.len(), astar.edges.len());
+        assert_ne!(plain.edges, astar.edges, "via p1 vs via p2");
     }
 
     #[test]

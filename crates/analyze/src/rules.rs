@@ -117,13 +117,15 @@ pub const RULE_DOCS: [RuleDoc; 9] = [
 pub const GUARD_METHODS: [&str; 6] = ["lock", "read", "write", "try_lock", "try_read", "try_write"];
 
 /// Calls that hit the `DiskManager` / physical-read layer.
-const IO_CALLS: [&str; 9] = [
+const IO_CALLS: [&str; 11] = [
     "read_page",
     "write_page",
     "allocate_page",
+    "append_page",
     "with_page",
     "read_exact",
     "write_all",
+    "write_at",
     "seek",
     "flush",
     "sync_all",

@@ -3,16 +3,17 @@
 //! For every swept point — cost dimensions d = 2..4 × network sizes — the
 //! experiment draws seeded source/target pairs and a pool of per-user
 //! preference vectors α (via `mcn_gen::generate_preferences`), then
-//! measures the same α-optimal route three ways:
+//! measures the same α-optimal route two ways:
 //!
 //! * **dijkstra** — `scalarized_path`, the heuristic-free binary-heap
 //!   Dijkstra over α-collapsed edge costs;
 //! * **astar** — `scalarized_path_astar`, driven by h(v) = α·L(v) from a
 //!   [`PrepTable`] backward scan (built once per target and amortized
-//!   across the user pool — the serving-tier regime);
-//! * **engine** — a batch of [`QueryRequest::AlphaPath`] requests over a
-//!   pool of repeated targets, served by the [`QueryEngine`] through a
-//!   [`PathContext`]'s bounded prep cache, cold vs warm.
+//!   across the user pool — the serving-tier regime).
+//!
+//! How the engine serves these requests through the prep cache (which
+//! targets get a table, at what throughput and latency) is measured by the
+//! repo benchmark's `alpha_serve` workload, not here.
 //!
 //! The full `pareto_paths_prepped` skyline also runs on every pair, putting
 //! the two tiers side by side: the skyline *explores* every Pareto-optimal
@@ -23,16 +24,13 @@
 //!
 //! * every (pair, α) query's A* route is **byte-identical** to plain
 //!   Dijkstra's (edge list and the raw bits of the scalarized total);
-//! * cold-cache and warm-cache engine batches are fingerprint-identical;
 //! * with `assert_improvements` (the default): A* settles at least
-//!   [`MIN_SETTLED_REDUCTION`]× fewer nodes than Dijkstra, the skyline
+//!   [`MIN_SETTLED_REDUCTION`]× fewer nodes than Dijkstra and the skyline
 //!   creates at least [`MIN_SKYLINE_ADVANTAGE`]× more labels than A*
-//!   settles nodes on the same pairs, and the warm engine batch beats the
-//!   cold one.
+//!   settles nodes on the same pairs.
 
 use crate::report::json_safe;
 use mcn_alpha::{scalarized_path, scalarized_path_astar, Preference, PreferenceEstimator};
-use mcn_engine::{PathContext, QueryEngine, QueryRequest};
 use mcn_gen::{
     generate_preferences, generate_workload, CostDistribution, PreferenceSpec, WorkloadSpec,
 };
@@ -40,11 +38,9 @@ use mcn_graph::{MultiCostGraph, NodeId};
 use mcn_mcpp::pareto_paths_prepped;
 use mcn_obs::default_clock;
 use mcn_prep::PrepTable;
-use mcn_storage::{BufferConfig, MCNStore};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Identifier of the alpha experiment in the `experiments` binary and its
 /// report file name (`<id>.json`).
@@ -73,22 +69,14 @@ pub struct AlphaConfig {
     /// Per-user preference vectors in the pool; every pair is queried once
     /// per user.
     pub users: usize,
-    /// Requests in the engine batch.
-    pub batch: usize,
-    /// Distinct targets the engine batch cycles over (the cache's reuse).
-    pub targets: usize,
-    /// Worker threads of the engine runs.
-    pub workers: usize,
-    /// Capacity of the engine's prep-table cache.
-    pub cache_capacity: usize,
     /// Observed routes fed to the [`PreferenceEstimator`] per point (each
     /// generated under a hidden α from the pool).
     pub estimator_routes: usize,
     /// Master seed for the workload, pair, α-pool and batch draws.
     pub seed: u64,
-    /// Assert the settled-node reduction, the skyline advantage and
-    /// warm > cold QPS (disable for timing-hostile unit-test environments;
-    /// equality assertions always run).
+    /// Assert the settled-node reduction and the skyline advantage
+    /// (disable for toy-sized unit-test networks; equality assertions
+    /// always run).
     pub assert_improvements: bool,
     /// Where the network came from: `"synthetic"` or a loaded file path.
     pub source: String,
@@ -101,13 +89,6 @@ impl Default for AlphaConfig {
             dims: vec![2, 3, 4],
             pairs: 6,
             users: 6,
-            // Same shape as the prep experiment's engine batch: four-fold
-            // within-batch reuse per target and a cache that holds the
-            // whole pool, so cold pays one scan per target and warm none.
-            batch: 96,
-            targets: 24,
-            workers: 4,
-            cache_capacity: 32,
             estimator_routes: 4,
             seed: 2010,
             assert_improvements: true,
@@ -144,26 +125,6 @@ pub struct AlphaRow {
     /// Single-query throughput of A*, backward scans amortized over the
     /// user pool (queries / wall, scan time included once per target).
     pub astar_qps: f64,
-    /// Engine batch throughput with a cold prep cache.
-    pub cold_qps: f64,
-    /// Engine batch throughput re-running the same batch warm.
-    pub warm_qps: f64,
-    /// `warm_qps / cold_qps`.
-    pub warm_speedup: f64,
-    /// Prep-cache hits over one cold + warm engine cycle (from the batch's
-    /// [`mcn_engine::BatchStats::prep_cache`] deltas).
-    pub cache_hits: u64,
-    /// Prep-cache misses — backward scans executed — over the same cycle.
-    pub cache_misses: u64,
-    /// `hits / (hits + misses)` of the same cycle.
-    pub cache_hit_ratio: f64,
-    /// Median per-query latency of the last warm engine batch, in
-    /// milliseconds (from the engine's deterministic log2 histogram).
-    pub p50_ms: f64,
-    /// 95th-percentile per-query latency of the same batch (ms).
-    pub p95_ms: f64,
-    /// 99th-percentile per-query latency of the same batch (ms).
-    pub p99_ms: f64,
     /// Fraction of observed routes whose hidden α the estimator recovered
     /// (a preference under which the route is optimal).
     pub estimator_recovered: f64,
@@ -344,112 +305,6 @@ fn measure_estimator(graph: &MultiCostGraph, routes: usize, seed: u64) -> (f64, 
     )
 }
 
-/// Builds the engine batch: `batch` alpha-path requests cycling over
-/// `targets` distinct seeded targets and the user pool's αs, each queried
-/// from a source a few hops away (repeated personalized queries towards
-/// popular destinations — the serving tier's workload shape).
-fn build_alpha_batch(
-    graph: &MultiCostGraph,
-    batch: usize,
-    targets: usize,
-    users: usize,
-    seed: u64,
-) -> Vec<QueryRequest> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0A1F_57A7);
-    let n = graph.num_nodes();
-    let pool: Vec<NodeId> = (0..targets.max(1))
-        .map(|_| NodeId::from(rng.gen_range(0..n)))
-        .collect();
-    let alphas = user_pool(graph.num_cost_types(), users, seed ^ 0x5EED);
-    (0..batch)
-        .map(|i| {
-            let target = pool[i % pool.len()];
-            let mut source = target;
-            for _ in 0..4 {
-                let neighbors: Vec<NodeId> = graph.neighbors(source).map(|nb| nb.node).collect();
-                if neighbors.is_empty() {
-                    break;
-                }
-                source = neighbors[rng.gen_range(0..neighbors.len())];
-            }
-            QueryRequest::AlphaPath {
-                source,
-                target,
-                alpha: alphas[i % alphas.len()].clone(),
-            }
-        })
-        .collect()
-}
-
-/// Engine measurement repeats (best wall time kept; results asserted
-/// identical on every repeat — same rationale as the prep experiment).
-const ENGINE_REPEATS: usize = 3;
-
-/// The engine half of one point: cold/warm QPS, cache counters, and the
-/// per-query latency histogram of the last warm batch.
-struct EngineMetrics {
-    cold_qps: f64,
-    warm_qps: f64,
-    cache: mcn_prep::PrepCacheStats,
-    warm_latency: mcn_obs::HistogramSnapshot,
-}
-
-/// One engine measurement: the batch cold vs warm, fingerprints asserted
-/// identical, cache counters taken from the batches' own
-/// [`mcn_engine::BatchStats::prep_cache`] deltas.
-fn measure_engine(graph: &Arc<MultiCostGraph>, config: &AlphaConfig, seed: u64) -> EngineMetrics {
-    let store =
-        Arc::new(MCNStore::build_in_memory(graph, BufferConfig::Pages(32)).expect("store builds"));
-    let ctx = Arc::new(PathContext::new(graph.clone(), config.cache_capacity));
-    let engine = QueryEngine::new(store, config.workers).with_path_context(ctx.clone());
-    let requests = build_alpha_batch(graph, config.batch, config.targets, config.users, seed);
-    let prints = |r: &mcn_engine::BatchResult| {
-        r.outcomes
-            .iter()
-            .map(|o| o.output.fingerprint())
-            .collect::<Vec<_>>()
-    };
-
-    // Warm-up: first-touch page faults and allocator growth hit this run.
-    let reference = prints(&engine.run_batch(&requests));
-
-    let mut cold_qps = 0.0f64;
-    let mut warm_qps = 0.0f64;
-    let mut cache = mcn_prep::PrepCacheStats::default();
-    let mut warm_latency = None;
-    for _ in 0..ENGINE_REPEATS {
-        ctx.clear_cache();
-        let cold = engine.run_batch(&requests);
-        let warm = engine.run_batch(&requests);
-        assert_eq!(
-            reference,
-            prints(&cold),
-            "cold-cache engine run changed alpha-path results"
-        );
-        assert_eq!(
-            reference,
-            prints(&warm),
-            "warm-cache engine run changed alpha-path results"
-        );
-        cold_qps = cold_qps.max(cold.stats.qps);
-        warm_qps = warm_qps.max(warm.stats.qps);
-        // Per-batch deltas straight from BatchStats; the last repeat's
-        // cold + warm cycle is reported.
-        cache = mcn_prep::PrepCacheStats {
-            hits: cold.stats.prep_cache.hits + warm.stats.prep_cache.hits,
-            misses: cold.stats.prep_cache.misses + warm.stats.prep_cache.misses,
-            evictions: cold.stats.prep_cache.evictions + warm.stats.prep_cache.evictions,
-        };
-        warm_latency = Some(warm.stats.latency);
-    }
-    EngineMetrics {
-        cold_qps,
-        warm_qps,
-        cache,
-        warm_latency: warm_latency.expect("ENGINE_REPEATS > 0"),
-    }
-}
-
 /// The workload spec of one synthetic point (same shape as the prep
 /// experiment's, so rows are comparable across the two reports).
 fn point_spec(nodes: usize, d: usize, seed: u64) -> WorkloadSpec {
@@ -465,13 +320,11 @@ fn point_spec(nodes: usize, d: usize, seed: u64) -> WorkloadSpec {
 }
 
 /// Runs one point over an explicit graph and returns its row.
-fn measure_point(graph: Arc<MultiCostGraph>, config: &AlphaConfig) -> AlphaRow {
+fn measure_point(graph: &MultiCostGraph, config: &AlphaConfig) -> AlphaRow {
     let d = graph.num_cost_types();
-    let metrics = measure_scalarized(&graph, config.pairs, config.users, config.seed);
-    let engine = measure_engine(&graph, config, config.seed);
-    let (cold_qps, warm_qps) = (engine.cold_qps, engine.warm_qps);
+    let metrics = measure_scalarized(graph, config.pairs, config.users, config.seed);
     let (estimator_recovered, estimator_rounds) =
-        measure_estimator(&graph, config.estimator_routes, config.seed);
+        measure_estimator(graph, config.estimator_routes, config.seed);
     let queries = (config.pairs * config.users) as f64;
     let row = AlphaRow {
         dims: d,
@@ -485,19 +338,6 @@ fn measure_point(graph: Arc<MultiCostGraph>, config: &AlphaConfig) -> AlphaRow {
         skyline_advantage: json_safe(metrics.skyline_labels / metrics.astar_settled.max(1.0)),
         dijkstra_qps: json_safe(queries / metrics.dijkstra_secs.max(1e-12)),
         astar_qps: json_safe(queries / metrics.astar_secs.max(1e-12)),
-        cold_qps: json_safe(cold_qps),
-        warm_qps: json_safe(warm_qps),
-        warm_speedup: json_safe(if cold_qps > 0.0 {
-            warm_qps / cold_qps
-        } else {
-            1.0
-        }),
-        cache_hits: engine.cache.hits,
-        cache_misses: engine.cache.misses,
-        cache_hit_ratio: json_safe(engine.cache.hit_ratio()),
-        p50_ms: json_safe(engine.warm_latency.p50 as f64 / 1e6),
-        p95_ms: json_safe(engine.warm_latency.p95 as f64 / 1e6),
-        p99_ms: json_safe(engine.warm_latency.p99 as f64 / 1e6),
         estimator_recovered: json_safe(estimator_recovered),
         estimator_rounds: json_safe(estimator_rounds),
     };
@@ -516,14 +356,6 @@ fn measure_point(graph: Arc<MultiCostGraph>, config: &AlphaConfig) -> AlphaRow {
             row.skyline_advantage,
             row.nodes
         );
-        assert!(
-            row.warm_qps > row.cold_qps,
-            "warm prep cache served {} nodes / d = {d} at {:.1} QPS, \
-             cold at {:.1} QPS",
-            row.nodes,
-            row.warm_qps,
-            row.cold_qps
-        );
     }
     row
 }
@@ -536,7 +368,7 @@ pub fn run_alpha(config: &AlphaConfig) -> AlphaReport {
     for &d in &config.dims {
         for &nodes in &config.nodes {
             let workload = generate_workload(&point_spec(nodes, d, config.seed));
-            rows.push(measure_point(Arc::new(workload.graph), config));
+            rows.push(measure_point(&workload.graph, config));
         }
     }
     report(config, rows)
@@ -559,7 +391,7 @@ pub fn run_alpha_on_graph(config: &AlphaConfig, graph: &MultiCostGraph) -> Alpha
             ..WorkloadSpec::paper_default()
         };
         let workload = mcn_gen::workload_on_graph(graph, &spec);
-        rows.push(measure_point(Arc::new(workload.graph), config));
+        rows.push(measure_point(&workload.graph, config));
     }
     report(config, rows)
 }
@@ -582,17 +414,11 @@ pub fn render_alpha_table(table: &AlphaReport) -> String {
     let mut out = String::new();
     out.push_str(&format!("## {} [{}]\n", table.title, table.id));
     out.push_str(&format!(
-        "({} pairs × {} users per point; engine batch of {} over {} targets, \
-         {} workers, cache capacity {})\n",
-        table.config.pairs,
-        table.config.users,
-        table.config.batch,
-        table.config.targets,
-        table.config.workers,
-        table.config.cache_capacity
+        "({} pairs × {} users per point)\n",
+        table.config.pairs, table.config.users
     ));
     out.push_str(&format!(
-        "{:<4} {:>7} {:>12} {:>11} {:>8} {:>13} {:>9} {:>10} {:>10} {:>9} {:>9} {:>8} {:>6}\n",
+        "{:<4} {:>7} {:>12} {:>11} {:>8} {:>13} {:>9} {:>10} {:>10} {:>6}\n",
         "d",
         "nodes",
         "dij settled",
@@ -600,17 +426,14 @@ pub fn render_alpha_table(table: &AlphaReport) -> String {
         "reduce",
         "skyline lbls",
         "advantage",
-        "cold QPS",
-        "warm QPS",
-        "p50(ms)",
-        "p95(ms)",
-        "hit%",
+        "dij QPS",
+        "A* QPS",
         "est%"
     ));
     for r in &table.rows {
         out.push_str(&format!(
             "{:<4} {:>7} {:>12.1} {:>11.1} {:>7.2}x {:>13.1} {:>8.1}x {:>10.1} \
-             {:>10.1} {:>9.3} {:>9.3} {:>7.1}% {:>5.0}%\n",
+             {:>10.1} {:>5.0}%\n",
             r.dims,
             r.nodes,
             r.dijkstra_settled,
@@ -618,11 +441,8 @@ pub fn render_alpha_table(table: &AlphaReport) -> String {
             r.settled_reduction,
             r.skyline_labels,
             r.skyline_advantage,
-            r.cold_qps,
-            r.warm_qps,
-            r.p50_ms,
-            r.p95_ms,
-            r.cache_hit_ratio * 100.0,
+            r.dijkstra_qps,
+            r.astar_qps,
             r.estimator_recovered * 100.0
         ));
     }
@@ -639,13 +459,9 @@ mod tests {
             dims: vec![2, 3],
             pairs: 3,
             users: 3,
-            batch: 8,
-            targets: 4,
-            workers: 2,
-            cache_capacity: 4,
             estimator_routes: 2,
-            // Unit tests run in debug on loaded machines; the timing and
-            // ratio assertions belong to the release-mode experiment runs.
+            // The ratio bars are set for the experiment's network sizes,
+            // not for this toy one.
             assert_improvements: false,
             ..Default::default()
         }
@@ -661,13 +477,7 @@ mod tests {
             assert!(row.astar_settled <= row.dijkstra_settled);
             assert!(row.settled_reduction >= 1.0);
             assert!(row.skyline_labels > 0.0);
-            assert!(row.cold_qps > 0.0 && row.warm_qps > 0.0);
-            assert!(row.cache_hits > 0);
-            assert!(row.cache_hit_ratio > 0.0 && row.cache_hit_ratio < 1.0);
-            // Latency percentiles come from the engine's histogram: finite,
-            // ordered, and positive on a real (monotonic) clock.
-            assert!(row.p50_ms > 0.0);
-            assert!(row.p50_ms <= row.p95_ms && row.p95_ms <= row.p99_ms);
+            assert!(row.dijkstra_qps > 0.0 && row.astar_qps > 0.0);
         }
     }
 

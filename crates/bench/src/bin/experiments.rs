@@ -29,7 +29,7 @@ use mcn_bench::{
     run_label_gate, run_obs, run_partition, run_partition_on, run_prep, run_prep_on_graph,
     run_throughput, AlphaConfig, AlphaGateConfig, AlphaReport, AlphaSettledBaseline, Experiment,
     ExperimentConfig, ExperimentTable, GateBaseline, GateConfig, IndexExperimentConfig,
-    IndexGateConfig, IndexLatencyBaseline, IndexReport, LabelBaseline, LabelGateConfig,
+    IndexGateConfig, IndexReport, IndexSettledBaseline, LabelBaseline, LabelGateConfig,
     ObsExperimentConfig, ObsReport, PartitionConfig, PartitionTable, PrepConfig, PrepReport,
     ThroughputConfig, ThroughputTable, ALPHA_ID, GATE_TOLERANCE, INDEX_ID, OBS_ID, PARTITION_ID,
     PREP_ID, THROUGHPUT_ID,
@@ -144,15 +144,6 @@ fn main() -> ExitCode {
             }
             "--alpha-users" => {
                 alpha_config.users = expect_value(&args, &mut i, "--alpha-users");
-            }
-            "--alpha-batch" => {
-                alpha_config.batch = expect_value(&args, &mut i, "--alpha-batch");
-            }
-            "--alpha-targets" => {
-                alpha_config.targets = expect_value(&args, &mut i, "--alpha-targets");
-            }
-            "--alpha-cache" => {
-                alpha_config.cache_capacity = expect_value(&args, &mut i, "--alpha-cache");
             }
             "--no-alpha-asserts" => {
                 alpha_config.assert_improvements = false;
@@ -292,7 +283,6 @@ fn main() -> ExitCode {
     prep_config.seed = config.seed;
     prep_config.workers = partition_config.workers;
     alpha_config.seed = config.seed;
-    alpha_config.workers = partition_config.workers;
     index_config.seed = config.seed;
     obs_config.scale = config.scale;
     obs_config.seed = config.seed;
@@ -556,8 +546,8 @@ fn run_gate_command(args: &[String]) -> ExitCode {
             }
             eprintln!("wrote index baseline {}", path.display());
         } else {
-            let baseline: IndexLatencyBaseline =
-                match load_baseline(path, IndexLatencyBaseline::from_json) {
+            let baseline: IndexSettledBaseline =
+                match load_baseline(path, IndexSettledBaseline::from_json) {
                     Ok(baseline) => baseline,
                     Err(code) => return code,
                 };
@@ -922,12 +912,9 @@ fn print_usage() {
          --alpha-dims LIST   cost dimensions swept by {ALPHA_ID}, e.g. 2,3,4 (default)\n\
          --alpha-pairs N     source/target pairs measured per {ALPHA_ID} point (default 6)\n\
          --alpha-users N     preference vectors per {ALPHA_ID} pair (default 6)\n\
-         --alpha-batch N     requests in the {ALPHA_ID} engine batch (default 96)\n\
-         --alpha-targets N   distinct targets the {ALPHA_ID} batch cycles over (default 24)\n\
-         --alpha-cache N     {ALPHA_ID} prep-table cache capacity (default 32)\n\
-         --no-alpha-asserts  skip {ALPHA_ID}'s ≥2x-settled-reduction, ≥10x skyline\n\
-         \x20              advantage and warm>cold QPS assertions (A* = Dijkstra\n\
-         \x20              byte-identical routes are always asserted)\n\
+         --no-alpha-asserts  skip {ALPHA_ID}'s ≥2x-settled-reduction and ≥10x skyline\n\
+         \x20              advantage assertions (A* = Dijkstra byte-identical\n\
+         \x20              routes are always asserted)\n\
          --index-nodes LIST  network sizes swept by {INDEX_ID}, e.g. 150,250 (default)\n\
          --index-dims LIST   cost dimensions swept by {INDEX_ID}, e.g. 2,3,4 (default)\n\
          --index-pairs N     source/target pairs measured per {INDEX_ID} point (default 6)\n\

@@ -32,8 +32,8 @@
 //!
 //! The route index rides the same rails: **its settled counts and its size
 //! are deterministic** (the build and both query kinds are pure functions
-//! of the seeded inputs), so a fourth baseline (`index_latency.json`, see
-//! [`IndexLatencyBaseline`]) stores the index's per-query settled nodes —
+//! of the seeded inputs), so a fourth baseline (`index_settled.json`, see
+//! [`IndexSettledBaseline`]) stores the index's per-query settled nodes —
 //! the wall-latency proxy — and its arc-entry count per dimension, and
 //! `experiments gate --index FILE` fails when either regresses (a settled
 //! regression means queries got slower, an arc-entry one that contraction
@@ -565,14 +565,14 @@ pub struct IndexGatePoint {
 /// The checked-in index baseline: configuration plus one point per
 /// dimension.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct IndexLatencyBaseline {
+pub struct IndexSettledBaseline {
     /// The configuration the numbers belong to.
     pub config: IndexGateConfig,
     /// One entry per swept dimension.
     pub points: Vec<IndexGatePoint>,
 }
 
-impl IndexLatencyBaseline {
+impl IndexSettledBaseline {
     /// Serializes the baseline as indented JSON (the checked-in format).
     pub fn to_json(&self) -> String {
         serde::json::to_string_pretty(self)
@@ -590,7 +590,7 @@ impl IndexLatencyBaseline {
 /// Re-measures the index gate: the index's settled nodes per seeded query
 /// and its size, per cost dimension. Byte-identical answers against the
 /// prep tier are asserted inside [`measure_index`] on every run.
-pub fn run_index_gate(config: &IndexGateConfig) -> IndexLatencyBaseline {
+pub fn run_index_gate(config: &IndexGateConfig) -> IndexSettledBaseline {
     let points = config
         .dims
         .iter()
@@ -627,7 +627,7 @@ pub fn run_index_gate(config: &IndexGateConfig) -> IndexLatencyBaseline {
             }
         })
         .collect();
-    IndexLatencyBaseline {
+    IndexSettledBaseline {
         config: config.clone(),
         points,
     }
@@ -637,8 +637,8 @@ pub fn run_index_gate(config: &IndexGateConfig) -> IndexLatencyBaseline {
 /// Returns one message per violation (empty = gate passed); improvements
 /// never fail (refresh with `--update` to lock them in).
 pub fn compare_index_gate(
-    current: &IndexLatencyBaseline,
-    baseline: &IndexLatencyBaseline,
+    current: &IndexSettledBaseline,
+    baseline: &IndexSettledBaseline,
     tolerance: f64,
 ) -> Vec<String> {
     let mut violations = Vec::new();
@@ -911,8 +911,8 @@ mod tests {
     }
 
     /// A two-point index baseline for the comparison tests.
-    fn small_index_baseline() -> IndexLatencyBaseline {
-        IndexLatencyBaseline {
+    fn small_index_baseline() -> IndexSettledBaseline {
+        IndexSettledBaseline {
             config: IndexGateConfig::default(),
             points: vec![
                 IndexGatePoint {
@@ -964,7 +964,7 @@ mod tests {
     fn index_baseline_round_trips_through_json() {
         let b = small_index_baseline();
         let json = b.to_json();
-        let parsed = IndexLatencyBaseline::from_json(&json).unwrap();
+        let parsed = IndexSettledBaseline::from_json(&json).unwrap();
         assert_eq!(parsed, b);
         assert_eq!(parsed.to_json(), json);
     }

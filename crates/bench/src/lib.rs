@@ -42,7 +42,7 @@ pub use gate::{
     compare_alpha_gate, compare_gate, compare_index_gate, compare_label_gate, run_alpha_gate,
     run_gate, run_index_gate, run_label_gate, AlphaGateConfig, AlphaGatePoint,
     AlphaSettledBaseline, GateBaseline, GateConfig, GatePoint, GateTable, IndexGateConfig,
-    IndexGatePoint, IndexLatencyBaseline, LabelBaseline, LabelGateConfig, LabelGatePoint,
+    IndexGatePoint, IndexSettledBaseline, LabelBaseline, LabelGateConfig, LabelGatePoint,
     GATE_TOLERANCE,
 };
 pub use index::{

@@ -386,7 +386,7 @@ fn measure_point(graph: Arc<MultiCostGraph>, config: &PrepConfig) -> PrepRow {
             mcn_prep::PrepCacheStats {
                 hits: cache_hits,
                 misses: cache_misses,
-                evictions: 0,
+                ..Default::default()
             }
             .hit_ratio(),
         ),

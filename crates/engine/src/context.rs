@@ -10,7 +10,9 @@ use std::sync::Arc;
 /// and [`crate::QueryRequest::AlphaPath`]
 /// requests: the multi-cost graph the paths run over and a bounded LRU
 /// [`PrepCache`] so concurrent batches towards popular targets share one
-/// backward scan.
+/// backward scan. Path-skyline queries always get a table
+/// ([`PathContext::table_for`]); α-path queries only towards targets asked
+/// for often enough to pay for one ([`PrepCache::get_or_bypass`]).
 ///
 /// Facility skyline/top-k queries read the paged store; path-skyline
 /// queries are a pure graph computation, so the context carries the graph

@@ -896,14 +896,137 @@ mod tests {
         }
         // The batch-level prep-cache delta reconciles: every path-flavored
         // request was one cache lookup, and the warm repeats were hits.
+        // One worker serves in request order: the twelve path skylines built
+        // the three tables, so every α request after them was a hit.
         let cache = serial.stats.prep_cache;
-        assert!(cache.hits + cache.misses >= 24);
-        assert!(cache.hits > 0);
+        assert_eq!(cache.hits + cache.misses + cache.bypassed, 24);
+        assert_eq!((cache.misses, cache.bypassed), (3, 0));
         assert!(cache.hit_ratio() > 0.0);
         // A batch with no path context reports a zeroed delta.
         let (plain_store, plain_requests) = fixture();
         let plain = QueryEngine::new(plain_store, 2).run_batch(&plain_requests);
         assert_eq!(plain.stats.prep_cache, mcn_prep::PrepCacheStats::default());
+    }
+
+    /// α requests to distinct targets, so an empty cache bypasses every one
+    /// (no target is asked for twice) and a pre-warmed one hits every one.
+    fn distinct_target_alpha_fixture() -> (Arc<MCNStore>, Arc<crate::PathContext>, Vec<QueryRequest>)
+    {
+        let (store, small, _) = path_fixture();
+        let graph = small.graph().clone();
+        let n = graph.num_nodes();
+        let d = graph.num_cost_types();
+        let mut rng = ChaCha8Rng::seed_from_u64(312);
+        let requests: Vec<QueryRequest> = (0..12)
+            .map(|i| {
+                let weights: Vec<f64> = (0..d).map(|_| rng.gen_range(0.05..1.0)).collect();
+                QueryRequest::AlphaPath {
+                    source: mcn_graph::NodeId::from(rng.gen_range(0..n)),
+                    target: mcn_graph::NodeId::from(i * (n / 12)),
+                    alpha: mcn_alpha::Preference::new(&weights).unwrap(),
+                }
+            })
+            .collect();
+        (
+            store,
+            Arc::new(crate::PathContext::new(graph, 16)),
+            requests,
+        )
+    }
+
+    #[test]
+    fn alpha_answers_do_not_depend_on_the_cache_state_or_the_worker_count() {
+        let (store, ctx, requests) = distinct_target_alpha_fixture();
+        let n = requests.len() as u64;
+        let run = |workers: usize| {
+            QueryEngine::new(store.clone(), workers)
+                .with_path_context(ctx.clone())
+                .run_batch(&requests)
+        };
+        let tags = |result: &BatchResult| -> Vec<String> {
+            result
+                .outcomes
+                .iter()
+                .map(|o| o.stats.algorithm.clone())
+                .collect()
+        };
+
+        // Empty cache: every request is answered table-free.
+        let reference = run(1);
+        assert!(tags(&reference).iter().all(|t| t == "alpha-dijkstra"));
+        for workers in [1, 2] {
+            ctx.clear_cache();
+            let cold = run(workers);
+            assert_eq!(fingerprints(&reference), fingerprints(&cold));
+            assert_eq!(tags(&reference), tags(&cold));
+            let expected = mcn_prep::PrepCacheStats {
+                bypassed: n,
+                ..Default::default()
+            };
+            assert_eq!(cold.stats.prep_cache, expected);
+            assert!(ctx.cache().is_empty());
+        }
+
+        // Pre-warmed cache: every request is a hit served by A*.
+        for request in &requests {
+            if let QueryRequest::AlphaPath { target, .. } = request {
+                ctx.table_for(*target);
+            }
+        }
+        for workers in [1, 2] {
+            let warm = run(workers);
+            assert_eq!(fingerprints(&reference), fingerprints(&warm));
+            assert!(tags(&warm).iter().all(|t| t == "alpha-astar"));
+            let expected = mcn_prep::PrepCacheStats {
+                hits: n,
+                ..Default::default()
+            };
+            assert_eq!(warm.stats.prep_cache, expected);
+        }
+    }
+
+    #[test]
+    fn repeated_alpha_targets_earn_their_tables_deterministically() {
+        // One worker, one target, one request repeated: the cache's decision
+        // sequence is a pure function of the settled counts charged to it.
+        let (store, ctx, requests) = distinct_target_alpha_fixture();
+        let request = requests[0].clone();
+        let QueryRequest::AlphaPath {
+            source,
+            target,
+            alpha,
+        } = &request
+        else {
+            unreachable!("the fixture is all alpha requests")
+        };
+        let graph = ctx.graph();
+        let settled = mcn_alpha::scalarized_path(graph, *source, *target, alpha)
+            .stats
+            .settled;
+        let price = (graph.num_nodes() * graph.num_cost_types()) as u64;
+        let bypasses = price.div_ceil(settled);
+        let batch = vec![request; bypasses as usize + 3];
+        let engine = QueryEngine::new(store, 1).with_path_context(ctx.clone());
+        let result = engine.run_batch(&batch);
+        let expected = mcn_prep::PrepCacheStats {
+            hits: 2,
+            misses: 1,
+            evictions: 0,
+            bypassed: bypasses,
+        };
+        assert_eq!(result.stats.prep_cache, expected);
+        for (i, outcome) in result.outcomes.iter().enumerate() {
+            let tag = if (i as u64) < bypasses {
+                "alpha-dijkstra"
+            } else {
+                "alpha-astar"
+            };
+            assert_eq!(outcome.stats.algorithm, tag, "request {i}");
+            assert_eq!(
+                outcome.output.fingerprint(),
+                result.outcomes[0].output.fingerprint()
+            );
+        }
     }
 
     #[test]
@@ -989,9 +1112,16 @@ mod tests {
             .run_batch(&requests);
         for (request, outcome) in requests.iter().zip(&outcomes.outcomes) {
             match request {
-                QueryRequest::AlphaPath { .. } => {
-                    assert_eq!(outcome.stats.algorithm, "alpha-astar")
-                }
+                // Which of the two prep-tier searches ran depends on whether
+                // the target's table was resident yet — never the index.
+                QueryRequest::AlphaPath { .. } => assert!(
+                    matches!(
+                        outcome.stats.algorithm.as_str(),
+                        "alpha-astar" | "alpha-dijkstra"
+                    ),
+                    "{}",
+                    outcome.stats.algorithm
+                ),
                 QueryRequest::PathSkyline { .. } => {
                     assert_eq!(outcome.stats.algorithm, "MCPP-prep")
                 }
@@ -1047,7 +1177,9 @@ mod tests {
 
     #[test]
     fn batch_metrics_reconcile_with_io_and_prep_stats() {
-        let (store, ctx, requests) = mixed_alpha_fixture();
+        let (store, ctx, mut requests) = mixed_alpha_fixture();
+        // α requests to targets nothing else asks for: bypassed lookups.
+        requests.extend(distinct_target_alpha_fixture().2);
         let obs = Arc::new(mcn_obs::Obs::new());
         let engine = QueryEngine::new(store.clone(), 4)
             .with_path_context(ctx.clone())
@@ -1077,6 +1209,13 @@ mod tests {
             m.counter_value("prep.cache.misses", &[]),
             Some(cache.misses)
         );
+        assert_eq!(
+            m.counter_value("prep.cache.bypassed", &[]),
+            Some(cache.bypassed)
+        );
+        assert!(cache.bypassed > 0);
+        // The whole batch is path-flavored: one cache lookup per request.
+        assert_eq!(cache.hits + cache.misses + cache.bypassed, n);
         assert_eq!(m.counter_value("engine.queries", &[]), Some(n));
         assert_eq!(m.counter_value("engine.workers", &[]), Some(4));
 
@@ -1109,6 +1248,10 @@ mod tests {
         assert_eq!(
             shared.counter_value("prep.cache.hits", &[]),
             Some(ctx.cache_stats().hits)
+        );
+        assert_eq!(
+            shared.counter_value("prep.cache.bypassed", &[]),
+            Some(ctx.cache_stats().bypassed)
         );
 
         // The snapshot's exporters are deterministic: JSON round-trips.

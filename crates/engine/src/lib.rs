@@ -32,7 +32,9 @@
 //!   [`QueryRequest::AlphaPath`] (per-user scalarized fastest path)
 //!   requests with the ParetoPrep-pruned search of `mcn-mcpp`, sharing a
 //!   bounded LRU cache of `mcn-prep` tables (one backward scan per target)
-//!   across workers and batches.
+//!   across workers and batches. α requests rent before they buy: a target
+//!   is answered by plain Dijkstra until the work spent on it would have
+//!   paid for its scan (`PrepCache`'s break-even admission).
 //!
 //! # Determinism
 //!

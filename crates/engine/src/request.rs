@@ -1,7 +1,7 @@
 //! Query requests and their outcomes.
 
 use crate::context::PathContext;
-use mcn_alpha::{scalarized_path_astar, Preference, ScalarPath};
+use mcn_alpha::{scalarized_path, scalarized_path_astar, Preference, ScalarPath};
 use mcn_core::{
     skyline_query_in, topk_query_in, Algorithm, QueryStats, SkylineFacility, TopKEntry, TopKIter,
     WeightedSum,
@@ -61,7 +61,8 @@ pub enum QueryRequest {
     /// A scalarized fastest-path query — the preference *serving* tier: the
     /// single α-optimal route for one user's preference vector, answered by
     /// prep-backed A* (`mcn-alpha`) over the same [`PathContext`] prep
-    /// tables the skyline tier uses. Requires
+    /// tables the skyline tier uses, or by plain Dijkstra while the target
+    /// has not been asked for often enough to pay for a table. Requires
     /// [`crate::QueryEngine::with_path_context`].
     AlphaPath {
         /// The path's start node.
@@ -264,16 +265,30 @@ impl QueryRequest {
                     };
                     (QueryOutput::AlphaPath(run.path), stats)
                 } else {
-                    let prep = ctx.table_for_observed(*target, obs, tier, query);
-                    let run = {
+                    // Both searches return the same route; a target that has
+                    // not earned a table is answered without one, and pays
+                    // towards it with the nodes that search settled.
+                    let graph = ctx.graph();
+                    let prep = ctx.cache().get_or_bypass(graph, *target, obs, tier, query);
+                    let (run, algorithm) = {
                         let _s = span("search");
-                        scalarized_path_astar(ctx.graph(), *source, *target, alpha, &prep)
+                        match prep {
+                            Some(prep) => (
+                                scalarized_path_astar(graph, *source, *target, alpha, &prep),
+                                "alpha-astar",
+                            ),
+                            None => {
+                                let run = scalarized_path(graph, *source, *target, alpha);
+                                ctx.cache().charge(*target, run.stats.settled);
+                                (run, "alpha-dijkstra")
+                            }
+                        }
                     };
                     let _s = span("unpack");
                     // Same stats mapping idea as PathSkyline: candidates =
                     // heap pushes, dominance checks = candidates pruned.
                     let stats = QueryStats {
-                        algorithm: "alpha-astar".to_string(),
+                        algorithm: algorithm.to_string(),
                         nodes_settled: run.stats.settled as usize,
                         candidates: run.stats.pushed as usize,
                         dominance_checks: run.stats.pruned as usize,

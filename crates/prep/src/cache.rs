@@ -17,10 +17,15 @@ const W_INNER: &str = "prep::PrepCache.inner";
 pub struct PrepCacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
-    /// Lookups that had to run the backward scan.
+    /// Lookups that ran the backward scan. Counted where the scan is
+    /// decided, not on a bare [`PrepCache::get`] probe; two workers missing
+    /// one target at the same moment may both scan, and both count.
     pub misses: u64,
     /// Tables evicted to respect the capacity.
     pub evictions: u64,
+    /// Admission lookups ([`PrepCache::get_or_bypass`]) that found no table
+    /// and had not yet earned one: the caller answered without a table.
+    pub bypassed: u64,
 }
 
 impl PrepCacheStats {
@@ -32,12 +37,14 @@ impl PrepCacheStats {
             hits: self.hits.saturating_sub(snapshot.hits),
             misses: self.misses.saturating_sub(snapshot.misses),
             evictions: self.evictions.saturating_sub(snapshot.evictions),
+            bypassed: self.bypassed.saturating_sub(snapshot.bypassed),
         }
     }
 
-    /// Fraction of lookups served from the cache (0 when none happened).
+    /// Fraction of all lookups — hits, scans and bypasses — served from the
+    /// cache (0 when none happened).
     pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
+        let total = self.hits + self.misses + self.bypassed;
         if total == 0 {
             0.0
         } else {
@@ -56,6 +63,9 @@ impl PrepCacheStats {
         registry
             .counter("prep.cache.evictions", labels)
             .set(self.evictions);
+        registry
+            .counter("prep.cache.bypassed", labels)
+            .set(self.bypassed);
         registry
             .gauge("prep.cache.hit_ratio", labels)
             .set(self.hit_ratio());
@@ -76,7 +86,20 @@ struct CacheInner {
     /// eviction order is a pure function of the (serialized) operation
     /// sequence — exactly as deterministic as the queue it replaces.
     generation: u64,
+    /// Target node → table-free work ([`PrepCache::charge`]) spent on it
+    /// while it had no resident table. Disjoint from `map`'s keys: the entry
+    /// is dropped when the target's table is built or inserted.
+    credit: HashMap<u32, u64>,
     stats: PrepCacheStats,
+}
+
+/// What one locked probe of the cache decided.
+enum Probe {
+    Hit(Arc<PrepTable>),
+    /// No table, and the caller is to run the scan (counted as a miss).
+    Build,
+    /// No table, and the target has not earned one yet.
+    Bypass,
 }
 
 /// Generation of a map entry not yet indexed in `recency` (a fresh insert
@@ -97,6 +120,15 @@ impl CacheInner {
         }
         self.recency.insert(gen, key);
     }
+
+    /// The resident table for `key`, counted as a hit and marked
+    /// most-recently-used.
+    fn hit(&mut self, key: u32) -> Option<Arc<PrepTable>> {
+        let table = self.map.get(&key)?.0.clone();
+        self.stats.hits += 1;
+        self.touch(key);
+        Some(table)
+    }
 }
 
 /// A bounded, thread-safe LRU cache of [`PrepTable`]s keyed by **target
@@ -109,6 +141,23 @@ impl CacheInner {
 /// at identical tables and the second insert is dropped. This trades a
 /// little duplicate work under a cold cache for never serialising query
 /// workers behind one scan.
+///
+/// # Break-even admission
+///
+/// A scan pops on the order of `num_nodes × d` queue entries, several
+/// times what one search towards the target settles, so a table only pays
+/// for itself on a target that keeps being asked for. A caller that can
+/// answer without a table (the α-path tier: plain Dijkstra returns the
+/// same route as A*) looks up through [`PrepCache::get_or_bypass`] and
+/// [`PrepCache::charge`]s the nodes its table-free search settled to the
+/// target. While the charged work is below the price of one scan the lookup
+/// is a bypass; the first lookup at or above it builds and caches the table
+/// and forgets the credit, so an evicted target has to earn its table
+/// again. This is the rent-or-buy rule: whatever the traffic does, a
+/// target costs about twice the better of "always scan" and "never scan"
+/// at worst. The decision depends only on the order of lookups and
+/// charges, both taken under the cache lock, and the credit map holds at
+/// most one counter per distinct target without a table.
 pub struct PrepCache {
     capacity: usize,
     inner: Mutex<CacheInner>,
@@ -125,6 +174,7 @@ impl PrepCache {
                 map: HashMap::new(),
                 recency: BTreeMap::new(),
                 generation: 0,
+                credit: HashMap::new(),
                 stats: PrepCacheStats::default(),
             }),
         }
@@ -150,32 +200,60 @@ impl PrepCache {
         self.inner.lock().stats
     }
 
-    /// Drops every cached table and resets the counters (the "cold cache"
-    /// starting condition of the `prep` experiment).
+    /// Drops every cached table, forgets all admission credit and resets
+    /// the counters (the "cold cache" starting condition of the `prep`
+    /// experiment).
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         let _inner_w = mcn_witness::acquire(W_INNER);
         inner.map.clear();
         inner.recency.clear();
+        inner.credit.clear();
         inner.stats = PrepCacheStats::default();
     }
 
-    /// Returns the cached table for `target`, if any, refreshing its
-    /// recency.
+    /// Returns the cached table for `target`, if any, counting a hit and
+    /// refreshing its recency. A pure probe otherwise: an absent table
+    /// counts nothing, because no scan follows from here.
     pub fn get(&self, target: NodeId) -> Option<Arc<PrepTable>> {
         let mut inner = self.inner.lock();
         let _inner_w = mcn_witness::acquire(W_INNER);
-        let hit = inner.map.get(&target.raw()).map(|(t, _)| t.clone());
-        match hit {
-            Some(table) => {
-                inner.stats.hits += 1;
-                inner.touch(target.raw());
-                Some(table)
-            }
-            None => {
-                inner.stats.misses += 1;
-                None
-            }
+        inner.hit(target.raw())
+    }
+
+    /// One locked lookup that a scan may follow. Without a table,
+    /// `price = None` always decides to scan; `Some(p)` decides to scan iff
+    /// the target's credit has reached `p` and is a bypass otherwise.
+    fn probe(&self, target: NodeId, price: Option<u64>) -> Probe {
+        let key = target.raw();
+        let mut inner = self.inner.lock();
+        let _inner_w = mcn_witness::acquire(W_INNER);
+        if let Some(table) = inner.hit(key) {
+            return Probe::Hit(table);
+        }
+        let earned = inner.credit.get(&key).copied().unwrap_or(0);
+        if price.is_some_and(|p| earned < p) {
+            inner.stats.bypassed += 1;
+            return Probe::Bypass;
+        }
+        // The scan runs right after this returns: count it here, under the
+        // lock, and spend the credit so a concurrent lookup of the same
+        // target answers table-free instead of scanning a second time.
+        inner.credit.remove(&key);
+        inner.stats.misses += 1;
+        Probe::Build
+    }
+
+    /// Charges `settled` nodes of table-free search work to `target`, the
+    /// other half of [`PrepCache::get_or_bypass`]. Dropped when the target
+    /// has a resident table by now (another worker built it meanwhile).
+    pub fn charge(&self, target: NodeId, settled: u64) {
+        let key = target.raw();
+        let mut inner = self.inner.lock();
+        let _inner_w = mcn_witness::acquire(W_INNER);
+        if !inner.map.contains_key(&key) {
+            let earned = inner.credit.entry(key).or_insert(0);
+            *earned = earned.saturating_add(settled);
         }
     }
 
@@ -191,6 +269,7 @@ impl PrepCache {
             return existing;
         }
         inner.map.insert(key, (table.clone(), NO_GEN));
+        inner.credit.remove(&key);
         inner.touch(key);
         while inner.map.len() > self.capacity {
             let victim = *inner
@@ -205,22 +284,17 @@ impl PrepCache {
         table
     }
 
-    /// The cache's main entry point: returns the table for `target`,
-    /// running (and caching) the backward scan on a miss.
+    /// Returns the table for `target`, running (and caching) the backward
+    /// scan on a miss — the entry point of callers that cannot answer
+    /// without a table (the path-skyline tier).
     pub fn get_or_build(&self, graph: &MultiCostGraph, target: NodeId) -> Arc<PrepTable> {
-        if let Some(table) = self.get(target) {
-            return table;
-        }
-        // Scan outside the lock so other targets proceed concurrently.
-        let table = Arc::new(PrepTable::build(graph, target));
-        self.insert(table)
+        self.get_or_build_observed(graph, target, None, "", 0)
     }
 
     /// [`PrepCache::get_or_build`] with lifecycle spans: a `prep-lookup`
     /// span around the cache probe and, on a miss, a `prep-build` span
     /// around the backward scan (the insert stays outside the span so it
-    /// times the scan, not lock contention). With `obs == None` this is
-    /// exactly `get_or_build`.
+    /// times the scan, not lock contention).
     pub fn get_or_build_observed(
         &self,
         graph: &MultiCostGraph,
@@ -229,21 +303,54 @@ impl PrepCache {
         tier: &str,
         query: u64,
     ) -> Arc<PrepTable> {
-        let Some(obs) = obs else {
-            return self.get_or_build(graph, target);
+        self.resolve(graph, target, None, obs, tier, query)
+            .expect("a lookup without a price never bypasses")
+    }
+
+    /// The break-even lookup (see the type docs): the resident table; or,
+    /// once the work [`PrepCache::charge`]d to `target` has reached the
+    /// price of one scan (`num_nodes × d` queue pops), a freshly built and
+    /// cached one; or `None` — answer without a table and charge what that
+    /// cost. Records the same `prep-lookup` / `prep-build` spans as
+    /// [`PrepCache::get_or_build_observed`].
+    pub fn get_or_bypass(
+        &self,
+        graph: &MultiCostGraph,
+        target: NodeId,
+        obs: Option<&mcn_obs::Obs>,
+        tier: &str,
+        query: u64,
+    ) -> Option<Arc<PrepTable>> {
+        let price = (graph.num_nodes() as u64).saturating_mul(graph.num_cost_types() as u64);
+        self.resolve(graph, target, Some(price), obs, tier, query)
+    }
+
+    fn resolve(
+        &self,
+        graph: &MultiCostGraph,
+        target: NodeId,
+        price: Option<u64>,
+        obs: Option<&mcn_obs::Obs>,
+        tier: &str,
+        query: u64,
+    ) -> Option<Arc<PrepTable>> {
+        let span = |name: &'static str| obs.map(|o| o.span(name, tier, query));
+        let probe = {
+            let _span = span("prep-lookup");
+            self.probe(target, price)
         };
-        let hit = {
-            let _span = obs.span("prep-lookup", tier, query);
-            self.get(target)
-        };
-        if let Some(table) = hit {
-            return table;
+        match probe {
+            Probe::Hit(table) => Some(table),
+            Probe::Bypass => None,
+            Probe::Build => {
+                // Scan outside the lock so other targets proceed concurrently.
+                let table = {
+                    let _span = span("prep-build");
+                    Arc::new(PrepTable::build(graph, target))
+                };
+                Some(self.insert(table))
+            }
         }
-        let table = {
-            let _span = obs.span("prep-build", tier, query);
-            Arc::new(PrepTable::build(graph, target))
-        };
-        self.insert(table)
     }
 
     /// Writes every resident table to `dir` as `prep-<target>.json`, one
@@ -533,11 +640,169 @@ mod tests {
     fn hit_ratio_guards_the_zero_sample_case() {
         assert_eq!(PrepCacheStats::default().hit_ratio(), 0.0);
         let misses_only = PrepCacheStats {
-            hits: 0,
             misses: 5,
-            evictions: 0,
+            ..Default::default()
         };
         assert_eq!(misses_only.hit_ratio(), 0.0);
+        // Bypassed lookups are lookups too: they dilute the ratio.
+        let mixed = PrepCacheStats {
+            hits: 2,
+            misses: 1,
+            bypassed: 5,
+            ..Default::default()
+        };
+        assert_eq!(mixed.hit_ratio(), 0.25);
+    }
+
+    /// The admission lookup as the α tier drives it: a bypass charges
+    /// `settled` nodes of table-free work to the target.
+    fn admit(cache: &PrepCache, g: &MultiCostGraph, target: u32, settled: u64) -> bool {
+        let target = NodeId::new(target);
+        match cache.get_or_bypass(g, target, None, "alpha-path", 0) {
+            Some(table) => {
+                assert_eq!(table.target(), target);
+                true
+            }
+            None => {
+                cache.charge(target, settled);
+                false
+            }
+        }
+    }
+
+    fn stats(hits: u64, misses: u64, evictions: u64, bypassed: u64) -> PrepCacheStats {
+        PrepCacheStats {
+            hits,
+            misses,
+            evictions,
+            bypassed,
+        }
+    }
+
+    #[test]
+    fn admission_bypasses_until_the_charged_work_pays_for_one_scan() {
+        // 6 nodes × d = 2: a scan is priced at 12 settled nodes.
+        let g = line(6);
+        let cache = PrepCache::new(4);
+        assert!(!admit(&cache, &g, 3, 5));
+        assert!(!admit(&cache, &g, 3, 5));
+        // 10 < 12: still renting — and nothing was scanned or cached.
+        assert!(!admit(&cache, &g, 3, 1));
+        assert!(cache.is_empty());
+        assert_eq!(cache.stats(), stats(0, 0, 0, 3));
+        // 11 < 12 after the third charge; one more settled node reaches it.
+        assert!(!admit(&cache, &g, 3, 1));
+        assert!(admit(&cache, &g, 3, 99), "12 ≥ 12: build");
+        assert!(admit(&cache, &g, 3, 99), "resident: hit");
+        assert_eq!(cache.stats(), stats(1, 1, 0, 4));
+        assert_eq!(cache.len(), 1);
+        // Another target's credit is its own.
+        assert!(!admit(&cache, &g, 4, 11));
+        assert!(!admit(&cache, &g, 4, 1));
+        assert!(admit(&cache, &g, 4, 0));
+        assert_eq!(cache.stats(), stats(1, 2, 0, 6));
+    }
+
+    #[test]
+    fn clear_forgets_admission_credit() {
+        let g = line(6);
+        let cache = PrepCache::new(4);
+        assert!(!admit(&cache, &g, 2, 11));
+        cache.clear();
+        assert_eq!(cache.stats(), PrepCacheStats::default());
+        // Without the clear, 11 + 1 would have bought the table here.
+        assert!(!admit(&cache, &g, 2, 1));
+        assert!(!admit(&cache, &g, 2, 11));
+        assert!(admit(&cache, &g, 2, 0));
+    }
+
+    #[test]
+    fn an_evicted_target_earns_its_table_again() {
+        let g = line(6);
+        let cache = PrepCache::new(1);
+        assert!(!admit(&cache, &g, 1, 12));
+        assert!(admit(&cache, &g, 1, 0));
+        // A second admitted target evicts the first (capacity 1) …
+        assert!(!admit(&cache, &g, 2, 12));
+        assert!(admit(&cache, &g, 2, 0));
+        assert_eq!(cache.stats().evictions, 1);
+        // … whose credit was spent on admission: it starts from zero.
+        assert!(!admit(&cache, &g, 1, 6));
+        assert!(!admit(&cache, &g, 1, 6));
+        assert!(admit(&cache, &g, 1, 0));
+        assert_eq!(cache.stats(), stats(0, 3, 2, 4));
+    }
+
+    #[test]
+    fn a_table_built_for_a_path_skyline_serves_later_admission_lookups() {
+        let g = line(6);
+        let cache = PrepCache::new(1);
+        assert!(!admit(&cache, &g, 3, 4));
+        // The path-skyline tier has no table-free alternative: it builds.
+        let built = cache.get_or_build(&g, NodeId::new(3));
+        let served = cache
+            .get_or_bypass(&g, NodeId::new(3), None, "alpha-path", 0)
+            .expect("resident table is a hit whatever the credit");
+        assert!(Arc::ptr_eq(&built, &served));
+        assert_eq!(cache.stats(), stats(1, 1, 0, 1));
+        // The build dropped the target's partial credit, and a charge that
+        // arrives late (a bypass that raced the build) is dropped too: once
+        // evicted, the target starts from zero.
+        cache.charge(NodeId::new(3), 100);
+        cache.get_or_build(&g, NodeId::new(4));
+        assert!(cache.get(NodeId::new(3)).is_none());
+        assert!(!admit(&cache, &g, 3, 0));
+    }
+
+    #[test]
+    fn get_is_a_pure_probe_and_a_miss_is_counted_where_the_scan_runs() {
+        let g = line(6);
+        let cache = PrepCache::new(2);
+        // Peeking at absent targets counts nothing.
+        assert!(cache.get(NodeId::new(1)).is_none());
+        assert!(cache.get(NodeId::new(2)).is_none());
+        assert_eq!(cache.stats(), PrepCacheStats::default());
+        // One scan, one miss — by either building entry point.
+        cache.get_or_build(&g, NodeId::new(1));
+        assert_eq!(cache.stats(), stats(0, 1, 0, 0));
+        cache.get_or_build_observed(&g, NodeId::new(2), None, "path-skyline", 0);
+        assert_eq!(cache.stats(), stats(0, 2, 0, 0));
+        // A successful peek is a served lookup.
+        assert!(cache.get(NodeId::new(1)).is_some());
+        assert_eq!(cache.stats(), stats(1, 2, 0, 0));
+        // Inserting a table built elsewhere is not a lookup at all.
+        cache.insert(Arc::new(PrepTable::build(&g, NodeId::new(3))));
+        assert_eq!(cache.stats(), stats(1, 2, 1, 0));
+    }
+
+    /// Same-target admission lookups racing from many threads: whoever
+    /// crosses the price builds, everyone else rents or hits, and the cache
+    /// ends with exactly one resident table, identical to a quiet build.
+    #[test]
+    fn concurrent_admission_of_one_target_leaves_one_resident_table() {
+        const THREADS: u64 = 8;
+        const ROUNDS: u64 = 50;
+        let g = line(12);
+        let cache = PrepCache::new(3);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..ROUNDS {
+                        admit(&cache, &g, 5, 7);
+                        assert!(cache.len() <= 1);
+                    }
+                });
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!(stats.hits + stats.misses + stats.bypassed, THREADS * ROUNDS);
+        assert!(stats.misses >= 1 && stats.bypassed >= 4, "{stats:?}");
+        assert_eq!(stats.evictions, 0);
+        assert_eq!(cache.len(), 1);
+        let resident = cache.get(NodeId::new(5)).expect("the table was admitted");
+        assert_eq!(*resident, PrepTable::build(&g, NodeId::new(5)));
     }
 
     #[test]
@@ -553,6 +818,7 @@ mod tests {
         assert_eq!(snap.counter_value("prep.cache.hits", &[]), Some(1));
         assert_eq!(snap.counter_value("prep.cache.misses", &[]), Some(2));
         assert_eq!(snap.counter_value("prep.cache.evictions", &[]), Some(1));
+        assert_eq!(snap.counter_value("prep.cache.bypassed", &[]), Some(0));
         assert!(
             (snap.gauge_value("prep.cache.hit_ratio", &[]).unwrap() - cache.stats().hit_ratio())
                 .abs()
@@ -585,6 +851,21 @@ mod tests {
         let c = cache.get_or_build_observed(&g, NodeId::new(3), None, "path-skyline", 9);
         assert!(Arc::ptr_eq(&a, &c));
         assert!(obs.tracer().is_empty());
+
+        // The admission lookup: a bypass is a lookup span and nothing else;
+        // the lookup that buys the table adds the build span.
+        let target = NodeId::new(4);
+        assert!(cache
+            .get_or_bypass(&g, target, Some(&obs), "alpha-path", 10)
+            .is_none());
+        cache.charge(target, 12);
+        assert!(cache
+            .get_or_bypass(&g, target, Some(&obs), "alpha-path", 11)
+            .is_some());
+        let events = obs.tracer().drain();
+        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["prep-lookup", "prep-lookup", "prep-build"]);
+        assert!(events.iter().all(|e| e.tier == "alpha-path"));
     }
 
     #[test]

@@ -59,7 +59,6 @@ impl StaticBTree {
         // Level 0: leaves. Remember (max key, page id) per leaf.
         let mut level: Vec<(u32, PageId)> = Vec::new();
         for chunk in entries.chunks(LEAF_CAPACITY) {
-            let id = disk.allocate_page();
             pages_used += 1;
             let mut page = Page::zeroed();
             {
@@ -73,7 +72,7 @@ impl StaticBTree {
                     }
                 }
             }
-            disk.write_page(id, &page);
+            let id = disk.append_page(&page);
             level.push((chunk.last().unwrap().0, id));
         }
 
@@ -81,7 +80,6 @@ impl StaticBTree {
         while level.len() > 1 {
             let mut next: Vec<(u32, PageId)> = Vec::new();
             for chunk in level.chunks(INTERNAL_CAPACITY) {
-                let id = disk.allocate_page();
                 pages_used += 1;
                 let mut page = Page::zeroed();
                 {
@@ -93,7 +91,7 @@ impl StaticBTree {
                         w.put_u32(child.raw());
                     }
                 }
-                disk.write_page(id, &page);
+                let id = disk.append_page(&page);
                 next.push((chunk.last().unwrap().0, id));
             }
             level = next;

@@ -185,6 +185,94 @@ fn property_network(d: usize, nodes: usize, extra: &[(u16, u16)], seed: u64) -> 
     b.build().unwrap()
 }
 
+/// A network built to break the table-free ≡ A* identity if anything can:
+/// no connecting backbone (targets may be unreachable), one-way edges,
+/// parallel edges, and all-zero cost vectors. Non-zero costs carry 53 random
+/// bits, and the zero-cost edges form a matching (no node touches two), so
+/// no two distinct simple paths tie on cost — the one case where the two
+/// searches may legitimately return different representatives (README,
+/// "Preference serving tier").
+fn adversarial_network(
+    d: usize,
+    nodes: usize,
+    edges: &[(u16, u16, u8)],
+    seed: u64,
+) -> MultiCostGraph {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut b = GraphBuilder::new(d);
+    let ids: Vec<NodeId> = (0..nodes).map(|i| b.add_node(i as f64, 0.0)).collect();
+    let mut has_zero_edge = vec![false; nodes];
+    for &(a, c, kind) in edges {
+        let (a, c) = (a as usize % nodes, c as usize % nodes);
+        if a == c {
+            continue;
+        }
+        let zero = kind & 2 != 0 && !has_zero_edge[a] && !has_zero_edge[c];
+        let costs: Vec<f64> = if zero {
+            has_zero_edge[a] = true;
+            has_zero_edge[c] = true;
+            vec![0.0; d]
+        } else {
+            (0..d).map(|_| rng.gen_range(0.1..10.0)).collect()
+        };
+        let costs = CostVec::from_slice(&costs);
+        if kind & 1 != 0 {
+            b.add_directed_edge(ids[a], ids[c], costs).unwrap();
+        } else {
+            b.add_edge(ids[a], ids[c], costs).unwrap();
+        }
+    }
+    b.build().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The invariant the prep cache's admission rule leans on: whether an
+    /// α request is answered table-free (`scalarized_path`) or with a table
+    /// (`scalarized_path_astar`) must not show in the answer — same edges,
+    /// same `total` bits, same cost vector, same reachability verdict — from
+    /// every source, including `source == target`.
+    #[test]
+    fn table_free_and_astar_answers_are_identical_on_adversarial_networks(
+        d in 2usize..=4,
+        nodes in 2usize..=14,
+        edges in proptest::collection::vec((0u16..64, 0u16..64, 0u8..4), 0..28),
+        target_sel in 0u16..64,
+        raw_alpha in proptest::collection::vec(0.01f64..1.0, 4),
+        seed in any::<u64>(),
+    ) {
+        let graph = adversarial_network(d, nodes, &edges, seed);
+        let target = NodeId::from(target_sel as usize % nodes);
+        let alpha = Preference::new(&raw_alpha[..d]).expect("positive weights are valid");
+        let prep = PrepTable::build(&graph, target);
+        for source in (0..nodes).map(NodeId::from) {
+            let plain = scalarized_path(&graph, source, target, &alpha).path;
+            let fast = scalarized_path_astar(&graph, source, target, &alpha, &prep).path;
+            prop_assert_eq!(
+                plain.is_some(),
+                prep.reaches(source),
+                "reachability verdicts differ at {} → {}", source, target
+            );
+            match (plain, fast) {
+                (Some(p), Some(a)) => {
+                    prop_assert_eq!(&p.edges, &a.edges, "route differs at {} → {}", source, target);
+                    prop_assert_eq!(p.total.to_bits(), a.total.to_bits());
+                    prop_assert_eq!(&p.costs, &a.costs);
+                    if source == target {
+                        prop_assert!(p.edges.is_empty() && p.total == 0.0);
+                    }
+                }
+                (None, None) => {}
+                other => prop_assert!(
+                    false,
+                    "table-free and A* disagree at {source} → {target}: {other:?}"
+                ),
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
