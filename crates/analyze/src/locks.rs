@@ -144,6 +144,13 @@ pub fn run(model: &Model<'_>) -> LockAnalysis {
         events.push(collect_events(model, fn_id, &local_classes));
     }
 
+    // Product code never calls test code, so a test-only candidate of a
+    // product call site (a trait fan-out reaching a `DiskManager` or
+    // `StoreView` double in some `mod tests`) is no callee at all.
+    let callable = |caller: usize, candidate: usize| {
+        model.resolver.fns[caller].is_test || !model.resolver.fns[candidate].is_test
+    };
+
     // Lock closure per function: every class acquired inside it or any
     // resolved callee. Fixpoint over candidate edges.
     let mut closure: Vec<BTreeSet<String>> = events
@@ -156,6 +163,9 @@ pub fn run(model: &Model<'_>) -> LockAnalysis {
             let mut add: BTreeSet<String> = BTreeSet::new();
             for site in &model.graph.sites[fn_id] {
                 for &c in &site.candidates {
+                    if !callable(fn_id, c) {
+                        continue;
+                    }
                     for id in &closure[c] {
                         if !closure[fn_id].contains(id) {
                             add.insert(id.clone());
@@ -196,6 +206,9 @@ pub fn run(model: &Model<'_>) -> LockAnalysis {
                     continue;
                 }
                 for &c in &site.candidates {
+                    if !callable(fn_id, c) {
+                        continue;
+                    }
                     for id in &closure[c] {
                         raw_edges.push(LockEdge {
                             from: a.class.clone(),

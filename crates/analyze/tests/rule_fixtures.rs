@@ -568,6 +568,54 @@ fn lock_order_allow_removes_the_edge() {
     assert!(hits.is_empty(), "{hits:?}");
 }
 
+/// A trait call fans out to every implementor, test doubles included — but
+/// product code cannot reach a `mod tests`, so what a double does under the
+/// caller's guard is no edge. Here the double closes a cycle the product
+/// implementor does not.
+#[test]
+fn lock_order_ignores_test_only_callees_of_product_code() {
+    let fixture = |double_is_test: bool| {
+        let (open, close) = if double_is_test {
+            ("#[cfg(test)]\nmod tests {\n    use super::*;\n", "}\n")
+        } else {
+            ("", "")
+        };
+        findings_for(
+            rules::RULE_LOCK_ORDER,
+            "crates/scratch/src/lib.rs",
+            &[
+                "pub trait Disk { fn read(&self); }\n",
+                "pub struct Mem { pages: Mutex<u32> }\n",
+                "impl Disk for Mem {\n",
+                "    fn read(&self) { let g = self.pages.lock(); }\n",
+                "}\n",
+                "pub struct Cache<D: Disk> { slots: Mutex<u32>, disk: D }\n",
+                "impl<D: Disk> Cache<D> {\n",
+                "    fn fill(&self) {\n",
+                "        let g = self.slots.lock();\n",
+                "        self.disk.read();\n",
+                "    }\n",
+                "    fn peek(&self) { let g = self.slots.lock(); }\n",
+                "}\n",
+                open,
+                "pub struct Hooked { hook: Mutex<u32>, cache: Cache<Mem> }\n",
+                "impl Disk for Hooked {\n",
+                "    fn read(&self) {\n",
+                "        let g = self.hook.lock();\n",
+                "        self.cache.peek();\n",
+                "    }\n",
+                "}\n",
+                close,
+            ]
+            .concat(),
+        )
+    };
+    let as_product = fixture(false);
+    assert!(!as_product.is_empty(), "slots → hook → slots is a cycle");
+    let as_test = fixture(true);
+    assert!(as_test.is_empty(), "{as_test:?}");
+}
+
 // ------------------------------------------------------------ hot-path-alloc
 
 /// `search` in the `mcpp` crate is a seeded hot root: allocation inside

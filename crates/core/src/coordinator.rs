@@ -6,8 +6,7 @@ use crate::candidate::CandidateSet;
 use crate::stats::QueryStats;
 use mcn_expansion::{seeds_for_location, Expansion, FacilityMode, NetworkAccess, TablePool};
 use mcn_graph::{CostVec, EdgeId, FacilityId, NetworkLocation};
-use mcn_storage::IoStats;
-use std::collections::HashMap;
+use mcn_storage::{IdMap, IoStats};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -88,7 +87,7 @@ impl<A: NetworkAccess> Coordinator<A> {
     /// processing applies the same switch, Section V).
     pub(crate) fn enter_shrinking(&mut self) {
         self.stage = Stage::Shrinking;
-        let mut by_edge: HashMap<EdgeId, Vec<(FacilityId, f64)>> = HashMap::new();
+        let mut by_edge: IdMap<EdgeId, Vec<(FacilityId, f64)>> = IdMap::default();
         for cand in self.candidates.iter() {
             if let Some(info) = self.access.facility_info(cand.facility) {
                 by_edge

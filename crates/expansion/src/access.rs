@@ -16,6 +16,11 @@
 //! a second request (from another expansion) never touches the buffer pool or
 //! the disk.
 //!
+//! Adjacency records — one per settled node, the inner loop of every
+//! expansion — are handed over by filling a buffer the expansion owns
+//! ([`NetworkAccess::adjacency_into`]), so reading one allocates nothing on
+//! either accessor.
+//!
 //! Both accessors are generic over the [`StoreView`] they read —
 //! `MCNStore` by default, so existing call sites are unchanged, or a
 //! region-partitioned store (`mcn_storage::PartitionedStore`), over which
@@ -23,7 +28,7 @@
 
 use mcn_graph::{EdgeId, FacilityId, NodeId};
 use mcn_storage::store::{EdgeEndpoints, FacilityInfo};
-use mcn_storage::{AdjacencyList, FacilityRun, IdMap, IoStats, MCNStore, StoreView};
+use mcn_storage::{AdjacencyEntry, FacilityRun, IdMap, IoStats, MCNStore, StoreView};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -43,8 +48,9 @@ pub trait NetworkAccess {
     /// Number of facilities: facility ids are `0..num_facilities()`.
     fn num_facilities(&self) -> usize;
 
-    /// The adjacency record of `node`.
-    fn adjacency(&self, node: NodeId) -> Arc<AdjacencyList>;
+    /// Appends the entries of `node`'s adjacency record to `out` (which is
+    /// not cleared).
+    fn adjacency_into(&self, node: NodeId, out: &mut Vec<AdjacencyEntry>);
 
     /// The facilities referenced by `run` as `(facility, position)` pairs.
     fn facilities_in_run(&self, run: &FacilityRun) -> Arc<Vec<(FacilityId, f64)>>;
@@ -91,8 +97,8 @@ impl<S: StoreView + ?Sized> NetworkAccess for DirectAccess<S> {
         self.store.num_facilities()
     }
 
-    fn adjacency(&self, node: NodeId) -> Arc<AdjacencyList> {
-        Arc::new(self.store.adjacency(node))
+    fn adjacency_into(&self, node: NodeId, out: &mut Vec<AdjacencyEntry>) {
+        self.store.adjacency_into(node, out);
     }
 
     fn facilities_in_run(&self, run: &FacilityRun) -> Arc<Vec<(FacilityId, f64)>> {
@@ -132,44 +138,35 @@ pub struct SharingStats {
 /// expansion has paid the I/O to expand a node, the decoded record is kept in
 /// memory and every other expansion reuses it.
 pub struct SharedAccess<S: StoreView + ?Sized = MCNStore> {
-    adjacency: Mutex<SharedCache<NodeId, AdjacencyList>>,
-    runs: Mutex<SharedCache<(u32, u16), Vec<(FacilityId, f64)>>>,
+    adjacency: Mutex<AdjacencyArena>,
+    runs: Mutex<RunCache>,
     store: Arc<S>,
 }
 
 const _: () = crate::assert_send_sync::<SharedAccess>();
 
-/// One memo table with its hit/miss counters, which live under the table's
-/// own lock: a request takes exactly one lock.
-struct SharedCache<K, V> {
-    records: IdMap<K, Arc<V>>,
+/// Every adjacency record fetched so far, back to back in one vector that
+/// lives as long as the query, with its hit/miss counters. They live under
+/// the arena's own lock: a request takes exactly one lock.
+#[derive(Default)]
+struct AdjacencyArena {
+    /// Node → where its record sits in `entries`: `(start, len)`.
+    spans: IdMap<NodeId, (u32, u32)>,
+    entries: Vec<AdjacencyEntry>,
     reuses: u64,
     fetches: u64,
 }
 
-impl<K, V> Default for SharedCache<K, V> {
-    fn default() -> Self {
-        Self {
-            records: IdMap::default(),
-            reuses: 0,
-            fetches: 0,
-        }
-    }
-}
+/// The decoded facilities of one run, as [`NetworkAccess`] hands them out.
+type Run = Arc<Vec<(FacilityId, f64)>>;
 
-impl<K: std::hash::Hash + Eq, V> SharedCache<K, V> {
-    /// The cached record of `key`, fetching it on first request.
-    fn get_or_fetch(&mut self, key: K, fetch: impl FnOnce() -> V) -> Arc<V> {
-        if let Some(hit) = self.records.get(&key) {
-            self.reuses += 1;
-            // mcn-lint: allow(hot-path-alloc, reason = "Arc refcount bump — the map hands back &Arc<V>, no record data is copied")
-            return hit.clone();
-        }
-        let record = Arc::new(fetch());
-        self.fetches += 1;
-        self.records.insert(key, record.clone());
-        record
-    }
+/// The facility runs fetched so far, keyed by where the run starts (page,
+/// offset), with the hit/miss counters under the same lock.
+#[derive(Default)]
+struct RunCache {
+    records: IdMap<(u32, u16), Run>,
+    reuses: u64,
+    fetches: u64,
 }
 
 impl<S: StoreView + ?Sized> SharedAccess<S> {
@@ -190,7 +187,7 @@ impl<S: StoreView + ?Sized> SharedAccess<S> {
     /// Number of distinct nodes whose adjacency has been fetched ("expanded"
     /// nodes in the paper's terminology).
     pub fn expanded_nodes(&self) -> usize {
-        self.adjacency.lock().records.len()
+        self.adjacency.lock().spans.len()
     }
 
     /// Cache reuse counters.
@@ -222,17 +219,41 @@ impl<S: StoreView + ?Sized> NetworkAccess for SharedAccess<S> {
         self.store.num_facilities()
     }
 
-    fn adjacency(&self, node: NodeId) -> Arc<AdjacencyList> {
-        let mut cache = self.adjacency.lock();
-        let _cache_w = mcn_witness::acquire(W_ADJ);
-        cache.get_or_fetch(node, || self.store.adjacency(node))
+    fn adjacency_into(&self, node: NodeId, out: &mut Vec<AdjacencyEntry>) {
+        let mut arena = self.adjacency.lock();
+        let _arena_w = mcn_witness::acquire(W_ADJ);
+        let arena = &mut *arena;
+        let (start, len) = match arena.spans.get(&node) {
+            Some(&span) => {
+                arena.reuses += 1;
+                span
+            }
+            None => {
+                let start = arena.entries.len();
+                self.store.adjacency_into(node, &mut arena.entries);
+                let span = (start as u32, (arena.entries.len() - start) as u32);
+                arena.fetches += 1;
+                arena.spans.insert(node, span);
+                span
+            }
+        };
+        out.extend_from_slice(&arena.entries[start as usize..][..len as usize]);
     }
 
     fn facilities_in_run(&self, run: &FacilityRun) -> Arc<Vec<(FacilityId, f64)>> {
         let key = (run.start.page.raw(), run.start.offset);
         let mut cache = self.runs.lock();
         let _cache_w = mcn_witness::acquire(W_RUNS);
-        cache.get_or_fetch(key, || self.store.facilities_in_run(run))
+        let cache = &mut *cache;
+        if let Some(hit) = cache.records.get(&key) {
+            cache.reuses += 1;
+            // mcn-lint: allow(hot-path-alloc, reason = "Arc refcount bump — the map hands back &Arc<Vec<_>>, no facility data is copied")
+            return hit.clone();
+        }
+        let record = Arc::new(self.store.facilities_in_run(run));
+        cache.fetches += 1;
+        cache.records.insert(key, record.clone());
+        record
     }
 
     fn facility_info(&self, facility: FacilityId) -> Option<FacilityInfo> {
@@ -267,13 +288,20 @@ mod tests {
         Arc::new(MCNStore::build_in_memory(&g, BufferConfig::Pages(16)).unwrap())
     }
 
+    fn adjacency<A: NetworkAccess>(access: &A, node: u32) -> Vec<AdjacencyEntry> {
+        let mut entries = Vec::new();
+        access.adjacency_into(NodeId::new(node), &mut entries);
+        entries
+    }
+
     #[test]
     fn direct_access_hits_the_store_every_time() {
         let store = store();
         let access = DirectAccess::new(store.clone());
         store.buffer().clear();
-        let _ = access.adjacency(NodeId::new(1));
-        let _ = access.adjacency(NodeId::new(1));
+        let first = adjacency(&access, 1);
+        assert_eq!(first, store.adjacency(NodeId::new(1)).entries);
+        assert_eq!(adjacency(&access, 1), first);
         // Two logical reads of the data page (plus tree traversals).
         let stats = access.io_stats();
         assert!(stats.logical_reads >= 4);
@@ -284,12 +312,13 @@ mod tests {
         let store = store();
         let access = SharedAccess::new(store.clone());
         store.buffer().clear();
-        let a = access.adjacency(NodeId::new(1));
+        let a = adjacency(&access, 1);
         let logical_after_first = access.io_stats().logical_reads;
-        let b = access.adjacency(NodeId::new(1));
-        let c = access.adjacency(NodeId::new(1));
+        let b = adjacency(&access, 1);
+        let c = adjacency(&access, 1);
         assert_eq!(access.io_stats().logical_reads, logical_after_first);
-        assert!(Arc::ptr_eq(&a, &b) && Arc::ptr_eq(&b, &c));
+        assert_eq!(a, store.adjacency(NodeId::new(1)).entries);
+        assert!(a == b && b == c);
         assert_eq!(access.expanded_nodes(), 1);
         let s = access.sharing_stats();
         assert_eq!(s.adjacency_fetches, 1);
@@ -297,19 +326,46 @@ mod tests {
     }
 
     #[test]
+    fn shared_records_stay_apart_in_the_arena() {
+        // Records of different degree, fetched in one order and re-read in
+        // another, each appended behind what the caller's buffer holds.
+        let store = store();
+        let access = SharedAccess::new(store.clone());
+        let expected: Vec<_> = (0..4)
+            .map(|n| store.adjacency(NodeId::new(n)).entries)
+            .collect();
+        assert_ne!(expected[0].len(), expected[1].len());
+        for n in [2, 0, 3, 1] {
+            assert_eq!(adjacency(&access, n), expected[n as usize], "node {n}");
+        }
+        let mut gathered = Vec::new();
+        for n in [1, 3, 0, 2, 1] {
+            let held = gathered.len();
+            access.adjacency_into(NodeId::new(n), &mut gathered);
+            assert_eq!(gathered[held..], expected[n as usize][..], "node {n}");
+        }
+        assert_eq!(gathered[..expected[1].len()], expected[1][..]);
+        let s = access.sharing_stats();
+        assert_eq!((s.adjacency_fetches, s.adjacency_reuses), (4, 5));
+        assert_eq!(access.expanded_nodes(), 4);
+    }
+
+    #[test]
     fn shared_access_caches_facility_runs() {
         let store = store();
         let access = SharedAccess::new(store.clone());
-        let adj = access.adjacency(NodeId::new(0));
-        let run = adj.entries[0].facilities.expect("edge 0 has a facility");
+        let adj = adjacency(&access, 0);
+        let run = adj[0].facilities.expect("edge 0 has a facility");
         let before = access.io_stats().logical_reads;
         let f1 = access.facilities_in_run(&run);
         let after_first = access.io_stats().logical_reads;
         assert!(after_first > before);
         let f2 = access.facilities_in_run(&run);
         assert_eq!(access.io_stats().logical_reads, after_first);
-        assert_eq!(f1, f2);
+        assert!(Arc::ptr_eq(&f1, &f2));
         assert_eq!(f1.len(), 1);
+        let s = access.sharing_stats();
+        assert_eq!((s.run_fetches, s.run_reuses), (1, 1));
     }
 
     #[test]

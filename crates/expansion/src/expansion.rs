@@ -11,8 +11,9 @@ use crate::access::NetworkAccess;
 use crate::seeds::Seeds;
 use crate::tables::{StampedTable, TablePool, Tables};
 use mcn_graph::{EdgeId, FacilityId, NodeId};
+use mcn_storage::{FacilityRun, IdMap};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// How an expansion discovers facilities.
@@ -24,7 +25,7 @@ pub enum FacilityMode {
     /// here (keyed by their containing edge, with their fractional position)
     /// are en-heaped when their edge is traversed. This implements the
     /// shrinking-stage optimisation of Section IV-A.
-    CandidatesOnly(Arc<HashMap<EdgeId, Vec<(FacilityId, f64)>>>),
+    CandidatesOnly(Arc<IdMap<EdgeId, Vec<(FacilityId, f64)>>>),
     /// Ignore facilities entirely (plain one-to-all Dijkstra).
     Ignore,
 }
@@ -49,6 +50,14 @@ pub enum ExpansionStep {
     },
     /// The expansion frontier is empty; nothing remains to be discovered.
     Exhausted,
+}
+
+/// Where the facilities an edge contributes to the heap come from.
+enum OnEdge<'a> {
+    /// The edge's run in the facility file (growing stage).
+    Run(&'a FacilityRun),
+    /// The remaining candidates lying on the edge (shrinking stage).
+    Listed(&'a [(FacilityId, f64)]),
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -221,36 +230,6 @@ impl<A: NetworkAccess> Expansion<A> {
         self.facility_mode = mode;
     }
 
-    /// En-heaps the facilities of an edge being relaxed from a node sitting at
-    /// distance `base`, according to the facility mode. `position_cost` maps a
-    /// facility's fractional position to the fraction of the edge that has to
-    /// be traversed to reach it from that node.
-    fn push_edge_facilities(
-        &mut self,
-        edge: EdgeId,
-        edge_cost: f64,
-        position_cost: impl Fn(f64) -> f64,
-        run: Option<&mcn_storage::FacilityRun>,
-        base: f64,
-    ) {
-        let fetched;
-        let targets: &[(FacilityId, f64)] = match (&self.facility_mode, run) {
-            (FacilityMode::All, Some(run)) => {
-                fetched = self.access.facilities_in_run(run);
-                &fetched
-            }
-            (FacilityMode::CandidatesOnly(by_edge), _) => match by_edge.get(&edge) {
-                Some(candidates) => candidates,
-                None => return,
-            },
-            (FacilityMode::All, None) | (FacilityMode::Ignore, _) => return,
-        };
-        for &(fid, pos) in targets {
-            self.frontier
-                .push_facility(fid, base + position_cost(pos) * edge_cost);
-        }
-    }
-
     /// Performs one unit of work: pops the heap until something meaningful
     /// happens (a facility is reached, a node is settled, or the frontier is
     /// exhausted). Stale heap entries are skipped silently.
@@ -296,48 +275,59 @@ impl<A: NetworkAccess> Expansion<A> {
     }
 
     fn expand_node(&mut self, node: NodeId, dist: f64) {
-        let adjacency = self.access.adjacency(node);
-        for e in &adjacency.entries {
-            // Facilities on the edge are reachable from this end-node as long
-            // as movement towards them is allowed: from the edge's source any
-            // facility is reachable; from the target only if undirected.
+        // The record is decoded into the scratch buffer that travels with
+        // the tables; it is taken out for the loop because relaxing an edge
+        // needs the rest of the frontier mutably.
+        let mut adjacency = std::mem::take(&mut self.frontier.tables.adjacency);
+        adjacency.clear();
+        self.access.adjacency_into(node, &mut adjacency);
+        for e in &adjacency {
             // `traversable` tells us whether we may leave `node` via this edge.
             let edge_cost = e.costs[self.cost_type];
             if e.traversable {
                 self.frontier.push_node(e.neighbor, dist + edge_cost);
             }
-            let run = e.facilities;
-            // Position of a facility is the fraction from the edge's *source*.
-            // If `node` is the source, partial weight = pos · w; otherwise
-            // (node is the target) it is (1 − pos) · w. We recover which end
-            // `node` is by asking the access layer only when facilities exist.
-            if matches!(self.facility_mode, FacilityMode::Ignore) {
-                continue;
-            }
-            let has_candidates = match &self.facility_mode {
-                FacilityMode::CandidatesOnly(by_edge) => by_edge.contains_key(&e.edge),
-                FacilityMode::All => run.is_some(),
-                FacilityMode::Ignore => false,
+            // Which facilities of the edge to en-heap. In the shrinking stage
+            // one probe of the candidate map tells whether there are any.
+            let on_edge = match (&self.facility_mode, &e.facilities) {
+                (FacilityMode::Ignore, _) | (FacilityMode::All, None) => continue,
+                (FacilityMode::All, Some(run)) => OnEdge::Run(run),
+                (FacilityMode::CandidatesOnly(by_edge), _) => match by_edge.get(&e.edge) {
+                    Some(candidates) => OnEdge::Listed(candidates),
+                    None => continue,
+                },
             };
-            if !has_candidates {
-                continue;
-            }
+            // Facilities on the edge are reachable from this end-node as long
+            // as movement towards them is allowed: from the edge's source any
+            // facility is reachable; from the target only if undirected.
             let endpoints = self
                 .access
                 .edge_endpoints(e.edge)
                 .expect("edge present in the edge index");
             let node_is_source = endpoints.source == node;
-            // On a directed edge, facilities can only be reached from the
-            // source side (movement is source → target).
             if endpoints.directed && !node_is_source {
                 continue;
             }
-            if node_is_source {
-                self.push_edge_facilities(e.edge, edge_cost, |pos| pos, run.as_ref(), dist);
-            } else {
-                self.push_edge_facilities(e.edge, edge_cost, |pos| 1.0 - pos, run.as_ref(), dist);
+            // The run is only fetched now that its facilities are known to
+            // be reachable from this end.
+            let fetched;
+            let targets = match on_edge {
+                OnEdge::Listed(candidates) => candidates,
+                OnEdge::Run(run) => {
+                    fetched = self.access.facilities_in_run(run);
+                    &fetched[..]
+                }
+            };
+            // Position of a facility is the fraction from the edge's *source*.
+            // If `node` is the source, partial weight = pos · w; otherwise
+            // (node is the target) it is (1 − pos) · w.
+            for &(fid, pos) in targets {
+                let fraction = if node_is_source { pos } else { 1.0 - pos };
+                self.frontier
+                    .push_facility(fid, dist + fraction * edge_cost);
             }
         }
+        self.frontier.tables.adjacency = adjacency;
     }
 
     /// Advances until the next nearest facility is found, returning it together
@@ -458,7 +448,7 @@ mod tests {
         let (store, _) = line_store();
         let access = Arc::new(DirectAccess::new(store));
         let seeds = seeds_for_location(access.as_ref(), NetworkLocation::Node(NodeId::new(0)));
-        let mut by_edge: HashMap<EdgeId, Vec<(FacilityId, f64)>> = HashMap::new();
+        let mut by_edge: IdMap<EdgeId, Vec<(FacilityId, f64)>> = IdMap::default();
         by_edge.insert(EdgeId::new(2), vec![(FacilityId::new(1), 0.5)]);
         let mut ex = Expansion::new(
             access,

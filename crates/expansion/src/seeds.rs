@@ -42,9 +42,9 @@ pub fn seeds_for_location<A: NetworkAccess>(access: &A, location: NetworkLocatio
                 .unwrap_or_else(|| panic!("query references unknown edge {edge}"));
             // The adjacency record of the source end-node carries the edge's
             // cost vector and its facility pointer.
-            let adjacency = access.adjacency(endpoints.source);
+            let mut adjacency = Vec::new();
+            access.adjacency_into(endpoints.source, &mut adjacency);
             let entry = adjacency
-                .entries
                 .iter()
                 .find(|e| e.edge == edge)
                 .unwrap_or_else(|| panic!("edge {edge} missing from its source adjacency record"));

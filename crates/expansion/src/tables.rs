@@ -7,6 +7,7 @@
 //! stamp equals the table's current generation; emptying the table for the
 //! next query is one counter increment, whatever the previous query touched.
 
+use mcn_storage::AdjacencyEntry;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -94,7 +95,8 @@ impl StampedTable {
     }
 }
 
-/// The two tables of one expansion.
+/// The reusable state of one expansion: its two tables and the buffer the
+/// adjacency record of the node being settled is decoded into.
 #[derive(Default)]
 pub(crate) struct Tables {
     /// Per node: best known (not necessarily final) distance; done = settled
@@ -103,6 +105,9 @@ pub(crate) struct Tables {
     /// Per facility: best en-heaped key; done = already reported (a facility
     /// can be en-heaped from both end-nodes of its edge).
     pub(crate) facilities: StampedTable,
+    /// Scratch for one adjacency record at a time; only its capacity (the
+    /// largest degree met so far) outlives a settle.
+    pub(crate) adjacency: Vec<AdjacencyEntry>,
 }
 
 /// A pool of expansion tables: an [`crate::Expansion`] takes a pair when it
@@ -142,6 +147,7 @@ impl TablePool {
         };
         tables.nodes.reset(num_nodes);
         tables.facilities.reset(num_facilities);
+        tables.adjacency.clear();
         tables
     }
 
@@ -256,5 +262,30 @@ mod tests {
         // A smaller network afterwards keeps the larger tables.
         pool.give_back(large);
         assert_eq!(pool.take(5, 5).nodes.stamps.len(), 11);
+    }
+
+    #[test]
+    fn the_decode_buffer_comes_back_empty_with_its_capacity() {
+        let pool = TablePool::new();
+        let mut tables = pool.take(4, 4);
+        assert_eq!(
+            tables.adjacency.capacity(),
+            0,
+            "nothing until a node settles"
+        );
+        // An expansion dropped mid-way hands back whatever record it last
+        // decoded.
+        let entry = AdjacencyEntry {
+            neighbor: mcn_graph::NodeId::new(1),
+            edge: mcn_graph::EdgeId::new(0),
+            traversable: true,
+            costs: mcn_graph::CostVec::zeros(2),
+            facilities: None,
+        };
+        tables.adjacency.extend([entry; 5]);
+        pool.give_back(tables);
+        let tables = pool.take(4, 4);
+        assert!(tables.adjacency.is_empty());
+        assert!(tables.adjacency.capacity() >= 5);
     }
 }

@@ -114,49 +114,24 @@ impl StaticBTree {
                 let node_type = r.get_u8();
                 let count = r.get_u16() as usize;
                 if node_type == LEAF {
-                    // Binary search over fixed-size leaf entries.
                     let entries = &bytes[HEADER..HEADER + count * LEAF_ENTRY];
-                    let (mut lo, mut hi) = (0usize, count);
-                    while lo < hi {
-                        let mid = (lo + hi) / 2;
-                        let off = mid * LEAF_ENTRY;
-                        let k = u32::from_le_bytes(entries[off..off + 4].try_into().unwrap());
-                        if k < key {
-                            lo = mid + 1;
-                        } else {
-                            hi = mid;
+                    let slot = lower_bound::<LEAF_ENTRY>(entries, key);
+                    match entries[slot * LEAF_ENTRY..].first_chunk::<LEAF_ENTRY>() {
+                        Some(entry) if entry[..4] == key.to_le_bytes() => {
+                            Step::Found(entry[4..].try_into().unwrap())
                         }
+                        _ => Step::Missing,
                     }
-                    if lo < count {
-                        let off = lo * LEAF_ENTRY;
-                        let k = u32::from_le_bytes(entries[off..off + 4].try_into().unwrap());
-                        if k == key {
-                            let mut v = [0u8; VALUE_SIZE];
-                            v.copy_from_slice(&entries[off + 4..off + 4 + VALUE_SIZE]);
-                            return Step::Found(v);
-                        }
-                    }
-                    Step::Missing
                 } else {
                     // Internal node: first child whose max key is >= key.
                     let entries = &bytes[HEADER..HEADER + count * INTERNAL_ENTRY];
-                    let (mut lo, mut hi) = (0usize, count);
-                    while lo < hi {
-                        let mid = (lo + hi) / 2;
-                        let off = mid * INTERNAL_ENTRY;
-                        let k = u32::from_le_bytes(entries[off..off + 4].try_into().unwrap());
-                        if k < key {
-                            lo = mid + 1;
-                        } else {
-                            hi = mid;
-                        }
+                    let slot = lower_bound::<INTERNAL_ENTRY>(entries, key);
+                    match entries[slot * INTERNAL_ENTRY..].first_chunk::<INTERNAL_ENTRY>() {
+                        Some(entry) => Step::Descend(PageId::new(u32::from_le_bytes(
+                            entry[4..].try_into().unwrap(),
+                        ))),
+                        None => Step::Missing,
                     }
-                    if lo == count {
-                        return Step::Missing;
-                    }
-                    let off = lo * INTERNAL_ENTRY;
-                    let child = u32::from_le_bytes(entries[off + 4..off + 8].try_into().unwrap());
-                    Step::Descend(PageId::new(child))
                 }
             });
             match step {
@@ -183,6 +158,67 @@ enum Step {
     Found(Value),
     Missing,
     Descend(PageId),
+}
+
+/// The first slot whose key is `>= key` — the slot count if there is none —
+/// in a node's entry area: `ENTRY`-byte entries, each led by its
+/// little-endian `u32` key, in ascending key order.
+///
+/// The trees are bulk loaded over node, facility and edge ids, which are
+/// dense (every id present) or nearly so, so the keys of one node grow almost
+/// linearly with the slot. The search therefore probes the slot interpolated
+/// between the node's first and last key, then that slot's neighbour on the
+/// side the answer lies — on evenly spread keys the two probes pin the answer
+/// — and halves whatever interval is left, which is all it does on keys that
+/// are anything but evenly spread.
+fn lower_bound<const ENTRY: usize>(entries: &[u8], key: u32) -> usize {
+    let count = entries.len() / ENTRY;
+    let key_at = |slot: usize| {
+        let at = slot * ENTRY;
+        u32::from_le_bytes(entries[at..at + 4].try_into().unwrap())
+    };
+    if count == 0 {
+        return 0;
+    }
+    let (first, last) = (key_at(0), key_at(count - 1));
+    if key <= first {
+        return 0;
+    }
+    if key > last {
+        return count;
+    }
+    // first < key <= last: the answer lies in lo..=hi, and throughout
+    // key_at(lo - 1) < key <= key_at(hi).
+    let (mut lo, mut hi) = (1, count - 1);
+    let guess = (u64::from(key - first) * (count - 1) as u64 / u64::from(last - first)) as usize;
+    if key_at(guess) < key {
+        lo = guess + 1;
+        if lo < hi {
+            if key_at(lo) < key {
+                lo += 1;
+            } else {
+                hi = lo;
+            }
+        }
+    } else {
+        hi = guess;
+        if lo < hi {
+            if key_at(hi - 1) < key {
+                lo = hi;
+            } else {
+                hi -= 1;
+            }
+        }
+    }
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if key_at(mid) < key {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// Packs a `(u32, u16)` pair into a tree [`Value`] (used by the adjacency
@@ -242,6 +278,7 @@ pub fn unpack_u32_u32_u8(v: &Value) -> (u32, u32, u8) {
 mod tests {
     use super::*;
     use crate::disk::InMemoryDisk;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn build_tree(n: u32, stride: u32) -> (Arc<InMemoryDisk>, StaticBTree) {
@@ -294,6 +331,142 @@ mod tests {
         let _ = tree.lookup(&pool, 5_000);
         let s2 = pool.stats();
         assert_eq!(s2.buffer_misses, s.buffer_misses);
+    }
+
+    /// Strictly increasing keys of one of the shapes the trees meet:
+    /// 0 = dense (every id from a base on, a monolithic store's trees),
+    /// 1 = clumped (runs of consecutive ids with gaps, a region shard's
+    /// adjacency tree), 2 = sparse (irregular gaps of any size), 3 = the
+    /// extremes of the key space.
+    fn keys_of_shape(shape: u8, n: usize, seed: u64) -> Vec<u32> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut keys = Vec::with_capacity(n);
+        let mut next: u32 = match shape {
+            0 | 1 => rng.gen_range(0..1_000),
+            _ => 0,
+        };
+        let mut run_left = 0u32;
+        while keys.len() < n {
+            keys.push(next);
+            let gap = match shape {
+                0 => 1,
+                1 if run_left > 0 => {
+                    run_left -= 1;
+                    1
+                }
+                1 => {
+                    run_left = rng.gen_range(1..400);
+                    rng.gen_range(2..3_000)
+                }
+                2 => match rng.gen_range(0..100) {
+                    0 => rng.gen_range(1..2_000_000),
+                    1..=30 => rng.gen_range(1..5_000),
+                    _ => rng.gen_range(1..4),
+                },
+                // A handful of keys at the bottom, then a leap to the top.
+                _ if keys.len() == n.div_ceil(2) => {
+                    (u32::MAX - next) - (n / 2).saturating_sub(1) as u32
+                }
+                _ => 1,
+            };
+            match next.checked_add(gap) {
+                Some(k) => next = k,
+                None => break,
+            }
+        }
+        keys
+    }
+
+    /// Checks `tree.lookup` against `BTreeMap::get` on `keys` and around
+    /// them, and that every lookup walks one page per level.
+    fn check_lookups(keys: &[u32]) -> u32 {
+        let entries: Vec<(u32, Value)> = keys
+            .iter()
+            .map(|&k| (k, pack_u32_u16(k ^ 0xA5A5, (k % 1_000) as u16)))
+            .collect();
+        let model: std::collections::BTreeMap<u32, Value> = entries.iter().copied().collect();
+        let disk = Arc::new(InMemoryDisk::new());
+        let tree = StaticBTree::bulk_load(disk.as_ref(), &entries);
+        let pool = BufferPool::new(disk, 16);
+        let height = u64::from(tree.height());
+
+        // A lookup walks root to leaf, one page a level, also for a key
+        // that turns out to be absent — except above the tree's last key,
+        // where the root alone says so.
+        let last = keys[keys.len() - 1];
+        let check = |key: u32| {
+            let before = pool.stats().logical_reads;
+            assert_eq!(
+                tree.lookup(&pool, key),
+                model.get(&key).copied(),
+                "key {key}"
+            );
+            let reads = pool.stats().logical_reads - before;
+            assert_eq!(reads, if key > last { 1 } else { height }, "key {key}");
+        };
+        // Every key of a small tree; of a tall one every 61st (coprime
+        // to both node fan-outs, so every in-node position comes up) and
+        // the ends. Each with both neighbours, present or not.
+        let stride = if keys.len() > 2_000 { 61 } else { 1 };
+        let ends = keys.iter().take(3).chain(keys.iter().rev().take(3));
+        for &key in keys.iter().step_by(stride).chain(ends) {
+            check(key);
+            check(key.saturating_sub(1));
+            check(key.saturating_add(1));
+        }
+        // Below the first key, above the last, and the ends of the key
+        // space.
+        for key in [0, keys[0] / 2, last / 2 + u32::MAX / 2 + 1, u32::MAX] {
+            check(key);
+        }
+        tree.height()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn lookup_agrees_with_a_btree_map(
+            // A height, and a key count that bulk loads to it.
+            (height, n) in (1u32..=3, 0usize..1_200).prop_map(|(height, extra)| match height {
+                1 => (1, 1 + extra % LEAF_CAPACITY),
+                2 => (2, LEAF_CAPACITY + 1 + extra),
+                _ => (3, LEAF_CAPACITY * INTERNAL_CAPACITY + 1 + extra),
+            }),
+            seed in any::<u64>(),
+        ) {
+            for shape in 0..3 {
+                let keys = keys_of_shape(shape, n, seed);
+                assert_eq!(keys.len(), n, "shape {shape} ran out of key space");
+                assert_eq!(check_lookups(&keys), height, "shape {shape}");
+            }
+            // The extremes: one key, and a few keys at either end of `u32`.
+            check_lookups(&[seed as u32]);
+            check_lookups(&keys_of_shape(3, 2 + n % 40, seed));
+        }
+
+        #[test]
+        fn lower_bound_agrees_with_partition_point(
+            shape in 0u8..4,
+            n in 0usize..600,
+            seed in any::<u64>(),
+            probes in proptest::collection::vec(any::<u32>(), 8),
+        ) {
+            let keys = keys_of_shape(shape, n, seed);
+            let mut entries = vec![0u8; keys.len() * INTERNAL_ENTRY];
+            for (slot, key) in keys.iter().enumerate() {
+                entries[slot * INTERNAL_ENTRY..][..4].copy_from_slice(&key.to_le_bytes());
+            }
+            let neighbours = keys.iter().flat_map(|&k| [k.saturating_sub(1), k, k.saturating_add(1)]);
+            for key in neighbours.chain(probes.iter().copied()).chain([0, u32::MAX]) {
+                assert_eq!(
+                    lower_bound::<INTERNAL_ENTRY>(&entries, key),
+                    keys.partition_point(|&k| k < key),
+                    "key {key} in {keys:?}"
+                );
+            }
+        }
     }
 
     #[test]

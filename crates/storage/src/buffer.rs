@@ -18,11 +18,27 @@
 //! explicit count — `with_shards(disk, cap, 1)` recovers the exact global-LRU
 //! eviction order of the unsharded pool.
 //!
+//! # One lock per page read
+//!
+//! The shard mutexes are the pool's only locks. All [`MAX_SHARDS`] of them
+//! exist from the start (an unused stripe holds no frames); the number in use
+//! sits in an atomic, and every shard remembers the stripe count it was last
+//! configured under. A reader loads the count, locks shard `page_id % count`
+//! and compares the two: they differ only if [`BufferPool::set_capacity`]
+//! re-striped the pool between the load and the lock, in which case the
+//! reader lets go and picks its shard again. `set_capacity` re-stripes while
+//! holding **every** shard lock (taken in index order), so whoever holds any
+//! one shard lock sees all shards under the same configuration. A hit is
+//! therefore one atomic load and one mutex; nothing at all is held across the
+//! physical read of a miss.
+//!
 //! # Counter consistency
 //!
 //! The hit/miss/logical counters live **inside** the shard they describe and
 //! are updated under the shard lock, in the same critical section as the
-//! lookup they count. A snapshot ([`BufferPool::stats`]) therefore always
+//! lookup they count; re-striping leaves them where they are (a stripe that
+//! falls out of use keeps its counts), and a snapshot sums all
+//! [`MAX_SHARDS`]. A snapshot ([`BufferPool::stats`]) therefore always
 //! satisfies `logical_reads == buffer_hits + buffer_misses` exactly, even
 //! while other threads are reading through the pool — every shard contributes
 //! an internally consistent triple, and a sum of consistent triples is
@@ -37,13 +53,13 @@ use crate::disk::DiskManager;
 use crate::idhash::IdMap;
 use crate::page::{Page, PageId};
 use crate::stats::IoStats;
-use parking_lot::{Mutex, RwLock};
-use std::sync::Arc;
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, MutexGuard};
 
-/// Witness lock-class ids — the exact strings `mcn-analyze` derives
+/// Witness lock-class id — the exact string `mcn-analyze` derives
 /// (`crate::Type.field`), so observed edges diff against the static graph.
-const W_POOL: &str = "storage::BufferPool.shards";
-const W_SHARD: &str = "storage::ShardSet.shards";
+const W_SHARD: &str = "storage::BufferPool.shards";
 
 /// Upper bound on the number of LRU shards.
 pub const MAX_SHARDS: usize = 8;
@@ -62,10 +78,12 @@ pub const MIN_PAGES_PER_SHARD: usize = 4;
 ///   [`BufferPool::write_through`] updates both the cache and the disk.
 pub struct BufferPool {
     disk: Arc<dyn DiskManager>,
-    /// The shard set is only rebuilt by [`BufferPool::set_capacity`]; reads
-    /// take the shared lock, so the common path is one shared acquisition
-    /// plus one shard mutex.
-    shards: RwLock<ShardSet>,
+    /// Every stripe the pool can ever use; the first `stripes` are in use.
+    shards: [Mutex<Shard>; MAX_SHARDS],
+    /// Stripes in use. Written only while every shard lock is held.
+    stripes: AtomicUsize,
+    /// Total configured capacity. Written only while every shard lock is held.
+    capacity: AtomicUsize,
     /// Shard count pinned by [`BufferPool::with_shards`], honoured across
     /// [`BufferPool::set_capacity`] calls; `None` = derive from capacity.
     pinned_shards: Option<usize>,
@@ -73,49 +91,27 @@ pub struct BufferPool {
 
 const _: () = crate::assert_send_sync::<BufferPool>();
 
-/// The striped cache: per-shard LRUs plus the total configured capacity.
-struct ShardSet {
-    capacity: usize,
-    shards: Vec<Mutex<Shard>>,
-}
-
 /// One stripe: an LRU segment plus the I/O counters for the pages it owns.
 /// Counters are mutated under the shard lock so any snapshot of the triple is
 /// consistent (`logical == hits + misses`).
 struct Shard {
+    /// The stripe count the pool had when this shard was last configured; a
+    /// reader that chose the shard under another count must choose again.
+    stripes: usize,
     lru: Lru,
     logical_reads: u64,
     hits: u64,
     misses: u64,
 }
 
-impl Shard {
-    fn new(capacity: usize) -> Self {
-        Self {
-            lru: Lru::new(capacity),
-            logical_reads: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-}
-
-impl ShardSet {
-    /// Builds `count` shards sharing `capacity` pages as evenly as possible
-    /// (the first `capacity % count` shards hold one extra page).
-    fn new(capacity: usize, count: usize) -> Self {
-        assert!(count >= 1, "a buffer pool needs at least one shard");
-        let base = capacity / count;
-        let extra = capacity % count;
-        let shards = (0..count)
-            .map(|i| Mutex::new(Shard::new(base + usize::from(i < extra))))
-            .collect();
-        Self { capacity, shards }
-    }
-
-    /// The shard owning `id`.
-    fn shard_of(&self, id: PageId) -> &Mutex<Shard> {
-        &self.shards[id.raw() as usize % self.shards.len()]
+/// Pages stripe `index` may cache when `capacity` pages are split over
+/// `stripes` stripes as evenly as possible (the first `capacity % stripes`
+/// hold one extra page; a stripe out of use holds none).
+fn stripe_capacity(capacity: usize, stripes: usize, index: usize) -> usize {
+    if index < stripes {
+        capacity / stripes + usize::from(index < capacity % stripes)
+    } else {
+        0
     }
 }
 
@@ -131,7 +127,6 @@ struct Lru {
     map: IdMap<PageId, usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
-    free: Vec<usize>,
 }
 
 struct Frame {
@@ -151,7 +146,6 @@ impl Lru {
             map: IdMap::with_capacity_and_hasher(capacity.min(1024), Default::default()),
             head: NIL,
             tail: NIL,
-            free: Vec::new(),
         }
     }
 
@@ -199,28 +193,24 @@ impl Lru {
     }
 
     /// Inserts a page, evicting the LRU entry if at capacity. Returns the frame
-    /// index, or `None` if the capacity is zero.
-    fn insert(&mut self, id: PageId, page: Page) -> Option<usize> {
+    /// index, or hands the page back if the capacity is zero.
+    fn insert(&mut self, id: PageId, page: Page) -> Result<usize, Page> {
         if self.capacity == 0 {
-            return None;
+            return Err(page);
         }
         if let Some(&idx) = self.map.get(&id) {
             self.frames[idx].page = page;
             self.touch(idx);
-            return Some(idx);
+            return Ok(idx);
         }
-        let idx = if self.map.len() < self.capacity {
-            if let Some(idx) = self.free.pop() {
-                idx
-            } else {
-                self.frames.push(Frame {
-                    id,
-                    page: Page::zeroed(),
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.frames.len() - 1
-            }
+        let idx = if self.frames.len() != self.capacity {
+            self.frames.push(Frame {
+                id,
+                page,
+                prev: NIL,
+                next: NIL,
+            });
+            self.frames.len() - 1
         } else {
             // Evict the least recently used frame.
             let victim = self.tail;
@@ -228,19 +218,18 @@ impl Lru {
             self.detach(victim);
             let old_id = self.frames[victim].id;
             self.map.remove(&old_id);
+            self.frames[victim].id = id;
+            self.frames[victim].page = page;
             victim
         };
-        self.frames[idx].id = id;
-        self.frames[idx].page = page;
         self.map.insert(id, idx);
         self.push_front(idx);
-        Some(idx)
+        Ok(idx)
     }
 
     fn clear(&mut self) {
         self.map.clear();
         self.frames.clear();
-        self.free.clear();
         self.head = NIL;
         self.tail = NIL;
     }
@@ -254,11 +243,7 @@ impl BufferPool {
     /// Creates a pool over `disk` holding at most `capacity` pages, striped
     /// over the default shard count for that capacity.
     pub fn new(disk: Arc<dyn DiskManager>, capacity: usize) -> Self {
-        Self {
-            disk,
-            shards: RwLock::new(ShardSet::new(capacity, default_shard_count(capacity))),
-            pinned_shards: None,
-        }
+        Self::striped(disk, capacity, None)
     }
 
     /// Creates a pool with an explicit shard count, which is also honoured
@@ -268,16 +253,32 @@ impl BufferPool {
     /// The effective count is capped at the capacity so every shard can hold
     /// at least one page (a zero-capacity pool uses a single shard) —
     /// otherwise the starved shards would silently behave as the "no buffer"
-    /// configuration for their slice of the page space.
+    /// configuration for their slice of the page space — and at
+    /// [`MAX_SHARDS`].
     ///
     /// # Panics
     /// Panics if `shards == 0`.
     pub fn with_shards(disk: Arc<dyn DiskManager>, capacity: usize, shards: usize) -> Self {
         assert!(shards >= 1, "a buffer pool needs at least one shard");
+        Self::striped(disk, capacity, Some(shards))
+    }
+
+    fn striped(disk: Arc<dyn DiskManager>, capacity: usize, pinned_shards: Option<usize>) -> Self {
+        let stripes = stripes_for(capacity, pinned_shards);
         Self {
             disk,
-            shards: RwLock::new(ShardSet::new(capacity, shards.min(capacity.max(1)))),
-            pinned_shards: Some(shards),
+            shards: std::array::from_fn(|i| {
+                Mutex::new(Shard {
+                    stripes,
+                    lru: Lru::new(stripe_capacity(capacity, stripes, i)),
+                    logical_reads: 0,
+                    hits: 0,
+                    misses: 0,
+                })
+            }),
+            stripes: AtomicUsize::new(stripes),
+            capacity: AtomicUsize::new(capacity),
+            pinned_shards,
         }
     }
 
@@ -288,27 +289,30 @@ impl BufferPool {
 
     /// Maximum number of cached pages (summed over the shards).
     pub fn capacity(&self) -> usize {
-        self.shards.read().capacity
+        self.capacity.load(Ordering::Relaxed)
     }
 
     /// Number of LRU shards the capacity is striped over.
     pub fn shard_count(&self) -> usize {
-        self.shards.read().shards.len()
+        self.stripes.load(Ordering::Relaxed)
     }
 
     /// Number of pages currently cached.
     pub fn cached_pages(&self) -> usize {
-        let set = self.shards.read();
-        let _set_w = mcn_witness::acquire(W_POOL);
-        set.shards.iter().map(|s| s.lock().lru.len()).sum()
+        self.shards
+            .iter()
+            .map(|shard| {
+                let shard = shard.lock();
+                let _shard_w = mcn_witness::acquire(W_SHARD);
+                shard.lru.len()
+            })
+            .sum()
     }
 
     /// Empties the cache and resets the hit/miss counters (the underlying
     /// disk's physical counters are not touched).
     pub fn clear(&self) {
-        let set = self.shards.read();
-        let _set_w = mcn_witness::acquire(W_POOL);
-        for shard in &set.shards {
+        for shard in &self.shards {
             let mut shard = shard.lock();
             let _shard_w = mcn_witness::acquire(W_SHARD);
             shard.lru.clear();
@@ -323,37 +327,42 @@ impl BufferPool {
     /// [`BufferPool::with_shards`] is kept (still capped at the capacity);
     /// otherwise the default policy re-derives it from the new capacity.
     pub fn set_capacity(&self, capacity: usize) {
-        let count = self
-            .pinned_shards
-            .map(|pinned| pinned.min(capacity.max(1)))
-            .unwrap_or_else(|| default_shard_count(capacity));
-        let mut set = self.shards.write();
-        let _set_w = mcn_witness::acquire(W_POOL);
-        // Carry the counters across the rebuild: each old triple is consistent
-        // and they are all folded into the first new shard, so totals (and the
-        // hits + misses == logical invariant) are preserved.
-        let (mut logical, mut hits, mut misses) = (0u64, 0u64, 0u64);
-        for shard in &set.shards {
-            let shard = shard.lock();
-            let _shard_w = mcn_witness::acquire(W_SHARD);
-            logical += shard.logical_reads;
-            hits += shard.hits;
-            misses += shard.misses;
+        let stripes = stripes_for(capacity, self.pinned_shards);
+        // Every shard lock, in index order — the one order in which more than
+        // one of them is ever held, so two resizers cannot deadlock. While
+        // they are all held no reader is inside any shard, and the next one
+        // in finds its shard, the stripe count and every other shard changed
+        // together.
+        let mut shards: [MutexGuard<'_, Shard>; MAX_SHARDS] =
+            std::array::from_fn(|i| self.shards[i].lock());
+        let _shards_w = mcn_witness::acquire(W_SHARD);
+        for (i, shard) in shards.iter_mut().enumerate() {
+            shard.stripes = stripes;
+            shard.lru = Lru::new(stripe_capacity(capacity, stripes, i));
         }
-        *set = ShardSet::new(capacity, count);
-        let mut first = set.shards[0].lock();
-        let _first_w = mcn_witness::acquire(W_SHARD);
-        first.logical_reads = logical;
-        first.hits = hits;
-        first.misses = misses;
+        self.capacity.store(capacity, Ordering::Relaxed);
+        self.stripes.store(stripes, Ordering::Relaxed);
+    }
+
+    /// Locks the shard that owns `id`.
+    fn lock_shard(&self, id: PageId) -> MutexGuard<'_, Shard> {
+        loop {
+            // Relaxed is enough: the value is only a hint until the shard
+            // confirms it under its lock, and a reader sent round again by a
+            // re-striped shard has synchronised with `set_capacity` through
+            // that shard's mutex, so its next load sees the new count.
+            let stripes = self.stripes.load(Ordering::Relaxed);
+            let shard = self.shards[(id.raw() % stripes as u32) as usize].lock();
+            if shard.stripes == stripes {
+                return shard;
+            }
+        }
     }
 
     /// Reads page `id` (from the cache if possible) and passes its bytes to
     /// `f`, returning `f`'s result.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> R {
-        let set = self.shards.read();
-        let set_w = mcn_witness::acquire(W_POOL);
-        let mut shard = set.shard_of(id).lock();
+        let mut shard = self.lock_shard(id);
         let shard_w = mcn_witness::acquire(W_SHARD);
         shard.logical_reads += 1;
         if let Some(idx) = shard.lru.get(id) {
@@ -371,33 +380,30 @@ impl BufferPool {
         drop(shard_w);
         drop(shard);
         let mut page = Page::zeroed();
-        // mcn-lint: allow(lock-across-io, reason = "only the shard-set read guard spans the read: it blocks set resizing, never other page accesses; the per-shard mutex was dropped above")
         self.disk.read_page(id, &mut page);
         if zero_capacity {
             // The paper's "no buffer" setting: serve the closure from the
             // transient copy without caching it.
-            drop(set_w);
-            drop(set);
             return f(page.bytes());
         }
-        let mut shard = set.shard_of(id).lock();
+        let mut shard = self.lock_shard(id);
         let _shard_w = mcn_witness::acquire(W_SHARD);
-        let idx = shard
-            .lru
-            .insert(id, page)
-            .expect("insert cannot fail with non-zero capacity");
-        f(shard.lru.frames[idx].page.bytes())
+        match shard.lru.insert(id, page) {
+            Ok(idx) => f(shard.lru.frames[idx].page.bytes()),
+            // The pool was resized during the read and the shard that owns
+            // the page now has no room at all.
+            Err(page) => f(page.bytes()),
+        }
     }
 
     /// Writes `page` to the disk and refreshes any cached copy.
     pub fn write_through(&self, id: PageId, page: &Page) {
         self.disk.write_page(id, page);
-        let set = self.shards.read();
-        let _set_w = mcn_witness::acquire(W_POOL);
-        let mut shard = set.shard_of(id).lock();
+        let mut shard = self.lock_shard(id);
         let _shard_w = mcn_witness::acquire(W_SHARD);
-        if shard.lru.map.contains_key(&id) {
-            shard.lru.insert(id, page.clone());
+        if let Some(&idx) = shard.lru.map.get(&id) {
+            shard.lru.frames[idx].page.copy_from(page.bytes());
+            shard.lru.touch(idx);
         }
     }
 
@@ -415,10 +421,8 @@ impl BufferPool {
         // read whose miss had not been summed yet).
         let physical_reads = self.disk.physical_reads();
         let physical_writes = self.disk.physical_writes();
-        let set = self.shards.read();
-        let _set_w = mcn_witness::acquire(W_POOL);
         let (mut logical, mut hits, mut misses) = (0u64, 0u64, 0u64);
-        for shard in &set.shards {
+        for shard in &self.shards {
             let shard = shard.lock();
             let _shard_w = mcn_witness::acquire(W_SHARD);
             logical += shard.logical_reads;
@@ -432,6 +436,16 @@ impl BufferPool {
             physical_reads,
             physical_writes,
         }
+    }
+}
+
+/// The stripe count for `capacity` pages: a pinned count capped at the
+/// capacity (at least one stripe) and at [`MAX_SHARDS`], or the default
+/// policy's.
+fn stripes_for(capacity: usize, pinned_shards: Option<usize>) -> usize {
+    match pinned_shards {
+        Some(pinned) => pinned.min(capacity.max(1)).min(MAX_SHARDS),
+        None => default_shard_count(capacity),
     }
 }
 
@@ -665,6 +679,263 @@ mod tests {
         });
         let s = pool.stats();
         assert_eq!(s.logical_reads, s.buffer_hits + s.buffer_misses);
+    }
+
+    /// What `op` means in the model-based test below.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Read(u32),
+        SetCapacity(usize),
+        Clear,
+    }
+
+    /// A plain per-stripe LRU: most recently used page first.
+    struct Model {
+        pinned: Option<usize>,
+        stripes: Vec<(usize, std::collections::VecDeque<u32>)>,
+        logical: u64,
+        hits: u64,
+        physical: u64,
+    }
+
+    impl Model {
+        fn new(capacity: usize, pinned: Option<usize>) -> Self {
+            let mut model = Self {
+                pinned,
+                stripes: Vec::new(),
+                logical: 0,
+                hits: 0,
+                physical: 0,
+            };
+            model.set_capacity(capacity);
+            model
+        }
+
+        fn set_capacity(&mut self, capacity: usize) {
+            let count = match self.pinned {
+                Some(pinned) => pinned.min(capacity.max(1)),
+                None => (capacity / MIN_PAGES_PER_SHARD).clamp(1, MAX_SHARDS),
+            };
+            self.stripes = (0..count)
+                .map(|i| {
+                    let share = capacity / count + usize::from(i < capacity % count);
+                    (share, std::collections::VecDeque::new())
+                })
+                .collect();
+        }
+
+        /// Whether the read hits.
+        fn read(&mut self, page: u32) -> bool {
+            self.logical += 1;
+            let count = self.stripes.len();
+            let (share, lru) = &mut self.stripes[page as usize % count];
+            let hit = match lru.iter().position(|&p| p == page) {
+                Some(at) => {
+                    lru.remove(at);
+                    true
+                }
+                None => false,
+            };
+            if hit {
+                self.hits += 1;
+            } else {
+                self.physical += 1;
+            }
+            if *share > 0 {
+                lru.push_front(page);
+                lru.truncate(*share);
+            }
+            hit
+        }
+
+        fn cached(&self) -> usize {
+            self.stripes.iter().map(|(_, lru)| lru.len()).sum()
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn pool_matches_a_per_stripe_lru_model(
+            capacity in 0usize..=12,
+            // 0 = unpinned (the default policy picks the stripe count).
+            pinned in 0usize..=4,
+            ops in proptest::collection::vec((0u8..16, 0u32..24, 0usize..=12), 1..200),
+        ) {
+            let pinned = (pinned > 0).then_some(pinned);
+            let disk = make_disk(24);
+            let reads_before = disk.physical_reads();
+            let pool = match pinned {
+                Some(shards) => BufferPool::with_shards(disk.clone(), capacity, shards),
+                None => BufferPool::new(disk.clone(), capacity),
+            };
+            let mut model = Model::new(capacity, pinned);
+            for (step, &(kind, page, capacity)) in ops.iter().enumerate() {
+                let op = match kind {
+                    0 => Op::SetCapacity(capacity),
+                    1 => Op::Clear,
+                    _ => Op::Read(page),
+                };
+                match op {
+                    Op::Read(page) => {
+                        let hits_before = pool.stats().buffer_hits;
+                        let byte = pool.with_page(PageId::new(page), |b| b[0]);
+                        assert_eq!(u32::from(byte), page, "step {step}: {op:?}");
+                        let hit = pool.stats().buffer_hits > hits_before;
+                        assert_eq!(hit, model.read(page), "step {step}: {op:?}");
+                    }
+                    Op::SetCapacity(capacity) => {
+                        pool.set_capacity(capacity);
+                        model.set_capacity(capacity);
+                        assert_eq!(pool.capacity(), capacity);
+                        assert_eq!(pool.shard_count(), model.stripes.len());
+                    }
+                    Op::Clear => {
+                        pool.clear();
+                        for (_, lru) in &mut model.stripes {
+                            lru.clear();
+                        }
+                        (model.logical, model.hits) = (0, 0);
+                    }
+                }
+                let stats = pool.stats();
+                assert_eq!(pool.cached_pages(), model.cached(), "step {step}: {op:?}");
+                assert_eq!(stats.logical_reads, model.logical, "step {step}: {op:?}");
+                assert_eq!(stats.buffer_hits, model.hits, "step {step}: {op:?}");
+                assert_eq!(stats.buffer_misses, model.logical - model.hits);
+                assert_eq!(stats.physical_reads - reads_before, model.physical);
+            }
+        }
+    }
+
+    #[test]
+    fn readers_race_with_resizing() {
+        // Readers hammer the pool while another thread re-stripes it through
+        // "no buffer", one stripe and all stripes. Every read must return its
+        // own page, and no read may be lost or counted twice on the way.
+        const READERS: u32 = 4;
+        const READS: u32 = 4_000;
+        let disk = make_disk(64);
+        let pool = Arc::new(BufferPool::new(disk, 16));
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        std::thread::scope(|s| {
+            let resizer = {
+                let (pool, stop) = (Arc::clone(&pool), Arc::clone(&stop));
+                s.spawn(move || {
+                    let mut resizes = 0u32;
+                    while !stop.load(Ordering::Relaxed) {
+                        for capacity in [0, 3, 64, 1, 9] {
+                            pool.set_capacity(capacity);
+                            resizes += 1;
+                        }
+                    }
+                    resizes
+                })
+            };
+            let readers: Vec<_> = (0..READERS)
+                .map(|t| {
+                    let pool = Arc::clone(&pool);
+                    s.spawn(move || {
+                        for round in 0..READS {
+                            let id = (t * 17 + round * 5) % 64;
+                            assert_eq!(pool.with_page(PageId::new(id), |b| b[0]), id as u8);
+                            let s = pool.stats();
+                            assert_eq!(s.logical_reads, s.buffer_hits + s.buffer_misses);
+                        }
+                    })
+                })
+                .collect();
+            for reader in readers {
+                reader.join().unwrap();
+            }
+            stop.store(true, Ordering::Relaxed);
+            assert!(resizer.join().unwrap() >= 5);
+        });
+        let s = pool.stats();
+        assert_eq!(s.logical_reads, u64::from(READERS * READS));
+        assert_eq!(s.logical_reads, s.buffer_hits + s.buffer_misses);
+        assert!(pool.cached_pages() <= pool.capacity());
+    }
+
+    /// A disk that runs a hook in the middle of its next read — the window
+    /// in which `with_page` holds no lock.
+    struct HookedDisk {
+        inner: InMemoryDisk,
+        during_next_read: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    }
+
+    impl HookedDisk {
+        fn take_hook(&self) -> Option<Box<dyn FnOnce() + Send>> {
+            self.during_next_read.lock().take()
+        }
+    }
+
+    impl DiskManager for HookedDisk {
+        fn read_page(&self, id: PageId, out: &mut Page) {
+            if let Some(hook) = self.take_hook() {
+                hook();
+            }
+            self.inner.read_page(id, out);
+        }
+
+        fn write_page(&self, id: PageId, page: &Page) {
+            self.inner.write_page(id, page);
+        }
+
+        fn allocate_page(&self) -> PageId {
+            self.inner.allocate_page()
+        }
+
+        fn num_pages(&self) -> usize {
+            self.inner.num_pages()
+        }
+
+        fn physical_reads(&self) -> u64 {
+            self.inner.physical_reads()
+        }
+
+        fn physical_writes(&self) -> u64 {
+            self.inner.physical_writes()
+        }
+    }
+
+    #[test]
+    fn a_miss_survives_the_pool_being_resized_under_it() {
+        let disk = Arc::new(HookedDisk {
+            inner: InMemoryDisk::new(),
+            during_next_read: Mutex::new(None),
+        });
+        for i in 0..16u8 {
+            let id = disk.allocate_page();
+            let mut p = Page::zeroed();
+            p.bytes_mut()[0] = i;
+            disk.write_page(id, &p);
+        }
+        let pool = Arc::new(BufferPool::new(disk.clone(), 8));
+        let resize_to = |capacity: usize| {
+            let pool = Arc::clone(&pool);
+            *disk.during_next_read.lock() = Some(Box::new(move || pool.set_capacity(capacity)));
+        };
+
+        // Resized to "no buffer" while the page was being read: the shard
+        // that counted the miss with room to spare has none when the insert
+        // arrives, and the closure is served from the transient copy.
+        resize_to(0);
+        assert_eq!(pool.with_page(PageId::new(5), |b| b[0]), 5);
+        assert_eq!((pool.capacity(), pool.cached_pages()), (0, 0));
+
+        // Re-striped from one shard to eight while the page was being read:
+        // the page lands in the shard that owns it *now*, where the next
+        // read finds it.
+        pool.set_capacity(4);
+        assert_eq!(pool.shard_count(), 1);
+        resize_to(64);
+        assert_eq!(pool.with_page(PageId::new(13), |b| b[0]), 13);
+        assert_eq!((pool.shard_count(), pool.cached_pages()), (MAX_SHARDS, 1));
+        assert_eq!(pool.with_page(PageId::new(13), |b| b[0]), 13);
+
+        let s = pool.stats();
+        assert_eq!((s.logical_reads, s.buffer_hits, s.buffer_misses), (3, 1, 2));
+        assert_eq!(s.physical_reads, 2);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::disk::{DiskManager, InMemoryDisk};
 use crate::error::StorageError;
 use crate::meta::StorageMeta;
 use crate::page::{Page, PageId};
-use crate::records::{AdjacencyList, FacilityRun};
+use crate::records::{AdjacencyEntry, AdjacencyList, FacilityRun};
 use crate::stats::IoStats;
 use crate::store::{BufferConfig, EdgeEndpoints, FacilityInfo, MCNStore};
 use crate::view::StoreView;
@@ -390,18 +390,25 @@ impl StoreView for PartitionedStore {
     }
 
     fn adjacency(&self, node: NodeId) -> AdjacencyList {
+        // mcn-lint: allow(hot-path-alloc, reason = "an owned record is this method's contract; the expansion loop reads through `adjacency_into` and gets here only via that method's trait default, for a view that does not override it")
+        let mut entries = Vec::new();
+        self.adjacency_into(node, &mut entries);
+        AdjacencyList { node, entries }
+    }
+
+    fn adjacency_into(&self, node: NodeId, out: &mut Vec<AdjacencyEntry>) {
         let r = self.map.region_of(node).index();
         self.count_read(r as u32);
-        let mut adjacency = self.regions[r].adjacency(node);
+        let appended_from = out.len();
+        self.regions[r].adjacency_into(node, out);
         // Rebase run pointers into the global page-id space so they can be
         // routed back to this shard later.
         let base = self.page_base[r];
-        for entry in &mut adjacency.entries {
+        for entry in &mut out[appended_from..] {
             if let Some(run) = &mut entry.facilities {
                 run.start.page = PageId::new(run.start.page.raw() + base);
             }
         }
-        adjacency
     }
 
     fn facilities_in_run(&self, run: &FacilityRun) -> Vec<(FacilityId, f64)> {
@@ -528,6 +535,12 @@ mod tests {
                 let a = StoreView::adjacency(&mono, node.id);
                 let b = StoreView::adjacency(&part, node.id);
                 assert_eq!(a.node, b.node);
+                // The buffer-filling form appends the same (rebased) entries
+                // and leaves what the buffer held alone.
+                let mut into = a.entries.clone();
+                StoreView::adjacency_into(&part, node.id, &mut into);
+                assert_eq!(into[..a.entries.len()], a.entries[..]);
+                assert_eq!(into[a.entries.len()..], b.entries[..]);
                 assert_eq!(a.entries.len(), b.entries.len());
                 for (ea, eb) in a.entries.iter().zip(&b.entries) {
                     assert_eq!(ea.neighbor, eb.neighbor);

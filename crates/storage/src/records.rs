@@ -111,19 +111,21 @@ pub fn encode_adjacency_record(buf: &mut [u8], entries: &[AdjacencyEntry]) {
     }
 }
 
-/// Decodes an adjacency record for `node` from `bytes` starting at `offset`.
+/// Decodes the adjacency record that starts at `offset` in `bytes`, appending
+/// its entries to `out` (which is not cleared: a caller may gather several
+/// records in one buffer).
 ///
 /// `d` is the number of cost types of the store (needed to know the entry
 /// width).
 pub fn decode_adjacency_record(
     bytes: &[u8],
     offset: usize,
-    node: NodeId,
     d: usize,
-) -> AdjacencyList {
+    out: &mut Vec<AdjacencyEntry>,
+) {
     let mut r = RecordReader::new(bytes, offset);
     let degree = r.get_u16() as usize;
-    let mut entries = Vec::with_capacity(degree);
+    out.reserve(degree);
     for _ in 0..degree {
         let neighbor = NodeId::new(r.get_u32());
         let edge = EdgeId::new(r.get_u32());
@@ -146,7 +148,7 @@ pub fn decode_adjacency_record(
         } else {
             None
         };
-        entries.push(AdjacencyEntry {
+        out.push(AdjacencyEntry {
             neighbor,
             edge,
             traversable: flags & FLAG_TRAVERSABLE != 0,
@@ -154,7 +156,6 @@ pub fn decode_adjacency_record(
             facilities,
         });
     }
-    AdjacencyList { node, entries }
 }
 
 /// Encodes one facility entry at the start of `buf`.
@@ -209,9 +210,13 @@ mod tests {
             let size = adjacency_record_size(entries.len(), d);
             let mut buf = vec![0u8; size + 16];
             encode_adjacency_record(&mut buf, &entries);
-            let decoded = decode_adjacency_record(&buf, 0, NodeId::new(1), d);
-            assert_eq!(decoded.node, NodeId::new(1));
-            assert_eq!(decoded.entries, entries, "d = {d}");
+            let mut decoded = Vec::new();
+            decode_adjacency_record(&buf, 0, d, &mut decoded);
+            assert_eq!(decoded, entries, "d = {d}");
+            // Decoding appends: what the buffer already holds stays.
+            decode_adjacency_record(&buf, 0, d, &mut decoded);
+            assert_eq!(decoded[..2], entries[..]);
+            assert_eq!(decoded[2..], entries[..]);
         }
     }
 
@@ -239,7 +244,8 @@ mod tests {
     fn empty_adjacency_record_roundtrip() {
         let mut buf = vec![0u8; 4];
         encode_adjacency_record(&mut buf, &[]);
-        let decoded = decode_adjacency_record(&buf, 0, NodeId::new(0), 4);
-        assert!(decoded.entries.is_empty());
+        let mut decoded = Vec::new();
+        decode_adjacency_record(&buf, 0, 4, &mut decoded);
+        assert!(decoded.is_empty());
     }
 }

@@ -8,7 +8,8 @@ use crate::error::StorageError;
 use crate::meta::StorageMeta;
 use crate::page::{Page, PageId, PAGE_SIZE};
 use crate::records::{
-    decode_adjacency_record, decode_facility_entry, AdjacencyList, FacilityRun, FACILITY_ENTRY_SIZE,
+    decode_adjacency_record, decode_facility_entry, AdjacencyEntry, AdjacencyList, FacilityRun,
+    FACILITY_ENTRY_SIZE,
 };
 use crate::stats::IoStats;
 use mcn_graph::{EdgeId, FacilityId, MultiCostGraph, NodeId};
@@ -234,6 +235,18 @@ impl MCNStore {
     /// # Panics
     /// Panics if the node does not exist in the store.
     pub fn adjacency(&self, node: NodeId) -> AdjacencyList {
+        // mcn-lint: allow(hot-path-alloc, reason = "an owned record is this method's contract; the expansion loop reads through `adjacency_into` and gets here only via that method's trait default, for a view that does not override it")
+        let mut entries = Vec::new();
+        self.adjacency_into(node, &mut entries);
+        AdjacencyList { node, entries }
+    }
+
+    /// [`MCNStore::adjacency`] into a buffer the caller keeps: the entries of
+    /// `node`'s record are appended to `out`, decoded straight from the page.
+    ///
+    /// # Panics
+    /// Panics if the node does not exist in the store.
+    pub fn adjacency_into(&self, node: NodeId, out: &mut Vec<AdjacencyEntry>) {
         let value = self
             .meta
             .adjacency_tree
@@ -242,13 +255,14 @@ impl MCNStore {
         let (page, offset) = unpack_u32_u16(&value);
         let d = self.num_cost_types();
         self.pool.with_page(PageId::new(page), |bytes| {
-            decode_adjacency_record(bytes, offset as usize, node, d)
+            decode_adjacency_record(bytes, offset as usize, d, out)
         })
     }
 
     /// Reads the facilities of a [`FacilityRun`] (as referenced from an
     /// adjacency entry), returning `(facility, position)` pairs.
     pub fn facilities_in_run(&self, run: &FacilityRun) -> Vec<(FacilityId, f64)> {
+        // mcn-lint: allow(hot-path-alloc, reason = "the run is handed over by value: DirectAccess passes it on and SharedAccess keeps it for the rest of the query, so the caller owns what is read")
         let mut out = Vec::with_capacity(run.count as usize);
         let mut page = run.start.page;
         let mut offset = run.start.offset as usize;

@@ -12,7 +12,7 @@
 //! unchanged while `Arc<PartitionedStore>` (or a trait object) slots in
 //! transparently.
 
-use crate::records::{AdjacencyList, FacilityRun};
+use crate::records::{AdjacencyEntry, AdjacencyList, FacilityRun};
 use crate::stats::IoStats;
 use crate::store::{BufferConfig, EdgeEndpoints, FacilityInfo, MCNStore};
 use mcn_graph::{EdgeId, FacilityId, NodeId};
@@ -43,6 +43,18 @@ pub trait StoreView: Send + Sync + 'static {
     /// # Panics
     /// Panics if the node does not exist in the store.
     fn adjacency(&self, node: NodeId) -> AdjacencyList;
+
+    /// [`StoreView::adjacency`] into a buffer the caller keeps: appends the
+    /// entries of `node`'s record to `out` (which is not cleared). The
+    /// expansion layer reads every record this way, so a store that can
+    /// decode straight from its page into `out` overrides this and the read
+    /// allocates nothing; the default goes through [`StoreView::adjacency`].
+    ///
+    /// # Panics
+    /// Panics if the node does not exist in the store.
+    fn adjacency_into(&self, node: NodeId, out: &mut Vec<AdjacencyEntry>) {
+        out.append(&mut self.adjacency(node).entries);
+    }
 
     /// Reads the facilities of a run referenced from an adjacency entry
     /// returned by [`StoreView::adjacency`] **of the same store view** (a
@@ -100,6 +112,10 @@ impl StoreView for MCNStore {
         MCNStore::adjacency(self, node)
     }
 
+    fn adjacency_into(&self, node: NodeId, out: &mut Vec<AdjacencyEntry>) {
+        MCNStore::adjacency_into(self, node, out);
+    }
+
     fn facilities_in_run(&self, run: &FacilityRun) -> Vec<(FacilityId, f64)> {
         MCNStore::facilities_in_run(self, run)
     }
@@ -133,6 +149,81 @@ mod tests {
 
     const fn assert_object_safe(_: &dyn StoreView) {}
 
+    /// A view that, like a decorator written before `adjacency_into`
+    /// existed, implements only the required methods.
+    struct RequiredOnly(MCNStore);
+
+    impl StoreView for RequiredOnly {
+        fn num_cost_types(&self) -> usize {
+            self.0.num_cost_types()
+        }
+        fn num_nodes(&self) -> usize {
+            self.0.num_nodes()
+        }
+        fn num_edges(&self) -> usize {
+            self.0.num_edges()
+        }
+        fn num_facilities(&self) -> usize {
+            self.0.num_facilities()
+        }
+        fn data_pages(&self) -> usize {
+            self.0.data_pages()
+        }
+        fn adjacency(&self, node: NodeId) -> AdjacencyList {
+            self.0.adjacency(node)
+        }
+        fn facilities_in_run(&self, run: &FacilityRun) -> Vec<(FacilityId, f64)> {
+            self.0.facilities_in_run(run)
+        }
+        fn facility_info(&self, facility: FacilityId) -> Option<FacilityInfo> {
+            self.0.facility_info(facility)
+        }
+        fn edge_endpoints(&self, edge: EdgeId) -> Option<EdgeEndpoints> {
+            self.0.edge_endpoints(edge)
+        }
+        fn io_stats(&self) -> IoStats {
+            self.0.io_stats()
+        }
+        fn clear_buffers(&self) {
+            self.0.buffer().clear();
+        }
+        fn set_buffer(&self, buffer: BufferConfig) {
+            self.0.set_buffer(buffer);
+        }
+    }
+
+    #[test]
+    fn the_provided_adjacency_into_goes_through_adjacency() {
+        let mut b = GraphBuilder::new(3);
+        let n: Vec<_> = (0..5).map(|i| b.add_node(i as f64, 0.0)).collect();
+        for (i, w) in n.windows(2).enumerate() {
+            let e = b
+                .add_edge(w[0], w[1], CostVec::from_slice(&[1.0, 2.0, i as f64]))
+                .unwrap();
+            b.add_facility(e, 0.25).unwrap();
+        }
+        b.add_edge(n[0], n[3], CostVec::from_slice(&[4.0, 4.0, 4.0]))
+            .unwrap();
+        let g = b.build().unwrap();
+        let view = RequiredOnly(MCNStore::build_in_memory(&g, BufferConfig::Pages(8)).unwrap());
+        let mut gathered = Vec::new();
+        for &node in &n {
+            let before = view.io_stats().logical_reads;
+            let held = gathered.len();
+            view.adjacency_into(node, &mut gathered);
+            let reads = view.io_stats().logical_reads - before;
+            // Same entries, behind what the buffer held, for the same reads
+            // as the store's own (overriding) form.
+            assert_eq!(gathered[held..], view.0.adjacency(node).entries[..]);
+            let before = view.io_stats().logical_reads;
+            let mut direct = Vec::new();
+            view.0.adjacency_into(node, &mut direct);
+            assert_eq!(view.io_stats().logical_reads - before, reads);
+            assert_eq!(direct[..], gathered[held..]);
+        }
+        assert_eq!(gathered.len(), 2 * g.num_edges());
+    }
+
     #[test]
     fn mcn_store_implements_the_view() {
         let mut b = GraphBuilder::new(2);
@@ -153,6 +244,11 @@ mod tests {
         assert!(StoreView::edge_endpoints(&store, EdgeId::new(0)).is_some());
         StoreView::clear_buffers(&store);
         assert_eq!(StoreView::io_stats(&store).buffer_hits, 0);
+        // The buffer-filling form appends the same entries.
+        let mut into = adj.entries.clone();
+        StoreView::adjacency_into(&store, c, &mut into);
+        assert_eq!(into[..1], adj.entries[..]);
+        assert_eq!(into[1..], StoreView::adjacency(&store, c).entries[..]);
         // The trait is object safe: `Arc<dyn StoreView>` is a valid handle.
         let dynamic: Arc<dyn StoreView> = Arc::new(store);
         assert_object_safe(dynamic.as_ref());

@@ -82,7 +82,7 @@ pub fn reset() {
 ///
 /// ```json
 /// [
-///   { "from": "storage::BufferPool.shards", "to": "storage::ShardSet.shards" }
+///   { "from": "expansion::SharedAccess.adjacency", "to": "storage::BufferPool.shards" }
 /// ]
 /// ```
 pub fn dump_json() -> String {

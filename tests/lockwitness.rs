@@ -51,8 +51,10 @@ fn static_edges() -> BTreeSet<(String, String)> {
 fn run_mixed_batch() {
     let workload = generate_workload(&WorkloadSpec::tiny(61));
     let graph = Arc::new(workload.graph);
-    // A small pool fraction forces evictions, so the buffer pool's
-    // shard/set/disk lock chains are all exercised, not just hits.
+    // A small pool fraction forces misses and evictions, so the sharing
+    // cache → pool shard and sharing cache → disk chains are all exercised,
+    // not just hits — and a shard lock held across a physical read would
+    // show up as an edge the static graph does not have.
     let store = Arc::new(MCNStore::build_in_memory(&graph, BufferConfig::Fraction(0.01)).unwrap());
     let ctx = Arc::new(PathContext::new(graph.clone(), 4));
     let mut rng = ChaCha8Rng::seed_from_u64(6100);

@@ -6,12 +6,16 @@
 //! The stream alternates between two networks of different size (so the
 //! pooled tables meet an id range larger than the one they were first sized
 //! for), mixes every query kind and location type, leaves expansions
-//! half-run (their tables full of unfinished entries) and drops a `TopKIter`
-//! after one result in the middle.
+//! half-run (their tables full of unfinished entries, their decode buffer
+//! still holding the adjacency record of the last node they settled) and
+//! drops a `TopKIter` after one result in the middle. Half-run expansions
+//! read through both accessors, so a pooled decode buffer is also filled
+//! from CEA's per-query arena, and what the arena reports (`SharingStats`)
+//! is compared too.
 
 use mcn::expansion::{
     seeds_for_location, DirectAccess, Expansion, ExpansionStep, FacilityMode, NetworkAccess,
-    SharedAccess, TablePool,
+    SharedAccess, SharingStats, TablePool,
 };
 use mcn::gen::{generate_workload, WorkloadSpec};
 use mcn::graph::{EdgeId, MultiCostGraph, NetworkLocation, NodeId};
@@ -53,7 +57,11 @@ struct Query {
 enum Served {
     Skyline(Vec<SkylineFacility>, QueryStats),
     TopK(Vec<TopKEntry>, QueryStats),
-    Steps(Vec<ExpansionStep>, mcn::expansion::ExpansionStats),
+    Steps(
+        Vec<ExpansionStep>,
+        mcn::expansion::ExpansionStats,
+        Option<SharingStats>,
+    ),
 }
 
 fn timeless(mut stats: QueryStats) -> QueryStats {
@@ -154,16 +162,37 @@ fn serve(store: &Arc<MCNStore>, query: &Query, pool: Option<&TablePool>) -> Serv
             }
         }
         Kind::Steps { cost_type, steps } => {
-            let access = Arc::new(DirectAccess::new(store.clone()));
-            let seeds = seeds_for_location(access.as_ref(), location);
-            let mut ex = match pool {
-                Some(pool) => {
-                    Expansion::with_pool(access, cost_type, &seeds, FacilityMode::All, pool)
+            fn run<A: NetworkAccess>(
+                access: &Arc<A>,
+                query: &Query,
+                (cost_type, steps): (usize, usize),
+                pool: Option<&TablePool>,
+            ) -> (Vec<ExpansionStep>, mcn::expansion::ExpansionStats) {
+                let seeds = seeds_for_location(access.as_ref(), query.location);
+                let (access, mode) = (access.clone(), FacilityMode::All);
+                let mut ex = match pool {
+                    Some(pool) => Expansion::with_pool(access, cost_type, &seeds, mode, pool),
+                    None => Expansion::new(access, cost_type, &seeds, mode),
+                };
+                ((0..steps).map(|_| ex.advance()).collect(), ex.stats())
+            }
+            match algorithm {
+                Algorithm::Lsa => {
+                    let access = Arc::new(DirectAccess::new(store.clone()));
+                    let (trace, stats) = run(&access, query, (cost_type, steps), pool);
+                    Served::Steps(trace, stats, None)
                 }
-                None => Expansion::new(access, cost_type, &seeds, FacilityMode::All),
-            };
-            let trace: Vec<ExpansionStep> = (0..steps).map(|_| ex.advance()).collect();
-            Served::Steps(trace, ex.stats())
+                Algorithm::Cea => {
+                    // Two expansions over one arena: the second re-reads
+                    // what the first fetched.
+                    let access = Arc::new(SharedAccess::new(store.clone()));
+                    let (mut trace, _) = run(&access, query, (cost_type, steps), pool);
+                    let (again, stats) = run(&access, query, (cost_type, steps), pool);
+                    assert_eq!(trace, again);
+                    trace.extend(again);
+                    Served::Steps(trace, stats, Some(access.sharing_stats()))
+                }
+            }
         }
     }
 }
@@ -197,7 +226,7 @@ fn one_reused_pool_is_indistinguishable_from_fresh_tables() {
         nonempty += usize::from(match &reused {
             Served::Skyline(facilities, _) => !facilities.is_empty(),
             Served::TopK(entries, _) => !entries.is_empty(),
-            Served::Steps(trace, _) => trace
+            Served::Steps(trace, ..) => trace
                 .iter()
                 .any(|s| matches!(s, ExpansionStep::Facility { .. })),
         });
