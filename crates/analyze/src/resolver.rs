@@ -48,7 +48,7 @@ pub const CONTAINER_TYPES: [&str; 11] = [
 /// one of these almost certainly targets a std collection/primitive, so the
 /// all-methods-of-that-name fallback is suppressed to avoid wiring, say,
 /// every untyped `.get(…)` to `PrepCache::get`.
-const COMMON_METHODS: [&str; 44] = [
+const COMMON_METHODS: [&str; 45] = [
     "new",
     "default",
     "clone",
@@ -69,6 +69,7 @@ const COMMON_METHODS: [&str; 44] = [
     "clear",
     "extend",
     "drain",
+    "take",
     "keys",
     "values",
     "entry",
@@ -1141,18 +1142,22 @@ mod tests {
             concat!(
                 "pub struct Cache;\n",
                 "impl Cache { fn get(&self) -> u32 { 1 } }\n",
-                "fn untyped(m: &SomeMap) -> u32 { m.get() }\n",
+                "impl Cache { fn take(&self) -> u32 { 1 } }\n",
+                "fn untyped(m: &SomeMap) -> u32 { m.get() + m.slot.take() }\n",
             ),
         )]);
         let untyped = r.fns.iter().position(|f| f.name == "untyped").unwrap();
         let file = &ws.files[0];
         let span = &file.fns[r.fns[untyped].span];
-        let call = (span.body_start..span.end)
-            .find(|&k| file.tokens[k].is_ident("get"))
-            .unwrap();
         // `m` is typed `SomeMap` (unknown struct) — no workspace match, and
-        // `get` is too common for the name fallback.
-        assert!(r.resolve_call(&ws, untyped, call, 0).is_empty());
+        // `get` and `take` (`Option`'s, `Iterator`'s) are too common for the
+        // name fallback.
+        for method in ["get", "take"] {
+            let call = (span.body_start..span.end)
+                .find(|&k| file.tokens[k].is_ident(method))
+                .unwrap();
+            assert!(r.resolve_call(&ws, untyped, call, 0).is_empty(), "{method}");
+        }
     }
 
     #[test]

@@ -117,7 +117,7 @@ pub const RULE_DOCS: [RuleDoc; 9] = [
 pub const GUARD_METHODS: [&str; 6] = ["lock", "read", "write", "try_lock", "try_read", "try_write"];
 
 /// Calls that hit the `DiskManager` / physical-read layer.
-const IO_CALLS: [&str; 11] = [
+const IO_CALLS: [&str; 14] = [
     "read_page",
     "write_page",
     "allocate_page",
@@ -125,7 +125,10 @@ const IO_CALLS: [&str; 11] = [
     "with_page",
     "read_exact",
     "write_all",
+    "read_at",
     "write_at",
+    "read_exact_at",
+    "write_all_at",
     "seek",
     "flush",
     "sync_all",

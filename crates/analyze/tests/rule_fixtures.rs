@@ -68,6 +68,25 @@ fn lock_across_io_respects_drop_and_block_end() {
     assert!(clean.is_empty(), "{clean:?}");
 }
 
+/// Positional file calls need no cursor, but they are physical I/O all the
+/// same: a guard live across one is a finding (`FileDisk`'s grow path holds
+/// the one reasoned allow for it).
+#[test]
+fn lock_across_io_knows_the_positional_calls() {
+    for call in ["read_at", "write_at", "read_exact_at", "write_all_at"] {
+        let text = format!(
+            "impl Disk {{\n    fn grow(&self, bytes: &[u8]) {{\n        let _grow = self.grow.lock();\n        self.file.{call}(bytes, 0);\n    }}\n}}\n"
+        );
+        let hits = findings_for(
+            rules::RULE_LOCK_ACROSS_IO,
+            "crates/scratch/src/lib.rs",
+            &text,
+        );
+        assert_eq!(hits.len(), 1, "{call}: {hits:?}");
+        assert_eq!(hits[0].line, 4);
+    }
+}
+
 #[test]
 fn lock_across_io_allow_suppresses() {
     let hits = findings_for(

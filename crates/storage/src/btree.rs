@@ -55,12 +55,14 @@ impl StaticBTree {
             "bulk load input must be strictly sorted by key"
         );
         let mut pages_used = 0u32;
+        // Every node is laid out in this one page, cleared before each use.
+        let mut page = Page::zeroed();
 
         // Level 0: leaves. Remember (max key, page id) per leaf.
         let mut level: Vec<(u32, PageId)> = Vec::new();
         for chunk in entries.chunks(LEAF_CAPACITY) {
             pages_used += 1;
-            let mut page = Page::zeroed();
+            page.bytes_mut().fill(0);
             {
                 let mut w = RecordWriter::new(page.bytes_mut());
                 w.put_u8(LEAF);
@@ -81,7 +83,7 @@ impl StaticBTree {
             let mut next: Vec<(u32, PageId)> = Vec::new();
             for chunk in level.chunks(INTERNAL_CAPACITY) {
                 pages_used += 1;
-                let mut page = Page::zeroed();
+                page.bytes_mut().fill(0);
                 {
                     let mut w = RecordWriter::new(page.bytes_mut());
                     w.put_u8(INTERNAL);

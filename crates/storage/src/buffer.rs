@@ -32,6 +32,26 @@
 //! therefore one atomic load and one mutex; nothing at all is held across the
 //! physical read of a miss.
 //!
+//! # The miss path
+//!
+//! A miss counts itself and lets go of its shard, reads the page from the
+//! disk manager with no lock held, then locks the shard that owns the page
+//! *now* and inserts it. No frame is reserved across the read and there is no
+//! in-flight table: two threads missing the same page both count a miss and
+//! both read it, and the second insert refreshes the frame the first one
+//! filled.
+//!
+//! The page the read lands in is recycled. An insert into a full stripe
+//! displaces a page — the evicted victim's, or the refreshed frame's after
+//! such a race — and the stripe keeps it as its one **spare**; the next miss
+//! on the stripe takes the spare under the lock it already holds for the
+//! lookup and reads into it ([`DiskManager::read_page`] overwrites every
+//! byte). Only a stripe with no spare allocates: while it is still filling,
+//! when two misses on it overlap, and in the "no buffer" configuration,
+//! which displaces nothing. In the steady state of a full pool a miss
+//! therefore allocates and frees nothing. The pool's memory is its capacity
+//! plus at most one page per stripe ([`MAX_SHARDS`] × 4 KiB = 32 KiB).
+//!
 //! # Counter consistency
 //!
 //! The hit/miss/logical counters live **inside** the shard they describe and
@@ -74,8 +94,9 @@ pub const MIN_PAGES_PER_SHARD: usize = 4;
 ///
 /// * `capacity == 0` models the paper's "no buffer" configuration: every
 ///   logical read becomes a physical read.
-/// * The pool is read-oriented (the MCN store is write-once/read-many);
-///   [`BufferPool::write_through`] updates both the cache and the disk.
+/// * The pool is read-only: the MCN store is built, then read (see
+///   [`DiskManager`]), so a cached page never goes stale and nothing is ever
+///   written through the pool.
 pub struct BufferPool {
     disk: Arc<dyn DiskManager>,
     /// Every stripe the pool can ever use; the first `stripes` are in use.
@@ -99,6 +120,8 @@ struct Shard {
     /// reader that chose the shard under another count must choose again.
     stripes: usize,
     lru: Lru,
+    /// The page the last insert displaced, for the next miss to read into.
+    spare: Option<Page>,
     logical_reads: u64,
     hits: u64,
     misses: u64,
@@ -193,24 +216,25 @@ impl Lru {
     }
 
     /// Inserts a page, evicting the LRU entry if at capacity. Returns the frame
-    /// index, or hands the page back if the capacity is zero.
-    fn insert(&mut self, id: PageId, page: Page) -> Result<usize, Page> {
+    /// index and the page the insert displaced, if any — the evicted one, or
+    /// the previous copy of `id` — or hands `page` back if the capacity is zero.
+    fn insert(&mut self, id: PageId, page: Page) -> Result<(usize, Option<Page>), Page> {
         if self.capacity == 0 {
             return Err(page);
         }
         if let Some(&idx) = self.map.get(&id) {
-            self.frames[idx].page = page;
+            let stale = std::mem::replace(&mut self.frames[idx].page, page);
             self.touch(idx);
-            return Ok(idx);
+            return Ok((idx, Some(stale)));
         }
-        let idx = if self.frames.len() != self.capacity {
+        let (idx, evicted) = if self.frames.len() != self.capacity {
             self.frames.push(Frame {
                 id,
                 page,
                 prev: NIL,
                 next: NIL,
             });
-            self.frames.len() - 1
+            (self.frames.len() - 1, None)
         } else {
             // Evict the least recently used frame.
             let victim = self.tail;
@@ -219,12 +243,12 @@ impl Lru {
             let old_id = self.frames[victim].id;
             self.map.remove(&old_id);
             self.frames[victim].id = id;
-            self.frames[victim].page = page;
-            victim
+            let evicted = std::mem::replace(&mut self.frames[victim].page, page);
+            (victim, Some(evicted))
         };
         self.map.insert(id, idx);
         self.push_front(idx);
-        Ok(idx)
+        Ok((idx, evicted))
     }
 
     fn clear(&mut self) {
@@ -271,6 +295,7 @@ impl BufferPool {
                 Mutex::new(Shard {
                     stripes,
                     lru: Lru::new(stripe_capacity(capacity, stripes, i)),
+                    spare: None,
                     logical_reads: 0,
                     hits: 0,
                     misses: 0,
@@ -371,6 +396,7 @@ impl BufferPool {
         }
         shard.misses += 1;
         let zero_capacity = shard.lru.capacity == 0;
+        let spare = shard.spare.take();
         // Never hold the shard lock across the physical read: striping gives
         // cross-shard parallelism, and releasing here lets same-shard misses
         // overlap their disk latency too. Two threads racing to fetch the
@@ -379,7 +405,8 @@ impl BufferPool {
         // in-flight pin table. Single-threaded accounting is unchanged.
         drop(shard_w);
         drop(shard);
-        let mut page = Page::zeroed();
+        // The read overwrites the whole page, whatever the spare held.
+        let mut page = spare.unwrap_or_else(Page::zeroed);
         self.disk.read_page(id, &mut page);
         if zero_capacity {
             // The paper's "no buffer" setting: serve the closure from the
@@ -389,21 +416,15 @@ impl BufferPool {
         let mut shard = self.lock_shard(id);
         let _shard_w = mcn_witness::acquire(W_SHARD);
         match shard.lru.insert(id, page) {
-            Ok(idx) => f(shard.lru.frames[idx].page.bytes()),
+            Ok((idx, displaced)) => {
+                if displaced.is_some() {
+                    shard.spare = displaced;
+                }
+                f(shard.lru.frames[idx].page.bytes())
+            }
             // The pool was resized during the read and the shard that owns
             // the page now has no room at all.
             Err(page) => f(page.bytes()),
-        }
-    }
-
-    /// Writes `page` to the disk and refreshes any cached copy.
-    pub fn write_through(&self, id: PageId, page: &Page) {
-        self.disk.write_page(id, page);
-        let mut shard = self.lock_shard(id);
-        let _shard_w = mcn_witness::acquire(W_SHARD);
-        if let Some(&idx) = shard.lru.map.get(&id) {
-            shard.lru.frames[idx].page.copy_from(page.bytes());
-            shard.lru.touch(idx);
         }
     }
 
@@ -454,15 +475,31 @@ mod tests {
     use super::*;
     use crate::disk::InMemoryDisk;
 
-    fn make_disk(pages: usize) -> Arc<InMemoryDisk> {
-        let disk = Arc::new(InMemoryDisk::new());
+    /// Appends `pages` pages to `disk`, page `i` holding the byte `i`
+    /// throughout.
+    fn stamp_pages(disk: &dyn DiskManager, pages: usize) {
         for i in 0..pages {
             let id = disk.allocate_page();
             let mut p = Page::zeroed();
-            p.bytes_mut()[0] = i as u8;
+            p.bytes_mut().fill(i as u8);
             disk.write_page(id, &p);
         }
+    }
+
+    fn make_disk(pages: usize) -> Arc<InMemoryDisk> {
+        let disk = Arc::new(InMemoryDisk::new());
+        stamp_pages(disk.as_ref(), pages);
         disk
+    }
+
+    /// Reads page `id` of a [`stamp_pages`] disk through `pool` and checks
+    /// every byte served — a recycled page that was not wholly overwritten,
+    /// or a frame handed to the wrong reader, fails here.
+    fn read_checked(pool: &BufferPool, id: u32) {
+        let whole = pool.with_page(PageId::new(id), |b| {
+            b.len() == crate::page::PAGE_SIZE && b.iter().all(|&x| x == id as u8)
+        });
+        assert!(whole, "wrong bytes served for page{id}");
     }
 
     #[test]
@@ -496,24 +533,6 @@ mod tests {
         pool.with_page(PageId::new(1), |_| ()); // evicted → miss
         assert_eq!(pool.stats().buffer_misses, after.buffer_misses + 1);
         assert_eq!(pool.cached_pages(), 2);
-    }
-
-    #[test]
-    fn write_through_updates_cache_and_disk() {
-        let disk = make_disk(1);
-        let pool = BufferPool::new(disk.clone(), 2);
-        pool.with_page(PageId::new(0), |_| ());
-        let mut p = Page::zeroed();
-        p.bytes_mut()[0] = 200;
-        pool.write_through(PageId::new(0), &p);
-        // Cached copy refreshed → read returns the new value without a miss.
-        let misses_before = pool.stats().buffer_misses;
-        assert_eq!(pool.with_page(PageId::new(0), |b| b[0]), 200);
-        assert_eq!(pool.stats().buffer_misses, misses_before);
-        // Disk also has the new value.
-        let mut out = Page::zeroed();
-        disk.read_page(PageId::new(0), &mut out);
-        assert_eq!(out.bytes()[0], 200);
     }
 
     #[test]
@@ -778,8 +797,7 @@ mod tests {
                 match op {
                     Op::Read(page) => {
                         let hits_before = pool.stats().buffer_hits;
-                        let byte = pool.with_page(PageId::new(page), |b| b[0]);
-                        assert_eq!(u32::from(byte), page, "step {step}: {op:?}");
+                        read_checked(&pool, page);
                         let hit = pool.stats().buffer_hits > hits_before;
                         assert_eq!(hit, model.read(page), "step {step}: {op:?}");
                     }
@@ -936,6 +954,88 @@ mod tests {
         let s = pool.stats();
         assert_eq!((s.logical_reads, s.buffer_hits, s.buffer_misses), (3, 1, 2));
         assert_eq!(s.physical_reads, 2);
+    }
+
+    #[test]
+    fn recycled_pages_serve_the_right_bytes() {
+        // One stripe of two frames over eight pages: from the third miss on,
+        // every read lands in the page the previous eviction displaced.
+        let pool = BufferPool::with_shards(make_disk(8), 2, 1);
+        for round in 0..3 {
+            for id in 0..8 {
+                read_checked(&pool, id);
+                read_checked(&pool, (id + 7 * round) % 8);
+            }
+        }
+        // The spare outlives a resize and a clear, and is still only a
+        // buffer: "no buffer" reads into it once, a refilled pool goes on.
+        pool.set_capacity(0);
+        for id in [3, 3, 5] {
+            read_checked(&pool, id);
+        }
+        pool.set_capacity(3);
+        pool.clear();
+        for id in (0..8).chain([1, 7, 2, 7]) {
+            read_checked(&pool, id);
+        }
+        let s = pool.stats();
+        assert_eq!(s.logical_reads, s.buffer_hits + s.buffer_misses);
+        assert_eq!(pool.cached_pages(), 3);
+    }
+
+    /// Four stamped pages and no hook yet.
+    fn hooked_disk() -> Arc<HookedDisk> {
+        let disk = HookedDisk {
+            inner: InMemoryDisk::new(),
+            during_next_read: Mutex::new(None),
+        };
+        stamp_pages(&disk, 4);
+        Arc::new(disk)
+    }
+
+    #[test]
+    fn two_threads_missing_the_same_page_both_get_it() {
+        let disk = hooked_disk();
+        let pool = Arc::new(BufferPool::with_shards(disk.clone(), 2, 1));
+        // While this thread is inside its physical read of page 2, a second
+        // thread misses page 2 as well, reads it and caches it first.
+        let racer = Arc::clone(&pool);
+        *disk.during_next_read.lock() = Some(Box::new(move || {
+            std::thread::spawn(move || read_checked(&racer, 2))
+                .join()
+                .expect("the racing reader got its page");
+        }));
+        read_checked(&pool, 2);
+        let s = pool.stats();
+        assert_eq!(
+            (s.buffer_hits, s.buffer_misses, s.physical_reads),
+            (0, 2, 2)
+        );
+        // One frame holds the page; the copy the late insert replaced became
+        // the stripe's spare, and the next misses read into it.
+        assert_eq!(pool.cached_pages(), 1);
+        for id in [2, 0, 1, 3, 2] {
+            read_checked(&pool, id);
+        }
+        let s = pool.stats();
+        assert_eq!((s.buffer_hits, s.buffer_misses), (1, 6));
+    }
+
+    #[test]
+    fn a_pool_resized_to_nothing_under_a_miss_serves_the_right_bytes() {
+        let disk = hooked_disk();
+        let pool = Arc::new(BufferPool::with_shards(disk.clone(), 1, 1));
+        // Two misses on one frame leave the stripe a spare holding page 0.
+        read_checked(&pool, 0);
+        read_checked(&pool, 1);
+        // The next miss reads into that spare while the pool is resized to
+        // "no buffer": nothing to insert into, served from the read itself.
+        let resizer = Arc::clone(&pool);
+        *disk.during_next_read.lock() = Some(Box::new(move || resizer.set_capacity(0)));
+        read_checked(&pool, 3);
+        assert_eq!((pool.capacity(), pool.cached_pages()), (0, 0));
+        read_checked(&pool, 2);
+        assert_eq!(pool.stats().buffer_misses, 4);
     }
 
     #[test]

@@ -45,7 +45,7 @@ impl PageCursor {
     fn advance(&mut self, disk: &dyn DiskManager) {
         self.flush(disk);
         self.id = next_page_id(disk);
-        self.page = Page::zeroed();
+        self.page.bytes_mut().fill(0);
         self.offset = 0;
     }
 

@@ -1,16 +1,16 @@
 //! Disk managers: the physical page store underneath the buffer pool.
 
 use crate::page::{Page, PageId, PAGE_SIZE};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom};
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Witness lock-class ids — the exact strings `mcn-analyze` derives
 /// (`crate::Type.field`), so observed edges diff against the static graph.
 const W_MEM: &str = "storage::InMemoryDisk.pages";
-const W_FILE: &str = "storage::FileDisk.file";
+const W_GROW: &str = "storage::FileDisk.grow";
 
 /// A physical page store.
 ///
@@ -20,21 +20,36 @@ const W_FILE: &str = "storage::FileDisk.file";
 ///   so the benchmark harness can charge a synthetic latency per transfer.
 ///   This is the default substrate for experiments (see DESIGN.md §3 on the
 ///   substitution of the paper's real disk).
-/// * [`FileDisk`] — pages live in an ordinary file; useful for persisting a
-///   built store and for validating the layout end-to-end.
+/// * [`FileDisk`] — pages live in an ordinary file, read and written with
+///   one positional system call each and no lock; the substrate for a
+///   persisted store and for the file-backed benchmark workloads.
 ///
 /// All implementations are thread-safe; counters are atomics.
+///
+/// # Build, then read
+///
+/// The store is write-once/read-many, and the trait leans on it twice:
+///
+/// * [`DiskManager::read_page`] overwrites **all** [`PAGE_SIZE`] bytes of
+///   `out`, so a caller may pass a page that is not zeroed (the buffer pool
+///   reads into recycled pages).
+/// * A page is written before its id is handed to any reader. Reads of one
+///   page may overlap each other, and reads may overlap writes and
+///   allocations of *other* pages, but nothing orders a read against a
+///   concurrent rewrite of the same page — the one in-place rewrite in the
+///   product is the header page, at the end of a build, before the store it
+///   describes exists.
 pub trait DiskManager: Send + Sync {
-    /// Reads page `id` into `out`.
+    /// Reads page `id` into `out`, overwriting every byte of it.
     ///
     /// # Panics
-    /// Panics if the page has never been allocated.
+    /// Panics if the page has never been allocated, or if the transfer fails.
     fn read_page(&self, id: PageId, out: &mut Page);
 
     /// Writes `page` to page `id`.
     ///
     /// # Panics
-    /// Panics if the page has never been allocated.
+    /// Panics if the page has never been allocated, or if the transfer fails.
     fn write_page(&self, id: PageId, page: &Page);
 
     /// Allocates a fresh zeroed page at the end of the file and returns its id.
@@ -154,11 +169,17 @@ impl DiskManager for InMemoryDisk {
 
 /// A file-backed disk manager.
 ///
-/// Pages are stored back to back in a single file. The file handle is wrapped
-/// in a lock, so concurrent access serialises; this implementation exists for
-/// persistence and end-to-end validation rather than performance.
+/// Pages are stored back to back in a single file. A read or a write is one
+/// positional system call (`pread` / `pwrite`) on the shared handle: no
+/// cursor, hence no lock, and any number of threads transfer pages at once.
+/// Only growing the file is serialised, by `grow`; the page count is
+/// published after the new page has been written, so a reader that passes
+/// the bounds check never reads past the end of the file.
 pub struct FileDisk {
-    file: RwLock<File>,
+    file: File,
+    /// Held by whoever is extending the file; guards no data of its own.
+    grow: Mutex<()>,
+    /// Pages readers may ask for. Stored only under `grow`.
     num_pages: AtomicU64,
     reads: AtomicU64,
     writes: AtomicU64,
@@ -168,51 +189,101 @@ const _: () = crate::assert_send_sync::<FileDisk>();
 
 impl FileDisk {
     /// Creates (or truncates) a database file at `path`.
-    pub fn create<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
+    pub fn create<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
             .open(path)?;
-        Ok(Self {
-            file: RwLock::new(file),
-            num_pages: AtomicU64::new(0),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-        })
+        Ok(Self::over(file, 0))
     }
 
     /// Opens an existing database file at `path`.
-    pub fn open<P: AsRef<Path>>(path: P) -> std::io::Result<Self> {
+    ///
+    /// # Errors
+    /// Besides what opening the file can return, fails with
+    /// [`io::ErrorKind::InvalidData`] if the file is not a whole number of
+    /// pages long.
+    pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         let len = file.metadata()?.len();
-        assert!(
-            len % PAGE_SIZE as u64 == 0,
-            "database file length {len} is not a multiple of the page size"
-        );
-        Ok(Self {
-            file: RwLock::new(file),
-            num_pages: AtomicU64::new(len / PAGE_SIZE as u64),
+        if len % PAGE_SIZE as u64 != 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("database file length {len} is not a multiple of the page size"),
+            ));
+        }
+        Ok(Self::over(file, len / PAGE_SIZE as u64))
+    }
+
+    fn over(file: File, num_pages: u64) -> Self {
+        Self {
+            file,
+            grow: Mutex::new(()),
+            num_pages: AtomicU64::new(num_pages),
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
-        })
+        }
+    }
+
+    /// Writes `bytes` as the next page of the file and returns its id — the
+    /// one routine under both ways of allocating.
+    fn grow(&self, bytes: &[u8]) -> PageId {
+        let _grow = self.grow.lock();
+        let _grow_w = mcn_witness::acquire(W_GROW);
+        let id = self.num_pages.load(Ordering::SeqCst);
+        // mcn-lint: allow(lock-across-io, reason = "growers must extend the file one at a time or two of them write the same extent; readers and writers of existing pages never take this lock")
+        write_at(&self.file, bytes, id * PAGE_SIZE as u64)
+            .unwrap_or_else(|e| panic!("extending the file by page{id} failed: {e}"));
+        // Published only now: whoever sees the new count finds the page.
+        self.num_pages.store(id + 1, Ordering::SeqCst);
+        PageId::new(id as u32)
     }
 }
 
-/// Writes all of `buf` at byte `offset`: one positional call where the
-/// platform has one (half the system calls of a store build, which is
-/// nothing but page writes), seek + write elsewhere.
-fn write_at(file: &mut File, buf: &[u8], offset: u64) -> std::io::Result<()> {
+/// Fills `buf` from byte `offset` of `file`, wherever the handle's cursor is.
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    #[cfg(unix)]
+    {
+        std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+    }
+    #[cfg(windows)]
+    {
+        use std::os::windows::fs::FileExt;
+        let mut done = 0;
+        while done < buf.len() {
+            match file.seek_read(&mut buf[done..], offset + done as u64) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => done += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Writes all of `buf` at byte `offset` of `file`, wherever the handle's
+/// cursor is.
+fn write_at(file: &File, buf: &[u8], offset: u64) -> io::Result<()> {
     #[cfg(unix)]
     {
         std::os::unix::fs::FileExt::write_all_at(file, buf, offset)
     }
-    #[cfg(not(unix))]
+    #[cfg(windows)]
     {
-        use std::io::Write;
-        file.seek(SeekFrom::Start(offset))?;
-        file.write_all(buf)
+        use std::os::windows::fs::FileExt;
+        let mut done = 0;
+        while done < buf.len() {
+            match file.seek_write(&buf[done..], offset + done as u64) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => done += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -222,13 +293,12 @@ impl DiskManager for FileDisk {
             (id.index() as u64) < self.num_pages.load(Ordering::SeqCst),
             "read of unallocated {id}"
         );
-        let mut file = self.file.write();
-        let _file_w = mcn_witness::acquire(W_FILE);
-        // mcn-lint: allow(lock-across-io, reason = "the file-handle mutex IS the I/O serialization point; the seek/read pair must be atomic")
-        file.seek(SeekFrom::Start(id.index() as u64 * PAGE_SIZE as u64))
-            .expect("seek failed");
-        // mcn-lint: allow(lock-across-io, reason = "paired with the seek above under the same handle lock")
-        file.read_exact(out.bytes_mut()).expect("page read failed");
+        read_at(
+            &self.file,
+            out.bytes_mut(),
+            id.index() as u64 * PAGE_SIZE as u64,
+        )
+        .unwrap_or_else(|e| panic!("read of {id} failed: {e}"));
         self.reads.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -237,37 +307,23 @@ impl DiskManager for FileDisk {
             (id.index() as u64) < self.num_pages.load(Ordering::SeqCst),
             "write to unallocated {id}"
         );
-        let mut file = self.file.write();
-        let _file_w = mcn_witness::acquire(W_FILE);
-        // mcn-lint: allow(lock-across-io, reason = "the file-handle mutex IS the I/O serialization point")
         write_at(
-            &mut file,
+            &self.file,
             page.bytes(),
             id.index() as u64 * PAGE_SIZE as u64,
         )
-        .expect("page write failed");
+        .unwrap_or_else(|e| panic!("write of {id} failed: {e}"));
         self.writes.fetch_add(1, Ordering::Relaxed);
     }
 
     fn allocate_page(&self) -> PageId {
-        let id = self.num_pages.fetch_add(1, Ordering::SeqCst);
-        let mut file = self.file.write();
-        let _file_w = mcn_witness::acquire(W_FILE);
-        // mcn-lint: allow(lock-across-io, reason = "allocation must extend the file atomically under the handle lock or concurrent allocators interleave their extents")
-        write_at(&mut file, &[0u8; PAGE_SIZE], id * PAGE_SIZE as u64).expect("page extend failed");
-        PageId::new(id as u32)
+        self.grow(&[0u8; PAGE_SIZE])
     }
 
     fn append_page(&self, page: &Page) -> PageId {
-        let mut file = self.file.write();
-        let _file_w = mcn_witness::acquire(W_FILE);
-        // Bumped under the handle lock: a reader that sees the new count
-        // queues behind this write instead of reading past the end.
-        let id = self.num_pages.fetch_add(1, Ordering::SeqCst);
-        // mcn-lint: allow(lock-across-io, reason = "allocation must extend the file atomically under the handle lock or concurrent allocators interleave their extents")
-        write_at(&mut file, page.bytes(), id * PAGE_SIZE as u64).expect("page append failed");
+        let id = self.grow(page.bytes());
         self.writes.fetch_add(1, Ordering::Relaxed);
-        PageId::new(id as u32)
+        id
     }
 
     fn num_pages(&self) -> usize {
@@ -347,6 +403,146 @@ mod tests {
         disk.read_page(PageId::new(0), &mut out);
         assert_eq!(out.bytes()[0], 42);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A scratch file of this process and test; removed when dropped.
+    struct TempFile(std::path::PathBuf);
+
+    impl TempFile {
+        fn new(test: &str) -> Self {
+            let name = format!("mcn-disk-test-{}-{test}.db", std::process::id());
+            Self(std::env::temp_dir().join(name))
+        }
+    }
+
+    impl Drop for TempFile {
+        fn drop(&mut self) {
+            std::fs::remove_file(&self.0).ok();
+        }
+    }
+
+    /// A page whose every 512-byte sector starts with `id` and carries its
+    /// low byte throughout — a read torn between two pages, or served from
+    /// another page's bytes, cannot pass [`assert_stamped`].
+    fn stamped(id: u32) -> Page {
+        let mut page = Page::zeroed();
+        for sector in page.bytes_mut().chunks_exact_mut(512) {
+            sector.fill(id as u8);
+            sector[..4].copy_from_slice(&id.to_le_bytes());
+        }
+        page
+    }
+
+    fn assert_stamped(page: &Page, id: u32) {
+        assert!(
+            page.bytes() == stamped(id).bytes(),
+            "wrong bytes for page{id}"
+        );
+    }
+
+    #[test]
+    fn concurrent_positional_reads_return_their_own_page() {
+        use rand::{Rng, SeedableRng};
+        const THREADS: u64 = 4;
+        const READS: u64 = 20_000;
+        let file = TempFile::new("concurrent-reads");
+        let disk = FileDisk::create(&file.0).unwrap();
+        for id in 0..64 {
+            assert_eq!(disk.append_page(&stamped(id)), PageId::new(id));
+        }
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let disk = &disk;
+                s.spawn(move || {
+                    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(t);
+                    // One page for all reads, never cleared in between.
+                    let mut out = Page::zeroed();
+                    for _ in 0..READS {
+                        let id = rng.gen_range(0..64);
+                        disk.read_page(PageId::new(id), &mut out);
+                        assert_stamped(&out, id);
+                    }
+                });
+            }
+        });
+        assert_eq!(disk.physical_reads(), THREADS * READS);
+    }
+
+    #[test]
+    fn a_page_is_readable_as_soon_as_it_is_counted() {
+        // Both growers publish the page count after the page is on disk, so
+        // a reader that trusts `num_pages()` never meets the end of the file
+        // (`allocate_page` used to count first and write second). Even pages
+        // are appended with their stamp, odd ones allocated and left zero.
+        use rand::{Rng, SeedableRng};
+        const PAGES: u32 = 2_000;
+        const READERS: u64 = 3;
+        const READS: u64 = 4_000;
+        let file = TempFile::new("grow-under-readers");
+        let disk = FileDisk::create(&file.0).unwrap();
+        disk.append_page(&stamped(0));
+        std::thread::scope(|s| {
+            let disk = &disk;
+            s.spawn(move || {
+                for id in 1..PAGES {
+                    let got = match id % 2 {
+                        0 => disk.append_page(&stamped(id)),
+                        _ => disk.allocate_page(),
+                    };
+                    assert_eq!(got, PageId::new(id));
+                }
+            });
+            for t in 0..READERS {
+                s.spawn(move || {
+                    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(t);
+                    let mut out = Page::zeroed();
+                    for _ in 0..READS {
+                        // Half the reads go for the page counted last.
+                        let counted = disk.num_pages() as u32;
+                        let id = match rng.gen_bool(0.5) {
+                            true => counted - 1,
+                            false => rng.gen_range(0..counted),
+                        };
+                        disk.read_page(PageId::new(id), &mut out);
+                        match id % 2 {
+                            0 => assert_stamped(&out, id),
+                            _ => assert!(out.bytes().iter().all(|&b| b == 0), "page{id}"),
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(disk.num_pages(), PAGES as usize);
+        assert_eq!(disk.physical_reads(), READERS * READS);
+        assert_eq!(disk.physical_writes(), u64::from(PAGES / 2));
+    }
+
+    #[test]
+    fn opening_a_file_that_is_not_whole_pages_is_an_error() {
+        let file = TempFile::new("ragged");
+        std::fs::write(&file.0, vec![0u8; PAGE_SIZE + 1]).unwrap();
+        let err = FileDisk::open(&file.0)
+            .err()
+            .expect("4 097 bytes is not a page file");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("4097"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "read of page1 failed: ")]
+    fn a_failed_read_names_the_page_and_the_os_error() {
+        let file = TempFile::new("truncated");
+        let disk = FileDisk::create(&file.0).unwrap();
+        disk.append_page(&stamped(0));
+        disk.append_page(&stamped(1));
+        // Cut the file short behind the manager's back.
+        File::options()
+            .write(true)
+            .open(&file.0)
+            .unwrap()
+            .set_len(PAGE_SIZE as u64)
+            .unwrap();
+        disk.read_page(PageId::new(1), &mut Page::zeroed());
     }
 
     #[test]

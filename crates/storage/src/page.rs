@@ -58,7 +58,7 @@ impl Page {
     /// Creates a zero-filled page.
     pub fn zeroed() -> Self {
         Self {
-            // mcn-lint: allow(hot-path-alloc, reason = "a page is the unit of I/O: of the query path only the buffer pool's miss makes one, for the physical read, and it moves into the frame that caches the page")
+            // mcn-lint: allow(hot-path-alloc, reason = "a page is the unit of I/O: of the query path only the buffer pool's miss makes one, and only until the stripe has evicted once - from then on a miss reads into the page the last eviction displaced")
             data: Box::new([0u8; PAGE_SIZE]),
         }
     }

@@ -8,10 +8,12 @@
 //! constants, for a fixed query stream on a seeded graph with the paper's
 //! 1 % buffer — at 1, 2 and 4 pinned shards, since striping changes which
 //! pages compete for a frame. Any change to the buffer pool, the B+-tree
-//! page walk or the access layer that moves one read fails here.
+//! page walk or the access layer that moves one read fails here. The counts
+//! belong to the pool, not to what is under it: the same constants hold with
+//! the store in RAM and in a file.
 
 use mcn::gen::{generate_workload, WorkloadSpec};
-use mcn::storage::{BufferConfig, IoStats, MCNStore};
+use mcn::storage::{BufferConfig, DiskManager, FileDisk, InMemoryDisk, IoStats, MCNStore};
 use mcn::{skyline_query, topk_query, Algorithm, WeightedSum};
 use std::sync::Arc;
 
@@ -61,6 +63,22 @@ const EXPECTED: [(usize, [Counts; 4]); 3] = [
 
 #[test]
 fn io_counts_are_pinned_for_every_algorithm_and_shard_count() {
+    assert_pinned_counts(&|_| Arc::new(InMemoryDisk::new()));
+}
+
+#[test]
+fn io_counts_do_not_depend_on_the_disk() {
+    let dir = std::env::temp_dir().join(format!("mcn-io-counts-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    assert_pinned_counts(&|shards| {
+        Arc::new(FileDisk::create(dir.join(format!("{shards}-shards.db"))).unwrap())
+    });
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs the query stream over a store built on `disk_for(shards)` for each
+/// pinned shard count and compares every counter with [`EXPECTED`].
+fn assert_pinned_counts(disk_for: &dyn Fn(usize) -> Arc<dyn DiskManager>) {
     let spec = WorkloadSpec {
         nodes: 12_000,
         facilities: 2_500,
@@ -73,8 +91,9 @@ fn io_counts_are_pinned_for_every_algorithm_and_shard_count() {
     let mut observed = Vec::new();
     for (shards, _) in EXPECTED {
         let store = Arc::new(
-            MCNStore::build_in_memory_with_shards(
+            MCNStore::build_on_with_shards(
                 &workload.graph,
+                disk_for(shards),
                 BufferConfig::Fraction(0.01),
                 shards,
             )
