@@ -69,11 +69,15 @@ pub fn pareto_paths_with_stats(
     search(graph, source, target, None, true)
 }
 
-/// The original exhaustive label-correcting baseline: **no** pruning beyond
+/// The exhaustive label-correcting baseline: **no** pruning beyond
 /// node-level dominance, so labels for every node are kept until
-/// termination. Identical output to [`pareto_paths`]; exists as the
-/// measurement baseline the `prep` experiment (and the early-termination
-/// fix) quantify label reductions against.
+/// termination. Like every variant it extends each stored label once (a
+/// node settled again extends only the labels it gained since), which
+/// leaves its output and stored labels unchanged but lowers
+/// `labels_created` — its counts are the baseline as measured since then.
+/// Identical output to [`pareto_paths`]; exists as the measurement baseline
+/// the `prep` experiment (and the early-termination fix) quantify label
+/// reductions against.
 pub fn pareto_paths_exhaustive(
     graph: &MultiCostGraph,
     source: NodeId,
@@ -150,10 +154,41 @@ pub fn pareto_paths_prepped(
 /// of hops) while giving up a vanishing sliver of pruning power.
 const BOUND_DEFLATION: f64 = 1.0 - 1e-9;
 
+/// One stored label in a node's bag: its cost vector, its id in the search's
+/// arena, and whether a settle of the node has extended it yet. Bags hold
+/// these inline, so a dominance scan walks one contiguous slice.
+#[derive(Clone, Copy)]
+struct BagEntry {
+    costs: CostVec,
+    id: u32,
+    extended: bool,
+}
+
+/// How an admitted label was reached: the label it extends and the edge.
+#[derive(Clone, Copy)]
+struct Link {
+    parent: u32,
+    edge: EdgeId,
+}
+
+/// The id of the source's empty-path label, where every parent chain ends.
+const ROOT: u32 = u32::MAX;
+
 /// The shared label-correcting search. `prep` enables lower-bound pruning
 /// and upper-bound cuts; `target_prune` enables target-dominance early
 /// termination (subsumed by bound pruning when `prep` is given, since
 /// `L ≥ 0`). With both off this is the exhaustive baseline.
+///
+/// * **Arena:** an admitted label is one `(parent, edge)` link; only the
+///   target's survivors are walked back into edge lists, after the loop.
+/// * **Extend once:** a settle extends only its node's labels that no
+///   earlier settle extended.
+/// * **Same output:** a re-extension repeats an earlier candidate that was
+///   either discarded (reachability and cuts are static, the target skyline
+///   only gains dominators) or admitted (the head's bag still weakly
+///   dominates it — eviction takes a strict dominator), so paths, queue
+///   order and every counter but `labels_created` and the discarded share
+///   are unchanged.
 fn search(
     graph: &MultiCostGraph,
     source: NodeId,
@@ -163,13 +198,17 @@ fn search(
 ) -> PathSkylineResult {
     let d = graph.num_cost_types();
     let mut stats = PathStats::default();
-    let mut labels: Vec<Vec<ParetoLabel>> = vec![Vec::new(); graph.num_nodes()];
+    let mut bags: Vec<Vec<BagEntry>> = vec![Vec::new(); graph.num_nodes()];
+    let mut arena: Vec<Link> = Vec::new();
+    // The settled node's not-yet-extended labels, reused across settles: the
+    // inner loop mutates bags at head nodes, so it cannot iterate a borrow.
+    let mut snapshot: Vec<(CostVec, u32)> = Vec::new();
     stats.labels_created += 1;
     stats.labels_inserted += 1;
-    labels[source.index()].push(ParetoLabel {
-        node: source,
+    bags[source.index()].push(BagEntry {
         costs: CostVec::zeros(d),
-        edges: Vec::new(),
+        id: ROOT,
+        extended: false,
     });
 
     // Bicriterion fast path: a sorted-sweep mirror of the target skyline
@@ -199,11 +238,14 @@ fn search(
     while let Some(node) = queue.pop_front() {
         queued[node.index()] = false;
         stats.nodes_settled += 1;
-        // mcn-lint: allow(hot-path-alloc, reason = "snapshot of the settled node's labels — the inner loop mutates labels[] at head nodes, so iterating a borrow would alias; one clone per settle, not per label")
-        let current: Vec<ParetoLabel> = labels[node.index()].clone();
+        snapshot.clear();
+        for entry in bags[node.index()].iter_mut().filter(|e| !e.extended) {
+            entry.extended = true;
+            snapshot.push((entry.costs, entry.id));
+        }
         for neighbor in graph.neighbors(node) {
-            for label in &current {
-                let mut costs = label.costs;
+            for &(label_costs, parent) in &snapshot {
+                let mut costs = label_costs;
                 costs += neighbor.costs;
                 stats.labels_created += 1;
 
@@ -223,7 +265,7 @@ fn search(
                 if target_prune || prep.is_some() {
                     let dominated_at_target = match &target_front {
                         Some(front) => front.dominates_weak(bound[0], bound[1]),
-                        None => labels[target.index()]
+                        None => bags[target.index()]
                             .iter()
                             .any(|l| dominates_weak(&l.costs, &bound)),
                     };
@@ -238,7 +280,7 @@ fn search(
                 }
 
                 // Classic node-level dominance at the head node.
-                let existing = &mut labels[neighbor.node.index()];
+                let existing = &mut bags[neighbor.node.index()];
                 if existing.iter().any(|l| dominates_weak(&l.costs, &costs)) {
                     stats.labels_dominated += 1;
                     continue;
@@ -246,13 +288,18 @@ fn search(
                 let before = existing.len();
                 existing.retain(|l| !dominates(&costs, &l.costs));
                 stats.labels_evicted += (before - existing.len()) as u64;
-                // mcn-lint: allow(hot-path-alloc, reason = "label-correcting is path-explicit: every surviving label owns its edge sequence; the clone happens only after dominance pruning admits the label")
-                let mut edges = label.edges.clone();
-                edges.push(neighbor.edge);
-                existing.push(ParetoLabel {
-                    node: neighbor.node,
+                let id = u32::try_from(arena.len())
+                    .ok()
+                    .filter(|&id| id != ROOT)
+                    .expect("label arena holds fewer than u32::MAX labels");
+                arena.push(Link {
+                    parent,
+                    edge: neighbor.edge,
+                });
+                existing.push(BagEntry {
                     costs,
-                    edges,
+                    id,
+                    extended: false,
                 });
                 stats.labels_inserted += 1;
                 if neighbor.node == target {
@@ -272,9 +319,34 @@ fn search(
         }
     }
 
-    let mut paths = labels[target.index()].clone();
+    let mut paths: Vec<ParetoLabel> = bags[target.index()]
+        .iter()
+        .map(|entry| ParetoLabel {
+            node: target,
+            costs: entry.costs,
+            edges: path_edges(&arena, entry.id),
+        })
+        .collect();
     paths.sort_by(|a, b| a.costs.lex_cmp(&b.costs));
     PathSkylineResult { paths, stats }
+}
+
+/// The edges of label `id`'s path, in order, in a `Vec` of exactly their
+/// number: one walk up the parent chain counts them, a second fills them.
+fn path_edges(arena: &[Link], id: u32) -> Vec<EdgeId> {
+    let chain = |mut id: u32| {
+        std::iter::from_fn(move || {
+            (id != ROOT).then(|| {
+                let link = arena[id as usize];
+                id = link.parent;
+                link.edge
+            })
+        })
+    };
+    let mut edges = Vec::with_capacity(chain(id).count());
+    edges.extend(chain(id));
+    edges.reverse();
+    edges
 }
 
 /// The component-wise minimum over the Pareto path set, i.e. the vector of
@@ -386,6 +458,34 @@ mod tests {
                 if a.edges != b2.edges {
                     assert!(!dominates(&a.costs, &b2.costs) || !dominates(&b2.costs, &a.costs));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn result_paths_walk_from_source_to_target_at_exact_length() {
+        // Edge lists are rebuilt from the arena after the search: in order,
+        // summing to the label's costs bit for bit, and at exact capacity
+        // (growing them by `push` cost ~8 MiB of peak RSS on `path_explore`).
+        let (g, nodes) = seeded_network(40, 3, 11);
+        let (s, t) = (nodes[0], nodes[39]);
+        let prep = PrepTable::build(&g, t);
+        for run in [
+            pareto_paths_exhaustive(&g, s, t),
+            pareto_paths_prepped(&g, s, t, &prep),
+        ] {
+            assert!(run.paths.len() > 1);
+            for p in &run.paths {
+                assert_eq!(p.edges.capacity(), p.edges.len());
+                let (mut at, mut costs) = (s, CostVec::zeros(3));
+                for &e in &p.edges {
+                    let edge = g.edge(e);
+                    assert!(edge.traversable_from(at));
+                    at = edge.opposite(at);
+                    costs += edge.costs;
+                }
+                assert_eq!((p.node, at), (t, t));
+                assert_eq!(costs, p.costs);
             }
         }
     }

@@ -20,6 +20,14 @@
 //!   bounds of a `mcn-prep` [`PrepTable`](mcn_prep::PrepTable) (ParetoPrep,
 //!   Shekelyan et al.), producing byte-identical skylines with a fraction of
 //!   the labels; [`PathStats`] makes the reduction measurable.
+//!
+//! Every variant runs one label-correcting search whose paths stay implicit
+//! until it ends: a node's bag holds only cost vectors and label ids, each
+//! admitted label is one `(parent, edge)` link in a per-search arena, and
+//! only the target's surviving labels are walked back into edge lists. A
+//! node settled again extends only the labels it has not extended before,
+//! which changes no path and no stored label, only how many candidates are
+//! created.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -12,7 +12,7 @@
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PathStats {
     /// Candidate labels generated (the initial source label plus one per
-    /// relaxed edge × stored predecessor label).
+    /// relaxed edge × stored label not yet extended from its node).
     pub labels_created: u64,
     /// Candidates discarded by bound pruning: the label's optimistic
     /// completion (its cost plus the prep lower bound, or the cost itself
@@ -20,7 +20,10 @@ pub struct PathStats {
     /// strictly dominated by an upper-bound cut.
     pub labels_pruned: u64,
     /// Candidates discarded by classic node-level dominance (an existing
-    /// label at the node weakly dominates the candidate).
+    /// label at the node weakly dominates the candidate), among the
+    /// candidates `labels_created` counts: a node settled again does not
+    /// re-extend its labels, whose repeats would all be discarded, so they
+    /// count neither here nor in `labels_pruned`.
     pub labels_dominated: u64,
     /// Labels actually stored at a node (created − pruned − dominated).
     pub labels_inserted: u64,

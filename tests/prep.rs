@@ -10,10 +10,11 @@
 
 use mcn::alpha::{scalarized_path, scalarized_path_astar, Preference};
 use mcn::engine::{PathContext, QueryEngine, QueryOutput, QueryRequest};
-use mcn::gen::{generate_workload, WorkloadSpec};
+use mcn::gen::{generate_workload, CostDistribution, WorkloadSpec};
 use mcn::graph::{CostVec, GraphBuilder, MultiCostGraph, NodeId};
 use mcn::mcpp::{
     componentwise_minimum, pareto_paths_exhaustive, pareto_paths_prepped, pareto_paths_with_stats,
+    PathSkylineResult,
 };
 use mcn::prep::PrepTable;
 use mcn::storage::{BufferConfig, MCNStore};
@@ -81,6 +82,239 @@ fn pruned_path_skylines_match_exhaustive_at_every_dimension() {
             assert!(prepped.stats.labels_created <= early.stats.labels_created);
         }
     }
+}
+
+/// The three path-search variants, in the order the pinned tables list them.
+const VARIANTS: [&str; 3] = ["exhaustive", "early", "prepped"];
+
+fn run_variant(variant: &str, graph: &MultiCostGraph, s: NodeId, t: NodeId) -> PathSkylineResult {
+    match variant {
+        "exhaustive" => pareto_paths_exhaustive(graph, s, t),
+        "early" => pareto_paths_with_stats(graph, s, t),
+        _ => pareto_paths_prepped(graph, s, t, &PrepTable::build(graph, t)),
+    }
+}
+
+/// One variant's outputs and counters summed over a case set's pairs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Pinned {
+    /// FNV-1a 64 over every pair's fingerprint (cost bits and edges).
+    fingerprint: u64,
+    inserted: u64,
+    evicted: u64,
+    settled: u64,
+    created: u64,
+}
+
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Runs `variant` over `pairs` of `graph` and folds the result into `acc`,
+/// checking the per-run accounting identity on the way.
+fn accumulate(acc: &mut Pinned, variant: &str, graph: &MultiCostGraph, pairs: &[(NodeId, NodeId)]) {
+    for &(s, t) in pairs {
+        let run = run_variant(variant, graph, s, t);
+        let st = run.stats;
+        assert_eq!(
+            st.labels_created,
+            st.labels_inserted + st.labels_pruned + st.labels_dominated,
+            "{variant} {s} → {t}: created ≠ inserted + pruned + dominated"
+        );
+        acc.fingerprint = fnv1a(acc.fingerprint, paths_fingerprint(run.paths).as_bytes());
+        acc.fingerprint = fnv1a(acc.fingerprint, b";");
+        acc.inserted += st.labels_inserted;
+        acc.evicted += st.labels_evicted;
+        acc.settled += st.nodes_settled;
+        acc.created += st.labels_created;
+    }
+}
+
+/// Checks measured rows against the parent's pinned `(fingerprint,
+/// inserted, evicted, settled, created)` and the exact `created` of the
+/// extend-once search. On any mismatch the panic prints the measured
+/// tables, ready to paste.
+fn check_pinned(
+    name: &str,
+    measured: &[(String, Pinned)],
+    parent: &[(&str, u64, u64, u64, u64, u64)],
+    created: &[u64],
+) {
+    let matches = measured.len() == parent.len()
+        && measured.len() == created.len()
+        && measured
+            .iter()
+            .zip(parent)
+            .zip(created)
+            .all(|(((case, m), p), &c)| {
+                case == p.0
+                    && (m.fingerprint, m.inserted, m.evicted, m.settled) == (p.1, p.2, p.3, p.4)
+                    && m.created <= p.5
+                    && m.created == c
+            });
+    if !matches {
+        let rows: String = measured
+            .iter()
+            .map(|(case, m)| {
+                format!(
+                    "    (\"{case}\", {:#018x}, {}, {}, {}, {}),\n",
+                    m.fingerprint, m.inserted, m.evicted, m.settled, m.created
+                )
+            })
+            .collect();
+        let created: Vec<u64> = measured.iter().map(|(_, m)| m.created).collect();
+        panic!("{name}: pinned counts moved; measured\n{rows}created {created:?}");
+    }
+}
+
+/// The label gate's inputs (`crates/bench` `LabelGateConfig::default()`):
+/// 150 nodes, d = 2/3/4, three seeded pairs, seed 2010.
+fn label_gate_case(d: usize) -> (MultiCostGraph, Vec<(NodeId, NodeId)>) {
+    let seed = 2010;
+    let graph = generate_workload(&WorkloadSpec {
+        nodes: 150,
+        facilities: 30,
+        cost_types: d,
+        distribution: CostDistribution::AntiCorrelated,
+        clusters: 4,
+        queries: 4,
+        seed,
+    })
+    .graph;
+    let pairs = seeded_pairs(&graph, 3, seed ^ 0x9E37_79B9);
+    (graph, pairs)
+}
+
+/// A network full of exact ties: integer costs 0–2 per component, every
+/// seventh edge all-zero (zero-cost cycles), every fifth a parallel copy of
+/// the one before, a quarter one-way.
+fn tie_network(d: usize, nodes: usize, seed: u64) -> MultiCostGraph {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut b = GraphBuilder::new(d);
+    let ids: Vec<NodeId> = (0..nodes).map(|i| b.add_node(i as f64, 0.0)).collect();
+    let (mut a, mut c) = (0, 1);
+    for i in 0..3 * nodes {
+        if i % 5 != 4 {
+            a = rng.gen_range(0..nodes);
+            c = rng.gen_range(0..nodes);
+            if a == c {
+                c = (c + 1) % nodes;
+            }
+        }
+        let costs: Vec<f64> = (0..d)
+            .map(|_| {
+                if i % 7 == 6 {
+                    0.0
+                } else {
+                    rng.gen_range(0..3u32) as f64
+                }
+            })
+            .collect();
+        let costs = CostVec::from_slice(&costs);
+        if rng.gen_range(0..4u32) == 0 {
+            b.add_directed_edge(ids[a], ids[c], costs).unwrap();
+        } else {
+            b.add_edge(ids[a], ids[c], costs).unwrap();
+        }
+    }
+    b.build().unwrap()
+}
+
+/// A case of a pinned set: its dimension, its graph and its pairs.
+type Case = (usize, MultiCostGraph, Vec<(NodeId, NodeId)>);
+
+/// One row per dimension and variant, summed over that dimension's cases.
+fn measure_pinned(cases: &[Case]) -> Vec<(String, Pinned)> {
+    let mut rows = Vec::new();
+    for d in [2usize, 3, 4] {
+        for variant in VARIANTS {
+            let mut acc = Pinned {
+                fingerprint: 0xcbf2_9ce4_8422_2325,
+                inserted: 0,
+                evicted: 0,
+                settled: 0,
+                created: 0,
+            };
+            for (_, graph, pairs) in cases.iter().filter(|case| case.0 == d) {
+                accumulate(&mut acc, variant, graph, pairs);
+            }
+            rows.push((format!("d{d} {variant}"), acc));
+        }
+    }
+    rows
+}
+
+/// The label gate's inputs, all three variants: outputs (edges included),
+/// `labels_inserted`, `labels_evicted` and `nodes_settled` equal the
+/// extend-every-label search's; `labels_created` never exceeds it.
+#[test]
+fn pinned_counts_on_the_label_gate_inputs() {
+    const PARENT: &[(&str, u64, u64, u64, u64, u64)] = &[
+        ("d2 exhaustive", 0xf6f3559bee979a28, 5618, 875, 757, 24536),
+        ("d2 early", 0xf6f3559bee979a28, 2374, 247, 510, 10222),
+        ("d2 prepped", 0xf6f3559bee979a28, 1362, 137, 266, 5503),
+        (
+            "d3 exhaustive",
+            0x73aacf10cb934c5d,
+            20705,
+            2312,
+            849,
+            101129,
+        ),
+        ("d3 early", 0x73aacf10cb934c5d, 5420, 386, 568, 24098),
+        ("d3 prepped", 0x73aacf10cb934c5d, 2448, 212, 256, 9637),
+        (
+            "d4 exhaustive",
+            0x4d1885d9ec8d8e9d,
+            38467,
+            3882,
+            1051,
+            226785,
+        ),
+        ("d4 early", 0x4d1885d9ec8d8e9d, 7693, 409, 689, 41674),
+        ("d4 prepped", 0x4d1885d9ec8d8e9d, 2873, 115, 271, 13641),
+    ];
+    const CREATED: &[u64] = &[15828, 7446, 4391, 59674, 17827, 8176, 110078, 25870, 10334];
+    let cases: Vec<_> = [2usize, 3, 4]
+        .into_iter()
+        .map(|d| {
+            let (graph, pairs) = label_gate_case(d);
+            (d, graph, pairs)
+        })
+        .collect();
+    check_pinned("label gate", &measure_pinned(&cases), PARENT, CREATED);
+}
+
+/// The tie-heavy set, all three variants: with exact ties, zero-cost
+/// cycles, parallel and one-way edges the surviving representatives (their
+/// edge sequences) are the extend-every-label search's too. (At d = 4 the
+/// exhaustive run keeps other representatives than the pruned two — the
+/// ties caveat on `pareto_paths` — and each variant keeps its own.)
+#[test]
+fn pinned_counts_on_tie_heavy_inputs() {
+    const PARENT: &[(&str, u64, u64, u64, u64, u64)] = &[
+        ("d2 exhaustive", 0x98842a782f9c104c, 1024, 447, 618, 4924),
+        ("d2 early", 0x98842a782f9c104c, 578, 201, 402, 2891),
+        ("d2 prepped", 0x98842a782f9c104c, 398, 93, 309, 2227),
+        ("d3 exhaustive", 0xb6716ebb544bafc2, 1900, 712, 804, 12374),
+        ("d3 early", 0xb6716ebb544bafc2, 920, 288, 498, 5717),
+        ("d3 prepped", 0xb6716ebb544bafc2, 601, 125, 386, 4179),
+        ("d4 exhaustive", 0xefe8a6e61a83e7ca, 2480, 715, 887, 17950),
+        ("d4 early", 0x4cbd11dc1153e431, 1260, 261, 595, 9154),
+        ("d4 prepped", 0x4cbd11dc1153e431, 1093, 183, 555, 8272),
+    ];
+    const CREATED: &[u64] = &[4220, 2674, 2061, 8027, 4260, 3136, 10223, 5776, 5196];
+    let mut cases = Vec::new();
+    for d in [2usize, 3, 4] {
+        for seed in 0..8u64 {
+            let graph = tie_network(d, 9 + seed as usize, 7_000 + 10 * d as u64 + seed);
+            let pairs = seeded_pairs(&graph, 4, 70_000 + seed);
+            cases.push((d, graph, pairs));
+        }
+    }
+    check_pinned("tie set", &measure_pinned(&cases), PARENT, CREATED);
 }
 
 /// The engine fixture: a store + path context over one seeded graph, and a
