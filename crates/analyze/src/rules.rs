@@ -103,7 +103,7 @@ pub const RULE_DOCS: [RuleDoc; 9] = [
     RuleDoc {
         name: RULE_HOT_PATH_ALLOC,
         summary: "allocation (container construction, format!, to_vec, container clone) \
-                  in a function reachable from the LSA/CEA/prep inner loops",
+                  in a function reachable from the LSA/CEA/path-search/prep/index inner loops",
         suppressible: true,
     },
     RuleDoc {
@@ -820,12 +820,14 @@ fn struct_body(toks: &[Token], mut j: usize) -> (usize, usize) {
 }
 
 /// Seed roots for **hot-path-alloc**: `(crate, fn name)` pairs naming the
-/// inner-loop drivers of LSA/CEA expansion and the ParetoPrep scan. A
-/// root's *loop bodies* are hot; every function those loop bodies call is
-/// hot throughout its whole body, transitively.
-const HOT_PATH_ROOTS: [(&str, &str); 4] = [
+/// inner-loop drivers of LSA/CEA expansion, the path-skyline search, the
+/// ParetoPrep scan and the route index's upward label searches. A root's
+/// *loop bodies* are hot; every function those loop bodies call is hot
+/// throughout its whole body, transitively.
+const HOT_PATH_ROOTS: [(&str, &str); 5] = [
     ("expansion", "advance"),
     ("expansion", "next_nearest"),
+    ("index", "upward_labels"),
     ("mcpp", "search"),
     ("prep", "scan"),
 ];

@@ -40,7 +40,9 @@
 //!   edge-by-edge in path order, so the bits match, not just the values).
 //! * [`RouteIndex::skyline_paths`] — a dominance-merging variant producing
 //!   the full path skyline, byte-identical to
-//!   `mcn_mcpp::pareto_paths_prepped`.
+//!   `mcn_mcpp::pareto_paths_prepped`. Its upward label searches keep
+//!   paths implicit (a parent-pointer arena per search), so a relaxation
+//!   costs its dominance check, not a copy of a fragment list.
 //!
 //! Both inherit the **exact ties caveat** documented on
 //! [`mcn_mcpp::pareto_paths`]: on graphs with exactly tied cost vectors the

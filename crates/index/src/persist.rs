@@ -67,12 +67,14 @@ impl RouteIndex {
     }
 
     /// Loads a persisted index from `dir`, verifying the manifest checksum
-    /// against the body bytes and the recorded shape against both the
-    /// parsed index and `graph`.
+    /// against the body bytes, the body's structure (as
+    /// [`RouteIndex::from_json`] does) and the recorded shape against both
+    /// the parsed index and `graph`.
     ///
     /// # Errors
     /// Returns a message on I/O failure, a checksum mismatch ("corrupted"),
-    /// a manifest/body disagreement, or a shape mismatch with `graph`.
+    /// a structurally invalid body, a manifest/body disagreement, or a shape
+    /// mismatch with `graph`.
     pub fn load(dir: &Path, graph: &MultiCostGraph) -> Result<Self, String> {
         let manifest_path = dir.join(MANIFEST_FILE);
         let manifest_text = std::fs::read_to_string(&manifest_path)

@@ -207,6 +207,36 @@ fn alpha_step(
     }
 }
 
+/// How an admitted upward label was reached: the label it extends and the
+/// bundle entry's fragment.
+#[derive(Clone, Copy)]
+struct Link {
+    parent: u32,
+    frag: u32,
+}
+
+/// The id of a search's start label, where every parent chain ends.
+const ROOT: u32 = u32::MAX;
+
+/// One upward search's result: per-node Pareto sets of `(costs, label id)`
+/// and the arena the ids index.
+struct UpwardLabels {
+    sets: Vec<Vec<(CostVec, u32)>>,
+    arena: Vec<Link>,
+}
+
+impl UpwardLabels {
+    /// Appends label `id`'s fragments to `out`, its own arc first and the
+    /// arc at the search's start last.
+    fn chain_into(&self, mut id: u32, out: &mut Vec<u32>) {
+        while id != ROOT {
+            let link = self.arena[id as usize];
+            out.push(link.frag);
+            id = link.parent;
+        }
+    }
+}
+
 impl RouteIndex {
     /// The α-optimal `source → target` path through the hierarchy: a
     /// bidirectional upward Dijkstra (forward over `up_out`, backward over
@@ -364,14 +394,11 @@ impl RouteIndex {
         // sides. The pre-filter uses the label sums; survivors are
         // re-filtered on path-order costs below, so the final skyline is
         // decided by exactly the arithmetic the prep-backed tier uses.
-        let mut combos: Vec<(CostVec, (u32, usize, usize))> = Vec::new();
-        for v in 0..self.num_nodes {
-            if fwd[v].is_empty() || bwd[v].is_empty() {
-                continue;
-            }
-            for (i, (cf, _)) in fwd[v].iter().enumerate() {
-                for (j, (cb, _)) in bwd[v].iter().enumerate() {
-                    if !pareto_merge(&mut combos, *cf + *cb, (v as u32, i, j)) {
+        let mut combos: Vec<(CostVec, (u32, u32))> = Vec::new();
+        for (fs, bs) in fwd.sets.iter().zip(&bwd.sets) {
+            for (cf, f) in fs {
+                for (cb, b) in bs {
+                    if !pareto_merge(&mut combos, *cf + *cb, (*f, *b)) {
                         stats.pruned += 1;
                     }
                 }
@@ -379,14 +406,17 @@ impl RouteIndex {
         }
 
         let mut skyline: Vec<(CostVec, ParetoLabel)> = Vec::new();
-        for (_, (v, i, j)) in combos {
+        let mut frags: Vec<u32> = Vec::new();
+        for (_, (f, b)) in combos {
+            // A forward chain runs meet → source, so it is reversed; a
+            // backward chain runs meet → target, already in travel order.
+            frags.clear();
+            fwd.chain_into(f, &mut frags);
+            frags.reverse();
+            bwd.chain_into(b, &mut frags);
             let mut edges: Vec<EdgeId> = Vec::new();
-            for &f in &fwd[v as usize][i].1 {
-                self.unpack_into(f, &mut edges);
-            }
-            // Backward fragment lists are stored in reverse travel order.
-            for &f in bwd[v as usize][j].1.iter().rev() {
-                self.unpack_into(f, &mut edges);
+            for &frag in &frags {
+                self.unpack_into(frag, &mut edges);
             }
             let mut costs = CostVec::zeros(self.dims);
             for &eid in &edges {
@@ -406,25 +436,32 @@ impl RouteIndex {
         IndexSkylineResult { paths, stats }
     }
 
-    /// FIFO Pareto label-correcting over one upward direction. Returns the
-    /// per-node Pareto sets of `(costs, fragments)`; forward fragment lists
-    /// are in travel order, backward ones in reverse travel order (the arc
-    /// into the start comes first).
+    /// FIFO Pareto label-correcting over one upward direction. A node's
+    /// Pareto set holds `(costs, label id)`; the id indexes a per-search
+    /// arena of `(parent id, fragment)` links ending at [`ROOT`], so a
+    /// relaxation copies no path and one the set rejects records nothing.
+    ///
+    /// Same output and counters as storing each label's fragment list:
+    /// queue order and every [`pareto_merge`] verdict depend on costs only,
+    /// and a set never holds two equal cost vectors, so the stale-pop test
+    /// by costs still finds exactly the label that was queued.
     fn upward_labels(
         &self,
         start: u32,
         arcs: &[Vec<UpArc>],
         stats: &mut IndexQueryStats,
-    ) -> Vec<Vec<(CostVec, Vec<u32>)>> {
-        let mut labels: Vec<Vec<(CostVec, Vec<u32>)>> = vec![Vec::new(); self.num_nodes];
-        labels[start as usize].push((CostVec::zeros(self.dims), Vec::new()));
-        let mut queue: VecDeque<(u32, CostVec, Vec<u32>)> = VecDeque::new();
-        queue.push_back((start, CostVec::zeros(self.dims), Vec::new()));
-        while let Some((node, costs, frags)) = queue.pop_front() {
+    ) -> UpwardLabels {
+        let zero = CostVec::zeros(self.dims);
+        let mut sets: Vec<Vec<(CostVec, u32)>> = vec![Vec::new(); self.num_nodes];
+        let mut arena: Vec<Link> = Vec::new();
+        sets[start as usize].push((zero, ROOT));
+        let mut queue: VecDeque<(u32, CostVec, u32)> = VecDeque::new();
+        queue.push_back((start, zero, ROOT));
+        while let Some((node, costs, id)) = queue.pop_front() {
             // Stale labels — evicted from the node's Pareto set since they
             // were queued — are skipped. Equal cost vectors never co-exist
             // in a set, so membership of the costs identifies the label.
-            let set = &labels[node as usize];
+            let set = &sets[node as usize];
             let pos = set.partition_point(|(c, _)| c.lex_cmp(&costs).is_lt());
             if set.get(pos).map(|(c, _)| *c != costs).unwrap_or(true) {
                 stats.pruned += 1;
@@ -432,21 +469,28 @@ impl RouteIndex {
             }
             stats.settled += 1;
             for arc in &arcs[node as usize] {
+                let head = &mut sets[arc.head as usize];
                 for e in &arc.entries {
                     stats.relaxed += 1;
                     let nc = costs + e.costs;
-                    let mut nf = frags.clone();
-                    nf.push(e.frag);
-                    if pareto_merge(&mut labels[arc.head as usize], nc, nf.clone()) {
+                    let next = u32::try_from(arena.len())
+                        .ok()
+                        .filter(|&next| next != ROOT)
+                        .expect("label arena holds fewer than u32::MAX labels");
+                    if pareto_merge(head, nc, next) {
+                        arena.push(Link {
+                            parent: id,
+                            frag: e.frag,
+                        });
                         stats.pushed += 1;
-                        queue.push_back((arc.head, nc, nf));
+                        queue.push_back((arc.head, nc, next));
                     } else {
                         stats.pruned += 1;
                     }
                 }
             }
         }
-        labels
+        UpwardLabels { sets, arena }
     }
 }
 

@@ -3,13 +3,14 @@
 //! `scalarized_path` for α queries and `pareto_paths_prepped` for path
 //! skylines — over random graphs at every dimension, and engine batches
 //! mixing index-served and prep-backed contexts must stay fingerprint-equal
-//! serial vs concurrent.
+//! serial vs concurrent. The index skyline's outputs and search counters
+//! are pinned exactly on three fixed input sets.
 
 use mcn::alpha::{scalarized_path, Preference};
 use mcn::engine::{PathContext, QueryEngine, QueryOutput, QueryRequest};
-use mcn::gen::{generate_workload, WorkloadSpec};
+use mcn::gen::{generate_workload, CostDistribution, WorkloadSpec};
 use mcn::graph::{CostVec, GraphBuilder, MultiCostGraph, NodeId};
-use mcn::index::{IndexConfig, RouteIndex};
+use mcn::index::{IndexConfig, IndexQueryStats, RouteIndex};
 use mcn::mcpp::pareto_paths_prepped;
 use mcn::prep::PrepTable;
 use mcn::storage::{BufferConfig, MCNStore};
@@ -17,6 +18,9 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
+
+mod support;
+use support::{fnv1a, paths_fingerprint, seeded_pairs, tie_network, FNV_OFFSET};
 
 /// Builds a small connected network: a backbone line plus random extra
 /// edges, with deterministic LCG-drawn positive costs.
@@ -181,4 +185,145 @@ fn mixed_engine_batches_agree_across_index_and_worker_counts() {
         let cache = indexed_ctx.cache_stats();
         assert_eq!(cache.hits + cache.misses, 0);
     }
+}
+
+/// A case of a pinned set: its dimension, its graph and its pairs.
+type Case = (usize, MultiCostGraph, Vec<(NodeId, NodeId)>);
+
+/// One pinned row: the case set's dimension label, the FNV-1a 64 over every
+/// pair's skyline fingerprint (cost bits and edges), then the summed
+/// `settled`, `pushed`, `relaxed` and `pruned` counters.
+type Row = (String, u64, u64, u64, u64, u64);
+
+/// Builds a sequential index per case and folds every pair's index skyline
+/// into one row per dimension present in `cases`.
+fn measure_skylines(cases: &[Case]) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for d in [2usize, 3, 4] {
+        if !cases.iter().any(|case| case.0 == d) {
+            continue;
+        }
+        let mut fingerprint = FNV_OFFSET;
+        let mut sum = IndexQueryStats::default();
+        for (_, graph, pairs) in cases.iter().filter(|case| case.0 == d) {
+            let index = RouteIndex::build(graph, &IndexConfig::default());
+            assert!(index.exact(), "d = {d}: pinned builds must stay exact");
+            for &(s, t) in pairs {
+                let run = index.skyline_paths(graph, s, t);
+                fingerprint = fnv1a(fingerprint, paths_fingerprint(run.paths).as_bytes());
+                fingerprint = fnv1a(fingerprint, b";");
+                sum.settled += run.stats.settled;
+                sum.pushed += run.stats.pushed;
+                sum.relaxed += run.stats.relaxed;
+                sum.pruned += run.stats.pruned;
+            }
+        }
+        rows.push((
+            format!("d{d}"),
+            fingerprint,
+            sum.settled,
+            sum.pushed,
+            sum.relaxed,
+            sum.pruned,
+        ));
+    }
+    rows
+}
+
+/// Checks measured rows against the pinned ones; on any mismatch the panic
+/// prints the measured table, ready to paste.
+fn check_pinned(name: &str, measured: &[Row], pinned: &[(&str, u64, u64, u64, u64, u64)]) {
+    let matches = measured.len() == pinned.len()
+        && measured
+            .iter()
+            .zip(pinned)
+            .all(|(m, p)| m.0 == p.0 && (m.1, m.2, m.3, m.4, m.5) == (p.1, p.2, p.3, p.4, p.5));
+    if !matches {
+        let rows: String = measured
+            .iter()
+            .map(|m| {
+                format!(
+                    "        (\"{}\", {:#018x}, {}, {}, {}, {}),\n",
+                    m.0, m.1, m.2, m.3, m.4, m.5
+                )
+            })
+            .collect();
+        panic!("{name}: pinned index skylines moved; measured\n{rows}");
+    }
+}
+
+/// The index gate's inputs (`crates/bench` `IndexGateConfig::default()`):
+/// 150 nodes, d = 2/3/4, three seeded pairs, seed 2010.
+#[test]
+fn pinned_index_skylines_on_the_index_gate_inputs() {
+    const PINNED: &[(&str, u64, u64, u64, u64, u64)] = &[
+        ("d2", 0x7d97f3dcdf96b1e9, 543, 767, 6315, 6521),
+        ("d3", 0xff6cabc15ec7bf22, 1607, 2160, 58933, 61410),
+        ("d4", 0x9c5ef98f8e40afb4, 1670, 2801, 71010, 77837),
+    ];
+    let seed = 2010;
+    let cases: Vec<Case> = [2usize, 3, 4]
+        .into_iter()
+        .map(|d| {
+            let graph = generate_workload(&WorkloadSpec {
+                nodes: 150,
+                facilities: 30,
+                cost_types: d,
+                distribution: CostDistribution::AntiCorrelated,
+                clusters: 4,
+                queries: 4,
+                seed,
+            })
+            .graph;
+            let pairs = seeded_pairs(&graph, 3, seed ^ 0x1DE8_CAFE);
+            (d, graph, pairs)
+        })
+        .collect();
+    check_pinned("index gate", &measure_skylines(&cases), PINNED);
+}
+
+/// The `index_serve` benchmark network (its d = 2 graph, generated exactly
+/// as the benchmark does) under 64 seeded pairs.
+#[test]
+fn pinned_index_skylines_on_the_index_serve_network() {
+    const PINNED: &[(&str, u64, u64, u64, u64, u64)] =
+        &[("d2", 0xc7f95b371e8b351c, 27675, 44941, 598008, 634560)];
+    let graph = generate_workload(&WorkloadSpec {
+        nodes: 250,
+        facilities: 10,
+        cost_types: 2,
+        distribution: CostDistribution::AntiCorrelated,
+        clusters: 1,
+        queries: 1,
+        seed: 2010,
+    })
+    .graph;
+    let pairs = seeded_pairs(&graph, 64, 2010);
+    check_pinned(
+        "index_serve",
+        &measure_skylines(&[(2, graph, pairs)]),
+        PINNED,
+    );
+}
+
+/// The tie-heavy set: exact ties, zero-cost cycles, parallel and one-way
+/// edges. Pinned against its own constants, not the prep tier's answers —
+/// with exact ties the surviving representatives may differ between tiers
+/// (the ties caveat on `pareto_paths`).
+#[test]
+fn pinned_index_skylines_on_tie_heavy_inputs() {
+    const PINNED: &[(&str, u64, u64, u64, u64, u64)] = &[
+        ("d2", 0x38f79a145bf5ead0, 350, 315, 529, 319),
+        ("d3", 0x6825350a1489aa12, 521, 516, 1442, 1229),
+        ("d4", 0xbc4c6235ae9360a1, 565, 529, 1638, 1567),
+    ];
+    let mut cases: Vec<Case> = Vec::new();
+    for d in [2usize, 3, 4] {
+        for seed in 0..8u64 {
+            let graph = tie_network(d, 9 + seed as usize, 7_000 + 10 * d as u64 + seed);
+            let pairs = seeded_pairs(&graph, 4, 70_000 + seed);
+            cases.push((d, graph, pairs));
+        }
+    }
+    check_pinned("tie set", &measure_skylines(&cases), PINNED);
 }

@@ -23,6 +23,9 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
+mod support;
+use support::{fnv1a, paths_fingerprint, seeded_pairs, tie_network, FNV_OFFSET};
+
 /// A seeded workload graph small enough for the exhaustive baseline to
 /// stay fast in debug builds (anti-correlated Pareto sets grow steeply
 /// with d and network diameter).
@@ -36,25 +39,6 @@ fn path_workload(d: usize, seed: u64) -> MultiCostGraph {
         ..WorkloadSpec::tiny(seed)
     })
     .graph
-}
-
-fn seeded_pairs(graph: &MultiCostGraph, pairs: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let n = graph.num_nodes();
-    (0..pairs)
-        .map(|_| {
-            let s = NodeId::from(rng.gen_range(0..n));
-            let mut t = NodeId::from(rng.gen_range(0..n));
-            if t == s {
-                t = NodeId::from((t.raw() as usize + 1) % n);
-            }
-            (s, t)
-        })
-        .collect()
-}
-
-fn paths_fingerprint(paths: Vec<mcn::mcpp::ParetoLabel>) -> String {
-    QueryOutput::Paths(paths).fingerprint()
 }
 
 #[test]
@@ -104,12 +88,6 @@ struct Pinned {
     evicted: u64,
     settled: u64,
     created: u64,
-}
-
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// Runs `variant` over `pairs` of `graph` and folds the result into `acc`,
@@ -187,41 +165,6 @@ fn label_gate_case(d: usize) -> (MultiCostGraph, Vec<(NodeId, NodeId)>) {
     (graph, pairs)
 }
 
-/// A network full of exact ties: integer costs 0–2 per component, every
-/// seventh edge all-zero (zero-cost cycles), every fifth a parallel copy of
-/// the one before, a quarter one-way.
-fn tie_network(d: usize, nodes: usize, seed: u64) -> MultiCostGraph {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(d);
-    let ids: Vec<NodeId> = (0..nodes).map(|i| b.add_node(i as f64, 0.0)).collect();
-    let (mut a, mut c) = (0, 1);
-    for i in 0..3 * nodes {
-        if i % 5 != 4 {
-            a = rng.gen_range(0..nodes);
-            c = rng.gen_range(0..nodes);
-            if a == c {
-                c = (c + 1) % nodes;
-            }
-        }
-        let costs: Vec<f64> = (0..d)
-            .map(|_| {
-                if i % 7 == 6 {
-                    0.0
-                } else {
-                    rng.gen_range(0..3u32) as f64
-                }
-            })
-            .collect();
-        let costs = CostVec::from_slice(&costs);
-        if rng.gen_range(0..4u32) == 0 {
-            b.add_directed_edge(ids[a], ids[c], costs).unwrap();
-        } else {
-            b.add_edge(ids[a], ids[c], costs).unwrap();
-        }
-    }
-    b.build().unwrap()
-}
-
 /// A case of a pinned set: its dimension, its graph and its pairs.
 type Case = (usize, MultiCostGraph, Vec<(NodeId, NodeId)>);
 
@@ -231,7 +174,7 @@ fn measure_pinned(cases: &[Case]) -> Vec<(String, Pinned)> {
     for d in [2usize, 3, 4] {
         for variant in VARIANTS {
             let mut acc = Pinned {
-                fingerprint: 0xcbf2_9ce4_8422_2325,
+                fingerprint: FNV_OFFSET,
                 inserted: 0,
                 evicted: 0,
                 settled: 0,
