@@ -541,6 +541,8 @@ impl Resolver {
                     Some(q) if self.struct_by_name.contains_key(q) || self.is_trait(q) => {
                         self.methods_of(q, name)
                     }
+                    // `G::m(…)` on a bounded generic `G: Trait`: every impl.
+                    Some(q) if f.bounds.contains_key(q) => self.methods_of(&f.bounds[q], name),
                     _ => self.free_fns(&f.crate_name, name),
                 }
             }

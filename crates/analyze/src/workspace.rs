@@ -45,7 +45,6 @@ impl Workspace {
                 }
             }
         }
-        paths.sort();
         let mut files = Vec::with_capacity(paths.len());
         for path in paths {
             let text = fs::read_to_string(&path)?;
@@ -56,7 +55,9 @@ impl Workspace {
                 .replace('\\', "/");
             files.push(SourceFile::from_str(&rel, &text));
         }
-        Ok(Workspace { files })
+        // Sorted by the path string, as `from_files` does: a component-wise
+        // `PathBuf` sort puts `gate/tests.rs` before `gate.rs`.
+        Ok(Workspace::from_files(files))
     }
 
     /// Finds the workspace root: walks up from `start` to the first

@@ -199,6 +199,32 @@ fn nondet_iteration_allow_suppresses() {
     assert!(hits.is_empty(), "{hits:?}");
 }
 
+/// A gate's measurement reached only through the generic gate runner's
+/// `G::measure()` call is on the sensitive path: its unsorted hash
+/// iteration could reorder a checked-in baseline.
+#[test]
+fn nondet_iteration_fires_behind_the_gate_runner() {
+    let hits = findings_for(
+        rules::RULE_NONDET_ITERATION,
+        "crates/scratch/src/lib.rs",
+        concat!(
+            "use std::collections::HashMap;\n",
+            "trait Gate { fn measure() -> Self; }\n",
+            "struct Settled(Vec<u64>);\n",
+            "impl Gate for Settled {\n",
+            "    fn measure() -> Self { Settled(tally(&HashMap::new())) }\n",
+            "}\n",
+            "fn tally(counts: &HashMap<u32, u64>) -> Vec<u64> {\n",
+            "    counts.values().copied().collect()\n",
+            "}\n",
+            "pub fn run_gate<G: Gate>() -> G { G::measure() }\n",
+        ),
+    );
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert_eq!(hits[0].line, 8);
+    assert!(hits[0].message.contains("tally"));
+}
+
 // ---------------------------------------------------------------- rule 3
 
 #[test]

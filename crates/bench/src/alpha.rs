@@ -29,11 +29,10 @@
 //!   creates at least [`MIN_SKYLINE_ADVANTAGE`]× more labels than A*
 //!   settles nodes on the same pairs.
 
+use crate::prep::point_spec;
 use crate::report::json_safe;
 use mcn_alpha::{scalarized_path, scalarized_path_astar, Preference, PreferenceEstimator};
-use mcn_gen::{
-    generate_preferences, generate_workload, CostDistribution, PreferenceSpec, WorkloadSpec,
-};
+use mcn_gen::{generate_preferences, generate_workload, PreferenceSpec, WorkloadSpec};
 use mcn_graph::{MultiCostGraph, NodeId};
 use mcn_mcpp::pareto_paths_prepped;
 use mcn_obs::default_clock;
@@ -303,20 +302,6 @@ fn measure_estimator(graph: &MultiCostGraph, routes: usize, seed: u64) -> (f64, 
         recovered as f64 / routes as f64,
         rounds as f64 / recovered.max(1) as f64,
     )
-}
-
-/// The workload spec of one synthetic point (same shape as the prep
-/// experiment's, so rows are comparable across the two reports).
-fn point_spec(nodes: usize, d: usize, seed: u64) -> WorkloadSpec {
-    WorkloadSpec {
-        nodes,
-        facilities: (nodes / 5).max(10),
-        cost_types: d,
-        distribution: CostDistribution::AntiCorrelated,
-        clusters: 4,
-        queries: 4,
-        seed,
-    }
 }
 
 /// Runs one point over an explicit graph and returns its row.

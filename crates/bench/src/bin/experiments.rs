@@ -22,18 +22,15 @@
 //! failure.
 
 use mcn_bench::{
-    compare_alpha_gate, compare_gate, compare_index_gate, compare_label_gate, dimacs_graph,
-    dimacs_workload, render_alpha_table, render_index_table, render_obs_table,
-    render_partition_table, render_prep_table, render_table, render_throughput_table, run_alpha,
-    run_alpha_gate, run_alpha_on_graph, run_gate, run_index, run_index_gate, run_index_on_graph,
-    run_label_gate, run_obs, run_partition, run_partition_on, run_prep, run_prep_on_graph,
-    run_throughput, AlphaConfig, AlphaGateConfig, AlphaReport, AlphaSettledBaseline, Experiment,
-    ExperimentConfig, ExperimentTable, GateBaseline, GateConfig, IndexExperimentConfig,
-    IndexGateConfig, IndexReport, IndexSettledBaseline, LabelBaseline, LabelGateConfig,
-    ObsExperimentConfig, ObsReport, PartitionConfig, PartitionTable, PrepConfig, PrepReport,
-    ThroughputConfig, ThroughputTable, ALPHA_ID, GATE_TOLERANCE, INDEX_ID, OBS_ID, PARTITION_ID,
-    PREP_ID, THROUGHPUT_ID,
+    dimacs_graph, dimacs_workload, render_alpha_table, render_index_table, render_partition_table,
+    render_prep_table, render_table, run_alpha, run_alpha_on_graph, run_gate, run_index,
+    run_index_on_graph, run_partition, run_partition_on, run_prep, run_prep_on_graph, AlphaConfig,
+    AlphaReport, AlphaSettledBaseline, Experiment, ExperimentConfig, ExperimentTable, Gate,
+    GateBaseline, IndexExperimentConfig, IndexReport, IndexSettledBaseline, LabelBaseline,
+    PartitionConfig, PartitionTable, PrepConfig, PrepReport, ALPHA_ID, GATE_TOLERANCE, INDEX_ID,
+    PARTITION_ID, PREP_ID,
 };
+use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -43,24 +40,32 @@ fn main() -> ExitCode {
         print_usage();
         return ExitCode::SUCCESS;
     }
-    if args[0] == "gate" {
-        return run_gate_command(&args[1..]);
-    }
+    let result = if args[0] == "gate" {
+        run_gate_command(&args[1..])
+    } else {
+        run_experiments(&args)
+    };
+    result.err().unwrap_or(ExitCode::SUCCESS)
+}
 
+/// The report modes beyond the figure tables, as selected on the command
+/// line (`all` selects every one).
+#[derive(Default)]
+struct Modes {
+    partition: bool,
+    prep: bool,
+    alpha: bool,
+    index: bool,
+}
+
+fn run_experiments(args: &[String]) -> Result<(), ExitCode> {
     let mut config = ExperimentConfig::default();
-    let mut throughput_config = ThroughputConfig::default();
     let mut partition_config = PartitionConfig::default();
     let mut prep_config = PrepConfig::default();
     let mut alpha_config = AlphaConfig::default();
     let mut index_config = IndexExperimentConfig::default();
-    let mut obs_config = ObsExperimentConfig::default();
     let mut selected: Vec<Experiment> = Vec::new();
-    let mut with_throughput = false;
-    let mut with_partition = false;
-    let mut with_prep = false;
-    let mut with_alpha = false;
-    let mut with_index = false;
-    let mut with_obs = false;
+    let mut modes = Modes::default();
     let mut dimacs: Option<String> = None;
     let mut run_all = false;
     let mut out_dir: Option<PathBuf> = None;
@@ -69,186 +74,49 @@ fn main() -> ExitCode {
     while i < args.len() {
         match args[i].as_str() {
             "all" => run_all = true,
-            id if id == THROUGHPUT_ID => with_throughput = true,
-            id if id == PARTITION_ID => with_partition = true,
-            id if id == PREP_ID => with_prep = true,
-            id if id == ALPHA_ID => with_alpha = true,
-            id if id == INDEX_ID => with_index = true,
-            id if id == OBS_ID => with_obs = true,
-            "--obs-batch" => {
-                obs_config.batch = expect_value(&args, &mut i, "--obs-batch");
-            }
-            "--obs-workers" => {
-                obs_config.workers = expect_value(&args, &mut i, "--obs-workers");
-            }
-            "--obs-repeats" => {
-                obs_config.repeats = expect_value(&args, &mut i, "--obs-repeats");
-            }
-            "--no-obs-asserts" => {
-                obs_config.assert_overhead = false;
-            }
-            "--index-nodes" => {
-                let list: String = expect_value(&args, &mut i, "--index-nodes");
-                match parse_worker_list(&list) {
-                    Some(nodes) => index_config.nodes = nodes,
-                    None => {
-                        eprintln!("--index-nodes expects a comma-separated list, e.g. 150,250");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--index-dims" => {
-                let list: String = expect_value(&args, &mut i, "--index-dims");
-                match parse_worker_list(&list) {
-                    Some(dims) => index_config.dims = dims,
-                    None => {
-                        eprintln!("--index-dims expects a comma-separated list, e.g. 2,3,4");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--index-pairs" => {
-                index_config.pairs = expect_value(&args, &mut i, "--index-pairs");
-            }
-            "--index-users" => {
-                index_config.users = expect_value(&args, &mut i, "--index-users");
-            }
-            "--index-regions" => {
-                index_config.regions = expect_value(&args, &mut i, "--index-regions");
-            }
-            "--no-index-asserts" => {
-                index_config.assert_improvements = false;
-            }
-            "--alpha-nodes" => {
-                let list: String = expect_value(&args, &mut i, "--alpha-nodes");
-                match parse_worker_list(&list) {
-                    Some(nodes) => alpha_config.nodes = nodes,
-                    None => {
-                        eprintln!("--alpha-nodes expects a comma-separated list, e.g. 250,500");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--alpha-dims" => {
-                let list: String = expect_value(&args, &mut i, "--alpha-dims");
-                match parse_worker_list(&list) {
-                    Some(dims) => alpha_config.dims = dims,
-                    None => {
-                        eprintln!("--alpha-dims expects a comma-separated list, e.g. 2,3,4");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--alpha-pairs" => {
-                alpha_config.pairs = expect_value(&args, &mut i, "--alpha-pairs");
-            }
-            "--alpha-users" => {
-                alpha_config.users = expect_value(&args, &mut i, "--alpha-users");
-            }
-            "--no-alpha-asserts" => {
-                alpha_config.assert_improvements = false;
-            }
-            "--prep-nodes" => {
-                let list: String = expect_value(&args, &mut i, "--prep-nodes");
-                match parse_worker_list(&list) {
-                    Some(nodes) => prep_config.nodes = nodes,
-                    None => {
-                        eprintln!("--prep-nodes expects a comma-separated list, e.g. 250,500");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--prep-dims" => {
-                let list: String = expect_value(&args, &mut i, "--prep-dims");
-                match parse_worker_list(&list) {
-                    Some(dims) => prep_config.dims = dims,
-                    None => {
-                        eprintln!("--prep-dims expects a comma-separated list, e.g. 2,3,4");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--prep-pairs" => {
-                prep_config.pairs = expect_value(&args, &mut i, "--prep-pairs");
-            }
-            "--prep-targets" => {
-                prep_config.targets = expect_value(&args, &mut i, "--prep-targets");
-            }
-            "--prep-cache" => {
-                prep_config.cache_capacity = expect_value(&args, &mut i, "--prep-cache");
-            }
-            "--prep-batch" => {
-                prep_config.batch = expect_value(&args, &mut i, "--prep-batch");
-            }
-            "--no-prep-asserts" => {
-                prep_config.assert_improvements = false;
-            }
-            "--regions" => {
-                let list: String = expect_value(&args, &mut i, "--regions");
-                match parse_worker_list(&list) {
-                    Some(regions) => partition_config.regions = regions,
-                    None => {
-                        eprintln!("--regions expects a comma-separated list, e.g. 1,2,4");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--partition-workers" => {
-                partition_config.workers = expect_value(&args, &mut i, "--partition-workers");
-            }
-            "--dimacs" => {
-                dimacs = Some(expect_value(&args, &mut i, "--dimacs"));
-            }
-            "--buffer" => {
-                let fraction: f64 = expect_value(&args, &mut i, "--buffer");
-                throughput_config.buffer = fraction;
-                partition_config.buffer = fraction;
-            }
+            id if id == PARTITION_ID => modes.partition = true,
+            id if id == PREP_ID => modes.prep = true,
+            id if id == ALPHA_ID => modes.alpha = true,
+            id if id == INDEX_ID => modes.index = true,
+            "--index-nodes" => index_config.nodes = expect_list(args, &mut i, "150,250"),
+            "--index-dims" => index_config.dims = expect_list(args, &mut i, "2,3,4"),
+            "--index-pairs" => index_config.pairs = expect_value(args, &mut i),
+            "--index-users" => index_config.users = expect_value(args, &mut i),
+            "--index-regions" => index_config.regions = expect_value(args, &mut i),
+            "--no-index-asserts" => index_config.assert_improvements = false,
+            "--alpha-nodes" => alpha_config.nodes = expect_list(args, &mut i, "250,500"),
+            "--alpha-dims" => alpha_config.dims = expect_list(args, &mut i, "2,3,4"),
+            "--alpha-pairs" => alpha_config.pairs = expect_value(args, &mut i),
+            "--alpha-users" => alpha_config.users = expect_value(args, &mut i),
+            "--no-alpha-asserts" => alpha_config.assert_improvements = false,
+            "--prep-nodes" => prep_config.nodes = expect_list(args, &mut i, "250,500"),
+            "--prep-dims" => prep_config.dims = expect_list(args, &mut i, "2,3,4"),
+            "--prep-pairs" => prep_config.pairs = expect_value(args, &mut i),
+            "--prep-targets" => prep_config.targets = expect_value(args, &mut i),
+            "--prep-cache" => prep_config.cache_capacity = expect_value(args, &mut i),
+            "--prep-batch" => prep_config.batch = expect_value(args, &mut i),
+            "--no-prep-asserts" => prep_config.assert_improvements = false,
+            "--regions" => partition_config.regions = expect_list(args, &mut i, "1,2,4"),
+            "--partition-workers" => partition_config.workers = expect_value(args, &mut i),
+            "--dimacs" => dimacs = Some(expect_value(args, &mut i)),
+            "--buffer" => partition_config.buffer = expect_value(args, &mut i),
             "--scale" => {
-                config.scale = expect_value(&args, &mut i, "--scale");
+                config.scale = expect_value(args, &mut i);
                 partition_config.scale = config.scale;
             }
-            "--queries" => {
-                config.queries = Some(expect_value(&args, &mut i, "--queries"));
-            }
-            "--latency-ms" => {
-                let ms: f64 = expect_value(&args, &mut i, "--latency-ms");
-                config.latency = ms / 1000.0;
-            }
-            "--seed" => {
-                config.seed = expect_value(&args, &mut i, "--seed");
-            }
-            "--batch" => {
-                throughput_config.batch = expect_value(&args, &mut i, "--batch");
-                partition_config.batch = throughput_config.batch;
-            }
-            "--workers" => {
-                let list: String = expect_value(&args, &mut i, "--workers");
-                match parse_worker_list(&list) {
-                    Some(workers) => throughput_config.workers = workers,
-                    None => {
-                        eprintln!("--workers expects a comma-separated list, e.g. 1,2,4");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--read-latency-us" => {
-                throughput_config.read_latency_us =
-                    expect_value(&args, &mut i, "--read-latency-us");
-                partition_config.read_latency_us = throughput_config.read_latency_us;
-            }
-            "--out" => {
-                out_dir = Some(expect_value(&args, &mut i, "--out"));
-            }
-            "--check" => {
-                check_dir = Some(expect_value(&args, &mut i, "--check"));
-            }
+            "--queries" => config.queries = Some(expect_value(args, &mut i)),
+            "--latency-ms" => config.latency = expect_value::<f64>(args, &mut i) / 1000.0,
+            "--seed" => config.seed = expect_value(args, &mut i),
+            "--batch" => partition_config.batch = expect_value(args, &mut i),
+            "--read-latency-us" => partition_config.read_latency_us = expect_value(args, &mut i),
+            "--out" => out_dir = Some(expect_value(args, &mut i)),
+            "--check" => check_dir = Some(expect_value(args, &mut i)),
             other => match Experiment::from_id(other) {
                 Some(e) => selected.push(e),
                 None => {
                     eprintln!("unknown experiment or flag: {other}");
                     print_usage();
-                    return ExitCode::from(2);
+                    return Err(ExitCode::from(2));
                 }
             },
         }
@@ -256,27 +124,18 @@ fn main() -> ExitCode {
     }
     if run_all {
         selected = Experiment::all().to_vec();
-        with_throughput = true;
-        with_partition = true;
-        with_prep = true;
-        with_alpha = true;
-        with_index = true;
-        with_obs = true;
+        modes = Modes {
+            partition: true,
+            prep: true,
+            alpha: true,
+            index: true,
+        };
     }
-    if selected.is_empty()
-        && !with_throughput
-        && !with_partition
-        && !with_prep
-        && !with_alpha
-        && !with_index
-        && !with_obs
-    {
+    if selected.is_empty() && !(modes.partition || modes.prep || modes.alpha || modes.index) {
         eprintln!("nothing to run");
         print_usage();
-        return ExitCode::from(2);
+        return Err(ExitCode::from(2));
     }
-    throughput_config.scale = config.scale;
-    throughput_config.seed = config.seed;
     // The partition experiment keeps its own (smaller) default scale — see
     // `PartitionConfig::default` — unless --scale is given explicitly.
     partition_config.seed = config.seed;
@@ -284,8 +143,6 @@ fn main() -> ExitCode {
     prep_config.workers = partition_config.workers;
     alpha_config.seed = config.seed;
     index_config.seed = config.seed;
-    obs_config.scale = config.scale;
-    obs_config.seed = config.seed;
     if let Some(path) = &dimacs {
         partition_config.source = path.clone();
         prep_config.source = path.clone();
@@ -295,26 +152,18 @@ fn main() -> ExitCode {
 
     if out_dir.is_some() && check_dir.is_some() {
         eprintln!("--out and --check are mutually exclusive (write first, then check)");
-        return ExitCode::from(2);
+        return Err(ExitCode::from(2));
     }
     if let Some(dir) = check_dir {
-        return check_tables(
-            &dir,
-            &selected,
-            with_throughput,
-            with_partition,
-            with_prep,
-            with_alpha,
-            with_index,
-            with_obs,
-        );
+        return check_tables(&dir, &selected, &modes);
     }
 
-    if let Some(dir) = &out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
+    let out_dir = out_dir.as_deref();
+    if let Some(dir) = out_dir {
+        std::fs::create_dir_all(dir).map_err(|e| {
             eprintln!("cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
+            ExitCode::FAILURE
+        })?;
     }
 
     println!(
@@ -331,120 +180,74 @@ fn main() -> ExitCode {
         config.base_spec().queries
     );
     for experiment in selected {
-        let table = experiment.run(&config);
-        println!("{}", render_table(&table));
-        if let Some(dir) = &out_dir {
-            if let Err(e) = persist_table(dir, &table) {
-                eprintln!("failed to persist table {}: {e}", table.id);
-                return ExitCode::FAILURE;
-            }
-        }
+        emit(&experiment.run(&config), out_dir)?;
     }
-    if with_throughput {
-        let table = run_throughput(&throughput_config);
-        println!("{}", render_throughput_table(&table));
-        if let Some(dir) = &out_dir {
-            if let Err(e) = persist_throughput_table(dir, &table) {
-                eprintln!("failed to persist table {THROUGHPUT_ID}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if with_partition {
+    if modes.partition {
         let table = match &dimacs {
-            Some(path) => match dimacs_workload(path, &partition_config) {
-                Ok(workload) => run_partition_on(&partition_config, &workload),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            },
+            Some(path) => run_partition_on(
+                &partition_config,
+                &dimacs_workload(path, &partition_config).map_err(fail)?,
+            ),
             None => run_partition(&partition_config),
         };
-        println!("{}", render_partition_table(&table));
-        if let Some(dir) = &out_dir {
-            if let Err(e) = persist_partition_table(dir, &table) {
-                eprintln!("failed to persist table {PARTITION_ID}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        emit(&table, out_dir)?;
     }
-    if with_prep {
-        let table = match &dimacs {
-            Some(path) => match dimacs_graph(path) {
-                Ok(graph) => run_prep_on_graph(&prep_config, &graph),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            },
+    // The prep, alpha and index sweeps re-draw costs on one loaded topology.
+    let graph = match &dimacs {
+        Some(path) if modes.prep || modes.alpha || modes.index => {
+            Some(dimacs_graph(path).map_err(fail)?)
+        }
+        _ => None,
+    };
+    if modes.prep {
+        let table = match &graph {
+            Some(graph) => run_prep_on_graph(&prep_config, graph),
             None => run_prep(&prep_config),
         };
-        println!("{}", render_prep_table(&table));
-        if let Some(dir) = &out_dir {
-            if let Err(e) = persist_prep_table(dir, &table) {
-                eprintln!("failed to persist table {PREP_ID}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        emit(&table, out_dir)?;
     }
-    if with_alpha {
-        let table = match &dimacs {
-            Some(path) => match dimacs_graph(path) {
-                Ok(graph) => run_alpha_on_graph(&alpha_config, &graph),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            },
+    if modes.alpha {
+        let table = match &graph {
+            Some(graph) => run_alpha_on_graph(&alpha_config, graph),
             None => run_alpha(&alpha_config),
         };
-        println!("{}", render_alpha_table(&table));
-        if let Some(dir) = &out_dir {
-            if let Err(e) = persist_alpha_table(dir, &table) {
-                eprintln!("failed to persist table {ALPHA_ID}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        emit(&table, out_dir)?;
     }
-    if with_index {
-        let table = match &dimacs {
-            Some(path) => match dimacs_graph(path) {
-                Ok(graph) => run_index_on_graph(&index_config, &graph),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            },
+    if modes.index {
+        let table = match &graph {
+            Some(graph) => run_index_on_graph(&index_config, graph),
             None => run_index(&index_config),
         };
-        println!("{}", render_index_table(&table));
-        if let Some(dir) = &out_dir {
-            if let Err(e) = persist_index_table(dir, &table) {
-                eprintln!("failed to persist table {INDEX_ID}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        emit(&table, out_dir)?;
     }
-    if with_obs {
-        let table = run_obs(&obs_config);
-        println!("{}", render_obs_table(&table));
-        if let Some(dir) = &out_dir {
-            if let Err(e) = persist_obs_table(dir, &table) {
-                eprintln!("failed to persist table {OBS_ID}: {e}");
-                return ExitCode::FAILURE;
-            }
-            // The embedded chrome trace, as its own loadable artifact.
-            let trace_path = dir.join("obs-trace.json");
-            if let Err(e) = std::fs::write(&trace_path, &table.trace_json) {
-                eprintln!("cannot write {}: {e}", trace_path.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {}", trace_path.display());
-        }
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }
+
+/// Prints an error message and maps it to the failure exit code.
+fn fail(e: String) -> ExitCode {
+    eprintln!("{e}");
+    ExitCode::FAILURE
+}
+
+/// The gate runner behind one `gate` flag: measures its baseline type at
+/// the fixed configuration, then compares or rewrites the file.
+type GateRunner = fn(&Path, bool) -> Result<(usize, Vec<String>), String>;
+
+/// Every `gate` flag with the name and runner of the baseline it names.
+const GATES: [(&str, &str, GateRunner); 4] = [
+    ("--baseline", GateBaseline::NAME, run_gate::<GateBaseline>),
+    ("--labels", LabelBaseline::NAME, run_gate::<LabelBaseline>),
+    (
+        "--alpha",
+        AlphaSettledBaseline::NAME,
+        run_gate::<AlphaSettledBaseline>,
+    ),
+    (
+        "--index",
+        IndexSettledBaseline::NAME,
+        run_gate::<IndexSettledBaseline>,
+    ),
+];
 
 /// `experiments gate --baseline FILE [--labels FILE] [--alpha FILE]
 /// [--index FILE] [--update]`: re-measure the deterministic mean logical
@@ -453,171 +256,132 @@ fn main() -> ExitCode {
 /// nodes; with `--index`, the route index's settled-node and arc-entry
 /// counters) and fail on a > 2 % regression against the checked-in
 /// baselines (`--update` rewrites them instead).
-fn run_gate_command(args: &[String]) -> ExitCode {
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut labels_path: Option<PathBuf> = None;
-    let mut alpha_path: Option<PathBuf> = None;
-    let mut index_path: Option<PathBuf> = None;
+fn run_gate_command(args: &[String]) -> Result<(), ExitCode> {
+    let mut paths: [Option<PathBuf>; GATES.len()] = Default::default();
     let mut update = false;
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
-            "--baseline" => baseline_path = Some(expect_value(args, &mut i, "--baseline")),
-            "--labels" => labels_path = Some(expect_value(args, &mut i, "--labels")),
-            "--alpha" => alpha_path = Some(expect_value(args, &mut i, "--alpha")),
-            "--index" => index_path = Some(expect_value(args, &mut i, "--index")),
-            "--update" => update = true,
-            other => {
-                eprintln!("unknown gate flag: {other}");
-                return ExitCode::from(2);
-            }
+        let flag = args[i].as_str();
+        if flag == "--update" {
+            update = true;
+        } else if let Some(g) = GATES.iter().position(|(f, _, _)| *f == flag) {
+            paths[g] = Some(expect_value(args, &mut i));
+        } else {
+            eprintln!("unknown gate flag: {flag}");
+            return Err(ExitCode::from(2));
         }
         i += 1;
     }
-    if baseline_path.is_none()
-        && labels_path.is_none()
-        && alpha_path.is_none()
-        && index_path.is_none()
-    {
+    if paths.iter().all(Option::is_none) {
         eprintln!("gate requires --baseline FILE, --labels FILE, --alpha FILE and/or --index FILE");
-        return ExitCode::from(2);
+        return Err(ExitCode::from(2));
     }
 
     let mut violations: Vec<String> = Vec::new();
     let mut points = 0usize;
-    if let Some(path) = &baseline_path {
-        let current = run_gate(&GateConfig::default());
+    for ((_, name, runner), path) in GATES.iter().zip(&paths) {
+        let Some(path) = path else { continue };
+        let (rows, found) = runner(path, update).map_err(fail)?;
         if update {
-            if let Err(e) = std::fs::write(path, current.to_json()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote gate baseline {}", path.display());
-        } else {
-            let baseline: GateBaseline = match load_baseline(path, GateBaseline::from_json) {
-                Ok(baseline) => baseline,
-                Err(code) => return code,
-            };
-            points += current.tables.iter().map(|t| t.points.len()).sum::<usize>();
-            violations.extend(compare_gate(&current, &baseline, GATE_TOLERANCE));
+            eprintln!("wrote {name} baseline {}", path.display());
         }
-    }
-    if let Some(path) = &labels_path {
-        let current = run_label_gate(&LabelGateConfig::default());
-        if update {
-            if let Err(e) = std::fs::write(path, current.to_json()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote label baseline {}", path.display());
-        } else {
-            let baseline: LabelBaseline = match load_baseline(path, LabelBaseline::from_json) {
-                Ok(baseline) => baseline,
-                Err(code) => return code,
-            };
-            points += current.points.len();
-            violations.extend(compare_label_gate(&current, &baseline, GATE_TOLERANCE));
-        }
-    }
-    if let Some(path) = &alpha_path {
-        let current = run_alpha_gate(&AlphaGateConfig::default());
-        if update {
-            if let Err(e) = std::fs::write(path, current.to_json()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote alpha baseline {}", path.display());
-        } else {
-            let baseline: AlphaSettledBaseline =
-                match load_baseline(path, AlphaSettledBaseline::from_json) {
-                    Ok(baseline) => baseline,
-                    Err(code) => return code,
-                };
-            points += current.points.len();
-            violations.extend(compare_alpha_gate(&current, &baseline, GATE_TOLERANCE));
-        }
-    }
-    if let Some(path) = &index_path {
-        let current = run_index_gate(&IndexGateConfig::default());
-        if update {
-            if let Err(e) = std::fs::write(path, current.to_json()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote index baseline {}", path.display());
-        } else {
-            let baseline: IndexSettledBaseline =
-                match load_baseline(path, IndexSettledBaseline::from_json) {
-                    Ok(baseline) => baseline,
-                    Err(code) => return code,
-                };
-            points += current.points.len();
-            violations.extend(compare_index_gate(&current, &baseline, GATE_TOLERANCE));
-        }
+        points += rows;
+        violations.extend(found);
     }
     if update {
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
     if violations.is_empty() {
         println!(
             "gate passed: {points} points within {:.0}% of the baselines",
             GATE_TOLERANCE * 100.0
         );
-        ExitCode::SUCCESS
+        Ok(())
     } else {
         for violation in &violations {
             eprintln!("gate: {violation}");
         }
         eprintln!("{} gate violation(s)", violations.len());
-        ExitCode::FAILURE
+        Err(ExitCode::FAILURE)
     }
 }
 
-/// Reads and parses a gate baseline file, mapping failures to the exit
-/// code the gate command returns.
-fn load_baseline<T>(
-    path: &Path,
-    from_json: impl Fn(&str) -> Result<T, String>,
-) -> Result<T, ExitCode> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        eprintln!(
-            "cannot read {} (create it with `experiments gate ... --update`): {e}",
-            path.display()
-        );
-        ExitCode::FAILURE
-    })?;
-    from_json(&text).map_err(|e| {
-        eprintln!("cannot parse {}: {e}", path.display());
-        ExitCode::FAILURE
-    })
+/// A report the `--out`/`--check` round-trip persists as `<id>.json`.
+trait Report: PartialEq + Serialize + for<'de> Deserialize<'de> {
+    /// The report's experiment id (its file name).
+    fn id(&self) -> &str;
+    /// The fixed-width text rendering.
+    fn render(&self) -> String;
 }
 
-/// Parses a `--workers` list like `1,2,4` (every entry ≥ 1).
-fn parse_worker_list(list: &str) -> Option<Vec<usize>> {
-    let workers: Option<Vec<usize>> = list
-        .split(',')
-        .map(|part| part.trim().parse::<usize>().ok().filter(|&w| w >= 1))
-        .collect();
-    workers.filter(|w| !w.is_empty())
+impl Report for ExperimentTable {
+    fn id(&self) -> &str {
+        &self.id
+    }
+    fn render(&self) -> String {
+        render_table(self)
+    }
+}
+
+impl Report for PartitionTable {
+    fn id(&self) -> &str {
+        &self.id
+    }
+    fn render(&self) -> String {
+        render_partition_table(self)
+    }
+}
+
+impl Report for PrepReport {
+    fn id(&self) -> &str {
+        &self.id
+    }
+    fn render(&self) -> String {
+        render_prep_table(self)
+    }
+}
+
+impl Report for AlphaReport {
+    fn id(&self) -> &str {
+        &self.id
+    }
+    fn render(&self) -> String {
+        render_alpha_table(self)
+    }
+}
+
+impl Report for IndexReport {
+    fn id(&self) -> &str {
+        &self.id
+    }
+    fn render(&self) -> String {
+        render_index_table(self)
+    }
+}
+
+/// Prints `report` and, with `--out DIR`, persists it (see [`persist`]).
+fn emit<R: Report>(report: &R, out_dir: Option<&Path>) -> Result<(), ExitCode> {
+    println!("{}", report.render());
+    if let Some(dir) = out_dir {
+        persist(dir, report).map_err(|e| {
+            eprintln!("failed to persist table {}: {e}", report.id());
+            ExitCode::FAILURE
+        })?;
+    }
+    Ok(())
 }
 
 /// Writes a report to `DIR/<id>.json` and proves the write lossless by
-/// reading the file back and comparing the re-parsed value. Shared by the
-/// figure tables and the throughput table, which only differ in their
-/// (de)serializers.
-fn persist_report<T: PartialEq>(
-    dir: &Path,
-    id: &str,
-    table: &T,
-    to_json: impl Fn(&T) -> String,
-    from_json: impl Fn(&str) -> Result<T, String>,
-) -> Result<(), String> {
-    let path = dir.join(format!("{id}.json"));
-    std::fs::write(&path, to_json(table)).map_err(|e| format!("write {}: {e}", path.display()))?;
+/// reading the file back and comparing the re-parsed value.
+fn persist<R: Report>(dir: &Path, report: &R) -> Result<(), String> {
+    let path = dir.join(format!("{}.json", report.id()));
+    std::fs::write(&path, serde::json::to_string_pretty(report))
+        .map_err(|e| format!("write {}: {e}", path.display()))?;
     let text =
         std::fs::read_to_string(&path).map_err(|e| format!("read back {}: {e}", path.display()))?;
-    let reparsed = from_json(&text).map_err(|e| format!("re-parse {}: {e}", path.display()))?;
-    if &reparsed != table {
+    let reparsed: R =
+        serde::json::from_str(&text).map_err(|e| format!("re-parse {}: {e}", path.display()))?;
+    if &reparsed != report {
         return Err(format!(
             "round-trip mismatch: {} differs from the in-memory table",
             path.display()
@@ -627,238 +391,78 @@ fn persist_report<T: PartialEq>(
     Ok(())
 }
 
-/// Writes `table` to `DIR/<id>.json` with read-back verification.
-fn persist_table(dir: &Path, table: &ExperimentTable) -> Result<(), String> {
-    persist_report(
-        dir,
-        &table.id,
-        table,
-        ExperimentTable::to_json,
-        ExperimentTable::from_json,
-    )
-}
-
-/// Writes the throughput `table` to `DIR/throughput.json` with the same
-/// read-back verification as the figure tables.
-fn persist_throughput_table(dir: &Path, table: &ThroughputTable) -> Result<(), String> {
-    persist_report(
-        dir,
-        THROUGHPUT_ID,
-        table,
-        ThroughputTable::to_json,
-        ThroughputTable::from_json,
-    )
-}
-
-/// Writes the partition `table` to `DIR/partition.json` with the same
-/// read-back verification as the figure tables.
-fn persist_partition_table(dir: &Path, table: &PartitionTable) -> Result<(), String> {
-    persist_report(
-        dir,
-        PARTITION_ID,
-        table,
-        PartitionTable::to_json,
-        PartitionTable::from_json,
-    )
-}
-
-/// Writes the prep `table` to `DIR/prep.json` with the same read-back
-/// verification as the figure tables.
-fn persist_prep_table(dir: &Path, table: &PrepReport) -> Result<(), String> {
-    persist_report(
-        dir,
-        PREP_ID,
-        table,
-        PrepReport::to_json,
-        PrepReport::from_json,
-    )
-}
-
-/// Writes the alpha `table` to `DIR/alpha.json` with the same read-back
-/// verification as the figure tables.
-fn persist_alpha_table(dir: &Path, table: &AlphaReport) -> Result<(), String> {
-    persist_report(
-        dir,
-        ALPHA_ID,
-        table,
-        AlphaReport::to_json,
-        AlphaReport::from_json,
-    )
-}
-
-/// Writes the index `table` to `DIR/index.json` with the same read-back
-/// verification as the figure tables.
-fn persist_index_table(dir: &Path, table: &IndexReport) -> Result<(), String> {
-    persist_report(
-        dir,
-        INDEX_ID,
-        table,
-        IndexReport::to_json,
-        IndexReport::from_json,
-    )
-}
-
-/// Writes the observability `table` to `DIR/obs.json` with the same
-/// read-back verification as the figure tables.
-fn persist_obs_table(dir: &Path, table: &ObsReport) -> Result<(), String> {
-    persist_report(dir, OBS_ID, table, ObsReport::to_json, ObsReport::from_json)
-}
-
 /// Loads `DIR/<id>.json`, verifying that the stored id matches and that
 /// re-serializing the parsed value reproduces the file byte-for-byte (the
 /// serializer is deterministic, so byte equality across processes proves a
 /// lossless round-trip).
-fn load_report<T>(
-    dir: &Path,
-    expected_id: &str,
-    to_json: impl Fn(&T) -> String,
-    from_json: impl Fn(&str) -> Result<T, String>,
-    id_of: impl Fn(&T) -> &str,
-) -> Result<T, String> {
+fn load<R: Report>(dir: &Path, expected_id: &str) -> Result<R, String> {
     let path = dir.join(format!("{expected_id}.json"));
     let text = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let table = from_json(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
-    if id_of(&table) != expected_id {
+    let report: R = serde::json::from_str(&text)
+        .map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
+    if report.id() != expected_id {
         return Err(format!(
             "{} holds table `{}`, expected `{expected_id}`",
             path.display(),
-            id_of(&table)
+            report.id()
         ));
     }
-    if to_json(&table) != text {
+    if serde::json::to_string_pretty(&report) != text {
         return Err(format!(
             "{}: re-serializing the parsed table does not reproduce the file",
             path.display()
         ));
     }
-    Ok(table)
+    Ok(report)
+}
+
+/// Loads and renders one stored report; false (after printing why) when it
+/// fails the check.
+fn check<R: Report>(dir: &Path, id: &str) -> bool {
+    match load::<R>(dir, id) {
+        Ok(report) => {
+            println!("{}", report.render());
+            true
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            false
+        }
+    }
 }
 
 /// Loads each selected table from `DIR/<id>.json`, verifies the lossless
 /// round-trip and renders it.
-#[allow(clippy::too_many_arguments)]
-fn check_tables(
-    dir: &Path,
-    selected: &[Experiment],
-    with_throughput: bool,
-    with_partition: bool,
-    with_prep: bool,
-    with_alpha: bool,
-    with_index: bool,
-    with_obs: bool,
-) -> ExitCode {
-    let mut failures = 0u32;
-    for experiment in selected {
-        match load_report(
-            dir,
-            experiment.id(),
-            ExperimentTable::to_json,
-            ExperimentTable::from_json,
-            |t| &t.id,
-        ) {
-            Ok(table) => println!("{}", render_table(&table)),
-            Err(e) => {
-                eprintln!("{e}");
-                failures += 1;
-            }
-        }
+fn check_tables(dir: &Path, selected: &[Experiment], modes: &Modes) -> Result<(), ExitCode> {
+    let mut passed: Vec<bool> = selected
+        .iter()
+        .map(|e| check::<ExperimentTable>(dir, e.id()))
+        .collect();
+    if modes.partition {
+        passed.push(check::<PartitionTable>(dir, PARTITION_ID));
     }
-    if with_throughput {
-        match load_report(
-            dir,
-            THROUGHPUT_ID,
-            ThroughputTable::to_json,
-            ThroughputTable::from_json,
-            |t| &t.id,
-        ) {
-            Ok(table) => println!("{}", render_throughput_table(&table)),
-            Err(e) => {
-                eprintln!("{e}");
-                failures += 1;
-            }
-        }
+    if modes.prep {
+        passed.push(check::<PrepReport>(dir, PREP_ID));
     }
-    if with_partition {
-        match load_report(
-            dir,
-            PARTITION_ID,
-            PartitionTable::to_json,
-            PartitionTable::from_json,
-            |t| &t.id,
-        ) {
-            Ok(table) => println!("{}", render_partition_table(&table)),
-            Err(e) => {
-                eprintln!("{e}");
-                failures += 1;
-            }
-        }
+    if modes.alpha {
+        passed.push(check::<AlphaReport>(dir, ALPHA_ID));
     }
-    if with_prep {
-        match load_report(
-            dir,
-            PREP_ID,
-            PrepReport::to_json,
-            PrepReport::from_json,
-            |t| &t.id,
-        ) {
-            Ok(table) => println!("{}", render_prep_table(&table)),
-            Err(e) => {
-                eprintln!("{e}");
-                failures += 1;
-            }
-        }
+    if modes.index {
+        passed.push(check::<IndexReport>(dir, INDEX_ID));
     }
-    if with_alpha {
-        match load_report(
-            dir,
-            ALPHA_ID,
-            AlphaReport::to_json,
-            AlphaReport::from_json,
-            |t| &t.id,
-        ) {
-            Ok(table) => println!("{}", render_alpha_table(&table)),
-            Err(e) => {
-                eprintln!("{e}");
-                failures += 1;
-            }
-        }
-    }
-    if with_index {
-        match load_report(
-            dir,
-            INDEX_ID,
-            IndexReport::to_json,
-            IndexReport::from_json,
-            |t| &t.id,
-        ) {
-            Ok(table) => println!("{}", render_index_table(&table)),
-            Err(e) => {
-                eprintln!("{e}");
-                failures += 1;
-            }
-        }
-    }
-    if with_obs {
-        match load_report(dir, OBS_ID, ObsReport::to_json, ObsReport::from_json, |t| {
-            &t.id
-        }) {
-            Ok(table) => println!("{}", render_obs_table(&table)),
-            Err(e) => {
-                eprintln!("{e}");
-                failures += 1;
-            }
-        }
-    }
+    let failures = passed.iter().filter(|ok| !**ok).count();
     if failures > 0 {
         eprintln!("{failures} table(s) failed the check");
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+        return Err(ExitCode::FAILURE);
     }
+    Ok(())
 }
 
-fn expect_value<T: std::str::FromStr>(args: &[String], i: &mut usize, flag: &str) -> T {
+/// Parses the value after the flag at `args[*i]`, advancing `i`; exits 2
+/// with a message when it is missing or malformed.
+fn expect_value<T: std::str::FromStr>(args: &[String], i: &mut usize) -> T {
+    let flag = &args[*i];
     *i += 1;
     args.get(*i)
         .and_then(|v| v.parse().ok())
@@ -868,37 +472,51 @@ fn expect_value<T: std::str::FromStr>(args: &[String], i: &mut usize, flag: &str
         })
 }
 
+/// Parses a comma-separated list of positive integers after the flag at
+/// `args[*i]` (e.g. `1,2,4`), advancing `i`; exits 2 naming `example` when
+/// it is malformed.
+fn expect_list(args: &[String], i: &mut usize, example: &str) -> Vec<usize> {
+    let flag = args[*i].clone();
+    let list: String = expect_value(args, i);
+    let parsed: Option<Vec<usize>> = list
+        .split(',')
+        .map(|part| part.trim().parse::<usize>().ok().filter(|&n| n >= 1))
+        .collect();
+    parsed.filter(|l| !l.is_empty()).unwrap_or_else(|| {
+        eprintln!("{flag} expects a comma-separated list, e.g. {example}");
+        std::process::exit(2);
+    })
+}
+
 fn print_usage() {
     eprintln!(
         "usage: experiments [all | <ids>...] [--scale N] [--queries N] [--latency-ms MS] [--seed S]\n\
-         \x20                [--batch N] [--workers LIST] [--out DIR] [--check DIR]\n\
-         \x20                [--regions LIST] [--partition-workers N] [--dimacs PATH]\n\
+         \x20                [--out DIR] [--check DIR] [--batch N] [--buffer F]\n\
+         \x20                [--read-latency-us N] [--regions LIST] [--partition-workers N]\n\
+         \x20                [--dimacs PATH]\n\
          \x20                [--prep-nodes LIST] [--prep-dims LIST] [--prep-pairs N]\n\
          \x20                [--no-prep-asserts] [--alpha-nodes LIST] [--alpha-dims LIST]\n\
          \x20                [--alpha-pairs N] [--alpha-users N] [--no-alpha-asserts]\n\
          \x20                [--index-nodes LIST] [--index-dims LIST] [--index-pairs N]\n\
          \x20                [--index-users N] [--index-regions N] [--no-index-asserts]\n\
-         \x20                [--obs-batch N] [--obs-workers N] [--obs-repeats N]\n\
-         \x20                [--no-obs-asserts]\n\
          \x20      experiments gate --baseline FILE [--labels FILE] [--alpha FILE]\n\
          \x20                [--index FILE] [--update]\n\
-         experiment ids: {}, {THROUGHPUT_ID}, {PARTITION_ID}, {PREP_ID}, {ALPHA_ID}, {INDEX_ID}, {OBS_ID}\n\
+         experiment ids: {}, {PARTITION_ID}, {PREP_ID}, {ALPHA_ID}, {INDEX_ID}\n\
          --out DIR      run the experiments, persist each table to DIR/<id>.json and\n\
          \x20              verify the written file re-parses to the in-memory table\n\
          --check DIR    skip running; load DIR/<id>.json for each selected experiment,\n\
          \x20              verify a lossless round-trip and render the stored tables\n\
-         --batch N      number of queries in the {THROUGHPUT_ID}/{PARTITION_ID} batches\n\
-         --workers LIST worker counts swept by {THROUGHPUT_ID}, e.g. 1,2,4 (default)\n\
-         --read-latency-us N  blocking latency per physical read in the {THROUGHPUT_ID}/\n\
-         \x20              {PARTITION_ID} experiments (default 50; 0 = RAM-speed reads)\n\
-         --buffer F     buffer fraction of the {THROUGHPUT_ID}/{PARTITION_ID} stores, as a\n\
-         \x20              share of the data pages ({THROUGHPUT_ID} defaults to 0.01;\n\
-         \x20              {PARTITION_ID} defaults to 0.2 per region shard)\n\
-         --regions LIST region counts swept by {PARTITION_ID}, e.g. 1,2,4 (default)\n\
-         --partition-workers N  worker threads of the {PARTITION_ID} engine (default 4)\n\
-         --dimacs PATH  run {PARTITION_ID}/{PREP_ID} on a DIMACS .gr road network instead\n\
-         \x20              of the synthetic topology (costs drawn around the arc weights,\n\
-         \x20              clustered facilities placed on it)\n\
+         --batch N      number of queries in the {PARTITION_ID} batch (default 64)\n\
+         --read-latency-us N  blocking latency per physical read in the {PARTITION_ID}\n\
+         \x20              experiment (default 100; 0 = RAM-speed reads)\n\
+         --buffer F     buffer fraction of each {PARTITION_ID} region shard, as a share\n\
+         \x20              of its data pages (default 0.2)\n\
+         --regions LIST region counts swept by {PARTITION_ID}, e.g. 1,2,4 (default 1,2,4,8)\n\
+         --partition-workers N  worker threads of the {PARTITION_ID} and {PREP_ID} engines\n\
+         \x20              (default 4)\n\
+         --dimacs PATH  run {PARTITION_ID}/{PREP_ID}/{ALPHA_ID}/{INDEX_ID} on a DIMACS .gr road\n\
+         \x20              network instead of the synthetic topology (costs drawn around\n\
+         \x20              the arc weights, clustered facilities placed on it)\n\
          --prep-nodes LIST  network sizes swept by {PREP_ID}, e.g. 250,500 (default)\n\
          --prep-dims LIST   cost dimensions swept by {PREP_ID}, e.g. 2,3,4 (default)\n\
          --prep-pairs N     source/target pairs measured per {PREP_ID} point (default 6)\n\
@@ -906,8 +524,9 @@ fn print_usage() {
          --prep-targets N   distinct targets the {PREP_ID} batch cycles over (default 24)\n\
          --prep-cache N     {PREP_ID} prep-table cache capacity (default 32; keep it at\n\
          \x20              least the target count or the warm run degrades to cold)\n\
-         --no-prep-asserts  skip {PREP_ID}'s ≥2x-label-reduction and warm>cold QPS\n\
-         \x20              assertions (result-equality assertions always run)\n\
+         --no-prep-asserts  skip {PREP_ID}'s ≥2x-label-reduction and warm-batch\n\
+         \x20              all-hits assertions (0 cache misses, one hit per request;\n\
+         \x20              result-equality assertions always run)\n\
          --alpha-nodes LIST  network sizes swept by {ALPHA_ID}, e.g. 250,500 (default)\n\
          --alpha-dims LIST   cost dimensions swept by {ALPHA_ID}, e.g. 2,3,4 (default)\n\
          --alpha-pairs N     source/target pairs measured per {ALPHA_ID} point (default 6)\n\
@@ -925,13 +544,6 @@ fn print_usage() {
          --no-index-asserts  skip {INDEX_ID}'s exact-build and >=10x cold settled-node\n\
          \x20              reduction assertions (byte-identical routes vs the prep\n\
          \x20              tier are always asserted)\n\
-         --obs-batch N      queries in the {OBS_ID} experiment's batch (default 32)\n\
-         --obs-workers N    engine workers of the {OBS_ID} experiment (default 4)\n\
-         --obs-repeats N    interleaved best-of rounds per {OBS_ID} mode (default 3)\n\
-         --no-obs-asserts   skip {OBS_ID}'s <=2% disabled-overhead assertion\n\
-         \x20              (identical-fingerprint and trace round-trip assertions\n\
-         \x20              always run); with --out, {OBS_ID} also writes the enabled\n\
-         \x20              run's chrome://tracing document to DIR/obs-trace.json\n\
          gate           re-measure mean logical page reads of every figure point\n\
          \x20              (--baseline), the {PREP_ID} experiment's mean label counts\n\
          \x20              (--labels), the {ALPHA_ID} tier's mean settled nodes\n\

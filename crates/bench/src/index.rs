@@ -25,11 +25,10 @@
 //!   index settles at least [`MIN_INDEX_REDUCTION`]× fewer nodes than the
 //!   prep tier's scan + A* for the same fresh target.
 
+use crate::prep::point_spec;
 use crate::report::json_safe;
 use mcn_alpha::{scalarized_path_astar, Preference};
-use mcn_gen::{
-    generate_preferences, generate_workload, CostDistribution, PreferenceSpec, WorkloadSpec,
-};
+use mcn_gen::{generate_preferences, generate_workload, PreferenceSpec, WorkloadSpec};
 use mcn_graph::{MultiCostGraph, NodeId};
 use mcn_index::{IndexConfig, RouteIndex};
 use mcn_mcpp::pareto_paths_prepped;
@@ -305,20 +304,6 @@ fn build_config(config: &IndexExperimentConfig) -> IndexConfig {
         regions: config.regions.max(1),
         seed: config.seed,
         ..IndexConfig::default()
-    }
-}
-
-/// The workload spec of one synthetic point (same shape as the alpha
-/// experiment's, so rows are comparable across the two reports).
-fn point_spec(nodes: usize, d: usize, seed: u64) -> WorkloadSpec {
-    WorkloadSpec {
-        nodes,
-        facilities: (nodes / 5).max(10),
-        cost_types: d,
-        distribution: CostDistribution::AntiCorrelated,
-        clusters: 4,
-        queries: 4,
-        seed,
     }
 }
 

@@ -1,7 +1,9 @@
 //! # mcn-bench
 //!
 //! The experiment harness that regenerates every figure of the paper's
-//! Section VI evaluation, plus Criterion micro-benchmarks (one per figure).
+//! Section VI evaluation, plus the deterministic count gates that pin the
+//! figures' logical reads and the path tiers' label and settled counts.
+//! Wall-clock measurement lives in the repo benchmark (`benchmark/`).
 //!
 //! The paper's metric is total processing time on a real disk, which is
 //! dominated by I/O (84–95 %). This reproduction runs on a simulated
@@ -26,12 +28,10 @@ pub mod experiments;
 pub mod gate;
 pub mod index;
 pub mod measure;
-pub mod obs;
 pub mod partition;
 pub mod prep;
 pub mod report;
 pub mod requests;
-pub mod throughput;
 
 pub use alpha::{
     measure_scalarized, render_alpha_table, run_alpha, run_alpha_on_graph, AlphaConfig,
@@ -39,21 +39,15 @@ pub use alpha::{
 };
 pub use experiments::{all_experiments, Experiment, ExperimentConfig};
 pub use gate::{
-    compare_alpha_gate, compare_gate, compare_index_gate, compare_label_gate, run_alpha_gate,
-    run_gate, run_index_gate, run_label_gate, AlphaGateConfig, AlphaGatePoint,
-    AlphaSettledBaseline, GateBaseline, GateConfig, GatePoint, GateTable, IndexGateConfig,
-    IndexGatePoint, IndexSettledBaseline, LabelBaseline, LabelGateConfig, LabelGatePoint,
-    GATE_TOLERANCE,
+    compare, gate_graph, run_gate, AlphaGateConfig, AlphaGatePoint, AlphaSettledBaseline, Gate,
+    GateBaseline, GateConfig, GatePoint, GateRow, GateTable, IndexGateConfig, IndexGatePoint,
+    IndexSettledBaseline, LabelBaseline, LabelGateConfig, LabelGatePoint, GATE_TOLERANCE,
 };
 pub use index::{
     measure_index, render_index_table, run_index, run_index_on_graph, IndexExperimentConfig,
     IndexMetrics, IndexReport, IndexRow, INDEX_ID, MIN_INDEX_REDUCTION,
 };
 pub use measure::{measure_point, AlgoMeasurement, PointMeasurement, QueryKind};
-pub use obs::{
-    render_obs_table, run_obs, ObsExperimentConfig, ObsReport, ObsRow, MAX_DISABLED_OVERHEAD,
-    OBS_ID,
-};
 pub use partition::{
     dimacs_workload, render_partition_table, run_partition, run_partition_on, PartitionConfig,
     PartitionRow, PartitionTable, PARTITION_ID,
@@ -63,7 +57,4 @@ pub use prep::{
     PrepConfig, PrepReport, PrepRow, MIN_LABEL_REDUCTION, PREP_ID,
 };
 pub use report::{render_table, ExperimentTable, Row};
-pub use throughput::{
-    build_request_batch, render_throughput_table, run_throughput, ThroughputConfig, ThroughputRow,
-    ThroughputTable, THROUGHPUT_ID,
-};
+pub use requests::build_request_batch;

@@ -158,40 +158,8 @@ pub fn measure_point(
     }
 }
 
-/// Convenience used by the Criterion benches: builds a store once and returns
-/// it together with its query locations and dimensionality.
-pub fn bench_fixture(
-    spec: &WorkloadSpec,
-    buffer_fraction: f64,
-) -> (Arc<MCNStore>, Vec<mcn_graph::NetworkLocation>, usize) {
-    let workload = generate_workload(spec);
-    let store = Arc::new(
-        MCNStore::build_in_memory(&workload.graph, BufferConfig::Fraction(buffer_fraction))
-            .expect("workload store builds"),
-    );
-    (store, workload.queries, spec.cost_types)
-}
-
-/// Runs one query of the requested kind and algorithm, used by the Criterion
-/// benches. Returns the result size so the optimiser cannot discard the work.
-pub fn run_single(
-    store: &Arc<MCNStore>,
-    q: mcn_graph::NetworkLocation,
-    d: usize,
-    kind: QueryKind,
-    algo: Algorithm,
-) -> usize {
-    store.buffer().clear();
-    match kind {
-        QueryKind::Skyline => skyline_query(store, q, algo).facilities.len(),
-        QueryKind::TopK(k) => topk_query(store, q, WeightedSum::uniform(d), k, algo)
-            .entries
-            .len(),
-    }
-}
-
-/// Measures wall-clock seconds of a closure (used by the experiments binary to
-/// report workload build times) against the process-wide [`default_clock`].
+/// Measures wall-clock seconds of a closure against the process-wide
+/// [`default_clock`].
 pub fn time_it<R>(f: impl FnOnce() -> R) -> (R, f64) {
     time_it_with(default_clock(), f)
 }
@@ -273,14 +241,5 @@ mod tests {
         assert_eq!(secs, 1.5);
         // Two reads: one before the closure, one after.
         assert_eq!(clock.reads(), 2);
-    }
-
-    #[test]
-    fn run_single_executes_both_kinds() {
-        let (store, queries, d) = bench_fixture(&tiny_spec(), 0.01);
-        let s = run_single(&store, queries[0], d, QueryKind::Skyline, Algorithm::Cea);
-        assert!(s >= 1);
-        let t = run_single(&store, queries[0], d, QueryKind::TopK(2), Algorithm::Lsa);
-        assert_eq!(t, 2);
     }
 }

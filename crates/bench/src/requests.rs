@@ -1,10 +1,11 @@
 //! Shared scaffolding for building deterministic mixed query batches.
 //!
-//! The multi-query experiments (`throughput`, `partition`) all drive the
-//! engine with the same shape of batch: the workload's query locations
-//! cycled up to the batch size, seeded random weighted-sum coefficients,
-//! and LSA/CEA alternation — only the request-kind mix differs. This
-//! helper owns the scaffolding so the experiments cannot drift apart.
+//! The `partition` experiment and the engine's concurrency and
+//! observability tests drive the engine with the same shape of batch: the
+//! workload's query locations cycled up to the batch size, seeded random
+//! weighted-sum coefficients, and LSA/CEA alternation — only the
+//! request-kind mix differs. This helper owns the scaffolding so the
+//! batches cannot drift apart.
 
 use mcn_core::Algorithm;
 use mcn_engine::QueryRequest;
@@ -39,4 +40,57 @@ pub fn mixed_request_batch(
             kind(i, location, weights, algorithm)
         })
         .collect()
+}
+
+/// The facility mix: skyline / batch top-4 / incremental top-4 round-robin
+/// over [`mixed_request_batch`], `d` cost types. Deterministic in `seed`.
+pub fn build_request_batch(
+    queries: &[NetworkLocation],
+    d: usize,
+    batch: usize,
+    seed: u64,
+) -> Vec<QueryRequest> {
+    const K: usize = 4;
+    mixed_request_batch(
+        queries,
+        d,
+        batch,
+        seed ^ 0x0051_C0DE,
+        |i, location, weights, algorithm| match i % 3 {
+            0 => QueryRequest::Skyline {
+                location,
+                algorithm,
+            },
+            1 => QueryRequest::TopK {
+                location,
+                weights,
+                k: K,
+                algorithm,
+            },
+            _ => QueryRequest::TopKIncremental {
+                location,
+                weights,
+                take: K,
+                algorithm,
+            },
+        },
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mcn_gen::{generate_workload, WorkloadSpec};
+
+    #[test]
+    fn request_batch_is_deterministic_and_mixed() {
+        let spec = WorkloadSpec::tiny(2010);
+        let workload = generate_workload(&spec);
+        let a = build_request_batch(&workload.queries, spec.cost_types, 9, 2010);
+        let b = build_request_batch(&workload.queries, spec.cost_types, 9, 2010);
+        assert_eq!(a, b);
+        assert!(a.iter().any(|r| r.kind() == "skyline"));
+        assert!(a.iter().any(|r| r.kind() == "topk"));
+        assert!(a.iter().any(|r| r.kind() == "topk-inc"));
+    }
 }

@@ -340,7 +340,7 @@ impl QueryOutput {
     /// A canonical, bit-exact textual form of the result: facility ids with
     /// the raw IEEE-754 bits of every cost. Two outputs are byte-identical
     /// results iff their fingerprints are equal — the determinism check used
-    /// by the concurrency tests and the throughput bench.
+    /// by the concurrency tests, the experiments and the repo benchmark.
     pub fn fingerprint(&self) -> String {
         let mut out = String::new();
         match self {

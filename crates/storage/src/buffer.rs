@@ -672,7 +672,7 @@ mod tests {
     fn concurrent_snapshots_are_consistent() {
         // Hammer the pool from several threads while a reader thread takes
         // snapshots; every snapshot must satisfy logical == hits + misses
-        // exactly (the satellite guarantee the throughput bench relies on),
+        // exactly (the guarantee every batch-level `IoStats` relies on),
         // and physical reads may only trail misses, never exceed them.
         let disk = make_disk(64);
         let pool = Arc::new(BufferPool::new(disk, 16));

@@ -80,9 +80,10 @@ pub trait DiskManager: Send + Sync {
 ///
 /// An optional **simulated read latency** turns the paper's *charged* I/O
 /// model into real blocking time: every physical read sleeps for the
-/// configured duration. The throughput experiment uses this to measure how
-/// the multi-query engine overlaps I/O waits — with zero latency (the
-/// default) reads are as fast as RAM and nothing sleeps.
+/// configured duration. The `partition` experiment and the
+/// `concurrent_queries` example use this to show how the multi-query
+/// engine overlaps I/O waits — with zero latency (the default) reads are as
+/// fast as RAM and nothing sleeps.
 pub struct InMemoryDisk {
     pages: RwLock<Vec<Page>>,
     read_latency: std::time::Duration,

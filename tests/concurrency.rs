@@ -9,23 +9,17 @@ use mcn::gen::{generate_workload, WorkloadSpec};
 use mcn::graph::NetworkLocation;
 use mcn::storage::{BufferConfig, MCNStore};
 use mcn::{skyline_query, Algorithm};
-use mcn_bench::{build_request_batch, ThroughputConfig};
+use mcn_bench::build_request_batch;
 use std::sync::Arc;
 
 /// Builds a deterministic mixed batch (skyline / top-k / incremental top-k,
-/// LSA and CEA alternating) over a generated workload, reusing the
-/// throughput experiment's batch builder.
+/// LSA and CEA alternating) over a generated workload.
 fn mixed_batch(seed: u64, batch: usize) -> (Arc<MCNStore>, Vec<QueryRequest>) {
     let spec = WorkloadSpec::tiny(seed);
     let workload = generate_workload(&spec);
     let store =
         Arc::new(MCNStore::build_in_memory(&workload.graph, BufferConfig::Fraction(0.01)).unwrap());
-    let config = ThroughputConfig {
-        batch,
-        seed,
-        ..Default::default()
-    };
-    let requests = build_request_batch(&spec, &workload.queries, &config);
+    let requests = build_request_batch(&workload.queries, spec.cost_types, batch, seed);
     (store, requests)
 }
 

@@ -265,16 +265,7 @@ fn pinned_index_skylines_on_the_index_gate_inputs() {
     let cases: Vec<Case> = [2usize, 3, 4]
         .into_iter()
         .map(|d| {
-            let graph = generate_workload(&WorkloadSpec {
-                nodes: 150,
-                facilities: 30,
-                cost_types: d,
-                distribution: CostDistribution::AntiCorrelated,
-                clusters: 4,
-                queries: 4,
-                seed,
-            })
-            .graph;
+            let graph = mcn_bench::gate_graph(150, d, seed);
             let pairs = seeded_pairs(&graph, 3, seed ^ 0x1DE8_CAFE);
             (d, graph, pairs)
         })

@@ -4,27 +4,22 @@
 //! export as loadable chrome://tracing JSON — all without ever changing
 //! query results.
 
-use mcn::engine::{QueryEngine, QueryRequest};
+use mcn::engine::{BatchResult, QueryEngine, QueryRequest};
 use mcn::gen::{generate_workload, WorkloadSpec};
 use mcn::obs::{chrome_trace_json, parse_chrome_trace, MetricsRegistry, Obs};
 use mcn::storage::{BufferConfig, MCNStore, StoreView};
 use mcn::{skyline_query, Algorithm};
-use mcn_bench::{build_request_batch, ThroughputConfig};
+use mcn_bench::build_request_batch;
 use std::sync::Arc;
 
-/// A deterministic mixed batch over a tiny workload (reusing the
-/// throughput experiment's batch builder, as the concurrency tests do).
+/// A deterministic mixed batch over a tiny workload (the same builder the
+/// concurrency tests use).
 fn mixed_batch(seed: u64, batch: usize) -> (Arc<MCNStore>, Vec<QueryRequest>) {
     let spec = WorkloadSpec::tiny(seed);
     let workload = generate_workload(&spec);
     let store =
         Arc::new(MCNStore::build_in_memory(&workload.graph, BufferConfig::Fraction(0.02)).unwrap());
-    let config = ThroughputConfig {
-        batch,
-        seed,
-        ..Default::default()
-    };
-    let requests = build_request_batch(&spec, &workload.queries, &config);
+    let requests = build_request_batch(&workload.queries, spec.cost_types, batch, seed);
     (store, requests)
 }
 
@@ -94,14 +89,25 @@ fn published_metrics_reconcile_with_io_stats_under_concurrent_load() {
 #[test]
 fn four_worker_batch_reconciles_metrics_and_keeps_results_identical() {
     let (store, requests) = mixed_batch(41, 18);
+    let prints = |result: &BatchResult| -> Vec<String> {
+        result
+            .outcomes
+            .iter()
+            .map(|o| o.output.fingerprint())
+            .collect()
+    };
 
     // Baseline: no observability attached.
-    let bare = QueryEngine::new(store.clone(), 4).run_batch(&requests);
-    let bare_prints: Vec<String> = bare
-        .outcomes
-        .iter()
-        .map(|o| o.output.fingerprint())
-        .collect();
+    let bare_prints = prints(&QueryEngine::new(store.clone(), 4).run_batch(&requests));
+
+    // Attached with tracing off (the production default): same results,
+    // and the tracer records nothing.
+    store.buffer().clear();
+    let untraced = Arc::new(Obs::new());
+    untraced.set_tracing(false);
+    let engine = QueryEngine::new(store.clone(), 4).with_obs(untraced.clone());
+    assert_eq!(bare_prints, prints(&engine.run_batch(&requests)));
+    assert!(untraced.tracer().drain().is_empty());
 
     // Observed run from identical starting conditions (clearing the pool
     // also zeroes its counters, so the shared registry's cumulative view
@@ -113,12 +119,7 @@ fn four_worker_batch_reconciles_metrics_and_keeps_results_identical() {
     let result = engine.run_batch(&requests);
 
     // Observability never changes results: byte-identical fingerprints.
-    let observed_prints: Vec<String> = result
-        .outcomes
-        .iter()
-        .map(|o| o.output.fingerprint())
-        .collect();
-    assert_eq!(bare_prints, observed_prints);
+    assert_eq!(bare_prints, prints(&result));
 
     // Batch-local metrics snapshot reconciles byte-exactly with the I/O
     // delta the engine measured for the same batch.

@@ -10,7 +10,7 @@
 
 use mcn::alpha::{scalarized_path, scalarized_path_astar, Preference};
 use mcn::engine::{PathContext, QueryEngine, QueryOutput, QueryRequest};
-use mcn::gen::{generate_workload, CostDistribution, WorkloadSpec};
+use mcn::gen::{generate_workload, WorkloadSpec};
 use mcn::graph::{CostVec, GraphBuilder, MultiCostGraph, NodeId};
 use mcn::mcpp::{
     componentwise_minimum, pareto_paths_exhaustive, pareto_paths_prepped, pareto_paths_with_stats,
@@ -151,16 +151,7 @@ fn check_pinned(
 /// 150 nodes, d = 2/3/4, three seeded pairs, seed 2010.
 fn label_gate_case(d: usize) -> (MultiCostGraph, Vec<(NodeId, NodeId)>) {
     let seed = 2010;
-    let graph = generate_workload(&WorkloadSpec {
-        nodes: 150,
-        facilities: 30,
-        cost_types: d,
-        distribution: CostDistribution::AntiCorrelated,
-        clusters: 4,
-        queries: 4,
-        seed,
-    })
-    .graph;
+    let graph = mcn_bench::gate_graph(150, d, seed);
     let pairs = seeded_pairs(&graph, 3, seed ^ 0x9E37_79B9);
     (graph, pairs)
 }
