@@ -35,7 +35,6 @@ use mcn_alpha::{scalarized_path, scalarized_path_astar, Preference, PreferenceEs
 use mcn_gen::{generate_preferences, generate_workload, PreferenceSpec, WorkloadSpec};
 use mcn_graph::{MultiCostGraph, NodeId};
 use mcn_mcpp::pareto_paths_prepped;
-use mcn_obs::default_clock;
 use mcn_prep::PrepTable;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -119,11 +118,6 @@ pub struct AlphaRow {
     /// `skyline_labels / astar_settled` — how much cheaper serving one
     /// user's best route is than exploring every Pareto-optimal one.
     pub skyline_advantage: f64,
-    /// Single-query throughput of plain Dijkstra (queries / wall).
-    pub dijkstra_qps: f64,
-    /// Single-query throughput of A*, backward scans amortized over the
-    /// user pool (queries / wall, scan time included once per target).
-    pub astar_qps: f64,
     /// Fraction of observed routes whose hidden α the estimator recovered
     /// (a preference under which the route is optimal).
     pub estimator_recovered: f64,
@@ -171,10 +165,6 @@ pub struct ScalarMetrics {
     pub astar_settled: f64,
     /// Mean labels created per pair by the path-skyline search.
     pub skyline_labels: f64,
-    /// Wall-clock seconds of the Dijkstra queries.
-    pub dijkstra_secs: f64,
-    /// Wall-clock seconds of the A* queries (scan included once per pair).
-    pub astar_secs: f64,
 }
 
 /// Draws `pairs` deterministic source/target pairs over the graph's nodes
@@ -220,30 +210,13 @@ pub fn measure_scalarized(
     let mut dijkstra_settled = 0u64;
     let mut astar_settled = 0u64;
     let mut skyline_labels = 0u64;
-    let mut dijkstra_secs = 0.0f64;
-    let mut astar_secs = 0.0f64;
-    let clock = default_clock();
     for &(s, t) in &pair_list {
-        let started = clock.now_ns();
         let prep = PrepTable::build(graph, t);
-        for alpha in &pool {
-            let run = scalarized_path_astar(graph, s, t, alpha, &prep);
-            astar_settled += run.stats.settled;
-        }
-        astar_secs += clock.elapsed(started).as_secs_f64();
-
-        let started = clock.now_ns();
-        for alpha in &pool {
-            let run = scalarized_path(graph, s, t, alpha);
-            dijkstra_settled += run.stats.settled;
-        }
-        dijkstra_secs += clock.elapsed(started).as_secs_f64();
-
-        // Routes must be identical query by query — re-run one pass outside
-        // the timed loops so the timing numbers stay honest.
         for alpha in &pool {
             let plain = scalarized_path(graph, s, t, alpha);
             let astar = scalarized_path_astar(graph, s, t, alpha, &prep);
+            dijkstra_settled += plain.stats.settled;
+            astar_settled += astar.stats.settled;
             match (plain.path, astar.path) {
                 (Some(p), Some(a)) => {
                     assert_eq!(
@@ -272,8 +245,6 @@ pub fn measure_scalarized(
         dijkstra_settled: dijkstra_settled as f64 / queries,
         astar_settled: astar_settled as f64 / queries,
         skyline_labels: skyline_labels as f64 / n,
-        dijkstra_secs,
-        astar_secs,
     }
 }
 
@@ -310,7 +281,6 @@ fn measure_point(graph: &MultiCostGraph, config: &AlphaConfig) -> AlphaRow {
     let metrics = measure_scalarized(graph, config.pairs, config.users, config.seed);
     let (estimator_recovered, estimator_rounds) =
         measure_estimator(graph, config.estimator_routes, config.seed);
-    let queries = (config.pairs * config.users) as f64;
     let row = AlphaRow {
         dims: d,
         nodes: graph.num_nodes(),
@@ -321,8 +291,6 @@ fn measure_point(graph: &MultiCostGraph, config: &AlphaConfig) -> AlphaRow {
         settled_reduction: json_safe(metrics.dijkstra_settled / metrics.astar_settled.max(1.0)),
         skyline_labels: json_safe(metrics.skyline_labels),
         skyline_advantage: json_safe(metrics.skyline_labels / metrics.astar_settled.max(1.0)),
-        dijkstra_qps: json_safe(queries / metrics.dijkstra_secs.max(1e-12)),
-        astar_qps: json_safe(queries / metrics.astar_secs.max(1e-12)),
         estimator_recovered: json_safe(estimator_recovered),
         estimator_rounds: json_safe(estimator_rounds),
     };
@@ -403,22 +371,12 @@ pub fn render_alpha_table(table: &AlphaReport) -> String {
         table.config.pairs, table.config.users
     ));
     out.push_str(&format!(
-        "{:<4} {:>7} {:>12} {:>11} {:>8} {:>13} {:>9} {:>10} {:>10} {:>6}\n",
-        "d",
-        "nodes",
-        "dij settled",
-        "A* settled",
-        "reduce",
-        "skyline lbls",
-        "advantage",
-        "dij QPS",
-        "A* QPS",
-        "est%"
+        "{:<4} {:>7} {:>12} {:>11} {:>8} {:>13} {:>9} {:>6}\n",
+        "d", "nodes", "dij settled", "A* settled", "reduce", "skyline lbls", "advantage", "est%"
     ));
     for r in &table.rows {
         out.push_str(&format!(
-            "{:<4} {:>7} {:>12.1} {:>11.1} {:>7.2}x {:>13.1} {:>8.1}x {:>10.1} \
-             {:>10.1} {:>5.0}%\n",
+            "{:<4} {:>7} {:>12.1} {:>11.1} {:>7.2}x {:>13.1} {:>8.1}x {:>5.0}%\n",
             r.dims,
             r.nodes,
             r.dijkstra_settled,
@@ -426,8 +384,6 @@ pub fn render_alpha_table(table: &AlphaReport) -> String {
             r.settled_reduction,
             r.skyline_labels,
             r.skyline_advantage,
-            r.dijkstra_qps,
-            r.astar_qps,
             r.estimator_recovered * 100.0
         ));
     }
@@ -462,7 +418,6 @@ mod tests {
             assert!(row.astar_settled <= row.dijkstra_settled);
             assert!(row.settled_reduction >= 1.0);
             assert!(row.skyline_labels > 0.0);
-            assert!(row.dijkstra_qps > 0.0 && row.astar_qps > 0.0);
         }
     }
 

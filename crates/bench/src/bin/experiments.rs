@@ -22,13 +22,12 @@
 //! failure.
 
 use mcn_bench::{
-    dimacs_graph, dimacs_workload, render_alpha_table, render_index_table, render_partition_table,
-    render_prep_table, render_table, run_alpha, run_alpha_on_graph, run_gate, run_index,
-    run_index_on_graph, run_partition, run_partition_on, run_prep, run_prep_on_graph, AlphaConfig,
-    AlphaReport, AlphaSettledBaseline, Experiment, ExperimentConfig, ExperimentTable, Gate,
-    GateBaseline, IndexExperimentConfig, IndexReport, IndexSettledBaseline, LabelBaseline,
-    PartitionConfig, PartitionTable, PrepConfig, PrepReport, ALPHA_ID, GATE_TOLERANCE, INDEX_ID,
-    PARTITION_ID, PREP_ID,
+    dimacs_graph, render_alpha_table, render_index_table, render_prep_table, render_table,
+    run_alpha, run_alpha_on_graph, run_gate, run_index, run_index_on_graph, run_prep,
+    run_prep_on_graph, AlphaConfig, AlphaReport, AlphaSettledBaseline, Experiment,
+    ExperimentConfig, ExperimentTable, Gate, GateBaseline, IndexExperimentConfig, IndexReport,
+    IndexSettledBaseline, LabelBaseline, PrepConfig, PrepReport, ALPHA_ID, GATE_TOLERANCE,
+    INDEX_ID, PREP_ID,
 };
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -52,7 +51,6 @@ fn main() -> ExitCode {
 /// line (`all` selects every one).
 #[derive(Default)]
 struct Modes {
-    partition: bool,
     prep: bool,
     alpha: bool,
     index: bool,
@@ -60,7 +58,6 @@ struct Modes {
 
 fn run_experiments(args: &[String]) -> Result<(), ExitCode> {
     let mut config = ExperimentConfig::default();
-    let mut partition_config = PartitionConfig::default();
     let mut prep_config = PrepConfig::default();
     let mut alpha_config = AlphaConfig::default();
     let mut index_config = IndexExperimentConfig::default();
@@ -74,7 +71,6 @@ fn run_experiments(args: &[String]) -> Result<(), ExitCode> {
     while i < args.len() {
         match args[i].as_str() {
             "all" => run_all = true,
-            id if id == PARTITION_ID => modes.partition = true,
             id if id == PREP_ID => modes.prep = true,
             id if id == ALPHA_ID => modes.alpha = true,
             id if id == INDEX_ID => modes.index = true,
@@ -96,19 +92,11 @@ fn run_experiments(args: &[String]) -> Result<(), ExitCode> {
             "--prep-cache" => prep_config.cache_capacity = expect_value(args, &mut i),
             "--prep-batch" => prep_config.batch = expect_value(args, &mut i),
             "--no-prep-asserts" => prep_config.assert_improvements = false,
-            "--regions" => partition_config.regions = expect_list(args, &mut i, "1,2,4"),
-            "--partition-workers" => partition_config.workers = expect_value(args, &mut i),
             "--dimacs" => dimacs = Some(expect_value(args, &mut i)),
-            "--buffer" => partition_config.buffer = expect_value(args, &mut i),
-            "--scale" => {
-                config.scale = expect_value(args, &mut i);
-                partition_config.scale = config.scale;
-            }
+            "--scale" => config.scale = expect_value(args, &mut i),
             "--queries" => config.queries = Some(expect_value(args, &mut i)),
             "--latency-ms" => config.latency = expect_value::<f64>(args, &mut i) / 1000.0,
             "--seed" => config.seed = expect_value(args, &mut i),
-            "--batch" => partition_config.batch = expect_value(args, &mut i),
-            "--read-latency-us" => partition_config.read_latency_us = expect_value(args, &mut i),
             "--out" => out_dir = Some(expect_value(args, &mut i)),
             "--check" => check_dir = Some(expect_value(args, &mut i)),
             other => match Experiment::from_id(other) {
@@ -125,26 +113,20 @@ fn run_experiments(args: &[String]) -> Result<(), ExitCode> {
     if run_all {
         selected = Experiment::all().to_vec();
         modes = Modes {
-            partition: true,
             prep: true,
             alpha: true,
             index: true,
         };
     }
-    if selected.is_empty() && !(modes.partition || modes.prep || modes.alpha || modes.index) {
+    if selected.is_empty() && !(modes.prep || modes.alpha || modes.index) {
         eprintln!("nothing to run");
         print_usage();
         return Err(ExitCode::from(2));
     }
-    // The partition experiment keeps its own (smaller) default scale — see
-    // `PartitionConfig::default` — unless --scale is given explicitly.
-    partition_config.seed = config.seed;
     prep_config.seed = config.seed;
-    prep_config.workers = partition_config.workers;
     alpha_config.seed = config.seed;
     index_config.seed = config.seed;
     if let Some(path) = &dimacs {
-        partition_config.source = path.clone();
         prep_config.source = path.clone();
         alpha_config.source = path.clone();
         index_config.source = path.clone();
@@ -181,16 +163,6 @@ fn run_experiments(args: &[String]) -> Result<(), ExitCode> {
     );
     for experiment in selected {
         emit(&experiment.run(&config), out_dir)?;
-    }
-    if modes.partition {
-        let table = match &dimacs {
-            Some(path) => run_partition_on(
-                &partition_config,
-                &dimacs_workload(path, &partition_config).map_err(fail)?,
-            ),
-            None => run_partition(&partition_config),
-        };
-        emit(&table, out_dir)?;
     }
     // The prep, alpha and index sweeps re-draw costs on one loaded topology.
     let graph = match &dimacs {
@@ -323,15 +295,6 @@ impl Report for ExperimentTable {
     }
 }
 
-impl Report for PartitionTable {
-    fn id(&self) -> &str {
-        &self.id
-    }
-    fn render(&self) -> String {
-        render_partition_table(self)
-    }
-}
-
 impl Report for PrepReport {
     fn id(&self) -> &str {
         &self.id
@@ -439,9 +402,6 @@ fn check_tables(dir: &Path, selected: &[Experiment], modes: &Modes) -> Result<()
         .iter()
         .map(|e| check::<ExperimentTable>(dir, e.id()))
         .collect();
-    if modes.partition {
-        passed.push(check::<PartitionTable>(dir, PARTITION_ID));
-    }
     if modes.prep {
         passed.push(check::<PrepReport>(dir, PREP_ID));
     }
@@ -491,9 +451,7 @@ fn expect_list(args: &[String], i: &mut usize, example: &str) -> Vec<usize> {
 fn print_usage() {
     eprintln!(
         "usage: experiments [all | <ids>...] [--scale N] [--queries N] [--latency-ms MS] [--seed S]\n\
-         \x20                [--out DIR] [--check DIR] [--batch N] [--buffer F]\n\
-         \x20                [--read-latency-us N] [--regions LIST] [--partition-workers N]\n\
-         \x20                [--dimacs PATH]\n\
+         \x20                [--out DIR] [--check DIR] [--dimacs PATH]\n\
          \x20                [--prep-nodes LIST] [--prep-dims LIST] [--prep-pairs N]\n\
          \x20                [--no-prep-asserts] [--alpha-nodes LIST] [--alpha-dims LIST]\n\
          \x20                [--alpha-pairs N] [--alpha-users N] [--no-alpha-asserts]\n\
@@ -501,22 +459,14 @@ fn print_usage() {
          \x20                [--index-users N] [--index-regions N] [--no-index-asserts]\n\
          \x20      experiments gate --baseline FILE [--labels FILE] [--alpha FILE]\n\
          \x20                [--index FILE] [--update]\n\
-         experiment ids: {}, {PARTITION_ID}, {PREP_ID}, {ALPHA_ID}, {INDEX_ID}\n\
+         experiment ids: {}, {PREP_ID}, {ALPHA_ID}, {INDEX_ID}\n\
          --out DIR      run the experiments, persist each table to DIR/<id>.json and\n\
          \x20              verify the written file re-parses to the in-memory table\n\
          --check DIR    skip running; load DIR/<id>.json for each selected experiment,\n\
          \x20              verify a lossless round-trip and render the stored tables\n\
-         --batch N      number of queries in the {PARTITION_ID} batch (default 64)\n\
-         --read-latency-us N  blocking latency per physical read in the {PARTITION_ID}\n\
-         \x20              experiment (default 100; 0 = RAM-speed reads)\n\
-         --buffer F     buffer fraction of each {PARTITION_ID} region shard, as a share\n\
-         \x20              of its data pages (default 0.2)\n\
-         --regions LIST region counts swept by {PARTITION_ID}, e.g. 1,2,4 (default 1,2,4,8)\n\
-         --partition-workers N  worker threads of the {PARTITION_ID} and {PREP_ID} engines\n\
-         \x20              (default 4)\n\
-         --dimacs PATH  run {PARTITION_ID}/{PREP_ID}/{ALPHA_ID}/{INDEX_ID} on a DIMACS .gr road\n\
-         \x20              network instead of the synthetic topology (costs drawn around\n\
-         \x20              the arc weights, clustered facilities placed on it)\n\
+         --dimacs PATH  run {PREP_ID}/{ALPHA_ID}/{INDEX_ID} on a DIMACS .gr road network\n\
+         \x20              instead of the synthetic topology (each swept cost dimension\n\
+         \x20              re-draws costs around the arc weights)\n\
          --prep-nodes LIST  network sizes swept by {PREP_ID}, e.g. 250,500 (default)\n\
          --prep-dims LIST   cost dimensions swept by {PREP_ID}, e.g. 2,3,4 (default)\n\
          --prep-pairs N     source/target pairs measured per {PREP_ID} point (default 6)\n\

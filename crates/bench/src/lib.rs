@@ -28,7 +28,6 @@ pub mod experiments;
 pub mod gate;
 pub mod index;
 pub mod measure;
-pub mod partition;
 pub mod prep;
 pub mod report;
 pub mod requests;
@@ -48,10 +47,6 @@ pub use index::{
     IndexMetrics, IndexReport, IndexRow, INDEX_ID, MIN_INDEX_REDUCTION,
 };
 pub use measure::{measure_point, AlgoMeasurement, PointMeasurement, QueryKind};
-pub use partition::{
-    dimacs_workload, render_partition_table, run_partition, run_partition_on, PartitionConfig,
-    PartitionRow, PartitionTable, PARTITION_ID,
-};
 pub use prep::{
     dimacs_graph, measure_labels, render_prep_table, run_prep, run_prep_on_graph, LabelMetrics,
     PrepConfig, PrepReport, PrepRow, MIN_LABEL_REDUCTION, PREP_ID,

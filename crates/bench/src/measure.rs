@@ -2,7 +2,6 @@
 
 use mcn_core::prelude::*;
 use mcn_gen::{generate_workload, WorkloadSpec};
-use mcn_obs::{default_clock, Clock};
 use mcn_storage::{BufferConfig, MCNStore};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -158,20 +157,6 @@ pub fn measure_point(
     }
 }
 
-/// Measures wall-clock seconds of a closure against the process-wide
-/// [`default_clock`].
-pub fn time_it<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    time_it_with(default_clock(), f)
-}
-
-/// [`time_it`] against an explicit [`Clock`] — tests pass a
-/// [`mcn_obs::ManualClock`] so the reported seconds are exact.
-pub fn time_it_with<R>(clock: &dyn Clock, f: impl FnOnce() -> R) -> (R, f64) {
-    let start_ns = clock.now_ns();
-    let r = f();
-    (r, clock.elapsed(start_ns).as_secs_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,18 +213,5 @@ mod tests {
         let m = measure_point("tiny-topk", &tiny_spec(), 0.01, QueryKind::TopK(4));
         assert!((m.lsa.result_size - 4.0).abs() < 1e-9);
         assert!((m.cea.result_size - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_it_with_reports_exact_seconds_on_a_fake_clock() {
-        let clock = mcn_obs::ManualClock::new(0);
-        let (value, secs) = time_it_with(&clock, || {
-            clock.advance(1_500_000_000);
-            42
-        });
-        assert_eq!(value, 42);
-        assert_eq!(secs, 1.5);
-        // Two reads: one before the closure, one after.
-        assert_eq!(clock.reads(), 2);
     }
 }

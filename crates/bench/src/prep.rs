@@ -16,9 +16,10 @@
 //!   cache and once warm.
 //!
 //! Reported per row: mean labels created with and without prep, the label
-//! reduction factor and prune fraction, single-query QPS with/without prep,
-//! and engine QPS cold vs warm cache. Three facts are **asserted** on every
-//! run, not just reported:
+//! reduction factor and prune fraction, and the engine's prep-cache hits
+//! and misses over one cold + warm cycle. How fast either mode serves is
+//! measured by the repo benchmark's `path_explore` workload, not here.
+//! Three facts are **asserted** on every run, not just reported:
 //!
 //! * every pair's pruned path skyline is **byte-identical** to the
 //!   exhaustive baseline (fingerprint comparison; the workloads draw
@@ -28,15 +29,13 @@
 //! * with `assert_improvements` (the default): every d = 3 row shows at
 //!   least a [`MIN_LABEL_REDUCTION`]× reduction in labels created, and
 //!   every row's warm batch is served from the cache alone — no scan, one
-//!   hit per request (counts, not timings: the QPS columns are reported
-//!   only).
+//!   hit per request.
 
 use crate::report::json_safe;
 use mcn_engine::{PathContext, QueryEngine, QueryOutput, QueryRequest};
 use mcn_gen::{generate_workload, CostDistribution, WorkloadSpec};
 use mcn_graph::{MultiCostGraph, NodeId};
 use mcn_mcpp::{pareto_paths_exhaustive, pareto_paths_prepped};
-use mcn_obs::default_clock;
 use mcn_prep::{PrepCacheStats, PrepTable};
 use mcn_storage::{BufferConfig, MCNStore};
 use rand::{Rng, SeedableRng};
@@ -52,6 +51,9 @@ pub const PREP_ID: &str = "prep";
 /// d = 3 (the acceptance bar of the precomputation subsystem).
 pub const MIN_LABEL_REDUCTION: f64 = 2.0;
 
+/// Worker threads of the engine runs.
+const WORKERS: usize = 4;
+
 /// Configuration of a prep run.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PrepConfig {
@@ -66,8 +68,6 @@ pub struct PrepConfig {
     pub batch: usize,
     /// Distinct targets the engine batch cycles over (the cache's reuse).
     pub targets: usize,
-    /// Worker threads of the engine runs.
-    pub workers: usize,
     /// Capacity of the engine's prep-table cache.
     pub cache_capacity: usize,
     /// Master seed for the workload and the pair/batch draws.
@@ -95,7 +95,6 @@ impl Default for PrepConfig {
             // --prep-cache to see the cliff.)
             batch: 72,
             targets: 24,
-            workers: 4,
             cache_capacity: 32,
             seed: 2010,
             assert_improvements: true,
@@ -123,19 +122,7 @@ pub struct PrepRow {
     pub label_reduction: f64,
     /// Mean fraction of created candidates removed by bound pruning.
     pub prune_fraction: f64,
-    /// Single-query throughput of the exhaustive baseline (pairs / wall).
-    pub exhaustive_qps: f64,
-    /// Single-query throughput of the prepped search, backward scan
-    /// included (pairs / wall).
-    pub prepped_qps: f64,
-    /// Engine batch throughput with a cold prep cache.
-    pub cold_qps: f64,
-    /// Engine batch throughput re-running the same batch warm.
-    pub warm_qps: f64,
-    /// `warm_qps / cold_qps`.
-    pub warm_speedup: f64,
-    /// Cache hits over one cold + warm cycle (`clear_cache` resets the
-    /// counters before each measured repeat; the last repeat is reported).
+    /// Cache hits over one cold + warm cycle of the engine batch.
     pub cache_hits: u64,
     /// Cache misses — backward scans actually executed — over the same
     /// cold + warm cycle as [`PrepRow::cache_hits`].
@@ -185,10 +172,6 @@ pub struct LabelMetrics {
     pub prune_fraction: f64,
     /// Mean skyline size.
     pub skyline_size: f64,
-    /// Wall-clock seconds of the exhaustive runs.
-    pub exhaustive_secs: f64,
-    /// Wall-clock seconds of the prepped runs (scan included).
-    pub prepped_secs: f64,
 }
 
 /// Draws `pairs` deterministic source/target pairs over the graph's nodes.
@@ -219,19 +202,10 @@ pub fn measure_labels(graph: &MultiCostGraph, pairs: usize, seed: u64) -> LabelM
     let mut prepped_labels = 0u64;
     let mut prune_fraction = 0.0f64;
     let mut skyline_size = 0usize;
-    let mut exhaustive_secs = 0.0f64;
-    let mut prepped_secs = 0.0f64;
-    let clock = default_clock();
     for &(s, t) in &pair_list {
-        let started = clock.now_ns();
         let exhaustive = pareto_paths_exhaustive(graph, s, t);
-        exhaustive_secs += clock.elapsed(started).as_secs_f64();
-
-        let started = clock.now_ns();
         let prep = PrepTable::build(graph, t);
         let prepped = pareto_paths_prepped(graph, s, t, &prep);
-        prepped_secs += clock.elapsed(started).as_secs_f64();
-
         assert_eq!(
             QueryOutput::Paths(exhaustive.paths.clone()).fingerprint(),
             QueryOutput::Paths(prepped.paths.clone()).fingerprint(),
@@ -248,8 +222,6 @@ pub fn measure_labels(graph: &MultiCostGraph, pairs: usize, seed: u64) -> LabelM
         prepped_labels: prepped_labels as f64 / n,
         prune_fraction: prune_fraction / n,
         skyline_size: skyline_size as f64 / n,
-        exhaustive_secs,
-        prepped_secs,
     }
 }
 
@@ -286,32 +258,22 @@ fn build_path_batch(
         .collect()
 }
 
-/// One engine measurement: the batch with a cold prep cache (every target
-/// scanned) vs warm (every table served from the cache), fingerprints
-/// asserted identical. One throwaway warm-up batch pages the engine in
-/// first, then each mode is measured [`ENGINE_REPEATS`] times and the best
-/// wall time kept — the standard defence against one-off scheduler noise
-/// in a milliseconds-scale measurement (the *results* are deterministic
-/// either way and asserted on every repeat).
-const ENGINE_REPEATS: usize = 3;
-
 /// What [`measure_engine`] saw.
 struct EngineRun {
-    /// Best cold-cache batch QPS.
-    cold_qps: f64,
-    /// Best warm-cache batch QPS.
-    warm_qps: f64,
-    /// Cache counters over the last cold + warm cycle.
+    /// Cache counters over the cold + warm cycle.
     cycle: PrepCacheStats,
-    /// Cache counters of the last warm batch alone.
+    /// Cache counters of the warm batch alone.
     warm: PrepCacheStats,
 }
 
+/// One engine measurement: the batch with a cold prep cache (every target
+/// scanned), then again warm (every table served from the cache),
+/// fingerprints asserted identical.
 fn measure_engine(graph: &Arc<MultiCostGraph>, config: &PrepConfig, seed: u64) -> EngineRun {
     let store =
         Arc::new(MCNStore::build_in_memory(graph, BufferConfig::Pages(32)).expect("store builds"));
     let ctx = Arc::new(PathContext::new(graph.clone(), config.cache_capacity));
-    let engine = QueryEngine::new(store, config.workers).with_path_context(ctx.clone());
+    let engine = QueryEngine::new(store, WORKERS).with_path_context(ctx.clone());
     let requests = build_path_batch(graph, config.batch, config.targets, seed);
     let prints = |r: &mcn_engine::BatchResult| {
         r.outcomes
@@ -320,37 +282,17 @@ fn measure_engine(graph: &Arc<MultiCostGraph>, config: &PrepConfig, seed: u64) -
             .collect::<Vec<_>>()
     };
 
-    // Warm-up: first-touch page faults and allocator growth hit this run.
-    let reference = prints(&engine.run_batch(&requests));
-
-    let mut run = EngineRun {
-        cold_qps: 0.0,
-        warm_qps: 0.0,
-        cycle: PrepCacheStats::default(),
-        warm: PrepCacheStats::default(),
-    };
-    for _ in 0..ENGINE_REPEATS {
-        ctx.clear_cache();
-        let cold = engine.run_batch(&requests);
-        let warm = engine.run_batch(&requests);
-        assert_eq!(
-            reference,
-            prints(&cold),
-            "cold-cache engine run changed path-skyline results"
-        );
-        assert_eq!(
-            reference,
-            prints(&warm),
-            "warm-cache engine run changed path-skyline results"
-        );
-        run.cold_qps = run.cold_qps.max(cold.stats.qps);
-        run.warm_qps = run.warm_qps.max(warm.stats.qps);
-        // `clear_cache` zeroed the counters at the top of this repeat, so
-        // this snapshot covers exactly one cold + warm cycle.
-        run.cycle = ctx.cache_stats();
-        run.warm = warm.stats.prep_cache;
+    let cold = engine.run_batch(&requests);
+    let warm = engine.run_batch(&requests);
+    assert_eq!(
+        prints(&cold),
+        prints(&warm),
+        "warm-cache engine run changed path-skyline results"
+    );
+    EngineRun {
+        cycle: ctx.cache_stats(),
+        warm: warm.stats.prep_cache,
     }
-    run
 }
 
 /// The workload spec of one synthetic point of the prep, alpha and index
@@ -374,7 +316,6 @@ fn measure_point(graph: Arc<MultiCostGraph>, config: &PrepConfig) -> PrepRow {
     let d = graph.num_cost_types();
     let labels = measure_labels(&graph, config.pairs, config.seed);
     let engine = measure_engine(&graph, config, config.seed);
-    let (cold_qps, warm_qps) = (engine.cold_qps, engine.warm_qps);
     let row = PrepRow {
         dims: d,
         nodes: graph.num_nodes(),
@@ -384,15 +325,6 @@ fn measure_point(graph: Arc<MultiCostGraph>, config: &PrepConfig) -> PrepRow {
         prepped_labels: json_safe(labels.prepped_labels),
         label_reduction: json_safe(labels.exhaustive_labels / labels.prepped_labels.max(1.0)),
         prune_fraction: json_safe(labels.prune_fraction),
-        exhaustive_qps: json_safe(config.pairs as f64 / labels.exhaustive_secs.max(1e-12)),
-        prepped_qps: json_safe(config.pairs as f64 / labels.prepped_secs.max(1e-12)),
-        cold_qps: json_safe(cold_qps),
-        warm_qps: json_safe(warm_qps),
-        warm_speedup: json_safe(if cold_qps > 0.0 {
-            warm_qps / cold_qps
-        } else {
-            1.0
-        }),
         cache_hits: engine.cycle.hits,
         cache_misses: engine.cycle.misses,
         cache_hit_ratio: json_safe(engine.cycle.hit_ratio()),
@@ -456,8 +388,8 @@ pub fn run_prep_on_graph(config: &PrepConfig, graph: &MultiCostGraph) -> PrepRep
     report(config, rows)
 }
 
-/// Loads a DIMACS `.gr` network for [`run_prep_on_graph`] (the same format
-/// the partition experiment's `--dimacs` flag reads).
+/// Loads a DIMACS `.gr` network for [`run_prep_on_graph`] and the alpha and
+/// index sweeps (the `experiments` binary's `--dimacs` flag).
 ///
 /// # Errors
 /// Returns a message when the file cannot be read or parsed, or has no
@@ -490,16 +422,12 @@ pub fn render_prep_table(table: &PrepReport) -> String {
     let mut out = String::new();
     out.push_str(&format!("## {} [{}]\n", table.title, table.id));
     out.push_str(&format!(
-        "({} pairs per point; engine batch of {} over {} targets, {} workers, \
+        "({} pairs per point; engine batch of {} over {} targets, {WORKERS} workers, \
          cache capacity {})\n",
-        table.config.pairs,
-        table.config.batch,
-        table.config.targets,
-        table.config.workers,
-        table.config.cache_capacity
+        table.config.pairs, table.config.batch, table.config.targets, table.config.cache_capacity
     ));
     out.push_str(&format!(
-        "{:<4} {:>7} {:>9} {:>14} {:>12} {:>8} {:>7} {:>10} {:>10} {:>9}\n",
+        "{:<4} {:>7} {:>9} {:>14} {:>12} {:>8} {:>7} {:>6} {:>7} {:>7}\n",
         "d",
         "nodes",
         "skyline",
@@ -507,13 +435,13 @@ pub fn render_prep_table(table: &PrepReport) -> String {
         "labels (prep)",
         "reduce",
         "pruned",
-        "cold QPS",
-        "warm QPS",
-        "speedup"
+        "hits",
+        "misses",
+        "hit%"
     ));
     for r in &table.rows {
         out.push_str(&format!(
-            "{:<4} {:>7} {:>9.1} {:>14.1} {:>12.1} {:>7.2}x {:>6.1}% {:>10.1} {:>10.1} {:>8.2}x\n",
+            "{:<4} {:>7} {:>9.1} {:>14.1} {:>12.1} {:>7.2}x {:>6.1}% {:>6} {:>7} {:>6.1}%\n",
             r.dims,
             r.nodes,
             r.skyline_size,
@@ -521,9 +449,9 @@ pub fn render_prep_table(table: &PrepReport) -> String {
             r.prepped_labels,
             r.label_reduction,
             r.prune_fraction * 100.0,
-            r.cold_qps,
-            r.warm_qps,
-            r.warm_speedup
+            r.cache_hits,
+            r.cache_misses,
+            r.cache_hit_ratio * 100.0
         ));
     }
     out
@@ -540,10 +468,9 @@ mod tests {
             pairs: 3,
             batch: 8,
             targets: 4,
-            workers: 2,
             cache_capacity: 4,
-            // Unit tests run in debug on loaded machines; the timing
-            // assertion belongs to the release-mode experiment runs.
+            // The label-reduction bar is set for the experiment's network
+            // sizes, not for this toy one.
             assert_improvements: false,
             ..Default::default()
         }
@@ -559,7 +486,6 @@ mod tests {
             assert!(row.prepped_labels <= row.exhaustive_labels);
             assert!(row.prune_fraction > 0.0);
             assert!(row.label_reduction >= 1.0);
-            assert!(row.cold_qps > 0.0 && row.warm_qps > 0.0);
             assert!(row.cache_hits > 0);
         }
     }
@@ -596,7 +522,7 @@ mod tests {
         });
         let text = render_prep_table(&table);
         assert!(text.contains("labels (exh.)"));
-        assert!(text.contains("warm QPS"));
+        assert!(text.contains("hit%"));
         assert!(text.contains("reduce"));
     }
 

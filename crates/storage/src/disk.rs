@@ -77,16 +77,8 @@ pub trait DiskManager: Send + Sync {
 }
 
 /// An in-memory disk manager with physical-transfer accounting.
-///
-/// An optional **simulated read latency** turns the paper's *charged* I/O
-/// model into real blocking time: every physical read sleeps for the
-/// configured duration. The `partition` experiment and the
-/// `concurrent_queries` example use this to show how the multi-query
-/// engine overlaps I/O waits — with zero latency (the default) reads are as
-/// fast as RAM and nothing sleeps.
 pub struct InMemoryDisk {
     pages: RwLock<Vec<Page>>,
-    read_latency: std::time::Duration,
     reads: AtomicU64,
     writes: AtomicU64,
 }
@@ -94,25 +86,13 @@ pub struct InMemoryDisk {
 const _: () = crate::assert_send_sync::<InMemoryDisk>();
 
 impl InMemoryDisk {
-    /// Creates an empty in-memory disk with no simulated latency.
+    /// Creates an empty in-memory disk.
     pub fn new() -> Self {
-        Self::with_read_latency(std::time::Duration::ZERO)
-    }
-
-    /// Creates an empty in-memory disk whose physical reads each block for
-    /// `latency`.
-    pub fn with_read_latency(latency: std::time::Duration) -> Self {
         Self {
             pages: RwLock::new(Vec::new()),
-            read_latency: latency,
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
         }
-    }
-
-    /// The simulated per-read latency.
-    pub fn read_latency(&self) -> std::time::Duration {
-        self.read_latency
     }
 }
 
@@ -124,10 +104,6 @@ impl Default for InMemoryDisk {
 
 impl DiskManager for InMemoryDisk {
     fn read_page(&self, id: PageId, out: &mut Page) {
-        if !self.read_latency.is_zero() {
-            // Simulate the seek outside any lock so concurrent reads overlap.
-            std::thread::sleep(self.read_latency);
-        }
         let pages = self.pages.read();
         let _pages_w = mcn_witness::acquire(W_MEM);
         let page = pages

@@ -221,20 +221,6 @@ impl PartitionedStore {
         Self::build_on(graph, map, disks, buffer)
     }
 
-    /// Builds the store on in-memory disks that block for `latency` per
-    /// physical read (the charged-I/O model of the experiments).
-    pub fn build_in_memory_with_latency(
-        graph: &MultiCostGraph,
-        map: PartitionMap,
-        buffer: BufferConfig,
-        latency: std::time::Duration,
-    ) -> Result<Self, StorageError> {
-        let disks = (0..map.num_regions())
-            .map(|_| Arc::new(InMemoryDisk::with_read_latency(latency)) as Arc<dyn DiskManager>)
-            .collect();
-        Self::build_on(graph, map, disks, buffer)
-    }
-
     /// Reassembles a partitioned store from already-built region disks and
     /// the manifest sidecar, verifying that every disk's page-0 header
     /// matches the manifest.

@@ -17,7 +17,6 @@
 //! * [`engine`] — the concurrent multi-query engine: a bounded worker pool
 //!   scheduling batches of skyline/top-k queries over one shared store.
 //! * [`skyline`] — classic main-memory skyline algorithms (BNL, SFS, D&C).
-//! * [`topk`] — the threshold-algorithm family (TA / NRA) over sorted lists.
 //! * [`mcpp`] — multi-criteria Pareto (skyline) path computation, with a
 //!   ParetoPrep-pruned variant.
 //! * [`prep`] — ParetoPrep precomputation: backward per-cost lower-bound
@@ -49,6 +48,5 @@ pub use mcn_obs as obs;
 pub use mcn_prep as prep;
 pub use mcn_skyline as skyline;
 pub use mcn_storage as storage;
-pub use mcn_topk as topk;
 
 pub use mcn_core::prelude::*;

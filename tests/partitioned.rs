@@ -147,8 +147,10 @@ fn four_worker_engine_over_partitioned_store_matches_monolithic_serial() {
         let part = Arc::new(
             PartitionedStore::build_in_memory(&graph, map, BufferConfig::Fraction(0.02)).unwrap(),
         );
-        let engine = QueryEngine::new(part, 4);
+        let engine = QueryEngine::new(part.clone(), 4);
+        let mut logical_reads = Vec::new();
         for affine in [false, true] {
+            part.reset_region_traffic();
             let result = engine.run_batch_with_regions(&requests, &tags, affine);
             let prints: Vec<String> = result
                 .outcomes
@@ -159,7 +161,18 @@ fn four_worker_engine_over_partitioned_store_matches_monolithic_serial() {
                 serial_prints, prints,
                 "{regions} regions (affine = {affine}) diverged from monolithic serial"
             );
+            logical_reads.push(result.stats.io.logical_reads);
+            if regions == 1 {
+                let traffic = part.region_traffic();
+                assert!(traffic.home_reads > 0, "no read was classified");
+                assert_eq!(traffic.cross_fraction(), 0.0, "1 region has no cross reads");
+            }
         }
+        // Scheduling only changes where pages are cached, never what is read.
+        assert_eq!(
+            logical_reads[0], logical_reads[1],
+            "{regions} regions: affine scheduling changed the logical reads"
+        );
     }
 }
 

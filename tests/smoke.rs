@@ -85,13 +85,6 @@ fn facade_reexports_cover_every_crate() {
     let oracle_costs = mcn::expansion::oracle::facility_cost_vectors(&graph, q);
     assert_eq!(oracle_costs.len(), graph.num_facilities());
 
-    // topk
-    let matrix = vec![vec![1.0, 2.0], vec![2.0, 1.0]];
-    let lists = mcn::topk::SortedLists::from_matrix(&matrix);
-    let (entries, _) =
-        mcn::topk::no_random_access(&lists, &mcn::topk::WeightedSum::new(vec![0.5, 0.5]), 1);
-    assert_eq!(entries.len(), 1);
-
     // mcpp
     let q_node = match q {
         NetworkLocation::Node(n) => n,
