@@ -35,6 +35,6 @@ pub use preference::Preference;
 pub use search::{scalarized_path, scalarized_path_astar, ScalarPath, ScalarResult, ScalarStats};
 
 /// Compile-time Send + Sync proof helper (same pattern as the sibling
-/// crates; `mcn-analyze` checks the `const _` proofs exist).
+/// crates): each `const _` proof fails the build if its type loses either.
 #[allow(dead_code)]
 pub(crate) const fn assert_send_sync<T: Send + Sync>() {}

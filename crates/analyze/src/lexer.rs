@@ -4,7 +4,7 @@
 //!
 //! The lexer understands comments (line, block — nested — and doc), string
 //! literals (plain, raw, byte), char literals vs. lifetimes, numeric
-//! literals (with float detection), identifiers and punctuation. A small set
+//! literals, identifiers and punctuation. A small set
 //! of compound operators (`::<`, `::`, `==`, `!=`, `->`, `=>`, `<=`, `>=`,
 //! `&&`, `||`, `..`, `..=`) is merged into single tokens so rules can match
 //! them without reassembling character pairs.
@@ -33,12 +33,8 @@ pub struct Token {
 pub enum TokenKind {
     /// An identifier or keyword.
     Ident(String),
-    /// A numeric literal; `is_float` marks decimal-point/exponent/`f32`/`f64`
-    /// forms.
-    Number {
-        /// True for float-typed literals.
-        is_float: bool,
-    },
+    /// A numeric literal (integer or float, with any type suffix).
+    Number,
     /// Any string literal (plain, raw or byte); contents are opaque.
     Str,
     /// A character literal.
@@ -66,11 +62,6 @@ impl Token {
     /// True iff this token is the operator `s`.
     pub fn is_op(&self, s: &str) -> bool {
         matches!(&self.kind, TokenKind::Op(o) if o == s)
-    }
-
-    /// True iff this token is a float literal.
-    pub fn is_float(&self) -> bool {
-        matches!(self.kind, TokenKind::Number { is_float: true })
     }
 }
 
@@ -330,7 +321,6 @@ impl Lexer {
     }
 
     fn number(&mut self, line: u32) {
-        let mut is_float = false;
         let hex_or_binary = self.peek(0) == Some('0')
             && matches!(self.peek(1), Some('x') | Some('X') | Some('b') | Some('o'));
         self.bump();
@@ -343,7 +333,7 @@ impl Lexer {
                     break;
                 }
             }
-            self.push(line, TokenKind::Number { is_float: false });
+            self.push(line, TokenKind::Number);
             return;
         }
         loop {
@@ -357,7 +347,6 @@ impl Lexer {
                     if self.peek(1) != Some('.')
                         && !matches!(self.peek(1), Some(c) if c.is_alphabetic() || c == '_') =>
                 {
-                    is_float = true;
                     self.bump();
                 }
                 Some('e') | Some('E')
@@ -365,7 +354,6 @@ impl Lexer {
                         || (matches!(self.peek(1), Some('+') | Some('-'))
                             && matches!(self.peek(2), Some(c) if c.is_ascii_digit())) =>
                 {
-                    is_float = true;
                     self.bump();
                     if matches!(self.peek(0), Some('+') | Some('-')) {
                         self.bump();
@@ -373,7 +361,6 @@ impl Lexer {
                 }
                 // Type suffix (`u32`, `f64`, …).
                 Some(c) if c.is_alphabetic() => {
-                    let suffix_is_float = c == 'f';
                     while let Some(c) = self.peek(0) {
                         if c.is_alphanumeric() || c == '_' {
                             self.bump();
@@ -381,13 +368,12 @@ impl Lexer {
                             break;
                         }
                     }
-                    is_float |= suffix_is_float;
                     break;
                 }
                 _ => break,
             }
         }
-        self.push(line, TokenKind::Number { is_float });
+        self.push(line, TokenKind::Number);
     }
 
     fn punct(&mut self, line: u32) {
@@ -428,37 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn float_detection() {
-        assert!(matches!(
-            kinds("1.5")[0],
-            TokenKind::Number { is_float: true }
-        ));
-        assert!(matches!(
-            kinds("2e9")[0],
-            TokenKind::Number { is_float: true }
-        ));
-        assert!(matches!(
-            kinds("3f64")[0],
-            TokenKind::Number { is_float: true }
-        ));
-        assert!(matches!(
-            kinds("42")[0],
-            TokenKind::Number { is_float: false }
-        ));
-        assert!(matches!(
-            kinds("0x1E")[0],
-            TokenKind::Number { is_float: false }
-        ));
-        // `0..n` is a range, not a float.
-        let k = kinds("0..9");
-        assert!(matches!(k[0], TokenKind::Number { is_float: false }));
-        assert!(matches!(&k[1], TokenKind::Op(o) if o == ".."));
-        // Method call on an integer literal is not a float either.
-        let k = kinds("1.max(2)");
-        assert!(matches!(k[0], TokenKind::Number { is_float: false }));
-    }
-
-    #[test]
     fn strings_chars_and_lifetimes() {
         assert_eq!(kinds(r#""a \" b""#), vec![TokenKind::Str]);
         assert_eq!(kinds(r##"r#"raw "inner" text"#"##), vec![TokenKind::Str]);
@@ -475,13 +430,13 @@ mod tests {
         let out = lex(concat!(
             "// plain comment\n",
             "/* block /* nested */ still comment */\n",
-            "let x = 1; // mcn-lint: allow(float-eq, reason = \"test\")\n",
+            "let x = 1; // mcn-lint: allow(hot-path-alloc, reason = \"test\")\n",
             "/// doc comment with unwrap()\n",
             "fn f() {}\n",
         ));
         assert_eq!(out.directives.len(), 1);
         assert_eq!(out.directives[0].line, 3);
-        assert!(out.directives[0].text.contains("allow(float-eq"));
+        assert!(out.directives[0].text.contains("allow(hot-path-alloc"));
         // No comment text leaks into the token stream.
         assert!(!out
             .tokens
@@ -496,6 +451,15 @@ mod tests {
         assert!(matches!(&k[3], TokenKind::Op(o) if o == "!="));
         assert!(matches!(&k[5], TokenKind::Op(o) if o == "->"));
         assert!(matches!(&k[7], TokenKind::Op(o) if o == "..="));
+        // A decimal point, exponent or suffix stays inside its literal; a
+        // range or a method call on an integer literal does not.
+        for lit in ["1.5", "2e9", "3f64", "0x1E"] {
+            assert_eq!(kinds(lit), vec![TokenKind::Number], "{lit}");
+        }
+        let k = kinds("0..9");
+        assert!(matches!(&k[1], TokenKind::Op(o) if o == ".."));
+        let k = kinds("1.max(2)");
+        assert!(matches!(&k[2], TokenKind::Ident(s) if s == "max"));
     }
 
     #[test]

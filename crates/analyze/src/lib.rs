@@ -4,19 +4,17 @@
 //! The regression gates (`logical_reads.json`, `labels.json`) catch
 //! determinism bugs *after* they ship; this pass catches the bug classes
 //! at their source, mechanically, before review: locks held across
-//! physical reads (the PR 3 incident), hash-order iteration feeding
-//! fingerprints or baselines, exact float comparison on deflated bounds
-//! (the PR 5 incident), panicking workers, ad-hoc threads, and
-//! concurrency-facing types without compile-time `Send`/`Sync` proof.
+//! physical reads (the PR 3 incident), lock-order cycles, hash-order
+//! iteration feeding fingerprints or baselines, and allocation in the
+//! query inner loops.
 //!
 //! The analysis is dependency-free: a hand-rolled lexer (no syn/quote —
 //! the build environment is offline), a symbol [`resolver`] and explicit
 //! [`callgraph`], plus rules in [`rules`]. The reachability rules
 //! (`lock-order`, `hot-path-alloc`, `nondet-iteration`) run over resolved
-//! call edges. Findings diff against the checked-in
-//! `analyze-baseline.json` exactly like the bench gates, and the
-//! acquisition-order graph diffs against `lock-order.json`; suppression is
-//! a reasoned comment:
+//! call edges. Any finding fails `check`; the acquisition-order graph
+//! diffs against `lock-order.json`. The only way to accept a finding is a
+//! reasoned comment at its site:
 //!
 //! ```text
 //! // mcn-lint: allow(lock-across-io, reason = "file handle is the lock")
@@ -24,7 +22,6 @@
 //!
 //! Run it with `cargo run -p mcn-analyze -- check`.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod lexer;
 pub mod locks;
@@ -37,12 +34,10 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use baseline::{Baseline, Diff};
-use serde::{Deserialize, Serialize};
 use workspace::Workspace;
 
 /// One lint finding.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Finding {
     /// Workspace-relative file path.
     pub file: String,
@@ -50,7 +45,7 @@ pub struct Finding {
     pub rule: String,
     /// 1-based line.
     pub line: u32,
-    /// Trimmed source line, for the report and baseline matching.
+    /// Trimmed source line, for the report.
     pub excerpt: String,
     /// Human-readable explanation.
     pub message: String,
@@ -70,12 +65,8 @@ impl fmt::Display for Finding {
 /// The outcome of a full `check` run.
 #[derive(Clone, Debug)]
 pub struct CheckOutcome {
-    /// Every finding that survived allow-suppression, baseline included.
+    /// Every finding that survived allow-suppression.
     pub findings: Vec<Finding>,
-    /// The diff against the baseline; clean iff both sides are empty.
-    pub diff: Diff,
-    /// Every lock class discovered in the workspace, sorted by id.
-    pub lock_classes: Vec<locks::LockClass>,
     /// The current acquisition-order edges (allow-filtered, deduped).
     pub lock_edges: Vec<locks::LockEdge>,
     /// Edges not present in the checked-in `lock-order.json`.
@@ -87,71 +78,41 @@ pub struct CheckOutcome {
 }
 
 impl CheckOutcome {
-    /// True when there is nothing new and nothing stale — findings *and*
-    /// lock-order edges.
+    /// True when there is no finding and the lock-order edges match
+    /// `lock-order.json` exactly.
     pub fn is_clean(&self) -> bool {
-        self.diff.new.is_empty()
-            && self.diff.stale.is_empty()
-            && self.lock_new.is_empty()
-            && self.lock_stale.is_empty()
+        self.findings.is_empty() && self.lock_new.is_empty() && self.lock_stale.is_empty()
     }
 }
 
-/// Runs the full pass: load the workspace at `root`, run every rule, diff
-/// findings against the baseline at `baseline_path` and acquisition edges
-/// against `lock_path` (a missing file is empty on either side). With
-/// `update`, rewrites both files to accept exactly the current state
-/// instead of diffing.
-pub fn check(
-    root: &Path,
-    baseline_path: &Path,
-    lock_path: &Path,
-    update: bool,
-) -> Result<CheckOutcome, String> {
+/// Runs the full pass: load the workspace at `root`, run every rule and
+/// diff the acquisition edges against `lock_path` (a missing file has no
+/// edges). With `update`, first rewrites `lock_path` to accept exactly the
+/// current edges; findings are reported either way.
+pub fn check(root: &Path, lock_path: &Path, update: bool) -> Result<CheckOutcome, String> {
     let ws = Workspace::load(root).map_err(|e| format!("loading workspace: {e}"))?;
     let analysis = rules::analyze(&ws);
-    let findings = analysis.findings;
-    let files = ws.files.len();
-    if update {
-        let b = Baseline::from_findings(&findings);
-        fs::write(baseline_path, b.to_json() + "\n")
-            .map_err(|e| format!("writing {}: {e}", baseline_path.display()))?;
+    let lock_file = if update {
         let lf = locks::LockOrderFile {
             edges: analysis.lock_edges.clone(),
         };
         fs::write(lock_path, lf.to_json() + "\n")
             .map_err(|e| format!("writing {}: {e}", lock_path.display()))?;
-        return Ok(CheckOutcome {
-            diff: Diff::default(),
-            lock_classes: analysis.lock_classes,
-            lock_edges: analysis.lock_edges,
-            lock_new: Vec::new(),
-            lock_stale: Vec::new(),
-            findings,
-            files,
-        });
-    }
-    let baseline = match fs::read_to_string(baseline_path) {
-        Ok(text) => Baseline::from_json(&text)
-            .map_err(|e| format!("parsing {}: {e}", baseline_path.display()))?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::default(),
-        Err(e) => return Err(format!("reading {}: {e}", baseline_path.display())),
-    };
-    let diff = baseline.diff(&findings);
-    let lock_file = match fs::read_to_string(lock_path) {
-        Ok(text) => locks::LockOrderFile::from_json(&text)
-            .map_err(|e| format!("parsing {}: {e}", lock_path.display()))?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => locks::LockOrderFile::default(),
-        Err(e) => return Err(format!("reading {}: {e}", lock_path.display())),
+        lf
+    } else {
+        match fs::read_to_string(lock_path) {
+            Ok(text) => locks::LockOrderFile::from_json(&text)
+                .map_err(|e| format!("parsing {}: {e}", lock_path.display()))?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => locks::LockOrderFile::default(),
+            Err(e) => return Err(format!("reading {}: {e}", lock_path.display())),
+        }
     };
     let (lock_new, lock_stale) = lock_file.diff(&analysis.lock_edges);
     Ok(CheckOutcome {
-        findings,
-        diff,
-        lock_classes: analysis.lock_classes,
+        findings: analysis.findings,
         lock_edges: analysis.lock_edges,
         lock_new,
         lock_stale,
-        files,
+        files: ws.files.len(),
     })
 }

@@ -22,8 +22,8 @@
 //! can be exempted with `// mcn-lint: allow(lock-order, reason = "…")` on
 //! its site line — the developer's assertion that the two locks are never
 //! contended together — which removes it from the graph. The surviving
-//! edges diff against the checked-in `crates/analyze/lock-order.json`
-//! exactly like the findings baseline: new and stale edges both fail.
+//! edges diff against the checked-in `crates/analyze/lock-order.json`:
+//! new and stale edges both fail.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -34,17 +34,6 @@ use crate::lexer::Token;
 use crate::resolver::is_lock_type;
 use crate::rules::{GUARD_METHODS, RULE_LOCK_ORDER};
 use crate::Finding;
-
-/// One lock class: a stable id plus where it is declared.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct LockClass {
-    /// `crate::Type.field` or `crate::fn.var`.
-    pub id: String,
-    /// Declaring file.
-    pub file: String,
-    /// Declaration line.
-    pub line: u32,
-}
 
 /// One acquisition-order edge: class `to` acquired while `from` is held.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -81,8 +70,7 @@ impl LockOrderFile {
     }
 
     /// Diffs current edges against this file on `(from, to)` pairs —
-    /// file/line are informational and drift-tolerant, like the findings
-    /// baseline.
+    /// file/line are informational, so line drift does not churn it.
     pub fn diff(&self, edges: &[LockEdge]) -> (Vec<LockEdge>, Vec<LockEdge>) {
         let accepted: BTreeSet<(&str, &str)> = self
             .edges
@@ -110,8 +98,6 @@ impl LockOrderFile {
 
 /// The result of the lock-order pass.
 pub struct LockAnalysis {
-    /// Every lock class in non-test code.
-    pub classes: Vec<LockClass>,
     /// Deduplicated acquisition edges (allow-exempted edges removed),
     /// sorted by (from, to).
     pub edges: Vec<LockEdge>,
@@ -131,7 +117,7 @@ struct Event {
 
 /// Runs the lock-order analysis over the resolved model.
 pub fn run(model: &Model<'_>) -> LockAnalysis {
-    let (classes, local_classes) = collect_classes(model);
+    let local_classes = local_classes(model);
 
     // Acquisition events per function (non-test code only: product lock
     // discipline is what's gated; tests build ad-hoc locks freely).
@@ -277,11 +263,7 @@ pub fn run(model: &Model<'_>) -> LockAnalysis {
         }
     }
 
-    LockAnalysis {
-        classes,
-        edges,
-        findings,
-    }
+    LockAnalysis { edges, findings }
 }
 
 /// BFS: can `from` reach `to` in the edge relation?
@@ -302,28 +284,11 @@ fn reaches(adj: &BTreeMap<&str, BTreeSet<&str>>, from: &str, to: &str) -> bool {
     false
 }
 
-/// Collects lock classes: struct fields with lock types plus lock-typed
-/// locals, non-test code only. Returns the classes and a per-(fn, var)
-/// class map for locals.
-fn collect_classes(model: &Model<'_>) -> (Vec<LockClass>, BTreeMap<(usize, String), String>) {
-    let mut classes = Vec::new();
-    for s in &model.resolver.structs {
-        let file = &model.ws.files[s.file];
-        if file.in_test_code(s.tok) {
-            continue;
-        }
-        for fd in &s.fields {
-            if is_lock_type(&fd.ty) {
-                classes.push(LockClass {
-                    id: format!("{}::{}.{}", s.crate_name, s.name, fd.name),
-                    file: file.path.clone(),
-                    line: s.line,
-                });
-            }
-        }
-    }
-
-    let mut local_classes: BTreeMap<(usize, String), String> = BTreeMap::new();
+/// Lock classes of lock-typed locals (`crate::fn.var`), non-test code
+/// only, keyed by (fn, var). Field classes need no table: they are derived
+/// from the receiver's resolved type at each acquisition.
+fn local_classes(model: &Model<'_>) -> BTreeMap<(usize, String), String> {
+    let mut classes = BTreeMap::new();
     for (fn_id, f) in model.resolver.fns.iter().enumerate() {
         if f.is_test {
             continue;
@@ -347,19 +312,12 @@ fn collect_classes(model: &Model<'_>) -> (Vec<LockClass>, BTreeMap<(usize, Strin
             };
             if is_lock_binding(toks, j + 1, span.end) {
                 let id = format!("{}::{}.{}", f.crate_name, f.name, name);
-                local_classes.insert((fn_id, name), id.clone());
-                classes.push(LockClass {
-                    id,
-                    file: file.path.clone(),
-                    line: toks[k].line,
-                });
+                classes.insert((fn_id, name), id);
             }
             k = j + 1;
         }
     }
-    classes.sort_by(|a, b| a.id.cmp(&b.id));
-    classes.dedup_by(|a, b| a.id == b.id);
-    (classes, local_classes)
+    classes
 }
 
 /// True when the `let` statement starting after the bound name declares or

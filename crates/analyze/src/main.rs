@@ -1,15 +1,12 @@
 //! CLI driver.
 //!
 //! ```text
-//! mcn-analyze check [--root PATH] [--baseline PATH] [--lock-order PATH]
-//!                   [--format text|json] [--update]
+//! mcn-analyze check [--root PATH] [--lock-order PATH] [--update]
 //! mcn-analyze list-rules
 //! ```
 //!
-//! Exit codes: `0` clean, `1` new or stale findings / lock edges (or an
-//! I/O error), `2` usage error. JSON output is deterministic: findings
-//! are sorted by (file, line, rule) and lock edges by (from, to) before
-//! printing.
+//! Exit codes: `0` clean, `1` any finding, new or stale lock edges (or an
+//! I/O error), `2` usage error.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -17,20 +14,17 @@ use std::process::ExitCode;
 
 use mcn_analyze::rules::RULE_DOCS;
 use mcn_analyze::workspace::Workspace;
-use mcn_analyze::CheckOutcome;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: mcn-analyze check [--root PATH] [--baseline PATH]\n\
-         \x20                        [--lock-order PATH] [--format text|json] [--update]\n\
+        "usage: mcn-analyze check [--root PATH] [--lock-order PATH] [--update]\n\
          \x20      mcn-analyze list-rules\n\
          \n\
-         `check` runs the workspace invariant lints, diffs the findings\n\
-         against the checked-in baseline (crates/analyze/analyze-baseline.json)\n\
-         and the lock acquisition-order edges against\n\
-         crates/analyze/lock-order.json. --update rewrites both files to\n\
-         accept the current state. --format json emits a machine-readable\n\
-         report with stable ordering.\n\
+         `check` runs the workspace invariant lints and diffs the lock\n\
+         acquisition-order edges against crates/analyze/lock-order.json.\n\
+         Any finding fails; a reasoned allow at its site is the only way\n\
+         to accept one. --update rewrites lock-order.json to accept the\n\
+         current edges (findings still fail).\n\
          \n\
          `list-rules` prints every rule with its summary and whether a\n\
          `// mcn-lint: allow(rule, reason = \"...\")` comment can suppress it."
@@ -55,59 +49,6 @@ fn list_rules() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Serializes the outcome by hand: a stable, diff-friendly shape without
-/// growing serde derives on `Diff`.
-fn json_report(outcome: &CheckOutcome) -> String {
-    let mut s = String::from("{\n");
-    let section = |name: &str, items: &[mcn_analyze::Finding]| {
-        let body: Vec<String> = items
-            .iter()
-            .map(|f| serde::json::to_string_pretty(f))
-            .map(|j| indent(&j, 4))
-            .collect();
-        format!("  \"{}\": [\n{}\n  ]", name, body.join(",\n"))
-    };
-    let stale_section = |name: &str, items: &[mcn_analyze::baseline::BaselineEntry]| {
-        let body: Vec<String> = items
-            .iter()
-            .map(|e| serde::json::to_string_pretty(e))
-            .map(|j| indent(&j, 4))
-            .collect();
-        format!("  \"{}\": [\n{}\n  ]", name, body.join(",\n"))
-    };
-    let edge_section = |name: &str, items: &[mcn_analyze::locks::LockEdge]| {
-        let body: Vec<String> = items
-            .iter()
-            .map(|e| serde::json::to_string_pretty(e))
-            .map(|j| indent(&j, 4))
-            .collect();
-        format!("  \"{}\": [\n{}\n  ]", name, body.join(",\n"))
-    };
-    let mut parts = Vec::new();
-    parts.push(format!("  \"files\": {}", outcome.files));
-    parts.push(format!(
-        "  \"clean\": {}",
-        if outcome.is_clean() { "true" } else { "false" }
-    ));
-    parts.push(section("findings", &outcome.findings));
-    parts.push(section("new", &outcome.diff.new));
-    parts.push(stale_section("stale", &outcome.diff.stale));
-    parts.push(edge_section("lock_edges", &outcome.lock_edges));
-    parts.push(edge_section("lock_new", &outcome.lock_new));
-    parts.push(edge_section("lock_stale", &outcome.lock_stale));
-    s.push_str(&parts.join(",\n"));
-    s.push_str("\n}");
-    s
-}
-
-fn indent(text: &str, by: usize) -> String {
-    let pad = " ".repeat(by);
-    text.lines()
-        .map(|l| format!("{pad}{l}"))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
@@ -122,9 +63,7 @@ fn main() -> ExitCode {
         _ => return usage(),
     }
     let mut root: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
     let mut lock_order: Option<PathBuf> = None;
-    let mut json = false;
     let mut update = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -132,18 +71,9 @@ fn main() -> ExitCode {
                 Some(v) => root = Some(PathBuf::from(v)),
                 None => return usage(),
             },
-            "--baseline" => match args.next() {
-                Some(v) => baseline = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
             "--lock-order" => match args.next() {
                 Some(v) => lock_order = Some(PathBuf::from(v)),
                 None => return usage(),
-            },
-            "--format" => match args.next().as_deref() {
-                Some("json") => json = true,
-                Some("text") => json = false,
-                _ => return usage(),
             },
             "--update" => update = true,
             _ => return usage(),
@@ -160,10 +90,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline = baseline.unwrap_or_else(|| root.join("crates/analyze/analyze-baseline.json"));
     let lock_order = lock_order.unwrap_or_else(|| root.join("crates/analyze/lock-order.json"));
 
-    let outcome = match mcn_analyze::check(&root, &baseline, &lock_order, update) {
+    let outcome = match mcn_analyze::check(&root, &lock_order, update) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("mcn-analyze: {e}");
@@ -173,33 +102,12 @@ fn main() -> ExitCode {
 
     if update {
         println!(
-            "mcn-analyze: baseline rewritten with {} finding(s), lock-order \
-             rewritten with {} edge(s), over {} file(s)",
-            outcome.findings.len(),
-            outcome.lock_edges.len(),
-            outcome.files
+            "mcn-analyze: lock-order rewritten with {} edge(s)",
+            outcome.lock_edges.len()
         );
-        return ExitCode::SUCCESS;
     }
-
-    if json {
-        println!("{}", json_report(&outcome));
-        return if outcome.is_clean() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(1)
-        };
-    }
-
-    for f in &outcome.diff.new {
+    for f in &outcome.findings {
         println!("{f}");
-    }
-    for e in &outcome.diff.stale {
-        println!(
-            "{}: stale baseline entry for {} (`{}`) no longer fires — remove it \
-             or rerun with --update",
-            e.file, e.rule, e.excerpt
-        );
     }
     for e in &outcome.lock_new {
         println!(
@@ -223,8 +131,8 @@ fn main() -> ExitCode {
         .map(|(rule, n)| format!("{rule}: {n}"))
         .collect();
     println!(
-        "mcn-analyze: {} file(s), {} finding(s){}, {} lock edge(s) — {} new, {} \
-         stale, {} new lock edge(s), {} stale lock edge(s)",
+        "mcn-analyze: {} file(s), {} finding(s){}, {} lock edge(s) — {} new, \
+         {} stale",
         outcome.files,
         outcome.findings.len(),
         if summary.is_empty() {
@@ -233,8 +141,6 @@ fn main() -> ExitCode {
             format!(" [{}]", summary.join(", "))
         },
         outcome.lock_edges.len(),
-        outcome.diff.new.len(),
-        outcome.diff.stale.len(),
         outcome.lock_new.len(),
         outcome.lock_stale.len()
     );

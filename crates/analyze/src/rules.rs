@@ -1,16 +1,16 @@
-//! The rule engine: eight repo-specific lints over the token streams of
+//! The rule engine: four repo-specific lints over the token streams of
 //! [`crate::workspace::Workspace`] files.
 //!
-//! The original six rules work purely on tokens plus the light structure
-//! derived in [`crate::source`]. Since the resolver landed, the
-//! reachability-based rules (`nondet-iteration`, `hot-path-alloc`,
-//! `lock-order`) run over the *resolved* call graph of
-//! [`crate::callgraph::Model`]: method calls bind to their receiver's
-//! declared type, trait-bound receivers fan out to every implementor, and
-//! the closures over-approximate rather than miss. False positives are
-//! silenced with a reasoned `// mcn-lint: allow(rule, reason = "...")`.
+//! `lock-across-io` works purely on tokens plus the light structure
+//! derived in [`crate::source`]. The reachability-based rules
+//! (`nondet-iteration`, `hot-path-alloc`, `lock-order`) run over the
+//! *resolved* call graph of [`crate::callgraph::Model`]: method calls bind
+//! to their receiver's declared type, trait-bound receivers fan out to
+//! every implementor, and the closures over-approximate rather than miss.
+//! False positives are silenced with a reasoned
+//! `// mcn-lint: allow(rule, reason = "...")`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::callgraph::Model;
 use crate::lexer::Token;
@@ -20,18 +20,10 @@ use crate::source::SourceFile;
 use crate::workspace::Workspace;
 use crate::Finding;
 
-/// Rule names, as used in findings, allow directives and the baseline.
+/// Rule names, as used in findings and allow directives.
 pub const RULE_LOCK_ACROSS_IO: &str = "lock-across-io";
 /// See [`RULE_LOCK_ACROSS_IO`].
 pub const RULE_NONDET_ITERATION: &str = "nondet-iteration";
-/// See [`RULE_LOCK_ACROSS_IO`].
-pub const RULE_FLOAT_EQ: &str = "float-eq";
-/// See [`RULE_LOCK_ACROSS_IO`].
-pub const RULE_PANIC_IN_WORKER: &str = "panic-in-worker";
-/// See [`RULE_LOCK_ACROSS_IO`].
-pub const RULE_RAW_SPAWN: &str = "raw-spawn";
-/// See [`RULE_LOCK_ACROSS_IO`].
-pub const RULE_MISSING_SEND_SYNC: &str = "missing-send-sync-assert";
 /// Lock-order cycles over the resolved call graph (see [`crate::locks`]).
 pub const RULE_LOCK_ORDER: &str = "lock-order";
 /// Allocation in functions reachable from the query inner loops.
@@ -40,13 +32,9 @@ pub const RULE_HOT_PATH_ALLOC: &str = "hot-path-alloc";
 pub const RULE_ALLOW_SYNTAX: &str = "allow-syntax";
 
 /// All suppressible rules, for documentation and directive validation.
-pub const ALL_RULES: [&str; 8] = [
+pub const ALL_RULES: [&str; 4] = [
     RULE_LOCK_ACROSS_IO,
     RULE_NONDET_ITERATION,
-    RULE_FLOAT_EQ,
-    RULE_PANIC_IN_WORKER,
-    RULE_RAW_SPAWN,
-    RULE_MISSING_SEND_SYNC,
     RULE_LOCK_ORDER,
     RULE_HOT_PATH_ALLOC,
 ];
@@ -62,7 +50,7 @@ pub struct RuleDoc {
 }
 
 /// Every rule, with its one-line description.
-pub const RULE_DOCS: [RuleDoc; 9] = [
+pub const RULE_DOCS: [RuleDoc; 5] = [
     RuleDoc {
         name: RULE_LOCK_ACROSS_IO,
         summary: "a lock guard stays live across a physical-read/DiskManager call",
@@ -72,26 +60,6 @@ pub const RULE_DOCS: [RuleDoc; 9] = [
         name: RULE_NONDET_ITERATION,
         summary: "hash-order iteration in a function that reaches a determinism sink \
                   (resolved call graph)",
-        suppressible: true,
-    },
-    RuleDoc {
-        name: RULE_FLOAT_EQ,
-        summary: "exact float comparison against a literal in non-test code",
-        suppressible: true,
-    },
-    RuleDoc {
-        name: RULE_PANIC_IN_WORKER,
-        summary: "unwrap/expect/panic! inside a spawned worker closure",
-        suppressible: true,
-    },
-    RuleDoc {
-        name: RULE_RAW_SPAWN,
-        summary: "thread creation outside the engine module",
-        suppressible: true,
-    },
-    RuleDoc {
-        name: RULE_MISSING_SEND_SYNC,
-        summary: "concurrency-facing pub struct without a compile-time Send/Sync assertion",
         suppressible: true,
     },
     RuleDoc {
@@ -146,25 +114,6 @@ const DETERMINISM_SINKS: [&str; 6] = [
     "export_manifest_json",
 ];
 
-/// Files that own thread management; `thread::spawn`/`scope` is legal here.
-const SPAWN_ALLOWLIST: [&str; 1] = ["crates/engine/src/engine.rs"];
-
-/// Crates whose worker threads must not panic (a panicking worker poisons
-/// a whole multi-query batch).
-const WORKER_CRATES: [&str; 1] = ["engine"];
-
-/// Field types that make a struct concurrency-facing.
-const CONCURRENCY_MARKERS: [&str; 8] = [
-    "Mutex",
-    "RwLock",
-    "Condvar",
-    "JoinHandle",
-    "Sender",
-    "Receiver",
-    "SyncSender",
-    "Arc",
-];
-
 /// Everything one full pass produces: findings plus the lock-order graph.
 pub struct Analysis {
     /// Surviving findings, sorted by file, line and rule.
@@ -172,8 +121,6 @@ pub struct Analysis {
     /// Deduplicated lock acquisition edges (diffed against
     /// `lock-order.json` by the driver).
     pub lock_edges: Vec<locks::LockEdge>,
-    /// Every lock class found in non-test code.
-    pub lock_classes: Vec<locks::LockClass>,
 }
 
 /// Runs every rule over the workspace: builds the resolved model once,
@@ -195,11 +142,7 @@ pub fn analyze(ws: &Workspace) -> Analysis {
         }
         lock_across_io(file, &mut raw);
         nondet_iteration(file, fi, &sensitive, &mut raw);
-        float_eq(file, &mut raw);
-        panic_in_worker(file, &mut raw);
-        raw_spawn(file, &mut raw);
     }
-    missing_send_sync_assert(ws, &mut raw);
     hot_path_alloc(&model, &mut raw);
     let lock = locks::run(&model);
     raw.extend(lock.findings.iter().cloned());
@@ -219,7 +162,6 @@ pub fn analyze(ws: &Workspace) -> Analysis {
     Analysis {
         findings,
         lock_edges: lock.edges,
-        lock_classes: lock.classes,
     }
 }
 
@@ -568,255 +510,6 @@ fn iteration_is_sorted(file: &SourceFile, f: &crate::source::FnSpan, k: usize) -
         }
     }
     false
-}
-
-// ---------------------------------------------------------------- rule 3
-
-/// **float-eq**: `==`/`!=` against a float literal in non-test code. Exact
-/// float comparison on computed costs silently breaks under the
-/// `BOUND_DEFLATION` scheme (PR 5's ulp-overshoot bug); comparisons should
-/// go through the sanctioned epsilon helpers or `to_bits()`. The lexical
-/// rule catches literal comparands — the form every real incident had.
-fn float_eq(file: &SourceFile, out: &mut Vec<Finding>) {
-    let toks = &file.tokens;
-    for k in 0..toks.len() {
-        if !(toks[k].is_op("==") || toks[k].is_op("!=")) || file.in_test_code(k) {
-            continue;
-        }
-        let prev_float = k > 0 && toks[k - 1].is_float();
-        let next_float = toks.get(k + 1).is_some_and(|t| t.is_float())
-            || (toks.get(k + 1).is_some_and(|t| t.is_op("-"))
-                && toks.get(k + 2).is_some_and(|t| t.is_float()));
-        if prev_float || next_float {
-            push(
-                out,
-                file,
-                RULE_FLOAT_EQ,
-                toks[k].line,
-                "exact float comparison; use the epsilon/BOUND_DEFLATION \
-                 helpers or compare to_bits()"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------- rule 4
-
-/// **panic-in-worker**: `unwrap()`/`expect()`/`panic!`-family calls inside
-/// a `spawn(…)` argument in the engine crate. A panicking worker tears
-/// down a scoped batch; workers must surface errors through their result
-/// channels.
-fn panic_in_worker(file: &SourceFile, out: &mut Vec<Finding>) {
-    if !WORKER_CRATES.contains(&file.crate_name.as_str()) {
-        return;
-    }
-    let toks = &file.tokens;
-    for k in 0..toks.len() {
-        if !toks[k].is_ident("spawn")
-            || !toks.get(k + 1).is_some_and(|t| t.is_op("("))
-            || file.in_test_code(k)
-        {
-            continue;
-        }
-        // Scan the spawn argument list (the worker closure).
-        let mut depth = 0i32;
-        let mut m = k + 1;
-        while m < toks.len() {
-            let t = &toks[m];
-            if t.is_op("(") {
-                depth += 1;
-            } else if t.is_op(")") {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            } else if let Some(id) = t.ident() {
-                let is_panic_macro =
-                    matches!(id, "panic" | "unreachable" | "todo" | "unimplemented")
-                        && toks.get(m + 1).is_some_and(|t| t.is_op("!"));
-                let is_unwrap = matches!(id, "unwrap" | "expect")
-                    && toks.get(m + 1).is_some_and(|t| t.is_op("("));
-                if is_panic_macro || is_unwrap {
-                    push(
-                        out,
-                        file,
-                        RULE_PANIC_IN_WORKER,
-                        t.line,
-                        format!(
-                            "`{id}` inside a spawned worker; workers must \
-                             report errors through their channel, not panic"
-                        ),
-                    );
-                }
-            }
-            m += 1;
-        }
-    }
-}
-
-// ---------------------------------------------------------------- rule 5
-
-/// **raw-spawn**: `thread::spawn`/`thread::scope`/`thread::Builder`
-/// outside the module that owns thread lifecycles ([`SPAWN_ALLOWLIST`]).
-/// Ad-hoc threads bypass the engine's worker accounting and scoped
-/// shutdown. Test code may spawn freely (hammer tests do).
-fn raw_spawn(file: &SourceFile, out: &mut Vec<Finding>) {
-    if SPAWN_ALLOWLIST.contains(&file.path.as_str()) {
-        return;
-    }
-    let toks = &file.tokens;
-    for k in 0..toks.len().saturating_sub(2) {
-        if toks[k].is_ident("thread")
-            && toks[k + 1].is_op("::")
-            && toks
-                .get(k + 2)
-                .and_then(|t| t.ident())
-                .is_some_and(|id| matches!(id, "spawn" | "scope" | "Builder"))
-            && !file.in_test_code(k)
-        {
-            push(
-                out,
-                file,
-                RULE_RAW_SPAWN,
-                toks[k].line,
-                "raw thread creation outside the engine module; \
-                 route work through QueryEngine"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------- rule 6
-
-/// **missing-send-sync-assert**: a public struct that is concurrency-facing
-/// — it holds a lock/atomic/channel/`Arc` field, or is itself shared via
-/// `Arc<T>` somewhere in the workspace — without a compile-time
-/// `Send`/`Sync` assertion in non-test code of its crate. `cfg(test)`
-/// assertions don't count: they vanish from the build users compile, so an
-/// accidental `!Send` field regression would ship silently.
-fn missing_send_sync_assert(ws: &Workspace, out: &mut Vec<Finding>) {
-    // Names shared via Arc<…> anywhere in non-test code.
-    let mut arc_shared: BTreeSet<String> = BTreeSet::new();
-    for file in &ws.files {
-        for k in 0..file.tokens.len().saturating_sub(2) {
-            if file.tokens[k].is_ident("Arc")
-                && file.tokens[k + 1].is_op("<")
-                && !file.in_test_code(k)
-            {
-                if let Some(n) = file.tokens[k + 2].ident() {
-                    arc_shared.insert(n.to_string());
-                }
-            }
-        }
-    }
-    // Non-test `assert_send*` mentions, per crate.
-    let mut asserted: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for file in &ws.files {
-        for k in 0..file.tokens.len() {
-            let is_assert = file.tokens[k]
-                .ident()
-                .is_some_and(|id| id.starts_with("assert_send"));
-            if !is_assert || file.in_test_code(k) {
-                continue;
-            }
-            for t in file.tokens.iter().skip(k + 1).take(12) {
-                if let Some(n) = t.ident() {
-                    if n.chars().next().is_some_and(|c| c.is_uppercase()) {
-                        asserted
-                            .entry(file.crate_name.clone())
-                            .or_default()
-                            .insert(n.to_string());
-                    }
-                }
-            }
-        }
-    }
-    for file in &ws.files {
-        let toks = &file.tokens;
-        for k in 0..toks.len().saturating_sub(2) {
-            if !toks[k].is_ident("struct") || file.in_test_code(k) {
-                continue;
-            }
-            let vis_pub = toks
-                .get(k.wrapping_sub(1))
-                .is_some_and(|t| t.is_ident("pub"))
-                || (k >= 4 && toks[k - 1].is_op(")") && toks[k - 4].is_ident("pub"));
-            if !vis_pub {
-                continue;
-            }
-            let Some(name) = toks[k + 1].ident().map(str::to_string) else {
-                continue;
-            };
-            let (body_start, body_end) = struct_body(toks, k + 2);
-            let has_marker = toks[body_start..body_end.min(toks.len())].iter().any(|t| {
-                t.ident()
-                    .is_some_and(|id| CONCURRENCY_MARKERS.contains(&id) || id.starts_with("Atomic"))
-            });
-            if !(has_marker || arc_shared.contains(&name)) {
-                continue;
-            }
-            let have = asserted
-                .get(&file.crate_name)
-                .is_some_and(|s| s.contains(&name));
-            if !have {
-                push(
-                    out,
-                    file,
-                    RULE_MISSING_SEND_SYNC,
-                    toks[k].line,
-                    format!(
-                        "pub struct `{name}` is concurrency-facing but has \
-                         no non-test compile-time Send/Sync assertion in \
-                         crate `{}`",
-                        file.crate_name
-                    ),
-                );
-            }
-        }
-    }
-}
-
-/// Returns the token range of a struct's field list, skipping generics.
-/// For unit structs the range is empty.
-fn struct_body(toks: &[Token], mut j: usize) -> (usize, usize) {
-    // Skip `<…>` generic parameters (no merged `>>`; `->` can't appear).
-    if toks.get(j).is_some_and(|t| t.is_op("<")) {
-        let mut angle = 0i32;
-        while j < toks.len() {
-            if toks[j].is_op("<") || toks[j].is_op("::<") {
-                angle += 1;
-            } else if toks[j].is_op(">") {
-                angle -= 1;
-                if angle == 0 {
-                    j += 1;
-                    break;
-                }
-            }
-            j += 1;
-        }
-    }
-    match toks.get(j) {
-        Some(t) if t.is_op("{") => (j + 1, crate::source::matching_close(toks, j) - 1),
-        Some(t) if t.is_op("(") => {
-            let mut depth = 0i32;
-            let start = j + 1;
-            while j < toks.len() {
-                if toks[j].is_op("(") {
-                    depth += 1;
-                } else if toks[j].is_op(")") {
-                    depth -= 1;
-                    if depth == 0 {
-                        return (start, j);
-                    }
-                }
-                j += 1;
-            }
-            (start, toks.len())
-        }
-        _ => (j, j),
-    }
 }
 
 /// Seed roots for **hot-path-alloc**: `(crate, fn name)` pairs naming the

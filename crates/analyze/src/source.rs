@@ -71,8 +71,12 @@ pub struct SourceFile {
     pub fns: Vec<FnSpan>,
     /// Token ranges `[start, end)` that are test-only code
     /// (`#[cfg(test)] mod … { … }` bodies; the whole file when it lives
-    /// under `tests/` or `benches/`).
+    /// under `tests/` or `benches/`, or when another file declares it as
+    /// an out-of-line test module — see [`crate::workspace::Workspace`]).
     pub test_ranges: Vec<(usize, usize)>,
+    /// Names of the out-of-line test modules this file declares
+    /// (`#[cfg(test)] [pub(…)] mod name;`).
+    pub test_mods: Vec<String>,
 }
 
 impl SourceFile {
@@ -108,11 +112,10 @@ impl SourceFile {
         let fns = find_fns(&tokens);
         let whole_file_is_test =
             path.contains("/tests/") || path.contains("/benches/") || path.starts_with("tests/");
-        let test_ranges = if whole_file_is_test {
-            vec![(0, tokens.len())]
-        } else {
-            find_test_ranges(&tokens)
-        };
+        let (mut test_ranges, test_mods) = find_test_mods(&tokens);
+        if whole_file_is_test {
+            test_ranges = vec![(0, tokens.len())];
+        }
 
         SourceFile {
             path,
@@ -123,6 +126,7 @@ impl SourceFile {
             bad_directives,
             fns,
             test_ranges,
+            test_mods,
         }
     }
 
@@ -284,9 +288,11 @@ fn find_fns(tokens: &[Token]) -> Vec<FnSpan> {
     fns
 }
 
-/// Finds `#[cfg(test)] mod name { … }` body ranges.
-fn find_test_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
+/// Finds `#[cfg(test)] [pub(…)] mod name …` declarations: the body ranges
+/// of inline modules and the names of out-of-line ones.
+fn find_test_mods(tokens: &[Token]) -> (Vec<(usize, usize)>, Vec<String>) {
     let mut ranges = Vec::new();
+    let mut names = Vec::new();
     let mut i = 0usize;
     while i + 6 < tokens.len() {
         let is_cfg_test = tokens[i].is_op("#")
@@ -316,21 +322,30 @@ fn find_test_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
                     j += 1;
                 }
             }
-            if tokens.get(j).is_some_and(|t| t.is_ident("mod")) {
-                // `mod name {` or `mod name;` (the latter has no inline
-                // range; the referenced file is caught by path rules).
-                let mut k = j + 1;
-                while k < tokens.len() && !tokens[k].is_op("{") && !tokens[k].is_op(";") {
-                    k += 1;
+            // Skip a visibility: `pub`, `pub(crate)`, `pub(super)`, …
+            if tokens.get(j).is_some_and(|t| t.is_ident("pub")) {
+                j += 1;
+                if tokens.get(j).is_some_and(|t| t.is_op("(")) {
+                    while j < tokens.len() && !tokens[j].is_op(")") {
+                        j += 1;
+                    }
+                    j += 1;
                 }
-                if tokens.get(k).is_some_and(|t| t.is_op("{")) {
-                    ranges.push((k, matching_close(tokens, k)));
+            }
+            if tokens.get(j).is_some_and(|t| t.is_ident("mod")) {
+                let name = tokens.get(j + 1).and_then(Token::ident);
+                match (name, tokens.get(j + 2)) {
+                    (Some(_), Some(t)) if t.is_op("{") => {
+                        ranges.push((j + 2, matching_close(tokens, j + 2)));
+                    }
+                    (Some(name), Some(t)) if t.is_op(";") => names.push(name.to_string()),
+                    _ => {}
                 }
             }
         }
         i += 1;
     }
-    ranges
+    (ranges, names)
 }
 
 #[cfg(test)]
@@ -374,15 +389,15 @@ mod tests {
         let f = SourceFile::from_str(
             "crates/x/src/lib.rs",
             concat!(
-                "// mcn-lint: allow(float-eq, reason = \"exact sentinel compare\")\n",
-                "fn guard(v: f64) -> bool { v == 0.0 }\n",
-                "fn other(v: f64) -> bool { v == 1.0 }\n",
+                "// mcn-lint: allow(hot-path-alloc, reason = \"one buffer per call\")\n",
+                "fn guard(n: usize) -> Vec<u8> { vec![0; n] }\n",
+                "fn other(n: usize) -> Vec<u8> { vec![1; n] }\n",
             ),
         );
         assert_eq!(f.allows.len(), 1);
-        assert_eq!(f.allows[0].rule, "float-eq");
-        assert!(f.allowed("float-eq", 2));
-        assert!(!f.allowed("float-eq", 3));
+        assert_eq!(f.allows[0].rule, "hot-path-alloc");
+        assert!(f.allowed("hot-path-alloc", 2));
+        assert!(!f.allowed("hot-path-alloc", 3));
         assert!(!f.allowed("lock-across-io", 2));
     }
 
@@ -390,9 +405,9 @@ mod tests {
     fn trailing_allow_covers_its_own_line() {
         let f = SourceFile::from_str(
             "crates/x/src/lib.rs",
-            "fn guard(v: f64) -> bool { v == 0.0 } // mcn-lint: allow(float-eq, reason = \"ok\")\n",
+            "fn guard(n: usize) -> Vec<u8> { vec![0; n] } // mcn-lint: allow(hot-path-alloc, reason = \"ok\")\n",
         );
-        assert!(f.allowed("float-eq", 1));
+        assert!(f.allowed("hot-path-alloc", 1));
     }
 
     #[test]
@@ -400,9 +415,9 @@ mod tests {
         let f = SourceFile::from_str(
             "crates/x/src/lib.rs",
             concat!(
-                "// mcn-lint: allow(float-eq)\n",
-                "// mcn-lint: deny(float-eq, reason = \"x\")\n",
-                "// mcn-lint: allow(float-eq, reason = \"\")\n",
+                "// mcn-lint: allow(hot-path-alloc)\n",
+                "// mcn-lint: deny(hot-path-alloc, reason = \"x\")\n",
+                "// mcn-lint: allow(hot-path-alloc, reason = \"\")\n",
             ),
         );
         assert!(f.allows.is_empty());
@@ -418,7 +433,7 @@ mod tests {
         let one = f
             .tokens
             .iter()
-            .position(|t| matches!(t.kind, crate::lexer::TokenKind::Number { .. }))
+            .position(|t| matches!(t.kind, crate::lexer::TokenKind::Number))
             .unwrap();
         assert_eq!(f.enclosing_fn(one).unwrap().name, "inner");
     }

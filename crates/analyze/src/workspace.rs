@@ -20,8 +20,19 @@ pub struct Workspace {
 
 impl Workspace {
     /// Builds a workspace from pre-lexed files (used by rule fixtures).
+    /// A file another file declares as `#[cfg(test)] mod name;` is test
+    /// code throughout.
     pub fn from_files(mut files: Vec<SourceFile>) -> Workspace {
         files.sort_by(|a, b| a.path.cmp(&b.path));
+        let test_files: Vec<String> = files
+            .iter()
+            .flat_map(|f| f.test_mods.iter().map(|m| module_file(&f.path, m)))
+            .collect();
+        for f in &mut files {
+            if test_files.contains(&f.path) {
+                f.test_ranges = vec![(0, f.tokens.len())];
+            }
+        }
         Workspace { files }
     }
 
@@ -71,6 +82,19 @@ impl Workspace {
             dir = d.parent().map(Path::to_path_buf);
         }
         None
+    }
+}
+
+/// The file of module `name` declared out of line in `parent`:
+/// `<dir>/name.rs` beside a `lib.rs`/`main.rs`/`mod.rs`, and
+/// `<dir>/<stem>/name.rs` beside any other `<stem>.rs`.
+fn module_file(parent: &str, name: &str) -> String {
+    let (dir, file) = parent.rsplit_once('/').unwrap_or(("", parent));
+    let stem = file.strip_suffix(".rs").unwrap_or(file);
+    if matches!(stem, "lib" | "main" | "mod") {
+        format!("{dir}/{name}.rs")
+    } else {
+        format!("{dir}/{stem}/{name}.rs")
     }
 }
 

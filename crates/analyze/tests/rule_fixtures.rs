@@ -225,252 +225,21 @@ fn nondet_iteration_fires_behind_the_gate_runner() {
     assert!(hits[0].message.contains("tally"));
 }
 
-// ---------------------------------------------------------------- rule 3
-
-#[test]
-fn float_eq_fires_on_literal_comparison() {
-    let hits = findings_for(
-        rules::RULE_FLOAT_EQ,
-        "crates/scratch/src/lib.rs",
-        concat!(
-            "fn degenerate(cost: f64) -> bool {\n",
-            "    cost == 0.0 || cost != -1.5\n",
-            "}\n",
-        ),
-    );
-    assert_eq!(hits.len(), 2, "{hits:?}");
-}
-
-#[test]
-fn float_eq_ignores_integers_and_test_code() {
-    let hits = findings_for(
-        rules::RULE_FLOAT_EQ,
-        "crates/scratch/src/lib.rs",
-        concat!(
-            "fn count_ok(n: u32) -> bool { n == 0 }\n",
-            "#[cfg(test)]\n",
-            "mod tests {\n",
-            "    #[test]\n",
-            "    fn exact_is_fine_here() { assert!(super::f() == 0.25); }\n",
-            "}\n",
-        ),
-    );
-    assert!(hits.is_empty(), "{hits:?}");
-}
-
-#[test]
-fn float_eq_allow_suppresses() {
-    let hits = findings_for(
-        rules::RULE_FLOAT_EQ,
-        "crates/scratch/src/lib.rs",
-        concat!(
-            "fn degenerate(cost: f64) -> bool {\n",
-            "    // mcn-lint: allow(float-eq, reason = \"division-by-zero guard, exact on purpose\")\n",
-            "    cost == 0.0\n",
-            "}\n",
-        ),
-    );
-    assert!(hits.is_empty(), "{hits:?}");
-}
-
-// ---------------------------------------------------------------- rule 4
-
-#[test]
-fn panic_in_worker_fires_inside_spawn() {
-    let hits = findings_for(
-        rules::RULE_PANIC_IN_WORKER,
-        "crates/engine/src/scratch.rs",
-        concat!(
-            "fn run(s: &Scope) {\n",
-            "    s.spawn(|| {\n",
-            "        let item = queue.pop().unwrap();\n",
-            "        if item.poisoned { panic!(\"bad item\"); }\n",
-            "    });\n",
-            "}\n",
-        ),
-    );
-    assert_eq!(hits.len(), 2, "{hits:?}");
-    assert!(hits.iter().any(|f| f.message.contains("`unwrap`")));
-    assert!(hits.iter().any(|f| f.message.contains("`panic`")));
-}
-
-#[test]
-fn panic_in_worker_only_in_worker_crates_and_spawns() {
-    // Same code outside engine/expansion: not a worker, no finding.
-    let other_crate = findings_for(
-        rules::RULE_PANIC_IN_WORKER,
-        "crates/storage/src/scratch.rs",
-        "fn run(s: &Scope) { s.spawn(|| { queue.pop().unwrap(); }); }\n",
-    );
-    assert!(other_crate.is_empty(), "{other_crate:?}");
-
-    // unwrap outside any spawn in a worker crate: rule 4 stays quiet.
-    let outside_spawn = findings_for(
-        rules::RULE_PANIC_IN_WORKER,
-        "crates/engine/src/scratch.rs",
-        "fn setup() { let cfg = load().unwrap(); use_cfg(cfg); }\n",
-    );
-    assert!(outside_spawn.is_empty(), "{outside_spawn:?}");
-}
-
-#[test]
-fn panic_in_worker_allow_suppresses() {
-    let hits = findings_for(
-        rules::RULE_PANIC_IN_WORKER,
-        "crates/engine/src/scratch.rs",
-        concat!(
-            "fn run(s: &Scope) {\n",
-            "    s.spawn(|| {\n",
-            "        // mcn-lint: allow(panic-in-worker, reason = \"channel closed means shutdown\")\n",
-            "        let item = queue.pop().unwrap();\n",
-            "        drop(item);\n",
-            "    });\n",
-            "}\n",
-        ),
-    );
-    assert!(hits.is_empty(), "{hits:?}");
-}
-
-// ---------------------------------------------------------------- rule 5
-
-#[test]
-fn raw_spawn_fires_outside_driver_modules() {
-    let hits = findings_for(
-        rules::RULE_RAW_SPAWN,
-        "crates/storage/src/scratch.rs",
-        concat!(
-            "use std::thread;\n",
-            "fn prefetch() {\n",
-            "    thread::spawn(|| warm_cache());\n",
-            "}\n",
-        ),
-    );
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert_eq!(hits[0].line, 3);
-}
-
-#[test]
-fn raw_spawn_allows_driver_engine_and_tests() {
-    let engine = findings_for(
-        rules::RULE_RAW_SPAWN,
-        "crates/engine/src/engine.rs",
-        "fn spawn_worker() { std::thread::spawn(|| work()); }\n",
-    );
-    assert!(engine.is_empty(), "{engine:?}");
-
-    let test_code = findings_for(
-        rules::RULE_RAW_SPAWN,
-        "crates/storage/src/scratch.rs",
-        concat!(
-            "#[cfg(test)]\n",
-            "mod tests {\n",
-            "    #[test]\n",
-            "    fn hammer() { std::thread::scope(|s| { s.spawn(|| ()); }); }\n",
-            "}\n",
-        ),
-    );
-    assert!(test_code.is_empty(), "{test_code:?}");
-}
-
-#[test]
-fn raw_spawn_allow_suppresses() {
-    let hits = findings_for(
-        rules::RULE_RAW_SPAWN,
-        "crates/storage/src/scratch.rs",
-        concat!(
-            "fn prefetch() {\n",
-            "    // mcn-lint: allow(raw-spawn, reason = \"fire-and-forget warmup, no accounting needed\")\n",
-            "    std::thread::spawn(|| warm_cache());\n",
-            "}\n",
-        ),
-    );
-    assert!(hits.is_empty(), "{hits:?}");
-}
-
-// ---------------------------------------------------------------- rule 6
-
-#[test]
-fn missing_send_sync_assert_fires_without_nontest_assert() {
-    let hits = findings_for(
-        rules::RULE_MISSING_SEND_SYNC,
-        "crates/scratch/src/lib.rs",
-        concat!(
-            "pub struct Cache {\n",
-            "    inner: Mutex<Inner>,\n",
-            "}\n",
-            "#[cfg(test)]\n",
-            "mod tests {\n",
-            "    const fn assert_send_sync<T: Send + Sync>() {}\n",
-            "    const _: () = assert_send_sync::<super::Cache>();\n",
-            "}\n",
-        ),
-    );
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(hits[0].message.contains("`Cache`"));
-}
-
-#[test]
-fn missing_send_sync_assert_satisfied_by_const_assert() {
-    let hits = findings_for(
-        rules::RULE_MISSING_SEND_SYNC,
-        "crates/scratch/src/lib.rs",
-        concat!(
-            "pub struct Cache {\n",
-            "    inner: Mutex<Inner>,\n",
-            "}\n",
-            "const fn assert_send_sync<T: Send + Sync>() {}\n",
-            "const _: () = assert_send_sync::<Cache>();\n",
-        ),
-    );
-    assert!(hits.is_empty(), "{hits:?}");
-}
-
-#[test]
-fn missing_send_sync_assert_covers_arc_shared_plain_types() {
-    // `Table` holds no lock itself but is shared via Arc<Table>: flagged.
-    let hits = findings_for(
-        rules::RULE_MISSING_SEND_SYNC,
-        "crates/scratch/src/lib.rs",
-        concat!(
-            "pub struct Table { rows: Vec<u64> }\n",
-            "pub struct Cache { t: Arc<Table> }\n",
-            "const fn assert_send_sync<T: Send + Sync>() {}\n",
-            "const _: () = assert_send_sync::<Cache>();\n",
-        ),
-    );
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(hits[0].message.contains("`Table`"));
-    // Plain structs nobody shares stay unflagged.
-    let plain = findings_for(
-        rules::RULE_MISSING_SEND_SYNC,
-        "crates/scratch/src/lib.rs",
-        "pub struct Point { x: f64, y: f64 }\n",
-    );
-    assert!(plain.is_empty(), "{plain:?}");
-}
-
-#[test]
-fn missing_send_sync_assert_allow_suppresses() {
-    let hits = findings_for(
-        rules::RULE_MISSING_SEND_SYNC,
-        "crates/scratch/src/lib.rs",
-        concat!(
-            "// mcn-lint: allow(missing-send-sync-assert, reason = \"single-thread debug helper\")\n",
-            "pub struct Probe {\n",
-            "    inner: Mutex<Vec<u64>>,\n",
-            "}\n",
-        ),
-    );
-    assert!(hits.is_empty(), "{hits:?}");
-}
-
 // ------------------------------------------------------------- directives
 
 #[test]
 fn malformed_allow_is_a_finding_itself() {
     let ws = Workspace::from_files(vec![SourceFile::from_str(
         "crates/scratch/src/lib.rs",
-        "// mcn-lint: allow(float-eq)\nfn f(v: f64) -> bool { v == 0.0 }\n",
+        concat!(
+            "impl Pool {\n",
+            "    fn read(&self, id: u32) {\n",
+            "        let shard = self.shard.lock();\n",
+            "        // mcn-lint: allow(lock-across-io)\n",
+            "        self.disk.read_page(id, &mut Page::default());\n",
+            "    }\n",
+            "}\n",
+        ),
     )]);
     let findings = run_all(&ws);
     assert!(
@@ -479,9 +248,56 @@ fn malformed_allow_is_a_finding_itself() {
     );
     // And the malformed directive must NOT suppress the real finding.
     assert!(
-        findings.iter().any(|f| f.rule == rules::RULE_FLOAT_EQ),
+        findings
+            .iter()
+            .any(|f| f.rule == rules::RULE_LOCK_ACROSS_IO),
         "{findings:?}"
     );
+}
+
+// ------------------------------------------------------------- test modules
+
+/// A module declared out of line as `#[cfg(test)] pub(crate) mod probe;` is
+/// test code throughout its own file, so its hash-order iteration into a
+/// fingerprint is no finding; without the `cfg(test)` it is product code
+/// and fires. The module file sits beside `lib.rs`, or under `gate/` for a
+/// declaration in `gate.rs`.
+#[test]
+fn out_of_line_test_modules_are_test_code() {
+    let probe = concat!(
+        "use std::collections::HashMap;\n",
+        "fn summarize(counts: &HashMap<u32, u64>) -> String {\n",
+        "    let mut out = String::new();\n",
+        "    for (k, v) in counts.iter() {\n",
+        "        out.push_str(&format!(\"{k}={v}\"));\n",
+        "    }\n",
+        "    fingerprint(&out)\n",
+        "}\n",
+        "fn fingerprint(s: &str) -> String { s.to_string() }\n",
+    );
+    for (parent, child) in [
+        ("crates/scratch/src/lib.rs", "crates/scratch/src/probe.rs"),
+        (
+            "crates/scratch/src/gate.rs",
+            "crates/scratch/src/gate/probe.rs",
+        ),
+    ] {
+        let hits = |decl: &str| {
+            let ws = Workspace::from_files(vec![
+                SourceFile::from_str(parent, decl),
+                SourceFile::from_str(child, probe),
+            ]);
+            run_all(&ws)
+                .into_iter()
+                .filter(|f| f.rule == rules::RULE_NONDET_ITERATION)
+                .collect::<Vec<_>>()
+        };
+        let as_test = hits("#[cfg(test)]\npub(crate) mod probe;\n");
+        assert!(as_test.is_empty(), "{parent}: {as_test:?}");
+        let as_product = hits("pub(crate) mod probe;\n");
+        assert_eq!(as_product.len(), 1, "{parent}: {as_product:?}");
+        assert_eq!(as_product[0].file, child);
+    }
 }
 
 // ---------------------------------------------------------------- lock-order

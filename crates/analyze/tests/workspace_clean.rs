@@ -1,8 +1,8 @@
 //! The self-check the CI job relies on: the real workspace must analyze
-//! clean against the checked-in baseline, and the baseline must be
-//! *minimal* — every entry still fires (a stale entry is a failure, so
-//! fixed debt cannot silently linger in the accepted list).
+//! with no finding and with exactly the lock-order edges checked in, and
+//! `--update` must accept new lock edges but never a finding.
 
+use std::fs;
 use std::path::Path;
 
 fn workspace_root() -> &'static Path {
@@ -13,28 +13,16 @@ fn workspace_root() -> &'static Path {
 }
 
 #[test]
-fn workspace_is_clean_against_minimal_baseline() {
+fn workspace_has_no_findings_and_no_lock_edge_drift() {
     let root = workspace_root();
-    let baseline = root.join("crates/analyze/analyze-baseline.json");
     let lock_order = root.join("crates/analyze/lock-order.json");
-    let outcome = mcn_analyze::check(root, &baseline, &lock_order, false).expect("check runs");
+    let outcome = mcn_analyze::check(root, &lock_order, false).expect("check runs");
     assert!(outcome.files > 20, "workspace walk looks truncated");
-    let new: Vec<String> = outcome.diff.new.iter().map(|f| f.to_string()).collect();
+    let findings: Vec<String> = outcome.findings.iter().map(|f| f.to_string()).collect();
     assert!(
-        outcome.diff.new.is_empty(),
-        "new findings not in the baseline:\n{}",
-        new.join("\n")
-    );
-    let stale: Vec<String> = outcome
-        .diff
-        .stale
-        .iter()
-        .map(|e| format!("{}: {} (`{}`)", e.file, e.rule, e.excerpt))
-        .collect();
-    assert!(
-        outcome.diff.stale.is_empty(),
-        "baseline entries that no longer fire (baseline must stay minimal):\n{}",
-        stale.join("\n")
+        outcome.findings.is_empty(),
+        "findings (fix them or add a reasoned allow at the site):\n{}",
+        findings.join("\n")
     );
     let lock_new: Vec<String> = outcome
         .lock_new
@@ -56,6 +44,42 @@ fn workspace_is_clean_against_minimal_baseline() {
         "lock-order.json edges that no longer occur:\n{}",
         lock_stale.join("\n")
     );
+}
+
+/// `check --update` rewrites `lock-order.json` and nothing else: a finding
+/// fails before the update and still fails after it.
+#[test]
+fn update_rewrites_lock_order_but_never_accepts_a_finding() {
+    let root = std::env::temp_dir().join(format!("mcn-analyze-update-{}", std::process::id()));
+    let src = root.join("crates/scratch/src");
+    fs::create_dir_all(&src).expect("temp workspace");
+    fs::write(
+        src.join("lib.rs"),
+        concat!(
+            "impl Pool {\n",
+            "    fn with_page(&self, id: u32) {\n",
+            "        let shard = self.shard.lock();\n",
+            "        self.disk.read_page(id, &mut Page::default());\n",
+            "    }\n",
+            "}\n",
+        ),
+    )
+    .expect("fixture written");
+    let lock_order = root.join("lock-order.json");
+
+    let before = mcn_analyze::check(&root, &lock_order, false).expect("check runs");
+    assert!(
+        !before.is_clean(),
+        "the lock-across-io site must fail check"
+    );
+    mcn_analyze::check(&root, &lock_order, true).expect("update runs");
+    assert!(lock_order.is_file(), "--update writes lock-order.json");
+    let after = mcn_analyze::check(&root, &lock_order, false).expect("check runs");
+    let rules: Vec<&str> = after.findings.iter().map(|f| f.rule.as_str()).collect();
+    assert_eq!(rules, ["lock-across-io"]);
+    assert!(!after.is_clean(), "--update must not accept a finding");
+
+    fs::remove_dir_all(&root).expect("temp workspace removed");
 }
 
 #[test]

@@ -96,9 +96,8 @@ impl PointMeasurement {
     pub fn speedup(&self, latency: f64) -> f64 {
         let cea = self.cea.charged_seconds(latency);
         let lsa = self.lsa.charged_seconds(latency);
-        // mcn-lint: allow(float-eq, reason = "charged_seconds returns an exact 0.0 sentinel for unmeasured points; the guard is intentional")
+        // `charged_seconds` is exactly 0.0 for an unmeasured point.
         if cea == 0.0 {
-            // mcn-lint: allow(float-eq, reason = "same exact-zero sentinel as the cea guard above")
             if lsa == 0.0 {
                 1.0
             } else {

@@ -75,6 +75,5 @@ pub mod prelude {
 
 /// Compile-time thread-safety proof: instantiated in a `const _` next to
 /// each shared type, so the build fails the moment a field change makes the
-/// type lose `Send` (the `missing-send-sync-assert` lint requires one such
-/// assertion per concurrency-facing type, outside `cfg(test)`).
+/// type lose `Send`.
 pub(crate) const fn assert_send<T: Send>() {}

@@ -109,7 +109,7 @@ pub fn empirical_correlation(costs: &[CostVec], a: usize, b: usize) -> f64 {
         va += (c[a] - ma).powi(2);
         vb += (c[b] - mb).powi(2);
     }
-    // mcn-lint: allow(float-eq, reason = "exact zero-variance guard before division; an epsilon would misclassify legitimately tiny variances")
+    // Exactly zero: an epsilon would misclassify legitimately tiny variances.
     if va == 0.0 || vb == 0.0 {
         0.0
     } else {

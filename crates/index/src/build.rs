@@ -327,7 +327,8 @@ fn build_partitioned(graph: &MultiCostGraph, config: &IndexConfig, regions: usiz
         exact: bool,
     }
 
-    // mcn-lint: allow(raw-spawn, reason = "per-region contraction workers joined in region order inside this scope; the build is a one-shot precomputation, not engine query work, and the deterministic merge below is independent of scheduling")
+    // Region workers are joined in region order, so the merge below does
+    // not depend on scheduling.
     let outcomes: Vec<RegionOutcome> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..regions)
             .map(|r| {

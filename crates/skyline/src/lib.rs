@@ -1,36 +1,27 @@
 //! # mcn-skyline
 //!
-//! Classic **main-memory skyline algorithms** over generic multi-dimensional
-//! tuples. These are the algorithms surveyed in Section II-A of the paper
-//! (Börzsönyi et al. ICDE'01 and successors) and are used here
+//! A classic **main-memory skyline algorithm** over generic
+//! multi-dimensional tuples, from those surveyed in Section II-A of the
+//! paper (Börzsönyi et al. ICDE'01 and successors). It is used here
 //!
 //! * by the *straightforward baseline* of Section IV: compute the complete
 //!   cost vectors of all facilities with `d` full network expansions, then run
 //!   a conventional skyline algorithm over them;
 //! * as an independent oracle in tests: LSA and CEA must produce exactly the
-//!   same skyline as BNL/SFS over the brute-force cost vectors.
+//!   same skyline as BNL over the brute-force cost vectors.
 //!
-//! Three algorithms are provided:
-//!
-//! * [`block_nested_loops`] — the BNL algorithm of Börzsönyi et al.;
-//! * [`sort_filter_skyline`] — SFS: topologically presort by a monotone score,
-//!   then a single filtering pass (every retained tuple is final);
-//! * [`divide_and_conquer`] — the D&C algorithm of Börzsönyi et al.
-//!
-//! All operate on items implementing [`SkylineItem`], i.e. anything exposing a
-//! [`CostVec`]. All return indices into the input slice so callers can recover
-//! their own payloads.
+//! [`block_nested_loops`] is the BNL algorithm of Börzsönyi et al.;
+//! [`naive_skyline`] is the `O(n²)` reference it is tested against. Both
+//! operate on items implementing [`SkylineItem`], i.e. anything exposing a
+//! [`CostVec`], and return indices into the input slice so callers can
+//! recover their own payloads.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod bnl;
-pub mod dc;
-pub mod sfs;
 
 pub use bnl::block_nested_loops;
-pub use dc::divide_and_conquer;
-pub use sfs::sort_filter_skyline;
 
 use mcn_graph::CostVec;
 

@@ -59,6 +59,5 @@ pub use view::StoreView;
 
 /// Compile-time thread-safety proof: instantiated in a `const _` next to
 /// each shared type, so the build fails the moment a field change makes the
-/// type lose `Send`/`Sync` (the `missing-send-sync-assert` lint requires
-/// one such assertion per concurrency-facing type, outside `cfg(test)`).
+/// type lose `Send`/`Sync`.
 pub(crate) const fn assert_send_sync<T: Send + Sync>() {}
