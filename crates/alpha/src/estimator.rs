@@ -43,31 +43,22 @@ pub struct EstimateOutcome {
 /// for those once the round budget is exhausted.
 pub struct PreferenceEstimator<'g> {
     graph: &'g MultiCostGraph,
-    /// Outer feasibility rounds before giving up.
-    max_rounds: u32,
-    /// Line-search refinement steps per round (golden-section and the
-    /// widening bisection each get this many probes).
-    bisect_steps: u32,
 }
 
 /// 1/φ, the golden-section shrink factor.
 const INV_PHI: f64 = 0.618_033_988_749_894_9;
 
-impl<'g> PreferenceEstimator<'g> {
-    /// Estimator over `graph` with the default budgets (16 rounds × 12
-    /// bisection steps — plenty for d ≤ 8).
-    pub fn new(graph: &'g MultiCostGraph) -> Self {
-        Self {
-            graph,
-            max_rounds: 16,
-            bisect_steps: 12,
-        }
-    }
+/// Outer feasibility rounds before giving up (plenty for d ≤ 8).
+const MAX_ROUNDS: u32 = 16;
 
-    /// Overrides the outer round budget (clamped to ≥ 1).
-    pub fn with_max_rounds(mut self, rounds: u32) -> Self {
-        self.max_rounds = rounds.max(1);
-        self
+/// Line-search refinement steps per round (golden-section and the widening
+/// bisection each get this many probes).
+const BISECT_STEPS: u32 = 12;
+
+impl<'g> PreferenceEstimator<'g> {
+    /// Estimator over `graph` (16 rounds × 12 bisection steps).
+    pub fn new(graph: &'g MultiCostGraph) -> Self {
+        Self { graph }
     }
 
     /// Recovers an α that makes the observed `edges` (a route source →
@@ -84,7 +75,7 @@ impl<'g> PreferenceEstimator<'g> {
         let mut weights = vec![1.0; d];
         let mut probes = 0u64;
 
-        for round in 1..=self.max_rounds {
+        for round in 1..=MAX_ROUNDS {
             let alpha = Preference::new(&weights).expect("weights stay valid");
             probes += 1;
             let best = match scalarized_path(self.graph, source, target, &alpha).path {
@@ -160,7 +151,7 @@ impl<'g> PreferenceEstimator<'g> {
                 &mut best_scale,
                 &mut best_gap,
             );
-            let mut steps = self.bisect_steps;
+            let mut steps = BISECT_STEPS;
             while feasible_scale.is_none() && steps > 0 {
                 steps -= 1;
                 if gap_c <= gap_d {
@@ -211,7 +202,7 @@ impl<'g> PreferenceEstimator<'g> {
             // infeasible, so bisect [found, 1] with the lo-feasible /
             // hi-infeasible invariant.
             let (mut lo, mut hi) = (found, 1.0f64);
-            for _ in 0..self.bisect_steps {
+            for _ in 0..BISECT_STEPS {
                 let mid = 0.5 * (lo + hi);
                 let (_, ok) = eval(mid, &mut probes)?;
                 if ok {
@@ -359,7 +350,7 @@ mod tests {
         let e1 = b.add_edge(s, a, CostVec::from_slice(&[5.0, 5.0])).unwrap();
         let e2 = b.add_edge(a, t, CostVec::from_slice(&[5.0, 5.0])).unwrap();
         let g = b.build().unwrap();
-        let est = PreferenceEstimator::new(&g).with_max_rounds(4);
+        let est = PreferenceEstimator::new(&g);
         assert!(est.estimate(s, t, &[e1, e2]).is_none());
     }
 

@@ -10,7 +10,7 @@
 //! The crate provides:
 //!
 //! - [`Preference`] — a user's weight vector α on the standard simplex
-//!   Δ^{d-1} (validated, normalized, JSON-serializable);
+//!   Δ^{d-1} (validated, normalized);
 //! - [`scalarized_path`] — a deterministic binary-heap Dijkstra over the
 //!   α-collapsed edge costs;
 //! - [`scalarized_path_astar`] — the same search driven by the admissible,

@@ -1,7 +1,6 @@
 //! User preference vectors α ∈ Δ^{d-1}.
 
 use mcn_graph::{CostVec, MAX_COST_TYPES};
-use serde::{Deserialize, Serialize};
 
 /// A user's preference over the d cost types: a point on the standard
 /// simplex Δ^{d-1} (non-negative weights summing to 1).
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// them to unit sum, so every `Preference` in the system is already on the
 /// simplex. The scalarized cost of a multi-cost vector is the dot product
 /// [`Preference::cost_of`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Preference {
     weights: Vec<f64>,
 }
@@ -91,19 +90,6 @@ impl Preference {
         }
         acc
     }
-
-    /// Serializes to the workspace JSON dialect.
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self)
-    }
-
-    /// Parses and **re-validates** a preference from JSON: the stored
-    /// weights pass through [`Preference::new`], so hand-edited files with
-    /// negative or NaN weights are rejected rather than silently served.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let raw: Self = serde::json::from_str(text).map_err(|e| e.to_string())?;
-        Self::new(&raw.weights)
-    }
 }
 
 #[cfg(test)]
@@ -143,15 +129,5 @@ mod tests {
         let c = CostVec::from_slice(&[3.0, f64::INFINITY]);
         assert_eq!(p.cost_of(&c), 3.0);
         assert_eq!(p.dot(&[3.0, f64::INFINITY]), 3.0);
-    }
-
-    #[test]
-    fn json_round_trip_revalidates() {
-        let p = Preference::new(&[1.0, 2.0, 3.0]).unwrap();
-        let back = Preference::from_json(&p.to_json()).unwrap();
-        assert_eq!(p, back);
-        // A hand-edited file with a negative weight is rejected on parse.
-        let bad = "{\n  \"weights\": [\n    1.0,\n    -1.0\n  ]\n}";
-        assert!(Preference::from_json(bad).is_err());
     }
 }

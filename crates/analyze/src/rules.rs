@@ -103,16 +103,10 @@ const IO_CALLS: [&str; 14] = [
 ];
 
 /// Functions whose output must be byte-identical run-to-run: fingerprints,
-/// serde output and the checked-in gate baselines (`run_gate` measures all
-/// four through the `Gate` trait).
-const DETERMINISM_SINKS: [&str; 6] = [
-    "fingerprint",
-    "serialize",
-    "to_json",
-    "run_gate",
-    "export_meta_json",
-    "export_manifest_json",
-];
+/// JSON reports and the checked-in gate baselines (`run_gate` measures all
+/// four through the `Gate` trait). Each name must be defined or called in
+/// the workspace: a name nothing matches seeds nothing.
+pub const DETERMINISM_SINKS: [&str; 3] = ["fingerprint", "to_json", "run_gate"];
 
 /// Everything one full pass produces: findings plus the lock-order graph.
 pub struct Analysis {
@@ -294,11 +288,11 @@ fn simple_let_bounds(toks: &[Token], from: usize) -> Option<(usize, usize)> {
 
 /// Computes the set of "determinism-sensitive" functions over the
 /// *resolved* call graph, keyed by `(file index, span start token)`:
-/// everything that can reach a sink (fingerprints, serde output, gate
+/// everything that can reach a sink (fingerprints, JSON reports, gate
 /// baselines) as a caller, plus everything a sink itself calls. A call
 /// site whose *name* matches a sink still seeds sensitivity even when the
-/// callee lives outside the workspace (vendored serde), so the boundary
-/// stays conservative; propagation through the graph is resolved, so two
+/// callee lives outside the workspace, so the boundary stays
+/// conservative; propagation through the graph is resolved, so two
 /// unrelated functions sharing a name no longer taint each other.
 fn sensitive_spans(model: &Model<'_>) -> BTreeSet<(usize, usize)> {
     let r = &model.resolver;

@@ -82,6 +82,28 @@ fn update_rewrites_lock_order_but_never_accepts_a_finding() {
     fs::remove_dir_all(&root).expect("temp workspace removed");
 }
 
+/// `nondet-iteration` seeds on the sink names: one that nothing defines
+/// or calls anymore silently stops guarding what it used to name.
+#[test]
+fn every_determinism_sink_is_defined_or_called() {
+    use mcn_analyze::callgraph::Model;
+    use mcn_analyze::rules::DETERMINISM_SINKS;
+    use mcn_analyze::workspace::Workspace;
+    let ws = Workspace::load(workspace_root()).expect("workspace loads");
+    let model = Model::build(&ws);
+    let stale: Vec<&str> = DETERMINISM_SINKS
+        .into_iter()
+        .filter(|&sink| {
+            !model.resolver.fns.iter().any(|f| f.name == sink)
+                && !model.graph.sites.iter().flatten().any(|s| s.name == sink)
+        })
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "sink names nothing defines or calls: {stale:?}"
+    );
+}
+
 #[test]
 fn every_allow_in_the_tree_names_a_real_rule() {
     use mcn_analyze::rules::ALL_RULES;

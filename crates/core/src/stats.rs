@@ -1,7 +1,6 @@
 //! Per-query execution statistics.
 
 use mcn_storage::IoStats;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Execution statistics of one preference query.
@@ -11,7 +10,7 @@ use std::time::Duration;
 /// only the CPU side, so the harness additionally *charges* a configurable
 /// latency per physical page read (see [`QueryStats::charged_time`]) to
 /// recover the paper's time axis.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueryStats {
     /// Name of the algorithm that produced the result (e.g. `"LSA"`, `"CEA"`).
     pub algorithm: String,

@@ -19,10 +19,9 @@ use crate::network::Topology;
 use mcn_graph::CostVec;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// The joint distribution of the `d` costs of an edge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CostDistribution {
     /// Costs are drawn independently of each other.
     Independent,

@@ -10,11 +10,10 @@
 use mcn_graph::{EdgeId, MultiCostGraph, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Parameters of the clustered facility placement.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FacilitySpec {
     /// Total number of facilities |P|.
     pub count: usize,
@@ -35,19 +34,6 @@ impl FacilitySpec {
             sigma_hops: 8.0,
             seed,
         }
-    }
-
-    /// Serializes the spec as indented JSON.
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self)
-    }
-
-    /// Parses a spec from its JSON representation.
-    ///
-    /// # Errors
-    /// Returns the underlying JSON error message.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde::json::from_str(text).map_err(|e| e.to_string())
     }
 }
 

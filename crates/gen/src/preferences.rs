@@ -13,10 +13,9 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Specification of a synthetic per-user preference pool.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PreferenceSpec {
     /// Number of users (one weight vector each).
     pub users: usize,
@@ -39,16 +38,6 @@ impl PreferenceSpec {
             concentration: 1.0,
             seed,
         }
-    }
-
-    /// Serializes to the workspace JSON dialect.
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self)
-    }
-
-    /// Parses a spec back from JSON.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde::json::from_str(text).map_err(|e| e.to_string())
     }
 }
 
@@ -140,16 +129,5 @@ mod tests {
         };
         assert!(spread(0.3) > spread(1.0));
         assert!(spread(1.0) > spread(5.0));
-    }
-
-    #[test]
-    fn spec_round_trips_through_json() {
-        let spec = PreferenceSpec {
-            users: 12,
-            cost_types: 5,
-            concentration: 0.5,
-            seed: 77,
-        };
-        assert_eq!(PreferenceSpec::from_json(&spec.to_json()).unwrap(), spec);
     }
 }

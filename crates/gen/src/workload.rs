@@ -6,12 +6,11 @@ use crate::network::{build_graph, generate_topology, NetworkSpec, Topology};
 use mcn_graph::{GraphBuilder, MultiCostGraph, NetworkLocation, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Full description of a synthetic experiment workload, mirroring the
 /// parameters of the paper's Section VI (network, |P|, d, cost distribution,
 /// number of query locations).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadSpec {
     /// Approximate number of network nodes.
     pub nodes: usize,
@@ -71,20 +70,6 @@ impl WorkloadSpec {
             queries: 5,
             seed,
         }
-    }
-
-    /// Serializes the spec as indented JSON, so experiment configurations
-    /// can be persisted next to the reports they produced.
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self)
-    }
-
-    /// Parses a spec from its JSON representation.
-    ///
-    /// # Errors
-    /// Returns the underlying JSON error message.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde::json::from_str(text).map_err(|e| e.to_string())
     }
 }
 

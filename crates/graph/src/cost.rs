@@ -5,7 +5,6 @@
 //! evaluates `d ∈ [2, 5]`; we support up to [`MAX_COST_TYPES`] costs stored
 //! inline so that cost arithmetic on the query hot path never allocates.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut};
@@ -21,7 +20,7 @@ pub const MAX_COST_TYPES: usize = 8;
 /// `CostVec` behaves like a tiny `Vec<f64>` capped at [`MAX_COST_TYPES`]
 /// elements. Arithmetic (`+`, `+=`) is element-wise and requires both operands
 /// to have the same dimensionality.
-#[derive(Clone, Copy, Serialize, Deserialize)]
+#[derive(Clone, Copy)]
 pub struct CostVec {
     len: u8,
     values: [f64; MAX_COST_TYPES],

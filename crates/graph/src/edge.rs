@@ -2,7 +2,6 @@
 
 use crate::cost::CostVec;
 use crate::ids::{EdgeId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A network edge (road segment) between two nodes, carrying a cost vector.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// either direction is identical. Directed edges are supported by setting
 /// [`Edge::directed`]; a directed edge may only be traversed from
 /// [`Edge::source`] to [`Edge::target`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Edge {
     /// The edge identifier.
     pub id: EdgeId,

@@ -2,7 +2,6 @@
 
 use crate::cost::CostVec;
 use crate::ids::{EdgeId, FacilityId};
-use serde::{Deserialize, Serialize};
 
 /// A facility (point of interest) lying on an edge of the MCN.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// weights sum to the edge's full cost vector. We store the proportion as
 /// [`Facility::position`], the fraction `t ∈ [0, 1]` of the way from the
 /// edge's `source` to its `target`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Facility {
     /// The facility identifier.
     pub id: FacilityId,

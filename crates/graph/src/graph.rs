@@ -5,7 +5,6 @@ use crate::edge::Edge;
 use crate::facility::Facility;
 use crate::ids::{EdgeId, FacilityId, NodeId};
 use crate::node::Node;
-use serde::{Deserialize, Serialize};
 
 /// An immutable, validated multi-cost transportation network.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// All lookups are `O(1)` array indexing; iteration over a node's incident
 /// edges or an edge's facilities is a slice scan.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MultiCostGraph {
     pub(crate) num_cost_types: usize,
     pub(crate) nodes: Vec<Node>,

@@ -5,14 +5,13 @@
 //! property is relied upon by `mcn-storage` (records are addressed by id) and by
 //! the expansion algorithms (visited sets are flat bit vectors).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
         #[derive(
-            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
+            Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
         )]
         pub struct $name(pub u32);
 

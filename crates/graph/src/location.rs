@@ -9,11 +9,10 @@
 use crate::cost::CostVec;
 use crate::graph::MultiCostGraph;
 use crate::ids::{EdgeId, FacilityId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A location on the network: either exactly at a node or at a fractional
 /// position along an edge.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum NetworkLocation {
     /// The location coincides with a network node.
     Node(NodeId),

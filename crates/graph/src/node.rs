@@ -1,7 +1,6 @@
 //! Network nodes (road intersections).
 
 use crate::ids::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// A network node (road intersection).
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// Euclidean lower bounds); coordinates are used only by the workload
 /// generators, the loaders for real datasets, and for computing the position of
 /// facilities along their edges.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Node {
     /// The node identifier.
     pub id: NodeId,

@@ -20,11 +20,10 @@
 use crate::graph::MultiCostGraph;
 use crate::ids::{NodeId, RegionId};
 use crate::location::NetworkLocation;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Parameters of the BFS-growing partitioner.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PartitionSpec {
     /// Number of regions to grow (clamped to the node count).
     pub regions: usize,
@@ -45,11 +44,11 @@ impl PartitionSpec {
 /// The result of partitioning a graph: one region per node, plus the
 /// boundary-edge accounting the partitioned store and the experiments report.
 ///
-/// The fields are public for (de)serialization; use the accessors, which
-/// uphold the documented invariants (`assignment[v] < num_regions` for every
-/// node, `region_sizes` summing to the node count, and per-region boundary
-/// counts summing to `2 × boundary_edges`).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// Use the accessors, which uphold the documented invariants
+/// (`assignment[v] < num_regions` for every node, `region_sizes` summing to
+/// the node count, and per-region boundary counts summing to
+/// `2 × boundary_edges`).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartitionMap {
     /// Number of regions (≥ 1).
     pub num_regions: u32,
@@ -123,22 +122,6 @@ impl PartitionMap {
             NetworkLocation::Node(node) => self.region_of(node),
             NetworkLocation::OnEdge { edge, .. } => self.region_of(graph.edge(edge).source),
         }
-    }
-
-    /// Serializes the map as indented JSON (the partition-manifest format).
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self)
-    }
-
-    /// Parses a map from its JSON representation and checks its invariants.
-    ///
-    /// # Errors
-    /// Returns a message when the text is not valid JSON for this type or
-    /// the decoded map is internally inconsistent.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let map: Self = serde::json::from_str(text).map_err(|e| e.to_string())?;
-        map.validate()?;
-        Ok(map)
     }
 
     /// Checks the documented invariants.
@@ -461,23 +444,14 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_and_validation() {
+    fn validate_names_the_broken_invariant() {
         let g = grid(8, 8);
         let map = partition_graph(&g, &PartitionSpec::new(4));
-        let json = map.to_json();
-        let parsed = PartitionMap::from_json(&json).unwrap();
-        assert_eq!(parsed, map);
-        assert_eq!(parsed.to_json(), json);
-        // Corrupted maps are rejected with the invariant that failed.
         let mut broken = map.clone();
         broken.region_sizes[0] += 1;
-        assert!(PartitionMap::from_json(&broken.to_json())
-            .unwrap_err()
-            .contains("sum"));
+        assert!(broken.validate().unwrap_err().contains("sum"));
         let mut broken = map.clone();
         broken.assignment[0] = 99;
-        assert!(PartitionMap::from_json(&broken.to_json())
-            .unwrap_err()
-            .contains("region 99"));
+        assert!(broken.validate().unwrap_err().contains("region 99"));
     }
 }

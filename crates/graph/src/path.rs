@@ -3,7 +3,6 @@
 use crate::cost::CostVec;
 use crate::graph::MultiCostGraph;
 use crate::ids::{EdgeId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A path through the network, represented as the sequence of traversed edges
 /// together with the node sequence and the accumulated cost vector.
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// `c_i(q, p)` is one component of the path's [`Path::costs`]. Paths are
 /// produced by the Dijkstra / expansion engines (`mcn-expansion`) and by the
 /// multi-criteria Pareto path algorithms (`mcn-mcpp`).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Path {
     /// The visited nodes, in order. A path with a single node and no edges is
     /// the trivial path from a node to itself.

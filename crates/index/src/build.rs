@@ -9,6 +9,14 @@ use mcn_graph::{dominates_weak, partition_graph, CostVec, MultiCostGraph, Partit
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
+/// Hop limit of the witness search run per candidate shortcut. Larger
+/// values drop more shortcuts (smaller index, slower build); an
+/// inconclusive search just keeps the candidate.
+const WITNESS_HOPS: usize = 5;
+
+/// Label budget of one witness search; exhaustion keeps the candidate.
+const WITNESS_BUDGET: usize = 4096;
+
 /// The mutable contraction state: the *core* graph (arcs between
 /// not-yet-contracted nodes, as per-node `BTreeMap`s so every iteration
 /// order is deterministic) plus the growing fragment arena.
@@ -97,9 +105,9 @@ impl<'a> Contractor<'a> {
     /// back down); running out of hops or label budget returns `false`,
     /// which *keeps* the candidate — always safe.
     fn witness_dominates(&self, u: u32, w: u32, skip: u32, cand: &CostVec) -> bool {
-        let mut budget = self.cfg.witness_budget;
+        let mut budget = WITNESS_BUDGET;
         let mut frontier: Vec<(u32, CostVec)> = vec![(u, CostVec::zeros(self.d))];
-        for _ in 0..self.cfg.witness_hops {
+        for _ in 0..WITNESS_HOPS {
             let mut next: Vec<(u32, CostVec)> = Vec::new();
             for (node, costs) in &frontier {
                 for (head, bundle) in &self.out[*node as usize] {

@@ -1,9 +1,7 @@
 //! Build knobs for the route index.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of a [`crate::RouteIndex`] build.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IndexConfig {
     /// Maximum Pareto-set size per shortcut bundle. A contraction that
     /// would exceed the cap truncates the (lexicographically sorted)
@@ -11,12 +9,6 @@ pub struct IndexConfig {
     /// fall back to the prep-backed tier — correctness is never traded for
     /// size silently.
     pub max_bundle: usize,
-    /// Hop limit of the witness search run per candidate shortcut. Larger
-    /// values drop more shortcuts (smaller index, slower build); an
-    /// inconclusive search just keeps the candidate.
-    pub witness_hops: usize,
-    /// Label budget of one witness search; exhaustion keeps the candidate.
-    pub witness_budget: usize,
     /// Number of partition regions contracted in parallel. `1` builds the
     /// whole hierarchy sequentially; `> 1` partitions the graph with
     /// [`mcn_graph::partition_graph`], contracts each region's interior on
@@ -32,8 +24,6 @@ impl Default for IndexConfig {
     fn default() -> Self {
         Self {
             max_bundle: 256,
-            witness_hops: 5,
-            witness_budget: 4096,
             regions: 1,
             seed: 2010,
         }

@@ -59,12 +59,10 @@
 
 pub mod build;
 pub mod config;
-pub mod persist;
 pub mod query;
 pub mod structure;
 
 pub use config::IndexConfig;
-pub use persist::IndexManifest;
 pub use query::{IndexAlphaResult, IndexQueryStats, IndexSkylineResult};
 pub use structure::{ArcEntry, Fragment, RouteIndex, UpArc};
 

@@ -2,14 +2,13 @@
 //! append-only fragment arena.
 
 use mcn_graph::{CostVec, EdgeId, MultiCostGraph};
-use serde::{Deserialize, Serialize};
 
 /// One partial path stored in the fragment arena: either an original graph
 /// edge or the concatenation of two earlier fragments. Fragments are
 /// append-only — Pareto evictions drop *references* to fragments but never
 /// invalidate the arena — so every surviving shortcut entry unpacks to its
 /// original edge sequence at query time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fragment {
     /// An original edge, stored by raw [`EdgeId`]. Unpacks to itself; the
     /// travel direction is implied by the arc the fragment hangs off.
@@ -20,7 +19,7 @@ pub enum Fragment {
 
 /// One member of a shortcut bundle: a witness-path cost vector plus the
 /// arena fragment that reconstructs its edge sequence.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ArcEntry {
     /// Cost vector of the underlying path, summed shortcut-first (query
     /// code recomputes final answers edge-by-edge in path order, so this
@@ -39,7 +38,7 @@ pub struct ArcEntry {
 /// lexicographically by cost vector — which at `d == 2` doubles as the
 /// sorted-sweep Pareto-front order (first component ascending, second
 /// strictly descending).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct UpArc {
     /// The higher-ranked endpoint (raw node id).
     pub head: u32,
@@ -49,18 +48,17 @@ pub struct UpArc {
 
 /// The hierarchical partial-path route index over one multi-cost graph.
 ///
-/// Built once by [`RouteIndex::build`] (or loaded by [`RouteIndex::load`],
-/// which validates its structure), then shared immutably (the engine holds
-/// it in an `Arc`); queries allocate only their own search state. For a
-/// path skyline that is, per upward search, one Pareto set of `(costs,
+/// Built once by [`RouteIndex::build`], then shared immutably (the engine
+/// holds it in an `Arc`); queries allocate only their own search state. For
+/// a path skyline that is, per upward search, one Pareto set of `(costs,
 /// label id)` per node and one parent-pointer label arena; fragment lists
 /// are walked out of the arenas only for the combinations that survive the
 /// meeting-node merge.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RouteIndex {
     /// Node count of the indexed graph.
     pub(crate) num_nodes: usize,
-    /// Edge count of the indexed graph (shape check for serving/loading).
+    /// Edge count of the indexed graph (shape check for serving).
     pub(crate) num_edges: usize,
     /// Cost dimensionality `d` of the indexed graph.
     pub(crate) dims: usize,
@@ -159,93 +157,6 @@ impl RouteIndex {
                 self.unpack_into(b, out);
             }
         }
-    }
-
-    /// Serializes the index as indented JSON.
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self)
-    }
-
-    /// Parses an index from its JSON representation and checks the
-    /// structural invariants queries rely on, so a malformed body is
-    /// rejected here instead of panicking or recursing forever at query
-    /// time.
-    ///
-    /// # Errors
-    /// Returns the underlying JSON error message, or the first structural
-    /// violation.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let index: Self = serde::json::from_str(text).map_err(|e| e.to_string())?;
-        index.validate()?;
-        Ok(index)
-    }
-
-    /// Checks the invariants queries rely on: `rank`, `up_out` and `up_in`
-    /// have one entry per node; every arc head is a node that outranks the
-    /// arc's tail; every entry has `dims` costs and a fragment in the arena;
-    /// every `Edge` fragment names an edge of the graph; and every `Concat`
-    /// refers to earlier arena positions only, so unpacking terminates. The
-    /// append-only arena of sequential and partitioned builds guarantees
-    /// the last one.
-    ///
-    /// # Errors
-    /// Returns a message naming the first violation.
-    fn validate(&self) -> Result<(), String> {
-        let n = self.num_nodes;
-        for (name, len) in [
-            ("rank", self.rank.len()),
-            ("up_out", self.up_out.len()),
-            ("up_in", self.up_in.len()),
-        ] {
-            if len != n {
-                return Err(format!("{name} has {len} entries for {n} nodes"));
-            }
-        }
-        for (name, side) in [("up_out", &self.up_out), ("up_in", &self.up_in)] {
-            for (v, arcs) in side.iter().enumerate() {
-                for arc in arcs {
-                    let head = arc.head as usize;
-                    if head >= n {
-                        return Err(format!("{name}[{v}] has an arc to node {head} of {n}"));
-                    }
-                    if self.rank[head] <= self.rank[v] {
-                        return Err(format!(
-                            "{name}[{v}] has an arc to node {head}, which does not outrank it"
-                        ));
-                    }
-                    for e in &arc.entries {
-                        if e.costs.len() != self.dims {
-                            return Err(format!(
-                                "{name}[{v}] → {head} has an entry of {} costs at d = {}",
-                                e.costs.len(),
-                                self.dims
-                            ));
-                        }
-                        if e.frag as usize >= self.fragments.len() {
-                            return Err(format!(
-                                "{name}[{v}] → {head} has an entry on fragment {} of {}",
-                                e.frag,
-                                self.fragments.len()
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        for (i, fragment) in self.fragments.iter().enumerate() {
-            match *fragment {
-                Fragment::Edge(e) if e as usize >= self.num_edges => {
-                    return Err(format!("fragment {i} is edge {e} of {}", self.num_edges));
-                }
-                Fragment::Concat(a, b) if a as usize >= i || b as usize >= i => {
-                    return Err(format!(
-                        "fragment {i} concatenates fragments {a} and {b}, not both earlier"
-                    ));
-                }
-                _ => {}
-            }
-        }
-        Ok(())
     }
 }
 
@@ -357,146 +268,5 @@ mod tests {
         ));
         assert_eq!(bundle.len(), 1);
         assert_eq!(bundle[0].frag, 3);
-    }
-
-    /// A five-node line: contracting its interior inserts shortcuts, so the
-    /// arena holds both `Edge` and `Concat` fragments.
-    fn line_index() -> RouteIndex {
-        let mut b = mcn_graph::GraphBuilder::new(2);
-        let nodes: Vec<_> = (0..5).map(|i| b.add_node(i as f64, 0.0)).collect();
-        for w in nodes.windows(2) {
-            b.add_edge(w[0], w[1], v2(1.0, 2.0)).unwrap();
-        }
-        let index = RouteIndex::build(&b.build().unwrap(), &crate::IndexConfig::default());
-        assert!(index
-            .fragments
-            .iter()
-            .any(|f| matches!(f, Fragment::Concat(..))));
-        index
-    }
-
-    /// The first node with an upward arc in `up_out`.
-    fn first_tail(index: &RouteIndex) -> usize {
-        index
-            .up_out
-            .iter()
-            .position(|arcs| !arcs.is_empty())
-            .unwrap()
-    }
-
-    /// Applies `corrupt` to a valid index and asserts that parsing its JSON
-    /// fails with a message containing `expected`.
-    fn assert_rejected(corrupt: impl FnOnce(&mut RouteIndex), expected: &str) {
-        let mut index = line_index();
-        corrupt(&mut index);
-        let err = RouteIndex::from_json(&index.to_json()).unwrap_err();
-        assert!(err.contains(expected), "got: {err}");
-    }
-
-    #[test]
-    fn per_node_tables_must_have_one_entry_per_node() {
-        assert_rejected(
-            |index| {
-                index.up_in.pop();
-            },
-            "up_in has 4 entries for 5 nodes",
-        );
-    }
-
-    #[test]
-    fn arc_heads_must_be_nodes() {
-        assert_rejected(
-            |index| {
-                let v = first_tail(index);
-                index.up_out[v][0].head = 5;
-            },
-            "arc to node 5 of 5",
-        );
-    }
-
-    #[test]
-    fn arc_heads_must_outrank_their_tails() {
-        assert_rejected(
-            |index| {
-                let v = first_tail(index);
-                index.up_out[v][0].head = v as u32;
-            },
-            "does not outrank it",
-        );
-    }
-
-    #[test]
-    fn entries_must_have_dims_costs() {
-        assert_rejected(
-            |index| {
-                let v = first_tail(index);
-                index.up_out[v][0].entries[0].costs = CostVec::from_slice(&[1.0, 2.0, 3.0]);
-            },
-            "entry of 3 costs at d = 2",
-        );
-    }
-
-    #[test]
-    fn entry_fragments_must_be_in_the_arena() {
-        assert_rejected(
-            |index| {
-                let v = first_tail(index);
-                index.up_out[v][0].entries[0].frag = index.fragments.len() as u32;
-            },
-            "has an entry on fragment",
-        );
-    }
-
-    #[test]
-    fn edge_fragments_must_name_graph_edges() {
-        assert_rejected(
-            |index| {
-                let edges = index.num_edges as u32;
-                let i = index
-                    .fragments
-                    .iter()
-                    .position(|f| matches!(f, Fragment::Edge(_)))
-                    .unwrap();
-                index.fragments[i] = Fragment::Edge(edges);
-            },
-            "is edge 4 of 4",
-        );
-    }
-
-    #[test]
-    fn concat_fragments_must_refer_to_earlier_fragments() {
-        // A self-referencing `Concat` used to load and then recurse forever
-        // in `unpack_into` at query time.
-        assert_rejected(
-            |index| {
-                let i = index
-                    .fragments
-                    .iter()
-                    .position(|f| matches!(f, Fragment::Concat(..)))
-                    .unwrap();
-                index.fragments[i] = Fragment::Concat(0, i as u32);
-            },
-            "not both earlier",
-        );
-    }
-
-    #[test]
-    fn sequential_and_partitioned_builds_validate() {
-        let graph = mcn_gen::generate_workload(&mcn_gen::WorkloadSpec {
-            nodes: 120,
-            facilities: 10,
-            cost_types: 2,
-            queries: 0,
-            ..mcn_gen::WorkloadSpec::tiny(23)
-        })
-        .graph;
-        for config in [
-            crate::IndexConfig::default(),
-            crate::IndexConfig::with_regions(4),
-        ] {
-            let index = RouteIndex::build(&graph, &config);
-            assert_eq!(index.validate(), Ok(()), "regions = {}", config.regions);
-            assert_eq!(RouteIndex::from_json(&index.to_json()), Ok(index));
-        }
     }
 }

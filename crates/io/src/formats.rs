@@ -133,8 +133,14 @@ pub fn load_node_edge_files<N: BufRead, E: BufRead>(
 /// `p sp <n> <m>` problem line followed by `a <u> <v> <w>` arc lines
 /// (1-based node identifiers, directed arcs, integer weights). Coordinates are
 /// unknown, so nodes carry no position. The graph has a single cost type.
+///
+/// # Errors
+/// [`IoFormatError::Parse`] names the offending line when it is malformed,
+/// repeats the problem line, declares more than `u32::MAX` nodes, or has an
+/// arc endpoint outside `1..=n`.
 pub fn load_dimacs_gr<R: BufRead>(reader: R) -> Result<MultiCostGraph, IoFormatError> {
-    let mut builder: Option<GraphBuilder> = None;
+    // The builder and the problem line's node count.
+    let mut problem: Option<(GraphBuilder, usize)> = None;
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
         let line = line.trim();
@@ -142,19 +148,28 @@ pub fn load_dimacs_gr<R: BufRead>(reader: R) -> Result<MultiCostGraph, IoFormatE
             continue;
         }
         if let Some(rest) = line.strip_prefix("p sp") {
+            if problem.is_some() {
+                return Err(parse_err(lineno + 1, "second problem line"));
+            }
             let mut parts = rest.split_whitespace();
             let n: usize = parts
                 .next()
                 .ok_or_else(|| parse_err(lineno + 1, "missing node count"))?
                 .parse()
                 .map_err(|_| parse_err(lineno + 1, "node count is not an integer"))?;
+            if n > u32::MAX as usize {
+                return Err(parse_err(
+                    lineno + 1,
+                    format!("node count {n} exceeds the 32-bit node ids"),
+                ));
+            }
             let mut b = GraphBuilder::new(1);
             for _ in 0..n {
                 b.add_node_without_position();
             }
-            builder = Some(b);
+            problem = Some((b, n));
         } else if let Some(rest) = line.strip_prefix('a') {
-            let b = builder
+            let (b, n) = problem
                 .as_mut()
                 .ok_or_else(|| parse_err(lineno + 1, "arc line before the problem line"))?;
             let mut parts = rest.split_whitespace();
@@ -176,6 +191,12 @@ pub fn load_dimacs_gr<R: BufRead>(reader: R) -> Result<MultiCostGraph, IoFormatE
             if u == 0 || v == 0 {
                 return Err(parse_err(lineno + 1, "DIMACS nodes are 1-based"));
             }
+            if u > *n || v > *n {
+                return Err(parse_err(
+                    lineno + 1,
+                    format!("arc {u} -> {v} names a node above the problem line's {n}"),
+                ));
+            }
             b.add_directed_edge(
                 NodeId::from(u - 1),
                 NodeId::from(v - 1),
@@ -183,9 +204,9 @@ pub fn load_dimacs_gr<R: BufRead>(reader: R) -> Result<MultiCostGraph, IoFormatE
             )?;
         }
     }
-    builder
+    problem
         .ok_or_else(|| parse_err(0, "no problem line found"))
-        .and_then(|b| Ok(b.build()?))
+        .and_then(|(b, _)| Ok(b.build()?))
 }
 
 /// Writes a full multi-cost workload (nodes, edges with their `d` costs, and
@@ -368,6 +389,20 @@ mod tests {
     fn dimacs_without_problem_line_fails() {
         let gr = "a 1 2 7\n";
         assert!(load_dimacs_gr(BufReader::new(gr.as_bytes())).is_err());
+    }
+
+    #[test]
+    fn dimacs_rejects_out_of_range_nodes_and_a_second_problem_line() {
+        let parse_line = |gr: &str| match load_dimacs_gr(BufReader::new(gr.as_bytes())) {
+            Err(IoFormatError::Parse { line, .. }) => line,
+            other => panic!("expected a parse error for {gr:?}, got {other:?}"),
+        };
+        // 4294967297 - 1 truncated to 32 bits is node 0.
+        assert_eq!(parse_line("p sp 3 1\na 4294967297 2 7\n"), 2);
+        assert_eq!(parse_line("p sp 3 1\na 1 4 7\n"), 2);
+        assert_eq!(parse_line("c big\np sp 4294967296 0\n"), 2);
+        // A second problem line would drop every arc read so far.
+        assert_eq!(parse_line("p sp 3 1\na 1 2 7\np sp 3 0\n"), 3);
     }
 
     #[test]

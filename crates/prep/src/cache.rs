@@ -5,7 +5,6 @@ use mcn_graph::{MultiCostGraph, NodeId};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::Arc;
 
 /// Witness lock-class id — the exact string `mcn-analyze` derives
@@ -352,97 +351,6 @@ impl PrepCache {
             }
         }
     }
-
-    /// Writes every resident table to `dir` as `prep-<target>.json`, one
-    /// file per table, creating the directory if needed. Returns the number
-    /// of tables written. The resident set is snapshotted under the lock
-    /// but all file I/O happens outside it, so queries are never serialised
-    /// behind the disk.
-    ///
-    /// # Errors
-    /// Returns a message naming the path that failed to be created or
-    /// written.
-    pub fn save_dir(&self, dir: &Path) -> Result<usize, String> {
-        let mut tables: Vec<Arc<PrepTable>> = {
-            let inner = self.inner.lock();
-            let _inner_w = mcn_witness::acquire(W_INNER);
-            // `recency` (a BTreeMap) iterates deterministically; every map
-            // entry is indexed there from its insert-time touch.
-            inner
-                .recency
-                .values()
-                .map(|key| inner.map[key].0.clone())
-                .collect()
-        };
-        tables.sort_by_key(|t| t.target().raw());
-        std::fs::create_dir_all(dir)
-            .map_err(|e| format!("create directory {}: {e}", dir.display()))?;
-        for table in &tables {
-            let path = dir.join(format!("prep-{}.json", table.target().raw()));
-            std::fs::write(&path, table.to_json())
-                .map_err(|e| format!("write {}: {e}", path.display()))?;
-        }
-        Ok(tables.len())
-    }
-
-    /// Loads every `prep-<target>.json` file under `dir` (written by
-    /// [`PrepCache::save_dir`]) into the cache, validating each table
-    /// against `graph` — the warm-start path after a process restart.
-    /// Files not matching the naming scheme are ignored; tables beyond the
-    /// capacity evict LRU-first as usual. Returns the number of tables
-    /// loaded.
-    ///
-    /// # Errors
-    /// Returns a message naming the offending file when one fails to read
-    /// or parse, its filename disagrees with the table's own target, or the
-    /// table's shape (node count / cost types) does not match `graph`.
-    pub fn load_dir(&self, graph: &MultiCostGraph, dir: &Path) -> Result<usize, String> {
-        let read =
-            std::fs::read_dir(dir).map_err(|e| format!("read directory {}: {e}", dir.display()))?;
-        let mut files: Vec<std::path::PathBuf> = Vec::new();
-        for entry in read {
-            let path = entry
-                .map_err(|e| format!("read directory {}: {e}", dir.display()))?
-                .path();
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if name.starts_with("prep-") && name.ends_with(".json") {
-                files.push(path);
-            }
-        }
-        files.sort();
-        let mut loaded = 0usize;
-        for path in &files {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("read {}: {e}", path.display()))?;
-            let table = PrepTable::from_json(&text)
-                .map_err(|e| format!("parse {}: {e}", path.display()))?;
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            let stem = name.trim_start_matches("prep-").trim_end_matches(".json");
-            if stem != table.target().raw().to_string() {
-                return Err(format!(
-                    "{}: file is named for target {stem} but holds a table for target {}",
-                    path.display(),
-                    table.target().raw()
-                ));
-            }
-            if table.num_nodes() != graph.num_nodes()
-                || table.cost_types() != graph.num_cost_types()
-            {
-                return Err(format!(
-                    "{}: table shape ({} nodes, d = {}) does not match the graph \
-                     ({} nodes, d = {})",
-                    path.display(),
-                    table.num_nodes(),
-                    table.cost_types(),
-                    graph.num_nodes(),
-                    graph.num_cost_types()
-                ));
-            }
-            self.insert(Arc::new(table));
-            loaded += 1;
-        }
-        Ok(loaded)
-    }
 }
 
 #[cfg(test)]
@@ -567,73 +475,6 @@ mod tests {
         for &kept in model.iter() {
             assert!(cache.get(NodeId::new(kept)).is_some());
         }
-    }
-
-    #[test]
-    fn save_and_load_dir_round_trip_the_resident_tables() {
-        let g = line(10);
-        let cache = PrepCache::new(4);
-        for t in [2u32, 5, 7] {
-            cache.get_or_build(&g, NodeId::new(t));
-        }
-        let dir = std::env::temp_dir().join(format!("mcn-prepcache-rt-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(cache.save_dir(&dir).unwrap(), 3);
-
-        // A fresh cache warm-started from the directory holds identical
-        // tables — the restart survival path.
-        let warm = PrepCache::new(4);
-        assert_eq!(warm.load_dir(&g, &dir).unwrap(), 3);
-        assert_eq!(warm.len(), 3);
-        for t in [2u32, 5, 7] {
-            let loaded = warm
-                .get(NodeId::new(t))
-                .expect("table survived the restart");
-            let original = cache.get(NodeId::new(t)).unwrap();
-            assert_eq!(*loaded, *original);
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn load_dir_reports_corrupted_and_mismatched_files() {
-        let g = line(8);
-        let cache = PrepCache::new(4);
-        cache.get_or_build(&g, NodeId::new(3));
-        let dir = std::env::temp_dir().join(format!("mcn-prepcache-bad-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        cache.save_dir(&dir).unwrap();
-
-        // Truncated JSON fails, naming the offending file.
-        let bad = dir.join("prep-4.json");
-        std::fs::write(&bad, "{ \"target\": ").unwrap();
-        let err = PrepCache::new(4).load_dir(&g, &dir).unwrap_err();
-        assert!(
-            err.contains("prep-4.json"),
-            "error should name the file: {err}"
-        );
-
-        // A table built for another graph shape is rejected.
-        std::fs::remove_file(&bad).unwrap();
-        let other = line(20);
-        let foreign = PrepTable::build(&other, NodeId::new(5));
-        std::fs::write(dir.join("prep-5.json"), foreign.to_json()).unwrap();
-        let err = PrepCache::new(4).load_dir(&g, &dir).unwrap_err();
-        assert!(err.contains("does not match the graph"), "{err}");
-
-        // A valid table under a filename for a different target is rejected
-        // (silent key aliasing would poison every query to that target).
-        std::fs::remove_file(dir.join("prep-5.json")).unwrap();
-        let real = PrepTable::build(&g, NodeId::new(2));
-        std::fs::write(dir.join("prep-6.json"), real.to_json()).unwrap();
-        let err = PrepCache::new(4).load_dir(&g, &dir).unwrap_err();
-        assert!(err.contains("named for target"), "{err}");
-
-        // Files outside the naming scheme are ignored, not errors.
-        std::fs::remove_file(dir.join("prep-6.json")).unwrap();
-        std::fs::write(dir.join("README.txt"), "not a table").unwrap();
-        assert_eq!(PrepCache::new(4).load_dir(&g, &dir).unwrap(), 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

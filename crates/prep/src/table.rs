@@ -1,7 +1,6 @@
 //! The ParetoPrep precomputation table: per-cost lower bounds to a target.
 
 use mcn_graph::{CostVec, EdgeId, MultiCostGraph, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Sentinel stored in the parent array for "no parent edge".
 const NO_PARENT: u32 = u32::MAX;
@@ -29,7 +28,7 @@ const NO_PARENT: u32 = u32::MAX;
 /// A table is immutable once built and independent of the query source, so
 /// one scan serves every query towards the same target (the `PrepCache` in
 /// this crate caches tables per target for exactly that reason).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PrepTable {
     target: NodeId,
     cost_types: usize,
@@ -280,19 +279,6 @@ impl PrepTable {
         }
         cuts
     }
-
-    /// Serializes the table as indented JSON.
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self)
-    }
-
-    /// Parses a table from its JSON representation.
-    ///
-    /// # Errors
-    /// Returns the underlying JSON error message.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde::json::from_str(text).map_err(|e| e.to_string())
-    }
 }
 
 #[cfg(test)]
@@ -413,13 +399,5 @@ mod tests {
     fn restricted_scan_requires_the_target_in_the_set() {
         let (g, s, t) = diamond();
         let _ = PrepTable::build_restricted(&g, t, &[s]);
-    }
-
-    #[test]
-    fn table_round_trips_through_json() {
-        let (g, _, t) = diamond();
-        let prep = PrepTable::build(&g, t);
-        let parsed = PrepTable::from_json(&prep.to_json()).unwrap();
-        assert_eq!(parsed, prep);
     }
 }

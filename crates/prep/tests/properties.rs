@@ -1,7 +1,6 @@
-//! Property-based tests of the ParetoPrep table: JSON round-trips through
-//! the vendored serde on arbitrary seeded networks, and structural scan
-//! invariants (restriction consistency, reachability, triangle
-//! inequality along edges). Admissibility against the exhaustive Pareto
+//! Property-based tests of the ParetoPrep table on arbitrary seeded
+//! networks: structural scan invariants (restriction consistency,
+//! reachability, triangle inequality along edges). Admissibility against the exhaustive Pareto
 //! path set is cross-checked in the root `tests/prep.rs` (it needs
 //! `mcn-mcpp`, which depends on this crate).
 
@@ -37,24 +36,6 @@ fn build_network(d: usize, nodes: usize, extra: &[(u16, u16)], seed: u64) -> Mul
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn prep_table_round_trips_through_json(
-        d in 2usize..=4,
-        nodes in 3usize..=25,
-        extra in proptest::collection::vec((0u16..100, 0u16..100), 0..12),
-        target_sel in 0u16..100,
-        seed in any::<u64>(),
-    ) {
-        let graph = build_network(d, nodes, &extra, seed);
-        let target = NodeId::from(target_sel as usize % nodes);
-        let table = PrepTable::build(&graph, target);
-        let parsed = PrepTable::from_json(&table.to_json()).expect("round-trip parse");
-        prop_assert_eq!(&parsed, &table);
-        // Determinism doubles as a byte-level check: re-serializing the
-        // parsed table reproduces the original JSON.
-        prop_assert_eq!(parsed.to_json(), table.to_json());
-    }
 
     #[test]
     fn scan_invariants_hold(

@@ -15,7 +15,6 @@ use crate::buffer::BufferPool;
 use crate::codec::{RecordReader, RecordWriter};
 use crate::disk::DiskManager;
 use crate::page::{Page, PageId, PAGE_SIZE};
-use serde::{Deserialize, Serialize};
 
 /// Size in bytes of every value stored in a tree leaf.
 pub const VALUE_SIZE: usize = 12;
@@ -32,7 +31,7 @@ const LEAF_CAPACITY: usize = (PAGE_SIZE - HEADER) / LEAF_ENTRY;
 const INTERNAL_CAPACITY: usize = (PAGE_SIZE - HEADER) / INTERNAL_ENTRY;
 
 /// Handle to a bulk-loaded static B+-tree.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StaticBTree {
     /// Root page of the tree.
     pub root: PageId,

@@ -26,7 +26,7 @@ pub enum StorageError {
     },
     /// The graph is too large for the 32-bit identifier space of the layout.
     TooManyPages,
-    /// A partitioned store's inputs are inconsistent (map/disks/manifest
+    /// A partitioned store's inputs are inconsistent (map/disks/graph
     /// mismatch).
     Partition(String),
 }

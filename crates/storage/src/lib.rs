@@ -49,9 +49,7 @@ pub use error::StorageError;
 pub use idhash::IdMap;
 pub use meta::StorageMeta;
 pub use page::{Page, PageId, PAGE_SIZE};
-pub use partitioned::{
-    current_seed_region, with_seed_region, PartitionManifest, PartitionedStore, RegionTraffic,
-};
+pub use partitioned::{current_seed_region, with_seed_region, PartitionedStore, RegionTraffic};
 pub use records::{AdjacencyEntry, AdjacencyList, FacilityRun, RecordPtr};
 pub use stats::IoStats;
 pub use store::{BufferConfig, EdgeEndpoints, FacilityInfo, MCNStore};

@@ -4,7 +4,6 @@ use crate::btree::StaticBTree;
 use crate::codec::{RecordReader, RecordWriter};
 use crate::error::StorageError;
 use crate::page::{Page, PageId};
-use serde::{Deserialize, Serialize};
 
 const MAGIC: u32 = 0x4D_43_4E_31; // "MCN1"
 
@@ -18,7 +17,7 @@ pub const HEADER_SIZE: usize = 4 * (1 + 4 + 3 * 3 + 3);
 /// trees (adjacency tree, facility tree, edge index) and the number of pages
 /// occupied by the MCN data. The latter is what the paper's buffer-size
 /// parameter (0 %–2 %) is expressed against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StorageMeta {
     /// Number of cost types `d`.
     pub num_cost_types: u32,
@@ -156,25 +155,6 @@ impl StorageMeta {
         }
         Ok(())
     }
-
-    /// Renders the header as indented JSON: the debugging sidecar companion
-    /// to the binary page-0 encoding (see [`crate::MCNStore::meta_json`]).
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self)
-    }
-
-    /// Parses a header from its JSON sidecar representation.
-    ///
-    /// # Errors
-    /// Returns [`StorageError::InvalidHeader`] when the text is not valid
-    /// JSON for this type or fails the same shape checks as
-    /// [`StorageMeta::decode`].
-    pub fn from_json(text: &str) -> Result<Self, StorageError> {
-        let meta: Self = serde::json::from_str(text)
-            .map_err(|e| StorageError::InvalidHeader(format!("sidecar JSON: {e}")))?;
-        meta.validate_shape()?;
-        Ok(meta)
-    }
 }
 
 #[cfg(test)]
@@ -283,25 +263,6 @@ mod tests {
         meta.edge_index.root = PageId::new(meta.data_pages + 1);
         assert!(matches!(
             StorageMeta::decode(&meta.encode()),
-            Err(StorageError::InvalidHeader(_))
-        ));
-    }
-
-    #[test]
-    fn json_sidecar_roundtrips_and_validates() {
-        let meta = sample();
-        let json = meta.to_json();
-        assert!(json.contains("\"num_nodes\": 1000"));
-        assert_eq!(StorageMeta::from_json(&json).unwrap(), meta);
-        // The sidecar parser applies the same shape checks as the binary
-        // decoder.
-        let broken = json.replace("\"data_pages\": 57", "\"data_pages\": 3");
-        assert!(matches!(
-            StorageMeta::from_json(&broken),
-            Err(StorageError::InvalidHeader(_))
-        ));
-        assert!(matches!(
-            StorageMeta::from_json("{not json"),
             Err(StorageError::InvalidHeader(_))
         ));
     }

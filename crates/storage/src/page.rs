@@ -1,6 +1,5 @@
 //! Fixed-size disk pages and page identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Size of every disk page in bytes.
@@ -10,7 +9,7 @@ use std::fmt;
 pub const PAGE_SIZE: usize = 4096;
 
 /// Identifier of a disk page (zero-based position within the database file).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageId(pub u32);
 
 impl PageId {

@@ -32,14 +32,12 @@
 use crate::builder::build_region_store;
 use crate::disk::{DiskManager, InMemoryDisk};
 use crate::error::StorageError;
-use crate::meta::StorageMeta;
-use crate::page::{Page, PageId};
+use crate::page::PageId;
 use crate::records::{AdjacencyEntry, AdjacencyList, FacilityRun};
 use crate::stats::IoStats;
 use crate::store::{BufferConfig, EdgeEndpoints, FacilityInfo, MCNStore};
 use crate::view::StoreView;
 use mcn_graph::{EdgeId, FacilityId, MultiCostGraph, NodeId, PartitionMap, RegionId};
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -93,63 +91,6 @@ impl RegionTraffic {
         } else {
             self.cross_reads as f64 / total as f64
         }
-    }
-}
-
-/// The JSON sidecar describing a partitioned store: the partition map plus
-/// the page-0 header of every region shard. Written next to the region
-/// files, it is everything [`PartitionedStore::open`] needs to reassemble
-/// the store (and cross-check that the supplied disks are the right ones).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PartitionManifest {
-    /// The node → region assignment the shards were built from.
-    pub partition: PartitionMap,
-    /// Per-region store headers, in region order.
-    pub region_metas: Vec<StorageMeta>,
-}
-
-impl PartitionManifest {
-    /// Serializes the manifest as indented JSON.
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self)
-    }
-
-    /// Parses a manifest from its JSON sidecar representation, validating
-    /// the partition map invariants and the per-region header count.
-    ///
-    /// # Errors
-    /// Returns [`StorageError::Partition`] on malformed JSON or an
-    /// inconsistent manifest.
-    pub fn from_json(text: &str) -> Result<Self, StorageError> {
-        let manifest: Self = serde::json::from_str(text)
-            .map_err(|e| StorageError::Partition(format!("manifest JSON: {e}")))?;
-        manifest.validate()?;
-        Ok(manifest)
-    }
-
-    /// Checks the manifest invariants.
-    ///
-    /// # Errors
-    /// Returns [`StorageError::Partition`] describing the first violation.
-    pub fn validate(&self) -> Result<(), StorageError> {
-        self.partition.validate().map_err(StorageError::Partition)?;
-        if self.region_metas.len() != self.partition.num_regions() {
-            return Err(StorageError::Partition(format!(
-                "{} region headers for {} regions",
-                self.region_metas.len(),
-                self.partition.num_regions()
-            )));
-        }
-        for (r, meta) in self.region_metas.iter().enumerate() {
-            if meta.num_nodes as usize != self.partition.num_nodes() {
-                return Err(StorageError::Partition(format!(
-                    "region {r} header describes {} nodes, partition covers {}",
-                    meta.num_nodes,
-                    self.partition.num_nodes()
-                )));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -221,41 +162,6 @@ impl PartitionedStore {
         Self::build_on(graph, map, disks, buffer)
     }
 
-    /// Reassembles a partitioned store from already-built region disks and
-    /// the manifest sidecar, verifying that every disk's page-0 header
-    /// matches the manifest.
-    ///
-    /// # Errors
-    /// Fails on count mismatches, unreadable headers, or a header that
-    /// disagrees with the manifest.
-    pub fn open(
-        disks: Vec<Arc<dyn DiskManager>>,
-        manifest: &PartitionManifest,
-        buffer: BufferConfig,
-    ) -> Result<Self, StorageError> {
-        manifest.validate()?;
-        if disks.len() != manifest.region_metas.len() {
-            return Err(StorageError::Partition(format!(
-                "{} disks for {} region headers",
-                disks.len(),
-                manifest.region_metas.len()
-            )));
-        }
-        let mut regions = Vec::with_capacity(disks.len());
-        for (r, disk) in disks.into_iter().enumerate() {
-            let mut page = Page::zeroed();
-            disk.read_page(PageId::new(0), &mut page);
-            let meta = StorageMeta::decode(&page)?;
-            if meta != manifest.region_metas[r] {
-                return Err(StorageError::Partition(format!(
-                    "region {r}: disk header does not match the manifest"
-                )));
-            }
-            regions.push(MCNStore::open(disk, buffer)?);
-        }
-        Self::assemble(regions, manifest.partition.clone())
-    }
-
     fn assemble(regions: Vec<MCNStore>, map: PartitionMap) -> Result<Self, StorageError> {
         let mut page_base = Vec::with_capacity(regions.len() + 1);
         let mut base = 0u32;
@@ -297,23 +203,6 @@ impl PartitionedStore {
     /// The region owning `node`.
     pub fn region_of(&self, node: NodeId) -> RegionId {
         self.map.region_of(node)
-    }
-
-    /// The manifest sidecar describing this store (see
-    /// [`PartitionedStore::open`]).
-    pub fn manifest(&self) -> PartitionManifest {
-        PartitionManifest {
-            partition: self.map.clone(),
-            region_metas: self.regions.iter().map(|s| *s.meta()).collect(),
-        }
-    }
-
-    /// Writes the manifest JSON sidecar to `path`.
-    ///
-    /// # Errors
-    /// Propagates the underlying filesystem error.
-    pub fn export_manifest_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.manifest().to_json())
     }
 
     /// Per-region I/O counter snapshots, in region order.
@@ -715,38 +604,6 @@ mod tests {
             });
             assert_eq!(current_seed_region(), Some(RegionId::new(1)));
         });
-    }
-
-    #[test]
-    fn manifest_roundtrips_and_open_reassembles() {
-        let g = random_graph(6, 120, 70, 90);
-        let map = partition_graph(&g, &PartitionSpec::new(3));
-        let disks: Vec<Arc<dyn DiskManager>> = (0..3)
-            .map(|_| Arc::new(InMemoryDisk::new()) as Arc<dyn DiskManager>)
-            .collect();
-        let built =
-            PartitionedStore::build_on(&g, map, disks.clone(), BufferConfig::Fraction(0.02))
-                .unwrap();
-        let manifest = built.manifest();
-        // JSON sidecar round-trip.
-        let parsed = PartitionManifest::from_json(&manifest.to_json()).unwrap();
-        assert_eq!(parsed, manifest);
-        // Reassembly answers identically.
-        let reopened =
-            PartitionedStore::open(disks.clone(), &parsed, BufferConfig::Pages(16)).unwrap();
-        for node in g.nodes().take(40) {
-            assert_eq!(
-                StoreView::adjacency(&built, node.id).entries.len(),
-                StoreView::adjacency(&reopened, node.id).entries.len()
-            );
-        }
-        // A manifest that disagrees with the disks is rejected.
-        let mut tampered = parsed.clone();
-        tampered.region_metas[1].num_facilities += 1;
-        assert!(matches!(
-            PartitionedStore::open(disks, &tampered, BufferConfig::Pages(16)),
-            Err(StorageError::Partition(msg)) if msg.contains("manifest")
-        ));
     }
 
     #[test]

@@ -7,12 +7,11 @@
 //! explicitly, and let the benchmark harness *charge* a configurable latency
 //! per physical read to recover the paper's time axis.
 
-use serde::{Deserialize, Serialize};
 use std::ops::Sub;
 
 /// Counters describing the I/O activity of a store (or the delta between two
 /// snapshots of it).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IoStats {
     /// Page requests issued by callers (through the buffer pool).
     pub logical_reads: u64,

@@ -167,22 +167,6 @@ impl MCNStore {
         &self.meta
     }
 
-    /// The store header as indented JSON: a human-readable sidecar for the
-    /// binary page-0 encoding, e.g. written next to a [`FileDisk`] store for
-    /// debugging (`StorageMeta::from_json` parses it back).
-    pub fn meta_json(&self) -> String {
-        self.meta.to_json()
-    }
-
-    /// Writes the JSON header sidecar to `path` (conventionally the store
-    /// path with a `.meta.json` suffix).
-    ///
-    /// # Errors
-    /// Propagates the underlying filesystem error.
-    pub fn export_meta_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.meta_json())
-    }
-
     /// Number of cost types `d`.
     pub fn num_cost_types(&self) -> usize {
         self.meta.num_cost_types as usize

@@ -175,28 +175,3 @@ fn four_worker_engine_over_partitioned_store_matches_monolithic_serial() {
         );
     }
 }
-
-#[test]
-fn reopened_partitioned_store_stays_equivalent() {
-    // build → manifest → open on the same disks → identical fingerprints:
-    // the open path reads everything through the persisted headers.
-    let (graph, queries, _) = fixture(23);
-    let map = partition_graph(&graph, &PartitionSpec::new(4));
-    let disks: Vec<Arc<dyn mcn_storage::DiskManager>> = (0..4)
-        .map(|_| Arc::new(mcn_storage::InMemoryDisk::new()) as Arc<dyn mcn_storage::DiskManager>)
-        .collect();
-    let built = Arc::new(
-        PartitionedStore::build_on(&graph, map, disks.clone(), BufferConfig::Pages(32)).unwrap(),
-    );
-    let manifest = built.manifest();
-    let manifest =
-        mcn_storage::PartitionManifest::from_json(&manifest.to_json()).expect("sidecar parses");
-    let reopened =
-        Arc::new(PartitionedStore::open(disks, &manifest, BufferConfig::Pages(16)).unwrap());
-    for &q in &queries {
-        assert_eq!(
-            skyline_fingerprint(&built, q, Algorithm::Cea),
-            skyline_fingerprint(&reopened, q, Algorithm::Cea),
-        );
-    }
-}
