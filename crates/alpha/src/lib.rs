@@ -17,20 +17,16 @@
 //!   consistent heuristic h(v) = α·L(v), where L(v) are the per-cost
 //!   lower bounds of a `mcn-prep` [`PrepTable`](mcn_prep::PrepTable);
 //! - [`ScalarStats`] — pushed/settled/relaxed/pruned counters mirroring
-//!   `mcn-mcpp`'s `PathStats`;
-//! - [`PreferenceEstimator`] — recovers a user's α from an observed route
-//!   by iterative feasibility search (no LP dependency).
+//!   `mcn-mcpp`'s `PathStats`.
 //!
 //! Determinism contract: identical inputs produce byte-identical results —
 //! the heap tie-breaks on node id, and the A* variant reconstructs the
 //! exact same shortest-path tree edges as the plain Dijkstra whenever the
 //! optimum is unique (which seeded continuous costs guarantee).
 
-mod estimator;
 mod preference;
 mod search;
 
-pub use estimator::{EstimateOutcome, PreferenceEstimator};
 pub use preference::Preference;
 pub use search::{scalarized_path, scalarized_path_astar, ScalarPath, ScalarResult, ScalarStats};
 

@@ -46,8 +46,8 @@ impl Preference {
         })
     }
 
-    /// The uniform preference 1/d · (1, …, 1) — the estimator's starting
-    /// point and the natural "no stated preference" default.
+    /// The uniform preference 1/d · (1, …, 1) — the natural "no stated
+    /// preference" default.
     pub fn uniform(cost_types: usize) -> Self {
         Self::new(&vec![1.0; cost_types.max(1)]).expect("uniform weights are valid")
     }
@@ -68,19 +68,6 @@ impl Preference {
     /// component never poisons the product with `0 · ∞ = NaN` (prep bounds
     /// are ∞ in every component for unreachable nodes).
     pub fn cost_of(&self, costs: &CostVec) -> f64 {
-        debug_assert_eq!(costs.len(), self.weights.len());
-        let mut acc = 0.0;
-        for (i, &w) in self.weights.iter().enumerate() {
-            if w > 0.0 {
-                acc += w * costs[i];
-            }
-        }
-        acc
-    }
-
-    /// Scalarized cost of a plain slice (same skip-zero-weight contract as
-    /// [`Preference::cost_of`]).
-    pub fn dot(&self, costs: &[f64]) -> f64 {
         debug_assert_eq!(costs.len(), self.weights.len());
         let mut acc = 0.0;
         for (i, &w) in self.weights.iter().enumerate() {
@@ -128,6 +115,5 @@ mod tests {
         let p = Preference::new(&[1.0, 0.0]).unwrap();
         let c = CostVec::from_slice(&[3.0, f64::INFINITY]);
         assert_eq!(p.cost_of(&c), 3.0);
-        assert_eq!(p.dot(&[3.0, f64::INFINITY]), 3.0);
     }
 }

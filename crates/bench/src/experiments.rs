@@ -3,10 +3,9 @@
 use crate::measure::{measure_point, PointMeasurement, QueryKind};
 use crate::report::ExperimentTable;
 use mcn_gen::{CostDistribution, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 
 /// Global configuration of an experiment run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExperimentConfig {
     /// Scale-down divider applied to the paper's network/facility/query sizes
     /// (1 = the paper's full configuration, 50 = quick default).
@@ -53,7 +52,7 @@ impl ExperimentConfig {
 }
 
 /// One reproducible experiment (figure) of the evaluation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Experiment {
     /// Fig. 8(a): skyline processing time vs |P|.
     SkylineFacilities,
@@ -235,11 +234,6 @@ impl Experiment {
             Experiment::TopKK => "k",
         }
     }
-}
-
-/// Runs every experiment and returns the tables in paper order.
-pub fn all_experiments(config: &ExperimentConfig) -> Vec<ExperimentTable> {
-    Experiment::all().iter().map(|e| e.run(config)).collect()
 }
 
 #[cfg(test)]

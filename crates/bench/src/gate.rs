@@ -12,12 +12,18 @@
 //! the route index's settled nodes and size (`index_settled.json`).
 //! [`run_gate`] measures one and compares it, or with `--update` rewrites
 //! the baseline so the diff documents the cost shift in review.
+//!
+//! The path gates also assert each tier's acceptance bar at their fixed
+//! configuration, so a regression below it fails even under `--update`:
+//! prep's [`MIN_LABEL_REDUCTION`] at d = 3, the α tier's
+//! [`MIN_SETTLED_REDUCTION`] and [`MIN_SKYLINE_ADVANTAGE`] at every d, and
+//! an exact (untruncated) route index.
 
-use crate::alpha::measure_scalarized;
+use crate::alpha::{measure_scalarized, MIN_SETTLED_REDUCTION, MIN_SKYLINE_ADVANTAGE};
 use crate::experiments::{Experiment, ExperimentConfig};
 use crate::index::measure_index;
-use crate::prep::{measure_labels, point_spec};
-use mcn_gen::generate_workload;
+use crate::prep::{measure_labels, MIN_LABEL_REDUCTION};
+use mcn_gen::{generate_workload, CostDistribution, WorkloadSpec};
 use mcn_graph::MultiCostGraph;
 use mcn_index::{IndexConfig, RouteIndex};
 use serde::{Deserialize, Serialize};
@@ -130,10 +136,20 @@ pub fn run_gate<G: Gate>(path: &Path, update: bool) -> Result<(usize, Vec<String
     Ok((rows, compare(&current, &baseline, GATE_TOLERANCE)))
 }
 
-/// The seeded network the per-dimension gates measure on: `nodes` nodes,
-/// `d` anti-correlated costs (the prep/alpha/index experiments' shape).
+/// The seeded network the per-dimension gates measure on: `nodes` nodes
+/// with `d` anti-correlated costs (facility and query counts do not touch
+/// the path tiers, so they stay small).
 pub fn gate_graph(nodes: usize, d: usize, seed: u64) -> MultiCostGraph {
-    generate_workload(&point_spec(nodes, d, seed)).graph
+    generate_workload(&WorkloadSpec {
+        nodes,
+        facilities: (nodes / 5).max(10),
+        cost_types: d,
+        distribution: CostDistribution::AntiCorrelated,
+        clusters: 4,
+        queries: 4,
+        seed,
+    })
+    .graph
 }
 
 /// One point per swept dimension, measured on [`gate_graph`] and labelled
@@ -307,9 +323,18 @@ impl Gate for LabelBaseline {
 
     /// Mean labels created per seeded pair, with and without prep, per
     /// dimension. [`measure_labels`] asserts byte-identical skylines.
+    ///
+    /// # Panics
+    /// Panics if prep shrinks the d = 3 labels by less than
+    /// [`MIN_LABEL_REDUCTION`].
     fn measure(config: &LabelGateConfig) -> Self {
         let points = per_dimension(config.nodes, &config.dims, config.seed, |graph, label| {
             let metrics = measure_labels(graph, config.pairs, config.seed);
+            let reduction = metrics.exhaustive_labels / metrics.prepped_labels.max(1.0);
+            assert!(
+                graph.num_cost_types() != 3 || reduction >= MIN_LABEL_REDUCTION,
+                "prep reduced {label} labels only {reduction:.2}× (< {MIN_LABEL_REDUCTION}×)"
+            );
             LabelGatePoint {
                 label,
                 exhaustive_labels: metrics.exhaustive_labels,
@@ -400,9 +425,27 @@ impl Gate for AlphaSettledBaseline {
     /// Mean nodes settled per seeded (pair, α) query with and without the
     /// prep heuristic, per dimension. [`measure_scalarized`] asserts
     /// byte-identical A*/Dijkstra routes.
+    ///
+    /// # Panics
+    /// Panics if A* settles less than [`MIN_SETTLED_REDUCTION`]× fewer
+    /// nodes than Dijkstra, or the skyline creates less than
+    /// [`MIN_SKYLINE_ADVANTAGE`]× more labels than A* settles nodes.
     fn measure(config: &AlphaGateConfig) -> Self {
         let points = per_dimension(config.nodes, &config.dims, config.seed, |graph, label| {
             let metrics = measure_scalarized(graph, config.pairs, config.users, config.seed);
+            let astar = metrics.astar_settled.max(1.0);
+            let reduction = metrics.dijkstra_settled / astar;
+            assert!(
+                reduction >= MIN_SETTLED_REDUCTION,
+                "A* settled only {reduction:.2}× fewer nodes than Dijkstra at {label} \
+                 (< {MIN_SETTLED_REDUCTION}×)"
+            );
+            let advantage = metrics.skyline_labels / astar;
+            assert!(
+                advantage >= MIN_SKYLINE_ADVANTAGE,
+                "the skyline created only {advantage:.2}× more labels than A* settled nodes \
+                 at {label} (< {MIN_SKYLINE_ADVANTAGE}×)"
+            );
             AlphaGatePoint {
                 label,
                 dijkstra_settled: metrics.dijkstra_settled,
@@ -448,8 +491,6 @@ pub struct IndexGateConfig {
     pub pairs: usize,
     /// Preference vectors per pair.
     pub users: usize,
-    /// Build regions of the gated index build.
-    pub regions: usize,
     /// Master seed.
     pub seed: u64,
 }
@@ -461,7 +502,6 @@ impl Default for IndexGateConfig {
             dims: vec![2, 3, 4],
             pairs: 3,
             users: 3,
-            regions: 1,
             seed: 2010,
         }
     }
@@ -497,14 +537,17 @@ impl Gate for IndexSettledBaseline {
     /// The index's settled nodes per seeded query and its size, per
     /// dimension. [`measure_index`] asserts byte-identical answers against
     /// the prep tier.
+    ///
+    /// # Panics
+    /// Panics if a build truncates a shortcut bundle (the index would not
+    /// serve).
     fn measure(config: &IndexGateConfig) -> Self {
-        let build = IndexConfig {
-            regions: config.regions.max(1),
-            seed: config.seed,
-            ..IndexConfig::default()
-        };
         let points = per_dimension(config.nodes, &config.dims, config.seed, |graph, label| {
-            let index = RouteIndex::build(graph, &build);
+            let index = RouteIndex::build(graph, &IndexConfig::default());
+            assert!(
+                index.exact(),
+                "the index build went inexact at {label}: raise max_bundle or the witness budget"
+            );
             let metrics = measure_index(graph, &index, config.pairs, config.users, config.seed);
             IndexGatePoint {
                 label,

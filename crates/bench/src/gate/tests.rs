@@ -74,7 +74,7 @@ impl Sample for AlphaSettledBaseline {
 impl Sample for IndexSettledBaseline {
     const FILE: &'static str = include_str!("../../baselines/index_settled.json");
     fn change_config(&mut self) {
-        self.config.regions = 9;
+        self.config.pairs = 9;
     }
     fn pop_row(&mut self) {
         self.points.pop();
@@ -232,12 +232,11 @@ fn run_label_gate_is_deterministic() {
 
 #[test]
 fn run_alpha_gate_is_deterministic() {
+    // The gate's own network: the acceptance bars asserted in `measure`
+    // are set for it, not for a toy one.
     let a: AlphaSettledBaseline = measure_twice(&AlphaGateConfig {
-        nodes: 80,
         dims: vec![2],
-        pairs: 2,
-        users: 2,
-        seed: 2010,
+        ..AlphaGateConfig::default()
     });
     assert!(a.points[0].astar_settled <= a.points[0].dijkstra_settled);
     assert!(a.points[0].astar_settled > 0.0);
@@ -251,7 +250,6 @@ fn run_index_gate_is_deterministic() {
         dims: vec![2],
         pairs: 2,
         users: 2,
-        regions: 2,
         seed: 2010,
     });
     assert!(a.points[0].index_settled > 0.0);

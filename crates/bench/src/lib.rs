@@ -1,9 +1,10 @@
 //! # mcn-bench
 //!
 //! The experiment harness that regenerates every figure of the paper's
-//! Section VI evaluation, plus the deterministic count gates that pin the
-//! figures' logical reads and the path tiers' label and settled counts.
-//! Wall-clock measurement lives in the repo benchmark (`benchmark/`).
+//! Section VI evaluation as a text table, plus the deterministic count
+//! gates that pin the figures' logical reads and the path tiers' label and
+//! settled counts (and assert the tiers' acceptance bars). Wall-clock
+//! measurement lives in the repo benchmark (`benchmark/`).
 //!
 //! The paper's metric is total processing time on a real disk, which is
 //! dominated by I/O (84–95 %). This reproduction runs on a simulated
@@ -32,24 +33,15 @@ pub mod prep;
 pub mod report;
 pub mod requests;
 
-pub use alpha::{
-    measure_scalarized, render_alpha_table, run_alpha, run_alpha_on_graph, AlphaConfig,
-    AlphaReport, AlphaRow, ScalarMetrics, ALPHA_ID, MIN_SETTLED_REDUCTION, MIN_SKYLINE_ADVANTAGE,
-};
-pub use experiments::{all_experiments, Experiment, ExperimentConfig};
+pub use alpha::{measure_scalarized, ScalarMetrics, MIN_SETTLED_REDUCTION, MIN_SKYLINE_ADVANTAGE};
+pub use experiments::{Experiment, ExperimentConfig};
 pub use gate::{
     compare, gate_graph, run_gate, AlphaGateConfig, AlphaGatePoint, AlphaSettledBaseline, Gate,
     GateBaseline, GateConfig, GatePoint, GateRow, GateTable, IndexGateConfig, IndexGatePoint,
     IndexSettledBaseline, LabelBaseline, LabelGateConfig, LabelGatePoint, GATE_TOLERANCE,
 };
-pub use index::{
-    measure_index, render_index_table, run_index, run_index_on_graph, IndexExperimentConfig,
-    IndexMetrics, IndexReport, IndexRow, INDEX_ID, MIN_INDEX_REDUCTION,
-};
+pub use index::{measure_index, IndexMetrics};
 pub use measure::{measure_point, AlgoMeasurement, PointMeasurement, QueryKind};
-pub use prep::{
-    dimacs_graph, measure_labels, render_prep_table, run_prep, run_prep_on_graph, LabelMetrics,
-    PrepConfig, PrepReport, PrepRow, MIN_LABEL_REDUCTION, PREP_ID,
-};
+pub use prep::{measure_labels, LabelMetrics, MIN_LABEL_REDUCTION};
 pub use report::{render_table, ExperimentTable, Row};
 pub use requests::build_request_batch;

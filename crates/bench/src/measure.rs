@@ -5,11 +5,10 @@ use mcn_gen::{generate_workload, WorkloadSpec};
 use mcn_storage::{BufferConfig, MCNStore};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Which preference query an experiment measures.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueryKind {
     /// MCN skyline queries (paper Section VI-A).
     Skyline,
@@ -18,7 +17,7 @@ pub enum QueryKind {
 }
 
 /// Aggregated measurements of one algorithm at one data point.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AlgoMeasurement {
     /// Mean CPU (wall-clock) seconds per query.
     pub cpu_seconds: f64,
@@ -69,7 +68,7 @@ impl AlgoMeasurement {
 }
 
 /// Measurements of all algorithms at one data point of a figure.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PointMeasurement {
     /// Label of the x-axis value (e.g. `"|P| = 2000"` or `"d = 3"`).
     pub label: String,
@@ -83,8 +82,8 @@ pub struct PointMeasurement {
 
 impl PointMeasurement {
     /// Largest speedup ever reported: the ratio is capped here so that
-    /// degenerate measurements (CEA charged time of zero) stay finite and
-    /// JSON-safe instead of propagating `inf` into persisted reports.
+    /// degenerate measurements (CEA charged time of zero) stay finite
+    /// instead of printing `inf` into a table.
     pub const MAX_SPEEDUP: f64 = 1e9;
 
     /// The LSA / CEA improvement factor on charged time (the paper's headline
@@ -189,8 +188,8 @@ mod tests {
 
     #[test]
     fn zero_charged_time_keeps_speedup_finite_and_json_safe() {
-        // A degenerate point where CEA was charged nothing must not emit inf
-        // (regression test: speedup used to return f64::INFINITY here).
+        // A degenerate point where CEA was charged nothing must not report
+        // inf (regression test: speedup used to return f64::INFINITY here).
         let mut m = PointMeasurement {
             label: "degenerate".to_string(),
             lsa: AlgoMeasurement {

@@ -1,10 +1,9 @@
 //! Plain-text rendering of experiment tables.
 
 use crate::measure::PointMeasurement;
-use serde::{Deserialize, Serialize};
 
 /// One rendered row of an experiment table.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Row {
     /// The x-axis label of the data point.
     pub label: String,
@@ -23,7 +22,7 @@ pub struct Row {
 }
 
 /// A complete experiment table: one row per x-axis value.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExperimentTable {
     /// Experiment identifier (e.g. `"fig08a"`).
     pub id: String,
@@ -50,12 +49,12 @@ impl ExperimentTable {
             .iter()
             .map(|p| Row {
                 label: p.label.clone(),
-                lsa_time: json_safe(p.lsa.charged_seconds(latency)),
-                cea_time: json_safe(p.cea.charged_seconds(latency)),
-                lsa_reads: json_safe(p.lsa.physical_reads),
-                cea_reads: json_safe(p.cea.physical_reads),
-                speedup: json_safe(p.speedup(latency)),
-                result_size: json_safe(p.lsa.result_size),
+                lsa_time: finite(p.lsa.charged_seconds(latency)),
+                cea_time: finite(p.cea.charged_seconds(latency)),
+                lsa_reads: finite(p.lsa.physical_reads),
+                cea_reads: finite(p.cea.physical_reads),
+                speedup: finite(p.speedup(latency)),
+                result_size: finite(p.lsa.result_size),
             })
             .collect();
         Self {
@@ -66,25 +65,12 @@ impl ExperimentTable {
             latency,
         }
     }
-
-    /// Serializes the table as indented JSON (the `--out` report format).
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self)
-    }
-
-    /// Parses a table from its JSON report representation.
-    ///
-    /// # Errors
-    /// Returns the underlying JSON error message.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde::json::from_str(text).map_err(|e| e.to_string())
-    }
 }
 
-/// Clamps a measurement into the finite range so persisted reports contain
-/// no `inf`/`NaN` (a corrupted measurement maps to 0, an overflowed one to
-/// `f64::MAX` with its sign). Shared by every report module in this crate.
-pub(crate) fn json_safe(v: f64) -> f64 {
+/// Clamps a measurement into the finite range so a table never shows
+/// `inf`/`NaN` (a corrupted measurement maps to 0, an overflowed one to
+/// `f64::MAX` with its sign).
+fn finite(v: f64) -> f64 {
     if v.is_nan() {
         0.0
     } else {
@@ -140,8 +126,8 @@ mod tests {
     #[test]
     fn degenerate_points_produce_finite_rows() {
         // Regression test: an all-zero CEA measurement used to put
-        // f64::INFINITY into the speedup column, which no JSON consumer can
-        // represent. Every row value must come out finite.
+        // f64::INFINITY into the speedup column. Every row value must come
+        // out finite.
         let mut p = point("zero", 300.0, 100.0);
         p.cea = AlgoMeasurement::default();
         p.lsa.cpu_seconds = f64::NAN; // corrupted timer reading
@@ -157,8 +143,6 @@ mod tests {
         ] {
             assert!(v.is_finite(), "non-finite value {v} escaped into a row");
         }
-        // And the table round-trips through the report format.
-        assert_eq!(ExperimentTable::from_json(&table.to_json()).unwrap(), table);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Shared scaffolding for building deterministic mixed query batches.
 //!
-//! The `partition` experiment and the engine's concurrency and
-//! observability tests drive the engine with the same shape of batch: the
-//! workload's query locations cycled up to the batch size, seeded random
-//! weighted-sum coefficients, and LSA/CEA alternation — only the
-//! request-kind mix differs. This helper owns the scaffolding so the
-//! batches cannot drift apart.
+//! The engine's concurrency and observability tests drive the engine with
+//! the same shape of batch: the workload's query locations cycled up to the
+//! batch size, seeded random weighted-sum coefficients, and LSA/CEA
+//! alternation. This helper owns the scaffolding so the batches cannot
+//! drift apart.
 
 use mcn_core::Algorithm;
 use mcn_engine::QueryRequest;

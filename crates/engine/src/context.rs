@@ -91,8 +91,8 @@ impl PathContext {
             .get_or_build_observed(&self.graph, target, obs, tier, query)
     }
 
-    /// Snapshot of the cache counters (the `prep` experiment's cold/warm
-    /// evidence).
+    /// Snapshot of the cache counters (the engine diffs two of them into a
+    /// batch's `BatchStats::prep_cache`).
     pub fn cache_stats(&self) -> PrepCacheStats {
         self.cache.stats()
     }

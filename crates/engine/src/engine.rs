@@ -1096,10 +1096,7 @@ mod tests {
         // workload, so the index is not exact and must never serve.
         let index = Arc::new(mcn_index::RouteIndex::build(
             ctx.graph(),
-            &mcn_index::IndexConfig {
-                max_bundle: 1,
-                ..mcn_index::IndexConfig::default()
-            },
+            &mcn_index::IndexConfig { max_bundle: 1 },
         ));
         assert!(!index.exact());
         let fallback_ctx = Arc::new(

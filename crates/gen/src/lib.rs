@@ -31,4 +31,4 @@ pub use costs::{assign_costs, CostDistribution};
 pub use facilities::{place_facilities, FacilitySpec};
 pub use network::{build_graph, generate_topology, NetworkSpec, Topology};
 pub use preferences::{generate_preferences, PreferenceSpec};
-pub use workload::{generate_workload, workload_on_graph, Workload, WorkloadSpec};
+pub use workload::{generate_workload, Workload, WorkloadSpec};

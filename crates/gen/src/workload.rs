@@ -2,7 +2,7 @@
 
 use crate::costs::{assign_costs, CostDistribution};
 use crate::facilities::{place_facilities, FacilitySpec};
-use crate::network::{build_graph, generate_topology, NetworkSpec, Topology};
+use crate::network::{build_graph, generate_topology, NetworkSpec};
 use mcn_graph::{GraphBuilder, MultiCostGraph, NetworkLocation, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -138,74 +138,6 @@ pub fn generate_workload(spec: &WorkloadSpec) -> Workload {
     }
 }
 
-/// Derives a full experiment workload from an **existing** network — e.g. a
-/// real road network loaded through `mcn-io` — instead of a synthetic
-/// topology. The input graph's first cost type is treated as the edge
-/// length; `spec.cost_types` fresh costs are drawn around it with
-/// `spec.distribution` (exactly like the synthetic pipeline), clustered
-/// facilities are placed, and `spec.queries` node locations are sampled.
-/// `spec.nodes` is ignored: the graph defines the topology. Deterministic in
-/// `spec.seed`.
-///
-/// # Panics
-/// Panics if the graph has no edges (nowhere to place facilities).
-pub fn workload_on_graph(graph: &MultiCostGraph, spec: &WorkloadSpec) -> Workload {
-    let topology = Topology {
-        positions: graph.nodes().map(|n| (n.x, n.y)).collect(),
-        edges: graph
-            .edges()
-            .map(|e| (e.source, e.target, e.costs[0]))
-            .collect(),
-    };
-    let costs = assign_costs(&topology, spec.cost_types, spec.distribution, spec.seed);
-    let facility_spec = FacilitySpec {
-        count: spec.facilities,
-        clusters: spec.clusters,
-        sigma_hops: 8.0,
-        seed: spec.seed.wrapping_add(1),
-    };
-    let placements = place_facilities(graph, &facility_spec);
-
-    let mut builder = GraphBuilder::with_capacity(
-        spec.cost_types,
-        graph.num_nodes(),
-        graph.num_edges(),
-        spec.facilities,
-    );
-    for n in graph.nodes() {
-        if n.has_position() {
-            builder.add_node(n.x, n.y);
-        } else {
-            builder.add_node_without_position();
-        }
-    }
-    for (e, w) in graph.edges().zip(&costs) {
-        // Edge ids are preserved: edges re-inserted in id order.
-        let inserted = if e.directed {
-            builder.add_directed_edge(e.source, e.target, *w)
-        } else {
-            builder.add_edge(e.source, e.target, *w)
-        };
-        inserted.expect("edge re-insertion is valid");
-    }
-    for (edge, position) in placements {
-        builder
-            .add_facility(edge, position)
-            .expect("placement is valid");
-    }
-    let graph = builder.build().expect("derived workload graph is valid");
-
-    let mut rng = ChaCha8Rng::seed_from_u64(spec.seed.wrapping_add(2));
-    let queries = (0..spec.queries)
-        .map(|_| NetworkLocation::Node(NodeId::from(rng.gen_range(0..graph.num_nodes()))))
-        .collect();
-    Workload {
-        graph,
-        queries,
-        spec: spec.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,40 +175,6 @@ mod tests {
         assert!(scaled.nodes <= full.nodes / 40);
         assert!(scaled.facilities <= full.facilities / 40);
         assert!(scaled.queries >= 5);
-    }
-
-    #[test]
-    fn workload_on_graph_reuses_the_topology() {
-        // Build a small multi-cost graph, then derive a fresh workload on it.
-        let base = generate_workload(&WorkloadSpec::tiny(4)).graph;
-        let spec = WorkloadSpec {
-            cost_types: 4,
-            facilities: 50,
-            queries: 7,
-            seed: 99,
-            ..WorkloadSpec::tiny(4)
-        };
-        let w = workload_on_graph(&base, &spec);
-        assert_eq!(w.graph.num_nodes(), base.num_nodes());
-        assert_eq!(w.graph.num_edges(), base.num_edges());
-        assert_eq!(w.graph.num_cost_types(), 4);
-        assert_eq!(w.graph.num_facilities(), 50);
-        assert_eq!(w.queries.len(), 7);
-        // Edge endpoints and direction survive; costs are re-drawn around
-        // the old first cost (the "length").
-        for (old, new) in base.edges().zip(w.graph.edges()) {
-            assert_eq!(old.source, new.source);
-            assert_eq!(old.target, new.target);
-            assert_eq!(old.directed, new.directed);
-            assert!(new.costs[0] > 0.0);
-        }
-        // Deterministic in the seed.
-        let again = workload_on_graph(&base, &spec);
-        assert_eq!(w.queries, again.queries);
-        assert_eq!(
-            w.graph.facilities().collect::<Vec<_>>(),
-            again.graph.facilities().collect::<Vec<_>>()
-        );
     }
 
     #[test]

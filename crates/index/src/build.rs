@@ -1,11 +1,11 @@
 //! Bottom-up contraction: deterministic importance ordering, bounded
-//! witness search, shortcut insertion, and the per-region parallel build.
+//! witness search and shortcut insertion.
 
 use crate::config::IndexConfig;
 use crate::structure::{
     bundle_dominates_weak, bundle_merge, ArcEntry, Fragment, RouteIndex, UpArc,
 };
-use mcn_graph::{dominates_weak, partition_graph, CostVec, MultiCostGraph, PartitionSpec};
+use mcn_graph::{dominates_weak, CostVec, MultiCostGraph};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -61,13 +61,13 @@ impl Ord for OrderEntry {
 type ContractedNode = (u32, Vec<UpArc>, Vec<UpArc>);
 
 impl<'a> Contractor<'a> {
-    fn new(cfg: &'a IndexConfig, d: usize, n: usize, fragments: Vec<Fragment>) -> Self {
+    fn new(cfg: &'a IndexConfig, d: usize, n: usize) -> Self {
         Self {
             cfg,
             d,
             out: vec![BTreeMap::new(); n],
             inn: vec![BTreeMap::new(); n],
-            fragments,
+            fragments: Vec::new(),
             deleted_neighbors: vec![0; n],
             shortcuts: 0,
             exact: true,
@@ -249,28 +249,41 @@ impl<'a> Contractor<'a> {
 }
 
 impl RouteIndex {
-    /// Builds the hierarchy over `graph`. With `config.regions > 1` the
-    /// interior of each partition region is contracted on its own thread
-    /// and the boundary overlay sequentially on top; the result depends
-    /// only on the inputs, never on scheduling.
+    /// Builds the hierarchy over `graph` by contracting every node
+    /// bottom-up; the result depends only on the inputs.
     pub fn build(graph: &MultiCostGraph, config: &IndexConfig) -> Self {
         let n = graph.num_nodes();
-        let regions = config.regions.clamp(1, n.max(1));
-        if regions > 1 {
-            build_partitioned(graph, config, regions)
-        } else {
-            build_sequential(graph, config)
+        let mut c = Contractor::new(config, graph.num_cost_types(), n);
+        seed_edges(&mut c, graph);
+        let nodes: Vec<u32> = (0..n as u32).collect();
+        let mut rank = vec![0; n];
+        let mut up_out = vec![Vec::new(); n];
+        let mut up_in = vec![Vec::new(); n];
+        for (r, (node, out, inn)) in c.contract_set(&nodes).into_iter().enumerate() {
+            rank[node as usize] = r as u32;
+            up_out[node as usize] = out;
+            up_in[node as usize] = inn;
+        }
+        RouteIndex {
+            num_nodes: n,
+            num_edges: graph.num_edges(),
+            dims: graph.num_cost_types(),
+            rank,
+            up_out,
+            up_in,
+            fragments: c.fragments,
+            shortcuts: c.shortcuts,
+            exact: c.exact,
         }
     }
 }
 
-/// Seeds every core arc of `graph` whose endpoints satisfy `keep`,
-/// creating one `Edge` fragment per used edge (shared by both directions
-/// of an undirected edge).
-fn seed_edges(c: &mut Contractor<'_>, graph: &MultiCostGraph, keep: impl Fn(u32, u32) -> bool) {
+/// Seeds every core arc of `graph`, creating one `Edge` fragment per used
+/// edge (shared by both directions of an undirected edge).
+fn seed_edges(c: &mut Contractor<'_>, graph: &MultiCostGraph) {
     for e in graph.edges() {
         let (s, t) = (e.source.raw(), e.target.raw());
-        if s == t || !keep(s, t) {
+        if s == t {
             continue;
         }
         let frag = c.fragments.len() as u32;
@@ -279,186 +292,6 @@ fn seed_edges(c: &mut Contractor<'_>, graph: &MultiCostGraph, keep: impl Fn(u32,
         if !e.directed {
             c.seed_arc(t, s, e.costs, frag);
         }
-    }
-}
-
-fn build_sequential(graph: &MultiCostGraph, config: &IndexConfig) -> RouteIndex {
-    let n = graph.num_nodes();
-    let d = graph.num_cost_types();
-    let mut c = Contractor::new(config, d, n, Vec::new());
-    seed_edges(&mut c, graph, |_, _| true);
-    let nodes: Vec<u32> = (0..n as u32).collect();
-    let order = c.contract_set(&nodes);
-    let mut index = empty_index(graph, 1);
-    let mut next_rank = 0u32;
-    install(&mut index, order, &mut next_rank, 0);
-    index.fragments = c.fragments;
-    index.shortcuts = c.shortcuts;
-    index.exact = c.exact;
-    index
-}
-
-fn build_partitioned(graph: &MultiCostGraph, config: &IndexConfig, regions: usize) -> RouteIndex {
-    let n = graph.num_nodes();
-    let d = graph.num_cost_types();
-    let spec = PartitionSpec {
-        regions,
-        seed: config.seed,
-    };
-    let partition = partition_graph(graph, &spec);
-
-    // Boundary nodes: any endpoint of a region-crossing edge. Interior
-    // nodes of distinct regions never share an arc, so each region's
-    // interior contracts independently; the boundary forms the overlay.
-    let mut is_boundary = vec![false; n];
-    for e in graph.edges() {
-        if partition.region_of(e.source) != partition.region_of(e.target) {
-            is_boundary[e.source.index()] = true;
-            is_boundary[e.target.index()] = true;
-        }
-    }
-    let mut interiors: Vec<Vec<u32>> = vec![Vec::new(); regions];
-    for v in 0..n {
-        if !is_boundary[v] {
-            let r = partition.region_of(mcn_graph::NodeId::from(v)).index();
-            interiors[r].push(v as u32);
-        }
-    }
-
-    /// Everything one region thread hands back.
-    struct RegionOutcome {
-        order: Vec<ContractedNode>,
-        /// Boundary-to-boundary arcs left in the region core.
-        remaining: Vec<(u32, u32, Vec<ArcEntry>)>,
-        fragments: Vec<Fragment>,
-        shortcuts: u64,
-        exact: bool,
-    }
-
-    // Region workers are joined in region order, so the merge below does
-    // not depend on scheduling.
-    let outcomes: Vec<RegionOutcome> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..regions)
-            .map(|r| {
-                let interior = &interiors[r];
-                let partition = &partition;
-                s.spawn(move || {
-                    let mut c = Contractor::new(config, d, n, Vec::new());
-                    seed_edges(&mut c, graph, |a, b| {
-                        partition.region_of(mcn_graph::NodeId::new(a)).index() == r
-                            && partition.region_of(mcn_graph::NodeId::new(b)).index() == r
-                    });
-                    let order = c.contract_set(interior);
-                    let mut remaining = Vec::new();
-                    for v in 0..n {
-                        for (w, bundle) in &c.out[v] {
-                            remaining.push((v as u32, *w, bundle.clone()));
-                        }
-                    }
-                    RegionOutcome {
-                        order,
-                        remaining,
-                        fragments: c.fragments,
-                        shortcuts: c.shortcuts,
-                        exact: c.exact,
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("region contraction thread panicked"))
-            .collect()
-    });
-
-    // Deterministic merge in region order: append each region's fragment
-    // arena at a fresh offset and remap its fragment references.
-    let mut index = empty_index(graph, regions);
-    let mut fragments: Vec<Fragment> = Vec::new();
-    let mut shortcuts = 0u64;
-    let mut exact = true;
-    let mut next_rank = 0u32;
-    let mut overlay_seed: Vec<(u32, u32, Vec<ArcEntry>)> = Vec::new();
-    for outcome in outcomes {
-        let offset = fragments.len() as u32;
-        for frag in &outcome.fragments {
-            fragments.push(match *frag {
-                Fragment::Edge(e) => Fragment::Edge(e),
-                Fragment::Concat(a, b) => Fragment::Concat(a + offset, b + offset),
-            });
-        }
-        shortcuts += outcome.shortcuts;
-        exact &= outcome.exact;
-        install(&mut index, outcome.order, &mut next_rank, offset);
-        for (u, w, mut bundle) in outcome.remaining {
-            for e in &mut bundle {
-                e.frag += offset;
-            }
-            overlay_seed.push((u, w, bundle));
-        }
-    }
-
-    // The boundary overlay: remaining intra-region arcs plus the crossing
-    // edges, contracted sequentially with the top ranks.
-    let mut overlay = Contractor::new(config, d, n, fragments);
-    overlay.exact = exact;
-    overlay.shortcuts = shortcuts;
-    for (u, w, bundle) in overlay_seed {
-        for e in bundle {
-            overlay.seed_arc(u, w, e.costs, e.frag);
-        }
-    }
-    seed_edges(&mut overlay, graph, |a, b| {
-        partition.region_of(mcn_graph::NodeId::new(a))
-            != partition.region_of(mcn_graph::NodeId::new(b))
-    });
-    let boundary: Vec<u32> = (0..n as u32).filter(|&v| is_boundary[v as usize]).collect();
-    let order = overlay.contract_set(&boundary);
-    install(&mut index, order, &mut next_rank, 0);
-
-    debug_assert_eq!(next_rank as usize, n, "every node receives one rank");
-    index.fragments = overlay.fragments;
-    index.shortcuts = overlay.shortcuts;
-    index.exact = overlay.exact;
-    index
-}
-
-fn empty_index(graph: &MultiCostGraph, regions: usize) -> RouteIndex {
-    let n = graph.num_nodes();
-    RouteIndex {
-        num_nodes: n,
-        num_edges: graph.num_edges(),
-        dims: graph.num_cost_types(),
-        rank: vec![0; n],
-        up_out: vec![Vec::new(); n],
-        up_in: vec![Vec::new(); n],
-        fragments: Vec::new(),
-        shortcuts: 0,
-        exact: true,
-        regions,
-    }
-}
-
-/// Installs a contraction order into the index: consecutive ranks from
-/// `next_rank`, fragment references shifted by `frag_offset`.
-fn install(
-    index: &mut RouteIndex,
-    order: Vec<ContractedNode>,
-    next_rank: &mut u32,
-    frag_offset: u32,
-) {
-    for (node, mut up_out, mut up_in) in order {
-        if frag_offset != 0 {
-            for arc in up_out.iter_mut().chain(up_in.iter_mut()) {
-                for e in &mut arc.entries {
-                    e.frag += frag_offset;
-                }
-            }
-        }
-        index.rank[node as usize] = *next_rank;
-        *next_rank += 1;
-        index.up_out[node as usize] = up_out;
-        index.up_in[node as usize] = up_in;
     }
 }
 
@@ -538,10 +371,7 @@ mod tests {
             b.add_edge(m, t, c).unwrap();
         }
         let g = b.build().unwrap();
-        let cfg = IndexConfig {
-            max_bundle: 1,
-            ..IndexConfig::default()
-        };
+        let cfg = IndexConfig { max_bundle: 1 };
         let idx = RouteIndex::build(&g, &cfg);
         assert!(!idx.exact(), "a cap of 1 must truncate some bundle");
         // The default cap keeps everything.
@@ -549,14 +379,20 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_build_is_deterministic_and_complete() {
-        let (g, _, _) = diamond();
-        let cfg = IndexConfig::with_regions(2);
-        let a = RouteIndex::build(&g, &cfg);
-        let b = RouteIndex::build(&g, &cfg);
+    fn build_is_deterministic_and_complete() {
+        let graph = mcn_gen::generate_workload(&mcn_gen::WorkloadSpec {
+            nodes: 300,
+            facilities: 10,
+            queries: 0,
+            ..mcn_gen::WorkloadSpec::tiny(2010)
+        })
+        .graph;
+        let a = RouteIndex::build(&graph, &IndexConfig::default());
+        let b = RouteIndex::build(&graph, &IndexConfig::default());
         assert_eq!(a, b, "two builds of the same input must be identical");
-        let mut ranks: Vec<u32> = (0..4).map(|v| a.rank_of(v)).collect();
+        let n = graph.num_nodes();
+        let mut ranks: Vec<u32> = (0..n as u32).map(|v| a.rank_of(v)).collect();
         ranks.sort_unstable();
-        assert_eq!(ranks, vec![0, 1, 2, 3]);
+        assert_eq!(ranks, (0..n as u32).collect::<Vec<_>>());
     }
 }

@@ -22,12 +22,6 @@
 //! [`RouteIndex::exact`] flag, and the engine then falls back to the
 //! prep-backed tier.
 //!
-//! The build parallelizes per region (reusing the deterministic
-//! [`mcn_graph::partition_graph`] partitioner): interior nodes of distinct
-//! regions never share arcs, so each region contracts its interior
-//! independently; boundary nodes form an **overlay graph** contracted
-//! sequentially on top.
-//!
 //! ## Query phase
 //!
 //! Both query kinds run bidirectional *upward* searches (forward over

@@ -76,8 +76,6 @@ pub struct RouteIndex {
     /// True iff no bundle was ever truncated: every Pareto set survived
     /// whole, so queries are exact. When false the engine must fall back.
     pub(crate) exact: bool,
-    /// Number of build regions (1 = sequential).
-    pub(crate) regions: usize,
 }
 
 const _: () = crate::assert_send_sync::<RouteIndex>();
@@ -115,18 +113,13 @@ impl RouteIndex {
         self.exact
     }
 
-    /// Number of regions the build used.
-    pub fn regions(&self) -> usize {
-        self.regions
-    }
-
     /// Number of fragments in the arena.
     pub fn num_fragments(&self) -> usize {
         self.fragments.len()
     }
 
     /// Total upward-arc entries (original + shortcut) over both
-    /// directions — the index's size metric in the `index` experiment.
+    /// directions — the index's size metric, pinned by the index gate.
     pub fn arc_entries(&self) -> u64 {
         let count = |side: &[Vec<UpArc>]| -> u64 {
             side.iter()

@@ -1,5 +1,5 @@
 //! Byte-identity of index-served answers against the direct algorithms on
-//! seeded synthetic networks, sequential and partitioned builds alike.
+//! seeded synthetic networks.
 
 use mcn_alpha::{scalarized_path, Preference};
 use mcn_gen::{generate_workload, CostDistribution, WorkloadSpec};
@@ -72,36 +72,5 @@ fn sequential_build_matches_direct_algorithms_at_d2_and_d3() {
         let graph = workload(90, d, seed);
         let index = RouteIndex::build(&graph, &IndexConfig::default());
         assert_identity(&graph, &index, &format!("d = {d}, seed {seed}"));
-    }
-}
-
-#[test]
-fn partitioned_build_matches_direct_algorithms() {
-    for (d, nodes, seed) in [(2, 120, 23u64), (3, 90, 7)] {
-        let graph = workload(nodes, d, seed);
-        let index = RouteIndex::build(&graph, &IndexConfig::with_regions(3));
-        assert_eq!(index.regions(), 3);
-        assert_identity(&graph, &index, &format!("d = {d}, regions = 3"));
-    }
-}
-
-#[test]
-fn partitioned_and_sequential_answers_agree() {
-    // The hierarchies differ (contraction orders differ) but every answer
-    // must still be the same bytes, pinned by the direct algorithms above;
-    // here the two index variants are also checked against each other.
-    let graph = workload(80, 2, 5);
-    let seq = RouteIndex::build(&graph, &IndexConfig::default());
-    let par = RouteIndex::build(&graph, &IndexConfig::with_regions(4));
-    let pref = Preference::uniform(2);
-    for (s, t) in pairs(graph.num_nodes(), 8) {
-        assert_eq!(
-            seq.alpha_path(&graph, s, t, &pref).path,
-            par.alpha_path(&graph, s, t, &pref).path
-        );
-        assert_eq!(
-            seq.skyline_paths(&graph, s, t).paths,
-            par.skyline_paths(&graph, s, t).paths
-        );
     }
 }

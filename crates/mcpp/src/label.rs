@@ -50,7 +50,7 @@ pub struct PathSkylineResult {
 /// sequence* may differ from the exhaustive run's. Workloads with
 /// continuous float costs — everything seeded in this repository — have no
 /// exact ties, which is what the byte-identical fingerprint assertions in
-/// `tests/prep.rs` and the `prep` experiment rely on.
+/// `tests/prep.rs` and the label gate rely on.
 ///
 /// Complexity is output-sensitive and exponential in the worst case (the
 /// Pareto set itself can be exponential); it is intended for moderate-size
@@ -76,7 +76,7 @@ pub fn pareto_paths_with_stats(
 /// leaves its output and stored labels unchanged but lowers
 /// `labels_created` — its counts are the baseline as measured since then.
 /// Identical output to [`pareto_paths`]; exists as the measurement baseline
-/// the `prep` experiment (and the early-termination fix) quantify label
+/// the label gate (and the early-termination fix) quantify label
 /// reductions against.
 pub fn pareto_paths_exhaustive(
     graph: &MultiCostGraph,

@@ -183,7 +183,8 @@ impl PrepTable {
 
     /// Queue pops the scan performed — the scan's settled-node count. A
     /// cold-cache query pays this on top of its own search, which is what
-    /// the `index` experiment charges the prep-backed tier per cold target.
+    /// the index gate's measurement charges the prep-backed tier per cold
+    /// target.
     #[inline]
     pub fn settled(&self) -> u64 {
         self.settled

@@ -22,7 +22,7 @@
 //! * [`prep`] — ParetoPrep precomputation: backward per-cost lower-bound
 //!   scans and the prep-table cache behind the engine's path queries.
 //! * [`alpha`] — the scalarized preference serving tier: per-user α
-//!   weight vectors, prep-backed A* fastest paths, preference estimation.
+//!   weight vectors, α-collapsed Dijkstra and prep-backed A* fastest paths.
 //! * [`index`] — the hierarchical partial-path route index: multi-cost
 //!   contraction hierarchy with Pareto shortcut bundles, bidirectional
 //!   upward queries byte-identical to the prep-backed tier.

@@ -150,7 +150,7 @@ fn fingerprints(result: &mcn::engine::BatchResult) -> Vec<String> {
 #[test]
 fn mixed_engine_batches_agree_across_index_and_worker_counts() {
     let (store, graph, requests) = engine_fixture();
-    let index = Arc::new(RouteIndex::build(&graph, &IndexConfig::with_regions(3)));
+    let index = Arc::new(RouteIndex::build(&graph, &IndexConfig::default()));
     assert!(index.serves(&graph), "fixture build must stay exact");
 
     let prep_ctx = Arc::new(PathContext::new(graph.clone(), 8));
