@@ -1,15 +1,14 @@
 //! The explicit, resolved call graph: every call site in every function
 //! body, mapped through [`crate::resolver::Resolver`] to candidate callees.
 //!
-//! Closure queries (forward reachability for the hot-path lint and lock
-//! closures, reverse reachability for determinism sinks) run over candidate
-//! edges: a call with several candidates (trait fan-out, name fallback)
-//! reaches all of them — the analyses over-approximate rather than miss.
+//! Closure queries (forward reachability for the hot-path lint, reverse
+//! reachability for determinism sinks) run over candidate edges: a call
+//! with several candidates (trait fan-out, name fallback) reaches all of
+//! them — the analyses over-approximate rather than miss.
 //!
 //! Closure bodies are attributed to their *enclosing function* — a closure
-//! passed to `with_page` textually belongs to the caller, which is exactly
-//! the attribution lock-liveness analysis needs. Nested `fn` items are
-//! carved out and get their own node.
+//! passed to `with_page` textually belongs to the caller. Nested `fn` items
+//! are carved out and get their own node.
 
 use crate::resolver::Resolver;
 use crate::workspace::Workspace;
@@ -21,8 +20,6 @@ pub struct CallSite {
     pub name: String,
     /// Token index of the callee identifier (in the owning file).
     pub tok: usize,
-    /// 1-based source line.
-    pub line: u32,
     /// Resolved candidate callees (indices into `resolver.fns`); empty for
     /// external/std calls.
     pub candidates: Vec<usize>,
@@ -96,7 +93,6 @@ impl CallGraph {
                 out.push(CallSite {
                     name: name.to_string(),
                     tok: k,
-                    line: toks[k].line,
                     candidates,
                 });
             }

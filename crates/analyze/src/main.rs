@@ -1,12 +1,12 @@
 //! CLI driver.
 //!
 //! ```text
-//! mcn-analyze check [--root PATH] [--lock-order PATH] [--update]
+//! mcn-analyze check [--root PATH]
 //! mcn-analyze list-rules
 //! ```
 //!
-//! Exit codes: `0` clean, `1` any finding, new or stale lock edges (or an
-//! I/O error), `2` usage error.
+//! Exit codes: `0` clean, `1` any finding (or an I/O error), `2` usage
+//! error.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -17,14 +17,11 @@ use mcn_analyze::workspace::Workspace;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: mcn-analyze check [--root PATH] [--lock-order PATH] [--update]\n\
+        "usage: mcn-analyze check [--root PATH]\n\
          \x20      mcn-analyze list-rules\n\
          \n\
-         `check` runs the workspace invariant lints and diffs the lock\n\
-         acquisition-order edges against crates/analyze/lock-order.json.\n\
-         Any finding fails; a reasoned allow at its site is the only way\n\
-         to accept one. --update rewrites lock-order.json to accept the\n\
-         current edges (findings still fail).\n\
+         `check` runs the workspace invariant lints. Any finding fails; a\n\
+         reasoned allow at its site is the only way to accept one.\n\
          \n\
          `list-rules` prints every rule with its summary and whether a\n\
          `// mcn-lint: allow(rule, reason = \"...\")` comment can suppress it."
@@ -63,19 +60,12 @@ fn main() -> ExitCode {
         _ => return usage(),
     }
     let mut root: Option<PathBuf> = None;
-    let mut lock_order: Option<PathBuf> = None;
-    let mut update = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => match args.next() {
                 Some(v) => root = Some(PathBuf::from(v)),
                 None => return usage(),
             },
-            "--lock-order" => match args.next() {
-                Some(v) => lock_order = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            "--update" => update = true,
             _ => return usage(),
         }
     }
@@ -90,9 +80,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let lock_order = lock_order.unwrap_or_else(|| root.join("crates/analyze/lock-order.json"));
 
-    let outcome = match mcn_analyze::check(&root, &lock_order, update) {
+    let outcome = match mcn_analyze::check(&root) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("mcn-analyze: {e}");
@@ -100,27 +89,8 @@ fn main() -> ExitCode {
         }
     };
 
-    if update {
-        println!(
-            "mcn-analyze: lock-order rewritten with {} edge(s)",
-            outcome.lock_edges.len()
-        );
-    }
     for f in &outcome.findings {
         println!("{f}");
-    }
-    for e in &outcome.lock_new {
-        println!(
-            "{}:{}: lock-order edge `{}` -> `{}` is not in lock-order.json — \
-             review the ordering and rerun with --update",
-            e.file, e.line, e.from, e.to
-        );
-    }
-    for e in &outcome.lock_stale {
-        println!(
-            "lock-order.json edge `{}` -> `{}` no longer occurs — rerun with --update",
-            e.from, e.to
-        );
     }
     let mut per_rule: BTreeMap<&str, usize> = BTreeMap::new();
     for f in &outcome.findings {
@@ -131,20 +101,16 @@ fn main() -> ExitCode {
         .map(|(rule, n)| format!("{rule}: {n}"))
         .collect();
     println!(
-        "mcn-analyze: {} file(s), {} finding(s){}, {} lock edge(s) — {} new, \
-         {} stale",
+        "mcn-analyze: {} file(s), {} finding(s){}",
         outcome.files,
         outcome.findings.len(),
         if summary.is_empty() {
             String::new()
         } else {
             format!(" [{}]", summary.join(", "))
-        },
-        outcome.lock_edges.len(),
-        outcome.lock_new.len(),
-        outcome.lock_stale.len()
+        }
     );
-    if outcome.is_clean() {
+    if outcome.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

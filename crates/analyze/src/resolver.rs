@@ -403,17 +403,6 @@ impl Resolver {
         Some(name)
     }
 
-    /// The declared type of `self.<field>` inside `fn_id`'s impl.
-    pub fn self_field_type(&self, fn_id: usize, field: &str) -> Option<Vec<String>> {
-        let f = &self.fns[fn_id];
-        let self_type = f.self_type.as_deref()?;
-        let s = self.struct_def(self_type, &f.crate_name)?;
-        s.fields
-            .iter()
-            .find(|fd| fd.name == field)
-            .map(|fd| fd.ty.clone())
-    }
-
     /// Resolves the type (identifier sequence) of the postfix expression
     /// ending at token `end` of `fn_id`'s file. Handles locals, `self`,
     /// field chains, indexing and calls whose target resolves.
@@ -701,11 +690,6 @@ pub fn lock_inner_type(ty: &[String]) -> Option<Vec<String>> {
     } else {
         Some(rest)
     }
-}
-
-/// True when a type mentions a lock.
-pub fn is_lock_type(ty: &[String]) -> bool {
-    ty.iter().any(|id| id == "Mutex" || id == "RwLock")
 }
 
 /// Collects the identifier sequence of a type starting at `from`, stopping

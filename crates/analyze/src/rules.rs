@@ -1,9 +1,9 @@
-//! The rule engine: four repo-specific lints over the token streams of
+//! The rule engine: three repo-specific lints over the token streams of
 //! [`crate::workspace::Workspace`] files.
 //!
 //! `lock-across-io` works purely on tokens plus the light structure
 //! derived in [`crate::source`]. The reachability-based rules
-//! (`nondet-iteration`, `hot-path-alloc`, `lock-order`) run over the
+//! (`nondet-iteration`, `hot-path-alloc`) run over the
 //! *resolved* call graph of [`crate::callgraph::Model`]: method calls bind
 //! to their receiver's declared type, trait-bound receivers fan out to
 //! every implementor, and the closures over-approximate rather than miss.
@@ -14,7 +14,6 @@ use std::collections::BTreeSet;
 
 use crate::callgraph::Model;
 use crate::lexer::Token;
-use crate::locks;
 use crate::resolver::CONTAINER_TYPES;
 use crate::source::SourceFile;
 use crate::workspace::Workspace;
@@ -24,18 +23,15 @@ use crate::Finding;
 pub const RULE_LOCK_ACROSS_IO: &str = "lock-across-io";
 /// See [`RULE_LOCK_ACROSS_IO`].
 pub const RULE_NONDET_ITERATION: &str = "nondet-iteration";
-/// Lock-order cycles over the resolved call graph (see [`crate::locks`]).
-pub const RULE_LOCK_ORDER: &str = "lock-order";
 /// Allocation in functions reachable from the query inner loops.
 pub const RULE_HOT_PATH_ALLOC: &str = "hot-path-alloc";
 /// Malformed `mcn-lint:` comments; not suppressible.
 pub const RULE_ALLOW_SYNTAX: &str = "allow-syntax";
 
 /// All suppressible rules, for documentation and directive validation.
-pub const ALL_RULES: [&str; 4] = [
+pub const ALL_RULES: [&str; 3] = [
     RULE_LOCK_ACROSS_IO,
     RULE_NONDET_ITERATION,
-    RULE_LOCK_ORDER,
     RULE_HOT_PATH_ALLOC,
 ];
 
@@ -50,7 +46,7 @@ pub struct RuleDoc {
 }
 
 /// Every rule, with its one-line description.
-pub const RULE_DOCS: [RuleDoc; 5] = [
+pub const RULE_DOCS: [RuleDoc; 4] = [
     RuleDoc {
         name: RULE_LOCK_ACROSS_IO,
         summary: "a lock guard stays live across a physical-read/DiskManager call",
@@ -60,12 +56,6 @@ pub const RULE_DOCS: [RuleDoc; 5] = [
         name: RULE_NONDET_ITERATION,
         summary: "hash-order iteration in a function that reaches a determinism sink \
                   (resolved call graph)",
-        suppressible: true,
-    },
-    RuleDoc {
-        name: RULE_LOCK_ORDER,
-        summary: "a lock acquisition edge closes a cycle in the acquisition-order graph \
-                  (deadlock precondition); allow on the edge site exempts the edge",
         suppressible: true,
     },
     RuleDoc {
@@ -108,19 +98,10 @@ const IO_CALLS: [&str; 14] = [
 /// the workspace: a name nothing matches seeds nothing.
 pub const DETERMINISM_SINKS: [&str; 3] = ["fingerprint", "to_json", "run_gate"];
 
-/// Everything one full pass produces: findings plus the lock-order graph.
-pub struct Analysis {
-    /// Surviving findings, sorted by file, line and rule.
-    pub findings: Vec<Finding>,
-    /// Deduplicated lock acquisition edges (diffed against
-    /// `lock-order.json` by the driver).
-    pub lock_edges: Vec<locks::LockEdge>,
-}
-
 /// Runs every rule over the workspace: builds the resolved model once,
 /// runs the lexical rules per file and the call-graph rules on top, and
-/// returns the surviving findings plus the lock-order graph.
-pub fn analyze(ws: &Workspace) -> Analysis {
+/// returns the surviving findings, sorted by file, line and rule.
+pub fn run_all(ws: &Workspace) -> Vec<Finding> {
     let model = Model::build(ws);
     let mut raw = Vec::new();
     let sensitive = sensitive_spans(&model);
@@ -138,8 +119,6 @@ pub fn analyze(ws: &Workspace) -> Analysis {
         nondet_iteration(file, fi, &sensitive, &mut raw);
     }
     hot_path_alloc(&model, &mut raw);
-    let lock = locks::run(&model);
-    raw.extend(lock.findings.iter().cloned());
 
     let mut findings: Vec<Finding> = raw
         .into_iter()
@@ -153,16 +132,7 @@ pub fn analyze(ws: &Workspace) -> Analysis {
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule.as_str()).cmp(&(b.file.as_str(), b.line, b.rule.as_str()))
     });
-    Analysis {
-        findings,
-        lock_edges: lock.edges,
-    }
-}
-
-/// Runs every rule and returns the surviving findings, sorted by file,
-/// line and rule.
-pub fn run_all(ws: &Workspace) -> Vec<Finding> {
-    analyze(ws).findings
+    findings
 }
 
 fn push(out: &mut Vec<Finding>, file: &SourceFile, rule: &str, line: u32, message: String) {
@@ -519,13 +489,6 @@ const HOT_PATH_ROOTS: [(&str, &str); 5] = [
     ("prep", "scan"),
 ];
 
-/// Crates the hot-path lint never descends into: the witness crate is
-/// debug-assertion instrumentation that vanishes in release builds. The
-/// storage layer is *not* excluded — a buffered page read is the inner loop
-/// of every expansion — so its sites that allocate by design (a miss's page
-/// buffer, a facility run's result) carry reasoned allows.
-const HOT_PATH_EXCLUDED_CRATES: [&str; 1] = ["witness"];
-
 /// Method calls that allocate a fresh owned value.
 const ALLOC_METHODS: [&str; 4] = ["to_vec", "to_owned", "to_string", "collect"];
 
@@ -544,11 +507,6 @@ const ALLOC_CTORS: [&str; 3] = ["new", "with_capacity", "from"];
 fn hot_path_alloc(model: &Model<'_>, out: &mut Vec<Finding>) {
     let r = &model.resolver;
     let ws = model.ws;
-    // Test-only callees (a trait fan-out reaching a double in some
-    // `mod tests`) are as unreachable from product code as excluded crates.
-    let excluded = |i: usize| {
-        r.fns[i].is_test || HOT_PATH_EXCLUDED_CRATES.contains(&r.fns[i].crate_name.as_str())
-    };
     let mut roots: Vec<usize> = Vec::new();
     for (i, f) in r.fns.iter().enumerate() {
         let is_root = HOT_PATH_ROOTS
@@ -563,7 +521,12 @@ fn hot_path_alloc(model: &Model<'_>, out: &mut Vec<Finding>) {
         return;
     }
     // Hot closure: callees invoked from a root's loop body, then everything
-    // they reach, never descending into excluded crates.
+    // they reach, never descending into test-only callees (a trait fan-out
+    // reaching a double in some `mod tests` is unreachable from product
+    // code). The storage layer is not excluded — a buffered page read is
+    // the inner loop of every expansion — so its sites that allocate by
+    // design (a miss's page buffer, a facility run's result) carry
+    // reasoned allows.
     let mut hot = vec![false; r.fns.len()];
     let mut stack: Vec<usize> = Vec::new();
     for &root in &roots {
@@ -575,7 +538,7 @@ fn hot_path_alloc(model: &Model<'_>, out: &mut Vec<Finding>) {
                 continue;
             }
             for &c in &site.candidates {
-                if !hot[c] && !excluded(c) {
+                if !hot[c] && !r.fns[c].is_test {
                     hot[c] = true;
                     stack.push(c);
                 }
@@ -585,7 +548,7 @@ fn hot_path_alloc(model: &Model<'_>, out: &mut Vec<Finding>) {
     while let Some(fi) = stack.pop() {
         for site in &model.graph.sites[fi] {
             for &c in &site.candidates {
-                if !hot[c] && !excluded(c) {
+                if !hot[c] && !r.fns[c].is_test {
                     hot[c] = true;
                     stack.push(c);
                 }

@@ -300,183 +300,6 @@ fn out_of_line_test_modules_are_test_code() {
     }
 }
 
-// ---------------------------------------------------------------- lock-order
-
-/// Two functions acquiring the same two lock classes in opposite orders:
-/// the canonical deadlock precondition. Both edges close the cycle, so
-/// both acquisition sites are reported.
-#[test]
-fn lock_order_catches_a_two_lock_cycle() {
-    let hits = findings_for(
-        rules::RULE_LOCK_ORDER,
-        "crates/scratch/src/lib.rs",
-        concat!(
-            "pub struct A { m: Mutex<u32> }\n",
-            "pub struct B { m: Mutex<u32> }\n",
-            "pub struct Sys { a: A, b: B }\n",
-            "impl Sys {\n",
-            "    fn fwd(&self) -> u32 {\n",
-            "        let ga = self.a.m.lock();\n",
-            "        let gb = self.b.m.lock();\n",
-            "        *ga + *gb\n",
-            "    }\n",
-            "    fn rev(&self) -> u32 {\n",
-            "        let gb = self.b.m.lock();\n",
-            "        let ga = self.a.m.lock();\n",
-            "        *ga + *gb\n",
-            "    }\n",
-            "}\n",
-        ),
-    );
-    assert_eq!(hits.len(), 2, "{hits:?}");
-    assert!(hits.iter().any(|f| f.message.contains("`scratch::A.m`")));
-    assert!(hits.iter().any(|f| f.message.contains("`scratch::B.m`")));
-}
-
-/// Dropping the first guard before taking the second breaks the overlap:
-/// no edge, no cycle, no finding.
-#[test]
-fn lock_order_respects_guard_drops() {
-    let hits = findings_for(
-        rules::RULE_LOCK_ORDER,
-        "crates/scratch/src/lib.rs",
-        concat!(
-            "pub struct A { m: Mutex<u32> }\n",
-            "pub struct B { m: Mutex<u32> }\n",
-            "pub struct Sys { a: A, b: B }\n",
-            "impl Sys {\n",
-            "    fn fwd(&self) {\n",
-            "        let ga = self.a.m.lock();\n",
-            "        drop(ga);\n",
-            "        let gb = self.b.m.lock();\n",
-            "        drop(gb);\n",
-            "    }\n",
-            "    fn rev(&self) {\n",
-            "        let gb = self.b.m.lock();\n",
-            "        drop(gb);\n",
-            "        let ga = self.a.m.lock();\n",
-            "        drop(ga);\n",
-            "    }\n",
-            "}\n",
-        ),
-    );
-    assert!(hits.is_empty(), "{hits:?}");
-}
-
-/// A guard held across a call picks up the callee's acquisitions through
-/// the call-graph closure: the cycle spans four functions and no single
-/// function nests two guards.
-#[test]
-fn lock_order_sees_edges_through_calls() {
-    let hits = findings_for(
-        rules::RULE_LOCK_ORDER,
-        "crates/scratch/src/lib.rs",
-        concat!(
-            "pub struct A { m: Mutex<u32> }\n",
-            "pub struct B { m: Mutex<u32> }\n",
-            "pub struct Sys { a: A, b: B }\n",
-            "impl Sys {\n",
-            "    fn outer(&self) {\n",
-            "        let ga = self.a.m.lock();\n",
-            "        self.lock_b();\n",
-            "    }\n",
-            "    fn lock_b(&self) {\n",
-            "        let gb = self.b.m.lock();\n",
-            "    }\n",
-            "    fn other(&self) {\n",
-            "        let gb = self.b.m.lock();\n",
-            "        self.lock_a();\n",
-            "    }\n",
-            "    fn lock_a(&self) {\n",
-            "        let ga = self.a.m.lock();\n",
-            "    }\n",
-            "}\n",
-        ),
-    );
-    assert_eq!(hits.len(), 2, "{hits:?}");
-    assert!(
-        hits.iter().any(|f| f.message.contains("via")),
-        "cross-call edges carry the callee attribution: {hits:?}"
-    );
-}
-
-/// An `allow(lock-order)` on one acquisition site removes that edge from
-/// the graph — the cycle disappears and *neither* direction reports.
-#[test]
-fn lock_order_allow_removes_the_edge() {
-    let hits = findings_for(
-        rules::RULE_LOCK_ORDER,
-        "crates/scratch/src/lib.rs",
-        concat!(
-            "pub struct A { m: Mutex<u32> }\n",
-            "pub struct B { m: Mutex<u32> }\n",
-            "pub struct Sys { a: A, b: B }\n",
-            "impl Sys {\n",
-            "    fn fwd(&self) -> u32 {\n",
-            "        let ga = self.a.m.lock();\n",
-            "        let gb = self.b.m.lock();\n",
-            "        *ga + *gb\n",
-            "    }\n",
-            "    fn rev(&self) -> u32 {\n",
-            "        let gb = self.b.m.lock();\n",
-            "        // mcn-lint: allow(lock-order, reason = \"startup-only path, never concurrent with fwd\")\n",
-            "        let ga = self.a.m.lock();\n",
-            "        *ga + *gb\n",
-            "    }\n",
-            "}\n",
-        ),
-    );
-    assert!(hits.is_empty(), "{hits:?}");
-}
-
-/// A trait call fans out to every implementor, test doubles included — but
-/// product code cannot reach a `mod tests`, so what a double does under the
-/// caller's guard is no edge. Here the double closes a cycle the product
-/// implementor does not.
-#[test]
-fn lock_order_ignores_test_only_callees_of_product_code() {
-    let fixture = |double_is_test: bool| {
-        let (open, close) = if double_is_test {
-            ("#[cfg(test)]\nmod tests {\n    use super::*;\n", "}\n")
-        } else {
-            ("", "")
-        };
-        findings_for(
-            rules::RULE_LOCK_ORDER,
-            "crates/scratch/src/lib.rs",
-            &[
-                "pub trait Disk { fn read(&self); }\n",
-                "pub struct Mem { pages: Mutex<u32> }\n",
-                "impl Disk for Mem {\n",
-                "    fn read(&self) { let g = self.pages.lock(); }\n",
-                "}\n",
-                "pub struct Cache<D: Disk> { slots: Mutex<u32>, disk: D }\n",
-                "impl<D: Disk> Cache<D> {\n",
-                "    fn fill(&self) {\n",
-                "        let g = self.slots.lock();\n",
-                "        self.disk.read();\n",
-                "    }\n",
-                "    fn peek(&self) { let g = self.slots.lock(); }\n",
-                "}\n",
-                open,
-                "pub struct Hooked { hook: Mutex<u32>, cache: Cache<Mem> }\n",
-                "impl Disk for Hooked {\n",
-                "    fn read(&self) {\n",
-                "        let g = self.hook.lock();\n",
-                "        self.cache.peek();\n",
-                "    }\n",
-                "}\n",
-                close,
-            ]
-            .concat(),
-        )
-    };
-    let as_product = fixture(false);
-    assert!(!as_product.is_empty(), "slots → hook → slots is a cycle");
-    let as_test = fixture(true);
-    assert!(as_test.is_empty(), "{as_test:?}");
-}
-
 // ------------------------------------------------------------ hot-path-alloc
 
 /// `search` in the `mcpp` crate is a seeded hot root: allocation inside
@@ -568,4 +391,44 @@ fn hot_path_alloc_ignores_cold_functions() {
         ),
     );
     assert!(hits.is_empty(), "{hits:?}");
+}
+
+/// A trait call in a hot loop fans out to every implementor, test doubles
+/// included — but product code cannot reach a `mod tests`, so what a
+/// double calls is not hot. Here the double is the only caller of a
+/// product helper that allocates.
+#[test]
+fn hot_path_alloc_ignores_test_only_callees() {
+    let fixture = |double_is_test: bool| {
+        let (open, close) = if double_is_test {
+            ("#[cfg(test)]\nmod tests {\n    use super::*;\n", "}\n")
+        } else {
+            ("", "")
+        };
+        findings_for(
+            rules::RULE_HOT_PATH_ALLOC,
+            "crates/mcpp/src/scratch.rs",
+            &[
+                "pub trait Step { fn step(&self, i: u32) -> u32; }\n",
+                "pub fn search<S: Step>(s: &S, n: u32) -> u32 {\n",
+                "    let mut total = 0;\n",
+                "    for i in 0..n {\n",
+                "        total += s.step(i);\n",
+                "    }\n",
+                "    total\n",
+                "}\n",
+                "fn digits(i: u32) -> u32 { i.to_string().len() as u32 }\n",
+                open,
+                "pub struct Double;\n",
+                "impl Step for Double {\n",
+                "    fn step(&self, i: u32) -> u32 { digits(i) }\n",
+                "}\n",
+                close,
+            ]
+            .concat(),
+        )
+    };
+    assert_eq!(fixture(false).len(), 1, "{:?}", fixture(false));
+    let as_test = fixture(true);
+    assert!(as_test.is_empty(), "{as_test:?}");
 }

@@ -32,11 +32,6 @@ use mcn_storage::{AdjacencyEntry, FacilityRun, IdMap, IoStats, MCNStore, StoreVi
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// Witness lock-class ids — the exact strings `mcn-analyze` derives
-/// (`crate::Type.field`), so observed edges diff against the static graph.
-const W_ADJ: &str = "expansion::SharedAccess.adjacency";
-const W_RUNS: &str = "expansion::SharedAccess.runs";
-
 /// Read interface used by the expansion engine.
 pub trait NetworkAccess {
     /// Number of cost types `d` of the underlying network.
@@ -221,7 +216,6 @@ impl<S: StoreView + ?Sized> NetworkAccess for SharedAccess<S> {
 
     fn adjacency_into(&self, node: NodeId, out: &mut Vec<AdjacencyEntry>) {
         let mut arena = self.adjacency.lock();
-        let _arena_w = mcn_witness::acquire(W_ADJ);
         let arena = &mut *arena;
         let (start, len) = match arena.spans.get(&node) {
             Some(&span) => {
@@ -243,7 +237,6 @@ impl<S: StoreView + ?Sized> NetworkAccess for SharedAccess<S> {
     fn facilities_in_run(&self, run: &FacilityRun) -> Arc<Vec<(FacilityId, f64)>> {
         let key = (run.start.page.raw(), run.start.offset);
         let mut cache = self.runs.lock();
-        let _cache_w = mcn_witness::acquire(W_RUNS);
         let cache = &mut *cache;
         if let Some(hit) = cache.records.get(&key) {
             cache.reuses += 1;

@@ -11,9 +11,6 @@ use mcn_storage::AdjacencyEntry;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// Witness lock-class id — the exact string `mcn-analyze` derives.
-const W_FREE: &str = "expansion::TablePool.free";
-
 /// `id → (best key, done flag)` over the ids `0..len`, cleared in O(1).
 ///
 /// It replaces a `HashMap<Id, f64>` ("best key seen") together with a
@@ -134,7 +131,6 @@ impl TablePool {
     /// Number of idle table pairs (each serves one expansion).
     pub fn idle(&self) -> usize {
         let free = self.free.lock();
-        let _free_w = mcn_witness::acquire(W_FREE);
         free.len()
     }
 
@@ -142,7 +138,6 @@ impl TablePool {
     pub(crate) fn take(&self, num_nodes: usize, num_facilities: usize) -> Tables {
         let mut tables = {
             let mut free = self.free.lock();
-            let _free_w = mcn_witness::acquire(W_FREE);
             free.pop().unwrap_or_default()
         };
         tables.nodes.reset(num_nodes);
@@ -153,7 +148,6 @@ impl TablePool {
 
     pub(crate) fn give_back(&self, tables: Tables) {
         let mut free = self.free.lock();
-        let _free_w = mcn_witness::acquire(W_FREE);
         free.push(tables);
     }
 }

@@ -1,6 +1,8 @@
 //! Parsers and writers for the supported text formats.
 
-use mcn_graph::{CostVec, EdgeId, GraphBuilder, GraphError, MultiCostGraph, NodeId};
+use mcn_graph::{
+    CostVec, EdgeId, GraphBuilder, GraphError, MultiCostGraph, NodeId, MAX_COST_TYPES,
+};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{BufRead, Write};
@@ -281,8 +283,11 @@ pub fn load_csv<R: BufRead>(reader: R) -> Result<MultiCostGraph, IoFormatError> 
                         nodes.push((x, y));
                     }
                     Section::Edges => {
-                        if fields.len() < 5 {
-                            return Err(parse_err(lineno + 1, "edge rows have at least 5 fields"));
+                        if !(1..=MAX_COST_TYPES).contains(&fields.len().saturating_sub(4)) {
+                            return Err(parse_err(
+                                lineno + 1,
+                                format!("edge rows have 1..={MAX_COST_TYPES} cost fields"),
+                            ));
                         }
                         let s: u32 = fields[1]
                             .parse()
@@ -403,6 +408,25 @@ mod tests {
         assert_eq!(parse_line("c big\np sp 4294967296 0\n"), 2);
         // A second problem line would drop every arc read so far.
         assert_eq!(parse_line("p sp 3 1\na 1 2 7\np sp 3 0\n"), 3);
+    }
+
+    #[test]
+    fn csv_edge_rows_outside_one_to_max_cost_types_are_parse_errors() {
+        let parse_line = |csv: &str| match load_csv(BufReader::new(csv.as_bytes())) {
+            Err(IoFormatError::Parse { line, .. }) => line,
+            other => panic!("expected a parse error for {csv:?}, got {other:?}"),
+        };
+        let nodes = "[nodes]\n0,0.0,0.0\n1,1.0,0.0\n[edges]\n";
+        // Source, target, directed, then nine costs. As the first row it
+        // would size the builder, as a later row the cost vector: both
+        // panicked before the row was checked.
+        let nine_costs = "0,1,0,1,2,3,4,5,6,7,8,9\n";
+        assert_eq!(parse_line(&format!("{nodes}0,{nine_costs}")), 5);
+        assert_eq!(
+            parse_line(&format!("{nodes}0,0,1,0,1,2\n1,{nine_costs}")),
+            6
+        );
+        assert_eq!(parse_line(&format!("{nodes}0,0,1,0\n")), 5);
     }
 
     #[test]

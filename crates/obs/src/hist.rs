@@ -14,8 +14,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 /// Number of buckets: the zero bucket plus one per bit position.
 pub const BUCKETS: usize = 65;
 
@@ -141,10 +139,10 @@ impl Histogram {
     }
 }
 
-/// Serializable point-in-time view of a [`Histogram`]. `buckets` is
+/// Point-in-time view of a [`Histogram`]. `buckets` is
 /// sparse `(bucket_index, count)` sorted by index; `p50`/`p95`/`p99` are
 /// precomputed from the buckets at snapshot time.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct HistogramSnapshot {
     pub name: String,
     pub labels: Vec<(String, String)>,
@@ -269,18 +267,5 @@ mod tests {
         // Merging an empty snapshot is a no-op (and must not clobber min).
         b.merge(&Histogram::new().snapshot("e", vec![]));
         assert_eq!(b.snapshot("b", vec![]), s);
-    }
-
-    #[test]
-    fn snapshot_json_round_trips() {
-        let h = Histogram::new();
-        for v in 0..100u64 {
-            h.record(v * v);
-        }
-        let s = h.snapshot("lat", vec![("tier".into(), "skyline".into())]);
-        let text = serde::json::to_string_pretty(&s);
-        let back: HistogramSnapshot = serde::json::from_str(&text).unwrap();
-        assert_eq!(back, s);
-        assert_eq!(serde::json::to_string_pretty(&back), text);
     }
 }

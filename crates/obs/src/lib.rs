@@ -1,7 +1,7 @@
 //! # mcn-obs — observability for the serving stack
 //!
-//! A self-contained layer (no dependencies beyond the vendored workspace
-//! shims) with four pieces:
+//! A self-contained layer (no dependency beyond the vendored
+//! `parking_lot`) with three pieces:
 //!
 //! - [`registry::MetricsRegistry`] — named counters, gauges, and
 //!   deterministic log2 latency [`hist::Histogram`]s (p50/p95/p99),
@@ -11,10 +11,7 @@
 //! - [`span::Tracer`] — query-lifecycle spans
 //!   (`schedule → prep-lookup/build → search → unpack → fingerprint`)
 //!   in bounded per-worker ring buffers, one relaxed atomic load when
-//!   disabled, exportable as chrome://tracing JSON via
-//!   [`export::chrome_trace_json`].
-//! - [`export`] — deterministic JSON snapshots plus a Prometheus-style
-//!   text exposition.
+//!   disabled.
 //! - [`clock::Clock`] — the workspace timing source:
 //!   [`clock::MonotonicClock`] in production, [`clock::ManualClock`] in
 //!   tests so timing assertions are exact.
@@ -22,7 +19,6 @@
 //! [`Obs`] bundles one of each for threading through the engine.
 
 pub mod clock;
-pub mod export;
 pub mod hist;
 pub mod registry;
 pub mod span;
@@ -30,7 +26,6 @@ pub mod span;
 use std::sync::Arc;
 
 pub use clock::{default_clock, Clock, ManualClock, MonotonicClock};
-pub use export::{chrome_trace_json, parse_chrome_trace, prometheus_text, TraceArgs, TraceEvent};
 pub use hist::{bucket_index, bucket_upper, Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{
     Counter, CounterSnapshot, Gauge, GaugeSnapshot, MetricsRegistry, MetricsSnapshot,

@@ -6,7 +6,7 @@
 //! `histogram()` hand back `Arc`-shared atomic handles, so hot loops
 //! record through a plain `fetch_add` with no shared-lock traffic.
 //! Snapshots lock one stripe at a time (never two at once — no new
-//! lock-order edges) and emit metrics sorted by key, so serialization is
+//! lock nesting) and emit metrics sorted by key, so a snapshot is
 //! deterministic for a given set of values.
 
 use std::collections::BTreeMap;
@@ -14,7 +14,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::hist::{Histogram, HistogramSnapshot};
 
@@ -118,7 +117,6 @@ impl MetricsRegistry {
     /// Get or create the counter for `(name, labels)`.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let key = MetricKey::new(name, labels);
-        let _t = mcn_witness::acquire("obs::MetricsRegistry.shards");
         let mut shard = self.shard(name).lock();
         shard.counters.entry(key).or_default().clone()
     }
@@ -126,7 +124,6 @@ impl MetricsRegistry {
     /// Get or create the gauge for `(name, labels)`.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         let key = MetricKey::new(name, labels);
-        let _t = mcn_witness::acquire("obs::MetricsRegistry.shards");
         let mut shard = self.shard(name).lock();
         shard.gauges.entry(key).or_default().clone()
     }
@@ -134,7 +131,6 @@ impl MetricsRegistry {
     /// Get or create the histogram for `(name, labels)`.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
         let key = MetricKey::new(name, labels);
-        let _t = mcn_witness::acquire("obs::MetricsRegistry.shards");
         let mut shard = self.shard(name).lock();
         shard
             .histograms
@@ -163,7 +159,6 @@ impl MetricsRegistry {
         let mut gauges = Vec::new();
         let mut histograms = Vec::new();
         for stripe in &self.shards {
-            let _t = mcn_witness::acquire("obs::MetricsRegistry.shards");
             let shard = stripe.lock();
             for (key, c) in &shard.counters {
                 counters.push(CounterSnapshot {
@@ -195,7 +190,7 @@ impl MetricsRegistry {
 }
 
 /// One counter in a snapshot.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CounterSnapshot {
     pub name: String,
     pub labels: Vec<(String, String)>,
@@ -203,16 +198,16 @@ pub struct CounterSnapshot {
 }
 
 /// One gauge in a snapshot.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct GaugeSnapshot {
     pub name: String,
     pub labels: Vec<(String, String)>,
     pub value: f64,
 }
 
-/// Serializable view of a whole registry, each section sorted by
+/// Point-in-time view of a whole registry, each section sorted by
 /// `(name, labels)` — deterministic for a given set of metric values.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     pub counters: Vec<CounterSnapshot>,
     pub gauges: Vec<GaugeSnapshot>,
@@ -240,14 +235,6 @@ impl MetricsSnapshot {
         self.histograms
             .iter()
             .find(|h| h.name == name && labels_match(&h.labels, labels))
-    }
-
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self)
-    }
-
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde::json::from_str(text).map_err(|e| e.to_string())
     }
 }
 
@@ -310,18 +297,5 @@ mod tests {
         let merged = out.histogram("lat", &[("tier", "alpha-path")]).unwrap();
         assert_eq!(merged.count, 4);
         assert_eq!(merged.sum, 60);
-    }
-
-    #[test]
-    fn snapshot_json_round_trips() {
-        let reg = MetricsRegistry::new();
-        reg.counter("c", &[("k", "v")]).set(9);
-        reg.gauge("g", &[]).set(1.25);
-        reg.histogram("h", &[]).record(100);
-        let snap = reg.snapshot();
-        let text = snap.to_json();
-        let back = MetricsSnapshot::from_json(&text).unwrap();
-        assert_eq!(back, snap);
-        assert_eq!(back.to_json(), text);
     }
 }

@@ -12,18 +12,17 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::clock::Clock;
 
-/// Default number of ring stripes (effectively "workers" in the export).
+/// Default number of ring stripes (effectively "workers").
 pub const DEFAULT_STRIPES: usize = 8;
 /// Default bound per stripe before old events are dropped.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
 /// One completed span: phase `name` of query `query` on worker `worker`,
 /// covering `[start_ns, start_ns + dur_ns]` on the tracer's clock.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SpanEvent {
     pub name: String,
     pub tier: String,
@@ -99,7 +98,6 @@ impl Tracer {
             start_ns,
             dur_ns: end_ns.saturating_sub(start_ns),
         };
-        let _t = mcn_witness::acquire("obs::Tracer.stripes");
         let mut ring = self.stripes[stripe].lock();
         if ring.events.len() >= self.capacity {
             ring.events.pop_front();
@@ -133,12 +131,11 @@ impl Tracer {
     }
 
     /// Take every buffered event, sorted by `(start_ns, worker, name)` so
-    /// the export is deterministic for a given event set. Stripes are
+    /// the result is deterministic for a given event set. Stripes are
     /// locked one at a time.
     pub fn drain(&self) -> Vec<SpanEvent> {
         let mut events = Vec::new();
         for stripe in &self.stripes {
-            let _t = mcn_witness::acquire("obs::Tracer.stripes");
             let mut ring = stripe.lock();
             events.extend(ring.events.drain(..));
         }
@@ -152,7 +149,6 @@ impl Tracer {
     pub fn dropped(&self) -> u64 {
         let mut total = 0;
         for stripe in &self.stripes {
-            let _t = mcn_witness::acquire("obs::Tracer.stripes");
             total += stripe.lock().dropped;
         }
         total
@@ -162,7 +158,6 @@ impl Tracer {
     pub fn len(&self) -> usize {
         let mut total = 0;
         for stripe in &self.stripes {
-            let _t = mcn_witness::acquire("obs::Tracer.stripes");
             total += stripe.lock().events.len();
         }
         total
@@ -260,20 +255,5 @@ mod tests {
         let events = tracer.drain();
         assert_eq!(events[0].name, "a");
         assert_eq!(events[1].name, "b");
-    }
-
-    #[test]
-    fn events_round_trip_json() {
-        let e = SpanEvent {
-            name: "prep-build".into(),
-            tier: "path-skyline".into(),
-            query: 3,
-            worker: 2,
-            start_ns: 10,
-            dur_ns: 90,
-        };
-        let text = serde::json::to_string_pretty(&vec![e.clone()]);
-        let back: Vec<SpanEvent> = serde::json::from_str(&text).unwrap();
-        assert_eq!(back, vec![e]);
     }
 }

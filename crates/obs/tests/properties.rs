@@ -1,12 +1,10 @@
-//! Property tests for the observability types: JSON round-trips must be
-//! byte-exact on reserialization, and histogram percentiles must be
-//! sound bucket upper bounds of the recorded multiset.
+//! Property tests for the observability types: snapshots must carry back
+//! exactly what was recorded, sorted by key, and histogram percentiles
+//! must be sound bucket upper bounds of the recorded multiset.
 
-use mcn_obs::{
-    bucket_index, bucket_upper, chrome_trace_json, parse_chrome_trace, prometheus_text, Histogram,
-    HistogramSnapshot, MetricsRegistry, MetricsSnapshot, SpanEvent,
-};
+use mcn_obs::{bucket_index, bucket_upper, Histogram, MetricsRegistry};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const NAMES: [&str; 6] = [
     "storage.logical_reads",
@@ -18,7 +16,6 @@ const NAMES: [&str; 6] = [
 ];
 const LABEL_KEYS: [&str; 3] = ["tier", "region", "worker"];
 const LABEL_VALS: [&str; 4] = ["skyline", "topk", "r0", "w1"];
-const PHASES: [&str; 5] = ["schedule", "prep-lookup", "search", "unpack", "fingerprint"];
 
 fn labels_from(picks: &[(u8, u8)]) -> Vec<(String, String)> {
     let mut labels: Vec<(String, String)> = picks
@@ -36,8 +33,9 @@ fn labels_from(picks: &[(u8, u8)]) -> Vec<(String, String)> {
 }
 
 proptest! {
-    /// Histogram snapshots survive JSON round-trips byte-exactly, and the
-    /// stored percentiles are upper bounds of the true order statistics.
+    /// A histogram snapshot merged into an empty histogram snapshots back
+    /// to itself, and the stored percentiles are upper bounds of the true
+    /// order statistics.
     #[test]
     fn histogram_snapshot_round_trip_and_percentile_bounds(
         values in proptest::collection::vec(any::<u64>(), 0..200),
@@ -49,11 +47,10 @@ proptest! {
         }
         let snap = h.snapshot("lat", labels_from(&label_picks));
 
-        // Round trip: parse(serialize(x)) == x, reserialization byte-exact.
-        let text = serde::json::to_string_pretty(&snap);
-        let back: HistogramSnapshot = serde::json::from_str(&text).unwrap();
-        prop_assert_eq!(&back, &snap);
-        prop_assert_eq!(serde::json::to_string_pretty(&back), text);
+        // Round trip: merge(empty, snapshot(h)) snapshots to snapshot(h).
+        let back = Histogram::new();
+        back.merge(&snap);
+        prop_assert_eq!(&back.snapshot("lat", snap.labels.clone()), &snap);
 
         // Structural invariants.
         prop_assert_eq!(snap.count, values.len() as u64);
@@ -80,9 +77,9 @@ proptest! {
         }
     }
 
-    /// Full registry snapshots (counters + gauges + histograms) round-trip
-    /// through JSON byte-exactly, and the Prometheus exposition renders
-    /// every sample without panicking.
+    /// A full registry snapshot (counters + gauges + histograms) reads
+    /// back the last value set through every handle, each section sorted
+    /// by `(name, labels)`.
     #[test]
     fn metrics_snapshot_round_trip(
         counters in proptest::collection::vec(
@@ -106,54 +103,27 @@ proptest! {
             h.record(v);
         }
 
-        let snap = reg.snapshot();
-        let text = snap.to_json();
-        let back = MetricsSnapshot::from_json(&text).unwrap();
-        prop_assert_eq!(&back, &snap);
-        prop_assert_eq!(back.to_json(), text);
-
-        // Snapshot output is sorted by (name, labels).
-        let keys: Vec<_> = snap.counters.iter().map(|c| (c.name.clone(), c.labels.clone())).collect();
-        let mut sorted_keys = keys.clone();
-        sorted_keys.sort();
-        prop_assert_eq!(keys, sorted_keys);
-
-        let exposition = prometheus_text(&snap);
-        let samples = snap.counters.len() + snap.gauges.len();
-        prop_assert!(exposition.lines().filter(|l| !l.starts_with('#')).count() >= samples);
-    }
-
-    /// Span events export to chrome trace JSON that parses back to the
-    /// same events (scaled to microseconds) and reserializes byte-exactly.
-    #[test]
-    fn chrome_trace_round_trip(
-        raw in proptest::collection::vec(
-            (any::<u8>(), any::<u8>(), any::<u64>(), 0u32..16, 0u64..(u64::MAX / 2), 0u64..1_000_000_000),
-            0..40,
-        )
-    ) {
-        let events: Vec<SpanEvent> = raw
-            .into_iter()
-            .map(|(name, tier, query, worker, start_ns, dur_ns)| SpanEvent {
-                name: PHASES[name as usize % PHASES.len()].to_string(),
-                tier: LABEL_VALS[tier as usize % LABEL_VALS.len()].to_string(),
-                query,
-                worker,
-                start_ns,
-                dur_ns,
-            })
-            .collect();
-        let text = chrome_trace_json(&events);
-        let parsed = parse_chrome_trace(&text).unwrap();
-        prop_assert_eq!(parsed.len(), events.len());
-        for (t, e) in parsed.iter().zip(&events) {
-            prop_assert_eq!(&t.name, &e.name);
-            prop_assert_eq!(&t.cat, &e.tier);
-            prop_assert_eq!(t.args.query, e.query);
-            prop_assert_eq!(t.tid, u64::from(e.worker) + 1);
-            prop_assert!(t.dur >= 0.0);
-            prop_assert_eq!(&t.ph, "X");
+        // Expected sections: the last value set per key, in key order.
+        let mut want_counters = BTreeMap::new();
+        for (pick, label_picks, value) in &counters {
+            let name = NAMES[*pick as usize % NAMES.len()].to_string();
+            want_counters.insert((name, labels_from(label_picks)), *value);
         }
-        prop_assert_eq!(serde::json::to_string_pretty(&parsed), text);
+        let mut want_gauges = BTreeMap::new();
+        for (pick, value) in &gauges {
+            want_gauges.insert(NAMES[*pick as usize % NAMES.len()].to_string(), *value);
+        }
+
+        let snap = reg.snapshot();
+        let got_counters: Vec<_> = snap
+            .counters
+            .iter()
+            .map(|c| ((c.name.clone(), c.labels.clone()), c.value))
+            .collect();
+        prop_assert_eq!(got_counters, want_counters.into_iter().collect::<Vec<_>>());
+        let got_gauges: Vec<_> = snap.gauges.iter().map(|g| (g.name.clone(), g.value)).collect();
+        prop_assert_eq!(got_gauges, want_gauges.into_iter().collect::<Vec<_>>());
+        let lat = snap.histogram("latency", &[("tier", "skyline")]).unwrap();
+        prop_assert_eq!(lat.count, hist_values.len() as u64);
     }
 }

@@ -7,10 +7,6 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Witness lock-class id — the exact string `mcn-analyze` derives
-/// (`crate::Type.field`), so observed edges diff against the static graph.
-const W_INNER: &str = "prep::PrepCache.inner";
-
 /// Counters of one [`PrepCache`]'s lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PrepCacheStats {
@@ -204,7 +200,6 @@ impl PrepCache {
     /// experiment).
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
-        let _inner_w = mcn_witness::acquire(W_INNER);
         inner.map.clear();
         inner.recency.clear();
         inner.credit.clear();
@@ -216,7 +211,6 @@ impl PrepCache {
     /// counts nothing, because no scan follows from here.
     pub fn get(&self, target: NodeId) -> Option<Arc<PrepTable>> {
         let mut inner = self.inner.lock();
-        let _inner_w = mcn_witness::acquire(W_INNER);
         inner.hit(target.raw())
     }
 
@@ -226,7 +220,6 @@ impl PrepCache {
     fn probe(&self, target: NodeId, price: Option<u64>) -> Probe {
         let key = target.raw();
         let mut inner = self.inner.lock();
-        let _inner_w = mcn_witness::acquire(W_INNER);
         if let Some(table) = inner.hit(key) {
             return Probe::Hit(table);
         }
@@ -249,7 +242,6 @@ impl PrepCache {
     pub fn charge(&self, target: NodeId, settled: u64) {
         let key = target.raw();
         let mut inner = self.inner.lock();
-        let _inner_w = mcn_witness::acquire(W_INNER);
         if !inner.map.contains_key(&key) {
             let earned = inner.credit.entry(key).or_insert(0);
             *earned = earned.saturating_add(settled);
@@ -262,7 +254,6 @@ impl PrepCache {
     pub fn insert(&self, table: Arc<PrepTable>) -> Arc<PrepTable> {
         let key = table.target().raw();
         let mut inner = self.inner.lock();
-        let _inner_w = mcn_witness::acquire(W_INNER);
         if let Some(existing) = inner.map.get(&key).map(|(t, _)| t.clone()) {
             inner.touch(key);
             return existing;

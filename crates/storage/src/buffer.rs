@@ -77,10 +77,6 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, MutexGuard};
 
-/// Witness lock-class id — the exact string `mcn-analyze` derives
-/// (`crate::Type.field`), so observed edges diff against the static graph.
-const W_SHARD: &str = "storage::BufferPool.shards";
-
 /// Upper bound on the number of LRU shards.
 pub const MAX_SHARDS: usize = 8;
 
@@ -328,7 +324,6 @@ impl BufferPool {
             .iter()
             .map(|shard| {
                 let shard = shard.lock();
-                let _shard_w = mcn_witness::acquire(W_SHARD);
                 shard.lru.len()
             })
             .sum()
@@ -339,7 +334,6 @@ impl BufferPool {
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut shard = shard.lock();
-            let _shard_w = mcn_witness::acquire(W_SHARD);
             shard.lru.clear();
             shard.logical_reads = 0;
             shard.hits = 0;
@@ -360,7 +354,6 @@ impl BufferPool {
         // together.
         let mut shards: [MutexGuard<'_, Shard>; MAX_SHARDS] =
             std::array::from_fn(|i| self.shards[i].lock());
-        let _shards_w = mcn_witness::acquire(W_SHARD);
         for (i, shard) in shards.iter_mut().enumerate() {
             shard.stripes = stripes;
             shard.lru = Lru::new(stripe_capacity(capacity, stripes, i));
@@ -388,7 +381,6 @@ impl BufferPool {
     /// `f`, returning `f`'s result.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> R {
         let mut shard = self.lock_shard(id);
-        let shard_w = mcn_witness::acquire(W_SHARD);
         shard.logical_reads += 1;
         if let Some(idx) = shard.lru.get(id) {
             shard.hits += 1;
@@ -403,7 +395,6 @@ impl BufferPool {
         // same page both count a miss and both read it — the second insert
         // just refreshes the frame, mirroring a real pool without an
         // in-flight pin table. Single-threaded accounting is unchanged.
-        drop(shard_w);
         drop(shard);
         // The read overwrites the whole page, whatever the spare held.
         let mut page = spare.unwrap_or_else(Page::zeroed);
@@ -414,7 +405,6 @@ impl BufferPool {
             return f(page.bytes());
         }
         let mut shard = self.lock_shard(id);
-        let _shard_w = mcn_witness::acquire(W_SHARD);
         match shard.lru.insert(id, page) {
             Ok((idx, displaced)) => {
                 if displaced.is_some() {
@@ -445,7 +435,6 @@ impl BufferPool {
         let (mut logical, mut hits, mut misses) = (0u64, 0u64, 0u64);
         for shard in &self.shards {
             let shard = shard.lock();
-            let _shard_w = mcn_witness::acquire(W_SHARD);
             logical += shard.logical_reads;
             hits += shard.hits;
             misses += shard.misses;
@@ -991,6 +980,30 @@ mod tests {
         };
         stamp_pages(&disk, 4);
         Arc::new(disk)
+    }
+
+    /// The rule `with_page` documents at its physical read: no shard lock
+    /// is held across it. The hook probes every shard while the read is in
+    /// flight, so a guard held across the read fails the probe instead of
+    /// deadlocking the pool.
+    #[test]
+    fn no_shard_lock_is_held_across_the_physical_read() {
+        let disk = hooked_disk();
+        let pool = Arc::new(BufferPool::with_shards(disk.clone(), 4, MAX_SHARDS));
+        for id in 0..4 {
+            let probe = Arc::clone(&pool);
+            *disk.during_next_read.lock() = Some(Box::new(move || {
+                for (i, shard) in probe.shards.iter().enumerate() {
+                    assert!(
+                        shard.try_lock().is_some(),
+                        "shard {i} is locked during the read of page {id}"
+                    );
+                }
+            }));
+            read_checked(&pool, id);
+            assert!(disk.take_hook().is_none(), "page {id} was not read");
+        }
+        assert_eq!(pool.stats().physical_reads, 4);
     }
 
     #[test]

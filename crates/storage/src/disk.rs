@@ -7,11 +7,6 @@ use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Witness lock-class ids — the exact strings `mcn-analyze` derives
-/// (`crate::Type.field`), so observed edges diff against the static graph.
-const W_MEM: &str = "storage::InMemoryDisk.pages";
-const W_GROW: &str = "storage::FileDisk.grow";
-
 /// A physical page store.
 ///
 /// Two implementations are provided:
@@ -105,7 +100,6 @@ impl Default for InMemoryDisk {
 impl DiskManager for InMemoryDisk {
     fn read_page(&self, id: PageId, out: &mut Page) {
         let pages = self.pages.read();
-        let _pages_w = mcn_witness::acquire(W_MEM);
         let page = pages
             .get(id.index())
             .unwrap_or_else(|| panic!("read of unallocated {id}"));
@@ -115,7 +109,6 @@ impl DiskManager for InMemoryDisk {
 
     fn write_page(&self, id: PageId, page: &Page) {
         let mut pages = self.pages.write();
-        let _pages_w = mcn_witness::acquire(W_MEM);
         let slot = pages
             .get_mut(id.index())
             .unwrap_or_else(|| panic!("write to unallocated {id}"));
@@ -125,7 +118,6 @@ impl DiskManager for InMemoryDisk {
 
     fn allocate_page(&self) -> PageId {
         let mut pages = self.pages.write();
-        let _pages_w = mcn_witness::acquire(W_MEM);
         let id = PageId::new(pages.len() as u32);
         pages.push(Page::zeroed());
         id
@@ -208,7 +200,6 @@ impl FileDisk {
     /// one routine under both ways of allocating.
     fn grow(&self, bytes: &[u8]) -> PageId {
         let _grow = self.grow.lock();
-        let _grow_w = mcn_witness::acquire(W_GROW);
         let id = self.num_pages.load(Ordering::SeqCst);
         // mcn-lint: allow(lock-across-io, reason = "growers must extend the file one at a time or two of them write the same extent; readers and writers of existing pages never take this lock")
         write_at(&self.file, bytes, id * PAGE_SIZE as u64)

@@ -27,8 +27,7 @@
 //!   contraction hierarchy with Pareto shortcut bundles, bidirectional
 //!   upward queries byte-identical to the prep-backed tier.
 //! * [`obs`] — observability: the metrics registry (counters, gauges,
-//!   log2 latency histograms), query-lifecycle span tracing with
-//!   chrome://tracing export, Prometheus text exposition, and the
+//!   log2 latency histograms), query-lifecycle span tracing, and the
 //!   `Clock` abstraction used by every timing path.
 //! * [`gen`] — synthetic workload generation matching the paper's Section VI.
 //! * [`io`] — loaders/writers for common road-network file formats.

@@ -1,12 +1,12 @@
 //! Observability integration tests at the facade level: metrics published
 //! by the serving stack must reconcile *byte-exactly* with the storage and
 //! prep counters they mirror, under concurrency, and span traces must
-//! export as loadable chrome://tracing JSON — all without ever changing
-//! query results.
+//! cover every query's lifecycle — all without ever changing query
+//! results.
 
 use mcn::engine::{BatchResult, QueryEngine, QueryRequest};
 use mcn::gen::{generate_workload, WorkloadSpec};
-use mcn::obs::{chrome_trace_json, parse_chrome_trace, MetricsRegistry, Obs};
+use mcn::obs::{MetricsRegistry, Obs};
 use mcn::storage::{BufferConfig, MCNStore, StoreView};
 use mcn::{skyline_query, Algorithm};
 use mcn_bench::build_request_batch;
@@ -172,7 +172,7 @@ fn four_worker_batch_reconciles_metrics_and_keeps_results_identical() {
 }
 
 #[test]
-fn traced_batch_exports_valid_chrome_trace_json() {
+fn traced_batch_records_every_query_lifecycle() {
     let (store, requests) = mixed_batch(53, 12);
     let obs = Arc::new(Obs::new());
     obs.set_tracing(true);
@@ -181,11 +181,6 @@ fn traced_batch_exports_valid_chrome_trace_json() {
 
     let events = obs.tracer().drain();
     assert!(!events.is_empty());
-    let text = chrome_trace_json(&events);
-    let parsed = parse_chrome_trace(&text).expect("exported trace parses");
-    assert_eq!(parsed.len(), events.len());
-    // Deterministic serializer: re-serializing reproduces the bytes.
-    assert_eq!(serde::json::to_string_pretty(&parsed), text);
     // Every query's lifecycle reaches the trace: schedule, search and
     // fingerprint spans for each request, plus unpack for the kinds that
     // have a separate unpacking stage (incremental top-k streams results
@@ -198,15 +193,11 @@ fn traced_batch_exports_valid_chrome_trace_json() {
         }
         for name in expected {
             assert!(
-                parsed
-                    .iter()
-                    .any(|e| e.args.query == query && e.name == name),
+                events.iter().any(|e| e.query == query && e.name == name),
                 "query {query} is missing a `{name}` span"
             );
         }
     }
-    // Complete events with positive timestamps and 1-based worker tids.
-    assert!(parsed.iter().all(|e| e.ph == "X" && e.tid >= 1));
     // Draining again yields nothing: the ring buffers were emptied.
     assert!(obs.tracer().drain().is_empty());
 }
