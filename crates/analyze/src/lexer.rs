@@ -1,6 +1,5 @@
-//! A hand-rolled Rust lexer, in the same spirit as `vendor/serde_derive`'s
-//! token parser: no `syn`/`quote` (the build environment is offline), just
-//! enough token structure for line-accurate pattern rules.
+//! A hand-rolled Rust lexer: no `syn`/`quote` (the build environment is
+//! offline), just enough token structure for line-accurate pattern rules.
 //!
 //! The lexer understands comments (line, block — nested — and doc), string
 //! literals (plain, raw, byte), char literals vs. lifetimes, numeric

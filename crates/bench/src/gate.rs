@@ -23,10 +23,10 @@ use crate::alpha::{measure_scalarized, MIN_SETTLED_REDUCTION, MIN_SKYLINE_ADVANT
 use crate::experiments::{Experiment, ExperimentConfig};
 use crate::index::measure_index;
 use crate::prep::{measure_labels, MIN_LABEL_REDUCTION};
+use json::{object, Value};
 use mcn_gen::{generate_workload, CostDistribution, WorkloadSpec};
 use mcn_graph::MultiCostGraph;
 use mcn_index::{IndexConfig, RouteIndex};
-use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
 use std::path::Path;
 
@@ -38,7 +38,7 @@ pub type GateRow = (String, Vec<(&'static str, f64)>);
 
 /// A checked-in count baseline: a configuration plus the deterministic
 /// costs measured at it.
-pub trait Gate: Serialize + for<'de> Deserialize<'de> {
+pub trait Gate: Sized {
     /// The fixed configuration; its `Default` is what CI gates, and it is
     /// stored in the file so numbers are only compared like for like.
     type Config: Default + PartialEq + Debug;
@@ -56,14 +56,11 @@ pub trait Gate: Serialize + for<'de> Deserialize<'de> {
     fn rows(&self) -> Vec<GateRow>;
 
     /// Serializes as indented JSON (the checked-in format).
-    fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self)
-    }
+    fn to_json(&self) -> String;
 
-    /// Parses the checked-in JSON; the error is the parser's message.
-    fn from_json(text: &str) -> Result<Self, String> {
-        serde::json::from_str(text).map_err(|e| e.to_string())
-    }
+    /// Parses the checked-in JSON; the error names the byte or field at
+    /// fault.
+    fn from_json(text: &str) -> Result<Self, String>;
 }
 
 /// Compares a fresh run against a baseline. Returns one message per
@@ -166,7 +163,7 @@ fn per_dimension<P>(
 }
 
 /// The fixed configuration of the logical-read gate.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GateConfig {
     /// Scale-down divider of the paper workload.
     pub scale: usize,
@@ -198,7 +195,7 @@ impl GateConfig {
 }
 
 /// One figure point's deterministic I/O cost.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GatePoint {
     /// The point's x-axis label (e.g. `"d = 3"`).
     pub label: String,
@@ -209,7 +206,7 @@ pub struct GatePoint {
 }
 
 /// One figure's points.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GateTable {
     /// The experiment id (e.g. `"sky-p"`).
     pub id: String,
@@ -218,7 +215,7 @@ pub struct GateTable {
 }
 
 /// The logical-read baseline: every figure's points at [`GateConfig`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GateBaseline {
     /// The configuration the numbers belong to.
     pub config: GateConfig,
@@ -271,10 +268,58 @@ impl Gate for GateBaseline {
             })
             .collect()
     }
+
+    fn to_json(&self) -> String {
+        let c = &self.config;
+        let tables = self.tables.iter().map(|table| {
+            let points = table.points.iter().map(|p| {
+                object([
+                    ("label", p.label.as_str().into()),
+                    ("lsa_logical_reads", p.lsa_logical_reads.into()),
+                    ("cea_logical_reads", p.cea_logical_reads.into()),
+                ])
+            });
+            object([
+                ("id", table.id.as_str().into()),
+                ("points", points.collect()),
+            ])
+        });
+        let config = object([
+            ("scale", c.scale.into()),
+            ("queries", c.queries.into()),
+            ("seed", c.seed.into()),
+        ]);
+        object([("config", config), ("tables", tables.collect())]).pretty()
+    }
+
+    fn from_json(text: &str) -> Result<Self, String> {
+        let root = json::parse(text)?;
+        let config = root.field("config", |c| {
+            Ok(GateConfig {
+                scale: c.field("scale", Value::integer)?,
+                queries: c.field("queries", Value::integer)?,
+                seed: c.field("seed", Value::integer)?,
+            })
+        })?;
+        let point = |p: &Value| {
+            Ok(GatePoint {
+                label: p.field("label", Value::string)?,
+                lsa_logical_reads: p.field("lsa_logical_reads", Value::f64)?,
+                cea_logical_reads: p.field("cea_logical_reads", Value::f64)?,
+            })
+        };
+        let tables = root.list("tables", |table| {
+            Ok(GateTable {
+                id: table.field("id", Value::string)?,
+                points: table.list("points", point)?,
+            })
+        })?;
+        Ok(GateBaseline { config, tables })
+    }
 }
 
 /// The fixed configuration of the label gate.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LabelGateConfig {
     /// Nodes of the seeded gate network.
     pub nodes: usize,
@@ -298,7 +343,7 @@ impl Default for LabelGateConfig {
 }
 
 /// One dimension's deterministic label cost.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LabelGatePoint {
     /// The point's label (e.g. `"d = 3"`).
     pub label: String,
@@ -309,7 +354,7 @@ pub struct LabelGatePoint {
 }
 
 /// The label baseline: one point per dimension at [`LabelGateConfig`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LabelBaseline {
     /// The configuration the numbers belong to.
     pub config: LabelGateConfig,
@@ -365,10 +410,48 @@ impl Gate for LabelBaseline {
             })
             .collect()
     }
+
+    fn to_json(&self) -> String {
+        let c = &self.config;
+        let points = self.points.iter().map(|p| {
+            object([
+                ("label", p.label.as_str().into()),
+                ("exhaustive_labels", p.exhaustive_labels.into()),
+                ("prepped_labels", p.prepped_labels.into()),
+            ])
+        });
+        let config = object([
+            ("nodes", c.nodes.into()),
+            ("dims", c.dims.iter().map(|&d| d.into()).collect()),
+            ("pairs", c.pairs.into()),
+            ("seed", c.seed.into()),
+        ]);
+        object([("config", config), ("points", points.collect())]).pretty()
+    }
+
+    fn from_json(text: &str) -> Result<Self, String> {
+        let root = json::parse(text)?;
+        let config = root.field("config", |c| {
+            Ok(LabelGateConfig {
+                nodes: c.field("nodes", Value::integer)?,
+                dims: c.list("dims", Value::integer)?,
+                pairs: c.field("pairs", Value::integer)?,
+                seed: c.field("seed", Value::integer)?,
+            })
+        })?;
+        let points = root.list("points", |p| {
+            Ok(LabelGatePoint {
+                label: p.field("label", Value::string)?,
+                exhaustive_labels: p.field("exhaustive_labels", Value::f64)?,
+                prepped_labels: p.field("prepped_labels", Value::f64)?,
+            })
+        })?;
+        Ok(LabelBaseline { config, points })
+    }
 }
 
 /// The fixed configuration of the alpha settled-node gate.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AlphaGateConfig {
     /// Nodes of the seeded gate network.
     pub nodes: usize,
@@ -395,7 +478,7 @@ impl Default for AlphaGateConfig {
 }
 
 /// One dimension's deterministic scalarized-search cost.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AlphaGatePoint {
     /// The point's label (e.g. `"d = 3"`).
     pub label: String,
@@ -410,7 +493,7 @@ pub struct AlphaGatePoint {
 }
 
 /// The alpha baseline: one point per dimension at [`AlphaGateConfig`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AlphaSettledBaseline {
     /// The configuration the numbers belong to.
     pub config: AlphaGateConfig,
@@ -478,10 +561,52 @@ impl Gate for AlphaSettledBaseline {
             })
             .collect()
     }
+
+    fn to_json(&self) -> String {
+        let c = &self.config;
+        let points = self.points.iter().map(|p| {
+            object([
+                ("label", p.label.as_str().into()),
+                ("dijkstra_settled", p.dijkstra_settled.into()),
+                ("astar_settled", p.astar_settled.into()),
+                ("skyline_labels", p.skyline_labels.into()),
+            ])
+        });
+        let config = object([
+            ("nodes", c.nodes.into()),
+            ("dims", c.dims.iter().map(|&d| d.into()).collect()),
+            ("pairs", c.pairs.into()),
+            ("users", c.users.into()),
+            ("seed", c.seed.into()),
+        ]);
+        object([("config", config), ("points", points.collect())]).pretty()
+    }
+
+    fn from_json(text: &str) -> Result<Self, String> {
+        let root = json::parse(text)?;
+        let config = root.field("config", |c| {
+            Ok(AlphaGateConfig {
+                nodes: c.field("nodes", Value::integer)?,
+                dims: c.list("dims", Value::integer)?,
+                pairs: c.field("pairs", Value::integer)?,
+                users: c.field("users", Value::integer)?,
+                seed: c.field("seed", Value::integer)?,
+            })
+        })?;
+        let points = root.list("points", |p| {
+            Ok(AlphaGatePoint {
+                label: p.field("label", Value::string)?,
+                dijkstra_settled: p.field("dijkstra_settled", Value::f64)?,
+                astar_settled: p.field("astar_settled", Value::f64)?,
+                skyline_labels: p.field("skyline_labels", Value::f64)?,
+            })
+        })?;
+        Ok(AlphaSettledBaseline { config, points })
+    }
 }
 
 /// The fixed configuration of the index gate.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IndexGateConfig {
     /// Nodes of the seeded gate network.
     pub nodes: usize,
@@ -508,7 +633,7 @@ impl Default for IndexGateConfig {
 }
 
 /// One dimension's deterministic index cost.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IndexGatePoint {
     /// The point's label (e.g. `"d = 3"`).
     pub label: String,
@@ -522,7 +647,7 @@ pub struct IndexGatePoint {
 }
 
 /// The index baseline: one point per dimension at [`IndexGateConfig`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct IndexSettledBaseline {
     /// The configuration the numbers belong to.
     pub config: IndexGateConfig,
@@ -581,7 +706,50 @@ impl Gate for IndexSettledBaseline {
             })
             .collect()
     }
+
+    fn to_json(&self) -> String {
+        let c = &self.config;
+        let points = self.points.iter().map(|p| {
+            object([
+                ("label", p.label.as_str().into()),
+                ("index_settled", p.index_settled.into()),
+                ("index_sky_settled", p.index_sky_settled.into()),
+                ("arc_entries", p.arc_entries.into()),
+            ])
+        });
+        let config = object([
+            ("nodes", c.nodes.into()),
+            ("dims", c.dims.iter().map(|&d| d.into()).collect()),
+            ("pairs", c.pairs.into()),
+            ("users", c.users.into()),
+            ("seed", c.seed.into()),
+        ]);
+        object([("config", config), ("points", points.collect())]).pretty()
+    }
+
+    fn from_json(text: &str) -> Result<Self, String> {
+        let root = json::parse(text)?;
+        let config = root.field("config", |c| {
+            Ok(IndexGateConfig {
+                nodes: c.field("nodes", Value::integer)?,
+                dims: c.list("dims", Value::integer)?,
+                pairs: c.field("pairs", Value::integer)?,
+                users: c.field("users", Value::integer)?,
+                seed: c.field("seed", Value::integer)?,
+            })
+        })?;
+        let points = root.list("points", |p| {
+            Ok(IndexGatePoint {
+                label: p.field("label", Value::string)?,
+                index_settled: p.field("index_settled", Value::f64)?,
+                index_sky_settled: p.field("index_sky_settled", Value::f64)?,
+                arc_entries: p.field("arc_entries", Value::f64)?,
+            })
+        })?;
+        Ok(IndexSettledBaseline { config, points })
+    }
 }
 
+mod json;
 #[cfg(test)]
 mod tests;

@@ -218,6 +218,71 @@ fn index_baseline_round_trips_through_json() {
     checked_in_round_trips::<IndexSettledBaseline>();
 }
 
+/// Malformed baselines are errors, never panics, and the message names the
+/// byte offset or the field at fault.
+#[test]
+fn malformed_baselines_are_rejected_with_the_place_named() {
+    let file = LabelBaseline::FILE;
+    let replace = |from: &str, to: &str| {
+        assert!(file.contains(from), "the sample lacks `{from}`");
+        file.replacen(from, to, 1)
+    };
+    let cost = "\"exhaustive_labels\": 5276.0";
+    let cases = [
+        ("truncated", file[..file.len() / 2].to_string(), "at byte"),
+        (
+            "trailing garbage",
+            format!("{file} x"),
+            "trailing characters",
+        ),
+        (
+            "missing field",
+            replace(",\n    \"seed\": 2010", ""),
+            "missing field `seed`",
+        ),
+        (
+            "string cost",
+            replace(cost, "\"exhaustive_labels\": \"5276.0\""),
+            "field `exhaustive_labels`",
+        ),
+        (
+            "fractional seed",
+            replace("\"seed\": 2010", "\"seed\": 2010.5"),
+            "field `seed`",
+        ),
+        (
+            "\"nan\" cost",
+            replace(cost, "\"exhaustive_labels\": \"nan\""),
+            "field `exhaustive_labels`",
+        ),
+        (
+            "bare NaN cost",
+            replace(cost, "\"exhaustive_labels\": NaN"),
+            "at byte",
+        ),
+        (
+            "infinite cost",
+            replace(cost, "\"exhaustive_labels\": 1e999"),
+            "field `exhaustive_labels`",
+        ),
+    ];
+    for (what, text, named) in cases {
+        match LabelBaseline::from_json(&text) {
+            Ok(parsed) => panic!("{what}: parsed as {parsed:?}"),
+            Err(e) => assert!(e.contains(named), "{what}: `{e}` lacks `{named}`"),
+        }
+    }
+}
+
+/// Integers are kept as text, so a seed above 2^53 survives exactly.
+#[test]
+fn u64_seed_does_not_pass_through_f64() {
+    let mut base = LabelBaseline::sample();
+    base.config.seed = u64::MAX - 1;
+    let back = LabelBaseline::from_json(&base.to_json()).unwrap();
+    assert_eq!(back.config.seed, u64::MAX - 1);
+}
+
 #[test]
 fn run_label_gate_is_deterministic() {
     let a: LabelBaseline = measure_twice(&LabelGateConfig {

@@ -29,10 +29,6 @@ pub struct LabelMetrics {
     pub exhaustive_labels: f64,
     /// Mean labels created per pair, prepped.
     pub prepped_labels: f64,
-    /// Mean bound-prune fraction.
-    pub prune_fraction: f64,
-    /// Mean skyline size.
-    pub skyline_size: f64,
 }
 
 /// Draws `pairs` deterministic source/target pairs over the graph's nodes
@@ -67,8 +63,6 @@ pub fn measure_labels(graph: &MultiCostGraph, pairs: usize, seed: u64) -> LabelM
     let pair_list = seeded_pairs(graph, pairs, seed ^ 0x9E37_79B9);
     let mut exhaustive_labels = 0u64;
     let mut prepped_labels = 0u64;
-    let mut prune_fraction = 0.0f64;
-    let mut skyline_size = 0usize;
     for &(s, t) in &pair_list {
         let exhaustive = pareto_paths_exhaustive(graph, s, t);
         let prep = PrepTable::build(graph, t);
@@ -80,15 +74,11 @@ pub fn measure_labels(graph: &MultiCostGraph, pairs: usize, seed: u64) -> LabelM
         );
         exhaustive_labels += exhaustive.stats.labels_created;
         prepped_labels += prepped.stats.labels_created;
-        prune_fraction += prepped.stats.prune_fraction();
-        skyline_size += prepped.paths.len();
     }
     let n = pair_list.len().max(1) as f64;
     LabelMetrics {
         exhaustive_labels: exhaustive_labels as f64 / n,
         prepped_labels: prepped_labels as f64 / n,
-        prune_fraction: prune_fraction / n,
-        skyline_size: skyline_size as f64 / n,
     }
 }
 
@@ -104,7 +94,6 @@ mod tests {
         let b = measure_labels(&graph, 3, 2010);
         assert_eq!(a.exhaustive_labels, b.exhaustive_labels);
         assert_eq!(a.prepped_labels, b.prepped_labels);
-        assert_eq!(a.prune_fraction, b.prune_fraction);
         assert!(a.prepped_labels < a.exhaustive_labels);
     }
 }
