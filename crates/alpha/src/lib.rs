@@ -16,11 +16,14 @@
 //! - [`scalarized_path_astar`] — the same search driven by the admissible,
 //!   consistent heuristic h(v) = α·L(v), where L(v) are the per-cost
 //!   lower bounds of a `mcn-prep` [`PrepTable`](mcn_prep::PrepTable);
+//! - [`scalarized_path_landmarks`] — the same search driven by landmark
+//!   bounds ([`landmark_bound`]) from prep tables of *other* targets, for a
+//!   target that has no table of its own;
 //! - [`ScalarStats`] — pushed/settled/relaxed/pruned counters mirroring
 //!   `mcn-mcpp`'s `PathStats`.
 //!
 //! Determinism contract: identical inputs produce byte-identical results —
-//! the heap tie-breaks on node id, and the A* variant reconstructs the
+//! the heap tie-breaks on node id, and the A* variants reconstruct the
 //! exact same shortest-path tree edges as the plain Dijkstra whenever the
 //! optimum is unique (which seeded continuous costs guarantee).
 
@@ -28,7 +31,10 @@ mod preference;
 mod search;
 
 pub use preference::Preference;
-pub use search::{scalarized_path, scalarized_path_astar, ScalarPath, ScalarResult, ScalarStats};
+pub use search::{
+    landmark_bound, scalarized_path, scalarized_path_astar, scalarized_path_landmarks, ScalarPath,
+    ScalarResult, ScalarStats,
+};
 
 /// Compile-time Send + Sync proof helper (same pattern as the sibling
 /// crates): each `const _` proof fails the build if its type loses either.

@@ -1,13 +1,13 @@
-//! Deterministic scalarized shortest-path search (Dijkstra and prep-backed
-//! A*).
+//! Deterministic scalarized shortest-path search: Dijkstra, A* over the
+//! target's own prep table, and A* over landmark tables of other targets.
 
 use crate::preference::Preference;
-use mcn_graph::{CostVec, EdgeId, MultiCostGraph, NodeId};
+use mcn_graph::{CostVec, EdgeId, MultiCostGraph, NodeId, MAX_COST_TYPES};
 use mcn_prep::PrepTable;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Relative deflation applied to the A* heuristic α·L(v).
+/// Relative deflation applied to the A* heuristic.
 ///
 /// Same constant and rationale as `mcn-mcpp`: the prep scan accumulates the
 /// bounds backward (target → v) while the search accumulates forward
@@ -18,20 +18,44 @@ use std::collections::BinaryHeap;
 /// measurable pruning power.
 const HEURISTIC_DEFLATION: f64 = 1.0 - 1e-9;
 
+/// Relative margin `ε` of a landmark bound: component `i` of the bound
+/// from the table of landmark `ℓ` is `max(0, D_i(v→ℓ) − D_i(t→ℓ) −
+/// ε·(D_i(v→ℓ) + D_i(t→ℓ)))`.
+///
+/// `HEURISTIC_DEFLATION` alone does not cover a difference. At the scan's
+/// fixed point `D(u) ≤ fl(c(u,w) + D(w))` holds for every edge `u → w`, so
+/// along a shortest `v → t` path of `k < n` edges `D(v) ≤ (D(t) +
+/// dist(v→t))·(1 + k·u)`, `u = 2⁻⁵³`: `D(v) − D(t)` may overshoot
+/// `dist(v→t)` by `k·u·(D(t) + dist)`, an error sized by the operands, not
+/// by the difference. One edge cheaper than half an ulp of `D(t)` rounds
+/// `D(v)` up a whole ulp and so gives the bound more than that edge costs
+/// (`landmark_margin_absorbs_scan_rounding` is that input, and fails
+/// without the margin). When the bound is positive and `D(v) ≥ dist/2`,
+/// the margin `ε·(D(v) + D(t)) ≥ ε/2·(D(t) + dist)` exceeds that overshoot
+/// plus the forward search's own summation error (`(n + d)·u·dist`) as
+/// long as `(2n + d)·u ≤ ε/2`: every graph of up to `10⁶` nodes, and the
+/// graphs served have a few thousand. When `D(v) < dist/2` the bound is
+/// below `dist/2` anyway. So the bound never exceeds the float α-distance
+/// the search computes: it is admissible. It is not always consistent — the
+/// same rounding can make it drop by more than one cheap edge costs — which
+/// the search's reopening absorbs
+/// (`a_node_settled_early_by_an_inconsistent_bound_is_reopened`).
+const LANDMARK_MARGIN: f64 = 1e-9;
+
 /// Counters describing one scalarized search, mirroring `mcn-mcpp`'s
 /// `PathStats` for the skyline tier.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScalarStats {
     /// Heap entries pushed (duplicates stand in for decrease-key).
     pub pushed: u64,
-    /// Nodes settled — popped with their final distance. The headline
-    /// number: A* vs Dijkstra settled counts is exactly the work the
-    /// heuristic saves.
+    /// Nodes settled — popped as the best open node (a node the landmark
+    /// search reopens counts again). The headline number: A* vs Dijkstra
+    /// settled counts is exactly the work the heuristic saves.
     pub settled: u64,
     /// Edge relaxations attempted from settled nodes.
     pub relaxed: u64,
     /// Candidates discarded: stale heap entries, relaxations that did not
-    /// improve the tentative distance, and neighbors the prep table proves
+    /// improve the tentative distance, and neighbors the heuristic proves
     /// cannot reach the target.
     pub pruned: u64,
 }
@@ -100,7 +124,7 @@ pub fn scalarized_path(
     target: NodeId,
     pref: &Preference,
 ) -> ScalarResult {
-    search(graph, source, target, pref, None)
+    search(graph, source, target, pref, |_| Some(0.0))
 }
 
 /// α-optimal path by A* with the consistent heuristic h(v) = α·L(v), where
@@ -121,27 +145,144 @@ pub fn scalarized_path_astar(
     prep: &PrepTable,
 ) -> ScalarResult {
     assert_eq!(prep.target(), target, "prep table built for another target");
+    check_table(graph, prep);
+    // h(v) = α·L(v), None when the table proves v cannot reach the target.
+    search(graph, source, target, pref, |v| {
+        prep.reaches(v)
+            .then(|| pref.cost_of(prep.bound(v)) * HEURISTIC_DEFLATION)
+    })
+}
+
+/// Number of landmarks one search uses at most: the ones with the largest
+/// bound at the source. A constant, not a knob — each landmark costs every
+/// heuristic read `d` subtractions, so a few strong ones beat many weak ones.
+const LANDMARKS: usize = 2;
+
+/// α-optimal path by A* over **landmarks**: prep tables built for targets
+/// other than `target` (ALT, Goldberg & Harrelson). A table towards `ℓ`
+/// holds the exact per-cost distances `D_i(v→ℓ)`, and the triangle
+/// inequality makes `D_i(v→ℓ) − D_i(t→ℓ)` a lower bound on cost `i` from
+/// `v` to `t` (on a graph without one-way edges `|D_i(v→ℓ) − D_i(t→ℓ)|`
+/// is one too). Of the landmarks the target reaches, the search uses the
+/// two with the largest [`landmark_bound`] at `source` (equal bounds go to
+/// the smaller landmark id, so the order of `landmarks` does not matter);
+/// with none it is plain Dijkstra. h(v) is the larger of their bounds,
+/// deflated like the prep heuristic. A node that cannot reach a landmark
+/// the target reaches cannot reach the target, so it is never queued.
+///
+/// The bound is admissible but not always consistent (near a far landmark
+/// the scan's rounding can make it drop by more than an edge costs), so the
+/// search reopens a settled node whose distance improves. Returns the same
+/// path as [`scalarized_path`], up to the representative of an exactly
+/// tied route (as for [`scalarized_path_astar`]).
+///
+/// Panics if a table was built for a different graph size or cost-type
+/// count.
+pub fn scalarized_path_landmarks(
+    graph: &MultiCostGraph,
+    source: NodeId,
+    target: NodeId,
+    pref: &Preference,
+    landmarks: &[&PrepTable],
+) -> ScalarResult {
+    let symmetric = !graph.has_directed_edges();
+    let mut ranked = Vec::with_capacity(landmarks.len());
+    for &table in landmarks {
+        check_table(graph, table);
+        if !table.reaches(target) {
+            continue;
+        }
+        match bound_towards(table, target, pref, source, symmetric) {
+            Some(at_source) => ranked.push((at_source, table)),
+            None => {
+                return ScalarResult {
+                    path: None,
+                    stats: ScalarStats::default(),
+                }
+            }
+        }
+    }
+    ranked.sort_by(|a, b| {
+        b.0.total_cmp(&a.0)
+            .then(a.1.target().raw().cmp(&b.1.target().raw()))
+    });
+    ranked.truncate(LANDMARKS);
+    search(graph, source, target, pref, |v| {
+        let mut best = 0.0f64;
+        for (_, table) in &ranked {
+            best = best.max(bound_towards(table, target, pref, v, symmetric)?);
+        }
+        Some(best * HEURISTIC_DEFLATION)
+    })
+}
+
+/// The α-weighted lower bound one landmark table gives on the cost of any
+/// `v → target` path: `α · max(0, D(v→ℓ) − D(t→ℓ) − ε·(D(v→ℓ) +
+/// D(t→ℓ)))` component-wise, with `|D(v→ℓ) − D(t→ℓ)|` in place of the
+/// difference when `graph` has no one-way edge (`ε` covers the scan's
+/// float summation error, see the margin's docs). `None` when the table
+/// proves `v` cannot reach `target`: `target` reaches `ℓ` and `v` does not.
+/// `Some(0.0)` when `target` does not reach `ℓ` either (no information).
+///
+/// Panics if `v` or `target` is out of the table's range.
+pub fn landmark_bound(
+    graph: &MultiCostGraph,
+    target: NodeId,
+    pref: &Preference,
+    landmark: &PrepTable,
+    v: NodeId,
+) -> Option<f64> {
+    if !landmark.reaches(target) {
+        return Some(0.0);
+    }
+    bound_towards(landmark, target, pref, v, !graph.has_directed_edges())
+}
+
+/// [`landmark_bound`] for a landmark the target is known to reach.
+#[inline]
+fn bound_towards(
+    landmark: &PrepTable,
+    target: NodeId,
+    pref: &Preference,
+    v: NodeId,
+    symmetric: bool,
+) -> Option<f64> {
+    if !landmark.reaches(v) {
+        return None;
+    }
+    let (at_v, at_t) = (landmark.bound(v), landmark.bound(target));
+    let mut lb = [0.0; MAX_COST_TYPES];
+    for i in 0..at_v.len() {
+        let (dv, dt) = (at_v[i], at_t[i]);
+        let gap = if symmetric { (dv - dt).abs() } else { dv - dt };
+        lb[i] = (gap - LANDMARK_MARGIN * (dv + dt)).max(0.0);
+    }
+    Some(pref.cost_of(&lb[..at_v.len()]))
+}
+
+/// Asserts that `table` covers `graph`'s nodes and cost types.
+fn check_table(graph: &MultiCostGraph, table: &PrepTable) {
     assert_eq!(
-        prep.num_nodes(),
+        table.num_nodes(),
         graph.num_nodes(),
         "prep table built for another graph"
     );
     assert_eq!(
-        prep.cost_types(),
+        table.cost_types(),
         graph.num_cost_types(),
         "prep table built for another cost dimensionality"
     );
-    search(graph, source, target, pref, Some(prep))
 }
 
-/// Shared engine of both variants; `prep = None` degenerates the heuristic
-/// to 0 and A* to Dijkstra.
+/// Shared engine of every variant: A* under the heuristic `h`, which
+/// returns `None` for a node proven unable to reach `target`. `h ≡ 0` is
+/// Dijkstra.
 fn search(
     graph: &MultiCostGraph,
     source: NodeId,
     target: NodeId,
     pref: &Preference,
-    prep: Option<&PrepTable>,
+    h: impl Fn(NodeId) -> Option<f64>,
 ) -> ScalarResult {
     assert_eq!(
         pref.cost_types(),
@@ -156,21 +297,9 @@ fn search(
 
     let mut stats = ScalarStats::default();
 
-    // With a prep table, an unreachable source is known before any search.
-    if let Some(table) = prep {
-        if !table.reaches(source) {
-            return ScalarResult { path: None, stats };
-        }
-    }
-
-    // h(v) = α·L(v), None when the table proves v cannot reach the target.
-    let h = |v: NodeId| -> Option<f64> {
-        match prep {
-            Some(table) => table
-                .reaches(v)
-                .then(|| pref.cost_of(table.bound(v)) * HEURISTIC_DEFLATION),
-            None => Some(0.0),
-        }
+    // A source the heuristic proves dead is answered before any search.
+    let Some(h0) = h(source) else {
+        return ScalarResult { path: None, stats };
     };
 
     const NO_PARENT: u32 = u32::MAX;
@@ -180,7 +309,6 @@ fn search(
     let mut heap = BinaryHeap::new();
 
     dist[source.index()] = 0.0;
-    let h0 = h(source).expect("source reachability checked above");
     heap.push(HeapEntry {
         key: h0,
         node: source.raw(),
@@ -191,8 +319,7 @@ fn search(
     while let Some(entry) = heap.pop() {
         let u = NodeId::from(entry.node);
         // Duplicate pushes stand in for decrease-key; every improvement
-        // strictly lowers the key, so the first pop of a node carries its
-        // final distance and later pops are stale.
+        // strictly lowers the key, so a pop of a settled node is stale.
         if settled[u.index()] {
             stats.pruned += 1;
             continue;
@@ -206,13 +333,9 @@ fn search(
         let du = dist[u.index()];
         for nb in graph.neighbors(u) {
             stats.relaxed += 1;
-            if settled[nb.node.index()] {
-                stats.pruned += 1;
-                continue;
-            }
             let cand = du + pref.cost_of(nb.costs.as_slice());
             // The heuristic is read only for an improving relaxation. A
-            // neighbor the table proves dead keeps distance ∞, so each
+            // neighbor it proves dead keeps distance ∞, so each
             // relaxation reaching it still lands in `pruned` exactly once.
             let hn = if cand < dist[nb.node.index()] {
                 h(nb.node)
@@ -223,6 +346,12 @@ fn search(
                 stats.pruned += 1;
                 continue;
             };
+            // Under a consistent heuristic a settled node never improves
+            // (and under h ≡ 0 it cannot). An admissible one that is not
+            // consistent — a landmark bound, near a far landmark — can
+            // settle a node early; reopening it on a strict improvement
+            // keeps the answer exact on admissibility alone.
+            settled[nb.node.index()] = false;
             dist[nb.node.index()] = cand;
             parent[nb.node.index()] = nb.edge.raw();
             heap.push(HeapEntry {
@@ -409,5 +538,234 @@ mod tests {
         let (g, s, t) = diamond();
         let prep = PrepTable::build(&g, s);
         scalarized_path_astar(&g, s, t, &Preference::uniform(2), &prep);
+    }
+
+    /// A 7 × 7 grid with seeded irregular costs, every node a candidate
+    /// landmark.
+    fn grid(directed_every: usize) -> MultiCostGraph {
+        let mut b = GraphBuilder::new(2);
+        let side = 7u32;
+        let ids: Vec<NodeId> = (0..side * side)
+            .map(|i| b.add_node((i % side) as f64, (i / side) as f64))
+            .collect();
+        let mut lcg = 0x5EED_u64;
+        let mut cost = move || {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((lcg >> 11) as f64 / (1u64 << 53) as f64) * 9.0 + 0.5
+        };
+        let mut k = 0;
+        for i in 0..side * side {
+            let mut link = |j: u32| {
+                k += 1;
+                let c = CostVec::from_slice(&[cost(), cost()]);
+                let (a, z) = (ids[i as usize], ids[j as usize]);
+                if directed_every > 0 && k % directed_every == 0 {
+                    b.add_directed_edge(a, z, c).unwrap();
+                    b.add_directed_edge(z, a, CostVec::from_slice(&[cost(), cost()]))
+                        .unwrap();
+                } else {
+                    b.add_edge(a, z, c).unwrap();
+                }
+            };
+            if i % side + 1 < side {
+                link(i + 1);
+            }
+            if i + side < side * side {
+                link(i + side);
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn landmark_astar_matches_dijkstra_from_every_source() {
+        for directed_every in [0, 3] {
+            let g = grid(directed_every);
+            assert_eq!(g.has_directed_edges(), directed_every > 0);
+            let pref = Preference::new(&[0.3, 0.7]).unwrap();
+            let t = NodeId::new(24);
+            let tables = [0u32, 6, 42, 48].map(|l| PrepTable::build(&g, NodeId::new(l)));
+            let landmarks: Vec<&PrepTable> = tables.iter().collect();
+            let (mut plain_total, mut fast_total) = (0, 0);
+            for s in (0..g.num_nodes()).map(NodeId::from) {
+                let plain = scalarized_path(&g, s, t, &pref);
+                let fast = scalarized_path_landmarks(&g, s, t, &pref, &landmarks);
+                let (p, f) = (plain.path.unwrap(), fast.path.unwrap());
+                assert_eq!(p.edges, f.edges, "{s} → {t}");
+                assert_eq!(p.total.to_bits(), f.total.to_bits());
+                assert_eq!(p.costs, f.costs);
+                assert!(fast.stats.settled <= plain.stats.settled);
+                plain_total += plain.stats.settled;
+                fast_total += fast.stats.settled;
+            }
+            assert!(
+                fast_total < plain_total,
+                "corner landmarks settle {fast_total} vs Dijkstra's {plain_total}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_two_best_landmarks_at_the_source_drive_the_search() {
+        // One-way edges: the bound is D(v→ℓ) − D(t→ℓ) clamped at zero, and
+        // towards a corner target several landmarks tie at the source.
+        let g = grid(3);
+        let pref = Preference::new(&[0.6, 0.4]).unwrap();
+        let t = NodeId::new(0);
+        let tables = [48u32, 6, 42, 24, 3, 21, 27].map(|l| PrepTable::build(&g, NodeId::new(l)));
+        let all: Vec<&PrepTable> = tables.iter().collect();
+        let reversed: Vec<&PrepTable> = all.iter().rev().copied().collect();
+        let mut deciding_ties = 0;
+        for s in (0..g.num_nodes()).map(NodeId::from) {
+            // Largest bound at s first; equal bounds to the smaller
+            // landmark id.
+            let mut ranked: Vec<(f64, &PrepTable)> = all
+                .iter()
+                .map(|&table| (landmark_bound(&g, t, &pref, table, s).unwrap(), table))
+                .collect();
+            ranked.sort_by(|a, b| {
+                b.0.total_cmp(&a.0)
+                    .then(a.1.target().raw().cmp(&b.1.target().raw()))
+            });
+            let chosen = scalarized_path_landmarks(&g, s, t, &pref, &[ranked[0].1, ranked[1].1]);
+            assert_eq!(scalarized_path_landmarks(&g, s, t, &pref, &all), chosen);
+            assert_eq!(
+                scalarized_path_landmarks(&g, s, t, &pref, &reversed),
+                chosen
+            );
+            if ranked[1].0 == ranked[2].0
+                && scalarized_path_landmarks(&g, s, t, &pref, &[ranked[0].1, ranked[2].1]) != chosen
+            {
+                deciding_ties += 1;
+            }
+        }
+        assert!(deciding_ties > 0, "no source where the tie-break decides");
+    }
+
+    #[test]
+    fn without_a_usable_landmark_the_search_is_dijkstra() {
+        // a — b, and a one-way c → a: c's table is one neither a nor b
+        // reaches, so it carries no information about a target of b.
+        let mut b = GraphBuilder::new(2);
+        let a = b.add_node(0.0, 0.0);
+        let bn = b.add_node(1.0, 0.0);
+        let c = b.add_node(2.0, 0.0);
+        b.add_edge(a, bn, CostVec::from_slice(&[1.0, 2.0])).unwrap();
+        b.add_directed_edge(c, a, CostVec::from_slice(&[1.0, 1.0]))
+            .unwrap();
+        let g = b.build().unwrap();
+        let pref = Preference::uniform(2);
+        let unusable = PrepTable::build(&g, c);
+        assert!(!unusable.reaches(bn));
+        assert_eq!(landmark_bound(&g, bn, &pref, &unusable, a), Some(0.0));
+        for s in [a, bn, c] {
+            let plain = scalarized_path(&g, s, bn, &pref);
+            assert_eq!(scalarized_path_landmarks(&g, s, bn, &pref, &[]), plain);
+            assert_eq!(
+                scalarized_path_landmarks(&g, s, bn, &pref, &[&unusable]),
+                plain
+            );
+        }
+    }
+
+    #[test]
+    fn a_node_cut_off_from_a_landmark_the_target_reaches_is_pruned() {
+        // w → t → ℓ → v, all one-way: v reaches nothing, w reaches t.
+        let mut b = GraphBuilder::new(2);
+        let w = b.add_node(0.0, 0.0);
+        let t = b.add_node(1.0, 0.0);
+        let l = b.add_node(2.0, 0.0);
+        let v = b.add_node(3.0, 0.0);
+        for (from, to) in [(w, t), (t, l), (l, v)] {
+            b.add_directed_edge(from, to, CostVec::from_slice(&[1.0, 3.0]))
+                .unwrap();
+        }
+        let g = b.build().unwrap();
+        let pref = Preference::uniform(2);
+        let table = PrepTable::build(&g, l);
+        assert!(table.reaches(t) && !table.reaches(v));
+        // t reaches ℓ and v does not, so v cannot reach t: no work at all.
+        assert_eq!(landmark_bound(&g, t, &pref, &table, v), None);
+        let dead = scalarized_path_landmarks(&g, v, t, &pref, &[&table]);
+        assert_eq!(dead.path, None);
+        assert_eq!(dead.stats, ScalarStats::default());
+        // w's bound is w → t's cost, less the margin.
+        let h = landmark_bound(&g, t, &pref, &table, w).unwrap();
+        assert!(h < 2.0 && h > 2.0 * (1.0 - 1e-8), "{h}");
+        let live = scalarized_path_landmarks(&g, w, t, &pref, &[&table]);
+        assert_eq!(live.path, scalarized_path(&g, w, t, &pref).path);
+    }
+
+    /// The landmark bound is admissible but, near a far landmark, not
+    /// consistent: ℓ lies 10⁶ beyond t, so the scan rounds D(u→ℓ) =
+    /// fl(7·10⁻¹¹ + D(w→ℓ)) up a whole ulp of 10⁶ (1.16·10⁻¹⁰), and h drops
+    /// by more than the u → w edge costs. s reaches w directly through a for
+    /// 1 + 10⁻¹⁰, or through u for 1 + 7·10⁻¹¹; the a-route's f-value at w
+    /// sits below u's, so w is popped first with the worse distance. The
+    /// search must reopen w when u improves it.
+    #[test]
+    fn a_node_settled_early_by_an_inconsistent_bound_is_reopened() {
+        let mut b = GraphBuilder::new(2);
+        let s = b.add_node(0.0, 0.0);
+        let u = b.add_node(1.0, 1.0);
+        let a = b.add_node(1.0, -1.0);
+        let w = b.add_node(2.0, 0.0);
+        let t = b.add_node(3.0, 0.0);
+        let l = b.add_node(4.0, 0.0);
+        let both = |c: f64| CostVec::from_slice(&[c, c]);
+        b.add_edge(s, u, both(1.0)).unwrap();
+        b.add_edge(u, w, both(7e-11)).unwrap();
+        b.add_edge(s, a, both(0.5)).unwrap();
+        b.add_edge(a, w, both(0.5 + 1e-10)).unwrap();
+        b.add_edge(w, t, both(1.0)).unwrap();
+        b.add_edge(t, l, both(1e6)).unwrap();
+        let g = b.build().unwrap();
+        let pref = Preference::uniform(2);
+        let table = PrepTable::build(&g, l);
+        let h = |v| landmark_bound(&g, t, &pref, &table, v).unwrap();
+        let g_u = scalarized_path(&g, s, u, &pref).path.unwrap().total;
+        let g_a = scalarized_path(&g, s, a, &pref).path.unwrap().total;
+        let c_aw = 0.5 + 1e-10;
+        assert!(h(u) - h(w) > 7e-11, "the bound is inconsistent on u → w");
+        assert!(g_a + c_aw + h(w) < g_u + h(u), "w pops before u");
+        let plain = scalarized_path(&g, s, t, &pref);
+        let fast = scalarized_path_landmarks(&g, s, t, &pref, &[&table]);
+        let p = plain.path.unwrap();
+        assert_eq!(p.edges.len(), 3, "through u");
+        assert_eq!(fast.path.unwrap(), p);
+    }
+
+    /// The input the landmark margin exists for. t—ℓ costs 10⁶, and v—t
+    /// costs 7·10⁻¹¹: more than half an ulp of 10⁶ (1.16·10⁻¹⁰), so the
+    /// scan stores D(v→ℓ) = 10⁶ + 1 ulp and the unmargined bound at v is
+    /// 1.16·10⁻¹⁰, above the 7·10⁻¹¹ that v → t costs. s reaches t directly
+    /// for 1 + 10⁻¹⁰ or through v for 1 + 7·10⁻¹¹; an overestimate at v
+    /// would pop t on the direct edge first.
+    #[test]
+    fn landmark_margin_absorbs_scan_rounding() {
+        let mut b = GraphBuilder::new(2);
+        let s = b.add_node(0.0, 0.0);
+        let v = b.add_node(1.0, 1.0);
+        let t = b.add_node(2.0, 0.0);
+        let l = b.add_node(3.0, 0.0);
+        let both = |c: f64| CostVec::from_slice(&[c, c]);
+        b.add_edge(s, v, both(1.0)).unwrap();
+        b.add_edge(v, t, both(7e-11)).unwrap();
+        b.add_edge(s, t, both(1.0 + 1e-10)).unwrap();
+        b.add_edge(t, l, both(1e6)).unwrap();
+        let g = b.build().unwrap();
+        let pref = Preference::uniform(2);
+        let table = PrepTable::build(&g, l);
+        assert_eq!(table.bound(t)[0], 1e6);
+        assert!(table.bound(v)[0] - table.bound(t)[0] > 7e-11, "v rounds up");
+        let plain = scalarized_path(&g, s, t, &pref).path.unwrap();
+        assert_eq!(plain.edges.len(), 2, "through v");
+        let fast = scalarized_path_landmarks(&g, s, t, &pref, &[&table]);
+        assert_eq!(fast.path.unwrap(), plain);
+        for node in [s, v, t, l] {
+            let exact = scalarized_path(&g, node, t, &pref).path.unwrap().total;
+            let h = landmark_bound(&g, t, &pref, &table, node).unwrap();
+            assert!(h <= exact, "h({node}) = {h} > {exact}");
+        }
     }
 }

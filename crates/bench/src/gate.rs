@@ -13,9 +13,10 @@
 //! [`run_gate`] measures one and compares it, or with `--update` rewrites
 //! the baseline so the diff documents the cost shift in review.
 //!
-//! The path gates also assert each tier's acceptance bar at their fixed
-//! configuration, so a regression below it fails even under `--update`:
-//! prep's [`MIN_LABEL_REDUCTION`] at d = 3, the α tier's
+//! Each gate also asserts its acceptance bar at its fixed configuration,
+//! so a regression below it fails even under `--update`: CEA reads no more
+//! pages than LSA at every figure point (the paper's I/O claim), prep's
+//! [`MIN_LABEL_REDUCTION`] at d = 3, the α tier's
 //! [`MIN_SETTLED_REDUCTION`] and [`MIN_SKYLINE_ADVANTAGE`] at every d, and
 //! an exact (untruncated) route index.
 
@@ -228,6 +229,10 @@ impl Gate for GateBaseline {
     const NAME: &'static str = "logical reads";
 
     /// Runs every figure sweep and keeps each point's mean logical reads.
+    ///
+    /// # Panics
+    /// Panics if CEA reads more pages than LSA at any point — the paper's
+    /// headline I/O claim.
     fn measure(config: &GateConfig) -> Self {
         let experiment_config = config.experiment_config();
         let tables = Experiment::all()
@@ -244,7 +249,19 @@ impl Gate for GateBaseline {
                     })
                     .collect(),
             })
-            .collect();
+            .collect::<Vec<_>>();
+        for table in &tables {
+            for p in &table.points {
+                assert!(
+                    p.cea_logical_reads <= p.lsa_logical_reads,
+                    "CEA read more pages than LSA at {} [{}]: {} > {}",
+                    table.id,
+                    p.label,
+                    p.cea_logical_reads,
+                    p.lsa_logical_reads
+                );
+            }
+        }
         GateBaseline {
             config: config.clone(),
             tables,

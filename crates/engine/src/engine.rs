@@ -982,6 +982,98 @@ mod tests {
         }
     }
 
+    /// Bypassed requests rent with landmarks: a cache pre-warmed with the
+    /// tables of *other* targets lends them to every bypassed search, which
+    /// changes the work done and nothing else — not the answers, not the
+    /// counters, not the eviction order, and the credit charged is exactly
+    /// the landmark search's settled count.
+    #[test]
+    fn bypassed_requests_rent_with_landmarks_from_other_targets() {
+        let (store, empty, requests) = distinct_target_alpha_fixture();
+        let graph = empty.graph().clone();
+        let n = requests.len() as u64;
+        let step = graph.num_nodes() / 12;
+        // Four tables of nodes no request asks for, warmed in this order into
+        // a cache that holds exactly four.
+        let others: Vec<mcn_graph::NodeId> = (0..4)
+            .map(|i| mcn_graph::NodeId::from(i * 3 * step + step / 2))
+            .collect();
+        let run = |ctx: &Arc<crate::PathContext>, workers: usize| {
+            QueryEngine::new(store.clone(), workers)
+                .with_path_context(ctx.clone())
+                .run_batch(&requests)
+        };
+        let reference = run(&empty, 1);
+        for workers in [1, 2] {
+            let ctx = Arc::new(crate::PathContext::new(graph.clone(), others.len()));
+            for &other in &others {
+                ctx.table_for(other);
+            }
+            let warmed = ctx.cache_stats();
+            let result = run(&ctx, workers);
+            assert_eq!(fingerprints(&reference), fingerprints(&result));
+            assert!(result
+                .outcomes
+                .iter()
+                .all(|o| o.stats.algorithm == "alpha-landmark"));
+            let expected = mcn_prep::PrepCacheStats {
+                bypassed: n,
+                ..Default::default()
+            };
+            assert_eq!(result.stats.prep_cache, expected);
+            assert_eq!(ctx.cache_stats().since(&warmed), expected);
+            for (reference, landmark) in reference.outcomes.iter().zip(&result.outcomes) {
+                assert!(landmark.stats.nodes_settled <= reference.stats.nodes_settled);
+            }
+
+            // Each target's credit is what its landmark search settled: the
+            // price less that, less one, leaves it one node short of a build.
+            // (Settled counts first: a build lends one more landmark.)
+            let price = (graph.num_nodes() * graph.num_cost_types()) as u64;
+            let cache = ctx.cache();
+            let charged: Vec<(mcn_graph::NodeId, u64)> = requests
+                .iter()
+                .zip(&result.outcomes)
+                .take(3)
+                .map(|(request, outcome)| {
+                    let QueryRequest::AlphaPath {
+                        source,
+                        target,
+                        alpha,
+                    } = request
+                    else {
+                        unreachable!("the fixture is all alpha requests")
+                    };
+                    let lent = cache.landmarks(*target);
+                    let tables: Vec<&mcn_prep::PrepTable> = lent.iter().map(Arc::as_ref).collect();
+                    let direct = mcn_alpha::scalarized_path_landmarks(
+                        &graph, *source, *target, alpha, &tables,
+                    );
+                    assert_eq!(outcome.stats.nodes_settled as u64, direct.stats.settled);
+                    (*target, direct.stats.settled)
+                })
+                .collect();
+            for (target, settled) in charged {
+                cache.charge(target, price - settled - 1);
+                assert!(cache
+                    .get_or_bypass(&graph, target, None, "alpha-path", 0)
+                    .is_none());
+                cache.charge(target, 1);
+                assert!(cache
+                    .get_or_bypass(&graph, target, None, "alpha-path", 0)
+                    .is_some());
+            }
+            // Those three builds evicted the three least recently warmed
+            // tables, in warm order: lending them as landmarks refreshed
+            // nothing. (An absent target's `get` is a pure probe.)
+            assert_eq!(cache.stats().evictions, 3);
+            for &evicted in &others[..3] {
+                assert!(cache.get(evicted).is_none());
+            }
+            assert!(cache.get(others[3]).is_some());
+        }
+    }
+
     #[test]
     fn repeated_alpha_targets_earn_their_tables_deterministically() {
         // One worker, one target, one request repeated: the cache's decision
@@ -1106,12 +1198,13 @@ mod tests {
             .run_batch(&requests);
         for (request, outcome) in requests.iter().zip(&outcomes.outcomes) {
             match request {
-                // Which of the two prep-tier searches ran depends on whether
-                // the target's table was resident yet — never the index.
+                // Which of the three prep-tier searches ran depends on whether
+                // the target's table, or another target's, was resident yet —
+                // never the index.
                 QueryRequest::AlphaPath { .. } => assert!(
                     matches!(
                         outcome.stats.algorithm.as_str(),
-                        "alpha-astar" | "alpha-dijkstra"
+                        "alpha-astar" | "alpha-landmark" | "alpha-dijkstra"
                     ),
                     "{}",
                     outcome.stats.algorithm

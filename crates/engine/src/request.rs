@@ -1,7 +1,7 @@
 //! Query requests and their outcomes.
 
 use crate::context::PathContext;
-use mcn_alpha::{scalarized_path, scalarized_path_astar, Preference, ScalarPath};
+use mcn_alpha::{scalarized_path_astar, scalarized_path_landmarks, Preference, ScalarPath};
 use mcn_core::{
     skyline_query_in, topk_query_in, Algorithm, QueryStats, SkylineFacility, TopKEntry, TopKIter,
     WeightedSum,
@@ -10,6 +10,7 @@ use mcn_expansion::{DirectAccess, NetworkAccess, SharedAccess, TablePool};
 use mcn_graph::{NetworkLocation, NodeId};
 use mcn_mcpp::{pareto_paths_prepped, ParetoLabel};
 use mcn_obs::{default_clock, Clock, Obs};
+use mcn_prep::PrepTable;
 use mcn_storage::StoreView;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -265,9 +266,10 @@ impl QueryRequest {
                     };
                     (QueryOutput::AlphaPath(run.path), stats)
                 } else {
-                    // Both searches return the same route; a target that has
-                    // not earned a table is answered without one, and pays
-                    // towards it with the nodes that search settled.
+                    // Every search returns the same route. A target that has
+                    // not earned a table is answered without one, by A* over
+                    // the resident tables of other targets when there are
+                    // any, and pays towards its own with the nodes settled.
                     let graph = ctx.graph();
                     let prep = ctx.cache().get_or_bypass(graph, *target, obs, tier, query);
                     let (run, algorithm) = {
@@ -278,9 +280,19 @@ impl QueryRequest {
                                 "alpha-astar",
                             ),
                             None => {
-                                let run = scalarized_path(graph, *source, *target, alpha);
+                                let landmarks = ctx.cache().landmarks(*target);
+                                let tables: Vec<&PrepTable> =
+                                    landmarks.iter().map(Arc::as_ref).collect();
+                                let run = scalarized_path_landmarks(
+                                    graph, *source, *target, alpha, &tables,
+                                );
+                                let algorithm = if tables.is_empty() {
+                                    "alpha-dijkstra"
+                                } else {
+                                    "alpha-landmark"
+                                };
                                 ctx.cache().charge(*target, run.stats.settled);
-                                (run, "alpha-dijkstra")
+                                (run, algorithm)
                             }
                         }
                     };

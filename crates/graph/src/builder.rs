@@ -193,6 +193,7 @@ impl GraphBuilder {
         let edge_facilities = Csr::build(self.edges.len(), || {
             self.facilities.iter().map(|f| (f.edge.index(), f.id))
         });
+        let has_directed_edges = self.edges.iter().any(|e| e.directed);
         Ok(MultiCostGraph {
             num_cost_types: self.num_cost_types,
             nodes: self.nodes,
@@ -200,6 +201,7 @@ impl GraphBuilder {
             facilities: self.facilities,
             adjacency,
             edge_facilities,
+            has_directed_edges,
         })
     }
 }

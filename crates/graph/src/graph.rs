@@ -28,6 +28,8 @@ pub struct MultiCostGraph {
     pub(crate) adjacency: Csr<EdgeId>,
     /// For each edge, the identifiers of facilities lying on it.
     pub(crate) edge_facilities: Csr<FacilityId>,
+    /// Whether any edge is one-way.
+    pub(crate) has_directed_edges: bool,
 }
 
 const _: () = crate::assert_send_sync::<MultiCostGraph>();
@@ -111,6 +113,13 @@ impl MultiCostGraph {
     #[inline]
     pub fn num_facilities(&self) -> usize {
         self.facilities.len()
+    }
+
+    /// True iff some edge may be traversed in one direction only. Without
+    /// one, every distance is symmetric: `dist(u → v) = dist(v → u)`.
+    #[inline]
+    pub fn has_directed_edges(&self) -> bool {
+        self.has_directed_edges
     }
 
     /// Returns the node with the given identifier.
@@ -280,6 +289,8 @@ mod tests {
         let g = b.build().unwrap();
         assert_eq!(g.neighbors(a).count(), 1);
         assert_eq!(g.neighbors(c).count(), 0);
+        assert!(g.has_directed_edges());
+        assert!(!triangle().has_directed_edges());
         // ...but the undirected connectivity test still sees one component.
         assert!(g.is_connected());
     }

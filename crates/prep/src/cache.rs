@@ -153,6 +153,11 @@ impl CacheInner {
 /// at worst. The decision depends only on the order of lookups and
 /// charges, both taken under the cache lock, and the credit map holds at
 /// most one counter per distinct target without a table.
+///
+/// A table holds exact distances to its own target, so the resident tables
+/// of *other* targets are landmarks for a rented search
+/// ([`PrepCache::landmarks`]): the rent gets an A* heuristic from work
+/// already paid for.
 pub struct PrepCache {
     capacity: usize,
     inner: Mutex<CacheInner>,
@@ -246,6 +251,24 @@ impl PrepCache {
             let earned = inner.credit.entry(key).or_insert(0);
             *earned = earned.saturating_add(settled);
         }
+    }
+
+    /// The resident tables of targets other than `target` whose own target
+    /// `target` reaches — the candidate landmarks of a search towards a
+    /// target without a table (the search picks among them). One locked
+    /// pass over the resident set, least recently used first, that counts
+    /// nothing and touches no recency: lending a table as a landmark changes
+    /// no hit, miss or eviction.
+    pub fn landmarks(&self, target: NodeId) -> Vec<Arc<PrepTable>> {
+        let inner = self.inner.lock();
+        inner
+            .recency
+            .values()
+            .filter(|&&key| key != target.raw())
+            .map(|key| &inner.map[key].0)
+            .filter(|table| table.reaches(target))
+            .cloned()
+            .collect()
     }
 
     /// Inserts a table under its target key, evicting the least-recently
@@ -635,6 +658,65 @@ mod tests {
         assert_eq!(cache.len(), 1);
         let resident = cache.get(NodeId::new(5)).expect("the table was admitted");
         assert_eq!(*resident, PrepTable::build(&g, NodeId::new(5)));
+    }
+
+    fn targets(tables: &[Arc<PrepTable>]) -> Vec<u32> {
+        tables.iter().map(|t| t.target().raw()).collect()
+    }
+
+    #[test]
+    fn landmarks_are_the_other_resident_tables_least_recent_first() {
+        let g = line(8);
+        let cache = PrepCache::new(8);
+        for raw in [5, 1, 6, 3] {
+            cache.get_or_build(&g, NodeId::new(raw));
+        }
+        let before = cache.stats();
+        // The target's own table (3) is never lent out.
+        assert_eq!(targets(&cache.landmarks(NodeId::new(3))), [5, 1, 6]);
+        assert_eq!(targets(&cache.landmarks(NodeId::new(4))), [5, 1, 6, 3]);
+        // Lending counts nothing.
+        assert_eq!(cache.stats(), before);
+        let single = PrepCache::new(2);
+        single.get_or_build(&g, NodeId::new(2));
+        assert!(single.landmarks(NodeId::new(2)).is_empty());
+    }
+
+    #[test]
+    fn landmarks_skip_tables_the_target_does_not_reach() {
+        // 0 → 1 one-way, 1 — 2: target 0 reaches every table, target 2
+        // reaches the tables of 1 and 2 only.
+        let mut b = GraphBuilder::new(2);
+        let ids: Vec<NodeId> = (0..3).map(|i| b.add_node(i as f64, 0.0)).collect();
+        b.add_directed_edge(ids[0], ids[1], CostVec::from_slice(&[1.0, 1.0]))
+            .unwrap();
+        b.add_edge(ids[1], ids[2], CostVec::from_slice(&[1.0, 1.0]))
+            .unwrap();
+        let g = b.build().unwrap();
+        let cache = PrepCache::new(3);
+        for &id in &ids {
+            cache.get_or_build(&g, id);
+        }
+        assert_eq!(targets(&cache.landmarks(ids[2])), [1]);
+        assert_eq!(targets(&cache.landmarks(ids[0])), [1, 2]);
+    }
+
+    #[test]
+    fn lending_landmarks_leaves_the_eviction_order_alone() {
+        let g = line(8);
+        let cache = PrepCache::new(3);
+        for raw in [0, 1, 2] {
+            cache.get_or_build(&g, NodeId::new(raw));
+        }
+        // Table 0 is the LRU victim; lending it out as a landmark must not
+        // refresh it.
+        assert_eq!(targets(&cache.landmarks(NodeId::new(5))), [0, 1, 2]);
+        cache.get_or_build(&g, NodeId::new(3));
+        assert!(
+            cache.get(NodeId::new(0)).is_none(),
+            "0 was still the LRU entry"
+        );
+        assert_eq!(cache.stats(), stats(0, 4, 1, 0));
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! of every path cost plus the full edge sequences, so equality here is
 //! bit-exact result equality, not approximate agreement.
 
-use mcn::alpha::{scalarized_path, scalarized_path_astar, Preference};
+use mcn::alpha::{
+    landmark_bound, scalarized_path, scalarized_path_astar, scalarized_path_landmarks, Preference,
+};
 use mcn::engine::{PathContext, QueryEngine, QueryOutput, QueryRequest};
 use mcn::gen::{generate_workload, WorkloadSpec};
 use mcn::graph::{CostVec, GraphBuilder, MultiCostGraph, NodeId};
@@ -397,16 +399,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The invariant the prep cache's admission rule leans on: whether an
-    /// α request is answered table-free (`scalarized_path`) or with a table
-    /// (`scalarized_path_astar`) must not show in the answer — same edges,
-    /// same `total` bits, same cost vector, same reachability verdict — from
-    /// every source, including `source == target`.
+    /// α request is answered table-free (`scalarized_path`), with its own
+    /// table (`scalarized_path_astar`) or with the tables of up to three
+    /// other nodes as landmarks (`scalarized_path_landmarks`) must not show
+    /// in the answer — same edges, same `total` bits, same cost vector, same
+    /// reachability verdict — from every source, including `source ==
+    /// target`. The landmarks include ones the target cannot reach and, on
+    /// networks with one-way edges, ones reached one way only. Landmark A*
+    /// never settles more than Dijkstra, and its heuristic never exceeds the
+    /// α-distance to the target at any node.
     #[test]
     fn table_free_and_astar_answers_are_identical_on_adversarial_networks(
         d in 2usize..=4,
         nodes in 2usize..=14,
         edges in proptest::collection::vec((0u16..64, 0u16..64, 0u8..4), 0..28),
         target_sel in 0u16..64,
+        landmark_sel in proptest::collection::vec(0u16..64, 0..=3),
         raw_alpha in proptest::collection::vec(0.01f64..1.0, 4),
         seed in any::<u64>(),
     ) {
@@ -414,28 +422,61 @@ proptest! {
         let target = NodeId::from(target_sel as usize % nodes);
         let alpha = Preference::new(&raw_alpha[..d]).expect("positive weights are valid");
         let prep = PrepTable::build(&graph, target);
+        let tables: Vec<PrepTable> = landmark_sel
+            .iter()
+            .map(|&l| NodeId::from(l as usize % nodes))
+            .filter(|&l| l != target)
+            .map(|l| PrepTable::build(&graph, l))
+            .collect();
+        let landmarks: Vec<&PrepTable> = tables.iter().collect();
         for source in (0..nodes).map(NodeId::from) {
-            let plain = scalarized_path(&graph, source, target, &alpha).path;
+            let plain = scalarized_path(&graph, source, target, &alpha);
             let fast = scalarized_path_astar(&graph, source, target, &alpha, &prep).path;
+            let rented = scalarized_path_landmarks(&graph, source, target, &alpha, &landmarks);
             prop_assert_eq!(
-                plain.is_some(),
+                plain.path.is_some(),
                 prep.reaches(source),
                 "reachability verdicts differ at {} → {}", source, target
             );
-            match (plain, fast) {
-                (Some(p), Some(a)) => {
-                    prop_assert_eq!(&p.edges, &a.edges, "route differs at {} → {}", source, target);
-                    prop_assert_eq!(p.total.to_bits(), a.total.to_bits());
-                    prop_assert_eq!(&p.costs, &a.costs);
-                    if source == target {
-                        prop_assert!(p.edges.is_empty() && p.total == 0.0);
+            prop_assert!(
+                rented.stats.settled <= plain.stats.settled,
+                "landmarks made A* settle more nodes ({} vs {}) at {source} → {target}",
+                rented.stats.settled,
+                plain.stats.settled
+            );
+            // h(source): the largest landmark bound, None once one proves
+            // the target out of reach.
+            let h = landmarks.iter().try_fold(0.0f64, |best, table| {
+                landmark_bound(&graph, target, &alpha, table, source).map(|b| best.max(b))
+            });
+            for other in [&fast, &rented.path] {
+                match (&plain.path, other) {
+                    (Some(p), Some(a)) => {
+                        prop_assert_eq!(&p.edges, &a.edges, "route differs at {} → {}", source, target);
+                        prop_assert_eq!(p.total.to_bits(), a.total.to_bits());
+                        prop_assert_eq!(&p.costs, &a.costs);
+                        if source == target {
+                            prop_assert!(p.edges.is_empty() && p.total == 0.0);
+                        }
                     }
+                    (None, None) => {}
+                    other => prop_assert!(
+                        false,
+                        "table-free and A* disagree at {source} → {target}: {other:?}"
+                    ),
                 }
-                (None, None) => {}
-                other => prop_assert!(
-                    false,
-                    "table-free and A* disagree at {source} → {target}: {other:?}"
+            }
+            match (&plain.path, h) {
+                (Some(p), Some(h)) => prop_assert!(
+                    h <= p.total,
+                    "landmark bound {h} at {source} exceeds the α-distance {} to {target}",
+                    p.total
                 ),
+                (Some(_), None) => prop_assert!(
+                    false,
+                    "a landmark pruned {source}, which reaches {target}"
+                ),
+                (None, _) => {}
             }
         }
     }
