@@ -14,8 +14,10 @@
 //! - [`scalarized_path`] — a deterministic binary-heap Dijkstra over the
 //!   α-collapsed edge costs;
 //! - [`scalarized_path_astar`] — the same search driven by the admissible,
-//!   consistent heuristic h(v) = α·L(v), where L(v) are the per-cost
-//!   lower bounds of a `mcn-prep` [`PrepTable`](mcn_prep::PrepTable);
+//!   consistent heuristic [`table_bound`]: α split as λ·1 + μ (λ = min_i
+//!   α_i), h(v) = λ·max(S(v), Σ_i L_i(v)) + μ·L(v), where L(v) are the
+//!   per-cost lower bounds and S(v) the summed-cost distance of a
+//!   `mcn-prep` [`PrepTable`](mcn_prep::PrepTable);
 //! - [`scalarized_path_landmarks`] — the same search driven by landmark
 //!   bounds ([`landmark_bound`]) from prep tables of *other* targets, for a
 //!   target that has no table of its own;
@@ -32,8 +34,8 @@ mod search;
 
 pub use preference::Preference;
 pub use search::{
-    landmark_bound, scalarized_path, scalarized_path_astar, scalarized_path_landmarks, ScalarPath,
-    ScalarResult, ScalarStats,
+    landmark_bound, scalarized_path, scalarized_path_astar, scalarized_path_landmarks, table_bound,
+    ScalarPath, ScalarResult, ScalarStats, HEURISTIC_DEFLATION,
 };
 
 /// Compile-time Send + Sync proof helper (same pattern as the sibling

@@ -7,16 +7,23 @@ use mcn_prep::PrepTable;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Relative deflation applied to the A* heuristic.
+/// Relative deflation applied to every A* heuristic.
 ///
 /// Same constant and rationale as `mcn-mcpp`: the prep scan accumulates the
 /// bounds backward (target → v) while the search accumulates forward
 /// (v → target), and float addition is not associative, so a mathematically
-/// exact bound can exceed the forward sum by a few ulps. Scaling the
-/// heuristic down by 1e-9 relative keeps it admissible *and* consistent
-/// (δ·h still satisfies the triangle inequality) without giving up any
-/// measurable pruning power.
-const HEURISTIC_DEFLATION: f64 = 1.0 - 1e-9;
+/// exact bound can exceed the forward sum by a few ulps. With the summed
+/// column the heuristic also carries the rounding of each edge weight
+/// `Σ_i c_i` (`d − 1` additions), of `Σ_i L_i(v)`, and of the split
+/// `α·L + λ·max(0, S − Σ_i L_i)` that stands for `λ·max(S, Σ_i L_i) + μ·L`.
+/// Each error is a few ulps per edge or per cost type, relative to a
+/// non-negative term of a sum the α-distance bounds, so the total is of
+/// order `(n + d)·2⁻⁵³` relative: far under `10⁻⁹` on any graph of up to
+/// `10⁶` nodes. The `f32` column adds nothing: it is rounded down, so it
+/// only loosens the bound. Scaling the heuristic down by 1e-9 relative
+/// keeps it admissible *and* consistent (δ·h still satisfies the triangle
+/// inequality) without giving up any measurable pruning power.
+pub const HEURISTIC_DEFLATION: f64 = 1.0 - 1e-9;
 
 /// Relative margin `ε` of a landmark bound: component `i` of the bound
 /// from the table of landmark `ℓ` is `max(0, D_i(v→ℓ) − D_i(t→ℓ) −
@@ -41,6 +48,16 @@ const HEURISTIC_DEFLATION: f64 = 1.0 - 1e-9;
 /// the search's reopening absorbs
 /// (`a_node_settled_early_by_an_inconsistent_bound_is_reopened`).
 const LANDMARK_MARGIN: f64 = 1e-9;
+
+/// Relative margin of a landmark's summed-cost gap `S_ℓ(v) − S_ℓ(t)`, taken
+/// times `S_ℓ(v) + S_ℓ(t)`: [`LANDMARK_MARGIN`] for the scan, plus `2⁻²³`
+/// (`f32::EPSILON`) for the column. Each stored `S` is rounded down by less
+/// than one `f32` ulp, at most `2⁻²³` of its value (`f32`'s normal range,
+/// above `1.2·10⁻³⁸`), so the gap overshoots the one of `f64` values by at
+/// most `2⁻²³` of the larger operand. With `LANDMARK_MARGIN` alone the
+/// adversarial proptest of `tests/prep.rs` finds a landmark bound above the
+/// α-distance.
+const SUM_MARGIN: f64 = LANDMARK_MARGIN + f32::EPSILON as f64;
 
 /// Counters describing one scalarized search, mirroring `mcn-mcpp`'s
 /// `PathStats` for the skyline tier.
@@ -127,13 +144,20 @@ pub fn scalarized_path(
     search(graph, source, target, pref, |_| Some(0.0))
 }
 
-/// α-optimal path by A* with the consistent heuristic h(v) = α·L(v), where
-/// L(v) is the per-cost lower-bound vector of `prep` (a backward scan
-/// towards `target`). Returns the exact same path as [`scalarized_path`]
-/// while settling only the nodes whose f-value does not exceed the optimum
-/// — the serving-tier fast path. (When two distinct routes tie on exactly
-/// equal scalarized cost the two variants may each return a different one
-/// of the tied routes.)
+/// α-optimal path by A* over `prep`, a backward scan towards `target`.
+/// Returns the exact same path as [`scalarized_path`] while settling only
+/// the nodes whose f-value does not exceed the optimum — the serving-tier
+/// fast path. (When two distinct routes tie on exactly equal scalarized
+/// cost the two variants may each return a different one of the tied
+/// routes.)
+///
+/// The heuristic is [`table_bound`]: α splits as `λ·1 + μ` with `λ =
+/// min_i α_i` and `μ = α − λ·1 ≥ 0`, and any `v → target` path `p` costs
+/// `α·c(p) = λ·Σ_i c_i(p) + μ·c(p) ≥ λ·max(S(v), Σ_i L_i(v)) + μ·L(v)`,
+/// where `L(v)` is the table's per-cost bound and `S(v)` its summed-cost
+/// distance. The bound is never below α·L(v), and far above it where the
+/// per-cost optima `L_i(v)` lie on different routes. Both parts are
+/// consistent, so their sum is.
 ///
 /// Panics if the table was built for a different target, graph size or
 /// cost-type count (same contract as `pareto_paths_prepped`).
@@ -146,10 +170,50 @@ pub fn scalarized_path_astar(
 ) -> ScalarResult {
     assert_eq!(prep.target(), target, "prep table built for another target");
     check_table(graph, prep);
-    // h(v) = α·L(v), None when the table proves v cannot reach the target.
+    let lambda = uniform_share(pref);
     search(graph, source, target, pref, |v| {
-        prep.reaches(v)
-            .then(|| pref.cost_of(prep.bound(v)) * HEURISTIC_DEFLATION)
+        own_bound(prep, pref, lambda, v)
+    })
+}
+
+/// The heuristic [`scalarized_path_astar`] reads at `v` from the target's
+/// own table, deflation included: `(λ·max(S(v), Σ_i L_i(v)) +
+/// μ·L(v))·δ`, computed as `(α·L(v) + λ·max(0, S(v) − Σ_i L_i(v)))·δ` so
+/// that it is never below `α·L(v)·δ` in float arithmetic either. `None` when
+/// the table proves `v` cannot reach its target.
+///
+/// Panics if the table was built for a different graph size or cost-type
+/// count, or `v` is out of range.
+pub fn table_bound(
+    graph: &MultiCostGraph,
+    pref: &Preference,
+    table: &PrepTable,
+    v: NodeId,
+) -> Option<f64> {
+    check_table(graph, table);
+    own_bound(table, pref, uniform_share(pref), v)
+}
+
+/// λ = min_i α_i: the part of α that weighs every cost type alike, so that
+/// `α = λ·1 + μ` with `μ ≥ 0`.
+fn uniform_share(pref: &Preference) -> f64 {
+    pref.weights().iter().copied().fold(f64::INFINITY, f64::min)
+}
+
+/// `α·lb + λ·max(0, sum − Σ_i lb_i)`: the split bound `λ·max(sum, Σ_i lb_i)
+/// + μ·lb` for a per-cost lower bound `lb` and a lower bound `sum` on the
+/// summed cost, written so that it never falls below `α·lb`.
+#[inline]
+fn split_bound(pref: &Preference, lambda: f64, lb: &[f64], sum: f64) -> f64 {
+    let componentwise: f64 = lb.iter().sum();
+    pref.cost_of(lb) + lambda * (sum - componentwise).max(0.0)
+}
+
+/// [`table_bound`] with `λ` precomputed.
+#[inline]
+fn own_bound(table: &PrepTable, pref: &Preference, lambda: f64, v: NodeId) -> Option<f64> {
+    table.reaches(v).then(|| {
+        split_bound(pref, lambda, table.bound(v), table.sum_bound(v)) * HEURISTIC_DEFLATION
     })
 }
 
@@ -186,13 +250,14 @@ pub fn scalarized_path_landmarks(
     landmarks: &[&PrepTable],
 ) -> ScalarResult {
     let symmetric = !graph.has_directed_edges();
+    let lambda = uniform_share(pref);
     let mut ranked = Vec::with_capacity(landmarks.len());
     for &table in landmarks {
         check_table(graph, table);
         if !table.reaches(target) {
             continue;
         }
-        match bound_towards(table, target, pref, source, symmetric) {
+        match bound_towards(table, target, pref, lambda, source, symmetric) {
             Some(at_source) => ranked.push((at_source, table)),
             None => {
                 return ScalarResult {
@@ -210,19 +275,22 @@ pub fn scalarized_path_landmarks(
     search(graph, source, target, pref, |v| {
         let mut best = 0.0f64;
         for (_, table) in &ranked {
-            best = best.max(bound_towards(table, target, pref, v, symmetric)?);
+            best = best.max(bound_towards(table, target, pref, lambda, v, symmetric)?);
         }
         Some(best * HEURISTIC_DEFLATION)
     })
 }
 
 /// The α-weighted lower bound one landmark table gives on the cost of any
-/// `v → target` path: `α · max(0, D(v→ℓ) − D(t→ℓ) − ε·(D(v→ℓ) +
-/// D(t→ℓ)))` component-wise, with `|D(v→ℓ) − D(t→ℓ)|` in place of the
-/// difference when `graph` has no one-way edge (`ε` covers the scan's
-/// float summation error, see the margin's docs). `None` when the table
-/// proves `v` cannot reach `target`: `target` reaches `ℓ` and `v` does not.
-/// `Some(0.0)` when `target` does not reach `ℓ` either (no information).
+/// `v → target` path. Per cost type, `lb_i = max(0, D_i(v→ℓ) − D_i(t→ℓ) −
+/// ε·(D_i(v→ℓ) + D_i(t→ℓ)))`, with `|D_i(v→ℓ) − D_i(t→ℓ)|` in place of the
+/// difference when `graph` has no one-way edge (`ε` covers the scan's float
+/// summation error, see the margin's docs); the summed-cost distances give
+/// `lbS` the same way, with the wider `f32` margin. The bound is the split
+/// `λ·max(lbS, Σ_i lb_i) + μ·lb` of [`scalarized_path_astar`], never below
+/// `α·lb`. `None` when the table proves `v` cannot reach `target`: `target`
+/// reaches `ℓ` and `v` does not. `Some(0.0)` when `target` does not reach
+/// `ℓ` either (no information).
 ///
 /// Panics if `v` or `target` is out of the table's range.
 pub fn landmark_bound(
@@ -235,29 +303,46 @@ pub fn landmark_bound(
     if !landmark.reaches(target) {
         return Some(0.0);
     }
-    bound_towards(landmark, target, pref, v, !graph.has_directed_edges())
+    let lambda = uniform_share(pref);
+    bound_towards(
+        landmark,
+        target,
+        pref,
+        lambda,
+        v,
+        !graph.has_directed_edges(),
+    )
 }
 
-/// [`landmark_bound`] for a landmark the target is known to reach.
+/// [`landmark_bound`] for a landmark the target is known to reach, with `λ`
+/// precomputed.
 #[inline]
 fn bound_towards(
     landmark: &PrepTable,
     target: NodeId,
     pref: &Preference,
+    lambda: f64,
     v: NodeId,
     symmetric: bool,
 ) -> Option<f64> {
     if !landmark.reaches(v) {
         return None;
     }
+    let gap = |dv: f64, dt: f64, margin: f64| {
+        let gap = if symmetric { (dv - dt).abs() } else { dv - dt };
+        (gap - margin * (dv + dt)).max(0.0)
+    };
     let (at_v, at_t) = (landmark.bound(v), landmark.bound(target));
     let mut lb = [0.0; MAX_COST_TYPES];
     for i in 0..at_v.len() {
-        let (dv, dt) = (at_v[i], at_t[i]);
-        let gap = if symmetric { (dv - dt).abs() } else { dv - dt };
-        lb[i] = (gap - LANDMARK_MARGIN * (dv + dt)).max(0.0);
+        lb[i] = gap(at_v[i], at_t[i], LANDMARK_MARGIN);
     }
-    Some(pref.cost_of(&lb[..at_v.len()]))
+    let sum = gap(
+        landmark.sum_bound(v),
+        landmark.sum_bound(target),
+        SUM_MARGIN,
+    );
+    Some(split_bound(pref, lambda, &lb[..at_v.len()], sum))
 }
 
 /// Asserts that `table` covers `graph`'s nodes and cost types.
@@ -503,8 +588,12 @@ mod tests {
     /// the caveat in the README stays true: two distinct routes of exactly
     /// equal scalarized cost. Dijkstra breaks the s→p1 / s→p2 tie on node
     /// id; A* orders the same two nodes by heuristic, and p2's side edge to
-    /// the target gives it the smaller bound. Same total, same costs,
-    /// different representative.
+    /// the target gives it the smaller bound: at α = (0.7, 0.3), h(p1) = 1.0
+    /// and h(p2) = 0.35 + 0.3 + 0.3·(2 − 1.5) = 0.8, while the side edge
+    /// itself costs 1.85 against 1.0 through v. (At α = (0.5, 0.5) the
+    /// summed-cost term lifts h(p2) to h(p1) = 1.0, and the node-id
+    /// tie-break agrees with Dijkstra.) Same total, same costs, different
+    /// representative.
     #[test]
     fn exactly_tied_routes_may_differ_in_representative_only() {
         let mut b = GraphBuilder::new(2);
@@ -522,8 +611,10 @@ mod tests {
         b.add_directed_edge(p2, t, CostVec::from_slice(&[0.5, 5.0]))
             .unwrap();
         let g = b.build().unwrap();
-        let pref = Preference::new(&[0.5, 0.5]).unwrap();
+        let pref = Preference::new(&[0.7, 0.3]).unwrap();
         let prep = PrepTable::build(&g, t);
+        let h = |v| table_bound(&g, &pref, &prep, v).unwrap() / HEURISTIC_DEFLATION;
+        assert!((h(p1) - 1.0).abs() < 1e-12 && (h(p2) - 0.8).abs() < 1e-12);
         let plain = scalarized_path(&g, s, t, &pref).path.unwrap();
         let astar = scalarized_path_astar(&g, s, t, &pref, &prep).path.unwrap();
         assert_eq!(plain.total.to_bits(), astar.total.to_bits());

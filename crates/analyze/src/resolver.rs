@@ -710,9 +710,7 @@ fn type_idents(toks: &[Token], from: usize, stops: &[&str]) -> (Vec<String>, usi
                 break;
             }
             depth -= 1;
-        } else if depth == 0 && (t.is_op("{") || t.is_op("}")) {
-            break;
-        } else if depth == 0 && stops.iter().any(|s| t.is_op(s)) {
+        } else if depth == 0 && (t.is_op("{") || t.is_op("}") || stops.iter().any(|s| t.is_op(s))) {
             break;
         } else if let Some(id) = t.ident() {
             if id != "mut" && id != "const" && id != "where" {

@@ -154,7 +154,7 @@ impl SourceFile {
     pub fn enclosing_fn(&self, idx: usize) -> Option<&FnSpan> {
         // Nested fns appear after their parent in `fns` with a tighter
         // range; take the last match for the innermost one.
-        self.fns.iter().filter(|f| f.contains(idx)).next_back()
+        self.fns.iter().rfind(|f| f.contains(idx))
     }
 
     /// Token index one past the `}` matching the `{` at `open`.

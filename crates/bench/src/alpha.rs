@@ -6,9 +6,11 @@
 //!
 //! * **dijkstra** — `scalarized_path`, the heuristic-free binary-heap
 //!   Dijkstra over α-collapsed edge costs;
-//! * **astar** — `scalarized_path_astar`, driven by h(v) = α·L(v) from a
-//!   [`PrepTable`] backward scan (built once per target and amortized
-//!   across the user pool — the serving-tier regime).
+//! * **astar** — `scalarized_path_astar`, driven by the split bound
+//!   h(v) = λ·max(S(v), Σ_i L_i(v)) + μ·L(v) (α = λ·1 + μ, λ = min_i α_i)
+//!   from a [`PrepTable`] backward scan: its per-cost bounds L and its
+//!   summed-cost distances S (built once per target and amortized across
+//!   the user pool — the serving-tier regime).
 //!
 //! The full `pareto_paths_prepped` skyline also runs on every pair, putting
 //! the two tiers side by side: the skyline *explores* every Pareto-optimal

@@ -256,7 +256,7 @@ mod tests {
         };
         let sweep = config.facility_sweep();
         assert_eq!(sweep.len(), 5);
-        assert!(sweep.iter().all(|&p| p >= 10 && p <= 400));
+        assert!(sweep.iter().all(|&p| (10..=400).contains(&p)));
         assert_eq!(config.base_spec().cost_types, 4);
     }
 

@@ -349,7 +349,6 @@ pub fn baseline_skyline<S: StoreView + ?Sized>(
         pinned: items.len(),
         dominance_checks: 0,
         result_size: facilities.len(),
-        ..Default::default()
     };
     SkylineResult { facilities, stats }
 }

@@ -179,7 +179,7 @@ fn topk_with_access<A: NetworkAccess, F: AggregateCost>(
 
         // After every complete pass, prune candidates whose aggregate-cost
         // lower bound cannot beat the current k-th best (shrinking only).
-        if state.stage == Stage::Shrinking && probe % d == 0 && top.len() == k {
+        if state.stage == Stage::Shrinking && probe.is_multiple_of(d) && top.len() == k {
             let kth = top.last().expect("top is full").score;
             state.frontiers(&mut frontiers);
             let mut checks = 0usize;

@@ -34,7 +34,7 @@ impl CostVec {
     #[inline]
     pub fn zeros(d: usize) -> Self {
         assert!(
-            d >= 1 && d <= MAX_COST_TYPES,
+            (1..=MAX_COST_TYPES).contains(&d),
             "number of cost types must be in [1, {MAX_COST_TYPES}], got {d}"
         );
         Self {
@@ -242,7 +242,7 @@ impl fmt::Display for CostVec {
     }
 }
 
-impl<'a> FromIterator<f64> for CostVec {
+impl FromIterator<f64> for CostVec {
     fn from_iter<T: IntoIterator<Item = f64>>(iter: T) -> Self {
         let mut values = [0.0; MAX_COST_TYPES];
         let mut len = 0usize;

@@ -163,7 +163,7 @@ impl HistogramSnapshot {
     /// Guards: an empty histogram (or a non-positive/NaN `q`) returns 0
     /// rather than dividing by or indexing into nothing.
     pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 || !(q > 0.0) {
+        if self.count == 0 || q.is_nan() || q <= 0.0 {
             return 0;
         }
         let q = q.min(1.0);

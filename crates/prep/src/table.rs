@@ -1,6 +1,7 @@
 //! The ParetoPrep precomputation table: per-cost lower bounds to a target.
 
 use mcn_graph::{CostVec, EdgeId, MultiCostGraph, NodeId, MAX_COST_TYPES};
+use std::collections::VecDeque;
 
 /// Sentinel stored in the parent array for "no parent edge".
 const NO_PARENT: u32 = u32::MAX;
@@ -25,8 +26,14 @@ const NO_PARENT: u32 = u32::MAX;
 /// paths whose full cost vectors are **global upper bounds** — see
 /// [`PrepTable::upper_bound_cuts`].
 ///
-/// Both arrays are flat and v-major with stride `d`, so a table holds
-/// `12·d` bytes per node (`8·d` of bounds, `4·d` of parents) whatever
+/// A second scan stores `S(v)`, the shortest distance from `v` under the
+/// **summed** cost `Σ_i c_i` ([`PrepTable::sum_bound`]). Each `L_i(v)` may
+/// come from a different path, so `Σ_i L_i(v)` can lie far below `S(v)`; a
+/// weighted-sum search splits its weights to use both (`mcn-alpha`).
+///
+/// Bounds and parents are flat and v-major with stride `d`; the summed
+/// column is one `f32` per node. A table holds `12·d + 4` bytes per node
+/// (`8·d` of bounds, `4·d` of parents, `4` of summed distance) whatever
 /// [`MAX_COST_TYPES`] is.
 ///
 /// A table is immutable once built and independent of the query source, so
@@ -43,6 +50,11 @@ pub struct PrepTable {
     /// the first edge of a `v → target` path realising `L(v)[i]`
     /// ([`NO_PARENT`] when none).
     parents: Vec<u32>,
+    /// `sums[v]` is `S(v)` rounded down to an `f32` (`∞` when the target is
+    /// unreachable from `v`), so it stays a lower bound. An `f32` halves the
+    /// column's share of every cached table and loosens the bound by at
+    /// most `2⁻²³` of `S(v)`.
+    sums: Vec<f32>,
     /// Edge relaxations performed by the scan (a deterministic cost metric).
     relaxations: u64,
     /// Queue pops performed by the scan — the "nodes settled" analogue the
@@ -58,7 +70,9 @@ impl PrepTable {
     /// simultaneously: a FIFO queue of nodes whose bound vector improved,
     /// relaxing every edge that can be traversed *towards* the queue node.
     /// Deterministic: iteration order is the graph's adjacency order and the
-    /// queue is FIFO.
+    /// queue is FIFO. A second FIFO pass over the same edges computes the
+    /// summed-cost distances; [`PrepTable::settled`] and
+    /// [`PrepTable::relaxations`] count the first pass only.
     ///
     /// # Panics
     /// Panics if `target` is out of range.
@@ -76,7 +90,7 @@ impl PrepTable {
         let mut settled = 0u64;
         bounds[target.index() * d..][..d].fill(0.0);
 
-        let mut queue = std::collections::VecDeque::with_capacity(n);
+        let mut queue = VecDeque::with_capacity(n);
         let mut queued = vec![false; n];
         queue.push_back(target);
         queued[target.index()] = true;
@@ -112,14 +126,52 @@ impl PrepTable {
             }
         }
 
+        let sums = Self::sum_scan(graph, target, &mut queue, &mut queued);
         Self {
             target,
             cost_types: d,
             bounds,
             parents,
+            sums,
             relaxations,
             settled,
         }
+    }
+
+    /// Shortest distances to `target` under the edge weight `Σ_i c_i`
+    /// (summed left to right), by the same FIFO label-correcting scan as
+    /// the bounds, each rounded down to an `f32`. Reuses the main scan's
+    /// emptied queue and flags.
+    fn sum_scan(
+        graph: &MultiCostGraph,
+        target: NodeId,
+        queue: &mut VecDeque<NodeId>,
+        queued: &mut [bool],
+    ) -> Vec<f32> {
+        let mut dist = vec![f64::INFINITY; graph.num_nodes()];
+        dist[target.index()] = 0.0;
+        queue.push_back(target);
+        queued[target.index()] = true;
+        while let Some(u) = queue.pop_front() {
+            queued[u.index()] = false;
+            let reached = dist[u.index()];
+            for &eid in graph.incident_edges(u) {
+                let e = graph.edge(eid);
+                let v = e.opposite(u);
+                if !e.traversable_from(v) {
+                    continue;
+                }
+                let candidate = e.costs.total() + reached;
+                if candidate < dist[v.index()] {
+                    dist[v.index()] = candidate;
+                    if !queued[v.index()] {
+                        queued[v.index()] = true;
+                        queue.push_back(v);
+                    }
+                }
+            }
+        }
+        dist.into_iter().map(round_down_to_f32).collect()
     }
 
     /// The target node the scan ran towards.
@@ -166,6 +218,18 @@ impl PrepTable {
     pub fn bound(&self, v: NodeId) -> &[f64] {
         let start = v.index() * self.cost_types;
         &self.bounds[start..start + self.cost_types]
+    }
+
+    /// `S(v)`: the shortest distance from `v` to the target under the summed
+    /// cost `Σ_i c_i`, rounded down to an `f32` (`∞` when unreachable). A
+    /// lower bound on `Σ_i c_i(p)` for every `v → target` path `p`, and at
+    /// least `Σ_i L_i(v)` up to rounding.
+    ///
+    /// # Panics
+    /// Panics if `v` is out of range.
+    #[inline]
+    pub fn sum_bound(&self, v: NodeId) -> f64 {
+        f64::from(self.sums[v.index()])
     }
 
     /// True iff the target is reachable from `v`.
@@ -250,6 +314,17 @@ impl PrepTable {
     }
 }
 
+/// The largest `f32` not above `x` (`as` rounds to nearest, and to `∞`
+/// past `f32::MAX`).
+fn round_down_to_f32(x: f64) -> f32 {
+    let y = x as f32;
+    if f64::from(y) > x {
+        y.next_down()
+    } else {
+        y
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,6 +358,9 @@ mod tests {
         // lower branch (1+1) — the component-wise minimum over both paths.
         assert_eq!(prep.bound(s), &[2.0, 2.0]);
         assert_eq!(prep.bound(t), &[0.0, 0.0]);
+        // Either branch sums to 22: far above Σ_i L_i(s) = 4.
+        assert_eq!(prep.sum_bound(s), 22.0);
+        assert_eq!(prep.sum_bound(t), 0.0);
         assert!(prep.reaches(s));
         assert_eq!(prep.reachable_nodes(), 4);
         assert!(prep.relaxations() > 0);
@@ -313,6 +391,7 @@ mod tests {
         let prep = PrepTable::build(&g, c);
         assert!(!prep.reaches(isolated));
         assert!(prep.bound(isolated)[0].is_infinite());
+        assert!(prep.sum_bound(isolated).is_infinite());
         assert!(prep.upper_bound_cuts(&g, isolated).is_empty());
         assert_eq!(prep.reachable_nodes(), 2);
     }
@@ -331,6 +410,16 @@ mod tests {
         // unreachable from c.
         let towards_a = PrepTable::build(&g, a);
         assert!(!towards_a.reaches(c));
+    }
+
+    #[test]
+    fn summed_distances_round_down_to_f32() {
+        assert_eq!(round_down_to_f32(0.1), 0.1f32.next_down());
+        assert!(f64::from(round_down_to_f32(0.1)) < 0.1);
+        assert_eq!(round_down_to_f32(0.5), 0.5);
+        assert_eq!(round_down_to_f32(1e300), f32::MAX);
+        assert_eq!(round_down_to_f32(f64::INFINITY), f32::INFINITY);
+        assert_eq!(round_down_to_f32(0.0), 0.0);
     }
 
     #[test]

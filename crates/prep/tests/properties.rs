@@ -1,6 +1,7 @@
 //! Property-based tests of the ParetoPrep table on arbitrary seeded
 //! networks: structural scan invariants (reachability, triangle inequality
-//! along edges, agreement with per-cost Dijkstra at every stride `d`).
+//! along edges, agreement with per-cost and summed-cost Dijkstra at every
+//! stride `d`).
 //! Admissibility against the exhaustive Pareto path set is cross-checked in
 //! the root `tests/prep.rs` (it needs `mcn-mcpp`, which depends on this
 //! crate).
@@ -37,11 +38,15 @@ fn build_network(d: usize, nodes: usize, extra: &[(u16, u16)], seed: u64) -> Mul
     b.build().unwrap()
 }
 
-/// Single-criterion shortest distances to `target` under cost `i`, by a
+/// Shortest distances to `target` under the edge weight `weight`, by a
 /// backward binary-heap Dijkstra written independently of the scan. Each
-/// relaxation adds the edge cost to the settled distance, the scan's
+/// relaxation adds the edge weight to the settled distance, the scan's
 /// summation order, so both compute the minimum of the same float sums.
-fn backward_dijkstra(graph: &MultiCostGraph, target: NodeId, i: usize) -> Vec<f64> {
+fn backward_dijkstra(
+    graph: &MultiCostGraph,
+    target: NodeId,
+    weight: impl Fn(&CostVec) -> f64,
+) -> Vec<f64> {
     let mut dist = vec![f64::INFINITY; graph.num_nodes()];
     let mut done = vec![false; graph.num_nodes()];
     let mut heap = BinaryHeap::new();
@@ -58,7 +63,7 @@ fn backward_dijkstra(graph: &MultiCostGraph, target: NodeId, i: usize) -> Vec<f6
             if !e.traversable_from(v) {
                 continue;
             }
-            let candidate = e.costs[i] + dist[u.index()];
+            let candidate = weight(&e.costs) + dist[u.index()];
             if candidate < dist[v.index()] {
                 dist[v.index()] = candidate;
                 // Non-negative floats order like their bit patterns.
@@ -90,7 +95,7 @@ proptest! {
         // Every component is exactly the per-cost shortest distance: an
         // off-by-stride read or write shows as a mismatch at some d.
         for i in 0..d {
-            let dist = backward_dijkstra(&graph, target, i);
+            let dist = backward_dijkstra(&graph, target, |c| c[i]);
             for v in (0..nodes).map(NodeId::from) {
                 prop_assert_eq!(
                     table.bound(v)[i].to_bits(),
@@ -98,6 +103,19 @@ proptest! {
                     "L({})[{}] differs from Dijkstra at d = {}", v, i, d
                 );
             }
+        }
+        // The summed column is the summed-cost distance (costs added left
+        // to right), rounded down to the nearest f32.
+        let summed = backward_dijkstra(&graph, target, CostVec::total);
+        for v in (0..nodes).map(NodeId::from) {
+            let (stored, exact) = (table.sum_bound(v), summed[v.index()]);
+            prop_assert!(
+                stored <= exact && f64::from((stored as f32).next_up()) > exact,
+                "S({}) = {} is not {} rounded down at d = {}", v, stored, exact, d
+            );
+            // S(v) ≥ Σ_i L_i(v): one path cannot beat every per-cost optimum.
+            let componentwise: f64 = table.bound(v).iter().sum();
+            prop_assert!(exact >= componentwise * (1.0 - 1e-12));
         }
         for v in (0..nodes).map(NodeId::from) {
             let bound = table.bound(v);

@@ -9,7 +9,8 @@
 //! bit-exact result equality, not approximate agreement.
 
 use mcn::alpha::{
-    landmark_bound, scalarized_path, scalarized_path_astar, scalarized_path_landmarks, Preference,
+    landmark_bound, scalarized_path, scalarized_path_astar, scalarized_path_landmarks, table_bound,
+    Preference, HEURISTIC_DEFLATION,
 };
 use mcn::engine::{PathContext, QueryEngine, QueryOutput, QueryRequest};
 use mcn::gen::{generate_workload, WorkloadSpec};
@@ -489,7 +490,9 @@ proptest! {
     /// every node equals the component-wise minimum over the exhaustive
     /// Pareto path set — i.e. the vector of true per-cost shortest distances
     /// — up to float summation order (1e-9 relative, the same margin the
-    /// pruned search deflates by).
+    /// pruned search deflates by). The summed-cost column never exceeds the
+    /// smallest `Σ_i c_i` over that set (a min-sum route is Pareto-optimal)
+    /// and is that minimum to `f32` precision.
     #[test]
     fn prep_bounds_match_componentwise_minima(
         d in 2usize..=4,
@@ -523,14 +526,29 @@ proptest! {
                     minima[i]
                 );
             }
+            let min_sum = paths
+                .iter()
+                .map(|p| p.costs.total())
+                .fold(f64::INFINITY, f64::min);
+            let sum = prep.sum_bound(source);
+            prop_assert!(
+                sum <= min_sum * (1.0 + 1e-9),
+                "S({source}) = {sum} exceeds the smallest summed cost {min_sum} to {target}"
+            );
+            prop_assert!(
+                sum >= min_sum * (1.0 - 2e-7),
+                "S({source}) = {sum} far below the smallest summed cost {min_sum} to {target}"
+            );
         }
     }
 
     /// The scalarized serving tier inherits the same guarantees: prep-backed
     /// A* returns the **byte-identical** route and total as heuristic-free
-    /// Dijkstra from every source (while never settling more nodes), and the
-    /// scalarized heuristic α·L(v) never overestimates the true α-shortest
-    /// distance v → target (admissibility of the collapsed bound).
+    /// Dijkstra from every source (while never settling more nodes), and its
+    /// heuristic ([`table_bound`], the split bound over L and the summed
+    /// column) is at every node at least the per-cost bound α·L(v), deflated,
+    /// and never above the α-distance Dijkstra computes to the target — both
+    /// with no tolerance.
     #[test]
     fn scalarized_astar_matches_dijkstra_and_alpha_bounds_are_admissible(
         d in 2usize..=4,
@@ -569,13 +587,16 @@ proptest! {
                         source,
                         target
                     );
-                    // Admissible: the α-collapsed prep bound never exceeds
-                    // the true scalar distance (up to summation-order ulps,
-                    // the margin the search deflates by).
-                    let h = alpha.cost_of(prep.bound(source));
+                    let h = table_bound(&graph, &alpha, &prep, source)
+                        .expect("the table reaches every node Dijkstra does");
+                    let per_cost = alpha.cost_of(prep.bound(source)) * HEURISTIC_DEFLATION;
                     prop_assert!(
-                        h <= p.total * (1.0 + 1e-9) + 1e-12,
-                        "α·L({source}) = {h} overestimates the true distance {}",
+                        h >= per_cost,
+                        "h({source}) = {h} below the per-cost bound {per_cost}"
+                    );
+                    prop_assert!(
+                        h <= p.total,
+                        "h({source}) = {h} overestimates the α-distance {} to {target}",
                         p.total
                     );
                 }
