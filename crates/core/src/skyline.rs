@@ -30,7 +30,7 @@ use mcn_expansion::{
 };
 use mcn_graph::{dominates_weak, CostVec, FacilityId, NetworkLocation};
 use mcn_storage::StoreView;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -307,7 +307,7 @@ pub fn baseline_skyline<S: StoreView + ?Sized>(
     let d = access.num_cost_types();
     let seeds = seeds_for_location(access.as_ref(), location);
 
-    let mut costs: HashMap<FacilityId, Vec<f64>> = HashMap::new();
+    let mut costs: BTreeMap<FacilityId, Vec<f64>> = BTreeMap::new();
     let mut nodes_settled = 0;
     let mut heap_pushes = 0;
     let mut heap_pops = 0;

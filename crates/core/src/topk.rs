@@ -21,7 +21,7 @@ use mcn_expansion::{
 };
 use mcn_graph::{CostVec, FacilityId, NetworkLocation};
 use mcn_storage::StoreView;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -278,7 +278,7 @@ pub fn baseline_topk<S: StoreView + ?Sized, F: AggregateCost>(
     let d = access.num_cost_types();
     let seeds = seeds_for_location(access.as_ref(), location);
 
-    let mut costs: HashMap<FacilityId, Vec<f64>> = HashMap::new();
+    let mut costs: BTreeMap<FacilityId, Vec<f64>> = BTreeMap::new();
     let mut nodes_settled = 0;
     let mut heap_pushes = 0;
     let mut heap_pops = 0;

@@ -757,7 +757,7 @@ mod tests {
         let (store, requests, tags) = partitioned_fixture(8);
         let engine = QueryEngine::new(store, 1);
         let result = engine.run_batch_with_regions(&requests, &tags, true);
-        let distinct: std::collections::HashSet<RegionId> = tags.iter().copied().collect();
+        let distinct: std::collections::BTreeSet<RegionId> = tags.iter().copied().collect();
         assert_eq!(result.stats.affine_steals, 0);
         assert_eq!(
             result.stats.affine_hits,

@@ -240,7 +240,6 @@ impl<S: StoreView + ?Sized> NetworkAccess for SharedAccess<S> {
         let cache = &mut *cache;
         if let Some(hit) = cache.records.get(&key) {
             cache.reuses += 1;
-            // mcn-lint: allow(hot-path-alloc, reason = "Arc refcount bump — the map hands back &Arc<Vec<_>>, no facility data is copied")
             return hit.clone();
         }
         let record = Arc::new(self.store.facilities_in_run(run));

@@ -156,16 +156,16 @@ impl TablePool {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     /// One query's worth of table traffic: (id, key, mark done afterwards).
     type Ops = Vec<(u32, u8, bool)>;
 
-    /// Replays `ops` on the table and on the `HashMap` + flag model the
-    /// table replaced, comparing every answer.
+    /// Replays `ops` on the table and on a map + flag model of the
+    /// `HashMap` the table replaced, comparing every answer.
     fn replay(table: &mut StampedTable, len: usize, ops: &Ops) {
         table.reset(len);
-        let mut model: HashMap<u32, (f64, bool)> = HashMap::new();
+        let mut model: BTreeMap<u32, (f64, bool)> = BTreeMap::new();
         for id in 0..len as u32 {
             assert_eq!(table.get(id), None, "id {id} survived a reset");
             assert!(!table.is_done(id));

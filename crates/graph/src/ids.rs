@@ -97,7 +97,8 @@ define_id!(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
+    use std::hash::{DefaultHasher, Hash, Hasher};
 
     #[test]
     fn roundtrip_raw() {
@@ -126,10 +127,13 @@ mod tests {
 
     #[test]
     fn hashable_and_distinct_types() {
-        let mut set = HashSet::new();
-        set.insert(NodeId::new(0));
-        set.insert(NodeId::new(0));
-        set.insert(NodeId::new(1));
+        let hash = |id: NodeId| {
+            let mut h = DefaultHasher::new();
+            id.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(NodeId::new(0)), hash(NodeId::new(0)));
+        let set: BTreeSet<NodeId> = [0, 0, 1].map(NodeId::new).into();
         assert_eq!(set.len(), 2);
     }
 

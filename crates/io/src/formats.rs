@@ -3,7 +3,7 @@
 use mcn_graph::{
     CostVec, EdgeId, GraphBuilder, GraphError, MultiCostGraph, NodeId, MAX_COST_TYPES,
 };
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{BufRead, Write};
 
@@ -67,7 +67,7 @@ pub fn load_node_edge_files<N: BufRead, E: BufRead>(
     edges: E,
 ) -> Result<MultiCostGraph, IoFormatError> {
     let mut builder = GraphBuilder::new(1);
-    let mut remap: HashMap<u64, NodeId> = HashMap::new();
+    let mut remap: BTreeMap<u64, NodeId> = BTreeMap::new();
     for (lineno, line) in nodes.lines().enumerate() {
         let line = line?;
         let line = line.trim();

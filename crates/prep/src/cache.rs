@@ -4,7 +4,6 @@ use crate::table::PrepTable;
 use mcn_graph::{MultiCostGraph, NodeId};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Counters of one [`PrepCache`]'s lifetime.
@@ -67,11 +66,18 @@ impl PrepCacheStats {
     }
 }
 
+/// Target node → value; probed and updated, never iterated.
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only; `recency` holds the only order that is iterated"
+)]
+type ByTarget<V> = std::collections::HashMap<u32, V>;
+
 struct CacheInner {
     /// Target node → (table, recency generation). Tables are shared out as
     /// `Arc`s so an eviction never invalidates a query that is still using
     /// the table.
-    map: HashMap<u32, (Arc<PrepTable>, u64)>,
+    map: ByTarget<(Arc<PrepTable>, u64)>,
     /// Recency index: generation → target key, least-recently-used first.
     /// A `BTreeMap` keyed by a monotonically increasing generation counter
     /// makes both a touch and an eviction O(log n) — the old `VecDeque`
@@ -84,7 +90,7 @@ struct CacheInner {
     /// Target node → table-free work ([`PrepCache::charge`]) spent on it
     /// while it had no resident table. Disjoint from `map`'s keys: the entry
     /// is dropped when the target's table is built or inserted.
-    credit: HashMap<u32, u64>,
+    credit: ByTarget<u64>,
     stats: PrepCacheStats,
 }
 
@@ -171,10 +177,10 @@ impl PrepCache {
         Self {
             capacity: capacity.max(1),
             inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
+                map: ByTarget::new(),
                 recency: BTreeMap::new(),
                 generation: 0,
-                credit: HashMap::new(),
+                credit: ByTarget::new(),
                 stats: PrepCacheStats::default(),
             }),
         }

@@ -864,7 +864,8 @@ mod tests {
     }
 
     /// A disk that runs a hook in the middle of its next read — the window
-    /// in which `with_page` holds no lock.
+    /// in which `with_page` holds no lock. A hook that calls back into the
+    /// pool probes it with [`assert_no_shard_is_locked`] first.
     struct HookedDisk {
         inner: InMemoryDisk,
         during_next_read: Mutex<Option<Box<dyn FnOnce() + Send>>>,
@@ -920,7 +921,10 @@ mod tests {
         let pool = Arc::new(BufferPool::new(disk.clone(), 8));
         let resize_to = |capacity: usize| {
             let pool = Arc::clone(&pool);
-            *disk.during_next_read.lock() = Some(Box::new(move || pool.set_capacity(capacity)));
+            *disk.during_next_read.lock() = Some(Box::new(move || {
+                assert_no_shard_is_locked(&pool);
+                pool.set_capacity(capacity);
+            }));
         };
 
         // Resized to "no buffer" while the page was being read: the shard
@@ -983,23 +987,26 @@ mod tests {
     }
 
     /// The rule `with_page` documents at its physical read: no shard lock
-    /// is held across it. The hook probes every shard while the read is in
-    /// flight, so a guard held across the read fails the probe instead of
-    /// deadlocking the pool.
+    /// is held across it. Called from a hook while the read is in flight, so
+    /// a guard held across the read fails the probe instead of deadlocking
+    /// whatever the hook does with the pool next.
+    fn assert_no_shard_is_locked(pool: &BufferPool) {
+        for (i, shard) in pool.shards.iter().enumerate() {
+            assert!(
+                shard.try_lock().is_some(),
+                "shard {i} is locked during a physical read"
+            );
+        }
+    }
+
     #[test]
     fn no_shard_lock_is_held_across_the_physical_read() {
         let disk = hooked_disk();
         let pool = Arc::new(BufferPool::with_shards(disk.clone(), 4, MAX_SHARDS));
         for id in 0..4 {
             let probe = Arc::clone(&pool);
-            *disk.during_next_read.lock() = Some(Box::new(move || {
-                for (i, shard) in probe.shards.iter().enumerate() {
-                    assert!(
-                        shard.try_lock().is_some(),
-                        "shard {i} is locked during the read of page {id}"
-                    );
-                }
-            }));
+            *disk.during_next_read.lock() =
+                Some(Box::new(move || assert_no_shard_is_locked(&probe)));
             read_checked(&pool, id);
             assert!(disk.take_hook().is_none(), "page {id} was not read");
         }
@@ -1014,6 +1021,7 @@ mod tests {
         // thread misses page 2 as well, reads it and caches it first.
         let racer = Arc::clone(&pool);
         *disk.during_next_read.lock() = Some(Box::new(move || {
+            assert_no_shard_is_locked(&racer);
             std::thread::spawn(move || read_checked(&racer, 2))
                 .join()
                 .expect("the racing reader got its page");
@@ -1044,7 +1052,10 @@ mod tests {
         // The next miss reads into that spare while the pool is resized to
         // "no buffer": nothing to insert into, served from the read itself.
         let resizer = Arc::clone(&pool);
-        *disk.during_next_read.lock() = Some(Box::new(move || resizer.set_capacity(0)));
+        *disk.during_next_read.lock() = Some(Box::new(move || {
+            assert_no_shard_is_locked(&resizer);
+            resizer.set_capacity(0);
+        }));
         read_checked(&pool, 3);
         assert_eq!((pool.capacity(), pool.cached_pages()), (0, 0));
         read_checked(&pool, 2);

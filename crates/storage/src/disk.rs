@@ -201,7 +201,9 @@ impl FileDisk {
     fn grow(&self, bytes: &[u8]) -> PageId {
         let _grow = self.grow.lock();
         let id = self.num_pages.load(Ordering::SeqCst);
-        // mcn-lint: allow(lock-across-io, reason = "growers must extend the file one at a time or two of them write the same extent; readers and writers of existing pages never take this lock")
+        // Held across the write: growers must extend the file one at a time
+        // or two of them write the same extent. Readers and writers of
+        // existing pages never take this lock.
         write_at(&self.file, bytes, id * PAGE_SIZE as u64)
             .unwrap_or_else(|e| panic!("extending the file by page{id} failed: {e}"));
         // Published only now: whoever sees the new count finds the page.
@@ -483,6 +485,44 @@ mod tests {
         assert_eq!(disk.num_pages(), PAGES as usize);
         assert_eq!(disk.physical_reads(), READERS * READS);
         assert_eq!(disk.physical_writes(), u64::from(PAGES / 2));
+    }
+
+    #[test]
+    fn a_held_grow_lock_stalls_no_read_or_write_of_an_existing_page() {
+        // `grow` is held across a file extension, so it must be a leaf that
+        // page transfers never take. The grower here holds it throughout;
+        // it lets go after the bounded wait, so a transfer that does take
+        // it fails the test instead of hanging it.
+        let file = TempFile::new("grow-held");
+        let disk = FileDisk::create(&file.0).unwrap();
+        disk.append_page(&stamped(0));
+        let grower = disk.grow.lock();
+        let (done, reports) = std::sync::mpsc::channel();
+        let finished = std::thread::scope(|s| {
+            let disk = &disk;
+            s.spawn(move || {
+                let mut out = Page::zeroed();
+                disk.read_page(PageId::new(0), &mut out);
+                assert_stamped(&out, 0);
+                done.send("read").unwrap();
+                disk.write_page(PageId::new(0), &stamped(1));
+                done.send("write").unwrap();
+            });
+            let wait = std::time::Duration::from_secs(5);
+            let finished: Vec<_> = (0..2)
+                .map_while(|_| reports.recv_timeout(wait).ok())
+                .collect();
+            drop(grower);
+            finished
+        });
+        assert_eq!(
+            finished,
+            ["read", "write"],
+            "a page transfer waited for `grow`"
+        );
+        let mut out = Page::zeroed();
+        disk.read_page(PageId::new(0), &mut out);
+        assert_stamped(&out, 1);
     }
 
     #[test]

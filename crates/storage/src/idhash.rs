@@ -7,11 +7,14 @@
 //! consecutive ids over all buckets. Keep the default hasher for any key
 //! that arrives from outside the program.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A `HashMap` hashed by [`IdHasher`].
-pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+/// A `HashMap` hashed by [`IdHasher`]. Its users only probe it.
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only, and `IdHasher` has no per-run seed, so even its iteration order repeats between runs"
+)]
+pub type IdMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Multiplicative (Fx-style) hasher for small integer keys.
 #[derive(Clone, Copy, Default)]

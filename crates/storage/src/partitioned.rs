@@ -265,7 +265,6 @@ impl StoreView for PartitionedStore {
     }
 
     fn adjacency(&self, node: NodeId) -> AdjacencyList {
-        // mcn-lint: allow(hot-path-alloc, reason = "an owned record is this method's contract; the expansion loop reads through `adjacency_into` and gets here only via that method's trait default, for a view that does not override it")
         let mut entries = Vec::new();
         self.adjacency_into(node, &mut entries);
         AdjacencyList { node, entries }

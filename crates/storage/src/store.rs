@@ -219,7 +219,6 @@ impl MCNStore {
     /// # Panics
     /// Panics if the node does not exist in the store.
     pub fn adjacency(&self, node: NodeId) -> AdjacencyList {
-        // mcn-lint: allow(hot-path-alloc, reason = "an owned record is this method's contract; the expansion loop reads through `adjacency_into` and gets here only via that method's trait default, for a view that does not override it")
         let mut entries = Vec::new();
         self.adjacency_into(node, &mut entries);
         AdjacencyList { node, entries }
@@ -244,9 +243,10 @@ impl MCNStore {
     }
 
     /// Reads the facilities of a [`FacilityRun`] (as referenced from an
-    /// adjacency entry), returning `(facility, position)` pairs.
+    /// adjacency entry), returning `(facility, position)` pairs. The run is
+    /// handed over by value: `DirectAccess` passes it on and `SharedAccess`
+    /// keeps it for the rest of the query.
     pub fn facilities_in_run(&self, run: &FacilityRun) -> Vec<(FacilityId, f64)> {
-        // mcn-lint: allow(hot-path-alloc, reason = "the run is handed over by value: DirectAccess passes it on and SharedAccess keeps it for the rest of the query, so the caller owns what is read")
         let mut out = Vec::with_capacity(run.count as usize);
         let mut page = run.start.page;
         let mut offset = run.start.offset as usize;
