@@ -1,7 +1,7 @@
 //! Label-correcting multi-criteria Pareto path search.
 
 use crate::stats::PathStats;
-use mcn_graph::{dominates, dominates_weak, CostVec, EdgeId, Front2, MultiCostGraph, NodeId};
+use mcn_graph::{CostVec, EdgeId, Front2, MultiCostGraph, NodeId, MAX_COST_TYPES};
 use mcn_prep::PrepTable;
 use std::collections::VecDeque;
 
@@ -55,6 +55,10 @@ pub struct PathSkylineResult {
 /// Complexity is output-sensitive and exponential in the worst case (the
 /// Pareto set itself can be exponential); it is intended for moderate-size
 /// networks and for validating the per-cost shortest paths of `mcn-expansion`.
+///
+/// # Panics
+/// Panics if `source` or `target` is not a node of `graph` (as does every
+/// variant).
 pub fn pareto_paths(graph: &MultiCostGraph, source: NodeId, target: NodeId) -> Vec<ParetoLabel> {
     pareto_paths_with_stats(graph, source, target).paths
 }
@@ -111,7 +115,8 @@ pub fn pareto_paths_exhaustive(
 ///
 /// # Panics
 /// Panics if `prep` was built for a different target or a different graph
-/// shape (node count / cost types).
+/// shape (node count / cost types), or if `source` is not a node of
+/// `graph`.
 pub fn pareto_paths_prepped(
     graph: &MultiCostGraph,
     source: NodeId,
@@ -154,12 +159,13 @@ pub fn pareto_paths_prepped(
 /// of hops) while giving up a vanishing sliver of pruning power.
 const BOUND_DEFLATION: f64 = 1.0 - 1e-9;
 
-/// One stored label in a node's bag: its cost vector, its id in the search's
+/// One stored label in a node's bag: its `D` costs, its id in the search's
 /// arena, and whether a settle of the node has extended it yet. Bags hold
-/// these inline, so a dominance scan walks one contiguous slice.
+/// these inline (32 B at d = 3), so a dominance scan walks one contiguous
+/// slice.
 #[derive(Clone, Copy)]
-struct BagEntry {
-    costs: CostVec,
+struct BagEntry<const D: usize> {
+    costs: [f64; D],
     id: u32,
     extended: bool,
 }
@@ -174,10 +180,139 @@ struct Link {
 /// The id of the source's empty-path label, where every parent chain ends.
 const ROOT: u32 = u32::MAX;
 
-/// The shared label-correcting search. `prep` enables lower-bound pruning
+/// `a` weakly dominates `b`: no component of `a` is larger. Every lane is
+/// compared (no early exit), so at a fixed `D` this is straight-line code.
+/// Search costs and bounds are never NaN (edge costs are finite and an
+/// unreachable node's infinite bound is cut before use), where this agrees
+/// with [`mcn_graph::dominates_weak`].
+#[inline(always)]
+fn weakly_dominates<const D: usize>(a: &[f64; D], b: &[f64; D]) -> bool {
+    a.iter().zip(b).fold(true, |le, (x, y)| le & (x <= y))
+}
+
+/// `a` strictly dominates `b`: no component larger and one smaller. The
+/// fixed-width, branch-free twin of [`mcn_graph::dominates`].
+#[inline(always)]
+fn dominates_strictly<const D: usize>(a: &[f64; D], b: &[f64; D]) -> bool {
+    let (le, lt) = a.iter().zip(b).fold((true, false), |(le, lt), (x, y)| {
+        (le & (x <= y), lt | (x < y))
+    });
+    le & lt
+}
+
+/// A slice of exactly `D` costs as an array.
+#[inline(always)]
+fn lanes<const D: usize>(costs: &[f64]) -> [f64; D] {
+    costs.try_into().expect("one cost per cost type")
+}
+
+/// One scan of a head node's bag for a candidate: `None` if an entry weakly
+/// dominates it, otherwise whether it strictly dominates some entry (which
+/// must then be evicted). Same answer as `any` then `retain`, with one scan
+/// for an admitted label that evicts nothing.
+#[inline(always)]
+fn admission<const D: usize>(bag: &[BagEntry<D>], costs: &[f64; D]) -> Option<bool> {
+    let mut evicts = false;
+    for entry in bag {
+        if weakly_dominates(&entry.costs, costs) {
+            return None;
+        }
+        evicts |= dominates_strictly(costs, &entry.costs);
+    }
+    Some(evicts)
+}
+
+/// A mirror of the target's bag for the target-dominance check, answering
+/// exactly as the pairwise test over the bag would. At d = 2 a [`Front2`]
+/// decides in `O(log k)`; at any other d a copy sorted by cost 0 lets the
+/// scan stop at the first member whose cost 0 exceeds the probe's, since no
+/// later member can weakly dominate it.
+struct TargetFront<const D: usize> {
+    /// The mirror at d = 2.
+    pair: Front2,
+    /// The mirror at d ≠ 2, sorted by cost 0 ascending.
+    sorted: Vec<[f64; D]>,
+}
+
+impl<const D: usize> TargetFront<D> {
+    fn new() -> Self {
+        Self {
+            pair: Front2::new(),
+            sorted: Vec::new(),
+        }
+    }
+
+    /// True iff some member weakly dominates `p`.
+    #[inline(always)]
+    fn dominates_weak(&self, p: &[f64; D]) -> bool {
+        if D == 2 {
+            // `D - 1` is 1 here, spelled so the index is in range at every D.
+            self.pair.dominates_weak(p[0], p[D - 1])
+        } else {
+            self.sorted
+                .iter()
+                .take_while(|m| m[0] <= p[0])
+                .any(|m| weakly_dominates(m, p))
+        }
+    }
+
+    /// Mirrors an admission to the target's bag: `p` joins and, when
+    /// `evicts`, the members it strictly dominates leave.
+    fn admit(&mut self, p: &[f64; D], evicts: bool) {
+        if D == 2 {
+            // Front2's insert protocol evicts the same strictly dominated
+            // points the bag's `retain` just dropped.
+            self.pair.insert(p[0], p[D - 1]);
+        } else {
+            if evicts {
+                self.sorted.retain(|m| !dominates_strictly(p, m));
+            }
+            let at = self.sorted.partition_point(|m| m[0] <= p[0]);
+            self.sorted.insert(at, *p);
+        }
+    }
+}
+
+/// The shared label-correcting search: checks the endpoints and hands the
+/// graph to [`search_d`] at its width. `prep` enables lower-bound pruning
 /// and upper-bound cuts; `target_prune` enables target-dominance early
 /// termination (subsumed by bound pruning when `prep` is given, since
 /// `L ≥ 0`). With both off this is the exhaustive baseline.
+///
+/// # Panics
+/// Panics if `source` or `target` is not a node of `graph`.
+fn search(
+    graph: &MultiCostGraph,
+    source: NodeId,
+    target: NodeId,
+    prep: Option<&PrepTable>,
+    target_prune: bool,
+) -> PathSkylineResult {
+    let n = graph.num_nodes();
+    for (role, node) in [("source", source), ("target", target)] {
+        assert!(
+            node.index() < n,
+            "node out of range: {role} {node} on a graph of {n} nodes"
+        );
+    }
+    // `CostVec` holds 1..=MAX_COST_TYPES costs; the arms cover each width.
+    const _: () = assert!(MAX_COST_TYPES == 8);
+    match graph.num_cost_types() {
+        1 => search_d::<1>(graph, source, target, prep, target_prune),
+        2 => search_d::<2>(graph, source, target, prep, target_prune),
+        3 => search_d::<3>(graph, source, target, prep, target_prune),
+        4 => search_d::<4>(graph, source, target, prep, target_prune),
+        5 => search_d::<5>(graph, source, target, prep, target_prune),
+        6 => search_d::<6>(graph, source, target, prep, target_prune),
+        7 => search_d::<7>(graph, source, target, prep, target_prune),
+        8 => search_d::<8>(graph, source, target, prep, target_prune),
+        d => unreachable!("a graph has 1..={MAX_COST_TYPES} cost types, not {d}"),
+    }
+}
+
+/// [`search`] at `D` cost types: bags, the settle snapshot and the
+/// upper-bound cuts hold `[f64; D]`, and only the target's survivors become
+/// [`CostVec`]s again.
 ///
 /// * **Arena:** an admitted label is one `(parent, edge)` link; only the
 ///   target's survivors are walked back into edge lists, after the loop.
@@ -189,44 +324,48 @@ const ROOT: u32 = u32::MAX;
 ///   dominates it — eviction takes a strict dominator), so paths, queue
 ///   order and every counter but `labels_created` and the discarded share
 ///   are unchanged.
-fn search(
+/// * **Per-neighbour prep reads:** reachability and the deflated lower
+///   bound of a head node are read once per (settled node, neighbour), and
+///   an unreachable head prunes the whole snapshot at once.
+fn search_d<const D: usize>(
     graph: &MultiCostGraph,
     source: NodeId,
     target: NodeId,
     prep: Option<&PrepTable>,
     target_prune: bool,
 ) -> PathSkylineResult {
-    let d = graph.num_cost_types();
     let mut stats = PathStats::default();
-    let mut bags: Vec<Vec<BagEntry>> = vec![Vec::new(); graph.num_nodes()];
+    let mut bags: Vec<Vec<BagEntry<D>>> = vec![Vec::new(); graph.num_nodes()];
     let mut arena: Vec<Link> = Vec::new();
     // The settled node's not-yet-extended labels, reused across settles: the
     // inner loop mutates bags at head nodes, so it cannot iterate a borrow.
-    let mut snapshot: Vec<(CostVec, u32)> = Vec::new();
+    let mut snapshot: Vec<([f64; D], u32)> = Vec::new();
     stats.labels_created += 1;
     stats.labels_inserted += 1;
     bags[source.index()].push(BagEntry {
-        costs: CostVec::zeros(d),
+        costs: [0.0; D],
         id: ROOT,
         extended: false,
     });
 
-    // Bicriterion fast path: a sorted-sweep mirror of the target skyline
-    // answers the hot weak-dominance check in O(log k) instead of a scan.
-    // The mirror's booleans are identical to the pairwise test over the
-    // same points, so every label counter (and the labels gate) is
-    // unchanged by construction.
-    let mut target_front = (d == 2 && (target_prune || prep.is_some())).then(Front2::new);
+    // The target skyline's mirror, kept in step with the target's bag on
+    // every admission there (and seeded with the zero label when the
+    // source is the target).
+    let mut target_front = (target_prune || prep.is_some()).then(TargetFront::<D>::new);
     if source == target {
         if let Some(front) = target_front.as_mut() {
-            front.insert(0.0, 0.0);
+            front.admit(&[0.0; D], false);
         }
     }
 
     // Real source → target path costs reconstructed from the prep scan: cut
     // lines available before the first label reaches the target.
-    let cuts: Vec<CostVec> = match prep {
-        Some(prep) => prep.upper_bound_cuts(graph, source),
+    let cuts: Vec<[f64; D]> = match prep {
+        Some(prep) => prep
+            .upper_bound_cuts(graph, source)
+            .iter()
+            .map(|cut| lanes(cut.as_slice()))
+            .collect(),
         None => Vec::new(),
     };
 
@@ -244,50 +383,52 @@ fn search(
             snapshot.push((entry.costs, entry.id));
         }
         for neighbor in graph.neighbors(node) {
+            let head = neighbor.node;
+            let edge_costs: [f64; D] = lanes(neighbor.costs.as_slice());
+            // ParetoPrep reachability cut, and the deflated lower bound
+            // `L(head)` every candidate into `head` adds to its costs.
+            let lower: Option<[f64; D]> = match prep {
+                Some(prep) if !prep.reaches(head) => {
+                    let candidates = snapshot.len() as u64;
+                    stats.labels_created += candidates;
+                    stats.labels_pruned += candidates;
+                    continue;
+                }
+                Some(prep) => Some(lanes::<D>(prep.bound(head)).map(|l| l * BOUND_DEFLATION)),
+                None => None,
+            };
             for &(label_costs, parent) in &snapshot {
-                let mut costs = label_costs;
-                costs += neighbor.costs;
+                let costs: [f64; D] = std::array::from_fn(|i| label_costs[i] + edge_costs[i]);
                 stats.labels_created += 1;
 
-                // ParetoPrep cuts: reachability, then the bound vector
-                // against the target skyline and the upper-bound cuts.
-                let mut bound = costs;
-                if let Some(prep) = prep {
-                    if !prep.reaches(neighbor.node) {
-                        stats.labels_pruned += 1;
-                        continue;
-                    }
-                    let lower = prep.bound(neighbor.node);
-                    for i in 0..d {
-                        bound[i] += lower[i] * BOUND_DEFLATION;
-                    }
-                }
-                if target_prune || prep.is_some() {
-                    let dominated_at_target = match &target_front {
-                        Some(front) => front.dominates_weak(bound[0], bound[1]),
-                        None => bags[target.index()]
-                            .iter()
-                            .any(|l| dominates_weak(&l.costs, &bound)),
-                    };
-                    if dominated_at_target {
+                // The bound vector against the target skyline and the
+                // upper-bound cuts.
+                let bound = match &lower {
+                    Some(lower) => std::array::from_fn(|i| costs[i] + lower[i]),
+                    None => costs,
+                };
+                if let Some(front) = &target_front {
+                    if front.dominates_weak(&bound) {
                         stats.labels_pruned += 1;
                         continue;
                     }
                 }
-                if cuts.iter().any(|cut| dominates(cut, &bound)) {
+                if cuts.iter().any(|cut| dominates_strictly(cut, &bound)) {
                     stats.labels_pruned += 1;
                     continue;
                 }
 
                 // Classic node-level dominance at the head node.
-                let existing = &mut bags[neighbor.node.index()];
-                if existing.iter().any(|l| dominates_weak(&l.costs, &costs)) {
+                let bag = &mut bags[head.index()];
+                let Some(evicts) = admission(bag, &costs) else {
                     stats.labels_dominated += 1;
                     continue;
+                };
+                if evicts {
+                    let before = bag.len();
+                    bag.retain(|l| !dominates_strictly(&costs, &l.costs));
+                    stats.labels_evicted += (before - bag.len()) as u64;
                 }
-                let before = existing.len();
-                existing.retain(|l| !dominates(&costs, &l.costs));
-                stats.labels_evicted += (before - existing.len()) as u64;
                 let id = u32::try_from(arena.len())
                     .ok()
                     .filter(|&id| id != ROOT)
@@ -296,24 +437,20 @@ fn search(
                     parent,
                     edge: neighbor.edge,
                 });
-                existing.push(BagEntry {
+                bag.push(BagEntry {
                     costs,
                     id,
                     extended: false,
                 });
                 stats.labels_inserted += 1;
-                if neighbor.node == target {
+                if head == target {
                     if let Some(front) = target_front.as_mut() {
-                        // Keeps the mirror exact: the pairwise checks above
-                        // admitted the label, so the mirror's (identical)
-                        // insert protocol admits it too, evicting the same
-                        // strictly dominated points `retain` just dropped.
-                        front.insert(costs[0], costs[1]);
+                        front.admit(&costs, evicts);
                     }
                 }
-                if !queued[neighbor.node.index()] {
-                    queued[neighbor.node.index()] = true;
-                    queue.push_back(neighbor.node);
+                if !queued[head.index()] {
+                    queued[head.index()] = true;
+                    queue.push_back(head);
                 }
             }
         }
@@ -323,7 +460,7 @@ fn search(
         .iter()
         .map(|entry| ParetoLabel {
             node: target,
-            costs: entry.costs,
+            costs: CostVec::from_slice(&entry.costs),
             edges: path_edges(&arena, entry.id),
         })
         .collect();
@@ -365,7 +502,7 @@ pub fn componentwise_minimum(paths: &[ParetoLabel]) -> Option<CostVec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcn_graph::GraphBuilder;
+    use mcn_graph::{dominates, GraphBuilder};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -390,6 +527,12 @@ mod tests {
     /// A seeded random network of `n` nodes: a connected line plus random
     /// extra edges, `d` cost types drawn from `1.0..5.0`.
     fn seeded_network(n: usize, d: usize, seed: u64) -> (MultiCostGraph, Vec<NodeId>) {
+        let (b, nodes) = seeded_builder(n, d, seed);
+        (b.build().unwrap(), nodes)
+    }
+
+    /// [`seeded_network`]'s builder, before `build`.
+    fn seeded_builder(n: usize, d: usize, seed: u64) -> (GraphBuilder, Vec<NodeId>) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut b = GraphBuilder::new(d);
         let nodes: Vec<NodeId> = (0..n).map(|i| b.add_node(i as f64, 0.0)).collect();
@@ -406,7 +549,7 @@ mod tests {
             let cv: Vec<f64> = (0..d).map(|_| rng.gen_range(1.0..5.0)).collect();
             b.add_edge(a, c, CostVec::from_slice(&cv)).unwrap();
         }
-        (b.build().unwrap(), nodes)
+        (b, nodes)
     }
 
     #[test]
@@ -591,5 +734,135 @@ mod tests {
         );
         assert!(s.nodes_settled > 0);
         assert!(s.labels_inserted >= run.paths.len() as u64);
+    }
+
+    /// A [`PathStats`] as `[created, pruned, dominated, inserted, evicted,
+    /// settled]`.
+    fn counters(s: PathStats) -> [u64; 6] {
+        [
+            s.labels_created,
+            s.labels_pruned,
+            s.labels_dominated,
+            s.labels_inserted,
+            s.labels_evicted,
+            s.nodes_settled,
+        ]
+    }
+
+    /// A path skyline as raw cost bits and edges, for bit-exact comparison.
+    fn bits(paths: &[ParetoLabel]) -> Vec<(Vec<u64>, Vec<EdgeId>)> {
+        paths
+            .iter()
+            .map(|p| (p.costs.iter().map(f64::to_bits).collect(), p.edges.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn every_width_agrees_across_variants() {
+        // The search is compiled once per width 1..=MAX_COST_TYPES; each
+        // must give the exhaustive skyline bit for bit when early
+        // terminating and when prepped, and account for every candidate.
+        // The last node is isolated, and a source that is its own target
+        // seeds the target front with the zero label.
+        for d in 1..=MAX_COST_TYPES {
+            let (mut b, nodes) = seeded_builder(24, d, 900 + d as u64);
+            let unreachable = b.add_node(-1.0, -1.0);
+            let g = b.build().unwrap();
+            let pairs = [
+                (nodes[0], nodes[23]),
+                (nodes[5], nodes[17]),
+                (nodes[9], nodes[9]),
+                (nodes[3], unreachable),
+            ];
+            for (s, t) in pairs {
+                let exhaustive = pareto_paths_exhaustive(&g, s, t);
+                let prep = PrepTable::build(&g, t);
+                let runs = [
+                    exhaustive.clone(),
+                    pareto_paths_with_stats(&g, s, t),
+                    pareto_paths_prepped(&g, s, t, &prep),
+                ];
+                for run in &runs {
+                    assert_eq!(
+                        bits(&run.paths),
+                        bits(&exhaustive.paths),
+                        "d = {d}: {s} → {t}"
+                    );
+                    let st = run.stats;
+                    assert_eq!(
+                        st.labels_created,
+                        st.labels_inserted + st.labels_pruned + st.labels_dominated,
+                        "d = {d}: {s} → {t}"
+                    );
+                }
+                match (s == t, t == unreachable) {
+                    (true, _) => {
+                        assert_eq!(bits(&exhaustive.paths), vec![(vec![0; d], vec![])]);
+                        // The seeded front prunes every candidate at once.
+                        for run in &runs[1..] {
+                            assert_eq!(run.stats.labels_inserted, 1, "d = {d}: {s} → {t}");
+                        }
+                    }
+                    (_, true) => assert!(exhaustive.paths.is_empty()),
+                    _ => assert!(!exhaustive.paths.is_empty(), "d = {d}: {s} → {t}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counters_are_pinned_on_fixed_pairs() {
+        // Every counter of every variant, exactly as the `CostVec` search
+        // before the width-specialised kernel counted them: rows go d = 2,
+        // 3, 4; per d two pairs; per pair exhaustive, early, prepped.
+        const PINNED: [[u64; 6]; 18] = [
+            [756, 0, 542, 214, 33, 119],
+            [338, 205, 48, 85, 6, 67],
+            [68, 55, 0, 13, 0, 11],
+            [806, 0, 585, 221, 19, 118],
+            [337, 181, 71, 85, 6, 69],
+            [22, 18, 0, 4, 0, 4],
+            [923, 0, 672, 251, 14, 133],
+            [885, 205, 442, 238, 13, 132],
+            [26, 20, 0, 6, 0, 6],
+            [1491, 0, 1081, 410, 25, 142],
+            [144, 98, 14, 32, 0, 24],
+            [32, 26, 0, 6, 0, 4],
+            [1217, 0, 903, 314, 15, 132],
+            [368, 236, 46, 86, 0, 70],
+            [44, 34, 0, 10, 0, 9],
+            [1435, 0, 1057, 378, 17, 151],
+            [727, 425, 134, 168, 0, 101],
+            [87, 69, 0, 18, 0, 14],
+        ];
+        let mut measured = Vec::new();
+        for d in [2usize, 3, 4] {
+            let (g, nodes) = seeded_network(100, d, 100 + d as u64);
+            for (s, t) in [(nodes[0], nodes[99]), (nodes[13], nodes[71])] {
+                let prep = PrepTable::build(&g, t);
+                for run in [
+                    pareto_paths_exhaustive(&g, s, t),
+                    pareto_paths_with_stats(&g, s, t),
+                    pareto_paths_prepped(&g, s, t, &prep),
+                ] {
+                    measured.push(counters(run.stats));
+                }
+            }
+        }
+        assert_eq!(measured, PINNED);
+    }
+
+    #[test]
+    #[should_panic(expected = "node out of range: source v4 on a graph of 4 nodes")]
+    fn out_of_range_source_is_named() {
+        let (g, _, t) = diamond();
+        let _ = pareto_paths(&g, NodeId::new(4), t);
+    }
+
+    #[test]
+    #[should_panic(expected = "node out of range: target v9 on a graph of 4 nodes")]
+    fn out_of_range_target_is_named() {
+        let (g, s, _) = diamond();
+        let _ = pareto_paths_exhaustive(&g, s, NodeId::new(9));
     }
 }

@@ -28,6 +28,18 @@
 //! node settled again extends only the labels it has not extended before,
 //! which changes no path and no stored label, only how many candidates are
 //! created.
+//!
+//! The search is specialised by width: it matches once on the graph's
+//! number of cost types `d` and runs a kernel whose bags, settle snapshot
+//! and upper-bound cuts hold `[f64; d]` (fixed-width, branch-free dominance
+//! tests; only the target's survivors become [`CostVec`]s again). A
+//! candidate is admitted in one scan of its head node's bag, and the
+//! target-dominance check reads a mirror of the target's bag — a
+//! [`Front2`] at d = 2, elsewhere a copy sorted by cost 0 whose scan stops
+//! at the first member costlier on cost 0 than the candidate's bound.
+//!
+//! [`CostVec`]: mcn_graph::CostVec
+//! [`Front2`]: mcn_graph::Front2
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
