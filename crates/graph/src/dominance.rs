@@ -4,8 +4,17 @@
 //! the per-cost-type shortest-path cost vectors: a facility `p'` **dominates**
 //! `p` iff `c_i(p') ≤ c_i(p)` for every cost type `i` and `c_j(p') < c_j(p)`
 //! for at least one `j`.
+//!
+//! Two families of tests live here. [`dominates`], [`dominates_weak`] and
+//! [`relation`] take [`CostVec`]s of any width and stop at the first
+//! deciding lane. [`weakly_dominates`] and [`dominates_strictly`] take
+//! `[f64; D]` arrays and compare every lane without an early exit, so a
+//! search compiled for one width `D` runs them as straight-line code;
+//! [`lex_cmp`] orders such arrays as [`CostVec::lex_cmp`] orders vectors,
+//! and [`lanes`] turns a cost slice into one.
 
 use crate::cost::CostVec;
+use std::cmp::Ordering;
 
 /// The possible Pareto relations between two cost vectors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,6 +112,48 @@ pub fn pinned_dominates_partial(pinned: &CostVec, partial: &[Option<f64>]) -> bo
         })
 }
 
+/// `a` weakly dominates `b`: no component of `a` is larger. Every lane is
+/// compared (no early exit), so at a fixed `D` this is straight-line code.
+/// Search costs and bounds are never NaN, where this agrees with
+/// [`dominates_weak`].
+#[inline(always)]
+pub fn weakly_dominates<const D: usize>(a: &[f64; D], b: &[f64; D]) -> bool {
+    a.iter().zip(b).fold(true, |le, (x, y)| le & (x <= y))
+}
+
+/// `a` strictly dominates `b`: no component larger and one smaller. The
+/// fixed-width, branch-free twin of [`dominates`] (they agree on every
+/// input without NaN).
+#[inline(always)]
+pub fn dominates_strictly<const D: usize>(a: &[f64; D], b: &[f64; D]) -> bool {
+    let (le, lt) = a.iter().zip(b).fold((true, false), |(le, lt), (x, y)| {
+        (le & (x <= y), lt | (x < y))
+    });
+    le & lt
+}
+
+/// Lexicographic comparison of two `D`-cost arrays using IEEE total order
+/// per component: the fixed-width twin of [`CostVec::lex_cmp`].
+#[inline(always)]
+pub fn lex_cmp<const D: usize>(a: &[f64; D], b: &[f64; D]) -> Ordering {
+    for (x, y) in a.iter().zip(b) {
+        match x.total_cmp(y) {
+            Ordering::Equal => continue,
+            non_eq => return non_eq,
+        }
+    }
+    Ordering::Equal
+}
+
+/// A slice of exactly `D` costs as an array.
+///
+/// # Panics
+/// Panics if `costs` does not hold exactly `D` costs.
+#[inline(always)]
+pub fn lanes<const D: usize>(costs: &[f64]) -> [f64; D] {
+    costs.try_into().expect("one cost per cost type")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,6 +222,81 @@ mod tests {
         assert!(!pinned_dominates_partial(&pinned, &[Some(4.0), Some(9.0)]));
         // Fully known candidate worse everywhere is eliminated.
         assert!(pinned_dominates_partial(&pinned, &[Some(6.0), Some(8.0)]));
+    }
+
+    /// Checks the fixed-width helpers against the `CostVec` tests at width
+    /// `D`, on seeded vectors whose lanes repeat, include `0.0` and `-0.0`
+    /// and include `∞`: a quarter of the pairs are all-equal and a quarter
+    /// differ in one lane only.
+    fn fixed_width_helpers_agree_at<const D: usize>(seed: u64) {
+        const POOL: [f64; 6] = [0.0, -0.0, 0.5, 1.0, 2.0, f64::INFINITY];
+        let mut lcg = seed;
+        let mut draw = move || {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            POOL[((lcg >> 33) % POOL.len() as u64) as usize]
+        };
+        for round in 0..500 {
+            let a: [f64; D] = std::array::from_fn(|_| draw());
+            let b: [f64; D] = match round % 4 {
+                0 => a,
+                1 => {
+                    let mut b = a;
+                    b[round / 4 % D] = draw();
+                    b
+                }
+                _ => std::array::from_fn(|_| draw()),
+            };
+            let (ca, cb) = (cv(&a), cv(&b));
+            let label = format!("D = {D}: {a:?} vs {b:?}");
+            assert_eq!(
+                lanes::<D>(ca.as_slice()).map(f64::to_bits),
+                a.map(f64::to_bits)
+            );
+            assert_eq!(
+                weakly_dominates(&a, &b),
+                dominates_weak(&ca, &cb),
+                "{label}"
+            );
+            assert_eq!(dominates_strictly(&a, &b), dominates(&ca, &cb), "{label}");
+            assert_eq!(lex_cmp(&a, &b), ca.lex_cmp(&cb), "{label}");
+        }
+    }
+
+    #[test]
+    fn fixed_width_helpers_agree_with_the_cost_vector_tests_at_every_width() {
+        // One call per width 1..=MAX_COST_TYPES.
+        const _: () = assert!(crate::MAX_COST_TYPES == 8);
+        fixed_width_helpers_agree_at::<1>(11);
+        fixed_width_helpers_agree_at::<2>(12);
+        fixed_width_helpers_agree_at::<3>(13);
+        fixed_width_helpers_agree_at::<4>(14);
+        fixed_width_helpers_agree_at::<5>(15);
+        fixed_width_helpers_agree_at::<6>(16);
+        fixed_width_helpers_agree_at::<7>(17);
+        fixed_width_helpers_agree_at::<8>(18);
+    }
+
+    #[test]
+    fn fixed_width_helpers_on_signed_zeros_and_infinities() {
+        // Dominance compares `-0.0` and `0.0` as equal; the lexicographic
+        // order puts `-0.0` first, as `f64::total_cmp` does.
+        assert!(weakly_dominates(&[0.0, -0.0], &[-0.0, 0.0]));
+        assert!(!dominates_strictly(&[-0.0, 1.0], &[0.0, 1.0]));
+        assert_eq!(lex_cmp(&[-0.0, 1.0], &[0.0, 0.0]), Ordering::Less);
+        assert_eq!(lex_cmp(&[1.0, 2.0], &[1.0, 2.0]), Ordering::Equal);
+        let inf = f64::INFINITY;
+        assert!(weakly_dominates(&[inf, 1.0], &[inf, 1.0]));
+        assert!(!dominates_strictly(&[inf, 1.0], &[inf, 1.0]));
+        assert!(dominates_strictly(&[inf, 1.0], &[inf, 2.0]));
+        assert_eq!(lex_cmp(&[1.0, inf], &[inf, 0.0]), Ordering::Less);
+    }
+
+    #[test]
+    #[should_panic(expected = "one cost per cost type")]
+    fn lanes_rejects_a_slice_of_another_width() {
+        let _ = lanes::<3>(&[1.0, 2.0]);
     }
 
     proptest! {

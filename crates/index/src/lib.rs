@@ -36,7 +36,12 @@
 //!   the full path skyline, byte-identical to
 //!   `mcn_mcpp::pareto_paths_prepped`. Its upward label searches keep
 //!   paths implicit (a parent-pointer arena per search), so a relaxation
-//!   costs its dominance check, not a copy of a fragment list.
+//!   costs its dominance check, not a copy of a fragment list. The query
+//!   matches once on `d` and runs a kernel compiled for that width: label
+//!   sets and the meeting-node merge hold `[f64; d]` costs, compared by
+//!   the fixed-width helpers of [`mcn_graph::dominance`]; only the merge's
+//!   survivors become [`mcn_graph::CostVec`]s again, for the path-order
+//!   re-filter.
 //!
 //! Both inherit the **exact ties caveat** documented on
 //! [`mcn_mcpp::pareto_paths`]: on graphs with exactly tied cost vectors the

@@ -1,9 +1,10 @@
 //! Index-served queries: bidirectional upward searches that answer both
 //! query kinds byte-identically to the prep-backed tier.
 
-use crate::structure::{pareto_merge, RouteIndex, UpArc};
+use crate::structure::{pareto_merge, pareto_merge_d, RouteIndex, UpArc};
 use mcn_alpha::{Preference, ScalarPath};
-use mcn_graph::{CostVec, EdgeId, MultiCostGraph};
+use mcn_graph::dominance::{lanes, lex_cmp};
+use mcn_graph::{CostVec, EdgeId, MultiCostGraph, NodeId, MAX_COST_TYPES};
 use mcn_mcpp::ParetoLabel;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -218,14 +219,14 @@ struct Link {
 /// The id of a search's start label, where every parent chain ends.
 const ROOT: u32 = u32::MAX;
 
-/// One upward search's result: per-node Pareto sets of `(costs, label id)`
-/// and the arena the ids index.
-struct UpwardLabels {
-    sets: Vec<Vec<(CostVec, u32)>>,
+/// One upward search's result at `D` cost types: per-node Pareto sets of
+/// `(costs, label id)` and the arena the ids index.
+struct UpwardLabels<const D: usize> {
+    sets: Vec<Vec<([f64; D], u32)>>,
     arena: Vec<Link>,
 }
 
-impl UpwardLabels {
+impl<const D: usize> UpwardLabels<D> {
     /// Appends label `id`'s fragments to `out`, its own arc first and the
     /// arc at the search's start last.
     fn chain_into(&self, mut id: u32, out: &mut Vec<u32>) {
@@ -238,6 +239,18 @@ impl UpwardLabels {
 }
 
 impl RouteIndex {
+    /// Asserts that both endpoints are nodes of the indexed graph, naming
+    /// the first that is not.
+    fn check_endpoints(&self, source: NodeId, target: NodeId) {
+        let n = self.num_nodes;
+        for (role, node) in [("source", source), ("target", target)] {
+            assert!(
+                node.index() < n,
+                "node out of range: {role} {node} on a graph of {n} nodes"
+            );
+        }
+    }
+
     /// The α-optimal `source → target` path through the hierarchy: a
     /// bidirectional upward Dijkstra (forward over `up_out`, backward over
     /// `up_in`) meeting at the apex of the optimal up-down path. The
@@ -252,14 +265,14 @@ impl RouteIndex {
     pub fn alpha_path(
         &self,
         graph: &MultiCostGraph,
-        source: mcn_graph::NodeId,
-        target: mcn_graph::NodeId,
+        source: NodeId,
+        target: NodeId,
         pref: &Preference,
     ) -> IndexAlphaResult {
         assert_eq!(self.num_nodes, graph.num_nodes(), "index/graph node count");
         assert_eq!(self.dims, graph.num_cost_types(), "index/graph dims");
         assert_eq!(pref.cost_types(), self.dims, "preference dims");
-        assert!(source.index() < self.num_nodes && target.index() < self.num_nodes);
+        self.check_endpoints(source, target);
         let mut stats = IndexQueryStats::default();
         if source == target {
             stats.settled = 1;
@@ -360,7 +373,8 @@ impl RouteIndex {
     /// dominance-merged at every meeting node. Costs are recomputed
     /// edge-by-edge in path order, so the result is byte-identical to
     /// `mcn_mcpp::pareto_paths_prepped` (same ties caveat as
-    /// [`RouteIndex::alpha_path`]).
+    /// [`RouteIndex::alpha_path`]). Checks the endpoints and hands the
+    /// query to the kernel compiled for the index's width.
     ///
     /// # Panics
     /// Panics if the index shape does not match `graph` or an endpoint is
@@ -368,12 +382,12 @@ impl RouteIndex {
     pub fn skyline_paths(
         &self,
         graph: &MultiCostGraph,
-        source: mcn_graph::NodeId,
-        target: mcn_graph::NodeId,
+        source: NodeId,
+        target: NodeId,
     ) -> IndexSkylineResult {
         assert_eq!(self.num_nodes, graph.num_nodes(), "index/graph node count");
         assert_eq!(self.dims, graph.num_cost_types(), "index/graph dims");
-        assert!(source.index() < self.num_nodes && target.index() < self.num_nodes);
+        self.check_endpoints(source, target);
         let mut stats = IndexQueryStats::default();
         if source == target {
             stats.settled = 1;
@@ -387,18 +401,45 @@ impl RouteIndex {
             };
         }
 
-        let fwd = self.upward_labels(source.raw(), &self.up_out, &mut stats);
-        let bwd = self.upward_labels(target.raw(), &self.up_in, &mut stats);
+        // `CostVec` holds 1..=MAX_COST_TYPES costs; the arms cover each width.
+        const _: () = assert!(MAX_COST_TYPES == 8);
+        match self.dims {
+            1 => self.skyline_d::<1>(graph, source, target),
+            2 => self.skyline_d::<2>(graph, source, target),
+            3 => self.skyline_d::<3>(graph, source, target),
+            4 => self.skyline_d::<4>(graph, source, target),
+            5 => self.skyline_d::<5>(graph, source, target),
+            6 => self.skyline_d::<6>(graph, source, target),
+            7 => self.skyline_d::<7>(graph, source, target),
+            8 => self.skyline_d::<8>(graph, source, target),
+            d => unreachable!("a graph has 1..={MAX_COST_TYPES} cost types, not {d}"),
+        }
+    }
+
+    /// [`RouteIndex::skyline_paths`] at `D` cost types, for distinct
+    /// endpoints: the upward label sets and the meeting-node merge hold
+    /// `[f64; D]`, and only the merge's survivors become [`CostVec`]s
+    /// again, for the path-order re-filter.
+    fn skyline_d<const D: usize>(
+        &self,
+        graph: &MultiCostGraph,
+        source: NodeId,
+        target: NodeId,
+    ) -> IndexSkylineResult {
+        let mut stats = IndexQueryStats::default();
+        let fwd = self.upward_labels::<D>(source.raw(), &self.up_out, &mut stats);
+        let bwd = self.upward_labels::<D>(target.raw(), &self.up_in, &mut stats);
 
         // Dominance-merge the combinations at every node reached from both
         // sides. The pre-filter uses the label sums; survivors are
         // re-filtered on path-order costs below, so the final skyline is
         // decided by exactly the arithmetic the prep-backed tier uses.
-        let mut combos: Vec<(CostVec, (u32, u32))> = Vec::new();
+        let mut combos: Vec<([f64; D], (u32, u32))> = Vec::new();
         for (fs, bs) in fwd.sets.iter().zip(&bwd.sets) {
             for (cf, f) in fs {
                 for (cb, b) in bs {
-                    if !pareto_merge(&mut combos, *cf + *cb, (*f, *b)) {
+                    let sum = std::array::from_fn(|i| cf[i] + cb[i]);
+                    if !pareto_merge_d(&mut combos, sum, (*f, *b)) {
                         stats.pruned += 1;
                     }
                 }
@@ -436,34 +477,36 @@ impl RouteIndex {
         IndexSkylineResult { paths, stats }
     }
 
-    /// FIFO Pareto label-correcting over one upward direction. A node's
-    /// Pareto set holds `(costs, label id)`; the id indexes a per-search
-    /// arena of `(parent id, fragment)` links ending at [`ROOT`], so a
-    /// relaxation copies no path and one the set rejects records nothing.
+    /// FIFO Pareto label-correcting over one upward direction at `D` cost
+    /// types. A node's Pareto set holds `([f64; D], label id)`; the id
+    /// indexes a per-search arena of `(parent id, fragment)` links ending
+    /// at [`ROOT`], so a relaxation copies no path and one the set rejects
+    /// records nothing. A bundle entry's costs are added lane by lane, in
+    /// the order `CostVec + CostVec` adds them.
     ///
     /// Same output and counters as storing each label's fragment list:
-    /// queue order and every [`pareto_merge`] verdict depend on costs only,
-    /// and a set never holds two equal cost vectors, so the stale-pop test
-    /// by costs still finds exactly the label that was queued.
-    fn upward_labels(
+    /// queue order and every [`pareto_merge_d`] verdict depend on costs
+    /// only, and a set never holds two equal cost vectors, so the
+    /// stale-pop test by costs still finds exactly the label that was
+    /// queued.
+    fn upward_labels<const D: usize>(
         &self,
         start: u32,
         arcs: &[Vec<UpArc>],
         stats: &mut IndexQueryStats,
-    ) -> UpwardLabels {
-        let zero = CostVec::zeros(self.dims);
-        let mut sets: Vec<Vec<(CostVec, u32)>> = vec![Vec::new(); self.num_nodes];
+    ) -> UpwardLabels<D> {
+        let mut sets: Vec<Vec<([f64; D], u32)>> = vec![Vec::new(); self.num_nodes];
         let mut arena: Vec<Link> = Vec::new();
-        sets[start as usize].push((zero, ROOT));
-        let mut queue: VecDeque<(u32, CostVec, u32)> = VecDeque::new();
-        queue.push_back((start, zero, ROOT));
+        sets[start as usize].push(([0.0; D], ROOT));
+        let mut queue: VecDeque<(u32, [f64; D], u32)> = VecDeque::new();
+        queue.push_back((start, [0.0; D], ROOT));
         while let Some((node, costs, id)) = queue.pop_front() {
             // Stale labels — evicted from the node's Pareto set since they
             // were queued — are skipped. Equal cost vectors never co-exist
             // in a set, so membership of the costs identifies the label.
             let set = &sets[node as usize];
-            let pos = set.partition_point(|(c, _)| c.lex_cmp(&costs).is_lt());
-            if set.get(pos).map(|(c, _)| *c != costs).unwrap_or(true) {
+            let pos = set.partition_point(|(c, _)| lex_cmp(c, &costs).is_lt());
+            if set.get(pos).is_none_or(|(c, _)| *c != costs) {
                 stats.pruned += 1;
                 continue;
             }
@@ -472,12 +515,13 @@ impl RouteIndex {
                 let head = &mut sets[arc.head as usize];
                 for e in &arc.entries {
                     stats.relaxed += 1;
-                    let nc = costs + e.costs;
+                    let step: [f64; D] = lanes(e.costs.as_slice());
+                    let nc = std::array::from_fn(|i| costs[i] + step[i]);
                     let next = u32::try_from(arena.len())
                         .ok()
                         .filter(|&next| next != ROOT)
                         .expect("label arena holds fewer than u32::MAX labels");
-                    if pareto_merge(head, nc, next) {
+                    if pareto_merge_d(head, nc, next) {
                         arena.push(Link {
                             parent: id,
                             frag: e.frag,
@@ -498,7 +542,7 @@ impl RouteIndex {
 mod tests {
     use super::*;
     use crate::IndexConfig;
-    use mcn_graph::{GraphBuilder, NodeId};
+    use mcn_graph::GraphBuilder;
 
     fn diamond() -> (MultiCostGraph, NodeId, NodeId) {
         let mut b = GraphBuilder::new(2);
@@ -559,6 +603,38 @@ mod tests {
         let via = idx.alpha_path(&g, a, lone, &Preference::uniform(2));
         assert!(via.path.is_none());
         assert!(idx.skyline_paths(&g, a, lone).paths.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "node out of range: source v4 on a graph of 4 nodes")]
+    fn alpha_path_names_an_out_of_range_source() {
+        let (g, _, t) = diamond();
+        let idx = RouteIndex::build(&g, &IndexConfig::default());
+        let _ = idx.alpha_path(&g, NodeId::new(4), t, &Preference::uniform(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "node out of range: target v9 on a graph of 4 nodes")]
+    fn alpha_path_names_an_out_of_range_target() {
+        let (g, s, _) = diamond();
+        let idx = RouteIndex::build(&g, &IndexConfig::default());
+        let _ = idx.alpha_path(&g, s, NodeId::new(9), &Preference::uniform(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "node out of range: source v4 on a graph of 4 nodes")]
+    fn skyline_paths_names_an_out_of_range_source() {
+        let (g, _, t) = diamond();
+        let idx = RouteIndex::build(&g, &IndexConfig::default());
+        let _ = idx.skyline_paths(&g, NodeId::new(4), t);
+    }
+
+    #[test]
+    #[should_panic(expected = "node out of range: target v9 on a graph of 4 nodes")]
+    fn skyline_paths_names_an_out_of_range_target() {
+        let (g, s, _) = diamond();
+        let idx = RouteIndex::build(&g, &IndexConfig::default());
+        let _ = idx.skyline_paths(&g, s, NodeId::new(9));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The index data model: ranks, upward arcs, shortcut bundles and the
 //! append-only fragment arena.
 
+use mcn_graph::dominance::{dominates_strictly, lex_cmp, weakly_dominates};
 use mcn_graph::{CostVec, EdgeId, MultiCostGraph};
 
 /// One partial path stored in the fragment arena: either an original graph
@@ -50,10 +51,10 @@ pub struct UpArc {
 ///
 /// Built once by [`RouteIndex::build`], then shared immutably (the engine
 /// holds it in an `Arc`); queries allocate only their own search state. For
-/// a path skyline that is, per upward search, one Pareto set of `(costs,
-/// label id)` per node and one parent-pointer label arena; fragment lists
-/// are walked out of the arenas only for the combinations that survive the
-/// meeting-node merge.
+/// a path skyline that is, per upward search, one Pareto set of
+/// `([f64; d], label id)` per node and one parent-pointer label arena;
+/// fragment lists are walked out of the arenas only for the combinations
+/// that survive the meeting-node merge.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RouteIndex {
     /// Node count of the indexed graph.
@@ -204,6 +205,34 @@ pub(crate) fn pareto_merge<T>(set: &mut Vec<(CostVec, T)>, costs: CostVec, paylo
     true
 }
 
+/// [`pareto_merge`] over `D` fixed-width costs, with the same verdict,
+/// evictions and insertion point. The weak-dominance probe is the same
+/// binary search at `D == 2` and a scan elsewhere; eviction compares lanes
+/// without an early exit, and insertion goes at the lexicographic
+/// `total_cmp` position (see [`mcn_graph::dominance`]). Returns true iff
+/// inserted.
+#[inline(always)]
+pub(crate) fn pareto_merge_d<const D: usize, T>(
+    set: &mut Vec<([f64; D], T)>,
+    costs: [f64; D],
+    payload: T,
+) -> bool {
+    let dominated = if D == 2 {
+        // `D - 1` is 1 here, spelled so the index is in range at every D.
+        let idx = set.partition_point(|(c, _)| c[0].total_cmp(&costs[0]).is_le());
+        idx > 0 && set[idx - 1].0[D - 1] <= costs[D - 1]
+    } else {
+        set.iter().any(|(c, _)| weakly_dominates(c, &costs))
+    };
+    if dominated {
+        return false;
+    }
+    set.retain(|(c, _)| !dominates_strictly(&costs, c));
+    let pos = set.partition_point(|(c, _)| lex_cmp(c, &costs).is_lt());
+    set.insert(pos, (costs, payload));
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,6 +261,39 @@ mod tests {
             assert_eq!(bundle_merge(&mut bundle, p, i), front.insert(a, b));
             assert_eq!(bundle.len(), front.len());
         }
+    }
+
+    /// Merges the same seeded stream, with many ties on every lane, into a
+    /// `CostVec` set and a `[f64; D]` set: every verdict and every set
+    /// state must agree.
+    fn pareto_merge_d_agrees_at<const D: usize>(seed: u64) {
+        let mut fixed: Vec<([f64; D], u32)> = Vec::new();
+        let mut general: Vec<(CostVec, u32)> = Vec::new();
+        let mut lcg = seed;
+        for i in 0..400u32 {
+            let p: [f64; D] = std::array::from_fn(|_| {
+                lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
+                ((lcg >> 33) % 6) as f64 * 0.5
+            });
+            assert_eq!(
+                pareto_merge_d(&mut fixed, p, i),
+                pareto_merge(&mut general, CostVec::from_slice(&p), i),
+                "D = {D}: verdict diverged at {p:?}"
+            );
+            let as_general: Vec<(CostVec, u32)> = fixed
+                .iter()
+                .map(|(c, id)| (CostVec::from_slice(c), *id))
+                .collect();
+            assert_eq!(as_general, general, "D = {D}: sets diverged at {p:?}");
+        }
+    }
+
+    #[test]
+    fn pareto_merge_d_matches_pareto_merge() {
+        pareto_merge_d_agrees_at::<1>(5);
+        pareto_merge_d_agrees_at::<2>(6);
+        pareto_merge_d_agrees_at::<3>(7);
+        pareto_merge_d_agrees_at::<4>(8);
     }
 
     #[test]

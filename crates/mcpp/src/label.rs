@@ -1,6 +1,7 @@
 //! Label-correcting multi-criteria Pareto path search.
 
 use crate::stats::PathStats;
+use mcn_graph::dominance::{dominates_strictly, lanes, weakly_dominates};
 use mcn_graph::{CostVec, EdgeId, Front2, MultiCostGraph, NodeId, MAX_COST_TYPES};
 use mcn_prep::PrepTable;
 use std::collections::VecDeque;
@@ -179,32 +180,6 @@ struct Link {
 
 /// The id of the source's empty-path label, where every parent chain ends.
 const ROOT: u32 = u32::MAX;
-
-/// `a` weakly dominates `b`: no component of `a` is larger. Every lane is
-/// compared (no early exit), so at a fixed `D` this is straight-line code.
-/// Search costs and bounds are never NaN (edge costs are finite and an
-/// unreachable node's infinite bound is cut before use), where this agrees
-/// with [`mcn_graph::dominates_weak`].
-#[inline(always)]
-fn weakly_dominates<const D: usize>(a: &[f64; D], b: &[f64; D]) -> bool {
-    a.iter().zip(b).fold(true, |le, (x, y)| le & (x <= y))
-}
-
-/// `a` strictly dominates `b`: no component larger and one smaller. The
-/// fixed-width, branch-free twin of [`mcn_graph::dominates`].
-#[inline(always)]
-fn dominates_strictly<const D: usize>(a: &[f64; D], b: &[f64; D]) -> bool {
-    let (le, lt) = a.iter().zip(b).fold((true, false), |(le, lt), (x, y)| {
-        (le & (x <= y), lt | (x < y))
-    });
-    le & lt
-}
-
-/// A slice of exactly `D` costs as an array.
-#[inline(always)]
-fn lanes<const D: usize>(costs: &[f64]) -> [f64; D] {
-    costs.try_into().expect("one cost per cost type")
-}
 
 /// One scan of a head node's bag for a candidate: `None` if an entry weakly
 /// dominates it, otherwise whether it strictly dominates some entry (which

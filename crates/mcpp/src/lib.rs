@@ -31,8 +31,9 @@
 //!
 //! The search is specialised by width: it matches once on the graph's
 //! number of cost types `d` and runs a kernel whose bags, settle snapshot
-//! and upper-bound cuts hold `[f64; d]` (fixed-width, branch-free dominance
-//! tests; only the target's survivors become [`CostVec`]s again). A
+//! and upper-bound cuts hold `[f64; d]` (the fixed-width, branch-free
+//! dominance tests of `mcn_graph::dominance`; only the target's survivors
+//! become [`CostVec`]s again). A
 //! candidate is admitted in one scan of its head node's bag, and the
 //! target-dominance check reads a mirror of the target's bag — a
 //! [`Front2`] at d = 2, elsewhere a copy sorted by cost 0 whose scan stops
