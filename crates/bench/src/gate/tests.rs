@@ -227,7 +227,7 @@ fn malformed_baselines_are_rejected_with_the_place_named() {
         assert!(file.contains(from), "the sample lacks `{from}`");
         file.replacen(from, to, 1)
     };
-    let cost = "\"exhaustive_labels\": 5276.0";
+    let cost = "\"exhaustive_labels\": 5266.0";
     let cases = [
         ("truncated", file[..file.len() / 2].to_string(), "at byte"),
         (
@@ -242,7 +242,7 @@ fn malformed_baselines_are_rejected_with_the_place_named() {
         ),
         (
             "string cost",
-            replace(cost, "\"exhaustive_labels\": \"5276.0\""),
+            replace(cost, "\"exhaustive_labels\": \"5266.0\""),
             "field `exhaustive_labels`",
         ),
         (

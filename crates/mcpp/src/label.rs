@@ -1,10 +1,11 @@
-//! Label-correcting multi-criteria Pareto path search.
+//! Best-first multi-criteria Pareto path search.
 
 use crate::stats::PathStats;
 use mcn_graph::dominance::{dominates_strictly, lanes, weakly_dominates};
 use mcn_graph::{CostVec, EdgeId, Front2, MultiCostGraph, NodeId, MAX_COST_TYPES};
 use mcn_prep::PrepTable;
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// One Pareto-optimal label: a non-dominated way of reaching a node.
 #[derive(Clone, Debug, PartialEq)]
@@ -29,29 +30,34 @@ pub struct PathSkylineResult {
 }
 
 /// Computes the Pareto-optimal (skyline) paths from `source` to `target` with
-/// a label-correcting algorithm (Section II-D of the paper).
+/// a best-first label search (the multi-criteria path problem of Section
+/// II-D of the paper, solved as multi-objective A* with a zero heuristic).
 ///
-/// Every node keeps a set of mutually non-dominated labels; labels are
-/// propagated over outgoing edges and inserted only if not (weakly) dominated
-/// by an existing label at the head node, evicting labels they dominate. In
-/// addition, a candidate that is already weakly dominated by the **current
-/// target skyline** is discarded wherever it surfaces: edge costs are
-/// non-negative, so every completion of such a path is weakly dominated at
-/// the target too (target-dominance early termination — same output, far
-/// fewer labels; see [`pareto_paths_exhaustive`] for the unpruned baseline).
-/// The returned labels at `target` are sorted lexicographically by cost
-/// vector.
+/// Every node keeps a set of mutually non-dominated labels; a label is
+/// inserted only if not (weakly) dominated by an existing label at its node,
+/// evicting the labels it strictly dominates. Stored labels wait in one
+/// priority queue keyed by the sum of their costs (plus the prep lower
+/// bounds, in [`pareto_paths_prepped`]); each pop extends its label over
+/// the node's outgoing edges once, unless the label was evicted while it
+/// waited. In addition, a label that is weakly dominated by the **current
+/// target skyline** is discarded wherever it surfaces — as a candidate, or
+/// when it is popped: edge costs are non-negative, so every completion of
+/// such a path is weakly dominated at the target too (target-dominance
+/// early termination — same output, far fewer labels; see
+/// [`pareto_paths_exhaustive`] for the unpruned baseline). The returned
+/// labels at `target` are sorted lexicographically by cost vector.
 ///
-/// **Exact ties caveat** (applies to every pruned variant in this module):
-/// the returned *cost-vector* skyline always equals the exhaustive
-/// baseline's. When two **distinct** paths share an exactly equal cost
-/// vector, however, only one representative survives, and which one depends
-/// on label arrival order — which pruning can change. On such graphs
-/// (integer or otherwise discrete costs) the representative's *edge
-/// sequence* may differ from the exhaustive run's. Workloads with
-/// continuous float costs — everything seeded in this repository — have no
-/// exact ties, which is what the byte-identical fingerprint assertions in
-/// `tests/prep.rs` and the label gate rely on.
+/// **Exact ties caveat** (applies to every variant in this module): the
+/// returned *cost-vector* skyline always equals the exhaustive baseline's.
+/// When two **distinct** paths share an exactly equal cost vector, however,
+/// only one representative survives, and which one depends on label arrival
+/// order — which pruning, and with it the queue's contents, can change. On
+/// such graphs (integer or otherwise discrete costs) the representative's
+/// *edge sequence* may differ between variants. Workloads with continuous
+/// float costs — everything seeded in this repository — have no exact ties,
+/// which is what the byte-identical fingerprint assertions in
+/// `tests/prep.rs` and the label gate rely on; on the tie-heavy inputs there
+/// the tests compare cost-vector bits with the exhaustive run's.
 ///
 /// Complexity is output-sensitive and exponential in the worst case (the
 /// Pareto set itself can be exponential); it is intended for moderate-size
@@ -74,15 +80,12 @@ pub fn pareto_paths_with_stats(
     search(graph, source, target, None, true)
 }
 
-/// The exhaustive label-correcting baseline: **no** pruning beyond
-/// node-level dominance, so labels for every node are kept until
-/// termination. Like every variant it extends each stored label once (a
-/// node settled again extends only the labels it gained since), which
-/// leaves its output and stored labels unchanged but lowers
-/// `labels_created` — its counts are the baseline as measured since then.
-/// Identical output to [`pareto_paths`]; exists as the measurement baseline
-/// the label gate (and the early-termination fix) quantify label
-/// reductions against.
+/// The exhaustive baseline: **no** pruning beyond node-level dominance, so
+/// labels for every node are kept until termination. Like every variant it
+/// pops labels by the sum of their costs and extends each stored label at
+/// most once, skipping the labels evicted while they waited. Identical
+/// output to [`pareto_paths`]; exists as the measurement baseline the label
+/// gate (and the early-termination fix) quantify label reductions against.
 pub fn pareto_paths_exhaustive(
     graph: &MultiCostGraph,
     source: NodeId,
@@ -113,6 +116,11 @@ pub fn pareto_paths_exhaustive(
 ///   output byte-identical to the exhaustive baseline — up to
 ///   representatives of exactly tied cost vectors; see the ties caveat on
 ///   [`pareto_paths`].)
+///
+/// The bound vector also orders the search: the queue pops the stored label
+/// with the smallest `Σ_i (a_i + δ·L_i(v))` first, and re-checks its bound
+/// against the target skyline, grown since the label was stored, before
+/// extending it.
 ///
 /// # Panics
 /// Panics if `prep` was built for a different target or a different graph
@@ -147,39 +155,97 @@ pub fn pareto_paths_prepped(
     search(graph, source, target, Some(prep), true)
 }
 
-/// Relative deflation applied to prep lower bounds before pruning.
+/// Relative deflation `δ` of the prep lower bounds: a label with cost `a`
+/// at `v` has the bound vector `a + δ·L(v)`, which the pruning tests and
+/// the queue key read.
 ///
-/// `PrepTable` distances are accumulated **backwards** (target → node)
-/// while search labels accumulate **forwards**, and float addition is not
-/// associative: the same physical path can sum to values an ulp apart, so
-/// the mathematically admissible bound can overshoot a label's real
-/// completion cost by a few ulps — enough for a path's own upper-bound cut
-/// to "dominate" its prefix and silently drop a skyline member. Shrinking
-/// the lower bound by 1e-9 relative keeps it admissible for any summation
-/// order (accumulated float error is ~1e-13 relative even across millions
-/// of hops) while giving up a vanishing sliver of pruning power.
+/// **Admissibility is all correctness needs**: the bound, as the search
+/// rounds it, must never exceed the float cost at which a completion of the
+/// label reaches the target. Per cost type, let the label be completed
+/// along `k` edges whose exact costs sum to `P`, reaching the target at the
+/// forward float sum `F`, and let `u = 2⁻⁵³`. The prep scan sums backward
+/// (target → node), and at its fixed point `L(v) ≤ fl(c + L(w))` for every
+/// edge `v → w`, so `L(v) ≤ (1 + u)ᵏ·P`; the forward sum gives `F ≥
+/// (1 − u)ᵏ·(a + P)`; the bound's own addition rounds up by a factor of at
+/// most `1 + u`. So `fl(a + δ·L(v)) ≤ F` whenever `(k + 1)·u·a ≤ (1 − δ −
+/// (2k + 2)·u)·P`: on graphs of up to `10⁶` nodes, whenever the rest of the
+/// path costs at least `1.5·10⁻⁷·(k + 1)` times the label's cost so far, or
+/// nothing at all (`P = 0` gives `L(v) = 0` and `F = a` exactly). Below
+/// that the bound can overshoot `F` by at most `k + 1` ulps of `a`, and a
+/// pruning decision can then go wrong only against a target label within
+/// those ulps of the completion: a near-tie the seeded workloads (edge
+/// costs of one order, paths of tens of edges) do not have. Without the
+/// deflation (`δ = 1`) one ulp of backward rounding in `L`, on any path,
+/// lets the path's own upper-bound cut "dominate" its prefix and silently
+/// drop a skyline member.
+///
+/// **The pop order needs consistency, and only for speed.** The queue key
+/// is the sum of the bound vector. `δ·L` is consistent — `δ·L(v) ≤ c +
+/// δ·L(w)` along every edge — wherever `L`'s fixed point leaves slack
+/// `(1 − δ)·c` above the scan's rounding, i.e. for every edge costing more
+/// than about `1.1·10⁻⁷·L(w)`. Then no key falls along an extension (up to
+/// the rounding of the key's own sums), every label stored after a pop keys
+/// at least the popped label's, and an extended label can be evicted only
+/// by one of an equal key — a strict difference lost to rounding. Where a
+/// key does fall, a later label may evict an already extended one, whose
+/// children then compete in their own bags as in any label-correcting
+/// order: the cost-vector skyline is the same, only the work grows.
 const BOUND_DEFLATION: f64 = 1.0 - 1e-9;
 
-/// One stored label in a node's bag: its `D` costs, its id in the search's
-/// arena, and whether a settle of the node has extended it yet. Bags hold
-/// these inline (32 B at d = 3), so a dominance scan walks one contiguous
-/// slice.
+/// One stored label in a node's bag: its `D` costs and its id in the
+/// search's arena. Bags hold these inline (32 B at d = 3), so a dominance
+/// scan walks one contiguous slice.
 #[derive(Clone, Copy)]
 struct BagEntry<const D: usize> {
     costs: [f64; D],
     id: u32,
-    extended: bool,
 }
 
-/// How an admitted label was reached: the label it extends and the edge.
-#[derive(Clone, Copy)]
-struct Link {
+/// An admitted label: its costs and node, how it was reached (the label it
+/// extends and the edge), and whether a strict dominator has evicted it
+/// from its node's bag since it was queued.
+struct Label<const D: usize> {
+    costs: [f64; D],
+    node: NodeId,
     parent: u32,
     edge: EdgeId,
+    evicted: bool,
 }
 
-/// The id of the source's empty-path label, where every parent chain ends.
-const ROOT: u32 = u32::MAX;
+/// The id of the source's empty-path label, the arena's first entry, where
+/// every parent chain ends (its own `parent` and `edge` are never read).
+const ROOT: u32 = 0;
+
+/// A queued label: its id and its key, the sum of its bound vector. Ordered
+/// so the smallest key pops first and equal keys in id (creation) order,
+/// which makes the pop order, and every counter, a pure function of the
+/// input.
+#[derive(Clone, Copy)]
+struct Queued {
+    key: f64,
+    id: u32,
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Queued {}
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: BinaryHeap is a max-heap, we want the smallest key.
+        other
+            .key
+            .total_cmp(&self.key)
+            .then_with(|| other.id.cmp(&self.id))
+    }
+}
 
 /// One scan of a head node's bag for a candidate: `None` if an entry weakly
 /// dominates it, otherwise whether it strictly dominates some entry (which
@@ -248,11 +314,12 @@ impl<const D: usize> TargetFront<D> {
     }
 }
 
-/// The shared label-correcting search: checks the endpoints and hands the
-/// graph to [`search_d`] at its width. `prep` enables lower-bound pruning
-/// and upper-bound cuts; `target_prune` enables target-dominance early
-/// termination (subsumed by bound pruning when `prep` is given, since
-/// `L ≥ 0`). With both off this is the exhaustive baseline.
+/// The shared search: checks the endpoints and hands the graph to
+/// [`search_d`] at its width. `prep` enables lower-bound pruning, the
+/// upper-bound cuts and the bounds in the queue key; `target_prune` enables
+/// target-dominance early termination (subsumed by bound pruning when
+/// `prep` is given, since `L ≥ 0`). With both off this is the exhaustive
+/// baseline.
 ///
 /// # Panics
 /// Panics if `source` or `target` is not a node of `graph`.
@@ -285,23 +352,22 @@ fn search(
     }
 }
 
-/// [`search`] at `D` cost types: bags, the settle snapshot and the
-/// upper-bound cuts hold `[f64; D]`, and only the target's survivors become
-/// [`CostVec`]s again.
+/// [`search`] at `D` cost types: bags, labels and the upper-bound cuts hold
+/// `[f64; D]`, and only the target's survivors become [`CostVec`]s again.
 ///
-/// * **Arena:** an admitted label is one `(parent, edge)` link; only the
-///   target's survivors are walked back into edge lists, after the loop.
-/// * **Extend once:** a settle extends only its node's labels that no
-///   earlier settle extended.
-/// * **Same output:** a re-extension repeats an earlier candidate that was
-///   either discarded (reachability and cuts are static, the target skyline
-///   only gains dominators) or admitted (the head's bag still weakly
-///   dominates it — eviction takes a strict dominator), so paths, queue
-///   order and every counter but `labels_created` and the discarded share
-///   are unchanged.
-/// * **Per-neighbour prep reads:** reachability and the deflated lower
-///   bound of a head node are read once per (settled node, neighbour), and
-///   an unreachable head prunes the whole snapshot at once.
+/// * **Arena:** an admitted label is one [`Label`], its id its index; paths
+///   stay `(parent, edge)` links until the loop ends, when only the
+///   target's survivors are walked back into edge lists.
+/// * **Best first:** one binary heap of label ids keyed by the sum of the
+///   bound vector (`costs + δ·L(v)` with a table, the costs without), equal
+///   keys in id order. A label is queued once, when it is admitted. A
+///   popped label is skipped if it was evicted while queued, dropped if the
+///   target skyline has grown to weakly dominate its bound vector, and
+///   otherwise extended over its node's edges.
+/// * **Same output:** admission, target dominance, reachability and the
+///   cuts are the rules of any label-correcting order, so the cost-vector
+///   skyline is the exhaustive one; [`BOUND_DEFLATION`] states what the
+///   pruning and the order need from the bound.
 fn search_d<const D: usize>(
     graph: &MultiCostGraph,
     source: NodeId,
@@ -311,16 +377,22 @@ fn search_d<const D: usize>(
 ) -> PathSkylineResult {
     let mut stats = PathStats::default();
     let mut bags: Vec<Vec<BagEntry<D>>> = vec![Vec::new(); graph.num_nodes()];
-    let mut arena: Vec<Link> = Vec::new();
-    // The settled node's not-yet-extended labels, reused across settles: the
-    // inner loop mutates bags at head nodes, so it cannot iterate a borrow.
-    let mut snapshot: Vec<([f64; D], u32)> = Vec::new();
+    // The arena and the queue start at one entry per node, as the bags do:
+    // most searches then never regrow them, which on `path_explore` is a
+    // tenth of a small query's time.
+    let mut labels: Vec<Label<D>> = Vec::with_capacity(graph.num_nodes());
+    labels.push(Label {
+        costs: [0.0; D],
+        node: source,
+        parent: ROOT,
+        edge: EdgeId::new(0),
+        evicted: false,
+    });
     stats.labels_created += 1;
     stats.labels_inserted += 1;
     bags[source.index()].push(BagEntry {
         costs: [0.0; D],
         id: ROOT,
-        extended: false,
     });
 
     // The target skyline's mirror, kept in step with the target's bag on
@@ -344,89 +416,101 @@ fn search_d<const D: usize>(
         None => Vec::new(),
     };
 
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-    let mut queued = vec![false; graph.num_nodes()];
-    queue.push_back(source);
-    queued[source.index()] = true;
-
-    while let Some(node) = queue.pop_front() {
-        queued[node.index()] = false;
-        stats.nodes_settled += 1;
-        snapshot.clear();
-        for entry in bags[node.index()].iter_mut().filter(|e| !e.extended) {
-            entry.extended = true;
-            snapshot.push((entry.costs, entry.id));
+    // The bound vector of costs `costs` at `v`: `costs + δ·L(v)` with a
+    // table, the costs themselves without.
+    let bound_at = |v: NodeId, costs: &[f64; D]| -> [f64; D] {
+        match prep {
+            Some(prep) => {
+                let lower = lanes::<D>(prep.bound(v));
+                std::array::from_fn(|i| costs[i] + lower[i] * BOUND_DEFLATION)
+            }
+            None => *costs,
         }
+    };
+
+    let mut queue = BinaryHeap::with_capacity(graph.num_nodes());
+    queue.push(Queued {
+        key: bound_at(source, &[0.0; D]).iter().sum(),
+        id: ROOT,
+    });
+    while let Some(Queued { id: parent, .. }) = queue.pop() {
+        let label = &labels[parent as usize];
+        if label.evicted {
+            continue;
+        }
+        let (node, label_costs) = (label.node, label.costs);
+        // The target skyline may have grown since the label was queued.
+        if let Some(front) = &target_front {
+            if front.dominates_weak(&bound_at(node, &label_costs)) {
+                continue;
+            }
+        }
+        stats.nodes_settled += 1;
         for neighbor in graph.neighbors(node) {
             let head = neighbor.node;
+            stats.labels_created += 1;
+            // ParetoPrep reachability cut.
+            if prep.is_some_and(|prep| !prep.reaches(head)) {
+                stats.labels_pruned += 1;
+                continue;
+            }
             let edge_costs: [f64; D] = lanes(neighbor.costs.as_slice());
-            // ParetoPrep reachability cut, and the deflated lower bound
-            // `L(head)` every candidate into `head` adds to its costs.
-            let lower: Option<[f64; D]> = match prep {
-                Some(prep) if !prep.reaches(head) => {
-                    let candidates = snapshot.len() as u64;
-                    stats.labels_created += candidates;
-                    stats.labels_pruned += candidates;
-                    continue;
-                }
-                Some(prep) => Some(lanes::<D>(prep.bound(head)).map(|l| l * BOUND_DEFLATION)),
-                None => None,
-            };
-            for &(label_costs, parent) in &snapshot {
-                let costs: [f64; D] = std::array::from_fn(|i| label_costs[i] + edge_costs[i]);
-                stats.labels_created += 1;
+            let costs: [f64; D] = std::array::from_fn(|i| label_costs[i] + edge_costs[i]);
 
-                // The bound vector against the target skyline and the
-                // upper-bound cuts.
-                let bound = match &lower {
-                    Some(lower) => std::array::from_fn(|i| costs[i] + lower[i]),
-                    None => costs,
-                };
-                if let Some(front) = &target_front {
-                    if front.dominates_weak(&bound) {
-                        stats.labels_pruned += 1;
-                        continue;
-                    }
-                }
-                if cuts.iter().any(|cut| dominates_strictly(cut, &bound)) {
+            // The bound vector against the target skyline and the
+            // upper-bound cuts.
+            let bound = bound_at(head, &costs);
+            if let Some(front) = &target_front {
+                if front.dominates_weak(&bound) {
                     stats.labels_pruned += 1;
                     continue;
                 }
+            }
+            if cuts.iter().any(|cut| dominates_strictly(cut, &bound)) {
+                stats.labels_pruned += 1;
+                continue;
+            }
 
-                // Classic node-level dominance at the head node.
-                let bag = &mut bags[head.index()];
-                let Some(evicts) = admission(bag, &costs) else {
-                    stats.labels_dominated += 1;
-                    continue;
-                };
-                if evicts {
-                    let before = bag.len();
-                    bag.retain(|l| !dominates_strictly(&costs, &l.costs));
-                    stats.labels_evicted += (before - bag.len()) as u64;
-                }
-                let id = u32::try_from(arena.len())
-                    .ok()
-                    .filter(|&id| id != ROOT)
-                    .expect("label arena holds fewer than u32::MAX labels");
-                arena.push(Link {
-                    parent,
-                    edge: neighbor.edge,
-                });
-                bag.push(BagEntry {
-                    costs,
-                    id,
-                    extended: false,
-                });
-                stats.labels_inserted += 1;
-                if head == target {
-                    if let Some(front) = target_front.as_mut() {
-                        front.admit(&costs, evicts);
+            // Classic node-level dominance at the head node.
+            let bag = &mut bags[head.index()];
+            let Some(evicts) = admission(bag, &costs) else {
+                stats.labels_dominated += 1;
+                continue;
+            };
+            if evicts {
+                let before = bag.len();
+                bag.retain(|l| {
+                    let keep = !dominates_strictly(&costs, &l.costs);
+                    if !keep {
+                        labels[l.id as usize].evicted = true;
                     }
+                    keep
+                });
+                stats.labels_evicted += (before - bag.len()) as u64;
+            }
+            let id =
+                u32::try_from(labels.len()).expect("label arena holds at most u32::MAX labels");
+            labels.push(Label {
+                costs,
+                node: head,
+                parent,
+                edge: neighbor.edge,
+                evicted: false,
+            });
+            bag.push(BagEntry { costs, id });
+            stats.labels_inserted += 1;
+            if head == target {
+                if let Some(front) = target_front.as_mut() {
+                    front.admit(&costs, evicts);
                 }
-                if !queued[head.index()] {
-                    queued[head.index()] = true;
-                    queue.push_back(head);
-                }
+            }
+            // A label at the target would be dropped when popped, the
+            // front holding it; only the exhaustive run extends it.
+            if head != target || target_front.is_none() {
+                queue.push(Queued {
+                    key: bound.iter().sum(),
+                    id,
+                });
             }
         }
     }
@@ -436,7 +520,7 @@ fn search_d<const D: usize>(
         .map(|entry| ParetoLabel {
             node: target,
             costs: CostVec::from_slice(&entry.costs),
-            edges: path_edges(&arena, entry.id),
+            edges: path_edges(&labels, entry.id),
         })
         .collect();
     paths.sort_by(|a, b| a.costs.lex_cmp(&b.costs));
@@ -445,13 +529,13 @@ fn search_d<const D: usize>(
 
 /// The edges of label `id`'s path, in order, in a `Vec` of exactly their
 /// number: one walk up the parent chain counts them, a second fills them.
-fn path_edges(arena: &[Link], id: u32) -> Vec<EdgeId> {
+fn path_edges<const D: usize>(labels: &[Label<D>], id: u32) -> Vec<EdgeId> {
     let chain = |mut id: u32| {
         std::iter::from_fn(move || {
             (id != ROOT).then(|| {
-                let link = arena[id as usize];
-                id = link.parent;
-                link.edge
+                let label = &labels[id as usize];
+                id = label.parent;
+                label.edge
             })
         })
     };
@@ -786,30 +870,77 @@ mod tests {
     }
 
     #[test]
+    fn a_label_evicted_while_queued_is_never_extended() {
+        // `s` reaches `a` directly at [10, 10] and through `via` at
+        // [2, 2]; `a` reaches `t` over two edges, [1, 50] and [50, 1], so
+        // `L(a)` = [1, 1] and neither target label covers the bound
+        // [11, 11] of [10, 10]. Node-FIFO settles `a` (queued before `via`)
+        // and extends [10, 10] to `t`; the arrival through `via` then
+        // evicts it, and its two target labels with it. Best first pops
+        // `via` (key ≈ 6) before [10, 10] (key ≈ 22), which is evicted
+        // while queued and, though no bound or cut covers it, never
+        // extended.
+        let mut b = GraphBuilder::new(2);
+        let [s, via, a, t] = [0.0, 1.0, 2.0, 3.0].map(|x| b.add_node(x, 0.0));
+        for (from, to, costs) in [
+            (s, a, [10.0, 10.0]),
+            (s, via, [1.0, 1.0]),
+            (via, a, [1.0, 1.0]),
+            (a, t, [1.0, 50.0]),
+            (a, t, [50.0, 1.0]),
+        ] {
+            b.add_directed_edge(from, to, CostVec::from_slice(&costs))
+                .unwrap();
+        }
+        let g = b.build().unwrap();
+        let prep = PrepTable::build(&g, t);
+        let run = pareto_paths_prepped(&g, s, t, &prep);
+        assert_eq!(
+            bits(&run.paths),
+            bits(&pareto_paths_exhaustive(&g, s, t).paths)
+        );
+        let costs: Vec<&[f64]> = run.paths.iter().map(|p| p.costs.as_slice()).collect();
+        assert_eq!(costs, [[3.0, 52.0], [52.0, 3.0]]);
+        // Extended: `s`, `via` and `a`'s [2, 2]; the target's labels are
+        // never queued, the front holding each of them.
+        assert_eq!((run.stats.nodes_settled, run.stats.labels_evicted), (3, 1));
+    }
+
+    #[test]
     fn counters_are_pinned_on_fixed_pairs() {
-        // Every counter of every variant, exactly as the `CostVec` search
-        // before the width-specialised kernel counted them: rows go d = 2,
-        // 3, 4; per d two pairs; per pair exhaustive, early, prepped.
+        // Every counter of every variant under the best-first order: rows
+        // go d = 2, 3, 4; per d two pairs; per pair exhaustive, early,
+        // prepped.
         const PINNED: [[u64; 6]; 18] = [
-            [756, 0, 542, 214, 33, 119],
-            [338, 205, 48, 85, 6, 67],
-            [68, 55, 0, 13, 0, 11],
-            [806, 0, 585, 221, 19, 118],
-            [337, 181, 71, 85, 6, 69],
-            [22, 18, 0, 4, 0, 4],
-            [923, 0, 672, 251, 14, 133],
-            [885, 205, 442, 238, 13, 132],
-            [26, 20, 0, 6, 0, 6],
-            [1491, 0, 1081, 410, 25, 142],
-            [144, 98, 14, 32, 0, 24],
-            [32, 26, 0, 6, 0, 4],
-            [1217, 0, 903, 314, 15, 132],
-            [368, 236, 46, 86, 0, 70],
-            [44, 34, 0, 10, 0, 9],
-            [1435, 0, 1057, 378, 17, 151],
-            [727, 425, 134, 168, 0, 101],
-            [87, 69, 0, 18, 0, 14],
+            [726, 0, 539, 187, 6, 181],
+            [306, 179, 49, 78, 2, 73],
+            [47, 34, 0, 13, 0, 10],
+            [799, 0, 587, 212, 10, 202],
+            [331, 185, 68, 78, 0, 77],
+            [19, 15, 0, 4, 0, 3],
+            [918, 0, 677, 241, 4, 237],
+            [876, 240, 407, 229, 4, 223],
+            [25, 19, 0, 6, 0, 5],
+            [1485, 0, 1097, 388, 3, 385],
+            [123, 76, 13, 34, 0, 28],
+            [24, 18, 0, 6, 0, 4],
+            [1201, 0, 902, 299, 0, 299],
+            [352, 220, 46, 86, 0, 84],
+            [28, 18, 0, 10, 0, 8],
+            [1435, 0, 1073, 362, 1, 361],
+            [680, 396, 123, 161, 0, 157],
+            [67, 49, 0, 18, 0, 14],
         ];
+        // `labels_created` of each prepped run under the node-FIFO order
+        // the best-first one replaced: an upper bound it must stay under.
+        const FIFO_PREPPED_CREATED: [u64; 6] = [68, 22, 26, 32, 44, 87];
+        for (row, fifo) in PINNED.iter().skip(2).step_by(3).zip(FIFO_PREPPED_CREATED) {
+            assert!(
+                row[0] <= fifo,
+                "prepped created {} > node-FIFO {fifo}",
+                row[0]
+            );
+        }
         let mut measured = Vec::new();
         for d in [2usize, 3, 4] {
             let (g, nodes) = seeded_network(100, d, 100 + d as u64);

@@ -2,17 +2,18 @@
 
 /// Counters of one [`crate::pareto_paths`]-family run.
 ///
-/// The unit of work of a label-correcting multi-criteria search is the
-/// **label**: one non-dominated way of reaching a node. Every optimisation
-/// in this crate (target-dominance early termination, ParetoPrep bound
-/// pruning) shows up as candidate labels that are discarded before they are
-/// stored and propagated — these counters make that measurable and, because
-/// the search is deterministic, exactly reproducible (the bench regression
-/// gate compares them run-over-run).
+/// The unit of work of a multi-criteria label search is the **label**: one
+/// non-dominated way of reaching a node. Every optimisation in this crate
+/// shows up here: target-dominance early termination and ParetoPrep bound
+/// pruning as candidate labels discarded before they are stored and
+/// propagated, the best-first order as fewer labels extended and created.
+/// The search is deterministic, so the counters are exactly reproducible
+/// (the bench regression gate compares them run-over-run).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PathStats {
-    /// Candidate labels generated (the initial source label plus one per
-    /// relaxed edge × stored label not yet extended from its node).
+    /// Candidate labels generated: the initial source label, plus one per
+    /// popped label × relaxed edge — each label the search extends (see
+    /// `nodes_settled`) creates one candidate per edge out of its node.
     pub labels_created: u64,
     /// Candidates discarded by bound pruning: the label's optimistic
     /// completion (its cost plus the prep lower bound, or the cost itself
@@ -21,17 +22,18 @@ pub struct PathStats {
     pub labels_pruned: u64,
     /// Candidates discarded by classic node-level dominance (an existing
     /// label at the node weakly dominates the candidate), among the
-    /// candidates `labels_created` counts: a node settled again does not
-    /// re-extend its labels, whose repeats would all be discarded, so they
-    /// count neither here nor in `labels_pruned`.
+    /// candidates `labels_created` counts.
     pub labels_dominated: u64,
     /// Labels actually stored at a node (created − pruned − dominated).
     pub labels_inserted: u64,
     /// Labels evicted from a node's set by a newly inserted dominating
-    /// label.
+    /// label (whether or not they were extended before).
     pub labels_evicted: u64,
-    /// Nodes popped from the label-correcting queue ("settled" in the loose
-    /// sense of SPFA — a node can be settled several times).
+    /// Labels extended: popped from the best-first queue and neither
+    /// evicted while queued nor dropped because the target skyline had
+    /// grown to dominate their bound. Each stored label is extended at most
+    /// once. (The name is the node-FIFO search's, whose pops settled a node
+    /// and extended all of its new labels at once.)
     pub nodes_settled: u64,
 }
 

@@ -6,11 +6,12 @@
 //!
 //! The paper this repository reproduces contrasts its facility skyline with
 //! multi-criteria Pareto path computation (MCPP, Section II-D). The
-//! exhaustive label-correcting MCPP baseline in `mcn-mcpp` keeps every
-//! non-dominated label at every node until termination; ParetoPrep showed
-//! that one cheap **backward scan** from the target — computing, per node,
-//! the vector of single-criterion shortest distances to the target — prunes
-//! the vast majority of those labels:
+//! exhaustive MCPP baseline in `mcn-mcpp` keeps every non-dominated label
+//! at every node until termination; ParetoPrep showed that one cheap
+//! **backward scan** from the target — computing, per node, the vector of
+//! single-criterion shortest distances to the target — prunes the vast
+//! majority of those labels (and `mcn-mcpp` also orders its search by
+//! them):
 //!
 //! * [`PrepTable`] — the scan result: per-cost **lower bounds** `L(v)` for
 //!   every node, per-edge forward bounds, and up to `d` concrete

@@ -6,8 +6,7 @@
 //! This example shows the two tiers of the subsystem:
 //!
 //! 1. the raw [`PrepTable`] backward scan and what it buys over the
-//!    exhaustive label-correcting baseline (identical skylines, a fraction
-//!    of the labels);
+//!    exhaustive baseline (identical skylines, a fraction of the labels);
 //! 2. the [`QueryEngine`] serving a batch of `PathSkyline` requests
 //!    through a shared [`PathContext`] — one scan per depot, cached, cold
 //!    vs warm.

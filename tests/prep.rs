@@ -74,14 +74,6 @@ fn pruned_path_skylines_match_exhaustive_at_every_dimension() {
 /// The three path-search variants, in the order the pinned tables list them.
 const VARIANTS: [&str; 3] = ["exhaustive", "early", "prepped"];
 
-fn run_variant(variant: &str, graph: &MultiCostGraph, s: NodeId, t: NodeId) -> PathSkylineResult {
-    match variant {
-        "exhaustive" => pareto_paths_exhaustive(graph, s, t),
-        "early" => pareto_paths_with_stats(graph, s, t),
-        _ => pareto_paths_prepped(graph, s, t, &PrepTable::build(graph, t)),
-    }
-}
-
 /// One variant's outputs and counters summed over a case set's pairs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Pinned {
@@ -93,48 +85,62 @@ struct Pinned {
     created: u64,
 }
 
-/// Runs `variant` over `pairs` of `graph` and folds the result into `acc`,
-/// checking the per-run accounting identity on the way.
-fn accumulate(acc: &mut Pinned, variant: &str, graph: &MultiCostGraph, pairs: &[(NodeId, NodeId)]) {
-    for &(s, t) in pairs {
-        let run = run_variant(variant, graph, s, t);
-        let st = run.stats;
-        assert_eq!(
-            st.labels_created,
-            st.labels_inserted + st.labels_pruned + st.labels_dominated,
-            "{variant} {s} → {t}: created ≠ inserted + pruned + dominated"
-        );
-        acc.fingerprint = fnv1a(acc.fingerprint, paths_fingerprint(run.paths).as_bytes());
-        acc.fingerprint = fnv1a(acc.fingerprint, b";");
-        acc.inserted += st.labels_inserted;
-        acc.evicted += st.labels_evicted;
-        acc.settled += st.nodes_settled;
-        acc.created += st.labels_created;
-    }
+/// The cost vectors of a path skyline as raw bits, in its (lexicographic)
+/// order: what every variant must share with the exhaustive run, whichever
+/// representative of an exactly tied cost vector each keeps.
+fn cost_bits(run: &PathSkylineResult) -> Vec<Vec<u64>> {
+    run.paths
+        .iter()
+        .map(|p| p.costs.iter().map(|c| c.to_bits()).collect())
+        .collect()
 }
 
-/// Checks measured rows against the parent's pinned `(fingerprint,
-/// inserted, evicted, settled, created)` and the exact `created` of the
-/// extend-once search. On any mismatch the panic prints the measured
-/// tables, ready to paste.
+/// Folds `variant`'s run of `s → t` into `acc`, checking the run's
+/// accounting identity and its cost-vector bits against the exhaustive
+/// run's of the same pair.
+fn accumulate(
+    acc: &mut Pinned,
+    variant: &str,
+    (s, t): (NodeId, NodeId),
+    run: PathSkylineResult,
+    exhaustive: &PathSkylineResult,
+) {
+    let st = run.stats;
+    assert_eq!(
+        st.labels_created,
+        st.labels_inserted + st.labels_pruned + st.labels_dominated,
+        "{variant} {s} → {t}: created ≠ inserted + pruned + dominated"
+    );
+    assert_eq!(
+        cost_bits(&run),
+        cost_bits(exhaustive),
+        "{variant} {s} → {t}: the cost vectors differ from the exhaustive run's"
+    );
+    acc.fingerprint = fnv1a(acc.fingerprint, paths_fingerprint(run.paths).as_bytes());
+    acc.fingerprint = fnv1a(acc.fingerprint, b";");
+    acc.inserted += st.labels_inserted;
+    acc.evicted += st.labels_evicted;
+    acc.settled += st.nodes_settled;
+    acc.created += st.labels_created;
+}
+
+/// Checks measured rows against the pinned `(fingerprint, inserted,
+/// evicted, settled, created)` rows, and each prepped row's `created`
+/// against `fifo_prepped` (d = 2, 3, 4): what the node-FIFO search created
+/// on the same inputs, which the best-first order must stay under. On any
+/// mismatch the panic prints the measured table, ready to paste.
 fn check_pinned(
     name: &str,
     measured: &[(String, Pinned)],
-    parent: &[(&str, u64, u64, u64, u64, u64)],
-    created: &[u64],
+    pinned: &[(&str, u64, u64, u64, u64, u64)],
+    fifo_prepped: [u64; 3],
 ) {
-    let matches = measured.len() == parent.len()
-        && measured.len() == created.len()
-        && measured
-            .iter()
-            .zip(parent)
-            .zip(created)
-            .all(|(((case, m), p), &c)| {
-                case == p.0
-                    && (m.fingerprint, m.inserted, m.evicted, m.settled) == (p.1, p.2, p.3, p.4)
-                    && m.created <= p.5
-                    && m.created == c
-            });
+    let matches = measured.len() == pinned.len()
+        && measured.iter().zip(pinned).all(|((case, m), p)| {
+            case == p.0
+                && (m.fingerprint, m.inserted, m.evicted, m.settled, m.created)
+                    == (p.1, p.2, p.3, p.4, p.5)
+        });
     if !matches {
         let rows: String = measured
             .iter()
@@ -145,8 +151,17 @@ fn check_pinned(
                 )
             })
             .collect();
-        let created: Vec<u64> = measured.iter().map(|(_, m)| m.created).collect();
-        panic!("{name}: pinned counts moved; measured\n{rows}created {created:?}");
+        panic!("{name}: pinned counts moved; measured\n{rows}");
+    }
+    let prepped = measured
+        .iter()
+        .filter(|(case, _)| case.ends_with("prepped"));
+    for ((case, m), fifo) in prepped.zip(fifo_prepped) {
+        assert!(
+            m.created <= fifo,
+            "{name}: {case} created {} labels, the node-FIFO search {fifo}",
+            m.created
+        );
     }
 }
 
@@ -166,54 +181,63 @@ type Case = (usize, MultiCostGraph, Vec<(NodeId, NodeId)>);
 fn measure_pinned(cases: &[Case]) -> Vec<(String, Pinned)> {
     let mut rows = Vec::new();
     for d in [2usize, 3, 4] {
-        for variant in VARIANTS {
-            let mut acc = Pinned {
-                fingerprint: FNV_OFFSET,
-                inserted: 0,
-                evicted: 0,
-                settled: 0,
-                created: 0,
-            };
-            for (_, graph, pairs) in cases.iter().filter(|case| case.0 == d) {
-                accumulate(&mut acc, variant, graph, pairs);
+        let mut accs = [Pinned {
+            fingerprint: FNV_OFFSET,
+            inserted: 0,
+            evicted: 0,
+            settled: 0,
+            created: 0,
+        }; 3];
+        for (_, graph, pairs) in cases.iter().filter(|case| case.0 == d) {
+            for &(s, t) in pairs {
+                let exhaustive = pareto_paths_exhaustive(graph, s, t);
+                for (acc, variant) in accs.iter_mut().zip(VARIANTS) {
+                    let run = match variant {
+                        "exhaustive" => exhaustive.clone(),
+                        "early" => pareto_paths_with_stats(graph, s, t),
+                        _ => pareto_paths_prepped(graph, s, t, &PrepTable::build(graph, t)),
+                    };
+                    accumulate(acc, variant, (s, t), run, &exhaustive);
+                }
             }
+        }
+        for (variant, acc) in VARIANTS.into_iter().zip(accs) {
             rows.push((format!("d{d} {variant}"), acc));
         }
     }
     rows
 }
 
-/// The label gate's inputs, all three variants: outputs (edges included),
-/// `labels_inserted`, `labels_evicted` and `nodes_settled` equal the
-/// extend-every-label search's; `labels_created` never exceeds it.
+/// The label gate's inputs, all three variants under the best-first order:
+/// the fingerprints (cost bits and edges) are the node-FIFO search's, and
+/// no prepped row creates more labels than that search did.
 #[test]
 fn pinned_counts_on_the_label_gate_inputs() {
-    const PARENT: &[(&str, u64, u64, u64, u64, u64)] = &[
-        ("d2 exhaustive", 0xf6f3559bee979a28, 5618, 875, 757, 24536),
-        ("d2 early", 0xf6f3559bee979a28, 2374, 247, 510, 10222),
-        ("d2 prepped", 0xf6f3559bee979a28, 1362, 137, 266, 5503),
+    const PINNED: &[(&str, u64, u64, u64, u64, u64)] = &[
+        ("d2 exhaustive", 0xf6f3559bee979a28, 4937, 194, 4743, 15798),
+        ("d2 early", 0xf6f3559bee979a28, 2153, 58, 2019, 7054),
+        ("d2 prepped", 0xf6f3559bee979a28, 653, 17, 473, 1725),
         (
             "d3 exhaustive",
             0x73aacf10cb934c5d,
-            20705,
-            2312,
-            849,
-            101129,
+            18538,
+            145,
+            18393,
+            59526,
         ),
-        ("d3 early", 0x73aacf10cb934c5d, 5420, 386, 568, 24098),
-        ("d3 prepped", 0x73aacf10cb934c5d, 2448, 212, 256, 9637),
+        ("d3 early", 0x73aacf10cb934c5d, 4930, 24, 4740, 16748),
+        ("d3 prepped", 0x73aacf10cb934c5d, 1448, 47, 1145, 4325),
         (
             "d4 exhaustive",
             0x4d1885d9ec8d8e9d,
-            38467,
-            3882,
-            1051,
-            226785,
+            34764,
+            179,
+            34585,
+            109861,
         ),
-        ("d4 early", 0x4d1885d9ec8d8e9d, 7693, 409, 689, 41674),
-        ("d4 prepped", 0x4d1885d9ec8d8e9d, 2873, 115, 271, 13641),
+        ("d4 early", 0x4d1885d9ec8d8e9d, 7062, 17, 6785, 24035),
+        ("d4 prepped", 0x4d1885d9ec8d8e9d, 1804, 9, 1443, 5429),
     ];
-    const CREATED: &[u64] = &[15828, 7446, 4391, 59674, 17827, 8176, 110078, 25870, 10334];
     let cases: Vec<_> = [2usize, 3, 4]
         .into_iter()
         .map(|d| {
@@ -221,28 +245,32 @@ fn pinned_counts_on_the_label_gate_inputs() {
             (d, graph, pairs)
         })
         .collect();
-    check_pinned("label gate", &measure_pinned(&cases), PARENT, CREATED);
+    check_pinned(
+        "label gate",
+        &measure_pinned(&cases),
+        PINNED,
+        [4391, 8176, 10334],
+    );
 }
 
 /// The tie-heavy set, all three variants: with exact ties, zero-cost
-/// cycles, parallel and one-way edges the surviving representatives (their
-/// edge sequences) are the extend-every-label search's too. (At d = 4 the
-/// exhaustive run keeps other representatives than the pruned two — the
-/// ties caveat on `pareto_paths` — and each variant keeps its own.)
+/// cycles, parallel and one-way edges every variant's cost vectors equal
+/// the exhaustive run's (checked per pair), while the surviving
+/// representatives (their edge sequences) may differ — the ties caveat on
+/// `pareto_paths` — so each variant's fingerprint is pinned on its own.
 #[test]
 fn pinned_counts_on_tie_heavy_inputs() {
-    const PARENT: &[(&str, u64, u64, u64, u64, u64)] = &[
-        ("d2 exhaustive", 0x98842a782f9c104c, 1024, 447, 618, 4924),
-        ("d2 early", 0x98842a782f9c104c, 578, 201, 402, 2891),
-        ("d2 prepped", 0x98842a782f9c104c, 398, 93, 309, 2227),
-        ("d3 exhaustive", 0xb6716ebb544bafc2, 1900, 712, 804, 12374),
-        ("d3 early", 0xb6716ebb544bafc2, 920, 288, 498, 5717),
-        ("d3 prepped", 0xb6716ebb544bafc2, 601, 125, 386, 4179),
-        ("d4 exhaustive", 0xefe8a6e61a83e7ca, 2480, 715, 887, 17950),
-        ("d4 early", 0x4cbd11dc1153e431, 1260, 261, 595, 9154),
-        ("d4 prepped", 0x4cbd11dc1153e431, 1093, 183, 555, 8272),
+    const PINNED: &[(&str, u64, u64, u64, u64, u64)] = &[
+        ("d2 exhaustive", 0x6687a7bcf7da967c, 758, 181, 577, 3073),
+        ("d2 early", 0x6687a7bcf7da967c, 437, 83, 222, 1301),
+        ("d2 prepped", 0x6687a7bcf7da967c, 347, 39, 215, 1283),
+        ("d3 exhaustive", 0xbbc4952c3a8cb6fc, 1479, 291, 1188, 6404),
+        ("d3 early", 0xbbc4952c3a8cb6fc, 717, 130, 422, 2434),
+        ("d3 prepped", 0xbbc4952c3a8cb6fc, 538, 66, 359, 2105),
+        ("d4 exhaustive", 0x4cbd11dc1153e431, 2111, 346, 1765, 8838),
+        ("d4 early", 0x4cbd11dc1153e431, 1127, 142, 737, 4095),
+        ("d4 prepped", 0x06b521d6818ca2ea, 1005, 102, 694, 3955),
     ];
-    const CREATED: &[u64] = &[4220, 2674, 2061, 8027, 4260, 3136, 10223, 5776, 5196];
     let mut cases = Vec::new();
     for d in [2usize, 3, 4] {
         for seed in 0..8u64 {
@@ -251,7 +279,12 @@ fn pinned_counts_on_tie_heavy_inputs() {
             cases.push((d, graph, pairs));
         }
     }
-    check_pinned("tie set", &measure_pinned(&cases), PARENT, CREATED);
+    check_pinned(
+        "tie set",
+        &measure_pinned(&cases),
+        PINNED,
+        [2061, 3136, 5196],
+    );
 }
 
 /// The engine fixture: a store + path context over one seeded graph, and a
