@@ -12,11 +12,8 @@
 //! experiments gate --baseline FILE   # re-measure and compare the counts
 //! ```
 
-use mcn_bench::{
-    render_table, run_gate, AlphaSettledBaseline, Experiment, ExperimentConfig, Gate, GateBaseline,
-    IndexSettledBaseline, LabelBaseline, GATE_TOLERANCE,
-};
-use std::path::{Path, PathBuf};
+use mcn_bench::{render_table, run_gate, Experiment, ExperimentConfig, GATES, GATE_TOLERANCE};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -94,26 +91,6 @@ fn run_experiments(args: &[String]) -> Result<(), ExitCode> {
     Ok(())
 }
 
-/// The gate runner behind one `gate` flag: measures its baseline type at
-/// the fixed configuration, then compares or rewrites the file.
-type GateRunner = fn(&Path, bool) -> Result<(usize, Vec<String>), String>;
-
-/// Every `gate` flag with the name and runner of the baseline it names.
-const GATES: [(&str, &str, GateRunner); 4] = [
-    ("--baseline", GateBaseline::NAME, run_gate::<GateBaseline>),
-    ("--labels", LabelBaseline::NAME, run_gate::<LabelBaseline>),
-    (
-        "--alpha",
-        AlphaSettledBaseline::NAME,
-        run_gate::<AlphaSettledBaseline>,
-    ),
-    (
-        "--index",
-        IndexSettledBaseline::NAME,
-        run_gate::<IndexSettledBaseline>,
-    ),
-];
-
 /// `experiments gate --baseline FILE [--labels FILE] [--alpha FILE]
 /// [--index FILE] [--update]`: re-measure the deterministic mean logical
 /// reads of every figure point (and, with `--labels`, the path skyline's
@@ -129,7 +106,7 @@ fn run_gate_command(args: &[String]) -> Result<(), ExitCode> {
         let flag = args[i].as_str();
         if flag == "--update" {
             update = true;
-        } else if let Some(g) = GATES.iter().position(|(f, _, _)| *f == flag) {
+        } else if let Some(g) = GATES.iter().position(|gate| gate.flag == flag) {
             paths[g] = Some(expect_value(args, &mut i, "a file path", |_| true));
         } else {
             eprintln!("unknown gate flag: {flag}");
@@ -144,14 +121,14 @@ fn run_gate_command(args: &[String]) -> Result<(), ExitCode> {
 
     let mut violations: Vec<String> = Vec::new();
     let mut points = 0usize;
-    for ((_, name, runner), path) in GATES.iter().zip(&paths) {
+    for (gate, path) in GATES.iter().zip(&paths) {
         let Some(path) = path else { continue };
-        let (rows, found) = runner(path, update).map_err(|e| {
+        let (rows, found) = run_gate(gate, path, update).map_err(|e| {
             eprintln!("{e}");
             ExitCode::FAILURE
         })?;
         if update {
-            eprintln!("wrote {name} baseline {}", path.display());
+            eprintln!("wrote {} baseline {}", gate.name, path.display());
         }
         points += rows;
         violations.extend(found);

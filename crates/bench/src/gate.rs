@@ -3,15 +3,16 @@
 //!
 //! Wall-clock is too noisy for CI, but the work the algorithms do is
 //! deterministic — workloads, queries, pairs and preference vectors are all
-//! seeded. Each [`Gate`] re-measures one small fixed configuration, flattens
-//! it into labelled rows of named costs and fails when any cost grew by more
-//! than [`GATE_TOLERANCE`]: [`GateBaseline`] pins the figures' mean logical
-//! reads (`logical_reads.json`), [`LabelBaseline`] the path skyline's labels
-//! with and without ParetoPrep (`labels.json`), [`AlphaSettledBaseline`] the
-//! α tier's settled nodes (`alpha_settled.json`) and [`IndexSettledBaseline`]
-//! the route index's settled nodes and size (`index_settled.json`).
-//! [`run_gate`] measures one and compares it, or with `--update` rewrites
-//! the baseline so the diff documents the cost shift in review.
+//! seeded. Each of the four [`GATES`] re-measures one small fixed
+//! configuration into a [`Baseline`]: labelled points of named costs, in
+//! one group per figure for the figures' mean logical reads
+//! (`logical_reads.json`) and in one unnamed group for the path tiers —
+//! the path skyline's labels with and without ParetoPrep (`labels.json`),
+//! the α tier's settled nodes (`alpha_settled.json`) and the route index's
+//! settled nodes and size (`index_settled.json`). [`run_gate`] measures one
+//! and fails when any cost grew by more than [`GATE_TOLERANCE`], or with
+//! `--update` rewrites the baseline so the diff documents the cost shift
+//! in review.
 //!
 //! Each gate also asserts its acceptance bar at its fixed configuration,
 //! so a regression below it fails even under `--update`: CEA reads no more
@@ -28,55 +29,157 @@ use json::{object, Value};
 use mcn_gen::{generate_workload, CostDistribution, WorkloadSpec};
 use mcn_graph::MultiCostGraph;
 use mcn_index::{IndexConfig, RouteIndex};
-use std::fmt::Debug;
 use std::path::Path;
 
 /// Allowed relative increase of any gated cost (2 %).
 pub const GATE_TOLERANCE: f64 = 0.02;
 
-/// One flattened gate row: its label and its `(cost name, value)` pairs.
-pub type GateRow = (String, Vec<(&'static str, f64)>);
+/// One gated point: its x-axis label (e.g. `"d = 3"`) and its costs, each
+/// named by its JSON key.
+#[derive(Clone, Debug, PartialEq)]
+struct Point {
+    label: String,
+    /// `(JSON key, value)` per cost, in file order.
+    costs: Vec<(String, f64)>,
+}
 
 /// A checked-in count baseline: a configuration plus the deterministic
 /// costs measured at it.
-pub trait Gate: Sized {
-    /// The fixed configuration; its `Default` is what CI gates, and it is
-    /// stored in the file so numbers are only compared like for like.
-    type Config: Default + PartialEq + Debug;
+#[derive(Clone, Debug, PartialEq)]
+pub struct Baseline {
+    /// The configuration the costs belong to, compared like for like.
+    config: Value,
+    /// Point groups: one per figure, named by its id, or one unnamed group.
+    tables: Vec<(Option<String>, Vec<Point>)>,
+}
 
+/// One count gate: the `experiments gate` flag naming its file, its name
+/// in messages, and its measurement at the fixed configuration.
+pub struct Gate {
+    /// The command-line flag taking the baseline path.
+    pub flag: &'static str,
     /// What the gate pins, as named in violation messages.
-    const NAME: &'static str;
+    pub name: &'static str,
+    /// Re-measures the costs; panics when the acceptance bar is missed.
+    pub measure: fn() -> Baseline,
+}
 
-    /// Re-measures the costs at `config`.
-    fn measure(config: &Self::Config) -> Self;
+/// Every gate, in the order `experiments gate` runs them.
+pub const GATES: [Gate; 4] = [
+    Gate {
+        flag: "--baseline",
+        name: "logical reads",
+        measure: logical_reads,
+    },
+    Gate {
+        flag: "--labels",
+        name: "labels",
+        measure: || LABELS.measure(),
+    },
+    Gate {
+        flag: "--alpha",
+        name: "alpha",
+        measure: || ALPHA.measure(),
+    },
+    Gate {
+        flag: "--index",
+        name: "index",
+        measure: || INDEX.measure(),
+    },
+];
 
-    /// The configuration the costs belong to.
-    fn config(&self) -> &Self::Config;
+impl Point {
+    fn new(label: String, costs: impl IntoIterator<Item = (&'static str, f64)>) -> Self {
+        let costs = costs.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+        Point { label, costs }
+    }
+}
 
-    /// Every gated row, in a stable order.
-    fn rows(&self) -> Vec<GateRow>;
+impl Baseline {
+    /// Every point with its row label — `"<id> [<label>]"` in a named
+    /// group — in file order.
+    fn rows(&self) -> Vec<(String, &Point)> {
+        self.tables
+            .iter()
+            .flat_map(|(id, points)| {
+                points.iter().map(move |p| match id {
+                    Some(id) => (format!("{id} [{}]", p.label), p),
+                    None => (p.label.clone(), p),
+                })
+            })
+            .collect()
+    }
 
     /// Serializes as indented JSON (the checked-in format).
-    fn to_json(&self) -> String;
+    pub fn to_json(&self) -> String {
+        let points = |points: &[Point]| -> Value {
+            points
+                .iter()
+                .map(|p| {
+                    let costs = p.costs.iter().map(|(k, v)| (k.as_str(), (*v).into()));
+                    object(
+                        [("label", p.label.as_str().into())]
+                            .into_iter()
+                            .chain(costs),
+                    )
+                })
+                .collect()
+        };
+        let group = match self.tables.as_slice() {
+            [(None, only)] => ("points", points(only)),
+            tables => {
+                let tables = tables.iter().map(|(id, ps)| {
+                    let id = id.as_deref().unwrap_or_default();
+                    object([("id", id.into()), ("points", points(ps))])
+                });
+                ("tables", tables.collect())
+            }
+        };
+        object([("config", self.config.clone()), group]).pretty()
+    }
 
     /// Parses the checked-in JSON; the error names the byte or field at
     /// fault.
-    fn from_json(text: &str) -> Result<Self, String>;
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        let root = json::parse(text)?;
+        let point = |p: &Value| -> Result<Point, String> {
+            let costs = p.fields_except(&["label"])?.into_iter().map(|(key, v)| {
+                let value = v.f64().map_err(|e| format!("field `{key}`: {e}"))?;
+                Ok((key.to_string(), value))
+            });
+            Ok(Point {
+                label: p.field("label", Value::string)?,
+                costs: costs.collect::<Result<_, String>>()?,
+            })
+        };
+        let config = root.field("config", |c| Ok(c.clone()))?;
+        let tables = match root.fields_except(&["config"])?.as_slice() {
+            [("points", _)] => vec![(None, root.list("points", point)?)],
+            [("tables", _)] => root.list("tables", |table| {
+                Ok((
+                    Some(table.field("id", Value::string)?),
+                    table.list("points", point)?,
+                ))
+            })?,
+            _ => return Err("expected `config` and one of `points` or `tables`".into()),
+        };
+        Ok(Baseline { config, tables })
+    }
 }
 
-/// Compares a fresh run against a baseline. Returns one message per
-/// violation (empty = gate passed): a configuration, row-count or row-label
-/// mismatch, or any cost that grew by more than `tolerance`. Improvements
-/// never fail the gate — refresh the baseline with `--update` to lock them
-/// in.
-pub fn compare<G: Gate>(current: &G, baseline: &G, tolerance: f64) -> Vec<String> {
-    let name = G::NAME;
-    if current.config() != baseline.config() {
+/// Compares a fresh run of gate `name` against its baseline. Returns one
+/// message per violation (empty = gate passed): a configuration, row-count,
+/// row-label or cost-key mismatch, or any cost that grew by more than
+/// `tolerance`. Improvements never fail the gate — refresh the baseline
+/// with `--update` to lock them in.
+pub fn compare(name: &str, current: &Baseline, baseline: &Baseline, tolerance: f64) -> Vec<String> {
+    if current.config != baseline.config {
+        let one_line = |v: &Value| v.pretty().lines().map(str::trim).collect::<String>();
         return vec![format!(
-            "{name} gate configuration changed: baseline {:?} vs current {:?} \
+            "{name} gate configuration changed: baseline {} vs current {} \
              (re-create the baseline)",
-            baseline.config(),
-            current.config()
+            one_line(&baseline.config),
+            one_line(&current.config)
         )];
     }
     let (current_rows, baseline_rows) = (current.rows(), baseline.rows());
@@ -87,36 +190,43 @@ pub fn compare<G: Gate>(current: &G, baseline: &G, tolerance: f64) -> Vec<String
             current_rows.len()
         )];
     }
+    let keys = |p: &Point| p.costs.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
     let mut violations = Vec::new();
-    for ((label, costs), (base_label, base_costs)) in current_rows.iter().zip(&baseline_rows) {
+    for ((label, point), (base_label, base_point)) in current_rows.iter().zip(&baseline_rows) {
         if label != base_label {
             violations.push(format!(
                 "{name} gate row label changed: `{base_label}` vs `{label}`"
             ));
-            continue;
-        }
-        for (&(cost, value), &(_, base)) in costs.iter().zip(base_costs) {
-            if value > base * (1.0 + tolerance) {
-                violations.push(format!(
-                    "{name}: {label} {cost}: {value:.1} vs baseline {base:.1} \
-                     (+{:.1}% > {:.0}% allowed)",
-                    (value / base - 1.0) * 100.0,
-                    tolerance * 100.0
-                ));
+        } else if keys(point) != keys(base_point) {
+            violations.push(format!(
+                "{name} gate costs of `{label}` changed: {:?} vs {:?}",
+                keys(base_point),
+                keys(point)
+            ));
+        } else {
+            for ((cost, value), (_, base)) in point.costs.iter().zip(&base_point.costs) {
+                if *value > base * (1.0 + tolerance) {
+                    violations.push(format!(
+                        "{name}: {label} {cost}: {value:.1} vs baseline {base:.1} \
+                         (+{:.1}% > {:.0}% allowed)",
+                        (value / base - 1.0) * 100.0,
+                        tolerance * 100.0
+                    ));
+                }
             }
         }
     }
     violations
 }
 
-/// Measures gate `G` at its fixed configuration, then rewrites the baseline
-/// at `path` (`update`) or compares against it. Returns the number of rows
-/// measured and the violations (always none on `update`).
+/// Measures `gate` at its fixed configuration, then rewrites the baseline
+/// at `path` (`update`) or compares against it. Returns the number of
+/// points measured and the violations (always none on `update`).
 ///
 /// # Errors
 /// Returns a message when the baseline cannot be read, parsed or written.
-pub fn run_gate<G: Gate>(path: &Path, update: bool) -> Result<(usize, Vec<String>), String> {
-    let current = G::measure(&G::Config::default());
+pub fn run_gate(gate: &Gate, path: &Path, update: bool) -> Result<(usize, Vec<String>), String> {
+    let current = (gate.measure)();
     let rows = current.rows().len();
     if update {
         std::fs::write(path, current.to_json())
@@ -130,8 +240,11 @@ pub fn run_gate<G: Gate>(path: &Path, update: bool) -> Result<(usize, Vec<String
         )
     })?;
     let baseline =
-        G::from_json(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
-    Ok((rows, compare(&current, &baseline, GATE_TOLERANCE)))
+        Baseline::from_json(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))?;
+    Ok((
+        rows,
+        compare(gate.name, &current, &baseline, GATE_TOLERANCE),
+    ))
 }
 
 /// The seeded network the per-dimension gates measure on: `nodes` nodes
@@ -150,620 +263,179 @@ pub fn gate_graph(nodes: usize, d: usize, seed: u64) -> MultiCostGraph {
     .graph
 }
 
-/// One point per swept dimension, measured on [`gate_graph`] and labelled
-/// `"d = <d>"`.
-fn per_dimension<P>(
+/// The logical-read gate's configuration: scale 1/2000, two queries per
+/// figure point, seed 2010.
+fn logical_reads_config() -> ExperimentConfig {
+    ExperimentConfig {
+        scale: 2000,
+        queries: Some(2),
+        seed: 2010,
+        ..Default::default()
+    }
+}
+
+/// Runs every figure sweep and keeps each point's mean logical reads.
+///
+/// # Panics
+/// Panics if CEA reads more pages than LSA at any point — the paper's
+/// headline I/O claim.
+fn logical_reads() -> Baseline {
+    let c = logical_reads_config();
+    let tables = Experiment::all().into_iter().map(|experiment| {
+        let points = experiment.run_points(&c).into_iter().map(|p| {
+            let (lsa, cea) = (p.lsa.logical_reads, p.cea.logical_reads);
+            assert!(
+                cea <= lsa,
+                "CEA read more pages than LSA at {} [{}]: {cea} > {lsa}",
+                experiment.id(),
+                p.label
+            );
+            Point::new(
+                p.label,
+                [("lsa_logical_reads", lsa), ("cea_logical_reads", cea)],
+            )
+        });
+        (Some(experiment.id().to_string()), points.collect())
+    });
+    let config = object([
+        ("scale", c.scale.into()),
+        ("queries", c.queries.unwrap_or_default().into()),
+        ("seed", c.seed.into()),
+    ]);
+    Baseline {
+        config,
+        tables: tables.collect(),
+    }
+}
+
+/// The fixed configuration of a path-tier gate: one point per swept
+/// dimension, measured on [`gate_graph`] by `point`.
+struct PathGate {
+    /// Nodes of the seeded gate network.
     nodes: usize,
-    dims: &[usize],
+    /// Cost dimensions measured.
+    dims: &'static [usize],
+    /// Source/target pairs per dimension.
+    pairs: usize,
+    /// Preference vectors per pair (the α and index gates).
+    users: Option<usize>,
+    /// Master seed.
     seed: u64,
-    point: impl Fn(&MultiCostGraph, String) -> P,
-) -> Vec<P> {
-    dims.iter()
-        .map(|&d| point(&gate_graph(nodes, d, seed), format!("d = {d}")))
-        .collect()
+    /// Measures one dimension's named costs on its network, asserting the
+    /// tier's acceptance bar at the point labelled by the third argument.
+    point: fn(&PathGate, &MultiCostGraph, &str) -> Vec<(&'static str, f64)>,
 }
 
-/// The fixed configuration of the logical-read gate.
-#[derive(Clone, Debug, PartialEq)]
-pub struct GateConfig {
-    /// Scale-down divider of the paper workload.
-    pub scale: usize,
-    /// Query locations per data point.
-    pub queries: usize,
-    /// Master seed.
-    pub seed: u64,
-}
+/// Mean labels created per seeded pair, with and without prep, per
+/// dimension. [`measure_labels`] asserts byte-identical skylines.
+///
+/// # Panics
+/// Panics if prep shrinks the d = 3 labels by less than
+/// [`MIN_LABEL_REDUCTION`].
+const LABELS: PathGate = PathGate {
+    nodes: 150,
+    dims: &[2, 3, 4],
+    pairs: 3,
+    users: None,
+    seed: 2010,
+    point: |gate, graph, label| {
+        let m = measure_labels(graph, gate.pairs, gate.seed);
+        let reduction = m.exhaustive_labels / m.prepped_labels.max(1.0);
+        assert!(
+            graph.num_cost_types() != 3 || reduction >= MIN_LABEL_REDUCTION,
+            "prep reduced {label} labels only {reduction:.2}× (< {MIN_LABEL_REDUCTION}×)"
+        );
+        vec![
+            ("exhaustive_labels", m.exhaustive_labels),
+            ("prepped_labels", m.prepped_labels),
+        ]
+    },
+};
 
-impl Default for GateConfig {
-    fn default() -> Self {
-        Self {
-            scale: 2000,
-            queries: 2,
-            seed: 2010,
-        }
-    }
-}
+/// Mean nodes settled per seeded (pair, α) query with and without the
+/// prep heuristic, and the prepped skyline's labels on the same pairs, per
+/// dimension. [`measure_scalarized`] asserts byte-identical A*/Dijkstra
+/// routes.
+///
+/// # Panics
+/// Panics if A* settles less than [`MIN_SETTLED_REDUCTION`]× fewer nodes
+/// than Dijkstra, or the skyline creates less than
+/// [`MIN_SKYLINE_ADVANTAGE`]× more labels than A* settles nodes.
+const ALPHA: PathGate = PathGate {
+    users: Some(3),
+    point: |gate, graph, label| {
+        let m = measure_scalarized(graph, gate.pairs, gate.users(), gate.seed);
+        let astar = m.astar_settled.max(1.0);
+        let reduction = m.dijkstra_settled / astar;
+        assert!(
+            reduction >= MIN_SETTLED_REDUCTION,
+            "A* settled only {reduction:.2}× fewer nodes than Dijkstra at {label} \
+             (< {MIN_SETTLED_REDUCTION}×)"
+        );
+        let advantage = m.skyline_labels / astar;
+        assert!(
+            advantage >= MIN_SKYLINE_ADVANTAGE,
+            "the skyline created only {advantage:.2}× more labels than A* settled nodes \
+             at {label} (< {MIN_SKYLINE_ADVANTAGE}×)"
+        );
+        vec![
+            ("dijkstra_settled", m.dijkstra_settled),
+            ("astar_settled", m.astar_settled),
+            ("skyline_labels", m.skyline_labels),
+        ]
+    },
+    ..LABELS
+};
 
-impl GateConfig {
-    fn experiment_config(&self) -> ExperimentConfig {
-        ExperimentConfig {
-            scale: self.scale,
-            queries: Some(self.queries),
-            seed: self.seed,
-            ..Default::default()
-        }
-    }
-}
+/// The route index's mean settled nodes per seeded α query and skyline
+/// pair, and its size, per dimension. [`measure_index`] asserts
+/// byte-identical answers against the prep tier.
+///
+/// # Panics
+/// Panics if a build truncates a shortcut bundle (the index would not
+/// serve).
+const INDEX: PathGate = PathGate {
+    users: Some(3),
+    point: |gate, graph, label| {
+        let index = RouteIndex::build(graph, &IndexConfig::default());
+        assert!(
+            index.exact(),
+            "the index build went inexact at {label}: raise max_bundle or the witness budget"
+        );
+        let m = measure_index(graph, &index, gate.pairs, gate.users(), gate.seed);
+        vec![
+            ("index_settled", m.index_settled),
+            ("index_sky_settled", m.index_sky_settled),
+            ("arc_entries", index.arc_entries() as f64),
+        ]
+    },
+    ..LABELS
+};
 
-/// One figure point's deterministic I/O cost.
-#[derive(Clone, Debug, PartialEq)]
-pub struct GatePoint {
-    /// The point's x-axis label (e.g. `"d = 3"`).
-    pub label: String,
-    /// Mean logical page reads per LSA query.
-    pub lsa_logical_reads: f64,
-    /// Mean logical page reads per CEA query.
-    pub cea_logical_reads: f64,
-}
-
-/// One figure's points.
-#[derive(Clone, Debug, PartialEq)]
-pub struct GateTable {
-    /// The experiment id (e.g. `"sky-p"`).
-    pub id: String,
-    /// One entry per swept x-axis value.
-    pub points: Vec<GatePoint>,
-}
-
-/// The logical-read baseline: every figure's points at [`GateConfig`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct GateBaseline {
-    /// The configuration the numbers belong to.
-    pub config: GateConfig,
-    /// One table per figure experiment, in paper order.
-    pub tables: Vec<GateTable>,
-}
-
-impl Gate for GateBaseline {
-    type Config = GateConfig;
-    const NAME: &'static str = "logical reads";
-
-    /// Runs every figure sweep and keeps each point's mean logical reads.
-    ///
-    /// # Panics
-    /// Panics if CEA reads more pages than LSA at any point — the paper's
-    /// headline I/O claim.
-    fn measure(config: &GateConfig) -> Self {
-        let experiment_config = config.experiment_config();
-        let tables = Experiment::all()
-            .iter()
-            .map(|experiment| GateTable {
-                id: experiment.id().to_string(),
-                points: experiment
-                    .run_points(&experiment_config)
-                    .into_iter()
-                    .map(|p| GatePoint {
-                        label: p.label,
-                        lsa_logical_reads: p.lsa.logical_reads,
-                        cea_logical_reads: p.cea.logical_reads,
-                    })
-                    .collect(),
-            })
-            .collect::<Vec<_>>();
-        for table in &tables {
-            for p in &table.points {
-                assert!(
-                    p.cea_logical_reads <= p.lsa_logical_reads,
-                    "CEA read more pages than LSA at {} [{}]: {} > {}",
-                    table.id,
-                    p.label,
-                    p.cea_logical_reads,
-                    p.lsa_logical_reads
-                );
-            }
-        }
-        GateBaseline {
-            config: config.clone(),
-            tables,
-        }
+impl PathGate {
+    /// The preference vectors per pair of a gate that sets them.
+    fn users(&self) -> usize {
+        self.users.expect("the gate measures preference vectors")
     }
 
-    fn config(&self) -> &GateConfig {
-        &self.config
-    }
-
-    fn rows(&self) -> Vec<GateRow> {
-        self.tables
-            .iter()
-            .flat_map(|table| {
-                table.points.iter().map(|p| {
-                    (
-                        format!("{} [{}]", table.id, p.label),
-                        vec![("LSA", p.lsa_logical_reads), ("CEA", p.cea_logical_reads)],
-                    )
-                })
-            })
-            .collect()
-    }
-
-    fn to_json(&self) -> String {
-        let c = &self.config;
-        let tables = self.tables.iter().map(|table| {
-            let points = table.points.iter().map(|p| {
-                object([
-                    ("label", p.label.as_str().into()),
-                    ("lsa_logical_reads", p.lsa_logical_reads.into()),
-                    ("cea_logical_reads", p.cea_logical_reads.into()),
-                ])
-            });
-            object([
-                ("id", table.id.as_str().into()),
-                ("points", points.collect()),
-            ])
+    /// Measures one point per dimension, labelled `"d = <d>"`.
+    fn measure(&self) -> Baseline {
+        let points = self.dims.iter().map(|&d| {
+            let label = format!("d = {d}");
+            let costs = (self.point)(self, &gate_graph(self.nodes, d, self.seed), &label);
+            Point::new(label, costs)
         });
-        let config = object([
-            ("scale", c.scale.into()),
-            ("queries", c.queries.into()),
-            ("seed", c.seed.into()),
-        ]);
-        object([("config", config), ("tables", tables.collect())]).pretty()
-    }
-
-    fn from_json(text: &str) -> Result<Self, String> {
-        let root = json::parse(text)?;
-        let config = root.field("config", |c| {
-            Ok(GateConfig {
-                scale: c.field("scale", Value::integer)?,
-                queries: c.field("queries", Value::integer)?,
-                seed: c.field("seed", Value::integer)?,
-            })
-        })?;
-        let point = |p: &Value| {
-            Ok(GatePoint {
-                label: p.field("label", Value::string)?,
-                lsa_logical_reads: p.field("lsa_logical_reads", Value::f64)?,
-                cea_logical_reads: p.field("cea_logical_reads", Value::f64)?,
-            })
-        };
-        let tables = root.list("tables", |table| {
-            Ok(GateTable {
-                id: table.field("id", Value::string)?,
-                points: table.list("points", point)?,
-            })
-        })?;
-        Ok(GateBaseline { config, tables })
-    }
-}
-
-/// The fixed configuration of the label gate.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LabelGateConfig {
-    /// Nodes of the seeded gate network.
-    pub nodes: usize,
-    /// Cost dimensions measured.
-    pub dims: Vec<usize>,
-    /// Source/target pairs per dimension.
-    pub pairs: usize,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for LabelGateConfig {
-    fn default() -> Self {
-        Self {
-            nodes: 150,
-            dims: vec![2, 3, 4],
-            pairs: 3,
-            seed: 2010,
+        let dims: Value = self.dims.iter().map(|&d| d.into()).collect();
+        let users = self.users.map(|users| ("users", users.into()));
+        let config = [("nodes", self.nodes.into()), ("dims", dims)]
+            .into_iter()
+            .chain([("pairs", self.pairs.into())])
+            .chain(users)
+            .chain([("seed", self.seed.into())]);
+        Baseline {
+            config: object(config),
+            tables: vec![(None, points.collect())],
         }
-    }
-}
-
-/// One dimension's deterministic label cost.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LabelGatePoint {
-    /// The point's label (e.g. `"d = 3"`).
-    pub label: String,
-    /// Mean labels created per pair by the exhaustive baseline.
-    pub exhaustive_labels: f64,
-    /// Mean labels created per pair by the ParetoPrep-pruned search.
-    pub prepped_labels: f64,
-}
-
-/// The label baseline: one point per dimension at [`LabelGateConfig`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct LabelBaseline {
-    /// The configuration the numbers belong to.
-    pub config: LabelGateConfig,
-    /// One entry per swept dimension.
-    pub points: Vec<LabelGatePoint>,
-}
-
-impl Gate for LabelBaseline {
-    type Config = LabelGateConfig;
-    const NAME: &'static str = "labels";
-
-    /// Mean labels created per seeded pair, with and without prep, per
-    /// dimension. [`measure_labels`] asserts byte-identical skylines.
-    ///
-    /// # Panics
-    /// Panics if prep shrinks the d = 3 labels by less than
-    /// [`MIN_LABEL_REDUCTION`].
-    fn measure(config: &LabelGateConfig) -> Self {
-        let points = per_dimension(config.nodes, &config.dims, config.seed, |graph, label| {
-            let metrics = measure_labels(graph, config.pairs, config.seed);
-            let reduction = metrics.exhaustive_labels / metrics.prepped_labels.max(1.0);
-            assert!(
-                graph.num_cost_types() != 3 || reduction >= MIN_LABEL_REDUCTION,
-                "prep reduced {label} labels only {reduction:.2}× (< {MIN_LABEL_REDUCTION}×)"
-            );
-            LabelGatePoint {
-                label,
-                exhaustive_labels: metrics.exhaustive_labels,
-                prepped_labels: metrics.prepped_labels,
-            }
-        });
-        LabelBaseline {
-            config: config.clone(),
-            points,
-        }
-    }
-
-    fn config(&self) -> &LabelGateConfig {
-        &self.config
-    }
-
-    fn rows(&self) -> Vec<GateRow> {
-        self.points
-            .iter()
-            .map(|p| {
-                (
-                    p.label.clone(),
-                    vec![
-                        ("exhaustive", p.exhaustive_labels),
-                        ("prepped", p.prepped_labels),
-                    ],
-                )
-            })
-            .collect()
-    }
-
-    fn to_json(&self) -> String {
-        let c = &self.config;
-        let points = self.points.iter().map(|p| {
-            object([
-                ("label", p.label.as_str().into()),
-                ("exhaustive_labels", p.exhaustive_labels.into()),
-                ("prepped_labels", p.prepped_labels.into()),
-            ])
-        });
-        let config = object([
-            ("nodes", c.nodes.into()),
-            ("dims", c.dims.iter().map(|&d| d.into()).collect()),
-            ("pairs", c.pairs.into()),
-            ("seed", c.seed.into()),
-        ]);
-        object([("config", config), ("points", points.collect())]).pretty()
-    }
-
-    fn from_json(text: &str) -> Result<Self, String> {
-        let root = json::parse(text)?;
-        let config = root.field("config", |c| {
-            Ok(LabelGateConfig {
-                nodes: c.field("nodes", Value::integer)?,
-                dims: c.list("dims", Value::integer)?,
-                pairs: c.field("pairs", Value::integer)?,
-                seed: c.field("seed", Value::integer)?,
-            })
-        })?;
-        let points = root.list("points", |p| {
-            Ok(LabelGatePoint {
-                label: p.field("label", Value::string)?,
-                exhaustive_labels: p.field("exhaustive_labels", Value::f64)?,
-                prepped_labels: p.field("prepped_labels", Value::f64)?,
-            })
-        })?;
-        Ok(LabelBaseline { config, points })
-    }
-}
-
-/// The fixed configuration of the alpha settled-node gate.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AlphaGateConfig {
-    /// Nodes of the seeded gate network.
-    pub nodes: usize,
-    /// Cost dimensions measured.
-    pub dims: Vec<usize>,
-    /// Source/target pairs per dimension.
-    pub pairs: usize,
-    /// Preference vectors per pair.
-    pub users: usize,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for AlphaGateConfig {
-    fn default() -> Self {
-        Self {
-            nodes: 150,
-            dims: vec![2, 3, 4],
-            pairs: 3,
-            users: 3,
-            seed: 2010,
-        }
-    }
-}
-
-/// One dimension's deterministic scalarized-search cost.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AlphaGatePoint {
-    /// The point's label (e.g. `"d = 3"`).
-    pub label: String,
-    /// Mean nodes settled per (pair, α) query by heuristic-free Dijkstra.
-    pub dijkstra_settled: f64,
-    /// Mean nodes settled per (pair, α) query by prep-backed A*.
-    pub astar_settled: f64,
-    /// Mean labels created per pair by the prepped path skyline on the
-    /// same pairs (pins the serving tier's advantage over the explore
-    /// tier).
-    pub skyline_labels: f64,
-}
-
-/// The alpha baseline: one point per dimension at [`AlphaGateConfig`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct AlphaSettledBaseline {
-    /// The configuration the numbers belong to.
-    pub config: AlphaGateConfig,
-    /// One entry per swept dimension.
-    pub points: Vec<AlphaGatePoint>,
-}
-
-impl Gate for AlphaSettledBaseline {
-    type Config = AlphaGateConfig;
-    const NAME: &'static str = "alpha";
-
-    /// Mean nodes settled per seeded (pair, α) query with and without the
-    /// prep heuristic, per dimension. [`measure_scalarized`] asserts
-    /// byte-identical A*/Dijkstra routes.
-    ///
-    /// # Panics
-    /// Panics if A* settles less than [`MIN_SETTLED_REDUCTION`]× fewer
-    /// nodes than Dijkstra, or the skyline creates less than
-    /// [`MIN_SKYLINE_ADVANTAGE`]× more labels than A* settles nodes.
-    fn measure(config: &AlphaGateConfig) -> Self {
-        let points = per_dimension(config.nodes, &config.dims, config.seed, |graph, label| {
-            let metrics = measure_scalarized(graph, config.pairs, config.users, config.seed);
-            let astar = metrics.astar_settled.max(1.0);
-            let reduction = metrics.dijkstra_settled / astar;
-            assert!(
-                reduction >= MIN_SETTLED_REDUCTION,
-                "A* settled only {reduction:.2}× fewer nodes than Dijkstra at {label} \
-                 (< {MIN_SETTLED_REDUCTION}×)"
-            );
-            let advantage = metrics.skyline_labels / astar;
-            assert!(
-                advantage >= MIN_SKYLINE_ADVANTAGE,
-                "the skyline created only {advantage:.2}× more labels than A* settled nodes \
-                 at {label} (< {MIN_SKYLINE_ADVANTAGE}×)"
-            );
-            AlphaGatePoint {
-                label,
-                dijkstra_settled: metrics.dijkstra_settled,
-                astar_settled: metrics.astar_settled,
-                skyline_labels: metrics.skyline_labels,
-            }
-        });
-        AlphaSettledBaseline {
-            config: config.clone(),
-            points,
-        }
-    }
-
-    fn config(&self) -> &AlphaGateConfig {
-        &self.config
-    }
-
-    fn rows(&self) -> Vec<GateRow> {
-        self.points
-            .iter()
-            .map(|p| {
-                (
-                    p.label.clone(),
-                    vec![
-                        ("dijkstra settled", p.dijkstra_settled),
-                        ("astar settled", p.astar_settled),
-                        ("skyline labels", p.skyline_labels),
-                    ],
-                )
-            })
-            .collect()
-    }
-
-    fn to_json(&self) -> String {
-        let c = &self.config;
-        let points = self.points.iter().map(|p| {
-            object([
-                ("label", p.label.as_str().into()),
-                ("dijkstra_settled", p.dijkstra_settled.into()),
-                ("astar_settled", p.astar_settled.into()),
-                ("skyline_labels", p.skyline_labels.into()),
-            ])
-        });
-        let config = object([
-            ("nodes", c.nodes.into()),
-            ("dims", c.dims.iter().map(|&d| d.into()).collect()),
-            ("pairs", c.pairs.into()),
-            ("users", c.users.into()),
-            ("seed", c.seed.into()),
-        ]);
-        object([("config", config), ("points", points.collect())]).pretty()
-    }
-
-    fn from_json(text: &str) -> Result<Self, String> {
-        let root = json::parse(text)?;
-        let config = root.field("config", |c| {
-            Ok(AlphaGateConfig {
-                nodes: c.field("nodes", Value::integer)?,
-                dims: c.list("dims", Value::integer)?,
-                pairs: c.field("pairs", Value::integer)?,
-                users: c.field("users", Value::integer)?,
-                seed: c.field("seed", Value::integer)?,
-            })
-        })?;
-        let points = root.list("points", |p| {
-            Ok(AlphaGatePoint {
-                label: p.field("label", Value::string)?,
-                dijkstra_settled: p.field("dijkstra_settled", Value::f64)?,
-                astar_settled: p.field("astar_settled", Value::f64)?,
-                skyline_labels: p.field("skyline_labels", Value::f64)?,
-            })
-        })?;
-        Ok(AlphaSettledBaseline { config, points })
-    }
-}
-
-/// The fixed configuration of the index gate.
-#[derive(Clone, Debug, PartialEq)]
-pub struct IndexGateConfig {
-    /// Nodes of the seeded gate network.
-    pub nodes: usize,
-    /// Cost dimensions measured.
-    pub dims: Vec<usize>,
-    /// Source/target pairs per dimension.
-    pub pairs: usize,
-    /// Preference vectors per pair.
-    pub users: usize,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for IndexGateConfig {
-    fn default() -> Self {
-        Self {
-            nodes: 150,
-            dims: vec![2, 3, 4],
-            pairs: 3,
-            users: 3,
-            seed: 2010,
-        }
-    }
-}
-
-/// One dimension's deterministic index cost.
-#[derive(Clone, Debug, PartialEq)]
-pub struct IndexGatePoint {
-    /// The point's label (e.g. `"d = 3"`).
-    pub label: String,
-    /// Mean nodes settled per (pair, α) query by the index — the
-    /// wall-latency proxy.
-    pub index_settled: f64,
-    /// Mean labels the index skyline settled per pair.
-    pub index_sky_settled: f64,
-    /// Upward-arc entries of the built index (its size).
-    pub arc_entries: f64,
-}
-
-/// The index baseline: one point per dimension at [`IndexGateConfig`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct IndexSettledBaseline {
-    /// The configuration the numbers belong to.
-    pub config: IndexGateConfig,
-    /// One entry per swept dimension.
-    pub points: Vec<IndexGatePoint>,
-}
-
-impl Gate for IndexSettledBaseline {
-    type Config = IndexGateConfig;
-    const NAME: &'static str = "index";
-
-    /// The index's settled nodes per seeded query and its size, per
-    /// dimension. [`measure_index`] asserts byte-identical answers against
-    /// the prep tier.
-    ///
-    /// # Panics
-    /// Panics if a build truncates a shortcut bundle (the index would not
-    /// serve).
-    fn measure(config: &IndexGateConfig) -> Self {
-        let points = per_dimension(config.nodes, &config.dims, config.seed, |graph, label| {
-            let index = RouteIndex::build(graph, &IndexConfig::default());
-            assert!(
-                index.exact(),
-                "the index build went inexact at {label}: raise max_bundle or the witness budget"
-            );
-            let metrics = measure_index(graph, &index, config.pairs, config.users, config.seed);
-            IndexGatePoint {
-                label,
-                index_settled: metrics.index_settled,
-                index_sky_settled: metrics.index_sky_settled,
-                arc_entries: index.arc_entries() as f64,
-            }
-        });
-        IndexSettledBaseline {
-            config: config.clone(),
-            points,
-        }
-    }
-
-    fn config(&self) -> &IndexGateConfig {
-        &self.config
-    }
-
-    fn rows(&self) -> Vec<GateRow> {
-        self.points
-            .iter()
-            .map(|p| {
-                (
-                    p.label.clone(),
-                    vec![
-                        ("index settled", p.index_settled),
-                        ("index sky settled", p.index_sky_settled),
-                        ("arc entries", p.arc_entries),
-                    ],
-                )
-            })
-            .collect()
-    }
-
-    fn to_json(&self) -> String {
-        let c = &self.config;
-        let points = self.points.iter().map(|p| {
-            object([
-                ("label", p.label.as_str().into()),
-                ("index_settled", p.index_settled.into()),
-                ("index_sky_settled", p.index_sky_settled.into()),
-                ("arc_entries", p.arc_entries.into()),
-            ])
-        });
-        let config = object([
-            ("nodes", c.nodes.into()),
-            ("dims", c.dims.iter().map(|&d| d.into()).collect()),
-            ("pairs", c.pairs.into()),
-            ("users", c.users.into()),
-            ("seed", c.seed.into()),
-        ]);
-        object([("config", config), ("points", points.collect())]).pretty()
-    }
-
-    fn from_json(text: &str) -> Result<Self, String> {
-        let root = json::parse(text)?;
-        let config = root.field("config", |c| {
-            Ok(IndexGateConfig {
-                nodes: c.field("nodes", Value::integer)?,
-                dims: c.list("dims", Value::integer)?,
-                pairs: c.field("pairs", Value::integer)?,
-                users: c.field("users", Value::integer)?,
-                seed: c.field("seed", Value::integer)?,
-            })
-        })?;
-        let points = root.list("points", |p| {
-            Ok(IndexGatePoint {
-                label: p.field("label", Value::string)?,
-                index_settled: p.field("index_settled", Value::f64)?,
-                index_sky_settled: p.field("index_sky_settled", Value::f64)?,
-                arc_entries: p.field("arc_entries", Value::f64)?,
-            })
-        })?;
-        Ok(IndexSettledBaseline { config, points })
     }
 }
 

@@ -8,6 +8,7 @@
 
 /// A parsed or to-be-printed JSON value (no `true`/`false`/`null`: the
 /// baselines have none).
+#[derive(Clone, Debug, PartialEq)]
 pub(super) enum Value {
     /// A number, as its JSON text.
     Number(String),
@@ -18,8 +19,13 @@ pub(super) enum Value {
 }
 
 /// An object with `fields` in the given order.
-pub(super) fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
-    Value::Object(fields.map(|(k, v)| (k.to_string(), v)).into())
+pub(super) fn object<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 impl From<u64> for Value {
@@ -93,14 +99,24 @@ impl Value {
         key: &str,
         read: impl FnOnce(&Value) -> Result<T, String>,
     ) -> Result<T, String> {
+        let (_, value) = self
+            .fields_except(&[])?
+            .into_iter()
+            .find(|(k, _)| *k == key)
+            .ok_or_else(|| format!("missing field `{key}`"))?;
+        read(value).map_err(|e| format!("field `{key}`: {e}"))
+    }
+
+    /// This object's fields other than `skip`, in file order.
+    pub(super) fn fields_except(&self, skip: &[&str]) -> Result<Vec<(&str, &Value)>, String> {
         let Value::Object(fields) = self else {
             return Err(format!("expected an object, found {}", self.describe()));
         };
-        let (_, value) = fields
+        Ok(fields
             .iter()
-            .find(|(k, _)| k == key)
-            .ok_or_else(|| format!("missing field `{key}`"))?;
-        read(value).map_err(|e| format!("field `{key}`: {e}"))
+            .map(|(k, v)| (k.as_str(), v))
+            .filter(|(k, _)| !skip.contains(k))
+            .collect())
     }
 
     /// Reads every element of array field `key` with `read`.
@@ -124,25 +140,13 @@ impl Value {
 
     /// A finite number.
     pub(super) fn f64(&self) -> Result<f64, String> {
-        let text = self.number()?;
+        let Value::Number(text) = self else {
+            return Err(format!("expected a number, found {}", self.describe()));
+        };
         text.parse::<f64>()
             .ok()
             .filter(|v| v.is_finite())
             .ok_or_else(|| format!("`{text}` is not a finite number"))
-    }
-
-    /// An integer of the caller's type.
-    pub(super) fn integer<T: std::str::FromStr>(&self) -> Result<T, String> {
-        let text = self.number()?;
-        text.parse()
-            .map_err(|_| format!("`{text}` is not an integer in range"))
-    }
-
-    fn number(&self) -> Result<&str, String> {
-        match self {
-            Value::Number(text) => Ok(text),
-            other => Err(format!("expected a number, found {}", other.describe())),
-        }
     }
 
     fn describe(&self) -> String {

@@ -26,18 +26,12 @@ use mcn_index::RouteIndex;
 use mcn_mcpp::pareto_paths_prepped;
 use mcn_prep::PrepTable;
 
-/// Mean settled nodes of the index vs the prep tier on the same seeded
-/// queries, byte-identical answers asserted throughout.
+/// Mean settled nodes of the index on seeded queries, its answers asserted
+/// byte-identical to the prep tier's throughout.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IndexMetrics {
     /// Mean nodes settled per (pair, α) query by the index.
     pub index_settled: f64,
-    /// Mean nodes settled per (pair, α) query by prep-backed A*.
-    pub astar_settled: f64,
-    /// Mean queue pops of one prep backward scan.
-    pub prep_scan_settled: f64,
-    /// Mean labels the prepped skyline created per pair.
-    pub skyline_labels: f64,
     /// Mean labels the index skyline settled per pair.
     pub index_sky_settled: f64,
 }
@@ -58,17 +52,12 @@ pub fn measure_index(
     let pair_list = seeded_pairs(graph, pairs, seed ^ 0x1DE8_CAFE);
     let pool = user_pool(graph.num_cost_types(), users, seed ^ 0x1DE8);
     let mut index_settled = 0u64;
-    let mut astar_settled = 0u64;
-    let mut prep_scan_settled = 0u64;
-    let mut skyline_labels = 0u64;
     let mut index_sky_settled = 0u64;
     for &(s, t) in &pair_list {
         let prep = PrepTable::build(graph, t);
-        prep_scan_settled += prep.settled();
         for alpha in &pool {
             let tier = scalarized_path_astar(graph, s, t, alpha, &prep);
             let via = index.alpha_path(graph, s, t, alpha);
-            astar_settled += tier.stats.settled;
             index_settled += via.stats.settled;
             match (tier.path, via.path) {
                 (Some(p), Some(i)) => {
@@ -95,16 +84,12 @@ pub fn measure_index(
             tier_sky.paths, via_sky.paths,
             "the index changed the {s} → {t} path skyline"
         );
-        skyline_labels += tier_sky.stats.labels_created;
         index_sky_settled += via_sky.stats.settled;
     }
     let queries = (pair_list.len() * pool.len()).max(1) as f64;
     let n = pair_list.len().max(1) as f64;
     IndexMetrics {
         index_settled: index_settled as f64 / queries,
-        astar_settled: astar_settled as f64 / queries,
-        prep_scan_settled: prep_scan_settled as f64 / n,
-        skyline_labels: skyline_labels as f64 / n,
         index_sky_settled: index_sky_settled as f64 / n,
     }
 }
@@ -122,8 +107,7 @@ mod tests {
         let a = measure_index(&graph, &index, 3, 3, 2010);
         let b = measure_index(&graph, &index, 3, 3, 2010);
         assert_eq!(a.index_settled, b.index_settled);
-        assert_eq!(a.astar_settled, b.astar_settled);
-        assert_eq!(a.prep_scan_settled, b.prep_scan_settled);
+        assert_eq!(a.index_sky_settled, b.index_sky_settled);
         assert!(a.index_settled > 0.0);
     }
 }

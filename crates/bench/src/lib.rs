@@ -24,24 +24,16 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod alpha;
-pub mod experiments;
-pub mod gate;
-pub mod index;
-pub mod measure;
-pub mod prep;
-pub mod report;
-pub mod requests;
+mod alpha;
+mod experiments;
+mod gate;
+mod index;
+mod measure;
+mod prep;
+mod report;
+mod requests;
 
-pub use alpha::{measure_scalarized, ScalarMetrics, MIN_SETTLED_REDUCTION, MIN_SKYLINE_ADVANTAGE};
 pub use experiments::{Experiment, ExperimentConfig};
-pub use gate::{
-    compare, gate_graph, run_gate, AlphaGateConfig, AlphaGatePoint, AlphaSettledBaseline, Gate,
-    GateBaseline, GateConfig, GatePoint, GateRow, GateTable, IndexGateConfig, IndexGatePoint,
-    IndexSettledBaseline, LabelBaseline, LabelGateConfig, LabelGatePoint, GATE_TOLERANCE,
-};
-pub use index::{measure_index, IndexMetrics};
-pub use measure::{measure_point, AlgoMeasurement, PointMeasurement, QueryKind};
-pub use prep::{measure_labels, LabelMetrics, MIN_LABEL_REDUCTION};
-pub use report::{render_table, ExperimentTable, Row};
+pub use gate::{gate_graph, run_gate, GATES, GATE_TOLERANCE};
+pub use report::render_table;
 pub use requests::build_request_batch;

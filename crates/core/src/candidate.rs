@@ -39,11 +39,6 @@ impl Candidate {
         assert!(self.is_pinned(), "cost vector requested before pinning");
         self.known.iter().map(|c| c.unwrap()).collect()
     }
-
-    /// Number of costs already known.
-    pub fn known_count(&self) -> usize {
-        self.known.iter().filter(|c| c.is_some()).count()
-    }
 }
 
 /// The candidate set `CS` of the paper, keyed by facility.

@@ -7,7 +7,7 @@
 //! configurable fraction of removed edges (dead ends, irregular blocks) and a
 //! sprinkling of diagonal shortcuts. Degree distribution and locality match
 //! what the expansion algorithms care about; see DESIGN.md §3 for the
-//! substitution argument. Real datasets can still be loaded through `mcn-io`.
+//! substitution argument.
 
 use mcn_graph::{EdgeId, GraphBuilder, MultiCostGraph, NodeId};
 use rand::{Rng, SeedableRng};

@@ -45,15 +45,6 @@ impl NetworkLocation {
         );
         NetworkLocation::OnEdge { edge, position }
     }
-
-    /// Returns the node if this location is exactly at one.
-    #[inline]
-    pub fn as_node(&self) -> Option<NodeId> {
-        match self {
-            NetworkLocation::Node(n) => Some(*n),
-            NetworkLocation::OnEdge { .. } => None,
-        }
-    }
 }
 
 /// How a [`NetworkLocation`] connects to the rest of the network.

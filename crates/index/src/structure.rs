@@ -114,11 +114,6 @@ impl RouteIndex {
         self.exact
     }
 
-    /// Number of fragments in the arena.
-    pub fn num_fragments(&self) -> usize {
-        self.fragments.len()
-    }
-
     /// Total upward-arc entries (original + shortcut) over both
     /// directions — the index's size metric, pinned by the index gate.
     pub fn arc_entries(&self) -> u64 {

@@ -74,12 +74,6 @@ impl Histogram {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a duration in nanoseconds (u128 saturated to u64 — a span
-    /// longer than ~584 years is pinned rather than wrapped).
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
     /// Number of observations so far.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)

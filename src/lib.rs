@@ -16,7 +16,7 @@
 //!   the baseline, and batch/incremental top-k processing.
 //! * [`engine`] — the concurrent multi-query engine: a bounded worker pool
 //!   scheduling batches of skyline/top-k queries over one shared store.
-//! * [`skyline`] — classic main-memory skyline algorithms (BNL, SFS, D&C).
+//! * [`skyline`] — classic main-memory skyline algorithms (BNL).
 //! * [`mcpp`] — multi-criteria Pareto (skyline) path computation, with a
 //!   ParetoPrep-pruned variant.
 //! * [`prep`] — ParetoPrep precomputation: backward per-cost lower-bound
@@ -30,7 +30,6 @@
 //!   log2 latency histograms), query-lifecycle span tracing, and the
 //!   `Clock` abstraction used by every timing path.
 //! * [`gen`] — synthetic workload generation matching the paper's Section VI.
-//! * [`io`] — loaders/writers for common road-network file formats.
 
 #![warn(missing_docs)]
 
@@ -41,7 +40,6 @@ pub use mcn_expansion as expansion;
 pub use mcn_gen as gen;
 pub use mcn_graph as graph;
 pub use mcn_index as index;
-pub use mcn_io as io;
 pub use mcn_mcpp as mcpp;
 pub use mcn_obs as obs;
 pub use mcn_prep as prep;

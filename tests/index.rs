@@ -252,7 +252,7 @@ fn check_pinned(name: &str, measured: &[Row], pinned: &[(&str, u64, u64, u64, u6
     }
 }
 
-/// The index gate's inputs (`crates/bench` `IndexGateConfig::default()`):
+/// The index gate's inputs (`crates/bench` `gate::INDEX`):
 /// 150 nodes, d = 2/3/4, three seeded pairs, seed 2010.
 #[test]
 fn pinned_index_skylines_on_the_index_gate_inputs() {

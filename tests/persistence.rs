@@ -1,12 +1,10 @@
-//! Integration tests for persistence paths: CSV round-trips through `mcn-io`
-//! and file-backed stores through `mcn-storage::FileDisk`.
+//! Integration tests for persistence paths: file-backed stores through
+//! `mcn-storage::FileDisk`.
 
 use mcn::core::prelude::*;
 use mcn::gen::{generate_workload, CostDistribution, WorkloadSpec};
 use mcn::graph::FacilityId;
-use mcn::io::{load_csv, write_csv};
 use mcn::storage::{BufferConfig, DiskManager, FileDisk, MCNStore};
-use std::io::BufReader;
 use std::sync::Arc;
 
 fn small_workload(seed: u64) -> mcn::gen::Workload {
@@ -19,32 +17,6 @@ fn small_workload(seed: u64) -> mcn::gen::Workload {
         queries: 2,
         seed,
     })
-}
-
-#[test]
-fn csv_roundtrip_preserves_query_answers() {
-    let w = small_workload(5);
-    let mut buf = Vec::new();
-    write_csv(&w.graph, &mut buf).unwrap();
-    let reloaded = load_csv(BufReader::new(buf.as_slice())).unwrap();
-
-    let original = Arc::new(MCNStore::build_in_memory(&w.graph, BufferConfig::Pages(64)).unwrap());
-    let restored = Arc::new(MCNStore::build_in_memory(&reloaded, BufferConfig::Pages(64)).unwrap());
-    for &q in &w.queries {
-        let mut a: Vec<FacilityId> = skyline_query(&original, q, Algorithm::Cea)
-            .facilities
-            .iter()
-            .map(|f| f.facility)
-            .collect();
-        let mut b: Vec<FacilityId> = skyline_query(&restored, q, Algorithm::Cea)
-            .facilities
-            .iter()
-            .map(|f| f.facility)
-            .collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "skyline changed across the CSV round-trip");
-    }
 }
 
 #[test]

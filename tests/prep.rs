@@ -165,7 +165,7 @@ fn check_pinned(
     }
 }
 
-/// The label gate's inputs (`crates/bench` `LabelGateConfig::default()`):
+/// The label gate's inputs (`crates/bench` `gate::LABELS`):
 /// 150 nodes, d = 2/3/4, three seeded pairs, seed 2010.
 fn label_gate_case(d: usize) -> (MultiCostGraph, Vec<(NodeId, NodeId)>) {
     let seed = 2010;

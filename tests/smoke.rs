@@ -105,11 +105,4 @@ fn facade_reexports_cover_every_crate() {
     };
     let workload = mcn::gen::generate_workload(&spec);
     assert!(workload.graph.num_nodes() > 0);
-
-    // io: write then reload the diamond through the CSV round-trip.
-    let mut buf: Vec<u8> = Vec::new();
-    mcn::io::write_csv(&graph, &mut buf).unwrap();
-    let reloaded = mcn::io::load_csv(std::io::BufReader::new(buf.as_slice())).unwrap();
-    assert_eq!(reloaded.num_nodes(), graph.num_nodes());
-    assert_eq!(reloaded.num_edges(), graph.num_edges());
 }
