@@ -21,8 +21,8 @@
 //! - [`scalarized_path_landmarks`] — the same search driven by landmark
 //!   bounds ([`landmark_bound`]) from prep tables of *other* targets, for a
 //!   target that has no table of its own;
-//! - [`ScalarStats`] — pushed/settled/relaxed/pruned counters mirroring
-//!   `mcn-mcpp`'s `PathStats`.
+//! - [`ScalarStats`] — pushed/settled/relaxed/pruned counters, which the
+//!   route index in `mcn-index` reports for its queries too.
 //!
 //! Determinism contract: identical inputs produce byte-identical results —
 //! the heap tie-breaks on node id, and the A* variants reconstruct the

@@ -59,8 +59,8 @@ const LANDMARK_MARGIN: f64 = 1e-9;
 /// α-distance.
 const SUM_MARGIN: f64 = LANDMARK_MARGIN + f32::EPSILON as f64;
 
-/// Counters describing one scalarized search, mirroring `mcn-mcpp`'s
-/// `PathStats` for the skyline tier.
+/// Counters describing one scalarized search. The route index reports the
+/// same four for its α and path-skyline queries (`mcn-index`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScalarStats {
     /// Heap entries pushed (duplicates stand in for decrease-key).

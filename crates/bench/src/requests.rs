@@ -42,7 +42,7 @@ pub fn mixed_request_batch(
 }
 
 /// The facility mix: skyline / batch top-4 / incremental top-4 round-robin
-/// over [`mixed_request_batch`], `d` cost types. Deterministic in `seed`.
+/// over `mixed_request_batch`, `d` cost types. Deterministic in `seed`.
 pub fn build_request_batch(
     queries: &[NetworkLocation],
     d: usize,

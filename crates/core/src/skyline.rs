@@ -28,7 +28,7 @@ use mcn_expansion::{
     seeds_for_location, DirectAccess, Expansion, FacilityMode, NetworkAccess, SharedAccess,
     TablePool,
 };
-use mcn_graph::{dominates_weak, CostVec, FacilityId, NetworkLocation};
+use mcn_graph::{dominates_weak, CostVec, FacilityId, NetworkLocation, MAX_COST_TYPES};
 use mcn_storage::StoreView;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -302,32 +302,7 @@ pub fn baseline_skyline<S: StoreView + ?Sized>(
     location: NetworkLocation,
 ) -> SkylineResult {
     let started = Instant::now();
-    let access = Arc::new(DirectAccess::new(store.clone()));
-    let start_io = access.io_stats();
-    let d = access.num_cost_types();
-    let seeds = seeds_for_location(access.as_ref(), location);
-
-    let mut costs: BTreeMap<FacilityId, Vec<f64>> = BTreeMap::new();
-    let mut nodes_settled = 0;
-    let mut heap_pushes = 0;
-    let mut heap_pops = 0;
-    for i in 0..d {
-        let mut ex = Expansion::new(access.clone(), i, &seeds, FacilityMode::All);
-        while let Some((facility, cost)) = ex.next_nearest() {
-            costs
-                .entry(facility)
-                .or_insert_with(|| vec![f64::INFINITY; d])[i] = cost;
-        }
-        let s = ex.stats();
-        nodes_settled += s.nodes_settled;
-        heap_pushes += s.heap_pushes;
-        heap_pops += s.heap_pops;
-    }
-
-    let items: Vec<(FacilityId, CostVec)> = costs
-        .into_iter()
-        .map(|(fid, v)| (fid, CostVec::from_slice(&v)))
-        .collect();
+    let (items, mut stats) = baseline_costs(store, location);
     let skyline_idx = mcn_skyline::block_nested_loops(&items);
     let mut facilities: Vec<SkylineFacility> = skyline_idx
         .into_iter()
@@ -337,20 +312,45 @@ pub fn baseline_skyline<S: StoreView + ?Sized>(
         })
         .collect();
     facilities.sort_by_key(|f| f.facility);
-
-    let stats = QueryStats {
-        algorithm: "Baseline".to_string(),
-        elapsed: started.elapsed(),
-        io: access.io_stats() - start_io,
-        nodes_settled,
-        heap_pushes,
-        heap_pops,
-        candidates: items.len(),
-        pinned: items.len(),
-        dominance_checks: 0,
-        result_size: facilities.len(),
-    };
+    stats.elapsed = started.elapsed();
+    stats.result_size = facilities.len();
     SkylineResult { facilities, stats }
+}
+
+/// The first phase of both baselines: `d` complete network expansions from
+/// `location`, one per cost type, giving every reached facility's cost
+/// vector in facility order (`+∞` for a cost type whose expansion does not
+/// reach it). The stats hold the expansions' I/O and work counters and
+/// count every facility as a candidate and as pinned; the caller sets
+/// `elapsed` and `result_size`.
+pub(crate) fn baseline_costs<S: StoreView + ?Sized>(
+    store: &Arc<S>,
+    location: NetworkLocation,
+) -> (Vec<(FacilityId, CostVec)>, QueryStats) {
+    let access = Arc::new(DirectAccess::new(store.clone()));
+    let start_io = access.io_stats();
+    let d = access.num_cost_types();
+    let seeds = seeds_for_location(access.as_ref(), location);
+    let unreached = CostVec::from_slice(&[f64::INFINITY; MAX_COST_TYPES][..d]);
+    let mut costs: BTreeMap<FacilityId, CostVec> = BTreeMap::new();
+    let mut stats = QueryStats {
+        algorithm: "Baseline".to_string(),
+        ..QueryStats::default()
+    };
+    for i in 0..d {
+        let mut ex = Expansion::new(access.clone(), i, &seeds, FacilityMode::All);
+        while let Some((facility, cost)) = ex.next_nearest() {
+            costs.entry(facility).or_insert(unreached)[i] = cost;
+        }
+        let s = ex.stats();
+        stats.nodes_settled += s.nodes_settled;
+        stats.heap_pushes += s.heap_pushes;
+        stats.heap_pops += s.heap_pops;
+    }
+    stats.io = access.io_stats() - start_io;
+    stats.candidates = costs.len();
+    stats.pinned = costs.len();
+    (costs.into_iter().collect(), stats)
 }
 
 #[cfg(test)]

@@ -13,15 +13,11 @@
 
 use crate::aggregate::AggregateCost;
 use crate::coordinator::{Coordinator, Stage};
-use crate::skyline::Algorithm;
+use crate::skyline::{baseline_costs, Algorithm};
 use crate::stats::QueryStats;
-use mcn_expansion::{
-    seeds_for_location, DirectAccess, Expansion, ExpansionStep, FacilityMode, NetworkAccess,
-    SharedAccess, TablePool,
-};
+use mcn_expansion::{DirectAccess, ExpansionStep, NetworkAccess, SharedAccess, TablePool};
 use mcn_graph::{CostVec, FacilityId, NetworkLocation};
 use mcn_storage::StoreView;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -273,37 +269,13 @@ pub fn baseline_topk<S: StoreView + ?Sized, F: AggregateCost>(
     k: usize,
 ) -> TopKResult {
     let started = Instant::now();
-    let access = Arc::new(DirectAccess::new(store.clone()));
-    let start_io = access.io_stats();
-    let d = access.num_cost_types();
-    let seeds = seeds_for_location(access.as_ref(), location);
-
-    let mut costs: BTreeMap<FacilityId, Vec<f64>> = BTreeMap::new();
-    let mut nodes_settled = 0;
-    let mut heap_pushes = 0;
-    let mut heap_pops = 0;
-    for i in 0..d {
-        let mut ex = Expansion::new(access.clone(), i, &seeds, FacilityMode::All);
-        while let Some((facility, cost)) = ex.next_nearest() {
-            costs
-                .entry(facility)
-                .or_insert_with(|| vec![f64::INFINITY; d])[i] = cost;
-        }
-        let s = ex.stats();
-        nodes_settled += s.nodes_settled;
-        heap_pushes += s.heap_pushes;
-        heap_pops += s.heap_pops;
-    }
-    let total = costs.len();
+    let (costs, mut stats) = baseline_costs(store, location);
     let mut entries: Vec<TopKEntry> = costs
         .into_iter()
-        .map(|(facility, v)| {
-            let cv = CostVec::from_slice(&v);
-            TopKEntry {
-                facility,
-                costs: cv,
-                score: aggregate.score(&cv),
-            }
+        .map(|(facility, costs)| TopKEntry {
+            facility,
+            costs,
+            score: aggregate.score(&costs),
         })
         .collect();
     entries.sort_by(|a, b| {
@@ -312,19 +284,8 @@ pub fn baseline_topk<S: StoreView + ?Sized, F: AggregateCost>(
             .then(a.facility.cmp(&b.facility))
     });
     entries.truncate(k);
-
-    let stats = QueryStats {
-        algorithm: "Baseline".to_string(),
-        elapsed: started.elapsed(),
-        io: access.io_stats() - start_io,
-        nodes_settled,
-        heap_pushes,
-        heap_pops,
-        candidates: total,
-        pinned: total,
-        dominance_checks: 0,
-        result_size: entries.len(),
-    };
+    stats.elapsed = started.elapsed();
+    stats.result_size = entries.len();
     TopKResult { entries, stats }
 }
 

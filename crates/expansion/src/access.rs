@@ -179,12 +179,6 @@ impl<S: StoreView + ?Sized> SharedAccess<S> {
         &self.store
     }
 
-    /// Number of distinct nodes whose adjacency has been fetched ("expanded"
-    /// nodes in the paper's terminology).
-    pub fn expanded_nodes(&self) -> usize {
-        self.adjacency.lock().spans.len()
-    }
-
     /// Cache reuse counters.
     pub fn sharing_stats(&self) -> SharingStats {
         let (adjacency_reuses, adjacency_fetches) = {
@@ -311,7 +305,7 @@ mod tests {
         assert_eq!(access.io_stats().logical_reads, logical_after_first);
         assert_eq!(a, store.adjacency(NodeId::new(1)).entries);
         assert!(a == b && b == c);
-        assert_eq!(access.expanded_nodes(), 1);
+        assert_eq!(access.adjacency.lock().spans.len(), 1);
         let s = access.sharing_stats();
         assert_eq!(s.adjacency_fetches, 1);
         assert_eq!(s.adjacency_reuses, 2);
@@ -339,7 +333,7 @@ mod tests {
         assert_eq!(gathered[..expected[1].len()], expected[1][..]);
         let s = access.sharing_stats();
         assert_eq!((s.adjacency_fetches, s.adjacency_reuses), (4, 5));
-        assert_eq!(access.expanded_nodes(), 4);
+        assert_eq!(access.adjacency.lock().spans.len(), 4);
     }
 
     #[test]

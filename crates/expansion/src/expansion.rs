@@ -219,11 +219,6 @@ impl<A: NetworkAccess> Expansion<A> {
         self.frontier.heap.peek().map(|e| e.key)
     }
 
-    /// True iff nothing remains in the frontier.
-    pub fn is_exhausted(&self) -> bool {
-        self.frontier.heap.is_empty()
-    }
-
     /// Replaces the facility mode (used when a query transitions from the
     /// growing to the shrinking stage).
     pub fn set_facility_mode(&mut self, mode: FacilityMode) {
@@ -413,7 +408,7 @@ mod tests {
         assert_eq!(ex.next_nearest(), Some((FacilityId::new(0), 1.0)));
         assert_eq!(ex.next_nearest(), Some((FacilityId::new(1), 5.0)));
         assert_eq!(ex.next_nearest(), None);
-        assert!(ex.is_exhausted());
+        assert_eq!(ex.frontier_bound(), None);
     }
 
     #[test]

@@ -93,13 +93,6 @@ impl GraphBuilder {
         id
     }
 
-    /// Adds a node without coordinates and returns its identifier.
-    pub fn add_node_without_position(&mut self) -> NodeId {
-        let id = NodeId::from(self.nodes.len());
-        self.nodes.push(Node::without_position(id));
-        id
-    }
-
     fn validate_edge(
         &self,
         id: EdgeId,

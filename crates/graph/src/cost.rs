@@ -43,25 +43,6 @@ impl CostVec {
         }
     }
 
-    /// Creates a vector with `d` cost types all equal to `value`.
-    #[inline]
-    pub fn splat(d: usize, value: f64) -> Self {
-        let mut v = Self::zeros(d);
-        for i in 0..d {
-            v.values[i] = value;
-        }
-        v
-    }
-
-    /// Creates a vector with `d` cost types all equal to `f64::INFINITY`.
-    ///
-    /// Useful as the identity for element-wise minima and as the "unknown /
-    /// unreached" distance in expansion algorithms.
-    #[inline]
-    pub fn infinity(d: usize) -> Self {
-        Self::splat(d, f64::INFINITY)
-    }
-
     /// Creates a cost vector from a slice.
     ///
     /// # Panics
@@ -107,12 +88,6 @@ impl CostVec {
     #[inline]
     pub fn is_valid(&self) -> bool {
         self.as_slice().iter().all(|&c| c.is_finite() && c >= 0.0)
-    }
-
-    /// Returns true iff every component is non-negative (infinities allowed).
-    #[inline]
-    pub fn is_non_negative(&self) -> bool {
-        self.as_slice().iter().all(|&c| c >= 0.0)
     }
 
     /// Element-wise sum of all components.
@@ -265,14 +240,10 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn zeros_and_splat() {
+    fn zeros_sets_every_cost_type_to_zero() {
         let z = CostVec::zeros(3);
         assert_eq!(z.len(), 3);
         assert_eq!(z.as_slice(), &[0.0, 0.0, 0.0]);
-        let s = CostVec::splat(2, 4.5);
-        assert_eq!(s.as_slice(), &[4.5, 4.5]);
-        let inf = CostVec::infinity(2);
-        assert!(inf[0].is_infinite() && inf[1].is_infinite());
     }
 
     #[test]
@@ -342,8 +313,7 @@ mod tests {
     fn validity_checks() {
         assert!(CostVec::from_slice(&[0.0, 1.0]).is_valid());
         assert!(!CostVec::from_slice(&[-1.0, 1.0]).is_valid());
-        assert!(!CostVec::infinity(2).is_valid());
-        assert!(CostVec::infinity(2).is_non_negative());
+        assert!(!CostVec::from_slice(&[f64::INFINITY, 1.0]).is_valid());
     }
 
     #[test]

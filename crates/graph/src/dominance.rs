@@ -5,29 +5,16 @@
 //! `p` iff `c_i(p') ≤ c_i(p)` for every cost type `i` and `c_j(p') < c_j(p)`
 //! for at least one `j`.
 //!
-//! Two families of tests live here. [`dominates`], [`dominates_weak`] and
-//! [`relation`] take [`CostVec`]s of any width and stop at the first
-//! deciding lane. [`weakly_dominates`] and [`dominates_strictly`] take
-//! `[f64; D]` arrays and compare every lane without an early exit, so a
-//! search compiled for one width `D` runs them as straight-line code;
-//! [`lex_cmp`] orders such arrays as [`CostVec::lex_cmp`] orders vectors,
-//! and [`lanes`] turns a cost slice into one.
+//! Two families of tests live here. [`dominates`] and [`dominates_weak`]
+//! take [`CostVec`]s of any width and stop at the first deciding lane.
+//! [`weakly_dominates`] and [`dominates_strictly`] take `[f64; D]` arrays
+//! and compare every lane without an early exit, so a search compiled for
+//! one width `D` runs them as straight-line code; [`lex_cmp`] orders such
+//! arrays as [`CostVec::lex_cmp`] orders vectors, and [`lanes`] turns a
+//! cost slice into one.
 
 use crate::cost::CostVec;
 use std::cmp::Ordering;
-
-/// The possible Pareto relations between two cost vectors.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DominanceRelation {
-    /// The first vector dominates the second.
-    Dominates,
-    /// The second vector dominates the first.
-    DominatedBy,
-    /// The two vectors are identical in every component.
-    Equal,
-    /// Neither vector dominates the other (they are incomparable).
-    Incomparable,
-}
 
 /// Returns true iff `a` dominates `b`: `a` is no larger in every component and
 /// strictly smaller in at least one.
@@ -57,36 +44,6 @@ pub fn dominates(a: &CostVec, b: &CostVec) -> bool {
 pub fn dominates_weak(a: &CostVec, b: &CostVec) -> bool {
     debug_assert_eq!(a.len(), b.len(), "dimensionality mismatch");
     a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x <= y)
-}
-
-/// Returns true iff neither vector dominates the other and they are not equal.
-#[inline]
-pub fn incomparable(a: &CostVec, b: &CostVec) -> bool {
-    relation(a, b) == DominanceRelation::Incomparable
-}
-
-/// Computes the full [`DominanceRelation`] between `a` and `b` in one pass.
-#[inline]
-pub fn relation(a: &CostVec, b: &CostVec) -> DominanceRelation {
-    debug_assert_eq!(a.len(), b.len(), "dimensionality mismatch");
-    let mut a_smaller = false;
-    let mut b_smaller = false;
-    for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-        if x < y {
-            a_smaller = true;
-        } else if y < x {
-            b_smaller = true;
-        }
-        if a_smaller && b_smaller {
-            return DominanceRelation::Incomparable;
-        }
-    }
-    match (a_smaller, b_smaller) {
-        (true, false) => DominanceRelation::Dominates,
-        (false, true) => DominanceRelation::DominatedBy,
-        (false, false) => DominanceRelation::Equal,
-        (true, true) => unreachable!("handled by early return"),
-    }
 }
 
 /// Partial-information dominance used during the shrinking stage of LSA/CEA.
@@ -180,34 +137,12 @@ mod tests {
     }
 
     #[test]
-    fn relation_covers_all_cases() {
-        assert_eq!(
-            relation(&cv(&[1.0, 1.0]), &cv(&[2.0, 2.0])),
-            DominanceRelation::Dominates
-        );
-        assert_eq!(
-            relation(&cv(&[2.0, 2.0]), &cv(&[1.0, 1.0])),
-            DominanceRelation::DominatedBy
-        );
-        assert_eq!(
-            relation(&cv(&[1.0, 1.0]), &cv(&[1.0, 1.0])),
-            DominanceRelation::Equal
-        );
-        assert_eq!(
-            relation(&cv(&[1.0, 3.0]), &cv(&[3.0, 1.0])),
-            DominanceRelation::Incomparable
-        );
-        assert!(incomparable(&cv(&[1.0, 3.0]), &cv(&[3.0, 1.0])));
-        assert!(!incomparable(&cv(&[1.0, 1.0]), &cv(&[1.0, 1.0])));
-    }
-
-    #[test]
     fn paper_figure1_example() {
         // p1 = (20 min, 0 $), p2 = (10 min, 1 $): neither dominates the other,
         // both belong to the skyline (paper Figure 1 discussion).
         let p1 = cv(&[20.0, 0.0]);
         let p2 = cv(&[10.0, 1.0]);
-        assert_eq!(relation(&p1, &p2), DominanceRelation::Incomparable);
+        assert!(!dominates_weak(&p1, &p2) && !dominates_weak(&p2, &p1));
     }
 
     #[test]
@@ -319,22 +254,13 @@ mod tests {
             prop_assume!(a.len() == b.len());
             let ca = cv(&a);
             let cb = cv(&b);
-            match relation(&ca, &cb) {
-                DominanceRelation::Dominates => {
-                    prop_assert!(dominates(&ca, &cb));
-                    prop_assert!(dominates_weak(&ca, &cb));
-                }
-                DominanceRelation::DominatedBy => {
-                    prop_assert!(dominates(&cb, &ca));
-                }
-                DominanceRelation::Equal => {
-                    prop_assert!(!dominates(&ca, &cb) && !dominates(&cb, &ca));
-                    prop_assert!(dominates_weak(&ca, &cb) && dominates_weak(&cb, &ca));
-                }
-                DominanceRelation::Incomparable => {
-                    prop_assert!(!dominates(&ca, &cb) && !dominates(&cb, &ca));
-                }
-            }
+            // Strict dominance is weak dominance without equality.
+            prop_assert_eq!(
+                dominates(&ca, &cb),
+                dominates_weak(&ca, &cb) && !dominates_weak(&cb, &ca)
+            );
+            // A vector weakly dominates itself and never dominates itself.
+            prop_assert!(dominates_weak(&ca, &ca) && !dominates(&ca, &ca));
         }
 
         #[test]

@@ -1,6 +1,5 @@
 //! Facilities (points of interest) lying on network edges.
 
-use crate::cost::CostVec;
 use crate::ids::{EdgeId, FacilityId};
 
 /// A facility (point of interest) lying on an edge of the MCN.
@@ -34,18 +33,6 @@ impl Facility {
         );
         Self { id, edge, position }
     }
-
-    /// Partial cost vector from the edge's **source** end-node to the facility.
-    #[inline]
-    pub fn partial_from_source(&self, edge_costs: &CostVec) -> CostVec {
-        edge_costs.scale(self.position)
-    }
-
-    /// Partial cost vector from the edge's **target** end-node to the facility.
-    #[inline]
-    pub fn partial_from_target(&self, edge_costs: &CostVec) -> CostVec {
-        edge_costs.scale(1.0 - self.position)
-    }
 }
 
 #[cfg(test)]
@@ -53,23 +40,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn partial_weights_sum_to_edge_costs() {
-        let f = Facility::new(FacilityId::new(0), EdgeId::new(3), 0.25);
-        let w = CostVec::from_slice(&[8.0, 4.0]);
-        let a = f.partial_from_source(&w);
-        let b = f.partial_from_target(&w);
-        assert_eq!(a.as_slice(), &[2.0, 1.0]);
-        assert_eq!(b.as_slice(), &[6.0, 3.0]);
-        assert_eq!((a + b).as_slice(), w.as_slice());
-    }
-
-    #[test]
     fn endpoints_are_allowed() {
         let at_source = Facility::new(FacilityId::new(1), EdgeId::new(0), 0.0);
         let at_target = Facility::new(FacilityId::new(2), EdgeId::new(0), 1.0);
-        let w = CostVec::from_slice(&[10.0]);
-        assert_eq!(at_source.partial_from_source(&w).as_slice(), &[0.0]);
-        assert_eq!(at_target.partial_from_target(&w).as_slice(), &[0.0]);
+        assert_eq!((at_source.position, at_target.position), (0.0, 1.0));
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //! the same multiset of points, so switching the fast path on cannot change
 //! a single label count.
 
-use crate::cost::CostVec;
-
 /// A 2-dimensional Pareto front under *minimisation*, kept sorted by the
 /// first component ascending (and, as an invariant, the second component
 /// strictly descending).
@@ -89,25 +87,6 @@ impl Front2 {
         true
     }
 
-    /// [`Front2::insert`] for a [`CostVec`] (which must have `len() == 2`).
-    ///
-    /// # Panics
-    /// Panics if the vector is not 2-dimensional.
-    pub fn insert_vec(&mut self, costs: &CostVec) -> bool {
-        assert_eq!(costs.len(), 2, "Front2 is strictly bicriterion");
-        self.insert(costs[0], costs[1])
-    }
-
-    /// [`Front2::dominates_weak`] for a [`CostVec`] (which must have
-    /// `len() == 2`).
-    ///
-    /// # Panics
-    /// Panics if the vector is not 2-dimensional.
-    pub fn dominates_weak_vec(&self, costs: &CostVec) -> bool {
-        assert_eq!(costs.len(), 2, "Front2 is strictly bicriterion");
-        self.dominates_weak(costs[0], costs[1])
-    }
-
     /// The points of the front, sorted by first component ascending.
     pub fn points(&self) -> &[(f64, f64)] {
         &self.points
@@ -117,6 +96,7 @@ impl Front2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostVec;
     use crate::dominance::{dominates, dominates_weak};
 
     /// Pairwise reference model of the same weak/strict dominance protocol.
@@ -198,12 +178,16 @@ mod tests {
             let p = vec2(next(), next());
             // The query answer must agree *before* mutation...
             assert_eq!(
-                fast.dominates_weak_vec(&p),
+                fast.dominates_weak(p[0], p[1]),
                 reference.dominates_weak(&p),
                 "query diverged at {p:?}"
             );
             // ...and the insertion outcome must agree too.
-            assert_eq!(fast.insert_vec(&p), reference.insert(p), "insert diverged");
+            assert_eq!(
+                fast.insert(p[0], p[1]),
+                reference.insert(p),
+                "insert diverged"
+            );
             assert_eq!(fast.len(), reference.points.len());
         }
         // Final fronts hold the same point set.
@@ -220,12 +204,5 @@ mod tests {
         got.sort_unstable();
         want.sort_unstable();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly bicriterion")]
-    fn rejects_higher_dimensional_vectors() {
-        let mut f = Front2::new();
-        f.insert_vec(&CostVec::from_slice(&[1.0, 2.0, 3.0]));
     }
 }

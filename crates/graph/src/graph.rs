@@ -230,13 +230,6 @@ impl MultiCostGraph {
         }
         count == self.nodes.len()
     }
-
-    /// Total size of the facility set grouped by edge, useful for sanity checks.
-    pub fn facility_histogram(&self) -> Vec<usize> {
-        (0..self.edges.len())
-            .map(|e| self.edge_facilities.row(e).len())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -313,11 +306,5 @@ mod tests {
     fn average_degree() {
         let g = triangle();
         assert!((g.average_degree() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn facility_histogram_counts_per_edge() {
-        let g = triangle();
-        assert_eq!(g.facility_histogram(), vec![0, 0, 1]);
     }
 }

@@ -11,7 +11,7 @@
 //! point in the interior of an edge.
 //!
 //! This crate contains only the logical model: identifiers, cost vectors and
-//! dominance tests, nodes/edges/facilities, network locations, paths, and a
+//! dominance tests, nodes/edges/facilities, network locations, and a
 //! validated [`GraphBuilder`]. The disk-resident representation used by the query
 //! algorithms lives in `mcn-storage`; the algorithms themselves live in `mcn-core`.
 //!
@@ -49,11 +49,10 @@ pub mod ids;
 pub mod location;
 pub mod node;
 pub mod partition;
-pub mod path;
 
 pub use builder::GraphBuilder;
 pub use cost::{CostVec, MAX_COST_TYPES};
-pub use dominance::{dominates, dominates_weak, incomparable, DominanceRelation};
+pub use dominance::{dominates, dominates_weak};
 pub use edge::Edge;
 pub use error::GraphError;
 pub use facility::Facility;
@@ -63,7 +62,6 @@ pub use ids::{EdgeId, FacilityId, NodeId, RegionId};
 pub use location::NetworkLocation;
 pub use node::Node;
 pub use partition::{partition_graph, PartitionMap, PartitionSpec};
-pub use path::Path;
 
 /// Compile-time thread-safety proof: instantiated in a `const _` next to
 /// each shared type, so the build fails the moment a field change makes the

@@ -27,12 +27,6 @@ pub enum NetworkLocation {
 }
 
 impl NetworkLocation {
-    /// Convenience constructor for a location at a node.
-    #[inline]
-    pub fn at_node(node: NodeId) -> Self {
-        NetworkLocation::Node(node)
-    }
-
     /// Convenience constructor for a location along an edge.
     ///
     /// # Panics
@@ -117,15 +111,6 @@ impl MultiCostGraph {
             }
         }
     }
-
-    /// Returns the [`NetworkLocation`] of a facility.
-    pub fn facility_location(&self, facility: FacilityId) -> NetworkLocation {
-        let f = self.facility(facility);
-        NetworkLocation::OnEdge {
-            edge: f.edge,
-            position: f.position,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +139,7 @@ mod tests {
     #[test]
     fn node_location_access_is_trivial() {
         let g = line_graph();
-        let acc = g.location_access(NetworkLocation::at_node(NodeId::new(1)));
+        let acc = g.location_access(NetworkLocation::Node(NodeId::new(1)));
         assert_eq!(acc.node_costs.len(), 1);
         assert_eq!(acc.node_costs[0].0, NodeId::new(1));
         assert_eq!(acc.node_costs[0].1.as_slice(), &[0.0, 0.0]);
@@ -199,19 +184,6 @@ mod tests {
         assert_eq!(acc.direct_facilities.len(), 1);
         assert_eq!(acc.direct_facilities[0].0, FacilityId::new(1));
         assert!((acc.direct_facilities[0].1[0] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn facility_location_roundtrip() {
-        let g = line_graph();
-        let loc = g.facility_location(FacilityId::new(1));
-        assert_eq!(
-            loc,
-            NetworkLocation::OnEdge {
-                edge: EdgeId::new(1),
-                position: 0.25
-            }
-        );
     }
 
     #[test]

@@ -43,6 +43,11 @@
 //!   survivors become [`mcn_graph::CostVec`]s again, for the path-order
 //!   re-filter.
 //!
+//! Both report their search effort as [`mcn_alpha::ScalarStats`] (the
+//! skyline counting labels where the α search counts nodes), and
+//! [`RouteIndex::alpha_path`] returns the same [`mcn_alpha::ScalarResult`]
+//! as the direct α search.
+//!
 //! Both inherit the **exact ties caveat** documented on
 //! [`mcn_mcpp::pareto_paths`]: on graphs with exactly tied cost vectors the
 //! surviving *representative* path may differ; the continuous float costs
@@ -62,7 +67,7 @@ pub mod query;
 pub mod structure;
 
 pub use config::IndexConfig;
-pub use query::{IndexAlphaResult, IndexQueryStats, IndexSkylineResult};
+pub use query::IndexSkylineResult;
 pub use structure::{ArcEntry, Fragment, RouteIndex, UpArc};
 
 /// Compile-time thread-safety proof, mirrored from the other workspace

@@ -2,37 +2,12 @@
 //! query kinds byte-identically to the prep-backed tier.
 
 use crate::structure::{pareto_merge, pareto_merge_d, RouteIndex, UpArc};
-use mcn_alpha::{Preference, ScalarPath};
+use mcn_alpha::{Preference, ScalarPath, ScalarResult, ScalarStats};
 use mcn_graph::dominance::{lanes, lex_cmp};
 use mcn_graph::{CostVec, EdgeId, MultiCostGraph, NodeId, MAX_COST_TYPES};
 use mcn_mcpp::ParetoLabel;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-
-/// Search counters of one index-served query, comparable to the settled /
-/// pushed / pruned counters of the prep-backed tier.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IndexQueryStats {
-    /// Nodes (alpha) or labels (skyline) taken from the frontier.
-    pub settled: u64,
-    /// Heap pushes (alpha) or labels inserted (skyline).
-    pub pushed: u64,
-    /// Upward-arc bundle entries examined.
-    pub relaxed: u64,
-    /// Stale pops, non-improving relaxations and dominance rejections.
-    pub pruned: u64,
-}
-
-/// Outcome of [`RouteIndex::alpha_path`]: the α-optimal path (None iff the
-/// target is unreachable) plus the search counters.
-#[derive(Clone, Debug, PartialEq)]
-pub struct IndexAlphaResult {
-    /// The α-optimal path, byte-identical to
-    /// [`mcn_alpha::scalarized_path`]'s.
-    pub path: Option<ScalarPath>,
-    /// Search counters.
-    pub stats: IndexQueryStats,
-}
 
 /// Outcome of [`RouteIndex::skyline_paths`]: the full path skyline plus the
 /// search counters.
@@ -41,8 +16,11 @@ pub struct IndexSkylineResult {
     /// The path skyline in lexicographic cost order, byte-identical to
     /// `mcn_mcpp::pareto_paths_prepped`'s.
     pub paths: Vec<ParetoLabel>,
-    /// Search counters.
-    pub stats: IndexQueryStats,
+    /// Search counters of the upward label searches, which count labels
+    /// where the α search counts nodes: `settled` labels taken from the
+    /// queues, `pushed` labels inserted, `relaxed` upward-arc bundle
+    /// entries examined, `pruned` stale pops and dominance rejections.
+    pub stats: ScalarStats,
 }
 
 /// Heap entry of the scalarized upward Dijkstra — the same reversed
@@ -127,7 +105,7 @@ fn alpha_step(
     pref: &Preference,
     best: &mut f64,
     meet: &mut Option<u32>,
-    stats: &mut IndexQueryStats,
+    stats: &mut ScalarStats,
 ) {
     let Some(top) = side.heap.peek().copied() else {
         side.stopped = true;
@@ -257,7 +235,8 @@ impl RouteIndex {
     /// returned totals and cost vectors are recomputed edge-by-edge in path
     /// order after unpacking, so the result is byte-identical to
     /// [`mcn_alpha::scalarized_path`] (up to the exact-ties caveat on the
-    /// crate docs).
+    /// crate docs). The counters are the α search's, with `relaxed`
+    /// counting upward-arc bundle entries examined.
     ///
     /// # Panics
     /// Panics if the index shape does not match `graph`/`pref` or an
@@ -268,15 +247,15 @@ impl RouteIndex {
         source: NodeId,
         target: NodeId,
         pref: &Preference,
-    ) -> IndexAlphaResult {
+    ) -> ScalarResult {
         assert_eq!(self.num_nodes, graph.num_nodes(), "index/graph node count");
         assert_eq!(self.dims, graph.num_cost_types(), "index/graph dims");
         assert_eq!(pref.cost_types(), self.dims, "preference dims");
         self.check_endpoints(source, target);
-        let mut stats = IndexQueryStats::default();
+        let mut stats = ScalarStats::default();
         if source == target {
             stats.settled = 1;
-            return IndexAlphaResult {
+            return ScalarResult {
                 path: Some(ScalarPath {
                     total: 0.0,
                     costs: CostVec::zeros(self.dims),
@@ -327,7 +306,7 @@ impl RouteIndex {
         }
 
         let Some(m) = meet else {
-            return IndexAlphaResult { path: None, stats };
+            return ScalarResult { path: None, stats };
         };
 
         // Unpack: forward fragments walk meet → source (each travels
@@ -358,7 +337,7 @@ impl RouteIndex {
             total += pref.cost_of(e.costs.as_slice());
             costs += e.costs;
         }
-        IndexAlphaResult {
+        ScalarResult {
             path: Some(ScalarPath {
                 total,
                 costs,
@@ -388,7 +367,7 @@ impl RouteIndex {
         assert_eq!(self.num_nodes, graph.num_nodes(), "index/graph node count");
         assert_eq!(self.dims, graph.num_cost_types(), "index/graph dims");
         self.check_endpoints(source, target);
-        let mut stats = IndexQueryStats::default();
+        let mut stats = ScalarStats::default();
         if source == target {
             stats.settled = 1;
             return IndexSkylineResult {
@@ -426,7 +405,7 @@ impl RouteIndex {
         source: NodeId,
         target: NodeId,
     ) -> IndexSkylineResult {
-        let mut stats = IndexQueryStats::default();
+        let mut stats = ScalarStats::default();
         let fwd = self.upward_labels::<D>(source.raw(), &self.up_out, &mut stats);
         let bwd = self.upward_labels::<D>(target.raw(), &self.up_in, &mut stats);
 
@@ -493,7 +472,7 @@ impl RouteIndex {
         &self,
         start: u32,
         arcs: &[Vec<UpArc>],
-        stats: &mut IndexQueryStats,
+        stats: &mut ScalarStats,
     ) -> UpwardLabels<D> {
         let mut sets: Vec<Vec<([f64; D], u32)>> = vec![Vec::new(); self.num_nodes];
         let mut arena: Vec<Link> = Vec::new();

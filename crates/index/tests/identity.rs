@@ -1,10 +1,10 @@
 //! Byte-identity of index-served answers against the direct algorithms on
 //! seeded synthetic networks.
 
-use mcn_alpha::{scalarized_path, Preference};
+use mcn_alpha::{scalarized_path, Preference, ScalarStats};
 use mcn_gen::{generate_workload, CostDistribution, WorkloadSpec};
 use mcn_graph::{EdgeId, GraphBuilder, MultiCostGraph, NodeId, MAX_COST_TYPES};
-use mcn_index::{IndexConfig, IndexQueryStats, RouteIndex};
+use mcn_index::{IndexConfig, RouteIndex};
 use mcn_mcpp::{pareto_paths, pareto_paths_prepped, ParetoLabel};
 use mcn_prep::PrepTable;
 
@@ -100,8 +100,8 @@ fn bits(paths: &[ParetoLabel]) -> Vec<(Vec<u64>, Vec<EdgeId>)> {
         .collect()
 }
 
-/// An [`IndexQueryStats`] as `[settled, pushed, relaxed, pruned]`.
-fn counters(s: IndexQueryStats) -> [u64; 4] {
+/// A [`ScalarStats`] as `[settled, pushed, relaxed, pruned]`.
+fn counters(s: ScalarStats) -> [u64; 4] {
     [s.settled, s.pushed, s.relaxed, s.pruned]
 }
 

@@ -14,10 +14,10 @@
 //! them):
 //!
 //! * [`PrepTable`] — the scan result: per-cost **lower bounds** `L(v)` for
-//!   every node, per-edge forward bounds, and up to `d` concrete
-//!   upper-bound paths ([`PrepTable::upper_bound_cuts`]), stored as flat
-//!   `n × d` arrays, plus the summed-cost distance `S(v)`
-//!   ([`PrepTable::sum_bound`]) the α tier bounds weighted sums with.
+//!   every node and up to `d` concrete upper-bound paths
+//!   ([`PrepTable::upper_bound_cuts`]), stored as flat `n × d` arrays, plus
+//!   the summed-cost distance `S(v)` ([`PrepTable::sum_bound`]) the α tier
+//!   bounds weighted sums with.
 //! * [`PrepCache`] — a bounded, thread-safe LRU of tables keyed by target
 //!   node, so concurrent query batches towards popular targets share one
 //!   scan (`mcn-engine` serves `QueryRequest::PathSkyline` through it).

@@ -55,11 +55,6 @@ pub struct PrepTable {
     /// column's share of every cached table and loosens the bound by at
     /// most `2⁻²³` of `S(v)`.
     sums: Vec<f32>,
-    /// Edge relaxations performed by the scan (a deterministic cost metric).
-    relaxations: u64,
-    /// Queue pops performed by the scan — the "nodes settled" analogue the
-    /// serving tiers compare their own settle counts against.
-    settled: u64,
 }
 
 const _: () = crate::assert_send_sync::<PrepTable>();
@@ -71,8 +66,7 @@ impl PrepTable {
     /// relaxing every edge that can be traversed *towards* the queue node.
     /// Deterministic: iteration order is the graph's adjacency order and the
     /// queue is FIFO. A second FIFO pass over the same edges computes the
-    /// summed-cost distances; [`PrepTable::settled`] and
-    /// [`PrepTable::relaxations`] count the first pass only.
+    /// summed-cost distances.
     ///
     /// # Panics
     /// Panics if `target` is out of range.
@@ -86,8 +80,6 @@ impl PrepTable {
         assert!(target.index() < n, "target {target} out of range");
         let mut bounds = vec![f64::INFINITY; n * d];
         let mut parents = vec![NO_PARENT; n * d];
-        let mut relaxations = 0u64;
-        let mut settled = 0u64;
         bounds[target.index() * d..][..d].fill(0.0);
 
         let mut queue = VecDeque::with_capacity(n);
@@ -98,7 +90,6 @@ impl PrepTable {
         let mut reached = [0.0; MAX_COST_TYPES];
         while let Some(u) = queue.pop_front() {
             queued[u.index()] = false;
-            settled += 1;
             reached[..d].copy_from_slice(&bounds[u.index() * d..][..d]);
             for &eid in graph.incident_edges(u) {
                 let e = graph.edge(eid);
@@ -108,7 +99,6 @@ impl PrepTable {
                 if !e.traversable_from(v) {
                     continue;
                 }
-                relaxations += 1;
                 let row = v.index() * d;
                 let mut improved = false;
                 for i in 0..d {
@@ -133,8 +123,6 @@ impl PrepTable {
             bounds,
             parents,
             sums,
-            relaxations,
-            settled,
         }
     }
 
@@ -192,22 +180,6 @@ impl PrepTable {
         self.bounds.len() / self.cost_types
     }
 
-    /// Edge relaxations the scan performed — a deterministic cost metric
-    /// for the precomputation itself.
-    #[inline]
-    pub fn relaxations(&self) -> u64 {
-        self.relaxations
-    }
-
-    /// Queue pops the scan performed — the scan's settled-node count. A
-    /// cold-cache query pays this on top of its own search, which is what
-    /// the index gate's measurement charges the prep-backed tier per cold
-    /// target.
-    #[inline]
-    pub fn settled(&self) -> u64 {
-        self.settled
-    }
-
     /// The lower-bound vector `L(v)`, `d` long: component `i` is the
     /// cost-`i` shortest-path distance from `v` to the target (`∞` when
     /// unreachable).
@@ -247,28 +219,6 @@ impl PrepTable {
             .step_by(self.cost_types)
             .filter(|b| b.is_finite())
             .count()
-    }
-
-    /// The **per-edge forward bound**: the minimum possible cost vector of
-    /// any path to the target that leaves `from` through `edge`, i.e.
-    /// `w(edge) + L(other end)`. Every component is `∞` when the edge leads
-    /// away from the target for good.
-    ///
-    /// # Panics
-    /// Panics if `edge` is not traversable from `from` (respecting
-    /// direction) or ids are out of range.
-    pub fn forward_bound(&self, graph: &MultiCostGraph, edge: EdgeId, from: NodeId) -> CostVec {
-        let e = graph.edge(edge);
-        assert!(
-            e.traversable_from(from),
-            "edge {edge} is not traversable from {from}"
-        );
-        let next = e.opposite(from);
-        let mut out = CostVec::from_slice(self.bound(next));
-        for i in 0..self.cost_types {
-            out[i] += e.costs[i];
-        }
-        out
     }
 
     /// Reconstructs up to `d` concrete `source → target` paths — one per
@@ -363,9 +313,6 @@ mod tests {
         assert_eq!(prep.sum_bound(t), 0.0);
         assert!(prep.reaches(s));
         assert_eq!(prep.reachable_nodes(), 4);
-        assert!(prep.relaxations() > 0);
-        // Every node improves at least once, so every node pops at least once.
-        assert!(prep.settled() >= 4);
     }
 
     #[test]
@@ -420,15 +367,5 @@ mod tests {
         assert_eq!(round_down_to_f32(1e300), f32::MAX);
         assert_eq!(round_down_to_f32(f64::INFINITY), f32::INFINITY);
         assert_eq!(round_down_to_f32(0.0), 0.0);
-    }
-
-    #[test]
-    fn forward_bound_adds_the_edge_cost() {
-        let (g, s, t) = diamond();
-        let prep = PrepTable::build(&g, t);
-        let first_edge = g.incident_edges(s)[0];
-        let bound = prep.forward_bound(&g, first_edge, s);
-        // Via the upper middle node: edge (1, 10) + L(up) = (1, 10).
-        assert_eq!(bound.as_slice(), &[2.0, 20.0]);
     }
 }

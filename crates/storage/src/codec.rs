@@ -45,11 +45,6 @@ impl<'a> RecordWriter<'a> {
         self.put(&v.to_le_bytes());
     }
 
-    /// Appends a little-endian `u64`.
-    pub fn put_u64(&mut self, v: u64) {
-        self.put(&v.to_le_bytes());
-    }
-
     /// Appends a little-endian `f64`.
     pub fn put_f64(&mut self, v: f64) {
         self.put(&v.to_le_bytes());
@@ -104,11 +99,6 @@ impl<'a> RecordReader<'a> {
         u32::from_le_bytes(self.take())
     }
 
-    /// Reads a little-endian `u64`.
-    pub fn get_u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.take())
-    }
-
     /// Reads a little-endian `f64`.
     pub fn get_f64(&mut self) -> f64 {
         f64::from_le_bytes(self.take())
@@ -127,16 +117,14 @@ mod tests {
             w.put_u8(7);
             w.put_u16(65535);
             w.put_u32(123_456_789);
-            w.put_u64(u64::MAX - 1);
             w.put_f64(3.5);
-            assert_eq!(w.position(), 1 + 2 + 4 + 8 + 8);
-            assert_eq!(w.remaining(), 64 - 23);
+            assert_eq!(w.position(), 1 + 2 + 4 + 8);
+            assert_eq!(w.remaining(), 64 - 15);
         }
         let mut r = RecordReader::new(&buf, 0);
         assert_eq!(r.get_u8(), 7);
         assert_eq!(r.get_u16(), 65535);
         assert_eq!(r.get_u32(), 123_456_789);
-        assert_eq!(r.get_u64(), u64::MAX - 1);
         assert_eq!(r.get_f64(), 3.5);
     }
 

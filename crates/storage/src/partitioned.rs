@@ -1,14 +1,13 @@
 //! Region-partitioned storage: one shard (disk + buffer pool) per graph
 //! region behind the shared [`StoreView`] read API.
 //!
-//! A [`PartitionedStore`] slices a network along a
-//! [`PartitionMap`](mcn_graph::PartitionMap) (see `mcn_graph::partition`):
-//! each region gets its **own** [`MCNStore`] — own [`DiskManager`], own
-//! pages, own LRU [`BufferPool`](crate::BufferPool) — holding the adjacency
-//! records of its nodes, the facility runs of its incident edges, and full
-//! replicas of the (small) facility tree and edge index. A single huge
-//! network can thereby spread across disks, and concurrent queries seeded in
-//! different regions touch disjoint pools.
+//! A [`PartitionedStore`] slices a network along a [`PartitionMap`] (see
+//! `mcn_graph::partition`): each region gets its **own** [`MCNStore`] — own
+//! [`DiskManager`], own pages, own LRU [`BufferPool`](crate::BufferPool) —
+//! holding the adjacency records of its nodes, the facility runs of its
+//! incident edges, and full replicas of the (small) facility tree and edge
+//! index. A single huge network can thereby spread across disks, and
+//! concurrent queries seeded in different regions touch disjoint pools.
 //!
 //! # Global page ids
 //!
@@ -193,11 +192,6 @@ impl PartitionedStore {
     /// Number of regions.
     pub fn num_regions(&self) -> usize {
         self.regions.len()
-    }
-
-    /// The region shards, in region order.
-    pub fn region_stores(&self) -> &[MCNStore] {
-        &self.regions
     }
 
     /// The region owning `node`.
@@ -630,7 +624,7 @@ mod tests {
         let mono = MCNStore::build_in_memory(&g, BufferConfig::Pages(32)).unwrap();
         // One region, same builder: the shard's header equals the
         // monolithic header.
-        assert_eq!(part.region_stores()[0].meta(), mono.meta());
+        assert_eq!(part.regions[0].meta(), mono.meta());
         assert_eq!(StoreView::data_pages(&part), StoreView::data_pages(&mono));
     }
 }

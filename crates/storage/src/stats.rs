@@ -4,8 +4,9 @@
 //! time). Because this reproduction runs on a simulated disk, raw wall-clock
 //! time would understate the difference between LSA and CEA; we therefore
 //! track logical reads, buffer hits/misses and physical page transfers
-//! explicitly, and let the benchmark harness *charge* a configurable latency
-//! per physical read to recover the paper's time axis.
+//! explicitly. The experiment harness charges a configurable latency per
+//! physical read on top of the measured CPU time to recover the paper's time
+//! axis (`AlgoMeasurement::charged_seconds` in `mcn-bench`).
 
 use std::ops::Sub;
 
@@ -33,15 +34,6 @@ impl IoStats {
         } else {
             self.buffer_hits as f64 / self.logical_reads as f64
         }
-    }
-
-    /// Charged I/O time in seconds assuming `latency` seconds per physical read.
-    ///
-    /// This is the model used by the experiment harness to reproduce the
-    /// paper's time axis: total time ≈ physical reads × random-read latency
-    /// (+ CPU, which the harness measures separately).
-    pub fn charged_read_time(&self, latency: f64) -> f64 {
-        self.physical_reads as f64 * latency
     }
 
     /// Publish this snapshot into a metrics registry under the given
@@ -118,15 +110,6 @@ mod tests {
             physical_writes: 0,
         };
         assert!((s.hit_ratio() - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn charged_time_scales_with_physical_reads() {
-        let s = IoStats {
-            physical_reads: 200,
-            ..Default::default()
-        };
-        assert!((s.charged_read_time(0.01) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -119,18 +119,6 @@ impl MCNStore {
         Self::build_on(graph, Arc::new(InMemoryDisk::new()), buffer)
     }
 
-    /// [`MCNStore::build_in_memory`] with a pinned buffer shard count.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn build_in_memory_with_shards(
-        graph: &MultiCostGraph,
-        buffer: BufferConfig,
-        shards: usize,
-    ) -> Result<Self, StorageError> {
-        Self::build_on_with_shards(graph, Arc::new(InMemoryDisk::new()), buffer, shards)
-    }
-
     /// Opens an already-built store by reading the header from page 0.
     pub fn open(disk: Arc<dyn DiskManager>, buffer: BufferConfig) -> Result<Self, StorageError> {
         let mut page = Page::zeroed();
@@ -139,25 +127,6 @@ impl MCNStore {
         let capacity = buffer.resolve(meta.data_pages as usize);
         Ok(Self {
             pool: BufferPool::new(disk, capacity),
-            meta,
-        })
-    }
-
-    /// [`MCNStore::open`] with a pinned buffer shard count.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    pub fn open_with_shards(
-        disk: Arc<dyn DiskManager>,
-        buffer: BufferConfig,
-        shards: usize,
-    ) -> Result<Self, StorageError> {
-        let mut page = Page::zeroed();
-        disk.read_page(PageId::new(0), &mut page);
-        let meta = StorageMeta::decode(&page)?;
-        let capacity = buffer.resolve(meta.data_pages as usize);
-        Ok(Self {
-            pool: BufferPool::with_shards(disk, capacity, shards),
             meta,
         })
     }
@@ -199,10 +168,11 @@ impl MCNStore {
     }
 
     /// Changes the buffer capacity (clears the cache, carries the hit/miss
-    /// counters over). A shard count pinned at construction (the
-    /// `*_with_shards` constructors) is preserved across the rebuild — it is
-    /// **not** silently reset to the capacity-derived default; an unpinned
-    /// pool re-derives its count from the new capacity as it always has.
+    /// counters over). A shard count pinned at construction
+    /// ([`MCNStore::build_on_with_shards`]) is preserved across the rebuild —
+    /// it is **not** silently reset to the capacity-derived default; an
+    /// unpinned pool re-derives its count from the new capacity as it always
+    /// has.
     pub fn set_buffer(&self, buffer: BufferConfig) {
         self.pool
             .set_capacity(buffer.resolve(self.meta.data_pages as usize));
@@ -437,7 +407,8 @@ mod tests {
         // The satellite contract: reconfiguring the buffer through the store
         // must not silently drop a shard count pinned at construction.
         let g = random_graph(6, 200, 100, 80);
-        let store = MCNStore::build_in_memory_with_shards(&g, BufferConfig::Pages(64), 1).unwrap();
+        let disk = Arc::new(InMemoryDisk::new());
+        let store = MCNStore::build_on_with_shards(&g, disk, BufferConfig::Pages(64), 1).unwrap();
         assert_eq!(store.buffer().shard_count(), 1);
         // The capacity-derived default for 64 pages would be 8 shards …
         store.set_buffer(BufferConfig::Pages(64));
@@ -454,17 +425,6 @@ mod tests {
         // Queries still answer correctly after the rebuilds.
         let adj = store.adjacency(NodeId::new(5));
         assert_eq!(adj.entries.len(), g.incident_edges(NodeId::new(5)).len());
-    }
-
-    #[test]
-    fn open_with_shards_pins_like_build() {
-        let g = random_graph(7, 60, 30, 20);
-        let disk: Arc<dyn DiskManager> = Arc::new(InMemoryDisk::new());
-        let _ = MCNStore::build_on(&g, disk.clone(), BufferConfig::Pages(8)).unwrap();
-        let reopened = MCNStore::open_with_shards(disk, BufferConfig::Pages(32), 2).unwrap();
-        assert_eq!(reopened.buffer().shard_count(), 2);
-        reopened.set_buffer(BufferConfig::Pages(64));
-        assert_eq!(reopened.buffer().shard_count(), 2);
     }
 
     #[test]

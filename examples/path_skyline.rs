@@ -47,10 +47,9 @@ fn main() {
     // 1. One backward scan from the depot, then the pruned search.
     let prep = PrepTable::build(&graph, depot);
     println!(
-        "prep scan towards {depot}: {} of {} nodes reach it, {} relaxations",
+        "prep scan towards {depot}: {} of {} nodes reach it",
         prep.reachable_nodes(),
-        graph.num_nodes(),
-        prep.relaxations()
+        graph.num_nodes()
     );
 
     let exhaustive = pareto_paths_exhaustive(&graph, pickup, depot);

@@ -6,11 +6,11 @@
 //! serial vs concurrent. The index skyline's outputs and search counters
 //! are pinned exactly on three fixed input sets.
 
-use mcn::alpha::{scalarized_path, Preference};
+use mcn::alpha::{scalarized_path, Preference, ScalarStats};
 use mcn::engine::{PathContext, QueryEngine, QueryOutput, QueryRequest};
 use mcn::gen::{generate_workload, CostDistribution, WorkloadSpec};
 use mcn::graph::{CostVec, GraphBuilder, MultiCostGraph, NodeId};
-use mcn::index::{IndexConfig, IndexQueryStats, RouteIndex};
+use mcn::index::{IndexConfig, RouteIndex};
 use mcn::mcpp::pareto_paths_prepped;
 use mcn::prep::PrepTable;
 use mcn::storage::{BufferConfig, MCNStore};
@@ -204,7 +204,7 @@ fn measure_skylines(cases: &[Case]) -> Vec<Row> {
             continue;
         }
         let mut fingerprint = FNV_OFFSET;
-        let mut sum = IndexQueryStats::default();
+        let mut sum = ScalarStats::default();
         for (_, graph, pairs) in cases.iter().filter(|case| case.0 == d) {
             let index = RouteIndex::build(graph, &IndexConfig::default());
             assert!(index.exact(), "d = {d}: pinned builds must stay exact");
