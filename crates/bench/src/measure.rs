@@ -6,6 +6,7 @@ use mcn_storage::{BufferConfig, MCNStore};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Which preference query an experiment measures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -19,7 +20,9 @@ pub enum QueryKind {
 /// Aggregated measurements of one algorithm at one data point.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct AlgoMeasurement {
-    /// Mean CPU (wall-clock) seconds per query.
+    /// Mean CPU seconds per query: the wall-clock time of each
+    /// `skyline_query`/`topk_query` call, timed around the call by
+    /// [`measure_point`] (the store is in memory, so no I/O wait is in it).
     pub cpu_seconds: f64,
     /// Mean physical page reads per query.
     pub physical_reads: f64,
@@ -43,8 +46,8 @@ impl AlgoMeasurement {
         self.cpu_seconds + self.physical_reads * latency
     }
 
-    fn accumulate(&mut self, stats: &QueryStats) {
-        self.cpu_seconds += stats.elapsed.as_secs_f64();
+    fn accumulate(&mut self, stats: &QueryStats, elapsed: Duration) {
+        self.cpu_seconds += elapsed.as_secs_f64();
         self.physical_reads += stats.io.buffer_misses as f64;
         self.logical_reads += stats.io.logical_reads as f64;
         self.hit_ratio += stats.io.hit_ratio();
@@ -136,13 +139,14 @@ pub fn measure_point(
         let weights: Vec<f64> = (0..d).map(|_| rng.gen_range(0.0..1.0)).collect();
         for (algo, acc) in [(Algorithm::Lsa, &mut lsa), (Algorithm::Cea, &mut cea)] {
             store.buffer().clear();
+            let started = Instant::now();
             let stats = match kind {
                 QueryKind::Skyline => skyline_query(&store, q, algo).stats,
                 QueryKind::TopK(k) => {
                     topk_query(&store, q, WeightedSum::new(weights.clone()), k, algo).stats
                 }
             };
-            acc.accumulate(&stats);
+            acc.accumulate(&stats, started.elapsed());
         }
     }
     lsa.finish(workload.queries.len());

@@ -8,7 +8,6 @@ use mcn_expansion::{seeds_for_location, Expansion, FacilityMode, NetworkAccess, 
 use mcn_graph::{CostVec, EdgeId, FacilityId, NetworkLocation};
 use mcn_storage::{IdMap, IoStats};
 use std::sync::Arc;
-use std::time::Instant;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Stage {
@@ -28,7 +27,6 @@ pub(crate) struct Coordinator<A: NetworkAccess> {
     pub(crate) dominance_checks: usize,
     algorithm: &'static str,
     start_io: IoStats,
-    started: Instant,
 }
 
 const _: () = crate::assert_send::<Coordinator<mcn_expansion::DirectAccess>>();
@@ -44,7 +42,6 @@ impl<A: NetworkAccess> Coordinator<A> {
     ) -> Self {
         let d = access.num_cost_types();
         let start_io = access.io_stats();
-        let started = Instant::now();
         let seeds = seeds_for_location(access.as_ref(), location);
         let expansions = (0..d)
             .map(|i| Expansion::with_pool(access.clone(), i, &seeds, FacilityMode::All, pool))
@@ -58,7 +55,6 @@ impl<A: NetworkAccess> Coordinator<A> {
             dominance_checks: 0,
             algorithm,
             start_io,
-            started,
         }
     }
 
@@ -143,7 +139,6 @@ impl<A: NetworkAccess> Coordinator<A> {
         }
         QueryStats {
             algorithm: self.algorithm.to_string(),
-            elapsed: self.started.elapsed(),
             io: self.access.io_stats() - self.start_io,
             nodes_settled,
             heap_pushes,

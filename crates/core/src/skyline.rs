@@ -32,7 +32,6 @@ use mcn_graph::{dominates_weak, CostVec, FacilityId, NetworkLocation, MAX_COST_T
 use mcn_storage::StoreView;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Which algorithm variant to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -301,7 +300,6 @@ pub fn baseline_skyline<S: StoreView + ?Sized>(
     store: &Arc<S>,
     location: NetworkLocation,
 ) -> SkylineResult {
-    let started = Instant::now();
     let (items, mut stats) = baseline_costs(store, location);
     let skyline_idx = mcn_skyline::block_nested_loops(&items);
     let mut facilities: Vec<SkylineFacility> = skyline_idx
@@ -312,7 +310,6 @@ pub fn baseline_skyline<S: StoreView + ?Sized>(
         })
         .collect();
     facilities.sort_by_key(|f| f.facility);
-    stats.elapsed = started.elapsed();
     stats.result_size = facilities.len();
     SkylineResult { facilities, stats }
 }
@@ -322,7 +319,7 @@ pub fn baseline_skyline<S: StoreView + ?Sized>(
 /// vector in facility order (`+∞` for a cost type whose expansion does not
 /// reach it). The stats hold the expansions' I/O and work counters and
 /// count every facility as a candidate and as pinned; the caller sets
-/// `elapsed` and `result_size`.
+/// `result_size`.
 pub(crate) fn baseline_costs<S: StoreView + ?Sized>(
     store: &Arc<S>,
     location: NetworkLocation,

@@ -1,9 +1,10 @@
 //! Per-query execution statistics.
 
 use mcn_storage::IoStats;
-use std::time::Duration;
 
-/// Execution statistics of one preference query.
+/// Execution statistics of one preference query: counts of work and I/O,
+/// no time. Whoever runs a query times it (the engine's
+/// `QueryOutcome::wall`, `measure_point` in `mcn-bench`).
 ///
 /// The paper reports total processing time, which in its setting is dominated
 /// by I/O (84–95 %). On the simulated disk used here, wall-clock time measures
@@ -14,8 +15,6 @@ use std::time::Duration;
 pub struct QueryStats {
     /// Name of the algorithm that produced the result (e.g. `"LSA"`, `"CEA"`).
     pub algorithm: String,
-    /// Wall-clock (CPU) time spent processing the query.
-    pub elapsed: Duration,
     /// I/O activity attributable to this query (difference of store snapshots).
     pub io: IoStats,
     /// Network nodes settled across all expansions.

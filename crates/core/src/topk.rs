@@ -19,7 +19,6 @@ use mcn_expansion::{DirectAccess, ExpansionStep, NetworkAccess, SharedAccess, Ta
 use mcn_graph::{CostVec, FacilityId, NetworkLocation};
 use mcn_storage::StoreView;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One member of a top-k result.
 #[derive(Clone, Debug, PartialEq)]
@@ -268,7 +267,6 @@ pub fn baseline_topk<S: StoreView + ?Sized, F: AggregateCost>(
     aggregate: F,
     k: usize,
 ) -> TopKResult {
-    let started = Instant::now();
     let (costs, mut stats) = baseline_costs(store, location);
     let mut entries: Vec<TopKEntry> = costs
         .into_iter()
@@ -284,7 +282,6 @@ pub fn baseline_topk<S: StoreView + ?Sized, F: AggregateCost>(
             .then(a.facility.cmp(&b.facility))
     });
     entries.truncate(k);
-    stats.elapsed = started.elapsed();
     stats.result_size = entries.len();
     TopKResult { entries, stats }
 }

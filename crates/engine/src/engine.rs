@@ -4,9 +4,7 @@ use crate::context::PathContext;
 use crate::request::{QueryOutcome, QueryRequest};
 use mcn_expansion::TablePool;
 use mcn_graph::RegionId;
-use mcn_obs::{
-    default_clock, Clock, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, Obs,
-};
+use mcn_obs::{default_clock, Clock, Obs};
 use mcn_prep::PrepCacheStats;
 use mcn_storage::{with_seed_region, IoStats, MCNStore, PartitionedStore, StoreView};
 use parking_lot::Mutex;
@@ -16,6 +14,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Aggregate statistics of one executed batch.
+///
+/// Per-query latency is not aggregated here: each outcome's
+/// [`QueryOutcome::wall`] is the one latency record, and per-tier
+/// percentiles are computed from it (grouped by [`QueryRequest::kind`]).
 #[derive(Clone, Debug)]
 pub struct BatchStats {
     /// Number of queries executed.
@@ -41,21 +43,6 @@ pub struct BatchStats {
     /// delta of the attached [`PathContext`]'s cache; all-zero when the
     /// engine has no path context or the batch had no path queries).
     pub prep_cache: PrepCacheStats,
-    /// Per-query latency over the whole batch (claim to completion on the
-    /// engine's clock) as a deterministic log2 histogram with p50/p95/p99
-    /// (`engine.latency_ns`, nanoseconds).
-    pub latency: HistogramSnapshot,
-    /// The same latency histogram split by serving tier
-    /// ([`QueryRequest::kind`]), labelled `tier=<kind>` and sorted by tier
-    /// name; one entry per tier present in the batch.
-    pub tier_latency: Vec<HistogramSnapshot>,
-    /// Batch-local metrics snapshot: the I/O and prep-cache *deltas* above
-    /// republished as `storage.*` / `prep.cache.*` counters, plus
-    /// `engine.queries`/`engine.workers` and the latency histograms — so a
-    /// batch's whole accounting reads as one deterministic snapshot.
-    /// Counters here reconcile byte-exactly with
-    /// [`BatchStats::io`] and [`BatchStats::prep_cache`].
-    pub metrics: MetricsSnapshot,
 }
 
 /// A batch of outcomes plus its aggregate statistics. `outcomes[i]` belongs
@@ -285,54 +272,33 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
             Some(o) => o.clock(),
             None => default_clock(),
         };
-        // Per-query latency (claim → completion), overall and split by
-        // serving tier. `Histogram::record` is wait-free, so workers share
-        // the histograms by reference without a lock.
-        let latency_hist = Histogram::new();
-        let tier_hists: Vec<(&'static str, Histogram)> = {
-            let mut tiers: Vec<&'static str> = requests.iter().map(QueryRequest::kind).collect();
-            tiers.sort_unstable();
-            tiers.dedup();
-            tiers.into_iter().map(|t| (t, Histogram::new())).collect()
-        };
         let started_ns = clock.now_ns();
         let slots: Vec<Mutex<Option<QueryOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let affine_hits = AtomicU64::new(0);
         let affine_steals = AtomicU64::new(0);
 
         let paths = self.paths.as_deref();
-        let latency_hist = &latency_hist;
-        let tier_hists = &tier_hists;
         let execute = |i: usize, pool: &TablePool| {
             let tier = requests[i].kind();
-            let t0 = clock.now_ns();
-            if let Some(o) = obs {
+            // Only the schedule span reads the claim time, so an untraced
+            // batch does not read the clock for it.
+            let traced = obs.filter(|o| o.tracing());
+            if let Some(o) = traced {
                 // The schedule span covers batch submission → this claim.
                 o.tracer()
-                    .record("schedule", tier, i as u64, started_ns, t0);
+                    .record("schedule", tier, i as u64, started_ns, clock.now_ns());
             }
             let run = || requests[i].execute(&self.store, paths, obs, i as u64, pool);
             let outcome = match regions {
                 Some(tags) => with_seed_region(tags[i], run),
                 None => run(),
             };
-            if let Some(o) = obs {
-                if o.tracing() {
-                    // Fingerprinting re-serializes the output, so only pay
-                    // for it when someone is collecting the trace.
-                    let _span = o.span("fingerprint", tier, i as u64);
-                    let _ = outcome.output.fingerprint();
-                }
+            if let Some(o) = traced {
+                // Fingerprinting re-serializes the output, so only pay for
+                // it when someone is collecting the trace.
+                let _span = o.span("fingerprint", tier, i as u64);
+                let _ = outcome.output.fingerprint();
             }
-            let t1 = clock.now_ns();
-            let latency = t1.saturating_sub(t0);
-            latency_hist.record(latency);
-            tier_hists
-                .iter()
-                .find(|(t, _)| *t == tier)
-                .expect("every request kind has a histogram")
-                .1
-                .record(latency);
             let mut slot = slots[i].lock();
             *slot = Some(outcome);
         };
@@ -407,38 +373,11 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
             .as_deref()
             .map(|ctx| ctx.cache_stats().since(&prep_before))
             .unwrap_or_default();
-        let latency = latency_hist.snapshot("engine.latency_ns", Vec::new());
-        let tier_latency: Vec<HistogramSnapshot> = tier_hists
-            .iter()
-            .map(|(tier, hist)| {
-                hist.snapshot(
-                    "engine.latency_ns",
-                    vec![("tier".to_string(), tier.to_string())],
-                )
-            })
-            .collect();
 
-        // Batch-local metrics: the deltas above, republished so one
-        // snapshot carries the whole batch accounting. Values reconcile
-        // byte-exactly with `io`/`prep_cache` because they are set from
-        // the same structs.
-        let batch_registry = MetricsRegistry::new();
-        io.publish(&batch_registry, &[]);
-        prep_cache.publish(&batch_registry, &[]);
-        batch_registry.counter("engine.queries", &[]).set(n as u64);
-        batch_registry
-            .counter("engine.workers", &[])
-            .set(self.workers as u64);
-        batch_registry.merge_histogram(&latency);
-        for snap in &tier_latency {
-            batch_registry.merge_histogram(snap);
-        }
-        let metrics = batch_registry.snapshot();
-
-        // Cross-batch metrics: cumulative store/prep counters plus the
-        // batch latency merged into the shared registry. One engine batch
-        // runs at a time per store, so the absolute publishes are the
-        // single-publisher case `IoStats::publish` documents.
+        // Cross-batch metrics: cumulative store/prep counters published
+        // into the shared registry. One engine batch runs at a time per
+        // store, so the absolute publishes are the single-publisher case
+        // `IoStats::publish` documents.
         if let Some(o) = obs {
             let shared = o.registry();
             self.store.publish_metrics(shared);
@@ -447,10 +386,6 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
             }
             shared.counter("engine.batches", &[]).inc();
             shared.counter("engine.queries", &[]).add(n as u64);
-            shared.merge_histogram(&latency);
-            for snap in &tier_latency {
-                shared.merge_histogram(snap);
-            }
         }
 
         let outcomes: Vec<QueryOutcome> = slots
@@ -476,9 +411,6 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
                 affine_hits: affine_hits.into_inner(),
                 affine_steals: affine_steals.into_inner(),
                 prep_cache,
-                latency,
-                tier_latency,
-                metrics,
             },
         }
     }
@@ -1221,30 +1153,27 @@ mod tests {
     fn manual_clock_makes_batch_timing_deterministic() {
         let (store, requests) = fixture();
         let step = 1_000u64;
-        let clock = Arc::new(mcn_obs::ManualClock::with_step(0, step));
-        let obs = Arc::new(mcn_obs::Obs::with_clock(clock.clone()));
-        let engine = QueryEngine::new(store, 1).with_obs(obs);
-        let result = engine.run_batch(&requests);
         let n = requests.len() as u64;
-        // One worker, tracing off: one read at batch start, four per query
-        // (claim, request start, request wall, completion), one at the end.
-        assert_eq!(clock.reads(), 4 * n + 2);
-        assert_eq!(
-            result.stats.wall,
-            Duration::from_nanos((4 * n + 1) * step),
-            "batch wall time is exact on a stepping clock"
-        );
-        for outcome in &result.outcomes {
-            assert_eq!(outcome.wall, Duration::from_nanos(step));
+        for workers in [1, 2] {
+            let clock = Arc::new(mcn_obs::ManualClock::with_step(0, step));
+            let obs = Arc::new(mcn_obs::Obs::with_clock(clock.clone()));
+            let engine = QueryEngine::new(store.clone(), workers).with_obs(obs);
+            let result = engine.run_batch(&requests);
+            // Tracing off: one read at batch start, two per query (request
+            // start, request wall), one at the end — at any pool size.
+            assert_eq!(clock.reads(), 2 * n + 2, "{workers} workers");
+            if workers == 1 {
+                assert_eq!(
+                    result.stats.wall,
+                    Duration::from_nanos((2 * n + 1) * step),
+                    "batch wall time is exact on a stepping clock"
+                );
+                for outcome in &result.outcomes {
+                    assert_eq!(outcome.wall, Duration::from_nanos(step));
+                }
+            }
+            assert!(result.stats.qps > 0.0);
         }
-        // Every query took exactly claim→completion = 3 steps, so the
-        // histogram collapses to a single value and every percentile
-        // clamps to the observed max.
-        let lat = &result.stats.latency;
-        assert_eq!(lat.count, n);
-        assert_eq!((lat.min, lat.max), (3 * step, 3 * step));
-        assert_eq!((lat.p50, lat.p95, lat.p99), (3 * step, 3 * step, 3 * step));
-        assert!(result.stats.qps > 0.0);
     }
 
     #[test]
@@ -1258,8 +1187,8 @@ mod tests {
             .run_batch(&requests);
         assert_eq!(result.stats.wall, Duration::ZERO);
         assert_eq!(result.stats.qps, 0.0);
-        assert_eq!(result.stats.latency.count, requests.len() as u64);
-        assert_eq!(result.stats.latency.max, 0);
+        assert_eq!(result.outcomes.len(), requests.len());
+        assert!(result.outcomes.iter().all(|o| o.wall == Duration::ZERO));
     }
 
     #[test]
@@ -1274,53 +1203,12 @@ mod tests {
         let result = engine.run_batch(&requests);
         let n = requests.len() as u64;
 
-        // Batch-local snapshot mirrors the delta structs byte-exactly.
-        let m = &result.stats.metrics;
         let io = result.stats.io;
-        assert_eq!(
-            m.counter_value("storage.logical_reads", &[]),
-            Some(io.logical_reads)
-        );
-        assert_eq!(
-            m.counter_value("storage.buffer_hits", &[]),
-            Some(io.buffer_hits)
-        );
-        assert_eq!(
-            m.counter_value("storage.buffer_misses", &[]),
-            Some(io.buffer_misses)
-        );
         assert_eq!(io.logical_reads, io.buffer_hits + io.buffer_misses);
         let cache = result.stats.prep_cache;
-        assert_eq!(m.counter_value("prep.cache.hits", &[]), Some(cache.hits));
-        assert_eq!(
-            m.counter_value("prep.cache.misses", &[]),
-            Some(cache.misses)
-        );
-        assert_eq!(
-            m.counter_value("prep.cache.bypassed", &[]),
-            Some(cache.bypassed)
-        );
         assert!(cache.bypassed > 0);
         // The whole batch is path-flavored: one cache lookup per request.
         assert_eq!(cache.hits + cache.misses + cache.bypassed, n);
-        assert_eq!(m.counter_value("engine.queries", &[]), Some(n));
-        assert_eq!(m.counter_value("engine.workers", &[]), Some(4));
-
-        // Latency histograms: one overall, one per tier, and the tier
-        // splits partition the batch.
-        assert_eq!(result.stats.latency.count, n);
-        let tier_total: u64 = result.stats.tier_latency.iter().map(|h| h.count).sum();
-        assert_eq!(tier_total, n);
-        let tiers: Vec<String> = result
-            .stats
-            .tier_latency
-            .iter()
-            .map(|h| h.labels[0].1.clone())
-            .collect();
-        let mut sorted = tiers.clone();
-        sorted.sort();
-        assert_eq!(tiers, sorted, "tier histograms are sorted by tier name");
-        assert!(m.histogram("engine.latency_ns", &[]).is_some());
 
         // Shared registry: cumulative counters reconcile with the store's
         // own accounting after the batch.

@@ -26,7 +26,8 @@
 //!   FIFO so no request starves. Results stay byte-identical in both modes.
 //! * [`QueryOutcome`] / [`BatchStats`] — per-query statistics plus aggregate
 //!   throughput (QPS, consistent I/O deltas from the striped pool, affine
-//!   claim counters).
+//!   claim counters). A query's latency has one record,
+//!   [`QueryOutcome::wall`]; per-tier percentiles are computed from it.
 //! * [`PathContext`] — attached via [`QueryEngine::with_path_context`],
 //!   serves [`QueryRequest::PathSkyline`] (multi-criteria Pareto path) and
 //!   [`QueryRequest::AlphaPath`] (per-user scalarized fastest path)

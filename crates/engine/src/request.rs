@@ -419,6 +419,10 @@ pub struct QueryOutcome {
     /// delta and is polluted by overlapping queries — meaningful only when
     /// the engine runs one worker (see the crate docs).
     pub stats: QueryStats,
-    /// Wall-clock time from scheduling on a worker to completion.
+    /// The query's latency: wall-clock time on the engine's clock from the
+    /// start of [`QueryRequest::execute`] to the built output. It leaves
+    /// out the wait for a worker to claim the request (the `schedule` span)
+    /// and the trace-only `fingerprint` span. This is the one per-query
+    /// latency record; per-tier percentiles are computed from it.
     pub wall: Duration,
 }

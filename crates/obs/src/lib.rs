@@ -3,11 +3,11 @@
 //! A self-contained layer (no dependency beyond the vendored
 //! `parking_lot`) with three pieces:
 //!
-//! - [`registry::MetricsRegistry`] — named counters, gauges, and
-//!   deterministic log2 latency [`hist::Histogram`]s (p50/p95/p99),
-//!   labelled by worker/region/tier. Registration is lock-striped;
-//!   recording goes through `Arc`-shared atomics, so hot loops add no
-//!   shared-lock traffic.
+//! - [`registry::MetricsRegistry`] — named counters and gauges, labelled
+//!   by worker/region/tier. Registration is lock-striped; recording goes
+//!   through `Arc`-shared atomics, so hot loops add no shared-lock
+//!   traffic. Latency is not kept here: a query's one latency record is
+//!   the engine's per-query wall time.
 //! - [`span::Tracer`] — query-lifecycle spans
 //!   (`schedule → prep-lookup/build → search → unpack → fingerprint`)
 //!   in bounded per-worker ring buffers, one relaxed atomic load when
@@ -19,14 +19,12 @@
 //! [`Obs`] bundles one of each for threading through the engine.
 
 pub mod clock;
-pub mod hist;
 pub mod registry;
 pub mod span;
 
 use std::sync::Arc;
 
 pub use clock::{default_clock, Clock, ManualClock, MonotonicClock};
-pub use hist::{bucket_index, bucket_upper, Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{
     Counter, CounterSnapshot, Gauge, GaugeSnapshot, MetricsRegistry, MetricsSnapshot,
 };
@@ -98,7 +96,6 @@ pub(crate) const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = assert_send_sync::<Obs>();
 const _: () = assert_send_sync::<MetricsRegistry>();
 const _: () = assert_send_sync::<Tracer>();
-const _: () = assert_send_sync::<Histogram>();
 const _: () = assert_send_sync::<Counter>();
 const _: () = assert_send_sync::<Gauge>();
 const _: () = assert_send_sync::<MonotonicClock>();

@@ -1,10 +1,10 @@
-//! Named metrics registry: counters, gauges, and histograms keyed by
+//! Named metrics registry: counters and gauges keyed by
 //! `(name, sorted labels)`.
 //!
 //! The registry itself is lock-striped by metric name, but the stripes
-//! are only touched at *registration* time: `counter()` / `gauge()` /
-//! `histogram()` hand back `Arc`-shared atomic handles, so hot loops
-//! record through a plain `fetch_add` with no shared-lock traffic.
+//! are only touched at *registration* time: `counter()` / `gauge()` hand
+//! back `Arc`-shared atomic handles, so hot loops record through a plain
+//! `fetch_add` / `store` with no shared-lock traffic.
 //! Snapshots lock one stripe at a time (never two at once — no new
 //! lock nesting) and emit metrics sorted by key, so a snapshot is
 //! deterministic for a given set of values.
@@ -14,8 +14,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-
-use crate::hist::{Histogram, HistogramSnapshot};
 
 const SHARDS: usize = 8;
 
@@ -83,7 +81,6 @@ impl Gauge {
 struct Shard {
     counters: BTreeMap<MetricKey, Counter>,
     gauges: BTreeMap<MetricKey, Gauge>,
-    histograms: BTreeMap<MetricKey, Arc<Histogram>>,
 }
 
 /// Lock-striped metric registry. See module docs for the locking story.
@@ -128,28 +125,6 @@ impl MetricsRegistry {
         shard.gauges.entry(key).or_default().clone()
     }
 
-    /// Get or create the histogram for `(name, labels)`.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        let key = MetricKey::new(name, labels);
-        let mut shard = self.shard(name).lock();
-        shard
-            .histograms
-            .entry(key)
-            .or_insert_with(|| Arc::new(Histogram::new()))
-            .clone()
-    }
-
-    /// Fold a histogram snapshot into the registry-owned histogram of the
-    /// same name/labels.
-    pub fn merge_histogram(&self, snap: &HistogramSnapshot) {
-        let labels: Vec<(&str, &str)> = snap
-            .labels
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        self.histogram(&snap.name, &labels).merge(snap);
-    }
-
     /// Point-in-time view of every registered metric, sorted by key.
     ///
     /// Stripes are locked one at a time; values written by the calling
@@ -157,7 +132,6 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
-        let mut histograms = Vec::new();
         for stripe in &self.shards {
             let shard = stripe.lock();
             for (key, c) in &shard.counters {
@@ -174,18 +148,10 @@ impl MetricsRegistry {
                     value: g.get(),
                 });
             }
-            for (key, h) in &shard.histograms {
-                histograms.push(h.snapshot(key.name.clone(), key.labels.clone()));
-            }
         }
         counters.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
         gauges.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-        histograms.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
-        MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
-        }
+        MetricsSnapshot { counters, gauges }
     }
 }
 
@@ -211,7 +177,6 @@ pub struct GaugeSnapshot {
 pub struct MetricsSnapshot {
     pub counters: Vec<CounterSnapshot>,
     pub gauges: Vec<GaugeSnapshot>,
-    pub histograms: Vec<HistogramSnapshot>,
 }
 
 impl MetricsSnapshot {
@@ -229,12 +194,6 @@ impl MetricsSnapshot {
             .iter()
             .find(|g| g.name == name && labels_match(&g.labels, labels))
             .map(|g| g.value)
-    }
-
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&HistogramSnapshot> {
-        self.histograms
-            .iter()
-            .find(|h| h.name == name && labels_match(&h.labels, labels))
     }
 }
 
@@ -259,7 +218,6 @@ mod tests {
         assert_eq!(a.get(), 3);
         reg.counter("a.metric", &[]).set(7);
         reg.gauge("ratio", &[]).set(0.5);
-        reg.histogram("lat", &[("tier", "skyline")]).record(42);
 
         let snap = reg.snapshot();
         assert_eq!(snap.counters.len(), 2);
@@ -269,8 +227,6 @@ mod tests {
         assert_eq!(snap.counter_value("a.metric", &[]), Some(7));
         assert_eq!(snap.counter_value("missing", &[]), None);
         assert_eq!(snap.gauge_value("ratio", &[]), Some(0.5));
-        let h = snap.histogram("lat", &[("tier", "skyline")]).unwrap();
-        assert_eq!(h.count, 1);
     }
 
     #[test]
@@ -282,20 +238,5 @@ mod tests {
         assert_eq!(b.get(), 1);
         let snap = reg.snapshot();
         assert_eq!(snap.counter_value("m", &[("y", "2"), ("x", "1")]), Some(1));
-    }
-
-    #[test]
-    fn merge_histogram_accumulates_into_registry() {
-        let reg = MetricsRegistry::new();
-        let h = Histogram::new();
-        h.record(10);
-        h.record(20);
-        let snap = h.snapshot("lat", vec![("tier".into(), "alpha-path".into())]);
-        reg.merge_histogram(&snap);
-        reg.merge_histogram(&snap);
-        let out = reg.snapshot();
-        let merged = out.histogram("lat", &[("tier", "alpha-path")]).unwrap();
-        assert_eq!(merged.count, 4);
-        assert_eq!(merged.sum, 60);
     }
 }

@@ -26,9 +26,9 @@
 //! * [`index`] — the hierarchical partial-path route index: multi-cost
 //!   contraction hierarchy with Pareto shortcut bundles, bidirectional
 //!   upward queries byte-identical to the prep-backed tier.
-//! * [`obs`] — observability: the metrics registry (counters, gauges,
-//!   log2 latency histograms), query-lifecycle span tracing, and the
-//!   `Clock` abstraction used by every timing path.
+//! * [`obs`] — observability: the metrics registry (counters and
+//!   gauges), query-lifecycle span tracing, and the `Clock` abstraction
+//!   used by every timing path.
 //! * [`gen`] — synthetic workload generation matching the paper's Section VI.
 
 #![warn(missing_docs)]

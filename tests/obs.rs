@@ -1,8 +1,8 @@
 //! Observability integration tests at the facade level: metrics published
-//! by the serving stack must reconcile *byte-exactly* with the storage and
-//! prep counters they mirror, under concurrency, and span traces must
-//! cover every query's lifecycle — all without ever changing query
-//! results.
+//! into a shared registry by the serving stack must reconcile
+//! *byte-exactly* with the storage and prep counters they mirror, under
+//! concurrency, and span traces must cover every query's lifecycle — all
+//! without ever changing a query's results or its per-query counters.
 
 use mcn::engine::{BatchResult, QueryEngine, QueryRequest};
 use mcn::gen::{generate_workload, WorkloadSpec};
@@ -121,54 +121,67 @@ fn four_worker_batch_reconciles_metrics_and_keeps_results_identical() {
     // Observability never changes results: byte-identical fingerprints.
     assert_eq!(bare_prints, prints(&result));
 
-    // Batch-local metrics snapshot reconciles byte-exactly with the I/O
-    // delta the engine measured for the same batch.
     let io = &result.stats.io;
     assert_eq!(io.logical_reads, io.buffer_hits + io.buffer_misses);
-    let m = &result.stats.metrics;
-    assert_eq!(
-        m.counter_value("storage.logical_reads", &[]),
-        Some(io.logical_reads)
-    );
-    assert_eq!(
-        m.counter_value("storage.buffer_hits", &[]),
-        Some(io.buffer_hits)
-    );
-    assert_eq!(
-        m.counter_value("storage.buffer_misses", &[]),
-        Some(io.buffer_misses)
-    );
-    assert_eq!(
-        m.counter_value("storage.physical_reads", &[]),
-        Some(io.physical_reads)
-    );
-    assert_eq!(
-        m.counter_value("engine.queries", &[]),
-        Some(requests.len() as u64)
-    );
-    assert_eq!(m.counter_value("engine.workers", &[]), Some(4));
-
-    // Latency histogram: one sample per query, percentiles ordered.
-    let latency = &result.stats.latency;
-    assert_eq!(latency.count, requests.len() as u64);
-    assert!(latency.p50 <= latency.p95 && latency.p95 <= latency.p99);
-    // Tier histograms partition the batch.
-    let tier_total: u64 = result.stats.tier_latency.iter().map(|h| h.count).sum();
-    assert_eq!(tier_total, requests.len() as u64);
 
     // Shared registry: cumulative storage counters equal the pool's own
     // view (one batch since the clear), and the engine counted it.
     let shared = obs.registry().snapshot();
     let pool = store.io_stats();
+    assert_eq!(pool.logical_reads, io.logical_reads);
     assert_eq!(
         shared.counter_value("storage.logical_reads", &[]),
         Some(pool.logical_reads)
+    );
+    assert_eq!(
+        shared.counter_value("storage.buffer_hits", &[]),
+        Some(pool.buffer_hits)
+    );
+    assert_eq!(
+        shared.counter_value("storage.buffer_misses", &[]),
+        Some(pool.buffer_misses)
+    );
+    assert_eq!(
+        shared.counter_value("storage.physical_reads", &[]),
+        Some(pool.physical_reads)
     );
     assert_eq!(shared.counter_value("engine.batches", &[]), Some(1));
     assert_eq!(
         shared.counter_value("engine.queries", &[]),
         Some(requests.len() as u64)
     );
+}
+
+#[test]
+fn observation_changes_no_per_query_counter() {
+    // One worker from a cleared pool: per-query `stats.io` is meaningful
+    // only without overlapping queries, and the same starting pool makes
+    // the three runs' page-request sequences equal.
+    let (store, requests) = mixed_batch(61, 15);
+    let run = |obs: Option<Arc<Obs>>| {
+        store.buffer().clear();
+        let engine = QueryEngine::new(store.clone(), 1);
+        let engine = match obs {
+            Some(obs) => engine.with_obs(obs),
+            None => engine,
+        };
+        engine.run_batch(&requests)
+    };
+    let bare = run(None);
+    let untraced = run(Some(Arc::new(Obs::new())));
+    let traced_obs = Arc::new(Obs::new());
+    traced_obs.set_tracing(true);
+    let traced = run(Some(traced_obs.clone()));
+    assert!(!traced_obs.tracer().drain().is_empty());
+
+    for observed in [&untraced, &traced] {
+        for (i, (a, b)) in bare.outcomes.iter().zip(&observed.outcomes).enumerate() {
+            assert_eq!(a.stats, b.stats, "request {i}: per-query stats differ");
+            assert_eq!(a.output.fingerprint(), b.output.fingerprint());
+        }
+        assert_eq!(bare.stats.io, observed.stats.io);
+    }
+    assert!(bare.outcomes.iter().any(|o| o.stats.io.logical_reads > 0));
 }
 
 #[test]

@@ -52,7 +52,7 @@ struct Query {
     kind: Kind,
 }
 
-/// Everything observable about one served query (`elapsed` zeroed).
+/// Everything observable about one served query.
 #[derive(Debug, PartialEq)]
 enum Served {
     Skyline(Vec<SkylineFacility>, QueryStats),
@@ -62,11 +62,6 @@ enum Served {
         mcn::expansion::ExpansionStats,
         Option<SharingStats>,
     ),
-}
-
-fn timeless(mut stats: QueryStats) -> QueryStats {
-    stats.elapsed = std::time::Duration::ZERO;
-    stats
 }
 
 fn network(spec: &WorkloadSpec) -> (MultiCostGraph, Arc<MCNStore>) {
@@ -129,7 +124,7 @@ fn serve(store: &Arc<MCNStore>, query: &Query, pool: Option<&TablePool>) -> Serv
                 Some(pool) => skyline_query_in(store, location, algorithm, pool),
                 None => skyline_query(store, location, algorithm),
             };
-            Served::Skyline(r.facilities, timeless(r.stats))
+            Served::Skyline(r.facilities, r.stats)
         }
         Kind::TopK(k) => {
             let aggregate = WeightedSum::new(query.weights.clone());
@@ -137,7 +132,7 @@ fn serve(store: &Arc<MCNStore>, query: &Query, pool: Option<&TablePool>) -> Serv
                 Some(pool) => topk_query_in(store, location, aggregate, k, algorithm, pool),
                 None => topk_query(store, location, aggregate, k, algorithm),
             };
-            Served::TopK(r.entries, timeless(r.stats))
+            Served::TopK(r.entries, r.stats)
         }
         Kind::Incremental(take) => {
             fn first<A: NetworkAccess>(
@@ -154,7 +149,7 @@ fn serve(store: &Arc<MCNStore>, query: &Query, pool: Option<&TablePool>) -> Serv
                     None => TopKIter::new(access, location, aggregate, name),
                 };
                 let entries: Vec<TopKEntry> = it.by_ref().take(take).collect();
-                Served::TopK(entries, timeless(it.stats()))
+                Served::TopK(entries, it.stats())
             }
             match algorithm {
                 Algorithm::Lsa => first(DirectAccess::new(store.clone()), query, take, pool),
