@@ -43,9 +43,8 @@ impl Candidate {
 
 /// The candidate set `CS` of the paper, keyed by facility.
 ///
-/// Ordered by facility id on purpose: [`CandidateSet::iter`] feeds skyline
-/// emission (leftover resolution) and the shrinking-stage facility index,
-/// so iteration order must be identical run-to-run for the fingerprints
+/// Ordered by facility id on purpose: [`CandidateSet::iter`] feeds the
+/// shrinking-stage facility index, so iteration order must be identical run-to-run for the fingerprints
 /// and gate baselines to stay byte-stable. Candidate sets are small, so
 /// the `BTreeMap` costs nothing measurable over a hash map.
 #[derive(Clone, Debug, Default)]

@@ -62,6 +62,15 @@ impl<A: NetworkAccess> Coordinator<A> {
         self.expansions.len()
     }
 
+    /// True once every expansion is exhausted or stopped early. The
+    /// candidate set is then empty, which is why no search resolves
+    /// leftover candidates:
+    /// * edge costs are finite (`GraphBuilder::validate_edge` rejects the
+    ///   rest), so all `d` expansions reach the same facilities, and an
+    ///   exhausted expansion has recorded its cost for every candidate;
+    /// * an expansion stops early only when every candidate knows its cost;
+    /// * so a candidate left here would know every cost, yet [`Self::record`]
+    ///   pins and removes a candidate the moment its last cost is known.
     pub(crate) fn all_inactive(&self) -> bool {
         self.active.iter().all(|a| !a)
     }
@@ -111,20 +120,6 @@ impl<A: NetworkAccess> Coordinator<A> {
             .map(|c| c.cost_vector())?;
         self.candidates.remove(facility);
         Some(costs)
-    }
-
-    /// The remaining candidates' cost vectors with unknown costs set to `+∞`:
-    /// how candidates are resolved once every expansion is exhausted (parts
-    /// of the network unreachable w.r.t. some cost type, e.g. directed edges).
-    pub(crate) fn leftover_costs(&self) -> impl Iterator<Item = (FacilityId, CostVec)> + '_ {
-        let d = self.d();
-        self.candidates.iter().map(move |c| {
-            let mut cv = CostVec::zeros(d);
-            for i in 0..d {
-                cv[i] = c.known[i].unwrap_or(f64::INFINITY);
-            }
-            (c.facility, cv)
-        })
     }
 
     pub(crate) fn collect_stats(&self, pinned: usize, result_size: usize) -> QueryStats {

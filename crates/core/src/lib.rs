@@ -7,10 +7,8 @@
 //!
 //! * [`skyline::skyline_query`] / [`skyline::SkylineSearch`] — the **LSA** and
 //!   **CEA** algorithms (Section IV); progressive output via the iterator.
-//! * [`skyline::baseline_skyline`] — the straightforward baseline (`d` full
-//!   expansions + a conventional skyline algorithm).
 //! * [`topk::topk_query`] / [`topk::TopKIter`] — batch and **incremental**
-//!   top-k processing (Section V), plus [`topk::baseline_topk`].
+//!   top-k processing (Section V).
 //! * [`aggregate::WeightedSum`] — the monotone aggregate used in the paper's
 //!   evaluation.
 //!
@@ -54,23 +52,19 @@ pub(crate) mod test_support;
 pub use aggregate::{AggregateCost, WeightedSum};
 pub use candidate::{Candidate, CandidateSet};
 pub use skyline::{
-    baseline_skyline, skyline_query, skyline_query_in, Algorithm, SkylineFacility, SkylineResult,
-    SkylineSearch,
+    skyline_query, skyline_query_in, Algorithm, SkylineFacility, SkylineResult, SkylineSearch,
 };
 pub use stats::QueryStats;
-pub use topk::{baseline_topk, topk_query, topk_query_in, TopKEntry, TopKIter, TopKResult};
+pub use topk::{topk_query, topk_query_in, TopKEntry, TopKIter, TopKResult};
 
 /// Commonly used items, for glob import.
 pub mod prelude {
     pub use crate::aggregate::{AggregateCost, WeightedSum};
     pub use crate::skyline::{
-        baseline_skyline, skyline_query, skyline_query_in, Algorithm, SkylineFacility,
-        SkylineResult, SkylineSearch,
+        skyline_query, skyline_query_in, Algorithm, SkylineFacility, SkylineResult, SkylineSearch,
     };
     pub use crate::stats::QueryStats;
-    pub use crate::topk::{
-        baseline_topk, topk_query, topk_query_in, TopKEntry, TopKIter, TopKResult,
-    };
+    pub use crate::topk::{topk_query, topk_query_in, TopKEntry, TopKIter, TopKResult};
 }
 
 /// Compile-time thread-safety proof: instantiated in a `const _` next to

@@ -1,4 +1,4 @@
-//! MCN skyline processing: LSA, CEA and the straightforward baseline.
+//! MCN skyline processing: LSA and CEA.
 //!
 //! Both LSA (Local Search Algorithm) and CEA (Combined Expansion Algorithm)
 //! perform the *same logical search* — `d` incremental network expansions
@@ -21,16 +21,12 @@
 //! The search is **progressive**: [`SkylineSearch`] implements [`Iterator`]
 //! and yields every skyline facility the moment it is pinned.
 
-use crate::candidate::CandidateSet;
 use crate::coordinator::{Coordinator, Stage};
 use crate::stats::QueryStats;
-use mcn_expansion::{
-    seeds_for_location, DirectAccess, Expansion, FacilityMode, NetworkAccess, SharedAccess,
-    TablePool,
-};
-use mcn_graph::{dominates_weak, CostVec, FacilityId, NetworkLocation, MAX_COST_TYPES};
+use mcn_expansion::{DirectAccess, NetworkAccess, SharedAccess, TablePool};
+use mcn_graph::{CostVec, FacilityId, NetworkLocation};
 use mcn_storage::StoreView;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Which algorithm variant to run.
@@ -64,8 +60,7 @@ pub struct SkylineFacility {
 /// The result of a skyline query.
 #[derive(Clone, Debug)]
 pub struct SkylineResult {
-    /// The skyline facilities, in the order they were pinned (LSA/CEA) or in
-    /// facility order (baseline).
+    /// The skyline facilities, in the order they were pinned.
     pub facilities: Vec<SkylineFacility>,
     /// Execution statistics.
     pub stats: QueryStats,
@@ -144,34 +139,6 @@ impl<A: NetworkAccess> SkylineSearch<A> {
         }
     }
 
-    /// Resolves the candidates left when every expansion is exhausted (only
-    /// possible when parts of the network are unreachable w.r.t. some cost
-    /// type, e.g. with directed edges): unknown costs are `+∞` and the usual
-    /// dominance rules apply.
-    fn resolve_leftovers(&mut self) {
-        let leftovers: Vec<(FacilityId, CostVec)> = self.state.leftover_costs().collect();
-        for (facility, costs) in &leftovers {
-            let dominated_by_emitted = self
-                .emitted
-                .iter()
-                .any(|s| dominates_weak(&s.costs, costs) && s.costs.as_slice() != costs.as_slice());
-            let dominated_by_peer = leftovers
-                .iter()
-                .any(|(other, oc)| other != facility && mcn_graph::dominates(oc, costs));
-            self.state.dominance_checks += self.emitted.len() + leftovers.len();
-            if !dominated_by_emitted && !dominated_by_peer {
-                let member = SkylineFacility {
-                    facility: *facility,
-                    costs: *costs,
-                };
-                self.emitted.push(member.clone());
-                self.pending.push_back(member);
-            }
-        }
-        self.state.candidates = CandidateSet::new(self.state.d());
-        self.finished = true;
-    }
-
     /// Performs one round-robin probe. Returns `false` once the search has
     /// finished.
     fn step(&mut self) -> bool {
@@ -179,11 +146,7 @@ impl<A: NetworkAccess> SkylineSearch<A> {
             return false;
         }
         if self.state.all_inactive() {
-            // Every expansion is exhausted or was stopped early. If candidates
-            // remain it is either because the early-stop optimisation turned
-            // everything off (all their costs are known — resolve them) or
-            // because parts of the network are unreachable.
-            self.resolve_leftovers();
+            debug_assert!(self.state.candidates.is_empty());
             return false;
         }
         let i = self.next_probe;
@@ -291,71 +254,20 @@ pub fn skyline_query_in<S: StoreView + ?Sized>(
     }
 }
 
-/// The straightforward baseline of Section IV: run `d` complete network
-/// expansions to compute every facility's cost vector, then apply a
-/// conventional main-memory skyline algorithm (BNL).
-///
-/// Facilities unreachable w.r.t. some cost type keep `+∞` for that component.
-pub fn baseline_skyline<S: StoreView + ?Sized>(
-    store: &Arc<S>,
-    location: NetworkLocation,
-) -> SkylineResult {
-    let (items, mut stats) = baseline_costs(store, location);
-    let skyline_idx = mcn_skyline::block_nested_loops(&items);
-    let mut facilities: Vec<SkylineFacility> = skyline_idx
-        .into_iter()
-        .map(|i| SkylineFacility {
-            facility: items[i].0,
-            costs: items[i].1,
-        })
-        .collect();
-    facilities.sort_by_key(|f| f.facility);
-    stats.result_size = facilities.len();
-    SkylineResult { facilities, stats }
-}
-
-/// The first phase of both baselines: `d` complete network expansions from
-/// `location`, one per cost type, giving every reached facility's cost
-/// vector in facility order (`+∞` for a cost type whose expansion does not
-/// reach it). The stats hold the expansions' I/O and work counters and
-/// count every facility as a candidate and as pinned; the caller sets
-/// `result_size`.
-pub(crate) fn baseline_costs<S: StoreView + ?Sized>(
-    store: &Arc<S>,
-    location: NetworkLocation,
-) -> (Vec<(FacilityId, CostVec)>, QueryStats) {
-    let access = Arc::new(DirectAccess::new(store.clone()));
-    let start_io = access.io_stats();
-    let d = access.num_cost_types();
-    let seeds = seeds_for_location(access.as_ref(), location);
-    let unreached = CostVec::from_slice(&[f64::INFINITY; MAX_COST_TYPES][..d]);
-    let mut costs: BTreeMap<FacilityId, CostVec> = BTreeMap::new();
-    let mut stats = QueryStats {
-        algorithm: "Baseline".to_string(),
-        ..QueryStats::default()
-    };
-    for i in 0..d {
-        let mut ex = Expansion::new(access.clone(), i, &seeds, FacilityMode::All);
-        while let Some((facility, cost)) = ex.next_nearest() {
-            costs.entry(facility).or_insert(unreached)[i] = cost;
-        }
-        let s = ex.stats();
-        stats.nodes_settled += s.nodes_settled;
-        stats.heap_pushes += s.heap_pushes;
-        stats.heap_pops += s.heap_pops;
-    }
-    stats.io = access.io_stats() - start_io;
-    stats.candidates = costs.len();
-    stats.pinned = costs.len();
-    (costs.into_iter().collect(), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::{paper_figure1_store, random_store, skyline_oracle};
+    use crate::test_support::{paper_figure1_store, random_store};
+    use mcn_expansion::oracle;
     use mcn_graph::NodeId;
     use mcn_storage::BufferConfig;
+
+    /// The result's facility ids in ascending order, as the oracle lists them.
+    fn ids(r: &SkylineResult) -> Vec<FacilityId> {
+        let mut v: Vec<FacilityId> = r.facilities.iter().map(|f| f.facility).collect();
+        v.sort();
+        v
+    }
 
     fn result_set(r: &SkylineResult) -> Vec<(FacilityId, Vec<u64>)> {
         let mut v: Vec<(FacilityId, Vec<u64>)> = r
@@ -385,29 +297,17 @@ mod tests {
     }
 
     #[test]
-    fn lsa_cea_and_baseline_agree_on_random_networks() {
+    fn lsa_and_cea_agree_with_the_oracle_on_random_networks() {
         for seed in 0..6 {
             let (store, graph, q) = random_store(seed, 150, 80, 60, 3);
             let store = Arc::new(store);
-            let expected = skyline_oracle(&graph, q);
             let lsa = skyline_query(&store, q, Algorithm::Lsa);
             let cea = skyline_query(&store, q, Algorithm::Cea);
-            let base = baseline_skyline(&store, q);
-            let lsa_ids: Vec<FacilityId> = {
-                let mut v: Vec<_> = lsa.facilities.iter().map(|f| f.facility).collect();
-                v.sort();
-                v
-            };
-            assert_eq!(lsa_ids, expected, "LSA mismatch, seed {seed}");
+            assert_eq!(ids(&lsa), oracle::skyline(&graph, q), "seed {seed}");
             assert_eq!(
                 result_set(&lsa),
                 result_set(&cea),
                 "LSA/CEA mismatch, seed {seed}"
-            );
-            assert_eq!(
-                result_set(&lsa),
-                result_set(&base),
-                "LSA/baseline mismatch, seed {seed}"
             );
         }
     }
@@ -455,30 +355,12 @@ mod tests {
     }
 
     #[test]
-    fn baseline_reads_far_more_than_lsa_on_local_queries() {
-        let (store, _, q) = random_store(3, 400, 300, 200, 2);
-        let store = Arc::new(store);
-        store.buffer().clear();
-        let lsa = skyline_query(&store, q, Algorithm::Lsa);
-        store.buffer().clear();
-        let base = baseline_skyline(&store, q);
-        // The baseline expands the whole network d times; LSA stays local.
-        assert!(base.stats.nodes_settled >= lsa.stats.nodes_settled);
-    }
-
-    #[test]
     fn query_on_edge_interior_works() {
         let (store, graph, _) = random_store(11, 100, 60, 40, 3);
         let store = Arc::new(store);
         let q = NetworkLocation::on_edge(mcn_graph::EdgeId::new(5), 0.3);
-        let expected = skyline_oracle(&graph, q);
-        let mut got: Vec<FacilityId> = skyline_query(&store, q, Algorithm::Cea)
-            .facilities
-            .iter()
-            .map(|f| f.facility)
-            .collect();
-        got.sort();
-        assert_eq!(got, expected);
+        let got = skyline_query(&store, q, Algorithm::Cea);
+        assert_eq!(ids(&got), oracle::skyline(&graph, q));
     }
 
     #[test]
@@ -501,11 +383,11 @@ mod tests {
     }
 
     #[test]
-    fn directed_unreachable_parts_resolve_like_the_baseline() {
+    fn directed_unreachable_parts_resolve_like_the_oracle() {
         // One-way edges make parts of the network unreachable: from `c` the
         // facility on a → c must stay out of the skyline, and from the sink
         // `s` no facility is reachable at all, so every expansion runs dry
-        // with nothing pinned (the resolve_leftovers exit).
+        // with nothing pinned.
         let mut b = mcn_graph::GraphBuilder::new(2);
         let a = b.add_node(0.0, 0.0);
         let c = b.add_node(1.0, 0.0);
@@ -528,10 +410,9 @@ mod tests {
             let q = NetworkLocation::Node(node);
             let lsa = skyline_query(&store, q, Algorithm::Lsa);
             let cea = skyline_query(&store, q, Algorithm::Cea);
-            let base = baseline_skyline(&store, q);
             assert_eq!(lsa.facilities.len(), reachable);
             assert_eq!(lsa.facilities, cea.facilities);
-            assert_eq!(result_set(&lsa), result_set(&base));
+            assert_eq!(ids(&lsa), oracle::skyline(&g, q));
         }
     }
 

@@ -1,7 +1,5 @@
 //! Shared helpers for the unit tests of this crate (compiled only for tests).
 
-use crate::aggregate::{AggregateCost, WeightedSum};
-use mcn_expansion::oracle;
 use mcn_graph::{CostVec, FacilityId, GraphBuilder, MultiCostGraph, NetworkLocation, NodeId};
 use mcn_storage::{BufferConfig, MCNStore};
 use rand::{Rng, SeedableRng};
@@ -75,40 +73,4 @@ pub fn random_store(
     let g = b.build().unwrap();
     let store = MCNStore::build_in_memory(&g, BufferConfig::Pages(64)).unwrap();
     (store, g, NetworkLocation::Node(NodeId::new(0)))
-}
-
-/// Brute-force skyline oracle: exact cost vectors via in-memory Dijkstra, then
-/// a naive quadratic skyline. Returns sorted facility identifiers.
-pub fn skyline_oracle(graph: &MultiCostGraph, location: NetworkLocation) -> Vec<FacilityId> {
-    let costs = oracle::facility_cost_vectors(graph, location);
-    let items: Vec<(FacilityId, CostVec)> = costs
-        .iter()
-        .enumerate()
-        .map(|(i, cv)| (FacilityId::from(i), *cv))
-        .collect();
-    let mut result: Vec<FacilityId> = mcn_skyline::naive_skyline(&items)
-        .into_iter()
-        .map(|i| items[i].0)
-        .collect();
-    result.sort();
-    result
-}
-
-/// Brute-force top-k oracle: exact cost vectors, scored with `f`, sorted by
-/// score (ties by facility id), truncated to `k`. Returns `(facility, score)`.
-pub fn topk_oracle(
-    graph: &MultiCostGraph,
-    location: NetworkLocation,
-    f: &WeightedSum,
-    k: usize,
-) -> Vec<(FacilityId, f64)> {
-    let costs = oracle::facility_cost_vectors(graph, location);
-    let mut scored: Vec<(FacilityId, f64)> = costs
-        .iter()
-        .enumerate()
-        .map(|(i, cv)| (FacilityId::from(i), f.score(cv)))
-        .collect();
-    scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    scored.truncate(k);
-    scored
 }

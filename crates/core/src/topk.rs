@@ -13,7 +13,7 @@
 
 use crate::aggregate::AggregateCost;
 use crate::coordinator::{Coordinator, Stage};
-use crate::skyline::{baseline_costs, Algorithm};
+use crate::skyline::Algorithm;
 use crate::stats::QueryStats;
 use mcn_expansion::{DirectAccess, ExpansionStep, NetworkAccess, SharedAccess, TablePool};
 use mcn_graph::{CostVec, FacilityId, NetworkLocation};
@@ -56,21 +56,6 @@ fn start<A: NetworkAccess, F: AggregateCost>(
     Coordinator::new(access, location, algorithm, pool)
 }
 
-/// Resolves the remaining candidates with `+∞` for unknown costs.
-fn leftover_entries<A: NetworkAccess, F: AggregateCost>(
-    state: &Coordinator<A>,
-    aggregate: &F,
-) -> Vec<TopKEntry> {
-    state
-        .leftover_costs()
-        .map(|(facility, costs)| TopKEntry {
-            facility,
-            costs,
-            score: aggregate.score(&costs),
-        })
-        .collect()
-}
-
 /// Runs a batch top-k query with the given access discipline.
 fn topk_with_access<A: NetworkAccess, F: AggregateCost>(
     access: Arc<A>,
@@ -98,6 +83,7 @@ fn topk_with_access<A: NetworkAccess, F: AggregateCost>(
     let mut probe = 0usize;
     loop {
         if state.all_inactive() {
+            debug_assert!(state.candidates.is_empty());
             break;
         }
         let i = probe % d;
@@ -192,30 +178,6 @@ fn topk_with_access<A: NetworkAccess, F: AggregateCost>(
         }
     }
 
-    // If the expansions ran dry before k facilities were pinned (tiny or
-    // partially unreachable facility sets), fill up from the remaining
-    // candidates, treating unknown costs as +∞.
-    if top.len() < k {
-        let mut leftovers = leftover_entries(&state, &aggregate);
-        leftovers.sort_by(|a, b| {
-            a.score
-                .total_cmp(&b.score)
-                .then(a.facility.cmp(&b.facility))
-        });
-        for entry in leftovers {
-            if top.len() == k {
-                break;
-            }
-            top.push(entry);
-        }
-        top.sort_by(|a, b| {
-            a.score
-                .total_cmp(&b.score)
-                .then(a.facility.cmp(&b.facility))
-        });
-    }
-
-    top.truncate(k);
     let stats = state.collect_stats(pinned_total, top.len());
     TopKResult {
         entries: top,
@@ -259,33 +221,6 @@ pub fn topk_query_in<S: StoreView + ?Sized, F: AggregateCost>(
     }
 }
 
-/// The straightforward top-k baseline: `d` complete expansions to obtain every
-/// facility's cost vector, then sort by aggregate cost.
-pub fn baseline_topk<S: StoreView + ?Sized, F: AggregateCost>(
-    store: &Arc<S>,
-    location: NetworkLocation,
-    aggregate: F,
-    k: usize,
-) -> TopKResult {
-    let (costs, mut stats) = baseline_costs(store, location);
-    let mut entries: Vec<TopKEntry> = costs
-        .into_iter()
-        .map(|(facility, costs)| TopKEntry {
-            facility,
-            costs,
-            score: aggregate.score(&costs),
-        })
-        .collect();
-    entries.sort_by(|a, b| {
-        a.score
-            .total_cmp(&b.score)
-            .then(a.facility.cmp(&b.facility))
-    });
-    entries.truncate(k);
-    stats.result_size = entries.len();
-    TopKResult { entries, stats }
-}
-
 /// Incremental top-k: reports facilities one at a time in ascending
 /// aggregate-cost order, without needing `k` in advance (paper Section V).
 ///
@@ -301,7 +236,6 @@ pub struct TopKIter<A: NetworkAccess, F: AggregateCost> {
     ready: Vec<TopKEntry>,
     reported: usize,
     probe: usize,
-    exhausted_resolved: bool,
     /// Scratch for the frontier bounds [`TopKIter::best_is_safe`] compares
     /// against.
     frontiers: Vec<f64>,
@@ -360,7 +294,6 @@ impl<A: NetworkAccess, F: AggregateCost> TopKIter<A, F> {
             ready: Vec::new(),
             reported: 0,
             probe: 0,
-            exhausted_resolved: false,
             frontiers: Vec::new(),
         }
     }
@@ -403,23 +336,13 @@ impl<A: NetworkAccess, F: AggregateCost> Iterator for TopKIter<A, F> {
     fn next(&mut self) -> Option<TopKEntry> {
         let d = self.state.d();
         loop {
-            if !self.ready.is_empty() && (self.best_is_safe() || self.state.all_inactive()) {
+            if self.best_is_safe() {
                 let entry = self.ready.remove(0);
                 self.reported += 1;
                 return Some(entry);
             }
             if self.state.all_inactive() {
-                if !self.exhausted_resolved {
-                    // Resolve every remaining candidate with +∞ for unknown
-                    // costs so the iteration can run through the whole set.
-                    for entry in leftover_entries(&self.state, &self.aggregate) {
-                        self.state.candidates.remove(entry.facility);
-                        self.ready.push(entry);
-                    }
-                    self.sort_ready();
-                    self.exhausted_resolved = true;
-                    continue;
-                }
+                debug_assert!(self.state.candidates.is_empty());
                 return None;
             }
 
@@ -453,7 +376,8 @@ impl<A: NetworkAccess, F: AggregateCost> Iterator for TopKIter<A, F> {
 mod tests {
     use super::*;
     use crate::aggregate::WeightedSum;
-    use crate::test_support::{paper_figure1_store, random_store, topk_oracle};
+    use crate::test_support::{paper_figure1_store, random_store};
+    use mcn_expansion::oracle;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -482,7 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn lsa_cea_and_baseline_match_the_oracle() {
+    fn lsa_and_cea_match_the_oracle() {
         let mut rng = ChaCha8Rng::seed_from_u64(77);
         for seed in 0..5 {
             let d = rng.gen_range(2..=4);
@@ -491,7 +415,7 @@ mod tests {
             let weights: Vec<f64> = (0..d).map(|_| rng.gen_range(0.01..1.0)).collect();
             let f = WeightedSum::new(weights);
             let k = rng.gen_range(1..=8);
-            let expected = topk_oracle(&graph, q, &f, k);
+            let expected = oracle::top_k(&graph, q, |c| f.score(c), k);
 
             for algo in [Algorithm::Lsa, Algorithm::Cea] {
                 let got = topk_query(&store, q, f.clone(), k, algo);
@@ -505,10 +429,6 @@ mod tests {
                         e.1
                     );
                 }
-            }
-            let base = baseline_topk(&store, q, f.clone(), k);
-            for (g, e) in base.entries.iter().zip(&expected) {
-                assert!((g.score - e.1).abs() < 1e-9);
             }
         }
     }
@@ -532,12 +452,12 @@ mod tests {
         let (store, graph, q) = random_store(13, 150, 100, 60, 3);
         let store = Arc::new(store);
         let f = WeightedSum::new(vec![0.5, 0.3, 0.2]);
-        let oracle = topk_oracle(&graph, q, &f, 20);
+        let expected = oracle::top_k(&graph, q, |c| f.score(c), 20);
         let incremental: Vec<TopKEntry> = TopKIter::cea(store.clone(), q, f.clone())
             .take(20)
             .collect();
         assert_eq!(incremental.len(), 20);
-        for (g, e) in incremental.iter().zip(&oracle) {
+        for (g, e) in incremental.iter().zip(&expected) {
             assert!(
                 (g.score - e.1).abs() < 1e-9,
                 "incremental score {} vs oracle {}",

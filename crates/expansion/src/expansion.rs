@@ -26,8 +26,6 @@ pub enum FacilityMode {
     /// are en-heaped when their edge is traversed. This implements the
     /// shrinking-stage optimisation of Section IV-A.
     CandidatesOnly(Arc<IdMap<EdgeId, Vec<(FacilityId, f64)>>>),
-    /// Ignore facilities entirely (plain one-to-all Dijkstra).
-    Ignore,
 }
 
 /// One step of progress of an expansion.
@@ -285,7 +283,7 @@ impl<A: NetworkAccess> Expansion<A> {
             // Which facilities of the edge to en-heap. In the shrinking stage
             // one probe of the candidate map tells whether there are any.
             let on_edge = match (&self.facility_mode, &e.facilities) {
-                (FacilityMode::Ignore, _) | (FacilityMode::All, None) => continue,
+                (FacilityMode::All, None) => continue,
                 (FacilityMode::All, Some(run)) => OnEdge::Run(run),
                 (FacilityMode::CandidatesOnly(by_edge), _) => match by_edge.get(&e.edge) {
                     Some(candidates) => OnEdge::Listed(candidates),
@@ -457,16 +455,16 @@ mod tests {
     }
 
     #[test]
-    fn ignore_mode_is_plain_dijkstra() {
+    fn nodes_settle_in_dijkstra_order() {
         let (store, _) = line_store();
         let access = Arc::new(DirectAccess::new(store));
         let seeds = seeds_for_location(access.as_ref(), NetworkLocation::Node(NodeId::new(0)));
-        let mut ex = Expansion::new(access, 0, &seeds, FacilityMode::Ignore);
+        let mut ex = Expansion::new(access, 0, &seeds, FacilityMode::All);
         let mut settled = Vec::new();
         loop {
             match ex.advance() {
                 ExpansionStep::NodeSettled { node, cost } => settled.push((node, cost)),
-                ExpansionStep::Facility { .. } => panic!("facilities must be ignored"),
+                ExpansionStep::Facility { .. } => {}
                 ExpansionStep::Exhausted => break,
             }
         }

@@ -12,8 +12,8 @@
 //!   facility list fetched at most once per query).
 //! * [`seeds_for_location`] — turns a query location (node or edge interior)
 //!   into expansion seeds with partial-weight costs.
-//! * [`oracle`] — in-memory brute-force cost vectors used as the ground truth
-//!   in tests and by the straightforward baseline.
+//! * [`oracle`] — in-memory brute-force cost vectors, skyline and top-k: the
+//!   ground truth LSA and CEA are tested against.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

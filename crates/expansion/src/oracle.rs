@@ -1,12 +1,14 @@
-//! In-memory brute-force oracle: exact cost vectors of every facility.
+//! In-memory brute-force oracle: exact cost vectors of every facility, and
+//! the skyline and top-k over them.
 //!
 //! This module runs `d` plain Dijkstra expansions over the *in-memory* graph
 //! (no storage layer) and returns, for every facility, the full cost vector
-//! `⃗c(q, p) = (c₁(q, p), …, c_d(q, p))`. It is the reference implementation
-//! used by tests (LSA and CEA must agree with it exactly) and by the
-//! straightforward baseline's correctness checks.
+//! `⃗c(q, p) = (c₁(q, p), …, c_d(q, p))`. [`skyline`] and [`top_k`] answer the
+//! paper's two preference queries from these vectors by exhaustive
+//! comparison; they are the reference that LSA and CEA must agree with
+//! exactly.
 
-use mcn_graph::{CostVec, MultiCostGraph, NetworkLocation, NodeId};
+use mcn_graph::{dominates, CostVec, FacilityId, MultiCostGraph, NetworkLocation, NodeId};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -97,6 +99,47 @@ pub fn facility_cost_vectors(graph: &MultiCostGraph, location: NetworkLocation) 
         .collect()
 }
 
+/// The skyline of the facilities `location` reaches, in facility order: every
+/// reached facility whose cost vector no other reached facility dominates
+/// (equal vectors are all kept).
+pub fn skyline(graph: &MultiCostGraph, location: NetworkLocation) -> Vec<FacilityId> {
+    let reached = reached(graph, location);
+    reached
+        .iter()
+        .filter(|(_, c)| !reached.iter().any(|(_, other)| dominates(other, c)))
+        .map(|&(facility, _)| facility)
+        .collect()
+}
+
+/// The `k` facilities `location` reaches with the smallest `score` of their
+/// cost vector, in ascending order of score, ties broken by facility id.
+pub fn top_k(
+    graph: &MultiCostGraph,
+    location: NetworkLocation,
+    score: impl Fn(&CostVec) -> f64,
+    k: usize,
+) -> Vec<(FacilityId, f64)> {
+    let mut scored: Vec<(FacilityId, f64)> = reached(graph, location)
+        .into_iter()
+        .map(|(facility, c)| (facility, score(&c)))
+        .collect();
+    scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    scored.truncate(k);
+    scored
+}
+
+/// Every facility `location` reaches, with its cost vector. Edge costs are
+/// finite, so a facility is reached under every cost type or under none: its
+/// first cost tells which.
+fn reached(graph: &MultiCostGraph, location: NetworkLocation) -> Vec<(FacilityId, CostVec)> {
+    facility_cost_vectors(graph, location)
+        .into_iter()
+        .enumerate()
+        .filter(|(_, c)| c[0].is_finite())
+        .map(|(i, c)| (FacilityId::from(i), c))
+        .collect()
+}
+
 struct DijkstraEntry {
     key: f64,
     node: NodeId,
@@ -125,7 +168,7 @@ impl PartialOrd for DijkstraEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcn_graph::{CostVec, EdgeId, GraphBuilder};
+    use mcn_graph::{EdgeId, GraphBuilder};
 
     /// Square network with a diagonal shortcut for one cost type.
     ///
@@ -151,6 +194,20 @@ mod tests {
         b.add_facility(e01, 1.0).unwrap(); // p0 exactly at v1
         b.add_facility(EdgeId::new(2), 0.5).unwrap(); // p1 mid of v2–v3
         b.build().unwrap()
+    }
+
+    /// One-way chain a → c — d → s with facility p0 on a → c and p1 on c — d:
+    /// from c only p1 is reachable, from the sink s nothing is.
+    fn one_way() -> (MultiCostGraph, [NodeId; 4]) {
+        let mut b = GraphBuilder::new(2);
+        let n: Vec<_> = (0..4).map(|i| b.add_node(i as f64, 0.0)).collect();
+        let cost = CostVec::from_slice(&[1.0, 2.0]);
+        let e0 = b.add_directed_edge(n[0], n[1], cost).unwrap();
+        let e1 = b.add_edge(n[1], n[2], cost).unwrap();
+        b.add_directed_edge(n[2], n[3], cost).unwrap();
+        b.add_facility(e0, 0.5).unwrap();
+        b.add_facility(e1, 0.5).unwrap();
+        (b.build().unwrap(), [n[0], n[1], n[2], n[3]])
     }
 
     #[test]
@@ -207,6 +264,57 @@ mod tests {
         let g = b.build().unwrap();
         let f = facility_distances(&g, NetworkLocation::Node(a), 0);
         assert!(f[0].is_infinite());
+    }
+
+    #[test]
+    fn skyline_drops_a_dominated_facility() {
+        let g = square();
+        // From v0, p0 = (1, 3) and p1 = (2.5, 1.5) are incomparable.
+        let q = NetworkLocation::Node(NodeId::new(0));
+        assert_eq!(skyline(&g, q), vec![FacilityId::new(0), FacilityId::new(1)]);
+        // From v1, p0 = (0, 0) dominates p1 = (1.5, 1.5).
+        let q = NetworkLocation::Node(NodeId::new(1));
+        assert_eq!(skyline(&g, q), vec![FacilityId::new(0)]);
+    }
+
+    #[test]
+    fn skyline_keeps_equal_cost_vectors() {
+        let g = square();
+        // Three quarters along v1 → v2, both facilities cost (0.75, 0.75).
+        let q = NetworkLocation::on_edge(EdgeId::new(1), 0.75);
+        let cvs = facility_cost_vectors(&g, q);
+        assert_eq!(cvs[0].as_slice(), cvs[1].as_slice());
+        assert_eq!(skyline(&g, q), vec![FacilityId::new(0), FacilityId::new(1)]);
+    }
+
+    #[test]
+    fn top_k_breaks_score_ties_by_facility_id() {
+        let g = square();
+        let (p0, p1) = (FacilityId::new(0), FacilityId::new(1));
+        // From v0, p0 = (1, 3) and p1 = (2.5, 1.5) both sum to 4.
+        let q = NetworkLocation::Node(NodeId::new(0));
+        let sum = |c: &CostVec| c.iter().sum::<f64>();
+        assert_eq!(top_k(&g, q, sum, 2), vec![(p0, 4.0), (p1, 4.0)]);
+        assert_eq!(top_k(&g, q, sum, 1), vec![(p0, 4.0)]);
+        // Without a tie the score decides, not the id.
+        assert_eq!(top_k(&g, q, |c| c[1], 1), vec![(p1, 1.5)]);
+    }
+
+    #[test]
+    fn unreached_facilities_are_in_no_skyline_and_no_top_k() {
+        let (g, [_, c, _, sink]) = one_way();
+        let sum = |cv: &CostVec| cv.iter().sum::<f64>();
+        let from_c = NetworkLocation::Node(c);
+        assert_eq!(skyline(&g, from_c), vec![FacilityId::new(1)]);
+        assert_eq!(top_k(&g, from_c, sum, 5), vec![(FacilityId::new(1), 1.5)]);
+        // From the sink both cost vectors are (+∞, +∞): equal, so neither
+        // dominates the other, yet neither facility is reached.
+        let from_sink = NetworkLocation::Node(sink);
+        assert!(facility_cost_vectors(&g, from_sink)
+            .iter()
+            .all(|cv| cv.iter().all(|x| x.is_infinite())));
+        assert!(skyline(&g, from_sink).is_empty());
+        assert!(top_k(&g, from_sink, sum, 5).is_empty());
     }
 
     #[test]

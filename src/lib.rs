@@ -12,11 +12,10 @@
 //!   (paged adjacency/facility files, B+-tree indexes, LRU buffer pool).
 //! * [`expansion`] — incremental network expansion (Dijkstra-based nearest
 //!   facility search) over the paged store.
-//! * [`core`] — the paper's contribution: LSA and CEA skyline algorithms,
-//!   the baseline, and batch/incremental top-k processing.
+//! * [`core`] — the paper's contribution: LSA and CEA skyline algorithms
+//!   and batch/incremental top-k processing.
 //! * [`engine`] — the concurrent multi-query engine: a bounded worker pool
 //!   scheduling batches of skyline/top-k queries over one shared store.
-//! * [`skyline`] — classic main-memory skyline algorithms (BNL).
 //! * [`mcpp`] — multi-criteria Pareto (skyline) path computation, with a
 //!   ParetoPrep-pruned variant.
 //! * [`prep`] — ParetoPrep precomputation: backward per-cost lower-bound
@@ -43,7 +42,6 @@ pub use mcn_index as index;
 pub use mcn_mcpp as mcpp;
 pub use mcn_obs as obs;
 pub use mcn_prep as prep;
-pub use mcn_skyline as skyline;
 pub use mcn_storage as storage;
 
 pub use mcn_core::prelude::*;

@@ -1,11 +1,11 @@
 //! Cross-crate integration tests: generated workloads → paged store → LSA /
-//! CEA / baseline queries, validated against independent oracles built from
-//! the in-memory graph and the generic skyline substrate.
+//! CEA queries, validated against the brute-force oracle over the in-memory
+//! graph.
 
 use mcn::core::prelude::*;
 use mcn::expansion::oracle;
 use mcn::gen::{generate_workload, CostDistribution, WorkloadSpec};
-use mcn::graph::{CostVec, FacilityId, NetworkLocation};
+use mcn::graph::{FacilityId, NetworkLocation};
 use mcn::storage::{BufferConfig, MCNStore};
 use std::sync::Arc;
 
@@ -29,21 +29,6 @@ fn workload(
     (store, w)
 }
 
-fn oracle_skyline(w: &mcn::gen::Workload, q: NetworkLocation) -> Vec<FacilityId> {
-    let costs = oracle::facility_cost_vectors(&w.graph, q);
-    let items: Vec<(FacilityId, CostVec)> = costs
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (FacilityId::from(i), *c))
-        .collect();
-    let mut ids: Vec<FacilityId> = mcn::skyline::block_nested_loops(&items)
-        .into_iter()
-        .map(|i| items[i].0)
-        .collect();
-    ids.sort();
-    ids
-}
-
 #[test]
 fn skyline_agrees_with_oracle_across_distributions() {
     for (seed, dist) in [
@@ -53,7 +38,7 @@ fn skyline_agrees_with_oracle_across_distributions() {
     ] {
         let (store, w) = workload(seed, dist, 3);
         for &q in &w.queries {
-            let expected = oracle_skyline(&w, q);
+            let expected = oracle::skyline(&w.graph, q);
             for algo in [Algorithm::Lsa, Algorithm::Cea] {
                 let mut got: Vec<FacilityId> = skyline_query(&store, q, algo)
                     .facilities
@@ -68,26 +53,6 @@ fn skyline_agrees_with_oracle_across_distributions() {
 }
 
 #[test]
-fn baseline_and_local_search_return_identical_skylines() {
-    let (store, w) = workload(11, CostDistribution::AntiCorrelated, 4);
-    for &q in &w.queries {
-        let mut base: Vec<FacilityId> = baseline_skyline(&store, q)
-            .facilities
-            .iter()
-            .map(|f| f.facility)
-            .collect();
-        base.sort();
-        let mut cea: Vec<FacilityId> = skyline_query(&store, q, Algorithm::Cea)
-            .facilities
-            .iter()
-            .map(|f| f.facility)
-            .collect();
-        cea.sort();
-        assert_eq!(base, cea);
-    }
-}
-
-#[test]
 fn topk_matches_brute_force() {
     let (store, w) = workload(21, CostDistribution::Independent, 3);
     let q = w.queries[0];
@@ -95,14 +60,7 @@ fn topk_matches_brute_force() {
     let f = WeightedSum::new(weights);
     let k = 8;
 
-    // Oracle: in-memory brute force over exact cost vectors.
-    let costs = oracle::facility_cost_vectors(&w.graph, q);
-    let mut brute: Vec<(usize, f64)> = costs
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (i, f.score(c)))
-        .collect();
-    brute.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let brute = oracle::top_k(&w.graph, q, |c| f.score(c), k);
 
     for algo in [Algorithm::Lsa, Algorithm::Cea] {
         let got = topk_query(&store, q, f.clone(), k, algo);
