@@ -1,38 +1,15 @@
-//! Monotone aggregate cost functions for top-k queries.
+//! The monotone aggregate cost function of top-k queries.
 
 use mcn_graph::CostVec;
-
-/// An increasingly monotone aggregate cost function `f` over the `d`
-/// per-cost-type network distances of a facility (paper Section III).
-///
-/// Monotonicity (`cᵢ(p) ≤ cᵢ(p′) ∀i ⇒ f(p) ≤ f(p′)`) is what allows the
-/// growing stage to stop after pinning `k` facilities and what makes the
-/// frontier-based lower bound of the shrinking stage valid.
-pub trait AggregateCost {
-    /// Number of cost types the function expects.
-    fn arity(&self) -> usize;
-
-    /// The aggregate score of a fully known cost vector (lower is better).
-    fn score(&self, costs: &CostVec) -> f64;
-
-    /// A lower bound on the score of a facility whose costs are only partially
-    /// known: unknown components are replaced by the current expansion
-    /// frontiers `tᵢ` (which, by the incremental nature of network expansion,
-    /// lower-bound the true unknown costs).
-    fn lower_bound(&self, known: &[Option<f64>], frontiers: &[f64]) -> f64 {
-        debug_assert_eq!(known.len(), self.arity());
-        debug_assert_eq!(frontiers.len(), self.arity());
-        let mut cv = CostVec::zeros(self.arity());
-        for i in 0..self.arity() {
-            cv[i] = known[i].unwrap_or(frontiers[i]);
-        }
-        self.score(&cv)
-    }
-}
 
 /// The weighted sum `f(p) = Σ αᵢ·cᵢ(p)` with non-negative coefficients — the
 /// aggregate used throughout the paper's evaluation (coefficients drawn
 /// uniformly from `[0, 1]`).
+///
+/// It is increasingly monotone (`cᵢ(p) ≤ cᵢ(p′) ∀i ⇒ f(p) ≤ f(p′)`, paper
+/// Section III), which is what allows the growing stage to stop after
+/// pinning `k` facilities and what makes the frontier-based lower bound of
+/// the shrinking stage valid.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WeightedSum {
     weights: Vec<f64>,
@@ -61,19 +38,36 @@ impl WeightedSum {
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }
-}
 
-impl AggregateCost for WeightedSum {
-    fn arity(&self) -> usize {
+    /// Number of cost types the function expects.
+    pub fn arity(&self) -> usize {
         self.weights.len()
     }
 
-    fn score(&self, costs: &CostVec) -> f64 {
+    /// The aggregate score of a fully known cost vector (lower is better).
+    ///
+    /// # Panics
+    /// Panics if `costs` does not have [`WeightedSum::arity`] entries.
+    pub fn score(&self, costs: &CostVec) -> f64 {
         assert_eq!(costs.len(), self.weights.len(), "arity mismatch");
         self.weights
             .iter()
             .zip(costs.as_slice())
             .map(|(w, c)| w * c)
+            .sum()
+    }
+
+    /// A lower bound on the score of a facility whose costs are only
+    /// partially known: unknown components are replaced by the current
+    /// expansion frontiers `tᵢ`, which lower-bound the true unknown costs.
+    /// A fully known vector scores exactly as [`WeightedSum::score`].
+    pub fn lower_bound(&self, known: &[Option<f64>], frontiers: &[f64]) -> f64 {
+        debug_assert_eq!(known.len(), self.arity());
+        debug_assert_eq!(frontiers.len(), self.arity());
+        self.weights
+            .iter()
+            .zip(known.iter().zip(frontiers))
+            .map(|(w, (k, t))| w * k.unwrap_or(*t))
             .sum()
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::candidate::CandidateSet;
 use crate::stats::QueryStats;
-use mcn_expansion::{seeds_for_location, Expansion, FacilityMode, NetworkAccess, TablePool};
+use mcn_expansion::{seeds_for_location, Expansion, FacilityMode, NetworkAccess};
 use mcn_graph::{CostVec, EdgeId, FacilityId, NetworkLocation};
 use mcn_storage::{IdMap, IoStats};
 use std::sync::Arc;
@@ -25,26 +25,19 @@ pub(crate) struct Coordinator<A: NetworkAccess> {
     pub(crate) stage: Stage,
     pub(crate) candidates: CandidateSet,
     pub(crate) dominance_checks: usize,
-    algorithm: &'static str,
     start_io: IoStats,
 }
 
 const _: () = crate::assert_send::<Coordinator<mcn_expansion::DirectAccess>>();
 
 impl<A: NetworkAccess> Coordinator<A> {
-    /// Seeds one expansion per cost type at `location`, in the growing stage,
-    /// each on tables borrowed from `pool` until the coordinator is dropped.
-    pub(crate) fn new(
-        access: Arc<A>,
-        location: NetworkLocation,
-        algorithm: &'static str,
-        pool: &TablePool,
-    ) -> Self {
+    /// Seeds one expansion per cost type at `location`, in the growing stage.
+    pub(crate) fn new(access: Arc<A>, location: NetworkLocation) -> Self {
         let d = access.num_cost_types();
         let start_io = access.io_stats();
         let seeds = seeds_for_location(access.as_ref(), location);
         let expansions = (0..d)
-            .map(|i| Expansion::with_pool(access.clone(), i, &seeds, FacilityMode::All, pool))
+            .map(|i| Expansion::new(access.clone(), i, &seeds, FacilityMode::All))
             .collect();
         Self {
             access,
@@ -53,7 +46,6 @@ impl<A: NetworkAccess> Coordinator<A> {
             stage: Stage::Growing,
             candidates: CandidateSet::new(d),
             dominance_checks: 0,
-            algorithm,
             start_io,
         }
     }
@@ -133,7 +125,7 @@ impl<A: NetworkAccess> Coordinator<A> {
             heap_pops += s.heap_pops;
         }
         QueryStats {
-            algorithm: self.algorithm.to_string(),
+            algorithm: A::ALGORITHM.to_string(),
             io: self.access.io_stats() - self.start_io,
             nodes_settled,
             heap_pushes,

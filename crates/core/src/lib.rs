@@ -7,9 +7,12 @@
 //!
 //! * [`skyline::skyline_query`] / [`skyline::SkylineSearch`] — the **LSA** and
 //!   **CEA** algorithms (Section IV); progressive output via the iterator.
+//!   They are one search, generic over the [`mcn_expansion::NetworkAccess`]
+//!   type its expansions read through, which also names it in
+//!   [`QueryStats::algorithm`].
 //! * [`topk::topk_query`] / [`topk::TopKIter`] — batch and **incremental**
-//!   top-k processing (Section V).
-//! * [`aggregate::WeightedSum`] — the monotone aggregate used in the paper's
+//!   top-k processing (Section V), the same search scored by
+//!   [`aggregate::WeightedSum`], the monotone aggregate of the paper's
 //!   evaluation.
 //!
 //! ## Example
@@ -49,22 +52,20 @@ pub mod topk;
 #[cfg(test)]
 pub(crate) mod test_support;
 
-pub use aggregate::{AggregateCost, WeightedSum};
+pub use aggregate::WeightedSum;
 pub use candidate::{Candidate, CandidateSet};
-pub use skyline::{
-    skyline_query, skyline_query_in, Algorithm, SkylineFacility, SkylineResult, SkylineSearch,
-};
+pub use skyline::{skyline_query, Algorithm, SkylineFacility, SkylineResult, SkylineSearch};
 pub use stats::QueryStats;
-pub use topk::{topk_query, topk_query_in, TopKEntry, TopKIter, TopKResult};
+pub use topk::{topk_query, TopKEntry, TopKIter, TopKResult};
 
 /// Commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::aggregate::{AggregateCost, WeightedSum};
+    pub use crate::aggregate::WeightedSum;
     pub use crate::skyline::{
-        skyline_query, skyline_query_in, Algorithm, SkylineFacility, SkylineResult, SkylineSearch,
+        skyline_query, Algorithm, SkylineFacility, SkylineResult, SkylineSearch,
     };
     pub use crate::stats::QueryStats;
-    pub use crate::topk::{topk_query, topk_query_in, TopKEntry, TopKIter, TopKResult};
+    pub use crate::topk::{topk_query, TopKEntry, TopKIter, TopKResult};
 }
 
 /// Compile-time thread-safety proof: instantiated in a `const _` next to

@@ -23,29 +23,19 @@
 
 use crate::coordinator::{Coordinator, Stage};
 use crate::stats::QueryStats;
-use mcn_expansion::{DirectAccess, NetworkAccess, SharedAccess, TablePool};
+use mcn_expansion::{DirectAccess, NetworkAccess, SharedAccess};
 use mcn_graph::{CostVec, FacilityId, NetworkLocation};
 use mcn_storage::StoreView;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Which algorithm variant to run.
+/// Which algorithm variant to run: which access discipline the expansions
+/// read through ([`NetworkAccess::ALGORITHM`] names it in the statistics).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Algorithm {
     /// Local Search Algorithm: `d` independent expansions.
     Lsa,
     /// Combined Expansion Algorithm: expansions share fetched information.
     Cea,
-}
-
-impl Algorithm {
-    /// Human-readable name as used in the paper's plots.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algorithm::Lsa => "LSA",
-            Algorithm::Cea => "CEA",
-        }
-    }
 }
 
 /// One skyline member: a facility together with its complete cost vector.
@@ -74,9 +64,10 @@ pub struct SkylineResult {
 pub struct SkylineSearch<A: NetworkAccess> {
     state: Coordinator<A>,
     next_probe: usize,
+    /// Every member pinned so far, in pinning order.
     emitted: Vec<SkylineFacility>,
-    pending: VecDeque<SkylineFacility>,
-    finished: bool,
+    /// How many of `emitted` the iterator has yielded.
+    yielded: usize,
 }
 
 // Thread-safety contract: searches must be movable onto `QueryEngine`
@@ -89,7 +80,7 @@ impl<S: StoreView + ?Sized> SkylineSearch<DirectAccess<S>> {
     /// monolithic (`MCNStore`, the default) or any other [`StoreView`],
     /// e.g. a region-partitioned store — the results are identical.
     pub fn lsa(store: Arc<S>, location: NetworkLocation) -> Self {
-        Self::new(Arc::new(DirectAccess::new(store)), location, "LSA")
+        Self::new(Arc::new(DirectAccess::new(store)), location)
     }
 }
 
@@ -97,30 +88,18 @@ impl<S: StoreView + ?Sized> SkylineSearch<SharedAccess<S>> {
     /// Starts a CEA skyline computation at `location` (over any
     /// [`StoreView`], like [`SkylineSearch::lsa`]).
     pub fn cea(store: Arc<S>, location: NetworkLocation) -> Self {
-        Self::new(Arc::new(SharedAccess::new(store)), location, "CEA")
+        Self::new(Arc::new(SharedAccess::new(store)), location)
     }
 }
 
 impl<A: NetworkAccess> SkylineSearch<A> {
     /// Starts a skyline computation over an arbitrary access discipline.
-    pub fn new(access: Arc<A>, location: NetworkLocation, algorithm: &'static str) -> Self {
-        Self::with_pool(access, location, algorithm, &TablePool::new())
-    }
-
-    /// [`SkylineSearch::new`] with the expansions' tables borrowed from
-    /// `pool` until the search is dropped.
-    pub fn with_pool(
-        access: Arc<A>,
-        location: NetworkLocation,
-        algorithm: &'static str,
-        pool: &TablePool,
-    ) -> Self {
+    pub fn new(access: Arc<A>, location: NetworkLocation) -> Self {
         Self {
-            state: Coordinator::new(access, location, algorithm, pool),
+            state: Coordinator::new(access, location),
             next_probe: 0,
             emitted: Vec::new(),
-            pending: VecDeque::new(),
-            finished: false,
+            yielded: 0,
         }
     }
 
@@ -131,21 +110,15 @@ impl<A: NetworkAccess> SkylineSearch<A> {
         }
         let (_, checks) = self.state.candidates.eliminate_dominated(&costs);
         self.state.dominance_checks += checks;
-        let member = SkylineFacility { facility, costs };
-        self.emitted.push(member.clone());
-        self.pending.push_back(member);
-        if self.state.candidates.is_empty() {
-            self.finished = true;
-        }
+        self.emitted.push(SkylineFacility { facility, costs });
     }
 
     /// Performs one round-robin probe. Returns `false` once the search has
     /// finished.
     fn step(&mut self) -> bool {
-        if self.finished {
-            return false;
-        }
-        if self.state.all_inactive() {
+        // A pin opens the shrinking stage, which ends with its last candidate.
+        let finished = self.state.stage == Stage::Shrinking && self.state.candidates.is_empty();
+        if finished || self.state.all_inactive() {
             debug_assert!(self.state.candidates.is_empty());
             return false;
         }
@@ -213,10 +186,11 @@ impl<A: NetworkAccess> Iterator for SkylineSearch<A> {
     /// output).
     fn next(&mut self) -> Option<SkylineFacility> {
         loop {
-            if let Some(member) = self.pending.pop_front() {
-                return Some(member);
+            if let Some(member) = self.emitted.get(self.yielded) {
+                self.yielded += 1;
+                return Some(member.clone());
             }
-            if !self.step() && self.pending.is_empty() {
+            if !self.step() {
                 return None;
             }
         }
@@ -230,27 +204,9 @@ pub fn skyline_query<S: StoreView + ?Sized>(
     location: NetworkLocation,
     algorithm: Algorithm,
 ) -> SkylineResult {
-    skyline_query_in(store, location, algorithm, &TablePool::new())
-}
-
-/// [`skyline_query`] with the expansions' tables borrowed from `pool` — the
-/// same search, minus the per-query table set-up when the pool is reused.
-pub fn skyline_query_in<S: StoreView + ?Sized>(
-    store: &Arc<S>,
-    location: NetworkLocation,
-    algorithm: Algorithm,
-    pool: &TablePool,
-) -> SkylineResult {
-    let name = algorithm.name();
     match algorithm {
-        Algorithm::Lsa => {
-            let access = Arc::new(DirectAccess::new(store.clone()));
-            SkylineSearch::with_pool(access, location, name, pool).into_result()
-        }
-        Algorithm::Cea => {
-            let access = Arc::new(SharedAccess::new(store.clone()));
-            SkylineSearch::with_pool(access, location, name, pool).into_result()
-        }
+        Algorithm::Lsa => SkylineSearch::lsa(store.clone(), location).into_result(),
+        Algorithm::Cea => SkylineSearch::cea(store.clone(), location).into_result(),
     }
 }
 
@@ -291,7 +247,7 @@ mod tests {
         let store = Arc::new(store);
         for algo in [Algorithm::Lsa, Algorithm::Cea] {
             let result = skyline_query(&store, q, algo);
-            assert_eq!(result.facilities.len(), 2, "{}", algo.name());
+            assert_eq!(result.facilities.len(), 2, "{algo:?}");
             assert_eq!(result.stats.result_size, 2);
         }
     }

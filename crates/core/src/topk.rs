@@ -11,11 +11,11 @@
 //! reports facilities one at a time in ascending aggregate-cost order, and can
 //! be driven until the whole facility set is exhausted.
 
-use crate::aggregate::AggregateCost;
+use crate::aggregate::WeightedSum;
 use crate::coordinator::{Coordinator, Stage};
 use crate::skyline::Algorithm;
 use crate::stats::QueryStats;
-use mcn_expansion::{DirectAccess, ExpansionStep, NetworkAccess, SharedAccess, TablePool};
+use mcn_expansion::{DirectAccess, ExpansionStep, NetworkAccess, SharedAccess};
 use mcn_graph::{CostVec, FacilityId, NetworkLocation};
 use mcn_storage::StoreView;
 use std::sync::Arc;
@@ -41,31 +41,39 @@ pub struct TopKResult {
 }
 
 /// Starts the expansions of a top-k query scored by `aggregate`.
-fn start<A: NetworkAccess, F: AggregateCost>(
+fn start<A: NetworkAccess>(
     access: Arc<A>,
     location: NetworkLocation,
-    aggregate: &F,
-    algorithm: &'static str,
-    pool: &TablePool,
+    aggregate: &WeightedSum,
 ) -> Coordinator<A> {
     assert_eq!(
         aggregate.arity(),
         access.num_cost_types(),
         "aggregate arity must match the number of cost types"
     );
-    Coordinator::new(access, location, algorithm, pool)
+    Coordinator::new(access, location)
+}
+
+/// Inserts `entry` into `ranked`, which is kept ascending by (score,
+/// facility id); facility ids are unique, so the order is total.
+fn insert_ranked(ranked: &mut Vec<TopKEntry>, entry: TopKEntry) {
+    let at = ranked.partition_point(|e| {
+        e.score
+            .total_cmp(&entry.score)
+            .then(e.facility.cmp(&entry.facility))
+            .is_lt()
+    });
+    ranked.insert(at, entry);
 }
 
 /// Runs a batch top-k query with the given access discipline.
-fn topk_with_access<A: NetworkAccess, F: AggregateCost>(
+fn topk_with_access<A: NetworkAccess>(
     access: Arc<A>,
     location: NetworkLocation,
-    aggregate: F,
+    aggregate: WeightedSum,
     k: usize,
-    algorithm: &'static str,
-    pool: &TablePool,
 ) -> TopKResult {
-    let mut state = start(access, location, &aggregate, algorithm, pool);
+    let mut state = start(access, location, &aggregate);
     let d = state.d();
     let mut frontiers = Vec::with_capacity(d);
     // The tentative top-k, kept sorted by (score, facility id).
@@ -131,12 +139,7 @@ fn topk_with_access<A: NetworkAccess, F: AggregateCost>(
                 };
                 match state.stage {
                     Stage::Growing => {
-                        top.push(entry);
-                        top.sort_by(|a, b| {
-                            a.score
-                                .total_cmp(&b.score)
-                                .then(a.facility.cmp(&b.facility))
-                        });
+                        insert_ranked(&mut top, entry);
                         if top.len() == k {
                             state.enter_shrinking();
                         }
@@ -146,12 +149,7 @@ fn topk_with_access<A: NetworkAccess, F: AggregateCost>(
                         let kth = top.last().expect("top is full in shrinking").score;
                         if entry.score < kth {
                             top.pop();
-                            top.push(entry);
-                            top.sort_by(|a, b| {
-                                a.score
-                                    .total_cmp(&b.score)
-                                    .then(a.facility.cmp(&b.facility))
-                            });
+                            insert_ranked(&mut top, entry);
                         }
                     }
                 }
@@ -188,35 +186,21 @@ fn topk_with_access<A: NetworkAccess, F: AggregateCost>(
 /// Computes the `k` facilities with the smallest aggregate cost from
 /// `location`, using LSA- or CEA-style expansion, over any [`StoreView`]
 /// (monolithic or partitioned — identical results).
-pub fn topk_query<S: StoreView + ?Sized, F: AggregateCost>(
+pub fn topk_query<S: StoreView + ?Sized>(
     store: &Arc<S>,
     location: NetworkLocation,
-    aggregate: F,
+    aggregate: WeightedSum,
     k: usize,
     algorithm: Algorithm,
 ) -> TopKResult {
-    topk_query_in(store, location, aggregate, k, algorithm, &TablePool::new())
-}
-
-/// [`topk_query`] with the expansions' tables borrowed from `pool` — the
-/// same search, minus the per-query table set-up when the pool is reused.
-pub fn topk_query_in<S: StoreView + ?Sized, F: AggregateCost>(
-    store: &Arc<S>,
-    location: NetworkLocation,
-    aggregate: F,
-    k: usize,
-    algorithm: Algorithm,
-    pool: &TablePool,
-) -> TopKResult {
-    let name = algorithm.name();
     match algorithm {
         Algorithm::Lsa => {
             let access = Arc::new(DirectAccess::new(store.clone()));
-            topk_with_access(access, location, aggregate, k, name, pool)
+            topk_with_access(access, location, aggregate, k)
         }
         Algorithm::Cea => {
             let access = Arc::new(SharedAccess::new(store.clone()));
-            topk_with_access(access, location, aggregate, k, name, pool)
+            topk_with_access(access, location, aggregate, k)
         }
     }
 }
@@ -227,11 +211,11 @@ pub fn topk_query_in<S: StoreView + ?Sized, F: AggregateCost>(
 /// A facility is reported once (i) it is pinned, (ii) it has the smallest
 /// aggregate cost among unreported pinned facilities, and (iii) no candidate's
 /// aggregate-cost lower bound beats it.
-pub struct TopKIter<A: NetworkAccess, F: AggregateCost> {
+pub struct TopKIter<A: NetworkAccess> {
     /// Stays in the growing stage: incremental processing never closes
     /// admission.
     state: Coordinator<A>,
-    aggregate: F,
+    aggregate: WeightedSum,
     /// Pinned but not yet reported, sorted ascending by (score, facility).
     ready: Vec<TopKEntry>,
     reported: usize,
@@ -241,55 +225,33 @@ pub struct TopKIter<A: NetworkAccess, F: AggregateCost> {
     frontiers: Vec<f64>,
 }
 
-impl<S: StoreView + ?Sized, F: AggregateCost> TopKIter<DirectAccess<S>, F> {
+// Thread-safety contract: incremental iterations must be movable onto
+// `QueryEngine` worker threads.
+const _: () = crate::assert_send::<TopKIter<DirectAccess>>();
+const _: () = crate::assert_send::<TopKIter<SharedAccess>>();
+
+impl<S: StoreView + ?Sized> TopKIter<DirectAccess<S>> {
     /// Starts an incremental top-k iteration with LSA-style access (over any
     /// [`StoreView`]).
-    pub fn lsa(store: Arc<S>, location: NetworkLocation, aggregate: F) -> Self {
-        Self::new(
-            Arc::new(DirectAccess::new(store)),
-            location,
-            aggregate,
-            "LSA",
-        )
+    pub fn lsa(store: Arc<S>, location: NetworkLocation, aggregate: WeightedSum) -> Self {
+        Self::new(Arc::new(DirectAccess::new(store)), location, aggregate)
     }
 }
 
-impl<S: StoreView + ?Sized, F: AggregateCost> TopKIter<SharedAccess<S>, F> {
+impl<S: StoreView + ?Sized> TopKIter<SharedAccess<S>> {
     /// Starts an incremental top-k iteration with CEA-style access (over any
     /// [`StoreView`]).
-    pub fn cea(store: Arc<S>, location: NetworkLocation, aggregate: F) -> Self {
-        Self::new(
-            Arc::new(SharedAccess::new(store)),
-            location,
-            aggregate,
-            "CEA",
-        )
+    pub fn cea(store: Arc<S>, location: NetworkLocation, aggregate: WeightedSum) -> Self {
+        Self::new(Arc::new(SharedAccess::new(store)), location, aggregate)
     }
 }
 
-impl<A: NetworkAccess, F: AggregateCost> TopKIter<A, F> {
+impl<A: NetworkAccess> TopKIter<A> {
     /// Starts an incremental top-k iteration over an arbitrary access
     /// discipline.
-    pub fn new(
-        access: Arc<A>,
-        location: NetworkLocation,
-        aggregate: F,
-        algorithm: &'static str,
-    ) -> Self {
-        Self::with_pool(access, location, aggregate, algorithm, &TablePool::new())
-    }
-
-    /// [`TopKIter::new`] with the expansions' tables borrowed from `pool`
-    /// until the iterator is dropped, however far it was driven.
-    pub fn with_pool(
-        access: Arc<A>,
-        location: NetworkLocation,
-        aggregate: F,
-        algorithm: &'static str,
-        pool: &TablePool,
-    ) -> Self {
+    pub fn new(access: Arc<A>, location: NetworkLocation, aggregate: WeightedSum) -> Self {
         Self {
-            state: start(access, location, &aggregate, algorithm, pool),
+            state: start(access, location, &aggregate),
             aggregate,
             ready: Vec::new(),
             reported: 0,
@@ -298,23 +260,10 @@ impl<A: NetworkAccess, F: AggregateCost> TopKIter<A, F> {
         }
     }
 
-    /// Number of facilities reported so far.
-    pub fn reported(&self) -> usize {
-        self.reported
-    }
-
     /// Execution statistics gathered so far.
     pub fn stats(&self) -> QueryStats {
         self.state
             .collect_stats(self.ready.len() + self.reported, self.reported)
-    }
-
-    fn sort_ready(&mut self) {
-        self.ready.sort_by(|a, b| {
-            a.score
-                .total_cmp(&b.score)
-                .then(a.facility.cmp(&b.facility))
-        });
     }
 
     /// True iff the best ready entry may be reported (condition (iii)).
@@ -330,7 +279,7 @@ impl<A: NetworkAccess, F: AggregateCost> TopKIter<A, F> {
     }
 }
 
-impl<A: NetworkAccess, F: AggregateCost> Iterator for TopKIter<A, F> {
+impl<A: NetworkAccess> Iterator for TopKIter<A> {
     type Item = TopKEntry;
 
     fn next(&mut self) -> Option<TopKEntry> {
@@ -359,12 +308,12 @@ impl<A: NetworkAccess, F: AggregateCost> Iterator for TopKIter<A, F> {
                 Some((facility, cost)) => {
                     if let Some(costs) = self.state.record(facility, i, cost) {
                         let score = self.aggregate.score(&costs);
-                        self.ready.push(TopKEntry {
+                        let entry = TopKEntry {
                             facility,
                             costs,
                             score,
-                        });
-                        self.sort_ready();
+                        };
+                        insert_ranked(&mut self.ready, entry);
                     }
                 }
             }
@@ -375,17 +324,10 @@ impl<A: NetworkAccess, F: AggregateCost> Iterator for TopKIter<A, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::WeightedSum;
     use crate::test_support::{paper_figure1_store, random_store};
     use mcn_expansion::oracle;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
-
-    /// Compile-time thread-safety contract: incremental iterations must be
-    /// movable onto `QueryEngine` worker threads.
-    const fn assert_send<T: Send>() {}
-    const _: () = assert_send::<TopKIter<DirectAccess, WeightedSum>>();
-    const _: () = assert_send::<TopKIter<SharedAccess, WeightedSum>>();
 
     fn scores(r: &TopKResult) -> Vec<f64> {
         r.entries.iter().map(|e| e.score).collect()
@@ -423,8 +365,7 @@ mod tests {
                 for (g, e) in got.entries.iter().zip(&expected) {
                     assert!(
                         (g.score - e.1).abs() < 1e-9,
-                        "seed {seed} {}: score {} vs oracle {}",
-                        algo.name(),
+                        "seed {seed} {algo:?}: score {} vs oracle {}",
                         g.score,
                         e.1
                     );

@@ -1,9 +1,9 @@
 //! Shared context for path-skyline queries: the in-memory graph plus a
 //! cache of ParetoPrep tables.
 
-use mcn_graph::{MultiCostGraph, NodeId};
+use mcn_graph::MultiCostGraph;
 use mcn_index::RouteIndex;
-use mcn_prep::{PrepCache, PrepCacheStats, PrepTable};
+use mcn_prep::PrepCache;
 use std::sync::Arc;
 
 /// Everything the engine needs to serve [`crate::QueryRequest::PathSkyline`]
@@ -11,7 +11,7 @@ use std::sync::Arc;
 /// requests: the multi-cost graph the paths run over and a bounded LRU
 /// [`PrepCache`] so concurrent batches towards popular targets share one
 /// backward scan. Path-skyline queries always get a table
-/// ([`PathContext::table_for`]); α-path queries only towards targets asked
+/// ([`PrepCache::get_or_build`]); α-path queries only towards targets asked
 /// for often enough to pay for one ([`PrepCache::get_or_bypass`]).
 ///
 /// Facility skyline/top-k queries read the paged store; path-skyline
@@ -70,37 +70,6 @@ impl PathContext {
     pub fn cache(&self) -> &PrepCache {
         &self.cache
     }
-
-    /// The prep table for `target`: cached, or built by a backward scan and
-    /// cached on a miss.
-    pub fn table_for(&self, target: NodeId) -> Arc<PrepTable> {
-        self.cache.get_or_build(&self.graph, target)
-    }
-
-    /// [`PathContext::table_for`] under an observability context: records
-    /// `prep-lookup` (and `prep-build` on a miss) spans when tracing is
-    /// enabled. Returns the same table as the unobserved variant.
-    pub fn table_for_observed(
-        &self,
-        target: NodeId,
-        obs: Option<&mcn_obs::Obs>,
-        tier: &str,
-        query: u64,
-    ) -> Arc<PrepTable> {
-        self.cache
-            .get_or_build_observed(&self.graph, target, obs, tier, query)
-    }
-
-    /// Snapshot of the cache counters (the engine diffs two of them into a
-    /// batch's `BatchStats::prep_cache`).
-    pub fn cache_stats(&self) -> PrepCacheStats {
-        self.cache.stats()
-    }
-
-    /// Empties the cache — the "cold" starting condition.
-    pub fn clear_cache(&self) {
-        self.cache.clear()
-    }
 }
 
 #[cfg(test)]
@@ -115,11 +84,11 @@ mod tests {
         let c = b.add_node(1.0, 0.0);
         b.add_edge(a, c, CostVec::from_slice(&[1.0, 2.0])).unwrap();
         let ctx = PathContext::new(Arc::new(b.build().unwrap()), 4);
-        let first = ctx.table_for(c);
-        let second = ctx.table_for(c);
+        let first = ctx.cache().get_or_build(ctx.graph(), c, None, "", 0);
+        let second = ctx.cache().get_or_build(ctx.graph(), c, None, "", 0);
         assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(ctx.cache_stats().hits, 1);
-        ctx.clear_cache();
+        assert_eq!(ctx.cache().stats().hits, 1);
+        ctx.cache().clear();
         assert!(ctx.cache().is_empty());
         assert_eq!(ctx.graph().num_nodes(), 2);
     }

@@ -2,7 +2,6 @@
 
 use crate::context::PathContext;
 use crate::request::{QueryOutcome, QueryRequest};
-use mcn_expansion::TablePool;
 use mcn_graph::RegionId;
 use mcn_obs::{default_clock, Clock, Obs};
 use mcn_prep::PrepCacheStats;
@@ -212,13 +211,7 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
 
     /// Executes one request on the calling thread (no pool involved).
     pub fn run_one(&self, request: &QueryRequest) -> QueryOutcome {
-        request.execute(
-            &self.store,
-            self.paths.as_deref(),
-            self.obs.as_deref(),
-            0,
-            &TablePool::new(),
-        )
+        request.execute(&self.store, self.paths.as_deref(), self.obs.as_deref(), 0)
     }
 
     /// Executes `requests` across the worker pool and returns the outcomes
@@ -265,7 +258,7 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
         let prep_before = self
             .paths
             .as_deref()
-            .map(|ctx| ctx.cache_stats())
+            .map(|ctx| ctx.cache().stats())
             .unwrap_or_default();
         let obs = self.obs.as_deref();
         let clock: &dyn Clock = match obs {
@@ -278,7 +271,7 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
         let affine_steals = AtomicU64::new(0);
 
         let paths = self.paths.as_deref();
-        let execute = |i: usize, pool: &TablePool| {
+        let execute = |i: usize| {
             let tier = requests[i].kind();
             // Only the schedule span reads the claim time, so an untraced
             // batch does not read the clock for it.
@@ -288,7 +281,7 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
                 o.tracer()
                     .record("schedule", tier, i as u64, started_ns, clock.now_ns());
             }
-            let run = || requests[i].execute(&self.store, paths, obs, i as u64, pool);
+            let run = || requests[i].execute(&self.store, paths, obs, i as u64);
             let outcome = match regions {
                 Some(tags) => with_seed_region(tags[i], run),
                 None => run(),
@@ -320,7 +313,6 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
                     let affine_hits = &affine_hits;
                     let affine_steals = &affine_steals;
                     scope.spawn(move || {
-                        let pool = TablePool::new();
                         let mut last: Option<usize> = None;
                         loop {
                             let claimed = {
@@ -339,7 +331,7 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
                                     affine_steals.fetch_add(1, Ordering::Relaxed);
                                 }
                             }
-                            execute(i, &pool);
+                            execute(i);
                             {
                                 let mut st = state.lock();
                                 st.active[region] -= 1;
@@ -352,15 +344,12 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
                 for _ in 0..workers {
                     let cursor = &cursor;
                     let execute = &execute;
-                    scope.spawn(move || {
-                        let pool = TablePool::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            execute(i, &pool);
+                    scope.spawn(move || loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
                         }
+                        execute(i);
                     });
                 }
             }
@@ -371,7 +360,7 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
         let prep_cache = self
             .paths
             .as_deref()
-            .map(|ctx| ctx.cache_stats().since(&prep_before))
+            .map(|ctx| ctx.cache().stats().since(&prep_before))
             .unwrap_or_default();
 
         // Cross-batch metrics: cumulative store/prep counters published
@@ -382,7 +371,7 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
             let shared = o.registry();
             self.store.publish_metrics(shared);
             if let Some(ctx) = paths {
-                ctx.cache_stats().publish(shared, &[]);
+                ctx.cache().stats().publish(shared, &[]);
             }
             shared.counter("engine.batches", &[]).inc();
             shared.counter("engine.queries", &[]).add(n as u64);
@@ -739,7 +728,7 @@ mod tests {
         let serial = QueryEngine::new(store.clone(), 1)
             .with_path_context(ctx.clone())
             .run_batch(&requests);
-        ctx.clear_cache();
+        ctx.cache().clear();
         let concurrent = QueryEngine::new(store, 4)
             .with_path_context(ctx.clone())
             .run_batch(&requests);
@@ -751,7 +740,7 @@ mod tests {
         // Three distinct targets, twelve requests: the cache absorbed the
         // repeats (some misses may duplicate under races, never exceed the
         // request count).
-        let stats = ctx.cache_stats();
+        let stats = ctx.cache().stats();
         assert!(stats.hits > 0);
         assert!(stats.misses < requests.len() as u64);
     }
@@ -764,7 +753,7 @@ mod tests {
         let warm = engine.run_batch(&requests);
         assert_eq!(fingerprints(&cold), fingerprints(&warm));
         // The second batch ran entirely from the cache.
-        assert!(ctx.cache_stats().hits >= requests.len() as u64);
+        assert!(ctx.cache().stats().hits >= requests.len() as u64);
     }
 
     #[test]
@@ -810,7 +799,7 @@ mod tests {
         let serial = QueryEngine::new(store.clone(), 1)
             .with_path_context(ctx.clone())
             .run_batch(&requests);
-        ctx.clear_cache();
+        ctx.cache().clear();
         let concurrent = QueryEngine::new(store, 4)
             .with_path_context(ctx.clone())
             .run_batch(&requests);
@@ -884,7 +873,7 @@ mod tests {
         let reference = run(1);
         assert!(tags(&reference).iter().all(|t| t == "alpha-dijkstra"));
         for workers in [1, 2] {
-            ctx.clear_cache();
+            ctx.cache().clear();
             let cold = run(workers);
             assert_eq!(fingerprints(&reference), fingerprints(&cold));
             assert_eq!(tags(&reference), tags(&cold));
@@ -899,7 +888,7 @@ mod tests {
         // Pre-warmed cache: every request is a hit served by A*.
         for request in &requests {
             if let QueryRequest::AlphaPath { target, .. } = request {
-                ctx.table_for(*target);
+                ctx.cache().get_or_build(ctx.graph(), *target, None, "", 0);
             }
         }
         for workers in [1, 2] {
@@ -939,9 +928,9 @@ mod tests {
         for workers in [1, 2] {
             let ctx = Arc::new(crate::PathContext::new(graph.clone(), others.len()));
             for &other in &others {
-                ctx.table_for(other);
+                ctx.cache().get_or_build(&graph, other, None, "", 0);
             }
-            let warmed = ctx.cache_stats();
+            let warmed = ctx.cache().stats();
             let result = run(&ctx, workers);
             assert_eq!(fingerprints(&reference), fingerprints(&result));
             assert!(result
@@ -953,7 +942,7 @@ mod tests {
                 ..Default::default()
             };
             assert_eq!(result.stats.prep_cache, expected);
-            assert_eq!(ctx.cache_stats().since(&warmed), expected);
+            assert_eq!(ctx.cache().stats().since(&warmed), expected);
             for (reference, landmark) in reference.outcomes.iter().zip(&result.outcomes) {
                 assert!(landmark.stats.nodes_settled <= reference.stats.nodes_settled);
             }
@@ -1106,7 +1095,7 @@ mod tests {
             }
         }
         // Index-served path queries never consult the prep cache.
-        let cache = indexed_ctx.cache_stats();
+        let cache = indexed_ctx.cache().stats();
         assert_eq!(cache.hits + cache.misses, 0);
     }
 
@@ -1222,11 +1211,11 @@ mod tests {
         );
         assert_eq!(
             shared.counter_value("prep.cache.hits", &[]),
-            Some(ctx.cache_stats().hits)
+            Some(ctx.cache().stats().hits)
         );
         assert_eq!(
             shared.counter_value("prep.cache.bypassed", &[]),
-            Some(ctx.cache_stats().bypassed)
+            Some(ctx.cache().stats().bypassed)
         );
     }
 
@@ -1257,7 +1246,7 @@ mod tests {
         // Observability never changes results: rerunning with tracing off
         // (warm cache notwithstanding) is fingerprint-identical.
         obs.set_tracing(false);
-        ctx.clear_cache();
+        ctx.cache().clear();
         let untraced = engine.run_batch(&requests);
         assert_eq!(fingerprints(&traced), fingerprints(&untraced));
         assert!(obs.tracer().is_empty());
@@ -1271,7 +1260,7 @@ mod tests {
         let tags = vec![RegionId::new(0); requests.len()];
         let engine = QueryEngine::new(store, 2).with_path_context(ctx.clone());
         let plain = engine.run_batch(&requests);
-        ctx.clear_cache();
+        ctx.cache().clear();
         let affine = engine.run_batch_with_regions(&requests, &tags, true);
         assert_eq!(fingerprints(&plain), fingerprints(&affine));
         for (request, outcome) in requests.iter().zip(&affine.outcomes) {

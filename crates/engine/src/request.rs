@@ -1,12 +1,14 @@
 //! Query requests and their outcomes.
 
 use crate::context::PathContext;
-use mcn_alpha::{scalarized_path_astar, scalarized_path_landmarks, Preference, ScalarPath};
+use mcn_alpha::{
+    scalarized_path_astar, scalarized_path_landmarks, Preference, ScalarPath, ScalarStats,
+};
 use mcn_core::{
-    skyline_query_in, topk_query_in, Algorithm, QueryStats, SkylineFacility, TopKEntry, TopKIter,
+    skyline_query, topk_query, Algorithm, QueryStats, SkylineFacility, TopKEntry, TopKIter,
     WeightedSum,
 };
-use mcn_expansion::{DirectAccess, NetworkAccess, SharedAccess, TablePool};
+use mcn_expansion::NetworkAccess;
 use mcn_graph::{NetworkLocation, NodeId};
 use mcn_mcpp::{pareto_paths_prepped, ParetoLabel};
 use mcn_obs::{default_clock, Clock, Obs};
@@ -113,10 +115,9 @@ impl QueryRequest {
     /// tagged with `query` (the request's batch index). Observation never
     /// changes results: outputs are byte-identical with any `obs` value.
     ///
-    /// Facility searches run on expansion tables borrowed from `pool` and
-    /// returned before this call ends; a caller serving many requests keeps
-    /// one pool per thread. What the pool held before never shows in the
-    /// outcome.
+    /// Facility searches run on the calling thread's idle expansion tables,
+    /// which a thread serving many requests therefore reuses. What they held
+    /// before never shows in the outcome.
     ///
     /// # Panics
     /// Panics on path-flavored requests when `paths` is `None`.
@@ -126,7 +127,6 @@ impl QueryRequest {
         paths: Option<&PathContext>,
         obs: Option<&Obs>,
         query: u64,
-        pool: &TablePool,
     ) -> QueryOutcome {
         let clock: &dyn Clock = match obs {
             Some(o) => o.clock(),
@@ -144,7 +144,7 @@ impl QueryRequest {
             } => {
                 let r = {
                     let _s = span("search");
-                    skyline_query_in(store, *location, *algorithm, pool)
+                    skyline_query(store, *location, *algorithm)
                 };
                 let _s = span("unpack");
                 (QueryOutput::Skyline(r.facilities), r.stats)
@@ -157,14 +157,8 @@ impl QueryRequest {
             } => {
                 let r = {
                     let _s = span("search");
-                    topk_query_in(
-                        store,
-                        *location,
-                        WeightedSum::new(weights.clone()),
-                        *k,
-                        *algorithm,
-                        pool,
-                    )
+                    let aggregate = WeightedSum::new(weights.clone());
+                    topk_query(store, *location, aggregate, *k, *algorithm)
                 };
                 let _s = span("unpack");
                 (QueryOutput::TopK(r.entries), r.stats)
@@ -178,24 +172,16 @@ impl QueryRequest {
                 let _s = span("search");
                 let aggregate = WeightedSum::new(weights.clone());
                 fn first<A: NetworkAccess>(
-                    mut it: TopKIter<A, WeightedSum>,
+                    mut it: TopKIter<A>,
                     take: usize,
                 ) -> (QueryOutput, QueryStats) {
                     let entries: Vec<TopKEntry> = it.by_ref().take(take).collect();
                     (QueryOutput::TopK(entries), it.stats())
                 }
-                let name = algorithm.name();
+                let store = store.clone();
                 match algorithm {
-                    Algorithm::Lsa => {
-                        let access = Arc::new(DirectAccess::new(store.clone()));
-                        let it = TopKIter::with_pool(access, *location, aggregate, name, pool);
-                        first(it, *take)
-                    }
-                    Algorithm::Cea => {
-                        let access = Arc::new(SharedAccess::new(store.clone()));
-                        let it = TopKIter::with_pool(access, *location, aggregate, name, pool);
-                        first(it, *take)
-                    }
+                    Algorithm::Lsa => first(TopKIter::lsa(store, *location, aggregate), *take),
+                    Algorithm::Cea => first(TopKIter::cea(store, *location, aggregate), *take),
                 }
             }
             QueryRequest::PathSkyline { source, target } => {
@@ -209,20 +195,14 @@ impl QueryRequest {
                         index.skyline_paths(ctx.graph(), *source, *target)
                     };
                     let _s = span("unpack");
-                    let stats = QueryStats {
-                        algorithm: "MCPP-index".to_string(),
-                        nodes_settled: run.stats.settled as usize,
-                        candidates: run.stats.pushed as usize,
-                        dominance_checks: run.stats.pruned as usize,
-                        result_size: run.paths.len(),
-                        ..QueryStats::default()
-                    };
+                    let stats = scalar_stats("MCPP-index", &run.stats, run.paths.len());
                     (QueryOutput::Paths(run.paths), stats)
                 } else {
-                    let prep = ctx.table_for_observed(*target, obs, tier, query);
+                    let graph = ctx.graph();
+                    let prep = ctx.cache().get_or_build(graph, *target, obs, tier, query);
                     let run = {
                         let _s = span("search");
-                        pareto_paths_prepped(ctx.graph(), *source, *target, &prep)
+                        pareto_paths_prepped(graph, *source, *target, &prep)
                     };
                     let _s = span("unpack");
                     // Path queries never touch the paged store; map the label
@@ -256,14 +236,8 @@ impl QueryRequest {
                         index.alpha_path(ctx.graph(), *source, *target, alpha)
                     };
                     let _s = span("unpack");
-                    let stats = QueryStats {
-                        algorithm: "alpha-index".to_string(),
-                        nodes_settled: run.stats.settled as usize,
-                        candidates: run.stats.pushed as usize,
-                        dominance_checks: run.stats.pruned as usize,
-                        result_size: usize::from(run.path.is_some()),
-                        ..QueryStats::default()
-                    };
+                    let stats =
+                        scalar_stats("alpha-index", &run.stats, usize::from(run.path.is_some()));
                     (QueryOutput::AlphaPath(run.path), stats)
                 } else {
                     // Every search returns the same route. A target that has
@@ -297,16 +271,8 @@ impl QueryRequest {
                         }
                     };
                     let _s = span("unpack");
-                    // Same stats mapping idea as PathSkyline: candidates =
-                    // heap pushes, dominance checks = candidates pruned.
-                    let stats = QueryStats {
-                        algorithm: algorithm.to_string(),
-                        nodes_settled: run.stats.settled as usize,
-                        candidates: run.stats.pushed as usize,
-                        dominance_checks: run.stats.pruned as usize,
-                        result_size: usize::from(run.path.is_some()),
-                        ..QueryStats::default()
-                    };
+                    let stats =
+                        scalar_stats(algorithm, &run.stats, usize::from(run.path.is_some()));
                     (QueryOutput::AlphaPath(run.path), stats)
                 }
             }
@@ -316,6 +282,21 @@ impl QueryRequest {
             stats,
             wall: clock.elapsed(started_ns),
         }
+    }
+}
+
+/// The query statistics of a search that reports [`ScalarStats`] (the α
+/// searches and the route index), mapped onto the fields the reports read:
+/// candidates = heap pushes, dominance checks = candidates pruned. Such
+/// searches never touch the paged store.
+fn scalar_stats(algorithm: &str, stats: &ScalarStats, result_size: usize) -> QueryStats {
+    QueryStats {
+        algorithm: algorithm.to_string(),
+        nodes_settled: stats.settled as usize,
+        candidates: stats.pushed as usize,
+        dominance_checks: stats.pruned as usize,
+        result_size,
+        ..QueryStats::default()
     }
 }
 

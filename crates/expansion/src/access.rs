@@ -34,6 +34,10 @@ use std::sync::Arc;
 
 /// Read interface used by the expansion engine.
 pub trait NetworkAccess {
+    /// The paper's name for a search whose expansions read through this
+    /// accessor (`"LSA"` or `"CEA"`), as `QueryStats::algorithm` reports it.
+    const ALGORITHM: &'static str;
+
     /// Number of cost types `d` of the underlying network.
     fn num_cost_types(&self) -> usize;
 
@@ -80,6 +84,8 @@ impl<S: StoreView + ?Sized> DirectAccess<S> {
 }
 
 impl<S: StoreView + ?Sized> NetworkAccess for DirectAccess<S> {
+    const ALGORITHM: &'static str = "LSA";
+
     fn num_cost_types(&self) -> usize {
         self.store.num_cost_types()
     }
@@ -196,6 +202,8 @@ impl<S: StoreView + ?Sized> SharedAccess<S> {
 }
 
 impl<S: StoreView + ?Sized> NetworkAccess for SharedAccess<S> {
+    const ALGORITHM: &'static str = "CEA";
+
     fn num_cost_types(&self) -> usize {
         self.store.num_cost_types()
     }

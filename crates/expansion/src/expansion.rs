@@ -9,7 +9,7 @@
 
 use crate::access::NetworkAccess;
 use crate::seeds::Seeds;
-use crate::tables::{StampedTable, TablePool, Tables};
+use crate::tables::{StampedTable, Tables};
 use mcn_graph::{EdgeId, FacilityId, NodeId};
 use mcn_storage::{FacilityRun, IdMap};
 use std::cmp::Ordering;
@@ -131,8 +131,6 @@ pub struct Expansion<A: NetworkAccess> {
     cost_type: usize,
     facility_mode: FacilityMode,
     frontier: Frontier,
-    /// Where `frontier.tables` came from and goes back to on drop.
-    pool: TablePool,
 }
 
 /// The mutable search state: the heap, the per-id tables that de-duplicate
@@ -148,7 +146,8 @@ const _: () = crate::assert_send_sync::<Expansion<crate::SharedAccess>>();
 
 impl<A: NetworkAccess> Expansion<A> {
     /// Creates an expansion for `cost_type` starting from the given seeds,
-    /// on freshly made tables.
+    /// on one of the calling thread's idle table sets (or new ones), which
+    /// go back to the idle list of whichever thread drops the expansion.
     ///
     /// # Panics
     /// Panics if `cost_type` is not a valid cost index for the network.
@@ -158,28 +157,12 @@ impl<A: NetworkAccess> Expansion<A> {
         seeds: &Seeds,
         facility_mode: FacilityMode,
     ) -> Self {
-        Self::with_pool(access, cost_type, seeds, facility_mode, &TablePool::new())
-    }
-
-    /// Like [`Expansion::new`], with the per-id tables taken from `pool` and
-    /// handed back to it when the expansion is dropped. Which tables an
-    /// expansion runs on never shows in its steps or counters.
-    ///
-    /// # Panics
-    /// Panics if `cost_type` is not a valid cost index for the network.
-    pub fn with_pool(
-        access: Arc<A>,
-        cost_type: usize,
-        seeds: &Seeds,
-        facility_mode: FacilityMode,
-        pool: &TablePool,
-    ) -> Self {
         assert!(
             cost_type < access.num_cost_types(),
             "cost type {cost_type} out of range (d = {})",
             access.num_cost_types()
         );
-        let tables = pool.take(access.num_nodes(), access.num_facilities());
+        let tables = Tables::take(access.num_nodes(), access.num_facilities());
         let mut ex = Self {
             access,
             cost_type,
@@ -189,7 +172,6 @@ impl<A: NetworkAccess> Expansion<A> {
                 tables,
                 stats: ExpansionStats::default(),
             },
-            pool: pool.clone(),
         };
         for (node, costs) in &seeds.node_seeds {
             ex.frontier.push_node(*node, costs[cost_type]);
@@ -198,11 +180,6 @@ impl<A: NetworkAccess> Expansion<A> {
             ex.frontier.push_facility(*facility, costs[cost_type]);
         }
         ex
-    }
-
-    /// The cost type this expansion searches on.
-    pub fn cost_type(&self) -> usize {
-        self.cost_type
     }
 
     /// Work counters.
@@ -364,13 +341,12 @@ impl Frontier {
 
 impl<A: NetworkAccess> Drop for Expansion<A> {
     fn drop(&mut self) {
-        self.pool
-            .give_back(std::mem::take(&mut self.frontier.tables));
+        std::mem::take(&mut self.frontier.tables).give_back();
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::access::DirectAccess;
     use crate::seeds::seeds_for_location;
@@ -379,7 +355,7 @@ mod tests {
 
     /// Line network: v0 -(2,10)- v1 -(2,10)- v2 -(2,10)- v3, facilities:
     /// p0 at 0.5 on edge 0, p1 at 0.5 on edge 2.
-    fn line_store() -> (Arc<MCNStore>, mcn_graph::MultiCostGraph) {
+    pub(crate) fn line_store() -> (Arc<MCNStore>, mcn_graph::MultiCostGraph) {
         let mut b = GraphBuilder::new(2);
         let n: Vec<_> = (0..4).map(|i| b.add_node(i as f64, 0.0)).collect();
         let mut edges = Vec::new();

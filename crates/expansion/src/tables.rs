@@ -1,6 +1,6 @@
 //! The per-expansion search state that is indexed by raw id: dense,
-//! generation-stamped tables, pooled so one worker reuses them for every
-//! query it serves.
+//! generation-stamped tables, kept per thread so one worker reuses them for
+//! every query it serves.
 //!
 //! Node, facility and page ids are dense (`0..n`), so "best distance of node
 //! `v`" is an array slot, not a hash probe. An entry is *occupied* iff its
@@ -8,8 +8,7 @@
 //! next query is one counter increment, whatever the previous query touched.
 
 use mcn_storage::AdjacencyEntry;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::cell::RefCell;
 
 /// `id → (best key, done flag)` over the ids `0..len`, cleared in O(1).
 ///
@@ -29,7 +28,7 @@ pub(crate) struct StampedTable {
 impl StampedTable {
     /// Empties the table and makes the ids `0..len` addressable. The vectors
     /// only ever grow, to exactly the largest `len` asked for (no amortised
-    /// doubling: this memory is held for as long as the pool lives).
+    /// doubling: this memory is held for as long as its thread lives).
     pub(crate) fn reset(&mut self, len: usize) {
         fn grow<T: Clone>(v: &mut Vec<T>, len: usize, vacant: T) {
             v.reserve_exact(len - v.len());
@@ -107,56 +106,47 @@ pub(crate) struct Tables {
     pub(crate) adjacency: Vec<AdjacencyEntry>,
 }
 
-/// A pool of expansion tables: an [`crate::Expansion`] takes a pair when it
-/// is built and hands it back when it is dropped, so whoever keeps the pool
-/// alive across queries — an engine worker, for the length of a batch — pays
-/// for `d` pairs once instead of per query. A fresh pool (what
-/// [`crate::Expansion::new`] uses) simply starts with new tables; the search
-/// itself cannot tell the difference.
-///
-/// Cloning yields another handle to the same pool.
-#[derive(Clone, Default)]
-pub struct TablePool {
-    free: Arc<Mutex<Vec<Tables>>>,
+thread_local! {
+    /// This thread's idle table sets. An [`crate::Expansion`] takes one when
+    /// it is built and hands it back when it is dropped, so a thread serving
+    /// many queries — an engine worker, for the length of a batch — pays for
+    /// `d` sets once instead of per query. The search cannot tell a reused
+    /// set from a new one.
+    static IDLE: RefCell<Vec<Tables>> = const { RefCell::new(Vec::new()) };
 }
 
-const _: () = crate::assert_send_sync::<TablePool>();
-
-impl TablePool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of idle table pairs (each serves one expansion).
-    pub fn idle(&self) -> usize {
-        let free = self.free.lock();
-        free.len()
-    }
-
-    /// An emptied pair of tables covering `num_nodes` / `num_facilities` ids.
-    pub(crate) fn take(&self, num_nodes: usize, num_facilities: usize) -> Tables {
-        let mut tables = {
-            let mut free = self.free.lock();
-            free.pop().unwrap_or_default()
-        };
+impl Tables {
+    /// An emptied set covering `num_nodes` / `num_facilities` ids: one of
+    /// this thread's idle sets, or a new one.
+    pub(crate) fn take(num_nodes: usize, num_facilities: usize) -> Self {
+        let mut tables = IDLE
+            .try_with(|idle| idle.borrow_mut().pop())
+            .ok()
+            .flatten()
+            .unwrap_or_default();
         tables.nodes.reset(num_nodes);
         tables.facilities.reset(num_facilities);
         tables.adjacency.clear();
         tables
     }
 
-    pub(crate) fn give_back(&self, tables: Tables) {
-        let mut free = self.free.lock();
-        free.push(tables);
+    /// Makes the set idle on the calling thread. During thread exit, once
+    /// the idle list is gone, the set is freed instead.
+    pub(crate) fn give_back(self) {
+        let _ = IDLE.try_with(|idle| idle.borrow_mut().push(self));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expansion::tests::line_store;
+    use crate::{seeds_for_location, DirectAccess, Expansion, ExpansionStep, FacilityMode};
+    use mcn_graph::{NetworkLocation, NodeId};
+    use mcn_storage::MCNStore;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+    use std::sync::Arc;
 
     /// One query's worth of table traffic: (id, key, mark done afterwards).
     type Ops = Vec<(u32, u8, bool)>;
@@ -237,49 +227,125 @@ mod tests {
         assert!(table.improve(2, 9.0), "a vacant entry accepts any key");
     }
 
+    /// This thread's number of idle table sets.
+    fn idle() -> usize {
+        IDLE.with(|idle| idle.borrow().len())
+    }
+
+    /// Runs `f` on a new thread, whose idle list starts empty.
+    fn on_new_thread(f: impl FnOnce() + Send) {
+        std::thread::scope(|s| {
+            s.spawn(f);
+        });
+    }
+
     #[test]
     fn tables_grow_to_the_largest_request_and_are_sized_exactly() {
-        let pool = TablePool::new();
-        let small = pool.take(10, 7);
-        assert_eq!(small.nodes.stamps.len(), 10);
-        assert_eq!(small.nodes.stamps.capacity(), 10);
-        assert_eq!(small.facilities.keys.capacity(), 7);
-        pool.give_back(small);
-        assert_eq!(pool.idle(), 1);
-        let mut large = pool.take(11, 7);
-        assert_eq!(pool.idle(), 0);
-        assert_eq!(large.nodes.stamps.len(), 11);
-        assert_eq!(large.nodes.keys.capacity(), 11);
-        assert_eq!(large.nodes.get(10), None);
-        assert!(large.nodes.improve(10, 1.0));
-        assert_eq!(large.nodes.get(10), Some((1.0, false)));
-        // A smaller network afterwards keeps the larger tables.
-        pool.give_back(large);
-        assert_eq!(pool.take(5, 5).nodes.stamps.len(), 11);
+        on_new_thread(|| {
+            let small = Tables::take(10, 7);
+            assert_eq!(small.nodes.stamps.len(), 10);
+            assert_eq!(small.nodes.stamps.capacity(), 10);
+            assert_eq!(small.facilities.keys.capacity(), 7);
+            small.give_back();
+            assert_eq!(idle(), 1);
+            let mut large = Tables::take(11, 7);
+            assert_eq!(idle(), 0);
+            assert_eq!(large.nodes.stamps.len(), 11);
+            assert_eq!(large.nodes.keys.capacity(), 11);
+            assert_eq!(large.nodes.get(10), None);
+            assert!(large.nodes.improve(10, 1.0));
+            assert_eq!(large.nodes.get(10), Some((1.0, false)));
+            // A smaller network afterwards keeps the larger tables.
+            large.give_back();
+            assert_eq!(Tables::take(5, 5).nodes.stamps.len(), 11);
+        });
     }
 
     #[test]
     fn the_decode_buffer_comes_back_empty_with_its_capacity() {
-        let pool = TablePool::new();
-        let mut tables = pool.take(4, 4);
-        assert_eq!(
-            tables.adjacency.capacity(),
-            0,
-            "nothing until a node settles"
-        );
-        // An expansion dropped mid-way hands back whatever record it last
-        // decoded.
-        let entry = AdjacencyEntry {
-            neighbor: mcn_graph::NodeId::new(1),
-            edge: mcn_graph::EdgeId::new(0),
-            traversable: true,
-            costs: mcn_graph::CostVec::zeros(2),
-            facilities: None,
-        };
-        tables.adjacency.extend([entry; 5]);
-        pool.give_back(tables);
-        let tables = pool.take(4, 4);
-        assert!(tables.adjacency.is_empty());
-        assert!(tables.adjacency.capacity() >= 5);
+        on_new_thread(|| {
+            let mut tables = Tables::take(4, 4);
+            assert_eq!(
+                tables.adjacency.capacity(),
+                0,
+                "nothing until a node settles"
+            );
+            // An expansion dropped mid-way hands back whatever record it
+            // last decoded.
+            let entry = AdjacencyEntry {
+                neighbor: mcn_graph::NodeId::new(1),
+                edge: mcn_graph::EdgeId::new(0),
+                traversable: true,
+                costs: mcn_graph::CostVec::zeros(2),
+                facilities: None,
+            };
+            tables.adjacency.extend([entry; 5]);
+            tables.give_back();
+            let tables = Tables::take(4, 4);
+            assert!(tables.adjacency.is_empty());
+            assert!(tables.adjacency.capacity() >= 5);
+        });
+    }
+
+    fn expansion(store: &Arc<MCNStore>, cost_type: usize) -> Expansion<DirectAccess> {
+        let access = Arc::new(DirectAccess::new(store.clone()));
+        let seeds = seeds_for_location(access.as_ref(), NetworkLocation::Node(NodeId::new(0)));
+        Expansion::new(access, cost_type, &seeds, FacilityMode::All)
+    }
+
+    fn run_out(ex: &mut Expansion<DirectAccess>) -> Vec<ExpansionStep> {
+        std::iter::from_fn(|| Some(ex.advance()))
+            .take_while(|s| *s != ExpansionStep::Exhausted)
+            .collect()
+    }
+
+    #[test]
+    fn every_expansion_hands_its_tables_back_finished_or_half_run() {
+        let store = line_store().0;
+        on_new_thread(|| {
+            let mut peak = 0;
+            // Live expansions per round: the idle list holds at most the
+            // most that were ever live at once.
+            for live in [3, 1, 2, 4, 2] {
+                let mut ex: Vec<_> = (0..live).map(|i| expansion(&store, i % 2)).collect();
+                peak = usize::max(peak, live);
+                assert_eq!(idle(), peak - live);
+                // Even ones run out, odd ones stop after one step.
+                for (i, e) in ex.iter_mut().enumerate() {
+                    if i % 2 == 0 {
+                        run_out(e);
+                    } else {
+                        e.advance();
+                    }
+                }
+                drop(ex);
+                assert_eq!(idle(), peak);
+            }
+        });
+    }
+
+    #[test]
+    fn an_expansion_dropped_on_another_thread_changes_no_result() {
+        let store = line_store().0;
+        let reference = run_out(&mut expansion(&store, 1));
+        on_new_thread(|| {
+            let mut ex = expansion(&store, 1);
+            let mut steps: Vec<_> = (0..3).map(|_| ex.advance()).collect();
+            // Finished and dropped elsewhere: the tables go to that
+            // thread's idle list, not back to this one.
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    steps.extend(run_out(&mut ex));
+                    drop(ex);
+                    assert_eq!(idle(), 1);
+                });
+            });
+            assert_eq!(idle(), 0);
+            assert_eq!(steps, reference);
+            // This thread's next expansion starts on new tables and still
+            // gives the same steps.
+            assert_eq!(run_out(&mut expansion(&store, 1)), reference);
+            assert_eq!(idle(), 1);
+        });
     }
 }

@@ -305,16 +305,12 @@ impl PrepCache {
 
     /// Returns the table for `target`, running (and caching) the backward
     /// scan on a miss — the entry point of callers that cannot answer
-    /// without a table (the path-skyline tier).
-    pub fn get_or_build(&self, graph: &MultiCostGraph, target: NodeId) -> Arc<PrepTable> {
-        self.get_or_build_observed(graph, target, None, "", 0)
-    }
-
-    /// [`PrepCache::get_or_build`] with lifecycle spans: a `prep-lookup`
-    /// span around the cache probe and, on a miss, a `prep-build` span
-    /// around the backward scan (the insert stays outside the span so it
-    /// times the scan, not lock contention).
-    pub fn get_or_build_observed(
+    /// without a table (the path-skyline tier). Under a tracing `obs`, it
+    /// records a `prep-lookup` span around the cache probe and, on a miss,
+    /// a `prep-build` span around the backward scan, tagged with `tier` and
+    /// `query` (the insert stays outside the span so it times the scan, not
+    /// lock contention).
+    pub fn get_or_build(
         &self,
         graph: &MultiCostGraph,
         target: NodeId,
@@ -331,7 +327,7 @@ impl PrepCache {
     /// price of one scan (`num_nodes × d` queue pops), a freshly built and
     /// cached one; or `None` — answer without a table and charge what that
     /// cost. Records the same `prep-lookup` / `prep-build` spans as
-    /// [`PrepCache::get_or_build_observed`].
+    /// [`PrepCache::get_or_build`].
     pub fn get_or_bypass(
         &self,
         graph: &MultiCostGraph,
@@ -393,8 +389,8 @@ mod tests {
     fn get_or_build_caches_per_target() {
         let g = line(6);
         let cache = PrepCache::new(4);
-        let a = cache.get_or_build(&g, NodeId::new(3));
-        let b = cache.get_or_build(&g, NodeId::new(3));
+        let a = cache.get_or_build(&g, NodeId::new(3), None, "", 0);
+        let b = cache.get_or_build(&g, NodeId::new(3), None, "", 0);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 1);
         let stats = cache.stats();
@@ -408,11 +404,11 @@ mod tests {
     fn capacity_evicts_least_recently_used() {
         let g = line(8);
         let cache = PrepCache::new(2);
-        cache.get_or_build(&g, NodeId::new(0));
-        cache.get_or_build(&g, NodeId::new(1));
+        cache.get_or_build(&g, NodeId::new(0), None, "", 0);
+        cache.get_or_build(&g, NodeId::new(1), None, "", 0);
         // Touch 0 so 1 becomes the LRU victim.
-        cache.get_or_build(&g, NodeId::new(0));
-        cache.get_or_build(&g, NodeId::new(2));
+        cache.get_or_build(&g, NodeId::new(0), None, "", 0);
+        cache.get_or_build(&g, NodeId::new(2), None, "", 0);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         // 0 survived, 1 was evicted.
@@ -424,7 +420,7 @@ mod tests {
     fn clear_resets_contents_and_counters() {
         let g = line(4);
         let cache = PrepCache::new(2);
-        cache.get_or_build(&g, NodeId::new(1));
+        cache.get_or_build(&g, NodeId::new(1), None, "", 0);
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), PrepCacheStats::default());
@@ -458,7 +454,7 @@ mod tests {
         for _ in 0..OPS {
             lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
             let raw = ((lcg >> 33) % TARGETS) as u32;
-            let table = cache.get_or_build(&g, NodeId::new(raw));
+            let table = cache.get_or_build(&g, NodeId::new(raw), None, "", 0);
             assert_eq!(table.target(), NodeId::new(raw));
             // Reference model: hit moves to the back, miss inserts at the
             // back and evicts the front beyond capacity.
@@ -486,7 +482,7 @@ mod tests {
         // Final resident set and recency order agree: inserting one more
         // fresh target must evict exactly the model's LRU front.
         let fresh = NodeId::new(TARGETS as u32);
-        cache.get_or_build(&g, fresh);
+        cache.get_or_build(&g, fresh, None, "", 0);
         let victim = model.pop_front().unwrap();
         assert!(
             cache.get(NodeId::new(victim)).is_none(),
@@ -600,7 +596,7 @@ mod tests {
         let cache = PrepCache::new(1);
         assert!(!admit(&cache, &g, 3, 4));
         // The path-skyline tier has no table-free alternative: it builds.
-        let built = cache.get_or_build(&g, NodeId::new(3));
+        let built = cache.get_or_build(&g, NodeId::new(3), None, "", 0);
         let served = cache
             .get_or_bypass(&g, NodeId::new(3), None, "alpha-path", 0)
             .expect("resident table is a hit whatever the credit");
@@ -610,7 +606,7 @@ mod tests {
         // arrives late (a bypass that raced the build) is dropped too: once
         // evicted, the target starts from zero.
         cache.charge(NodeId::new(3), 100);
-        cache.get_or_build(&g, NodeId::new(4));
+        cache.get_or_build(&g, NodeId::new(4), None, "", 0);
         assert!(cache.get(NodeId::new(3)).is_none());
         assert!(!admit(&cache, &g, 3, 0));
     }
@@ -624,9 +620,9 @@ mod tests {
         assert!(cache.get(NodeId::new(2)).is_none());
         assert_eq!(cache.stats(), PrepCacheStats::default());
         // One scan, one miss — by either building entry point.
-        cache.get_or_build(&g, NodeId::new(1));
+        cache.get_or_build(&g, NodeId::new(1), None, "", 0);
         assert_eq!(cache.stats(), stats(0, 1, 0, 0));
-        cache.get_or_build_observed(&g, NodeId::new(2), None, "path-skyline", 0);
+        cache.get_or_build(&g, NodeId::new(2), None, "path-skyline", 0);
         assert_eq!(cache.stats(), stats(0, 2, 0, 0));
         // A successful peek is a served lookup.
         assert!(cache.get(NodeId::new(1)).is_some());
@@ -675,7 +671,7 @@ mod tests {
         let g = line(8);
         let cache = PrepCache::new(8);
         for raw in [5, 1, 6, 3] {
-            cache.get_or_build(&g, NodeId::new(raw));
+            cache.get_or_build(&g, NodeId::new(raw), None, "", 0);
         }
         let before = cache.stats();
         // The target's own table (3) is never lent out.
@@ -684,7 +680,7 @@ mod tests {
         // Lending counts nothing.
         assert_eq!(cache.stats(), before);
         let single = PrepCache::new(2);
-        single.get_or_build(&g, NodeId::new(2));
+        single.get_or_build(&g, NodeId::new(2), None, "", 0);
         assert!(single.landmarks(NodeId::new(2)).is_empty());
     }
 
@@ -701,7 +697,7 @@ mod tests {
         let g = b.build().unwrap();
         let cache = PrepCache::new(3);
         for &id in &ids {
-            cache.get_or_build(&g, id);
+            cache.get_or_build(&g, id, None, "", 0);
         }
         assert_eq!(targets(&cache.landmarks(ids[2])), [1]);
         assert_eq!(targets(&cache.landmarks(ids[0])), [1, 2]);
@@ -712,12 +708,12 @@ mod tests {
         let g = line(8);
         let cache = PrepCache::new(3);
         for raw in [0, 1, 2] {
-            cache.get_or_build(&g, NodeId::new(raw));
+            cache.get_or_build(&g, NodeId::new(raw), None, "", 0);
         }
         // Table 0 is the LRU victim; lending it out as a landmark must not
         // refresh it.
         assert_eq!(targets(&cache.landmarks(NodeId::new(5))), [0, 1, 2]);
-        cache.get_or_build(&g, NodeId::new(3));
+        cache.get_or_build(&g, NodeId::new(3), None, "", 0);
         assert!(
             cache.get(NodeId::new(0)).is_none(),
             "0 was still the LRU entry"
@@ -729,9 +725,9 @@ mod tests {
     fn publish_mirrors_counters_into_registry() {
         let g = line(6);
         let cache = PrepCache::new(1);
-        cache.get_or_build(&g, NodeId::new(1));
-        cache.get_or_build(&g, NodeId::new(1));
-        cache.get_or_build(&g, NodeId::new(2));
+        cache.get_or_build(&g, NodeId::new(1), None, "", 0);
+        cache.get_or_build(&g, NodeId::new(1), None, "", 0);
+        cache.get_or_build(&g, NodeId::new(2), None, "", 0);
         let registry = mcn_obs::MetricsRegistry::new();
         cache.stats().publish(&registry, &[]);
         let snap = registry.snapshot();
@@ -755,8 +751,8 @@ mod tests {
         obs.set_tracing(true);
 
         // Miss: lookup + build spans; hit: lookup span only.
-        let a = cache.get_or_build_observed(&g, NodeId::new(3), Some(&obs), "path-skyline", 7);
-        let b = cache.get_or_build_observed(&g, NodeId::new(3), Some(&obs), "path-skyline", 8);
+        let a = cache.get_or_build(&g, NodeId::new(3), Some(&obs), "path-skyline", 7);
+        let b = cache.get_or_build(&g, NodeId::new(3), Some(&obs), "path-skyline", 8);
         assert!(Arc::ptr_eq(&a, &b));
         let events = obs.tracer().drain();
         let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
@@ -767,8 +763,8 @@ mod tests {
         // The stepping clock gives every span an exact 100 ns duration.
         assert!(events.iter().all(|e| e.dur_ns == 100));
 
-        // Without a context the observed variant is plain get_or_build.
-        let c = cache.get_or_build_observed(&g, NodeId::new(3), None, "path-skyline", 9);
+        // Without a context nothing is traced; the table is the same.
+        let c = cache.get_or_build(&g, NodeId::new(3), None, "path-skyline", 9);
         assert!(Arc::ptr_eq(&a, &c));
         assert!(obs.tracer().is_empty());
 
@@ -792,11 +788,11 @@ mod tests {
     fn stats_since_subtracts_a_snapshot() {
         let g = line(6);
         let cache = PrepCache::new(2);
-        cache.get_or_build(&g, NodeId::new(1));
+        cache.get_or_build(&g, NodeId::new(1), None, "", 0);
         let snap = cache.stats();
-        cache.get_or_build(&g, NodeId::new(1));
-        cache.get_or_build(&g, NodeId::new(2));
-        cache.get_or_build(&g, NodeId::new(3));
+        cache.get_or_build(&g, NodeId::new(1), None, "", 0);
+        cache.get_or_build(&g, NodeId::new(2), None, "", 0);
+        cache.get_or_build(&g, NodeId::new(3), None, "", 0);
         let delta = cache.stats().since(&snap);
         assert_eq!(delta.hits, 1);
         assert_eq!(delta.misses, 2);
@@ -832,7 +828,7 @@ mod tests {
                     for _ in 0..ROUNDS {
                         lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
                         let target = NodeId::new(((lcg >> 33) % TARGETS) as u32);
-                        let table = cache.get_or_build(g, target);
+                        let table = cache.get_or_build(g, target, None, "", 0);
                         assert_eq!(table.target(), target);
                         // The size bound must hold at every observable
                         // moment, not just after the dust settles.

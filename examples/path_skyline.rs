@@ -96,7 +96,7 @@ fn main() {
         .zip(&warm.outcomes)
         .all(|(a, b)| a.output.fingerprint() == b.output.fingerprint());
     assert!(same, "warm cache never changes results");
-    let stats = ctx.cache_stats();
+    let stats = ctx.cache().stats();
     println!(
         "engine: {} path quotes × 2 runs over {} depots ({} workers)",
         batch.len(),

@@ -46,7 +46,7 @@ fn skyline_agrees_with_oracle_across_distributions() {
                     .map(|f| f.facility)
                     .collect();
                 got.sort();
-                assert_eq!(got, expected, "{dist:?} seed {seed} {}", algo.name());
+                assert_eq!(got, expected, "{dist:?} seed {seed} {algo:?}");
             }
         }
     }
@@ -68,8 +68,7 @@ fn topk_matches_brute_force() {
         for (i, entry) in got.entries.iter().enumerate() {
             assert!(
                 (entry.score - brute[i].1).abs() < 1e-9,
-                "{}: rank {i} score {} vs brute {}",
-                algo.name(),
+                "{algo:?}: rank {i} score {} vs brute {}",
                 entry.score,
                 brute[i].1
             );

@@ -182,7 +182,7 @@ fn mixed_engine_batches_agree_across_index_and_worker_counts() {
             );
         }
         // The index answered everything: the prep-table cache saw no traffic.
-        let cache = indexed_ctx.cache_stats();
+        let cache = indexed_ctx.cache().stats();
         assert_eq!(cache.hits + cache.misses, 0);
     }
 }

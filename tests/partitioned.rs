@@ -64,8 +64,7 @@ fn skyline_fingerprints_match_the_monolithic_store_at_every_region_count() {
                 assert_eq!(
                     skyline_fingerprint(&mono, q, algorithm),
                     skyline_fingerprint(&part, q, algorithm),
-                    "{regions} regions, {} diverged at {q:?}",
-                    algorithm.name()
+                    "{regions} regions, {algorithm:?} diverged at {q:?}"
                 );
             }
         }
@@ -86,8 +85,7 @@ fn topk_fingerprints_match_the_monolithic_store_at_every_region_count() {
                 assert_eq!(
                     topk_fingerprint(&mono, q, weights.clone(), k, algorithm),
                     topk_fingerprint(&part, q, weights.clone(), k, algorithm),
-                    "{regions} regions, {} top-{k} diverged at {q:?}",
-                    algorithm.name()
+                    "{regions} regions, {algorithm:?} top-{k} diverged at {q:?}"
                 );
             }
         }

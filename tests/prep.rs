@@ -330,7 +330,7 @@ fn engine_path_batches_are_byte_identical_serial_vs_four_workers() {
     let serial = QueryEngine::new(store.clone(), 1)
         .with_path_context(ctx.clone())
         .run_batch(&requests);
-    ctx.clear_cache();
+    ctx.cache().clear();
     let concurrent = QueryEngine::new(store, 4)
         .with_path_context(ctx)
         .run_batch(&requests);
@@ -349,14 +349,14 @@ fn engine_path_batches_are_byte_identical_serial_vs_four_workers() {
 fn warm_cache_batches_are_fingerprint_equal_to_cold() {
     let (store, ctx, requests) = engine_fixture();
     let engine = QueryEngine::new(store, 2).with_path_context(ctx.clone());
-    ctx.clear_cache();
+    ctx.cache().clear();
     let cold = engine.run_batch(&requests);
-    let cold_misses = ctx.cache_stats().misses;
+    let cold_misses = ctx.cache().stats().misses;
     let warm = engine.run_batch(&requests);
     assert_eq!(fingerprints(&cold), fingerprints(&warm));
     // The warm batch rebuilt nothing.
-    assert_eq!(ctx.cache_stats().misses, cold_misses);
-    assert!(ctx.cache_stats().hits > 0);
+    assert_eq!(ctx.cache().stats().misses, cold_misses);
+    assert!(ctx.cache().stats().hits > 0);
     // Repeat-run determinism: a third run still agrees.
     assert_eq!(
         fingerprints(&warm),

@@ -134,7 +134,7 @@ proptest! {
         let expected = oracle::skyline(&graph, q);
         for algo in [Algorithm::Lsa, Algorithm::Cea] {
             let got = sorted_ids(&skyline_query(&store, q, algo));
-            prop_assert_eq!(&got, &expected, "{} disagrees with the oracle", algo.name());
+            prop_assert_eq!(&got, &expected, "{:?} disagrees with the oracle", algo);
         }
     }
 
@@ -189,14 +189,13 @@ proptest! {
         let top = oracle::top_k(&graph, q, |c| f.score(c), k);
         let reached = oracle::top_k(&graph, q, |c| f.score(c), usize::MAX).len();
         for algo in [Algorithm::Lsa, Algorithm::Cea] {
-            let name = algo.name();
             let got = sorted_ids(&skyline_query(&store, q, algo));
-            prop_assert_eq!(&got, &skyline, "{} skyline at {:?}", name, q);
+            prop_assert_eq!(&got, &skyline, "{:?} skyline at {:?}", algo, q);
             let got = topk_query(&store, q, f.clone(), k, algo);
-            prop_assert_eq!(got.entries.len(), top.len(), "{} top-{} at {:?}", name, k, q);
+            prop_assert_eq!(got.entries.len(), top.len(), "{:?} top-{} at {:?}", algo, k, q);
             for (entry, (_, expected)) in got.entries.iter().zip(&top) {
                 prop_assert!((entry.score - expected).abs() < 1e-9,
-                    "{name} score {} differs from the oracle's {expected}", entry.score);
+                    "{algo:?} score {} differs from the oracle's {expected}", entry.score);
             }
         }
         prop_assert_eq!(TopKIter::lsa(store.clone(), q, f.clone()).count(), reached);

@@ -39,8 +39,7 @@ fn facade_smoke_skyline_and_topk() {
         assert_eq!(
             skyline.facilities.len(),
             2,
-            "{}: expected the two extreme facilities, got {:?}",
-            algo.name(),
+            "{algo:?}: expected the two extreme facilities, got {:?}",
             skyline.facilities
         );
         // Mutual non-domination via the facade's graph re-export.

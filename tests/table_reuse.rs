@@ -1,28 +1,29 @@
 //! Differential test of expansion-table reuse: a long, mixed stream of
-//! queries served through ONE [`TablePool`] must be indistinguishable — in
-//! results, in statistics and in the expansions' step sequences — from the
-//! same stream with fresh tables for every query.
+//! queries served on ONE thread, which reuses its idle expansion tables from
+//! query to query, must be indistinguishable — in results, in statistics and
+//! in the expansions' step sequences — from the same stream with each query
+//! on a new thread, and so on new tables.
 //!
 //! The stream alternates between two networks of different size (so the
-//! pooled tables meet an id range larger than the one they were first sized
+//! reused tables meet an id range larger than the one they were first sized
 //! for), mixes every query kind and location type, leaves expansions
 //! half-run (their tables full of unfinished entries, their decode buffer
 //! still holding the adjacency record of the last node they settled) and
 //! drops a `TopKIter` after one result in the middle. Half-run expansions
-//! read through both accessors, so a pooled decode buffer is also filled
+//! read through both accessors, so a reused decode buffer is also filled
 //! from CEA's per-query arena, and what the arena reports (`SharingStats`)
 //! is compared too.
 
 use mcn::expansion::{
     seeds_for_location, DirectAccess, Expansion, ExpansionStep, FacilityMode, NetworkAccess,
-    SharedAccess, SharingStats, TablePool,
+    SharedAccess, SharingStats,
 };
 use mcn::gen::{generate_workload, WorkloadSpec};
 use mcn::graph::{EdgeId, MultiCostGraph, NetworkLocation, NodeId};
 use mcn::storage::{BufferConfig, MCNStore};
 use mcn::{
-    skyline_query, skyline_query_in, topk_query, topk_query_in, Algorithm, QueryStats,
-    SkylineFacility, TopKEntry, TopKIter, WeightedSum,
+    skyline_query, topk_query, Algorithm, QueryStats, SkylineFacility, TopKEntry, TopKIter,
+    WeightedSum,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -110,9 +111,8 @@ fn stream(graphs: [&MultiCostGraph; 2], d: usize) -> Vec<Query> {
         .collect()
 }
 
-/// Serves `query` on tables from `pool`, or on fresh ones (through the
-/// pool-less public API) when `pool` is `None`.
-fn serve(store: &Arc<MCNStore>, query: &Query, pool: Option<&TablePool>) -> Served {
+/// Serves `query` on the calling thread.
+fn serve(store: &Arc<MCNStore>, query: &Query) -> Served {
     let Query {
         location,
         algorithm,
@@ -120,40 +120,23 @@ fn serve(store: &Arc<MCNStore>, query: &Query, pool: Option<&TablePool>) -> Serv
     } = *query;
     match query.kind {
         Kind::Skyline => {
-            let r = match pool {
-                Some(pool) => skyline_query_in(store, location, algorithm, pool),
-                None => skyline_query(store, location, algorithm),
-            };
+            let r = skyline_query(store, location, algorithm);
             Served::Skyline(r.facilities, r.stats)
         }
         Kind::TopK(k) => {
             let aggregate = WeightedSum::new(query.weights.clone());
-            let r = match pool {
-                Some(pool) => topk_query_in(store, location, aggregate, k, algorithm, pool),
-                None => topk_query(store, location, aggregate, k, algorithm),
-            };
+            let r = topk_query(store, location, aggregate, k, algorithm);
             Served::TopK(r.entries, r.stats)
         }
         Kind::Incremental(take) => {
-            fn first<A: NetworkAccess>(
-                access: A,
-                query: &Query,
-                take: usize,
-                pool: Option<&TablePool>,
-            ) -> Served {
-                let (access, location, name) =
-                    (Arc::new(access), query.location, query.algorithm.name());
-                let aggregate = WeightedSum::new(query.weights.clone());
-                let mut it = match pool {
-                    Some(pool) => TopKIter::with_pool(access, location, aggregate, name, pool),
-                    None => TopKIter::new(access, location, aggregate, name),
-                };
+            fn first<A: NetworkAccess>(mut it: TopKIter<A>, take: usize) -> Served {
                 let entries: Vec<TopKEntry> = it.by_ref().take(take).collect();
                 Served::TopK(entries, it.stats())
             }
+            let aggregate = WeightedSum::new(query.weights.clone());
             match algorithm {
-                Algorithm::Lsa => first(DirectAccess::new(store.clone()), query, take, pool),
-                Algorithm::Cea => first(SharedAccess::new(store.clone()), query, take, pool),
+                Algorithm::Lsa => first(TopKIter::lsa(store.clone(), location, aggregate), take),
+                Algorithm::Cea => first(TopKIter::cea(store.clone(), location, aggregate), take),
             }
         }
         Kind::Steps { cost_type, steps } => {
@@ -161,28 +144,23 @@ fn serve(store: &Arc<MCNStore>, query: &Query, pool: Option<&TablePool>) -> Serv
                 access: &Arc<A>,
                 query: &Query,
                 (cost_type, steps): (usize, usize),
-                pool: Option<&TablePool>,
             ) -> (Vec<ExpansionStep>, mcn::expansion::ExpansionStats) {
                 let seeds = seeds_for_location(access.as_ref(), query.location);
-                let (access, mode) = (access.clone(), FacilityMode::All);
-                let mut ex = match pool {
-                    Some(pool) => Expansion::with_pool(access, cost_type, &seeds, mode, pool),
-                    None => Expansion::new(access, cost_type, &seeds, mode),
-                };
+                let mut ex = Expansion::new(access.clone(), cost_type, &seeds, FacilityMode::All);
                 ((0..steps).map(|_| ex.advance()).collect(), ex.stats())
             }
             match algorithm {
                 Algorithm::Lsa => {
                     let access = Arc::new(DirectAccess::new(store.clone()));
-                    let (trace, stats) = run(&access, query, (cost_type, steps), pool);
+                    let (trace, stats) = run(&access, query, (cost_type, steps));
                     Served::Steps(trace, stats, None)
                 }
                 Algorithm::Cea => {
                     // Two expansions over one arena: the second re-reads
                     // what the first fetched.
                     let access = Arc::new(SharedAccess::new(store.clone()));
-                    let (mut trace, _) = run(&access, query, (cost_type, steps), pool);
-                    let (again, stats) = run(&access, query, (cost_type, steps), pool);
+                    let (mut trace, _) = run(&access, query, (cost_type, steps));
+                    let (again, stats) = run(&access, query, (cost_type, steps));
                     assert_eq!(trace, again);
                     trace.extend(again);
                     Served::Steps(trace, stats, Some(access.sharing_stats()))
@@ -212,11 +190,14 @@ fn one_reused_pool_is_indistinguishable_from_fresh_tables() {
     assert!(large_graph.num_nodes() > 2 * small_graph.num_nodes());
 
     let queries = stream([&small_graph, &large_graph], d);
-    let pool = TablePool::new();
     let mut nonempty = 0;
     for (i, query) in queries.iter().enumerate() {
-        let reused = serve(&reused_stores[query.network], query, Some(&pool));
-        let fresh = serve(&fresh_stores[query.network], query, None);
+        let reused = serve(&reused_stores[query.network], query);
+        let fresh = std::thread::scope(|s| {
+            s.spawn(|| serve(&fresh_stores[query.network], query))
+                .join()
+                .expect("the fresh side panicked")
+        });
         assert_eq!(reused, fresh, "query {i}: {query:?}");
         nonempty += usize::from(match &reused {
             Served::Skyline(facilities, _) => !facilities.is_empty(),
@@ -225,10 +206,6 @@ fn one_reused_pool_is_indistinguishable_from_fresh_tables() {
                 .iter()
                 .any(|s| matches!(s, ExpansionStep::Facility { .. })),
         });
-        // Every expansion of the query handed its tables back, finished or
-        // not; the pool never holds more than one query's worth.
-        assert!((1..=d).contains(&pool.idle()), "query {i}");
     }
-    assert_eq!(pool.idle(), d);
     assert!(nonempty > QUERIES * 9 / 10, "only {nonempty} non-trivial");
 }
