@@ -23,27 +23,27 @@
 //! benchmark's `alpha_serve` workload.
 
 use crate::prep::seeded_pairs;
-use mcn_alpha::{scalarized_path, scalarized_path_astar, Preference};
 use mcn_gen::{generate_preferences, PreferenceSpec};
 use mcn_graph::MultiCostGraph;
-use mcn_mcpp::pareto_paths_prepped;
-use mcn_prep::PrepTable;
+use mcn_path::alpha::{scalarized_path, scalarized_path_astar, Preference};
+use mcn_path::mcpp::pareto_paths_prepped;
+use mcn_path::prep::PrepTable;
 
 /// Minimum factor by which the prep-backed A* must shrink the mean settled
 /// nodes against heuristic-free Dijkstra (the acceptance bar of the
 /// serving tier's heuristic, asserted by the alpha gate).
-pub const MIN_SETTLED_REDUCTION: f64 = 2.0;
+pub(crate) const MIN_SETTLED_REDUCTION: f64 = 2.0;
 
 /// Minimum factor between the skyline tier's labels created and the
 /// scalarized tier's nodes settled on the same (source, target) pairs —
 /// the "orders of magnitude cheaper" claim, enforced at 10× by the alpha
 /// gate.
-pub const MIN_SKYLINE_ADVANTAGE: f64 = 10.0;
+pub(crate) const MIN_SKYLINE_ADVANTAGE: f64 = 10.0;
 
 /// Mean settled nodes with and without the heuristic and the skyline's
 /// labels on the same pairs, byte-identical routes asserted throughout.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ScalarMetrics {
+pub(crate) struct ScalarMetrics {
     /// Mean nodes settled per query, heuristic-free Dijkstra.
     pub dijkstra_settled: f64,
     /// Mean nodes settled per query, prep-backed A*.
@@ -66,7 +66,7 @@ pub(crate) fn user_pool(d: usize, users: usize, seed: u64) -> Vec<Preference> {
 /// # Panics
 /// Panics if any A* route differs from plain Dijkstra's — the heuristic
 /// must never change a result, only the work done finding it.
-pub fn measure_scalarized(
+pub(crate) fn measure_scalarized(
     graph: &MultiCostGraph,
     pairs: usize,
     users: usize,

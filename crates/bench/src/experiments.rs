@@ -43,7 +43,7 @@ impl ExperimentConfig {
     }
 
     /// The paper's facility-count sweep (25 K … 200 K), scaled.
-    pub fn facility_sweep(&self) -> Vec<usize> {
+    pub(crate) fn facility_sweep(&self) -> Vec<usize> {
         [25_000usize, 50_000, 100_000, 150_000, 200_000]
             .iter()
             .map(|p| (p / self.scale).max(10))
@@ -106,7 +106,7 @@ impl Experiment {
     }
 
     /// Paper figure the experiment reproduces.
-    pub fn figure(&self) -> &'static str {
+    pub(crate) fn figure(&self) -> &'static str {
         match self {
             Experiment::SkylineFacilities => "Fig. 8(a) — skyline: effect of |P|",
             Experiment::SkylineCostTypes => "Fig. 8(b) — skyline: effect of d",
@@ -139,7 +139,7 @@ impl Experiment {
     /// Runs the experiment sweep and returns the raw per-point measurements
     /// (the table's rows keep only the charged-time view; the regression
     /// gate needs the deterministic logical-read means).
-    pub fn run_points(&self, config: &ExperimentConfig) -> Vec<PointMeasurement> {
+    pub(crate) fn run_points(&self, config: &ExperimentConfig) -> Vec<PointMeasurement> {
         let base = config.base_spec();
         let default_buffer = 0.01;
         let default_k = 4;

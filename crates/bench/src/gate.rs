@@ -28,7 +28,7 @@ use crate::prep::{measure_labels, MIN_LABEL_REDUCTION};
 use json::{object, Value};
 use mcn_gen::{generate_workload, CostDistribution, WorkloadSpec};
 use mcn_graph::MultiCostGraph;
-use mcn_index::{IndexConfig, RouteIndex};
+use mcn_path::index::{IndexConfig, RouteIndex};
 use std::path::Path;
 
 /// Allowed relative increase of any gated cost (2 %).
@@ -172,7 +172,12 @@ impl Baseline {
 /// row-label or cost-key mismatch, or any cost that grew by more than
 /// `tolerance`. Improvements never fail the gate — refresh the baseline
 /// with `--update` to lock them in.
-pub fn compare(name: &str, current: &Baseline, baseline: &Baseline, tolerance: f64) -> Vec<String> {
+pub(crate) fn compare(
+    name: &str,
+    current: &Baseline,
+    baseline: &Baseline,
+    tolerance: f64,
+) -> Vec<String> {
     if current.config != baseline.config {
         let one_line = |v: &Value| v.pretty().lines().map(str::trim).collect::<String>();
         return vec![format!(

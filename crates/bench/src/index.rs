@@ -1,4 +1,4 @@
-//! The hierarchical partial-path route index's (`mcn-index`) settled-node
+//! The hierarchical partial-path route index's (`mcn_path::index`) settled-node
 //! counts against the prep-backed serving tier.
 //!
 //! Over seeded (pair, α) queries on a built [`RouteIndex`], every answer is
@@ -20,16 +20,16 @@
 
 use crate::alpha::user_pool;
 use crate::prep::seeded_pairs;
-use mcn_alpha::scalarized_path_astar;
 use mcn_graph::MultiCostGraph;
-use mcn_index::RouteIndex;
-use mcn_mcpp::pareto_paths_prepped;
-use mcn_prep::PrepTable;
+use mcn_path::alpha::scalarized_path_astar;
+use mcn_path::index::RouteIndex;
+use mcn_path::mcpp::pareto_paths_prepped;
+use mcn_path::prep::PrepTable;
 
 /// Mean settled nodes of the index on seeded queries, its answers asserted
 /// byte-identical to the prep tier's throughout.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct IndexMetrics {
+pub(crate) struct IndexMetrics {
     /// Mean nodes settled per (pair, α) query by the index.
     pub index_settled: f64,
     /// Mean labels the index skyline settled per pair.
@@ -42,7 +42,7 @@ pub struct IndexMetrics {
 /// # Panics
 /// Panics if any index answer differs from the prep-backed tier's — the
 /// index must never change a result, only the work done finding it.
-pub fn measure_index(
+pub(crate) fn measure_index(
     graph: &MultiCostGraph,
     index: &RouteIndex,
     pairs: usize,
@@ -98,7 +98,7 @@ pub fn measure_index(
 mod tests {
     use super::*;
     use crate::gate::gate_graph;
-    use mcn_index::IndexConfig;
+    use mcn_path::index::IndexConfig;
 
     #[test]
     fn index_metrics_are_deterministic() {

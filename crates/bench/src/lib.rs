@@ -21,9 +21,6 @@
 //! factor (50× by default) so the full sweep finishes in minutes; pass
 //! `--scale 1` to the `experiments` binary for the full-size configuration.
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
 mod alpha;
 mod experiments;
 mod gate;
@@ -34,6 +31,6 @@ mod report;
 mod requests;
 
 pub use experiments::{Experiment, ExperimentConfig};
-pub use gate::{gate_graph, run_gate, GATES, GATE_TOLERANCE};
-pub use report::render_table;
+pub use gate::{gate_graph, run_gate, Baseline, Gate, GATES, GATE_TOLERANCE};
+pub use report::{render_table, ExperimentTable, Row};
 pub use requests::build_request_batch;

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 /// Which preference query an experiment measures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueryKind {
+pub(crate) enum QueryKind {
     /// MCN skyline queries (paper Section VI-A).
     Skyline,
     /// MCN top-k queries with the given `k` (paper Section VI-B).
@@ -19,7 +19,7 @@ pub enum QueryKind {
 
 /// Aggregated measurements of one algorithm at one data point.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct AlgoMeasurement {
+pub(crate) struct AlgoMeasurement {
     /// Mean CPU seconds per query: the wall-clock time of each
     /// `skyline_query`/`topk_query` call, timed around the call by
     /// [`measure_point`] (the store is in memory, so no I/O wait is in it).
@@ -42,7 +42,7 @@ pub struct AlgoMeasurement {
 
 impl AlgoMeasurement {
     /// Charged time per query: CPU + physical reads × `latency` seconds.
-    pub fn charged_seconds(&self, latency: f64) -> f64 {
+    pub(crate) fn charged_seconds(&self, latency: f64) -> f64 {
         self.cpu_seconds + self.physical_reads * latency
     }
 
@@ -72,7 +72,7 @@ impl AlgoMeasurement {
 
 /// Measurements of all algorithms at one data point of a figure.
 #[derive(Clone, Debug, PartialEq)]
-pub struct PointMeasurement {
+pub(crate) struct PointMeasurement {
     /// Label of the x-axis value (e.g. `"|P| = 2000"` or `"d = 3"`).
     pub label: String,
     /// LSA measurements.
@@ -87,7 +87,7 @@ impl PointMeasurement {
     /// Largest speedup ever reported: the ratio is capped here so that
     /// degenerate measurements (CEA charged time of zero) stay finite
     /// instead of printing `inf` into a table.
-    pub const MAX_SPEEDUP: f64 = 1e9;
+    pub(crate) const MAX_SPEEDUP: f64 = 1e9;
 
     /// The LSA / CEA improvement factor on charged time (the paper's headline
     /// comparison, e.g. "CEA is 2.3 times faster").
@@ -95,7 +95,7 @@ impl PointMeasurement {
     /// Always finite: two zero measurements compare as `1.0` (no advantage
     /// either way), and a zero CEA time against a non-zero LSA time reports
     /// [`PointMeasurement::MAX_SPEEDUP`].
-    pub fn speedup(&self, latency: f64) -> f64 {
+    pub(crate) fn speedup(&self, latency: f64) -> f64 {
         let cea = self.cea.charged_seconds(latency);
         let lsa = self.lsa.charged_seconds(latency);
         // `charged_seconds` is exactly 0.0 for an unmeasured point.
@@ -117,7 +117,7 @@ impl PointMeasurement {
 ///
 /// The buffer is cleared before every query so that queries are independent
 /// (as in the paper, where each data point averages 100 independent queries).
-pub fn measure_point(
+pub(crate) fn measure_point(
     label: impl Into<String>,
     spec: &WorkloadSpec,
     buffer_fraction: f64,

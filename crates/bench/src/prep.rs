@@ -4,27 +4,27 @@
 //! pruned (`pareto_paths_prepped` with a fresh [`PrepTable`] backward scan
 //! per pair), with the two skylines asserted **byte-identical** on every
 //! pair (fingerprint comparison; the workloads draw continuous costs, so
-//! the exact-tie representative caveat on `mcn_mcpp::pareto_paths` cannot
+//! the exact-tie representative caveat on `mcn_path::mcpp::pareto_paths` cannot
 //! trigger). The label gate pins the means and enforces
 //! [`MIN_LABEL_REDUCTION`]; how fast either search serves is the repo
 //! benchmark's `path_explore` workload.
 
 use mcn_engine::QueryOutput;
 use mcn_graph::{MultiCostGraph, NodeId};
-use mcn_mcpp::{pareto_paths_exhaustive, pareto_paths_prepped};
-use mcn_prep::PrepTable;
+use mcn_path::mcpp::{pareto_paths_exhaustive, pareto_paths_prepped};
+use mcn_path::prep::PrepTable;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Minimum factor by which prep must shrink the mean labels created at
 /// d = 3 (the acceptance bar of the precomputation subsystem, asserted by
 /// the label gate).
-pub const MIN_LABEL_REDUCTION: f64 = 2.0;
+pub(crate) const MIN_LABEL_REDUCTION: f64 = 2.0;
 
 /// Mean labels with/without prep over seeded pairs, asserted
 /// byte-identical.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LabelMetrics {
+pub(crate) struct LabelMetrics {
     /// Mean labels created per pair, exhaustive.
     pub exhaustive_labels: f64,
     /// Mean labels created per pair, prepped.
@@ -59,7 +59,7 @@ pub(crate) fn seeded_pairs(
 /// # Panics
 /// Panics if any pair's pruned skyline differs from the exhaustive one —
 /// prep pruning must never change a result.
-pub fn measure_labels(graph: &MultiCostGraph, pairs: usize, seed: u64) -> LabelMetrics {
+pub(crate) fn measure_labels(graph: &MultiCostGraph, pairs: usize, seed: u64) -> LabelMetrics {
     let pair_list = seeded_pairs(graph, pairs, seed ^ 0x9E37_79B9);
     let mut exhaustive_labels = 0u64;
     let mut prepped_labels = 0u64;

@@ -38,7 +38,7 @@ pub struct ExperimentTable {
 
 impl ExperimentTable {
     /// Builds a table from raw measurements.
-    pub fn from_points(
+    pub(crate) fn from_points(
         id: impl Into<String>,
         title: impl Into<String>,
         x_axis: impl Into<String>,

@@ -16,7 +16,7 @@ use rand_chacha::ChaCha8Rng;
 /// fresh weight vector of arity `d` per request, CEA/LSA alternating by
 /// index, and the request kind chosen by `kind(index, location, weights,
 /// algorithm)`. Deterministic in `seed`.
-pub fn mixed_request_batch(
+pub(crate) fn mixed_request_batch(
     queries: &[NetworkLocation],
     d: usize,
     batch: usize,

@@ -34,20 +34,15 @@ impl WeightedSum {
         Self::new(vec![1.0 / d as f64; d])
     }
 
-    /// The coefficients.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
     /// Number of cost types the function expects.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.weights.len()
     }
 
     /// The aggregate score of a fully known cost vector (lower is better).
     ///
     /// # Panics
-    /// Panics if `costs` does not have [`WeightedSum::arity`] entries.
+    /// Panics if `costs` does not have one entry per weight.
     pub fn score(&self, costs: &CostVec) -> f64 {
         assert_eq!(costs.len(), self.weights.len(), "arity mismatch");
         self.weights
@@ -61,7 +56,7 @@ impl WeightedSum {
     /// partially known: unknown components are replaced by the current
     /// expansion frontiers `tᵢ`, which lower-bound the true unknown costs.
     /// A fully known vector scores exactly as [`WeightedSum::score`].
-    pub fn lower_bound(&self, known: &[Option<f64>], frontiers: &[f64]) -> f64 {
+    pub(crate) fn lower_bound(&self, known: &[Option<f64>], frontiers: &[f64]) -> f64 {
         debug_assert_eq!(known.len(), self.arity());
         debug_assert_eq!(frontiers.len(), self.arity());
         self.weights
@@ -81,7 +76,7 @@ mod tests {
         let f = WeightedSum::new(vec![0.9, 0.1]);
         assert!((f.score(&CostVec::from_slice(&[10.0, 20.0])) - 11.0).abs() < 1e-12);
         assert_eq!(f.arity(), 2);
-        assert_eq!(WeightedSum::uniform(4).weights(), &[0.25; 4]);
+        assert_eq!(WeightedSum::uniform(4).weights, &[0.25; 4]);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 /// Partially known costs of a candidate facility.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Candidate {
+pub(crate) struct Candidate {
     /// The facility.
     pub facility: FacilityId,
     /// Known costs per cost type (`None` = the expansion for that cost type
@@ -27,7 +27,7 @@ impl Candidate {
     }
 
     /// True iff every cost is known.
-    pub fn is_pinned(&self) -> bool {
+    pub(crate) fn is_pinned(&self) -> bool {
         self.known.iter().all(Option::is_some)
     }
 
@@ -35,7 +35,7 @@ impl Candidate {
     ///
     /// # Panics
     /// Panics if the candidate is not pinned.
-    pub fn cost_vector(&self) -> CostVec {
+    pub(crate) fn cost_vector(&self) -> CostVec {
         assert!(self.is_pinned(), "cost vector requested before pinning");
         self.known.iter().map(|c| c.unwrap()).collect()
     }
@@ -48,58 +48,40 @@ impl Candidate {
 /// and gate baselines to stay byte-stable. Candidate sets are small, so
 /// the `BTreeMap` costs nothing measurable over a hash map.
 #[derive(Clone, Debug, Default)]
-pub struct CandidateSet {
+pub(crate) struct CandidateSet {
     d: usize,
     candidates: BTreeMap<FacilityId, Candidate>,
-    /// Highest number of simultaneous candidates, for statistics.
-    peak: usize,
     /// Total number of distinct facilities ever admitted.
     admitted: usize,
 }
 
 impl CandidateSet {
     /// Creates an empty candidate set for `d` cost types.
-    pub fn new(d: usize) -> Self {
+    pub(crate) fn new(d: usize) -> Self {
         Self {
             d,
             candidates: BTreeMap::new(),
-            peak: 0,
             admitted: 0,
         }
     }
 
-    /// Number of candidates currently tracked.
-    pub fn len(&self) -> usize {
-        self.candidates.len()
-    }
-
     /// True iff no candidates remain.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.candidates.is_empty()
     }
 
-    /// Largest size the set ever reached.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
     /// Total number of distinct facilities ever admitted.
-    pub fn admitted(&self) -> usize {
+    pub(crate) fn admitted(&self) -> usize {
         self.admitted
     }
 
     /// True iff `facility` is currently a candidate.
-    pub fn contains(&self, facility: FacilityId) -> bool {
+    pub(crate) fn contains(&self, facility: FacilityId) -> bool {
         self.candidates.contains_key(&facility)
     }
 
-    /// Read access to a candidate.
-    pub fn get(&self, facility: FacilityId) -> Option<&Candidate> {
-        self.candidates.get(&facility)
-    }
-
     /// Iterates over the current candidates.
-    pub fn iter(&self) -> impl Iterator<Item = &Candidate> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Candidate> + '_ {
         self.candidates.values()
     }
 
@@ -108,7 +90,7 @@ impl CandidateSet {
     /// If `admit_new` is true (growing stage) an unseen facility is inserted;
     /// otherwise (shrinking stage) unseen facilities are ignored. Returns a
     /// reference to the candidate when it is now tracked.
-    pub fn record(
+    pub(crate) fn record(
         &mut self,
         facility: FacilityId,
         cost_type: usize,
@@ -123,7 +105,6 @@ impl CandidateSet {
             self.candidates
                 .insert(facility, Candidate::new(facility, self.d));
             self.admitted += 1;
-            self.peak = self.peak.max(self.candidates.len());
         }
         let entry = self.candidates.get_mut(&facility).expect("just inserted");
         // Expansions emit each facility at most once per cost type, and always
@@ -135,13 +116,13 @@ impl CandidateSet {
     }
 
     /// Removes and returns a candidate (e.g. when it gets pinned).
-    pub fn remove(&mut self, facility: FacilityId) -> Option<Candidate> {
+    pub(crate) fn remove(&mut self, facility: FacilityId) -> Option<Candidate> {
         self.candidates.remove(&facility)
     }
 
     /// Keeps only the candidates `keep` accepts, asking it about each current
     /// candidate exactly once, in facility order.
-    pub fn retain(&mut self, mut keep: impl FnMut(&Candidate) -> bool) {
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&Candidate) -> bool) {
         self.candidates.retain(|_, cand| keep(cand));
     }
 
@@ -149,7 +130,7 @@ impl CandidateSet {
     /// (using the partial-information dominance rule of Section IV-A) and
     /// returns how many were eliminated, along with the number of dominance
     /// checks performed.
-    pub fn eliminate_dominated(&mut self, pinned: &CostVec) -> (usize, usize) {
+    pub(crate) fn eliminate_dominated(&mut self, pinned: &CostVec) -> (usize, usize) {
         let mut checks = 0;
         let before = self.candidates.len();
         self.retain(|cand| {
@@ -162,7 +143,7 @@ impl CandidateSet {
     /// True iff every remaining candidate already knows its `cost_type` cost —
     /// the condition under which the paper stops the corresponding expansion
     /// early (Section IV-A).
-    pub fn all_know_cost(&self, cost_type: usize) -> bool {
+    pub(crate) fn all_know_cost(&self, cost_type: usize) -> bool {
         self.candidates
             .values()
             .all(|c| c.known[cost_type].is_some())
@@ -177,9 +158,9 @@ mod tests {
     fn record_and_pin() {
         let mut cs = CandidateSet::new(2);
         assert!(cs.is_empty());
-        cs.record(FacilityId::new(1), 0, 5.0, true);
-        assert_eq!(cs.len(), 1);
-        assert!(!cs.get(FacilityId::new(1)).unwrap().is_pinned());
+        let c = cs.record(FacilityId::new(1), 0, 5.0, true).unwrap();
+        assert!(!c.is_pinned());
+        assert_eq!(cs.iter().count(), 1);
         let c = cs.record(FacilityId::new(1), 1, 7.0, true).unwrap();
         assert!(c.is_pinned());
         assert_eq!(c.cost_vector().as_slice(), &[5.0, 7.0]);
@@ -200,8 +181,8 @@ mod tests {
     fn duplicate_records_keep_first_value() {
         let mut cs = CandidateSet::new(2);
         cs.record(FacilityId::new(3), 0, 4.0, true);
-        cs.record(FacilityId::new(3), 0, 9.0, true);
-        assert_eq!(cs.get(FacilityId::new(3)).unwrap().known[0], Some(4.0));
+        let c = cs.record(FacilityId::new(3), 0, 9.0, true).unwrap();
+        assert_eq!(c.known[0], Some(4.0));
     }
 
     #[test]
@@ -265,10 +246,14 @@ mod tests {
         for i in 0..5 {
             cs.record(FacilityId::new(i), 0, i as f64, true);
         }
+        assert_eq!(cs.iter().count(), 5);
         let pinned = CostVec::from_slice(&[-1.0]);
-        // Everything is dominated by a (hypothetical) better vector.
-        cs.eliminate_dominated(&pinned.element_max(&CostVec::from_slice(&[0.0])));
-        assert_eq!(cs.peak(), 5);
+        // Everything is dominated by a (hypothetical) better vector: the set
+        // empties, and the count of admissions keeps its peak.
+        let (eliminated, _) =
+            cs.eliminate_dominated(&pinned.element_max(&CostVec::from_slice(&[0.0])));
+        assert_eq!(eliminated, 5);
+        assert!(cs.is_empty());
         assert_eq!(cs.admitted(), 5);
     }
 }

@@ -39,21 +39,17 @@
 //! assert_eq!(top.entries.len(), 1);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
-pub mod aggregate;
-pub mod candidate;
+mod aggregate;
+mod candidate;
 mod coordinator;
-pub mod skyline;
-pub mod stats;
-pub mod topk;
+mod skyline;
+mod stats;
+mod topk;
 
 #[cfg(test)]
 pub(crate) mod test_support;
 
 pub use aggregate::WeightedSum;
-pub use candidate::{Candidate, CandidateSet};
 pub use skyline::{skyline_query, Algorithm, SkylineFacility, SkylineResult, SkylineSearch};
 pub use stats::QueryStats;
 pub use topk::{topk_query, TopKEntry, TopKIter, TopKResult};

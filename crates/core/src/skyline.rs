@@ -163,7 +163,7 @@ impl<A: NetworkAccess> SkylineSearch<A> {
     }
 
     /// Runs the search to completion and returns the full result.
-    pub fn into_result(mut self) -> SkylineResult {
+    pub(crate) fn into_result(mut self) -> SkylineResult {
         while self.step() {}
         let stats = self.collect_stats();
         SkylineResult {

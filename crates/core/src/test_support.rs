@@ -11,7 +11,7 @@ use rand_chacha::ChaCha8Rng;
 /// Cost types: (driving time in minutes, toll fee in dollars). Returns the
 /// store, the query location and the facility ids `(p1, p2)` where
 /// `c(p1) = (20, 0)` and `c(p2) = (10, 1)`.
-pub fn paper_figure1_store() -> (MCNStore, NetworkLocation, (FacilityId, FacilityId)) {
+pub(crate) fn paper_figure1_store() -> (MCNStore, NetworkLocation, (FacilityId, FacilityId)) {
     let mut b = GraphBuilder::new(2);
     let q_node = b.add_node(0.0, 0.0);
     let a = b.add_node(1.0, 1.0);
@@ -40,7 +40,7 @@ pub fn paper_figure1_store() -> (MCNStore, NetworkLocation, (FacilityId, Facilit
 /// Builds a random connected undirected network with clustered-ish facilities
 /// and returns the store, the in-memory graph (for oracles) and a query
 /// location at node 0.
-pub fn random_store(
+pub(crate) fn random_store(
     seed: u64,
     nodes: usize,
     extra_edges: usize,

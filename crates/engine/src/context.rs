@@ -2,8 +2,8 @@
 //! cache of ParetoPrep tables.
 
 use mcn_graph::MultiCostGraph;
-use mcn_index::RouteIndex;
-use mcn_prep::PrepCache;
+use mcn_path::index::RouteIndex;
+use mcn_path::prep::PrepCache;
 use std::sync::Arc;
 
 /// Everything the engine needs to serve [`crate::QueryRequest::PathSkyline`]
@@ -22,7 +22,7 @@ use std::sync::Arc;
 pub struct PathContext {
     graph: Arc<MultiCostGraph>,
     cache: PrepCache,
-    route_index: Option<Arc<RouteIndex>>,
+    pub(crate) route_index: Option<Arc<RouteIndex>>,
 }
 
 const _: () = crate::assert_send_sync::<PathContext>();
@@ -45,11 +45,6 @@ impl PathContext {
     pub fn with_route_index(mut self, index: Arc<RouteIndex>) -> Self {
         self.route_index = Some(index);
         self
-    }
-
-    /// The attached route index, if any.
-    pub fn route_index(&self) -> Option<&Arc<RouteIndex>> {
-        self.route_index.as_ref()
     }
 
     /// The route index, provided it can serve queries over this context's

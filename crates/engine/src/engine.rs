@@ -4,7 +4,7 @@ use crate::context::PathContext;
 use crate::request::{QueryOutcome, QueryRequest};
 use mcn_graph::RegionId;
 use mcn_obs::{default_clock, Clock, Obs};
-use mcn_prep::PrepCacheStats;
+use mcn_path::prep::PrepCacheStats;
 use mcn_storage::{with_seed_region, IoStats, MCNStore, PartitionedStore, StoreView};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -209,11 +209,6 @@ impl<S: StoreView + ?Sized> QueryEngine<S> {
         self.workers
     }
 
-    /// Executes one request on the calling thread (no pool involved).
-    pub fn run_one(&self, request: &QueryRequest) -> QueryOutcome {
-        request.execute(&self.store, self.paths.as_deref(), self.obs.as_deref(), 0)
-    }
-
     /// Executes `requests` across the worker pool and returns the outcomes
     /// in request order together with aggregate throughput statistics.
     ///
@@ -416,6 +411,16 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
+    /// Executes one request on the calling thread, as a worker would.
+    fn run_one<S: StoreView>(engine: &QueryEngine<S>, request: &QueryRequest) -> QueryOutcome {
+        request.execute(
+            &engine.store,
+            engine.paths.as_deref(),
+            engine.obs.as_deref(),
+            0,
+        )
+    }
+
     fn fixture() -> (Arc<MCNStore>, Vec<QueryRequest>) {
         let workload = generate_workload(&WorkloadSpec::tiny(11));
         let d = workload.spec.cost_types;
@@ -527,7 +532,7 @@ mod tests {
 
     /// One worker serves a whole batch on one set of expansion tables, two
     /// workers split it over two sets in a timing-dependent way, a second
-    /// batch starts on new ones and `run_one` uses fresh tables per request:
+    /// batch starts on new ones and `run_one` runs on the test thread's own:
     /// which tables a query ran on, and what ran on them before, must never
     /// show in its result.
     #[test]
@@ -540,7 +545,7 @@ mod tests {
             let one = QueryEngine::new(store.clone(), 1);
             let fresh: Vec<String> = requests
                 .iter()
-                .map(|r| one.run_one(r).output.fingerprint())
+                .map(|r| run_one(&one, r).output.fingerprint())
                 .collect();
             let first = run(&one);
             let again = run(&one);
@@ -607,18 +612,24 @@ mod tests {
         let location = mcn_graph::NetworkLocation::Node(mcn_graph::NodeId::new(5));
         let weights = vec![0.5, 0.3, 0.2];
         let engine = QueryEngine::new(store, 2);
-        let batch = engine.run_one(&QueryRequest::TopK {
-            location,
-            weights: weights.clone(),
-            k: 5,
-            algorithm: Algorithm::Cea,
-        });
-        let incremental = engine.run_one(&QueryRequest::TopKIncremental {
-            location,
-            weights,
-            take: 5,
-            algorithm: Algorithm::Cea,
-        });
+        let batch = run_one(
+            &engine,
+            &QueryRequest::TopK {
+                location,
+                weights: weights.clone(),
+                k: 5,
+                algorithm: Algorithm::Cea,
+            },
+        );
+        let incremental = run_one(
+            &engine,
+            &QueryRequest::TopKIncremental {
+                location,
+                weights,
+                take: 5,
+                algorithm: Algorithm::Cea,
+            },
+        );
         assert_eq!(batch.output.fingerprint(), incremental.output.fingerprint());
     }
 
@@ -761,10 +772,13 @@ mod tests {
     fn path_skyline_without_context_panics() {
         let (store, _) = fixture();
         let engine = QueryEngine::new(store, 1);
-        let _ = engine.run_one(&QueryRequest::PathSkyline {
-            source: mcn_graph::NodeId::new(0),
-            target: mcn_graph::NodeId::new(1),
-        });
+        let _ = run_one(
+            &engine,
+            &QueryRequest::PathSkyline {
+                source: mcn_graph::NodeId::new(0),
+                target: mcn_graph::NodeId::new(1),
+            },
+        );
     }
 
     /// Mixed serving-tier traffic: alpha-path requests interleaved with
@@ -787,7 +801,7 @@ mod tests {
             requests.push(QueryRequest::AlphaPath {
                 source: mcn_graph::NodeId::from(rng.gen_range(0..n)),
                 target: targets[i % targets.len()],
-                alpha: mcn_alpha::Preference::new(&weights).unwrap(),
+                alpha: mcn_path::alpha::Preference::new(&weights).unwrap(),
             });
         }
         (store, ctx, requests)
@@ -823,7 +837,10 @@ mod tests {
         // A batch with no path context reports a zeroed delta.
         let (plain_store, plain_requests) = fixture();
         let plain = QueryEngine::new(plain_store, 2).run_batch(&plain_requests);
-        assert_eq!(plain.stats.prep_cache, mcn_prep::PrepCacheStats::default());
+        assert_eq!(
+            plain.stats.prep_cache,
+            mcn_path::prep::PrepCacheStats::default()
+        );
     }
 
     /// α requests to distinct targets, so an empty cache bypasses every one
@@ -841,7 +858,7 @@ mod tests {
                 QueryRequest::AlphaPath {
                     source: mcn_graph::NodeId::from(rng.gen_range(0..n)),
                     target: mcn_graph::NodeId::from(i * (n / 12)),
-                    alpha: mcn_alpha::Preference::new(&weights).unwrap(),
+                    alpha: mcn_path::alpha::Preference::new(&weights).unwrap(),
                 }
             })
             .collect();
@@ -877,7 +894,7 @@ mod tests {
             let cold = run(workers);
             assert_eq!(fingerprints(&reference), fingerprints(&cold));
             assert_eq!(tags(&reference), tags(&cold));
-            let expected = mcn_prep::PrepCacheStats {
+            let expected = mcn_path::prep::PrepCacheStats {
                 bypassed: n,
                 ..Default::default()
             };
@@ -895,7 +912,7 @@ mod tests {
             let warm = run(workers);
             assert_eq!(fingerprints(&reference), fingerprints(&warm));
             assert!(tags(&warm).iter().all(|t| t == "alpha-astar"));
-            let expected = mcn_prep::PrepCacheStats {
+            let expected = mcn_path::prep::PrepCacheStats {
                 hits: n,
                 ..Default::default()
             };
@@ -937,7 +954,7 @@ mod tests {
                 .outcomes
                 .iter()
                 .all(|o| o.stats.algorithm == "alpha-landmark"));
-            let expected = mcn_prep::PrepCacheStats {
+            let expected = mcn_path::prep::PrepCacheStats {
                 bypassed: n,
                 ..Default::default()
             };
@@ -966,8 +983,9 @@ mod tests {
                         unreachable!("the fixture is all alpha requests")
                     };
                     let lent = cache.landmarks(*target);
-                    let tables: Vec<&mcn_prep::PrepTable> = lent.iter().map(Arc::as_ref).collect();
-                    let direct = mcn_alpha::scalarized_path_landmarks(
+                    let tables: Vec<&mcn_path::prep::PrepTable> =
+                        lent.iter().map(Arc::as_ref).collect();
+                    let direct = mcn_path::alpha::scalarized_path_landmarks(
                         &graph, *source, *target, alpha, &tables,
                     );
                     assert_eq!(outcome.stats.nodes_settled as u64, direct.stats.settled);
@@ -1010,7 +1028,7 @@ mod tests {
             unreachable!("the fixture is all alpha requests")
         };
         let graph = ctx.graph();
-        let settled = mcn_alpha::scalarized_path(graph, *source, *target, alpha)
+        let settled = mcn_path::alpha::scalarized_path(graph, *source, *target, alpha)
             .stats
             .settled;
         let price = (graph.num_nodes() * graph.num_cost_types()) as u64;
@@ -1018,7 +1036,7 @@ mod tests {
         let batch = vec![request; bypasses as usize + 3];
         let engine = QueryEngine::new(store, 1).with_path_context(ctx.clone());
         let result = engine.run_batch(&batch);
-        let expected = mcn_prep::PrepCacheStats {
+        let expected = mcn_path::prep::PrepCacheStats {
             hits: 2,
             misses: 1,
             evictions: 0,
@@ -1052,8 +1070,8 @@ mod tests {
                 alpha,
             } = request
             {
-                let outcome = engine.run_one(request);
-                let direct = mcn_alpha::scalarized_path(ctx.graph(), *source, *target, alpha);
+                let outcome = run_one(&engine, request);
+                let direct = mcn_path::alpha::scalarized_path(ctx.graph(), *source, *target, alpha);
                 match (&outcome.output, direct.path) {
                     (QueryOutput::AlphaPath(Some(via_engine)), Some(plain)) => {
                         assert_eq!(via_engine.edges, plain.edges);
@@ -1072,9 +1090,9 @@ mod tests {
         let baseline = QueryEngine::new(store.clone(), 2)
             .with_path_context(ctx.clone())
             .run_batch(&requests);
-        let index = Arc::new(mcn_index::RouteIndex::build(
+        let index = Arc::new(mcn_path::index::RouteIndex::build(
             ctx.graph(),
-            &mcn_index::IndexConfig::default(),
+            &mcn_path::index::IndexConfig::default(),
         ));
         assert!(index.exact(), "the fixture workload must index exactly");
         let indexed_ctx =
@@ -1104,15 +1122,15 @@ mod tests {
         let (store, ctx, requests) = mixed_alpha_fixture();
         // A bundle cap of 1 forces truncation on the anti-correlated
         // workload, so the index is not exact and must never serve.
-        let index = Arc::new(mcn_index::RouteIndex::build(
+        let index = Arc::new(mcn_path::index::RouteIndex::build(
             ctx.graph(),
-            &mcn_index::IndexConfig { max_bundle: 1 },
+            &mcn_path::index::IndexConfig { max_bundle: 1 },
         ));
         assert!(!index.exact());
         let fallback_ctx = Arc::new(
             crate::PathContext::new(ctx.graph().clone(), 4).with_route_index(index.clone()),
         );
-        assert!(fallback_ctx.route_index().is_some());
+        assert!(fallback_ctx.route_index.is_some());
         assert!(fallback_ctx.serving_index().is_none());
         let outcomes = QueryEngine::new(store, 2)
             .with_path_context(fallback_ctx)

@@ -31,11 +31,11 @@
 //! * [`PathContext`] — attached via [`QueryEngine::with_path_context`],
 //!   serves [`QueryRequest::PathSkyline`] (multi-criteria Pareto path) and
 //!   [`QueryRequest::AlphaPath`] (per-user scalarized fastest path)
-//!   requests with the ParetoPrep-pruned search of `mcn-mcpp`, sharing a
-//!   bounded LRU cache of `mcn-prep` tables (one backward scan per target)
-//!   across workers and batches. α requests rent before they buy: a target
-//!   is answered by plain Dijkstra until the work spent on it would have
-//!   paid for its scan (`PrepCache`'s break-even admission).
+//!   requests with the ParetoPrep-pruned search of `mcn_path::mcpp`, sharing
+//!   a bounded LRU cache of `mcn_path::prep` tables (one backward scan per
+//!   target) across workers and batches. α requests rent before they buy: a
+//!   target is answered by plain Dijkstra until the work spent on it would
+//!   have paid for its scan (`PrepCache`'s break-even admission).
 //!
 //! # Determinism
 //!
@@ -46,9 +46,6 @@
 //! is a store-wide counter delta, which overlapping queries pollute — it is
 //! only meaningful at `workers == 1`. Use [`BatchStats::io`] (a consistent
 //! before/after snapshot pair) for aggregate accounting at any worker count.
-
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
 
 mod context;
 mod engine;

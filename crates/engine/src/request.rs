@@ -1,18 +1,18 @@
 //! Query requests and their outcomes.
 
 use crate::context::PathContext;
-use mcn_alpha::{
-    scalarized_path_astar, scalarized_path_landmarks, Preference, ScalarPath, ScalarStats,
-};
 use mcn_core::{
     skyline_query, topk_query, Algorithm, QueryStats, SkylineFacility, TopKEntry, TopKIter,
     WeightedSum,
 };
 use mcn_expansion::NetworkAccess;
 use mcn_graph::{NetworkLocation, NodeId};
-use mcn_mcpp::{pareto_paths_prepped, ParetoLabel};
 use mcn_obs::{default_clock, Clock, Obs};
-use mcn_prep::PrepTable;
+use mcn_path::alpha::{
+    scalarized_path_astar, scalarized_path_landmarks, Preference, ScalarPath, ScalarStats,
+};
+use mcn_path::mcpp::{pareto_paths_prepped, ParetoLabel};
+use mcn_path::prep::PrepTable;
 use mcn_storage::StoreView;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -63,7 +63,7 @@ pub enum QueryRequest {
     },
     /// A scalarized fastest-path query — the preference *serving* tier: the
     /// single α-optimal route for one user's preference vector, answered by
-    /// prep-backed A* (`mcn-alpha`) over the same [`PathContext`] prep
+    /// prep-backed A* (`mcn_path::alpha`) over the same [`PathContext`] prep
     /// tables the skyline tier uses, or by plain Dijkstra while the target
     /// has not been asked for often enough to pay for a table. Requires
     /// [`crate::QueryEngine::with_path_context`].
@@ -121,7 +121,7 @@ impl QueryRequest {
     ///
     /// # Panics
     /// Panics on path-flavored requests when `paths` is `None`.
-    pub fn execute<S: StoreView + ?Sized>(
+    pub(crate) fn execute<S: StoreView + ?Sized>(
         &self,
         store: &Arc<S>,
         paths: Option<&PathContext>,
@@ -401,7 +401,7 @@ pub struct QueryOutcome {
     /// the engine runs one worker (see the crate docs).
     pub stats: QueryStats,
     /// The query's latency: wall-clock time on the engine's clock from the
-    /// start of [`QueryRequest::execute`] to the built output. It leaves
+    /// start of the request's execution to the built output. It leaves
     /// out the wait for a worker to claim the request (the `schedule` span)
     /// and the trace-only `fingerprint` span. This is the one per-query
     /// latency record; per-tier percentiles are computed from it.

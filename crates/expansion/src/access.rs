@@ -27,8 +27,8 @@
 //! every algorithm built on this layer produces byte-identical results.
 
 use mcn_graph::{EdgeId, FacilityId, NodeId};
-use mcn_storage::store::{EdgeEndpoints, FacilityInfo};
 use mcn_storage::{AdjacencyEntry, FacilityRun, IdMap, IoStats, MCNStore, StoreView};
+use mcn_storage::{EdgeEndpoints, FacilityInfo};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -75,11 +75,6 @@ impl<S: StoreView + ?Sized> DirectAccess<S> {
     /// Creates a pass-through accessor over `store`.
     pub fn new(store: Arc<S>) -> Self {
         Self { store }
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &Arc<S> {
-        &self.store
     }
 }
 
@@ -178,11 +173,6 @@ impl<S: StoreView + ?Sized> SharedAccess<S> {
             adjacency: Mutex::default(),
             runs: Mutex::default(),
         }
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &Arc<S> {
-        &self.store
     }
 
     /// Cache reuse counters.

@@ -19,13 +19,10 @@
 //! * [`oracle`] — in-memory brute-force cost vectors, skyline and top-k: the
 //!   ground truth LSA and CEA are tested against.
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
-pub mod access;
-pub mod expansion;
+mod access;
+mod expansion;
 pub mod oracle;
-pub mod seeds;
+mod seeds;
 mod tables;
 
 pub use access::{DirectAccess, NetworkAccess, SharedAccess, SharingStats};

@@ -14,7 +14,7 @@ use std::collections::BinaryHeap;
 
 /// The exact network distance from `location` to every node of `graph`
 /// according to cost type `cost_type`. Unreachable nodes get `+∞`.
-pub fn node_distances(
+pub(crate) fn node_distances(
     graph: &MultiCostGraph,
     location: NetworkLocation,
     cost_type: usize,
@@ -50,7 +50,7 @@ pub fn node_distances(
 
 /// The exact network distance from `location` to every facility according to
 /// cost type `cost_type`. Unreachable facilities get `+∞`.
-pub fn facility_distances(
+pub(crate) fn facility_distances(
     graph: &MultiCostGraph,
     location: NetworkLocation,
     cost_type: usize,

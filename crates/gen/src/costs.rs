@@ -44,7 +44,7 @@ impl CostDistribution {
 
 /// Assigns a `d`-dimensional cost vector to every edge of `topology` following
 /// `distribution`. Deterministic in `seed`.
-pub fn assign_costs(
+pub(crate) fn assign_costs(
     topology: &Topology,
     d: usize,
     distribution: CostDistribution,
@@ -91,31 +91,6 @@ fn cost_factors(rng: &mut ChaCha8Rng, d: usize, distribution: CostDistribution) 
     }
 }
 
-/// Empirical Pearson correlation between cost dimension `a` and `b` over a set
-/// of cost vectors — used by tests and sanity checks of generated workloads.
-pub fn empirical_correlation(costs: &[CostVec], a: usize, b: usize) -> f64 {
-    let n = costs.len() as f64;
-    if costs.is_empty() {
-        return 0.0;
-    }
-    let mean = |i: usize| costs.iter().map(|c| c[i]).sum::<f64>() / n;
-    let (ma, mb) = (mean(a), mean(b));
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for c in costs {
-        cov += (c[a] - ma) * (c[b] - mb);
-        va += (c[a] - ma).powi(2);
-        vb += (c[b] - mb).powi(2);
-    }
-    // Exactly zero: an epsilon would misclassify legitimately tiny variances.
-    if va == 0.0 || vb == 0.0 {
-        0.0
-    } else {
-        cov / (va.sqrt() * vb.sqrt())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,6 +99,31 @@ mod tests {
     fn sample(distribution: CostDistribution) -> Vec<CostVec> {
         let topo = generate_topology(&NetworkSpec::with_target_nodes(2000, 5));
         assign_costs(&topo, 4, distribution, 11)
+    }
+
+    /// Empirical Pearson correlation between cost dimension `a` and `b` over a set
+    /// of cost vectors.
+    fn empirical_correlation(costs: &[CostVec], a: usize, b: usize) -> f64 {
+        let n = costs.len() as f64;
+        if costs.is_empty() {
+            return 0.0;
+        }
+        let mean = |i: usize| costs.iter().map(|c| c[i]).sum::<f64>() / n;
+        let (ma, mb) = (mean(a), mean(b));
+        let mut cov = 0.0;
+        let mut va = 0.0;
+        let mut vb = 0.0;
+        for c in costs {
+            cov += (c[a] - ma) * (c[b] - mb);
+            va += (c[a] - ma).powi(2);
+            vb += (c[b] - mb).powi(2);
+        }
+        // Exactly zero: an epsilon would misclassify legitimately tiny variances.
+        if va == 0.0 || vb == 0.0 {
+            0.0
+        } else {
+            cov / (va.sqrt() * vb.sqrt())
+        }
     }
 
     #[test]

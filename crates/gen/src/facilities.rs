@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 
 /// Parameters of the clustered facility placement.
 #[derive(Clone, Debug, PartialEq)]
-pub struct FacilitySpec {
+pub(crate) struct FacilitySpec {
     /// Total number of facilities |P|.
     pub count: usize,
     /// Number of Gaussian clusters (the paper uses 10).
@@ -25,27 +25,15 @@ pub struct FacilitySpec {
     pub seed: u64,
 }
 
-impl FacilitySpec {
-    /// The paper's shape (10 clusters) with the given facility count.
-    pub fn clustered(count: usize, seed: u64) -> Self {
-        Self {
-            count,
-            clusters: 10,
-            sigma_hops: 8.0,
-            seed,
-        }
-    }
-}
-
 /// A facility placement: the edge it falls on and the position along it.
-pub type Placement = (EdgeId, f64);
+pub(crate) type Placement = (EdgeId, f64);
 
 /// Computes facility placements on `graph` according to `spec`.
 ///
 /// The placements are returned rather than inserted so that callers can decide
 /// how to add them (e.g. `GraphBuilder` round-trips in tests, or directly on a
 /// mutable builder in the workload pipeline).
-pub fn place_facilities(graph: &MultiCostGraph, spec: &FacilitySpec) -> Vec<Placement> {
+pub(crate) fn place_facilities(graph: &MultiCostGraph, spec: &FacilitySpec) -> Vec<Placement> {
     assert!(spec.clusters >= 1, "at least one cluster required");
     assert!(
         graph.num_edges() > 0,
@@ -122,10 +110,20 @@ mod tests {
         build_graph(&topo, &costs).0
     }
 
+    /// The paper's shape (10 clusters) with the given facility count.
+    fn clustered(count: usize, seed: u64) -> FacilitySpec {
+        FacilitySpec {
+            count,
+            clusters: 10,
+            sigma_hops: 8.0,
+            seed,
+        }
+    }
+
     #[test]
     fn placements_have_requested_count_and_valid_positions() {
         let g = graph();
-        let spec = FacilitySpec::clustered(500, 1);
+        let spec = clustered(500, 1);
         let placements = place_facilities(&g, &spec);
         assert_eq!(placements.len(), 500);
         for (edge, pos) in &placements {
@@ -137,9 +135,9 @@ mod tests {
     #[test]
     fn placement_is_deterministic_per_seed() {
         let g = graph();
-        let spec = FacilitySpec::clustered(100, 9);
+        let spec = clustered(100, 9);
         assert_eq!(place_facilities(&g, &spec), place_facilities(&g, &spec));
-        let other = FacilitySpec::clustered(100, 10);
+        let other = clustered(100, 10);
         assert_ne!(place_facilities(&g, &spec), place_facilities(&g, &other));
     }
 

@@ -15,7 +15,7 @@ use rand_chacha::ChaCha8Rng;
 
 /// Parameters of the synthetic road network.
 #[derive(Clone, Debug, PartialEq)]
-pub struct NetworkSpec {
+pub(crate) struct NetworkSpec {
     /// Grid columns.
     pub width: usize,
     /// Grid rows.
@@ -35,7 +35,7 @@ pub struct NetworkSpec {
 
 impl NetworkSpec {
     /// A spec with roughly `target_nodes` nodes and default shape parameters.
-    pub fn with_target_nodes(target_nodes: usize, seed: u64) -> Self {
+    pub(crate) fn with_target_nodes(target_nodes: usize, seed: u64) -> Self {
         let side = (target_nodes as f64).sqrt().ceil().max(2.0) as usize;
         Self {
             width: side,
@@ -46,11 +46,6 @@ impl NetworkSpec {
             diagonal_rate: 0.05,
             seed,
         }
-    }
-
-    /// Number of nodes the spec will produce.
-    pub fn num_nodes(&self) -> usize {
-        self.width * self.height
     }
 }
 
@@ -63,7 +58,7 @@ impl Default for NetworkSpec {
 /// The generated topology: node positions, edges and their Euclidean lengths.
 /// Costs are assigned separately (see [`crate::costs`]).
 #[derive(Clone, Debug)]
-pub struct Topology {
+pub(crate) struct Topology {
     /// Node coordinates, indexed by node.
     pub positions: Vec<(f64, f64)>,
     /// Edges as `(source, target, euclidean_length)`.
@@ -72,12 +67,12 @@ pub struct Topology {
 
 impl Topology {
     /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.positions.len()
     }
 
     /// Number of edges.
-    pub fn num_edges(&self) -> usize {
+    pub(crate) fn num_edges(&self) -> usize {
         self.edges.len()
     }
 }
@@ -87,7 +82,7 @@ impl Topology {
 /// The result is always connected: edge removal is performed on a shuffled
 /// candidate list and skipped whenever it would disconnect the graph (checked
 /// with a union-find structure built over the retained edges).
-pub fn generate_topology(spec: &NetworkSpec) -> Topology {
+pub(crate) fn generate_topology(spec: &NetworkSpec) -> Topology {
     assert!(
         spec.width >= 2 && spec.height >= 2,
         "grid must be at least 2×2"
@@ -172,7 +167,7 @@ pub fn generate_topology(spec: &NetworkSpec) -> Topology {
 
 /// Assembles a [`MultiCostGraph`] from a topology and per-edge cost vectors
 /// produced by [`crate::costs::assign_costs`].
-pub fn build_graph(
+pub(crate) fn build_graph(
     topology: &Topology,
     costs: &[mcn_graph::CostVec],
 ) -> (MultiCostGraph, Vec<EdgeId>) {
@@ -242,7 +237,7 @@ mod tests {
     fn generated_topology_has_expected_size_and_connectivity() {
         let spec = NetworkSpec::with_target_nodes(2500, 7);
         let topo = generate_topology(&spec);
-        assert_eq!(topo.num_nodes(), spec.num_nodes());
+        assert_eq!(topo.num_nodes(), spec.width * spec.height);
         // Grid edges ≈ 2·n minus borders, minus removals, plus diagonals.
         assert!(topo.num_edges() > topo.num_nodes());
         let costs = assign_costs(&topo, 2, CostDistribution::Independent, 1);

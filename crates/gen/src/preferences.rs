@@ -8,7 +8,7 @@
 //! for smaller values.
 //!
 //! The raw vectors are plain `Vec<f64>` so this crate stays independent of
-//! `mcn-alpha`; `Preference::new` in that crate validates and re-normalizes
+//! `mcn-path`; `mcn_path::alpha::Preference::new` validates and re-normalizes
 //! them on ingestion.
 
 use rand::{Rng, SeedableRng};

@@ -34,7 +34,7 @@ impl WorkloadSpec {
     ///
     /// Running this at full size is expensive; the experiment harness scales
     /// it down by default (see `mcn-bench`).
-    pub fn paper_default() -> Self {
+    pub(crate) fn paper_default() -> Self {
         Self {
             nodes: 175_000,
             facilities: 100_000,

@@ -56,30 +56,6 @@ impl GraphBuilder {
         b
     }
 
-    /// Number of cost types the graph under construction will have.
-    #[inline]
-    pub fn num_cost_types(&self) -> usize {
-        self.num_cost_types
-    }
-
-    /// Number of nodes added so far.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of edges added so far.
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Number of facilities added so far.
-    #[inline]
-    pub fn num_facilities(&self) -> usize {
-        self.facilities.len()
-    }
-
     /// Permits self-loop edges (disallowed by default).
     pub fn allow_self_loops(&mut self, allow: bool) -> &mut Self {
         self.allow_self_loops = allow;
@@ -278,9 +254,9 @@ mod tests {
         let p0 = b.add_facility(e0, 0.0).unwrap();
         let p1 = b.add_facility(e1, 1.0).unwrap();
         assert_eq!((p0, p1), (FacilityId::new(0), FacilityId::new(1)));
-        assert_eq!(b.num_nodes(), 4);
-        assert_eq!(b.num_edges(), 2);
-        assert_eq!(b.num_facilities(), 2);
+        assert_eq!(b.nodes.len(), 4);
+        assert_eq!(b.edges.len(), 2);
+        assert_eq!(b.facilities.len(), 2);
         let g = b.build().unwrap();
         assert_eq!(g.num_nodes(), 4);
     }

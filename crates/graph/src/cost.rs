@@ -74,19 +74,13 @@ impl CostVec {
 
     /// The costs as a mutable slice of length `d`.
     #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.values[..self.len as usize]
-    }
-
-    /// Returns the `i`-th cost, or `None` if `i >= d`.
-    #[inline]
-    pub fn get(&self, i: usize) -> Option<f64> {
-        self.as_slice().get(i).copied()
     }
 
     /// Returns true iff every component is finite and non-negative.
     #[inline]
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         self.as_slice().iter().all(|&c| c.is_finite() && c >= 0.0)
     }
 
@@ -264,7 +258,7 @@ mod tests {
         assert_eq!(v.len(), 3);
         assert_eq!(v[0], 1.0);
         assert_eq!(v[2], 3.0);
-        assert_eq!(v.get(3), None);
+        assert_eq!(v.as_slice().get(3), None);
         assert_eq!(v.total(), 6.0);
     }
 

@@ -38,7 +38,7 @@ impl Edge {
 
     /// Creates a directed edge (traversable only from `source` to `target`).
     #[inline]
-    pub fn new_directed(id: EdgeId, source: NodeId, target: NodeId, costs: CostVec) -> Self {
+    pub(crate) fn new_directed(id: EdgeId, source: NodeId, target: NodeId, costs: CostVec) -> Self {
         Self {
             id,
             source,
@@ -65,7 +65,7 @@ impl Edge {
 
     /// Returns true iff `node` is one of the edge's end-nodes.
     #[inline]
-    pub fn touches(&self, node: NodeId) -> bool {
+    pub(crate) fn touches(&self, node: NodeId) -> bool {
         node == self.source || node == self.target
     }
 
@@ -80,12 +80,6 @@ impl Edge {
         } else {
             self.touches(from)
         }
-    }
-
-    /// Number of cost types carried by this edge.
-    #[inline]
-    pub fn num_cost_types(&self) -> usize {
-        self.costs.len()
     }
 }
 
@@ -137,6 +131,6 @@ mod tests {
         let e = edge();
         assert!(e.touches(NodeId::new(1)));
         assert!(!e.touches(NodeId::new(7)));
-        assert_eq!(e.num_cost_types(), 2);
+        assert_eq!(e.costs.len(), 2);
     }
 }

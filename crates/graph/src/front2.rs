@@ -8,12 +8,12 @@
 //! fast path (ROADMAP item "Bicriterion d = 2 fast path").
 //!
 //! [`Front2`] is used as a *mirror* of a label set that the general-purpose
-//! code keeps anyway: `mcn-mcpp` mirrors the target skyline with one and
-//! answers its hot weak-dominance check in `O(log k)`, and `mcn-index`
-//! maintains shortcut bundles and assembled skylines through it. The
-//! boolean answers are defined to be *identical* to the pairwise test over
-//! the same multiset of points, so switching the fast path on cannot change
-//! a single label count.
+//! code keeps anyway: `mcn_path::mcpp` mirrors the target skyline with one and
+//! answers its hot weak-dominance check in `O(log k)`, and `mcn_path::index`
+//! maintains shortcut bundles and assembled skylines through it. The boolean
+//! answers are defined to be *identical* to the pairwise test over the same
+//! multiset of points, so switching the fast path on cannot change a single
+//! label count.
 
 /// A 2-dimensional Pareto front under *minimisation*, kept sorted by the
 /// first component ascending (and, as an invariant, the second component
@@ -44,11 +44,6 @@ impl Front2 {
     /// True iff the front has no points.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// Drops every point.
-    pub fn clear(&mut self) {
-        self.points.clear();
     }
 
     /// True iff some front member weakly dominates `(c0, c1)` — i.e. has
@@ -85,11 +80,6 @@ impl Front2 {
         }
         self.points.splice(start..end, [(c0, c1)]);
         true
-    }
-
-    /// The points of the front, sorted by first component ascending.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
     }
 }
 
@@ -137,7 +127,7 @@ mod tests {
         // Dominates both members: evicts them.
         assert!(f.insert(0.5, 0.5));
         assert_eq!(f.len(), 1);
-        assert_eq!(f.points(), &[(0.5, 0.5)]);
+        assert_eq!(f.points, &[(0.5, 0.5)]);
     }
 
     #[test]
@@ -146,9 +136,9 @@ mod tests {
         for &(a, b) in &[(5.0, 1.0), (1.0, 5.0), (3.0, 3.0), (2.0, 4.0), (4.0, 2.0)] {
             assert!(f.insert(a, b));
         }
-        let firsts: Vec<f64> = f.points().iter().map(|p| p.0).collect();
+        let firsts: Vec<f64> = f.points.iter().map(|p| p.0).collect();
         assert_eq!(firsts, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
-        let seconds: Vec<f64> = f.points().iter().map(|p| p.1).collect();
+        let seconds: Vec<f64> = f.points.iter().map(|p| p.1).collect();
         assert_eq!(seconds, vec![5.0, 4.0, 3.0, 2.0, 1.0]);
     }
 
@@ -160,7 +150,7 @@ mod tests {
         f.insert(5.0, 1.0);
         // Dominates (3,3) only.
         assert!(f.insert(2.0, 2.0));
-        assert_eq!(f.points(), &[(1.0, 5.0), (2.0, 2.0), (5.0, 1.0)]);
+        assert_eq!(f.points, &[(1.0, 5.0), (2.0, 2.0), (5.0, 1.0)]);
     }
 
     #[test]
@@ -192,7 +182,7 @@ mod tests {
         }
         // Final fronts hold the same point set.
         let mut got: Vec<(u64, u64)> = fast
-            .points()
+            .points
             .iter()
             .map(|p| (p.0.to_bits(), p.1.to_bits()))
             .collect();

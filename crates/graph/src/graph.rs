@@ -122,15 +122,6 @@ impl MultiCostGraph {
         self.has_directed_edges
     }
 
-    /// Returns the node with the given identifier.
-    ///
-    /// # Panics
-    /// Panics if the identifier is out of range.
-    #[inline]
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
-    }
-
     /// Returns the edge with the given identifier.
     ///
     /// # Panics
@@ -256,7 +247,7 @@ mod tests {
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.num_facilities(), 1);
         assert_eq!(g.num_cost_types(), 2);
-        assert_eq!(g.node(NodeId::new(1)).id, NodeId::new(1));
+        assert_eq!(g.nodes[1].id, NodeId::new(1));
         assert_eq!(g.edge(EdgeId::new(2)).source, NodeId::new(0));
         assert_eq!(g.facility(FacilityId::new(0)).edge, EdgeId::new(2));
     }

@@ -34,21 +34,18 @@
 //! assert_eq!(g.num_cost_types(), 2);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
-pub mod builder;
-pub mod cost;
+mod builder;
+mod cost;
 pub mod dominance;
-pub mod edge;
-pub mod error;
-pub mod facility;
-pub mod front2;
-pub mod graph;
-pub mod ids;
-pub mod location;
-pub mod node;
-pub mod partition;
+mod edge;
+mod error;
+mod facility;
+mod front2;
+mod graph;
+mod ids;
+mod location;
+mod node;
+mod partition;
 
 pub use builder::GraphBuilder;
 pub use cost::{CostVec, MAX_COST_TYPES};
@@ -57,9 +54,9 @@ pub use edge::Edge;
 pub use error::GraphError;
 pub use facility::Facility;
 pub use front2::Front2;
-pub use graph::MultiCostGraph;
+pub use graph::{MultiCostGraph, Neighbor};
 pub use ids::{EdgeId, FacilityId, NodeId, RegionId};
-pub use location::NetworkLocation;
+pub use location::{LocationAccess, NetworkLocation};
 pub use node::Node;
 pub use partition::{partition_graph, PartitionMap, PartitionSpec};
 

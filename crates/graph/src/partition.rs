@@ -96,21 +96,6 @@ impl PartitionMap {
         RegionId::new(self.assignment[node.index()])
     }
 
-    /// Nodes per region.
-    pub fn region_sizes(&self) -> &[u32] {
-        &self.region_sizes
-    }
-
-    /// Number of edges crossing a region boundary.
-    pub fn boundary_edges(&self) -> u64 {
-        self.boundary_edges
-    }
-
-    /// Boundary edges incident to each region.
-    pub fn region_boundary(&self) -> &[u64] {
-        &self.region_boundary
-    }
-
     /// The region a query location is seeded in: the node's region, or the
     /// region of the edge's source node for a location in an edge interior.
     pub fn region_of_location(
@@ -325,7 +310,7 @@ mod tests {
             assert_eq!(map.num_regions(), regions);
             assert_eq!(map.num_nodes(), g.num_nodes());
             map.validate().expect("map is consistent");
-            let total: u32 = map.region_sizes().iter().sum();
+            let total: u32 = map.region_sizes.iter().sum();
             assert_eq!(total as usize, g.num_nodes());
         }
     }
@@ -367,8 +352,8 @@ mod tests {
                 sides[b.index()] += 1;
             }
         }
-        assert_eq!(map.boundary_edges(), expected);
-        assert_eq!(map.region_boundary(), sides.as_slice());
+        assert_eq!(map.boundary_edges, expected);
+        assert_eq!(map.region_boundary, sides.as_slice());
         assert!(expected > 0, "4 regions on a grid must cut some edges");
     }
 
@@ -376,8 +361,8 @@ mod tests {
     fn one_region_has_no_boundary() {
         let g = grid(6, 6);
         let map = partition_graph(&g, &PartitionSpec::new(1));
-        assert_eq!(map.boundary_edges(), 0);
-        assert_eq!(map.region_sizes(), &[36]);
+        assert_eq!(map.boundary_edges, 0);
+        assert_eq!(map.region_sizes, &[36]);
         assert_eq!(map, {
             let mut single = PartitionMap::single(36);
             single.seed = map.seed;
@@ -389,13 +374,13 @@ mod tests {
     fn regions_grow_balanced_on_a_grid() {
         let g = grid(20, 20);
         let map = partition_graph(&g, &PartitionSpec::new(4));
-        let min = *map.region_sizes().iter().min().unwrap() as f64;
-        let max = *map.region_sizes().iter().max().unwrap() as f64;
+        let min = *map.region_sizes.iter().min().unwrap() as f64;
+        let max = *map.region_sizes.iter().max().unwrap() as f64;
         // Round-robin BFS keeps regions within a reasonable factor.
         assert!(
             max / min <= 2.5,
             "unbalanced regions: {:?}",
-            map.region_sizes()
+            map.region_sizes
         );
     }
 

@@ -27,12 +27,12 @@ pub trait Clock: Send + Sync {
 
 /// Production clock: a monotonic `Instant` anchored at construction.
 #[derive(Debug)]
-pub struct MonotonicClock {
+pub(crate) struct MonotonicClock {
     origin: Instant,
 }
 
 impl MonotonicClock {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             origin: Instant::now(),
         }

@@ -3,28 +3,29 @@
 //! A self-contained layer (no dependency beyond the vendored
 //! `parking_lot`) with three pieces:
 //!
-//! - [`registry::MetricsRegistry`] — named counters and gauges, labelled
+//! - [`MetricsRegistry`] — named counters and gauges, labelled
 //!   by worker/region/tier. Registration is lock-striped; recording goes
 //!   through `Arc`-shared atomics, so hot loops add no shared-lock
 //!   traffic. Latency is not kept here: a query's one latency record is
 //!   the engine's per-query wall time.
-//! - [`span::Tracer`] — query-lifecycle spans
+//! - [`Tracer`] — query-lifecycle spans
 //!   (`schedule → prep-lookup/build → search → unpack → fingerprint`)
 //!   in bounded per-worker ring buffers, one relaxed atomic load when
 //!   disabled.
-//! - [`clock::Clock`] — the workspace timing source:
-//!   [`clock::MonotonicClock`] in production, [`clock::ManualClock`] in
-//!   tests so timing assertions are exact.
+//! - [`Clock`] — the workspace timing source: a monotonic clock
+//!   ([`default_clock`]) in production, [`ManualClock`] in tests so timing
+//!   assertions are exact.
 //!
 //! [`Obs`] bundles one of each for threading through the engine.
 
-pub mod clock;
-pub mod registry;
-pub mod span;
+mod clock;
+mod registry;
+mod span;
 
+use clock::MonotonicClock;
 use std::sync::Arc;
 
-pub use clock::{default_clock, Clock, ManualClock, MonotonicClock};
+pub use clock::{default_clock, Clock, ManualClock};
 pub use registry::{
     Counter, CounterSnapshot, Gauge, GaugeSnapshot, MetricsRegistry, MetricsSnapshot,
 };
@@ -60,18 +61,22 @@ impl Obs {
         }
     }
 
+    /// The metrics registry.
     pub fn registry(&self) -> &MetricsRegistry {
         &self.registry
     }
 
+    /// The span tracer.
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
 
+    /// The clock spans and timings are read from.
     pub fn clock(&self) -> &dyn Clock {
         &*self.clock
     }
 
+    /// The clock's current reading, in nanoseconds.
     pub fn now_ns(&self) -> u64 {
         self.clock.now_ns()
     }
@@ -81,6 +86,7 @@ impl Obs {
         self.tracer.set_enabled(on);
     }
 
+    /// True iff span collection is on.
     pub fn tracing(&self) -> bool {
         self.tracer.enabled()
     }
@@ -114,7 +120,7 @@ mod tests {
         {
             let span = obs.span("search", "skyline", 1);
             clock.advance(111);
-            span.finish();
+            drop(span);
         }
         let events = obs.tracer().drain();
         assert_eq!(events.len(), 1);

@@ -19,7 +19,7 @@ const SHARDS: usize = 8;
 
 /// Identity of a metric: name plus label pairs sorted by label key.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MetricKey {
+pub(crate) struct MetricKey {
     pub name: String,
     pub labels: Vec<(String, String)>,
 }
@@ -44,10 +44,12 @@ impl MetricKey {
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
+    /// Adds one.
     pub fn inc(&self) {
         self.add(1);
     }
 
+    /// Adds `delta`.
     pub fn add(&self, delta: u64) {
         self.0.fetch_add(delta, Ordering::Relaxed);
     }
@@ -58,6 +60,7 @@ impl Counter {
         self.0.store(value, Ordering::SeqCst);
     }
 
+    /// The current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::SeqCst)
     }
@@ -68,10 +71,12 @@ impl Counter {
 pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
+    /// Replaces the value.
     pub fn set(&self, value: f64) {
         self.0.store(value.to_bits(), Ordering::SeqCst);
     }
 
+    /// The current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::SeqCst))
     }
@@ -95,6 +100,7 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
+    /// An empty registry.
     pub fn new() -> Self {
         Self {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
@@ -158,16 +164,22 @@ impl MetricsRegistry {
 /// One counter in a snapshot.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CounterSnapshot {
+    /// Metric name.
     pub name: String,
+    /// Label pairs, sorted by label key.
     pub labels: Vec<(String, String)>,
+    /// Value when the snapshot was taken.
     pub value: u64,
 }
 
 /// One gauge in a snapshot.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct GaugeSnapshot {
+    /// Metric name.
     pub name: String,
+    /// Label pairs, sorted by label key.
     pub labels: Vec<(String, String)>,
+    /// Value when the snapshot was taken.
     pub value: f64,
 }
 
@@ -175,7 +187,9 @@ pub struct GaugeSnapshot {
 /// `(name, labels)` — deterministic for a given set of metric values.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
+    /// Every counter, sorted by `(name, labels)`.
     pub counters: Vec<CounterSnapshot>,
+    /// Every gauge, sorted by `(name, labels)`.
     pub gauges: Vec<GaugeSnapshot>,
 }
 
@@ -189,6 +203,8 @@ impl MetricsSnapshot {
             .map(|c| c.value)
     }
 
+    /// Value of a gauge matching `name` and all of `labels` (labels in any
+    /// order), if present.
     pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
         self.gauges
             .iter()

@@ -16,19 +16,25 @@ use parking_lot::Mutex;
 use crate::clock::Clock;
 
 /// Default number of ring stripes (effectively "workers").
-pub const DEFAULT_STRIPES: usize = 8;
+pub(crate) const DEFAULT_STRIPES: usize = 8;
 /// Default bound per stripe before old events are dropped.
-pub const DEFAULT_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_CAPACITY: usize = 4096;
 
 /// One completed span: phase `name` of query `query` on worker `worker`,
 /// covering `[start_ns, start_ns + dur_ns]` on the tracer's clock.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanEvent {
+    /// Lifecycle phase, e.g. `"search"`.
     pub name: String,
+    /// Query tier, e.g. `"skyline"`.
     pub tier: String,
+    /// Query index within its batch.
     pub query: u64,
+    /// Ring stripe of the recording thread.
     pub worker: u32,
+    /// Start time on the tracer's clock.
     pub start_ns: u64,
+    /// Duration in nanoseconds.
     pub dur_ns: u64,
 }
 
@@ -62,11 +68,14 @@ fn thread_slot() -> usize {
 }
 
 impl Tracer {
-    pub fn new() -> Self {
+    /// A disabled tracer with the default stripes and capacity.
+    pub(crate) fn new() -> Self {
         Self::with_capacity(DEFAULT_STRIPES, DEFAULT_CAPACITY)
     }
 
-    pub fn with_capacity(stripes: usize, capacity: usize) -> Self {
+    /// A disabled tracer of `stripes` rings holding `capacity` events each
+    /// (both at least 1).
+    pub(crate) fn with_capacity(stripes: usize, capacity: usize) -> Self {
         let stripes = stripes.max(1);
         Self {
             enabled: AtomicBool::new(false),
@@ -75,6 +84,7 @@ impl Tracer {
         }
     }
 
+    /// Turns span collection on or off.
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::SeqCst);
     }
@@ -163,6 +173,7 @@ impl Tracer {
         total
     }
 
+    /// True iff no event is buffered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -176,11 +187,6 @@ pub struct Span<'a> {
     tier: &'a str,
     query: u64,
     start_ns: Option<u64>,
-}
-
-impl Span<'_> {
-    /// End the span explicitly (identical to dropping it).
-    pub fn finish(self) {}
 }
 
 impl Drop for Span<'_> {
@@ -219,7 +225,7 @@ mod tests {
         {
             let span = tracer.span(&clock, "search", "topk", 7);
             clock.advance(250);
-            span.finish();
+            drop(span);
         }
         let events = tracer.drain();
         assert_eq!(events.len(), 1);

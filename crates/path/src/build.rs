@@ -3,7 +3,7 @@
 
 use crate::config::IndexConfig;
 use crate::structure::{
-    bundle_dominates_weak, bundle_merge, ArcEntry, Fragment, RouteIndex, UpArc,
+    pareto_dominates_weak, pareto_merge, ArcEntry, Fragment, RouteIndex, UpArc,
 };
 use mcn_graph::{dominates_weak, CostVec, MultiCostGraph};
 use std::cmp::Ordering;
@@ -78,7 +78,7 @@ impl<'a> Contractor<'a> {
     /// existing bundle (parallel edges collapse here).
     fn seed_arc(&mut self, tail: u32, head: u32, costs: CostVec, frag: u32) {
         let bundle = self.out[tail as usize].entry(head).or_default();
-        if bundle_merge(bundle, costs, frag) {
+        if pareto_merge(bundle, costs, frag) {
             if bundle.len() > self.cfg.max_bundle {
                 bundle.truncate(self.cfg.max_bundle);
                 self.exact = false;
@@ -114,8 +114,8 @@ impl<'a> Contractor<'a> {
                     if *head == skip || *head == u {
                         continue;
                     }
-                    for e in bundle {
-                        let c = *costs + e.costs;
+                    for (step, _) in bundle {
+                        let c = *costs + *step;
                         if !dominates_weak(&c, cand) {
                             continue;
                         }
@@ -142,12 +142,12 @@ impl<'a> Contractor<'a> {
     /// fragment only now (rejected candidates never pollute the arena).
     fn insert_shortcut(&mut self, u: u32, w: u32, costs: CostVec, f1: u32, f2: u32) {
         let bundle = self.out[u as usize].entry(w).or_default();
-        if bundle_dominates_weak(bundle, &costs) {
+        if pareto_dominates_weak(bundle, &costs) {
             return;
         }
         let frag = self.fragments.len() as u32;
         self.fragments.push(Fragment::Concat(f1, f2));
-        bundle_merge(bundle, costs, frag);
+        pareto_merge(bundle, costs, frag);
         self.shortcuts += 1;
         if bundle.len() > self.cfg.max_bundle {
             bundle.truncate(self.cfg.max_bundle);
@@ -177,10 +177,9 @@ impl<'a> Contractor<'a> {
                 // Pareto set of the pairwise combinations first, so the
                 // witness search runs once per *surviving* candidate.
                 let mut cands: Vec<(CostVec, (u32, u32))> = Vec::new();
-                for e1 in ub {
-                    for e2 in wb {
-                        let c = e1.costs + e2.costs;
-                        crate::structure::pareto_merge(&mut cands, c, (e1.frag, e2.frag));
+                for (c1, f1) in ub {
+                    for (c2, f2) in wb {
+                        pareto_merge(&mut cands, *c1 + *c2, (*f1, *f2));
                     }
                 }
                 for (c, (f1, f2)) in cands {
@@ -322,16 +321,16 @@ mod tests {
         let (g, _, _) = diamond();
         let idx = RouteIndex::build(&g, &IndexConfig::default());
         assert!(idx.exact());
-        assert_eq!(idx.num_nodes(), 4);
-        assert_eq!(idx.dims(), 2);
+        assert_eq!(idx.num_nodes, 4);
+        assert_eq!(idx.dims, 2);
         // Ranks are a permutation of 0..n.
-        let mut ranks: Vec<u32> = (0..4).map(|v| idx.rank_of(v)).collect();
+        let mut ranks = idx.rank.clone();
         ranks.sort_unstable();
         assert_eq!(ranks, vec![0, 1, 2, 3]);
         // Upward arcs only point to strictly higher ranks.
         for v in 0..4u32 {
             for arc in idx.up_out[v as usize].iter().chain(&idx.up_in[v as usize]) {
-                assert!(idx.rank_of(arc.head) > idx.rank_of(v));
+                assert!(idx.rank[arc.head as usize] > idx.rank[v as usize]);
             }
         }
     }
@@ -352,8 +351,7 @@ mod tests {
         let idx = RouteIndex::build(&g, &IndexConfig::default());
         assert!(idx.exact());
         assert_eq!(
-            idx.shortcuts(),
-            0,
+            idx.shortcuts, 0,
             "the dominated shortcut was witnessed away"
         );
     }
@@ -391,7 +389,7 @@ mod tests {
         let b = RouteIndex::build(&graph, &IndexConfig::default());
         assert_eq!(a, b, "two builds of the same input must be identical");
         let n = graph.num_nodes();
-        let mut ranks: Vec<u32> = (0..n as u32).map(|v| a.rank_of(v)).collect();
+        let mut ranks = a.rank.clone();
         ranks.sort_unstable();
         assert_eq!(ranks, (0..n as u32).collect::<Vec<_>>());
     }

@@ -186,11 +186,6 @@ impl PrepCache {
         }
     }
 
-    /// Maximum number of tables retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of tables currently cached.
     pub fn len(&self) -> usize {
         self.inner.lock().map.len()
@@ -465,7 +460,7 @@ mod tests {
             } else {
                 model.push_back(raw);
                 misses += 1;
-                if model.len() > cache.capacity() {
+                if model.len() > cache.capacity {
                     model.pop_front();
                     evictions += 1;
                 }
@@ -832,7 +827,7 @@ mod tests {
                         assert_eq!(table.target(), target);
                         // The size bound must hold at every observable
                         // moment, not just after the dust settles.
-                        assert!(cache.len() <= cache.capacity());
+                        assert!(cache.len() <= cache.capacity);
                     }
                 });
             }
@@ -845,7 +840,7 @@ mod tests {
         assert_eq!(stats.hits + stats.misses, THREADS * ROUNDS);
         assert!(stats.misses >= TARGETS, "each target missed at least once");
         assert!(cache.len() as u64 + stats.evictions <= stats.misses);
-        assert!(cache.len() <= cache.capacity());
+        assert!(cache.len() <= cache.capacity);
 
         // Whatever survived the churn is exactly what a quiet,
         // single-threaded build produces.

@@ -1,6 +1,6 @@
 //! Build knobs for the route index.
 
-/// Parameters of a [`crate::RouteIndex`] build.
+/// Parameters of a [`RouteIndex`](crate::index::RouteIndex) build.
 #[derive(Clone, Debug, PartialEq)]
 pub struct IndexConfig {
     /// Maximum Pareto-set size per shortcut bundle. A contraction that

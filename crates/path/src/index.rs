@@ -1,5 +1,3 @@
-//! # mcn-index
-//!
 //! A **hierarchical partial-path route index** over the multi-cost graph:
 //! a contraction-style hierarchy whose shortcut arcs carry the *Pareto set*
 //! of witness-path cost vectors, in the spirit of partial-path indexing for
@@ -30,11 +28,12 @@
 //!
 //! * [`RouteIndex::alpha_path`] — scalarized bidirectional Dijkstra with
 //!   the standard stopping criterion; byte-identical to
-//!   [`mcn_alpha::scalarized_path`] (totals and cost vectors are recomputed
-//!   edge-by-edge in path order, so the bits match, not just the values).
+//!   [`scalarized_path`](crate::alpha::scalarized_path) (totals and cost
+//!   vectors are recomputed edge-by-edge in path order, so the bits match,
+//!   not just the values).
 //! * [`RouteIndex::skyline_paths`] — a dominance-merging variant producing
 //!   the full path skyline, byte-identical to
-//!   `mcn_mcpp::pareto_paths_prepped`. Its upward label searches keep
+//!   [`pareto_paths_prepped`](crate::mcpp::pareto_paths_prepped). Its upward label searches keep
 //!   paths implicit (a parent-pointer arena per search), so a relaxation
 //!   costs its dominance check, not a copy of a fragment list. The query
 //!   matches once on `d` and runs a kernel compiled for that width: label
@@ -43,35 +42,22 @@
 //!   survivors become [`mcn_graph::CostVec`]s again, for the path-order
 //!   re-filter.
 //!
-//! Both report their search effort as [`mcn_alpha::ScalarStats`] (the
-//! skyline counting labels where the α search counts nodes), and
-//! [`RouteIndex::alpha_path`] returns the same [`mcn_alpha::ScalarResult`]
-//! as the direct α search.
+//! Both report their search effort as
+//! [`ScalarStats`](crate::alpha::ScalarStats) (the skyline counting labels
+//! where the α search counts nodes), and [`RouteIndex::alpha_path`] returns
+//! the same [`ScalarResult`](crate::alpha::ScalarResult) as the direct α
+//! search.
 //!
 //! Both inherit the **exact ties caveat** documented on
-//! [`mcn_mcpp::pareto_paths`]: on graphs with exactly tied cost vectors the
-//! surviving *representative* path may differ; the continuous float costs
-//! of every seeded workload have no such ties.
+//! [`pareto_paths`](crate::mcpp::pareto_paths): on graphs with exactly tied
+//! cost vectors the surviving *representative* path may differ; the
+//! continuous float costs of every seeded workload have no such ties.
 //!
 //! Bicriterion (`d == 2`) dominance checks use the sorted-sweep structure
 //! of [`mcn_graph::Front2`] — bundles and label sets are kept
 //! lexicographically sorted, which at `d == 2` makes weak dominance a
 //! binary search instead of a scan.
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
-pub mod build;
-pub mod config;
-pub mod query;
-pub mod structure;
-
-pub use config::IndexConfig;
-pub use query::IndexSkylineResult;
-pub use structure::{ArcEntry, Fragment, RouteIndex, UpArc};
-
-/// Compile-time thread-safety proof, mirrored from the other workspace
-/// crates: instantiated in a `const _` next to each shared type so the
-/// build fails the moment a field change makes the type lose
-/// `Send`/`Sync`.
-pub(crate) const fn assert_send_sync<T: Send + Sync>() {}
+pub use crate::config::IndexConfig;
+pub use crate::query::IndexSkylineResult;
+pub use crate::structure::RouteIndex;

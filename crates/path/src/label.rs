@@ -1,9 +1,9 @@
 //! Best-first multi-criteria Pareto path search.
 
+use crate::prep::PrepTable;
 use crate::stats::PathStats;
 use mcn_graph::dominance::{dominates_strictly, lanes, weakly_dominates};
 use mcn_graph::{CostVec, EdgeId, Front2, MultiCostGraph, NodeId, MAX_COST_TYPES};
-use mcn_prep::PrepTable;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 

@@ -1,5 +1,3 @@
-//! # mcn-mcpp
-//!
 //! **Multi-criteria Pareto path computation** (MCPP): given a source and a
 //! destination node in a multi-cost network, compute the *skyline of paths*
 //! between them — every path whose cost vector is not dominated by the cost
@@ -8,7 +6,7 @@
 //! This is the operations-research problem the paper contrasts with its MCN
 //! skyline (Section II-D): MCPP produces a skyline of *paths* to a single,
 //! given destination, whereas the MCN skyline is a skyline of *facilities*
-//! reached via each cost type's own shortest path. The crate exists
+//! reached via each cost type's own shortest path. The module exists
 //!
 //! * as the classic related-work baseline (multi-criteria label search in
 //!   the style of Skriver & Andersen / Brumbaugh-Smith & Shier);
@@ -17,7 +15,7 @@
 //!   single-criterion shortest-path distances;
 //! * as the serving layer for **pruned** path-skyline queries:
 //!   [`pareto_paths_prepped`] accelerates the search with the per-cost lower
-//!   bounds of a `mcn-prep` [`PrepTable`](mcn_prep::PrepTable) (ParetoPrep,
+//!   bounds of a [`PrepTable`](crate::prep::PrepTable) (ParetoPrep,
 //!   Shekelyan et al.), producing byte-identical skylines with a fraction of
 //!   the labels; [`PathStats`] makes the reduction measurable.
 //!
@@ -48,32 +46,8 @@
 //! [`CostVec`]: mcn_graph::CostVec
 //! [`Front2`]: mcn_graph::Front2
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
-pub mod label;
-pub mod stats;
-
-pub use label::{
+pub use crate::label::{
     componentwise_minimum, pareto_paths, pareto_paths_exhaustive, pareto_paths_prepped,
     pareto_paths_with_stats, ParetoLabel, PathSkylineResult,
 };
-pub use stats::PathStats;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mcn_graph::{CostVec, GraphBuilder, NodeId};
-
-    #[test]
-    fn crate_level_smoke_test() {
-        let mut b = GraphBuilder::new(2);
-        let a = b.add_node(0.0, 0.0);
-        let c = b.add_node(1.0, 0.0);
-        b.add_edge(a, c, CostVec::from_slice(&[1.0, 5.0])).unwrap();
-        b.add_edge(a, c, CostVec::from_slice(&[5.0, 1.0])).unwrap();
-        let g = b.build().unwrap();
-        let paths = pareto_paths(&g, a, NodeId::new(1));
-        assert_eq!(paths.len(), 2);
-    }
-}
+pub use crate::stats::PathStats;

@@ -1,16 +1,14 @@
-//! # mcn-prep
-//!
 //! **ParetoPrep-style precomputation** for multi-criteria path-skyline
 //! queries (Shekelyan, Jossé & Schubert, *ParetoPrep: Fast computation of
 //! Path Skylines Queries*).
 //!
 //! The paper this repository reproduces contrasts its facility skyline with
-//! multi-criteria Pareto path computation (MCPP, Section II-D). The
-//! exhaustive MCPP baseline in `mcn-mcpp` keeps every non-dominated label
-//! at every node until termination; ParetoPrep showed that one cheap
-//! **backward scan** from the target — computing, per node, the vector of
+//! multi-criteria Pareto path computation (MCPP, Section II-D). The exhaustive
+//! MCPP baseline in [`crate::mcpp`] keeps every non-dominated label at every
+//! node until termination; ParetoPrep showed that one cheap **backward
+//! scan** from the target — computing, per node, the vector of
 //! single-criterion shortest distances to the target — prunes the vast
-//! majority of those labels (and `mcn-mcpp` also orders its search by
+//! majority of those labels (and the `mcpp` search also orders itself by
 //! them):
 //!
 //! * [`PrepTable`] — the scan result: per-cost **lower bounds** `L(v)` for
@@ -22,15 +20,15 @@
 //!   node, so concurrent query batches towards popular targets share one
 //!   scan (`mcn-engine` serves `QueryRequest::PathSkyline` through it).
 //!
-//! The pruned search itself lives in `mcn-mcpp`
-//! (`pareto_paths_prepped`), which this crate deliberately does not depend
-//! on: `mcn-prep` only needs the graph model.
+//! The pruned search itself is
+//! [`pareto_paths_prepped`](crate::mcpp::pareto_paths_prepped); this module
+//! calls nothing of it and needs only the graph model.
 //!
 //! ## Example
 //!
 //! ```
 //! use mcn_graph::{CostVec, GraphBuilder, NodeId};
-//! use mcn_prep::PrepTable;
+//! use mcn_path::prep::PrepTable;
 //!
 //! let mut b = GraphBuilder::new(2);
 //! let s = b.add_node(0.0, 0.0);
@@ -45,16 +43,5 @@
 //! assert!(prep.reaches(m));
 //! ```
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-
-pub mod cache;
-pub mod table;
-
-pub use cache::{PrepCache, PrepCacheStats};
-pub use table::PrepTable;
-
-/// Compile-time thread-safety proof: instantiated in a `const _` next to
-/// each shared type, so the build fails the moment a field change makes the
-/// type lose `Send`/`Sync`.
-pub(crate) const fn assert_send_sync<T: Send + Sync>() {}
+pub use crate::cache::{PrepCache, PrepCacheStats};
+pub use crate::table::PrepTable;

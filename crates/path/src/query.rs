@@ -1,11 +1,11 @@
 //! Index-served queries: bidirectional upward searches that answer both
 //! query kinds byte-identically to the prep-backed tier.
 
+use crate::alpha::{Preference, ScalarPath, ScalarResult, ScalarStats};
+use crate::mcpp::ParetoLabel;
 use crate::structure::{pareto_merge, pareto_merge_d, RouteIndex, UpArc};
-use mcn_alpha::{Preference, ScalarPath, ScalarResult, ScalarStats};
 use mcn_graph::dominance::{lanes, lex_cmp};
 use mcn_graph::{CostVec, EdgeId, MultiCostGraph, NodeId, MAX_COST_TYPES};
-use mcn_mcpp::ParetoLabel;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -14,7 +14,7 @@ use std::collections::{BinaryHeap, VecDeque};
 #[derive(Clone, Debug, PartialEq)]
 pub struct IndexSkylineResult {
     /// The path skyline in lexicographic cost order, byte-identical to
-    /// `mcn_mcpp::pareto_paths_prepped`'s.
+    /// [`pareto_paths_prepped`](crate::mcpp::pareto_paths_prepped)'s.
     pub paths: Vec<ParetoLabel>,
     /// Search counters of the upward label searches, which count labels
     /// where the α search counts nodes: `settled` labels taken from the
@@ -24,7 +24,7 @@ pub struct IndexSkylineResult {
 }
 
 /// Heap entry of the scalarized upward Dijkstra — the same reversed
-/// `total_cmp` ordering with node-id tie-break as `mcn-alpha`, so the pop
+/// `total_cmp` ordering with node-id tie-break as the α search, so the pop
 /// order (hence the surviving parent on ties) is deterministic.
 #[derive(Clone, Copy, Debug)]
 struct HeapEntry {
@@ -130,8 +130,8 @@ fn alpha_step(
             continue;
         }
         let mut w = f64::INFINITY;
-        for e in &arc.entries {
-            let c = pref.cost_of(e.costs.as_slice());
+        for (costs, _) in &arc.entries {
+            let c = pref.cost_of(costs.as_slice());
             if c < w {
                 w = c;
             }
@@ -162,12 +162,12 @@ fn alpha_step(
         // first of equals in the deterministic lexicographic order.
         let mut best_w = f64::INFINITY;
         let mut best_frag = u32::MAX;
-        for e in &arc.entries {
+        for (costs, frag) in &arc.entries {
             stats.relaxed += 1;
-            let w = pref.cost_of(e.costs.as_slice());
+            let w = pref.cost_of(costs.as_slice());
             if w < best_w {
                 best_w = w;
-                best_frag = e.frag;
+                best_frag = *frag;
             }
         }
         let cand = dv + best_w;
@@ -234,8 +234,8 @@ impl RouteIndex {
     /// `up_in`) meeting at the apex of the optimal up-down path. The
     /// returned totals and cost vectors are recomputed edge-by-edge in path
     /// order after unpacking, so the result is byte-identical to
-    /// [`mcn_alpha::scalarized_path`] (up to the exact-ties caveat on the
-    /// crate docs). The counters are the α search's, with `relaxed`
+    /// [`scalarized_path`](crate::alpha::scalarized_path) (up to the
+    /// exact-ties caveat on the module docs). The counters are the α search's, with `relaxed`
     /// counting upward-arc bundle entries examined.
     ///
     /// # Panics
@@ -347,13 +347,13 @@ impl RouteIndex {
         }
     }
 
-    /// The full `source → target` path skyline through the hierarchy:
-    /// Pareto label-correcting searches over both upward directions,
-    /// dominance-merged at every meeting node. Costs are recomputed
-    /// edge-by-edge in path order, so the result is byte-identical to
-    /// `mcn_mcpp::pareto_paths_prepped` (same ties caveat as
-    /// [`RouteIndex::alpha_path`]). Checks the endpoints and hands the
-    /// query to the kernel compiled for the index's width.
+    /// The full `source → target` path skyline through the hierarchy: Pareto
+    /// label-correcting searches over both upward directions, dominance-merged
+    /// at every meeting node. Costs are recomputed edge-by-edge in path order,
+    /// so the result is byte-identical to
+    /// [`pareto_paths_prepped`](crate::mcpp::pareto_paths_prepped) (same ties
+    /// caveat as [`RouteIndex::alpha_path`]). Checks the endpoints and hands
+    /// the query to the kernel compiled for the index's width.
     ///
     /// # Panics
     /// Panics if the index shape does not match `graph` or an endpoint is
@@ -492,9 +492,9 @@ impl RouteIndex {
             stats.settled += 1;
             for arc in &arcs[node as usize] {
                 let head = &mut sets[arc.head as usize];
-                for e in &arc.entries {
+                for (step, frag) in &arc.entries {
                     stats.relaxed += 1;
-                    let step: [f64; D] = lanes(e.costs.as_slice());
+                    let step: [f64; D] = lanes(step.as_slice());
                     let nc = std::array::from_fn(|i| costs[i] + step[i]);
                     let next = u32::try_from(arena.len())
                         .ok()
@@ -503,7 +503,7 @@ impl RouteIndex {
                     if pareto_merge_d(head, nc, next) {
                         arena.push(Link {
                             parent: id,
-                            frag: e.frag,
+                            frag: *frag,
                         });
                         stats.pushed += 1;
                         queue.push_back((arc.head, nc, next));
@@ -520,7 +520,7 @@ impl RouteIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IndexConfig;
+    use crate::config::IndexConfig;
     use mcn_graph::GraphBuilder;
 
     fn diamond() -> (MultiCostGraph, NodeId, NodeId) {
@@ -546,11 +546,11 @@ mod tests {
         let idx = RouteIndex::build(&g, &IndexConfig::default());
         for (w0, w1) in [(1.0, 0.0), (0.7, 0.3), (0.5, 0.5), (0.1, 0.9)] {
             let pref = Preference::new(&[w0, w1]).unwrap();
-            let direct = mcn_alpha::scalarized_path(&g, s, t, &pref);
+            let direct = crate::alpha::scalarized_path(&g, s, t, &pref);
             let via = idx.alpha_path(&g, s, t, &pref);
             assert_eq!(via.path, direct.path, "alpha ({w0}, {w1})");
         }
-        let direct = mcn_mcpp::pareto_paths(&g, s, t);
+        let direct = crate::mcpp::pareto_paths(&g, s, t);
         let via = idx.skyline_paths(&g, s, t);
         assert_eq!(via.paths, direct);
         assert_eq!(via.paths.len(), 2);
@@ -630,7 +630,7 @@ mod tests {
         let idx = RouteIndex::build(&g, &IndexConfig::default());
         let pref = Preference::uniform(2);
         let fwd = idx.alpha_path(&g, a, c, &pref);
-        let direct = mcn_alpha::scalarized_path(&g, a, c, &pref);
+        let direct = crate::alpha::scalarized_path(&g, a, c, &pref);
         assert_eq!(fwd.path, direct.path);
         assert_eq!(fwd.path.unwrap().edges.len(), 2);
         assert!(idx.alpha_path(&g, c, a, &pref).path.is_none());

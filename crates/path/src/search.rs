@@ -2,27 +2,27 @@
 //! target's own prep table, and A* over landmark tables of other targets.
 
 use crate::preference::Preference;
+use crate::prep::PrepTable;
 use mcn_graph::{CostVec, EdgeId, MultiCostGraph, NodeId, MAX_COST_TYPES};
-use mcn_prep::PrepTable;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Relative deflation applied to every A* heuristic.
 ///
-/// Same constant and rationale as `mcn-mcpp`: the prep scan accumulates the
-/// bounds backward (target → v) while the search accumulates forward
-/// (v → target), and float addition is not associative, so a mathematically
-/// exact bound can exceed the forward sum by a few ulps. With the summed
-/// column the heuristic also carries the rounding of each edge weight
-/// `Σ_i c_i` (`d − 1` additions), of `Σ_i L_i(v)`, and of the split
-/// `α·L + λ·max(0, S − Σ_i L_i)` that stands for `λ·max(S, Σ_i L_i) + μ·L`.
-/// Each error is a few ulps per edge or per cost type, relative to a
-/// non-negative term of a sum the α-distance bounds, so the total is of
-/// order `(n + d)·2⁻⁵³` relative: far under `10⁻⁹` on any graph of up to
-/// `10⁶` nodes. The `f32` column adds nothing: it is rounded down, so it
-/// only loosens the bound. Scaling the heuristic down by 1e-9 relative
-/// keeps it admissible *and* consistent (δ·h still satisfies the triangle
-/// inequality) without giving up any measurable pruning power.
+/// Same constant and rationale as the `mcpp` search: the prep scan accumulates
+/// the bounds backward (target → v) while the search accumulates forward (v →
+/// target), and float addition is not associative, so a mathematically exact
+/// bound can exceed the forward sum by a few ulps. With the summed column the
+/// heuristic also carries the rounding of each edge weight `Σ_i c_i` (`d − 1`
+/// additions), of `Σ_i L_i(v)`, and of the split `α·L + λ·max(0, S − Σ_i L_i)`
+/// that stands for `λ·max(S, Σ_i L_i) + μ·L`. Each error is a few ulps per
+/// edge or per cost type, relative to a non-negative term of a sum the
+/// α-distance bounds, so the total is of order `(n + d)·2⁻⁵³` relative: far
+/// under `10⁻⁹` on any graph of up to `10⁶` nodes. The `f32` column adds
+/// nothing: it is rounded down, so it only loosens the bound. Scaling the
+/// heuristic down by 1e-9 relative keeps it admissible *and* consistent (δ·h
+/// still satisfies the triangle inequality) without giving up any measurable
+/// pruning power.
 pub const HEURISTIC_DEFLATION: f64 = 1.0 - 1e-9;
 
 /// Relative margin `ε` of a landmark bound: component `i` of the bound
@@ -60,7 +60,7 @@ const LANDMARK_MARGIN: f64 = 1e-9;
 const SUM_MARGIN: f64 = LANDMARK_MARGIN + f32::EPSILON as f64;
 
 /// Counters describing one scalarized search. The route index reports the
-/// same four for its α and path-skyline queries (`mcn-index`).
+/// same four for its α and path-skyline queries ([`crate::index`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScalarStats {
     /// Heap entries pushed (duplicates stand in for decrease-key).

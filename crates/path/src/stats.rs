@@ -1,14 +1,14 @@
 //! Label-accounting statistics of one Pareto path search.
 
-/// Counters of one [`crate::pareto_paths`]-family run.
+/// Counters of one [`pareto_paths`](crate::mcpp::pareto_paths)-family run.
 ///
 /// The unit of work of a multi-criteria label search is the **label**: one
-/// non-dominated way of reaching a node. Every optimisation in this crate
-/// shows up here: target-dominance early termination and ParetoPrep bound
-/// pruning as candidate labels discarded before they are stored and
-/// propagated, the best-first order as fewer labels extended and created.
-/// The search is deterministic, so the counters are exactly reproducible
-/// (the bench regression gate compares them run-over-run).
+/// non-dominated way of reaching a node. Every optimisation in the `mcpp`
+/// search shows up here: target-dominance early termination and ParetoPrep
+/// bound pruning as candidate labels discarded before they are stored and
+/// propagated, the best-first order as fewer labels extended and created. The
+/// search is deterministic, so the counters are exactly reproducible (the bench
+/// regression gate compares them run-over-run).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PathStats {
     /// Candidate labels generated: the initial source label, plus one per

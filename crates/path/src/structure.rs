@@ -10,7 +10,7 @@ use mcn_graph::{CostVec, EdgeId, MultiCostGraph};
 /// invalidate the arena — so every surviving shortcut entry unpacks to its
 /// original edge sequence at query time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fragment {
+pub(crate) enum Fragment {
     /// An original edge, stored by raw [`EdgeId`]. Unpacks to itself; the
     /// travel direction is implied by the arc the fragment hangs off.
     Edge(u32),
@@ -18,17 +18,11 @@ pub enum Fragment {
     Concat(u32, u32),
 }
 
-/// One member of a shortcut bundle: a witness-path cost vector plus the
-/// arena fragment that reconstructs its edge sequence.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ArcEntry {
-    /// Cost vector of the underlying path, summed shortcut-first (query
-    /// code recomputes final answers edge-by-edge in path order, so this
-    /// summation order never leaks into results).
-    pub costs: CostVec,
-    /// Arena id of the fragment reconstructing the path.
-    pub frag: u32,
-}
+/// One member of a shortcut bundle, `(costs, frag)`: the cost vector of
+/// the underlying path, summed shortcut-first (query code recomputes final
+/// answers edge-by-edge in path order, so this summation order never leaks
+/// into results), and the arena id of the fragment reconstructing it.
+pub(crate) type ArcEntry = (CostVec, u32);
 
 /// An upward arc of the hierarchy: the bundle of Pareto-optimal partial
 /// paths between one node and a higher-ranked endpoint.
@@ -40,7 +34,7 @@ pub struct ArcEntry {
 /// sorted-sweep Pareto-front order (first component ascending, second
 /// strictly descending).
 #[derive(Clone, Debug, PartialEq)]
-pub struct UpArc {
+pub(crate) struct UpArc {
     /// The higher-ranked endpoint (raw node id).
     pub head: u32,
     /// The Pareto bundle, lexicographically sorted.
@@ -82,31 +76,6 @@ pub struct RouteIndex {
 const _: () = crate::assert_send_sync::<RouteIndex>();
 
 impl RouteIndex {
-    /// Node count of the indexed graph.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// Edge count of the indexed graph.
-    pub fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    /// Cost dimensionality `d` the index was built for.
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
-    /// Contraction rank of a node (0-based, dense).
-    pub fn rank_of(&self, node: u32) -> u32 {
-        self.rank[node as usize]
-    }
-
-    /// Shortcut entries the contraction inserted.
-    pub fn shortcuts(&self) -> u64 {
-        self.shortcuts
-    }
-
     /// True iff no shortcut bundle was truncated — queries through the
     /// index are exact. A non-exact index is still structurally valid but
     /// the engine refuses to serve from it.
@@ -149,37 +118,10 @@ impl RouteIndex {
     }
 }
 
-/// True iff some entry of the (lexicographically sorted) Pareto `bundle`
+/// True iff some member of the (lexicographically sorted) Pareto `set`
 /// weakly dominates `costs`. At `d == 2` the sorted order doubles as the
 /// sorted-sweep front of [`mcn_graph::Front2`], so one binary search
 /// decides; general `d` scans.
-pub(crate) fn bundle_dominates_weak(bundle: &[ArcEntry], costs: &CostVec) -> bool {
-    if costs.len() == 2 {
-        let idx = bundle.partition_point(|e| e.costs[0].total_cmp(&costs[0]).is_le());
-        idx > 0 && bundle[idx - 1].costs[1] <= costs[1]
-    } else {
-        bundle
-            .iter()
-            .any(|e| mcn_graph::dominates_weak(&e.costs, costs))
-    }
-}
-
-/// Merges `(costs, frag)` into the sorted Pareto `bundle`: rejected when
-/// weakly dominated, otherwise evicts what it strictly dominates and keeps
-/// the bundle lexicographically sorted. Returns true iff inserted.
-pub(crate) fn bundle_merge(bundle: &mut Vec<ArcEntry>, costs: CostVec, frag: u32) -> bool {
-    if bundle_dominates_weak(bundle, &costs) {
-        return false;
-    }
-    bundle.retain(|e| !mcn_graph::dominates(&costs, &e.costs));
-    let pos = bundle.partition_point(|e| e.costs.lex_cmp(&costs).is_lt());
-    bundle.insert(pos, ArcEntry { costs, frag });
-    true
-}
-
-/// [`bundle_dominates_weak`] generalized to any payload: true iff some
-/// member of the (lexicographically sorted) Pareto `set` weakly dominates
-/// `costs`.
 pub(crate) fn pareto_dominates_weak<T>(set: &[(CostVec, T)], costs: &CostVec) -> bool {
     if costs.len() == 2 {
         let idx = set.partition_point(|(c, _)| c[0].total_cmp(&costs[0]).is_le());
@@ -189,7 +131,10 @@ pub(crate) fn pareto_dominates_weak<T>(set: &[(CostVec, T)], costs: &CostVec) ->
     }
 }
 
-/// [`bundle_merge`] generalized to any payload. Returns true iff inserted.
+/// Merges `(costs, payload)` into the sorted Pareto `set`: rejected when
+/// weakly dominated, otherwise evicts what it strictly dominates and keeps
+/// the set lexicographically sorted. Shortcut bundles are such sets, with
+/// a fragment id as payload. Returns true iff inserted.
 pub(crate) fn pareto_merge<T>(set: &mut Vec<(CostVec, T)>, costs: CostVec, payload: T) -> bool {
     if pareto_dominates_weak(set, &costs) {
         return false;
@@ -249,11 +194,11 @@ mod tests {
             let b = ((lcg >> 33) % 32) as f64 * 0.5;
             let p = v2(a, b);
             assert_eq!(
-                bundle_dominates_weak(&bundle, &p),
+                pareto_dominates_weak(&bundle, &p),
                 front.dominates_weak(a, b),
                 "query diverged at ({a}, {b})"
             );
-            assert_eq!(bundle_merge(&mut bundle, p, i), front.insert(a, b));
+            assert_eq!(pareto_merge(&mut bundle, p, i), front.insert(a, b));
             assert_eq!(bundle.len(), front.len());
         }
     }
@@ -294,29 +239,29 @@ mod tests {
     #[test]
     fn bundle_merge_scans_at_d3() {
         let mut bundle: Vec<ArcEntry> = Vec::new();
-        assert!(bundle_merge(
+        assert!(pareto_merge(
             &mut bundle,
             CostVec::from_slice(&[1.0, 2.0, 3.0]),
             0
         ));
-        assert!(bundle_merge(
+        assert!(pareto_merge(
             &mut bundle,
             CostVec::from_slice(&[2.0, 3.0, 1.0]),
             1
         ));
         // Weakly dominated by the first entry.
-        assert!(!bundle_merge(
+        assert!(!pareto_merge(
             &mut bundle,
             CostVec::from_slice(&[1.0, 2.0, 3.0]),
             2
         ));
         // Dominates both: evicts them.
-        assert!(bundle_merge(
+        assert!(pareto_merge(
             &mut bundle,
             CostVec::from_slice(&[0.5, 1.0, 0.5]),
             3
         ));
         assert_eq!(bundle.len(), 1);
-        assert_eq!(bundle[0].frag, 3);
+        assert_eq!(bundle[0].1, 3);
     }
 }

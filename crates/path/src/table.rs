@@ -10,15 +10,15 @@ const NO_PARENT: u32 = u32::MAX;
 /// node, produced by a single backward multi-criteria scan (ParetoPrep,
 /// Shekelyan et al.).
 ///
-/// For each node `v` the table stores the vector `L(v)` whose `i`-th
-/// component is the single-criterion shortest-path distance from `v` to the
-/// target under cost type `i`. Because every component is an independent
-/// shortest distance, `L(v)` is **admissible**: any `v → target` path has a
-/// cost vector `c` with `L(v) ≤ c` component-wise. The pruned path-skyline
-/// search in `mcn-mcpp` exploits that: a partial path with accumulated cost
-/// `a` at node `v` can only complete to cost vectors dominating-or-equal to
-/// `a + L(v)`, so the whole subtree can be cut as soon as that *bound
-/// vector* is dominated.
+/// For each node `v` the table stores the vector `L(v)` whose `i`-th component
+/// is the single-criterion shortest-path distance from `v` to the target under
+/// cost type `i`. Because every component is an independent shortest distance,
+/// `L(v)` is **admissible**: any `v → target` path has a cost vector `c` with
+/// `L(v) ≤ c` component-wise. The pruned path-skyline search in
+/// [`crate::mcpp`] exploits that: a partial path with accumulated cost `a` at
+/// node `v` can only complete to cost vectors dominating-or-equal to `a +
+/// L(v)`, so the whole subtree can be cut as soon as that *bound vector* is
+/// dominated.
 ///
 /// The scan also records, per node and cost type, the first edge of a
 /// concrete `v → target` path achieving the component's shortest distance.
@@ -29,7 +29,7 @@ const NO_PARENT: u32 = u32::MAX;
 /// A second scan stores `S(v)`, the shortest distance from `v` under the
 /// **summed** cost `Σ_i c_i` ([`PrepTable::sum_bound`]). Each `L_i(v)` may
 /// come from a different path, so `Σ_i L_i(v)` can lie far below `S(v)`; a
-/// weighted-sum search splits its weights to use both (`mcn-alpha`).
+/// weighted-sum search splits its weights to use both ([`crate::alpha`]).
 ///
 /// Bounds and parents are flat and v-major with stride `d`; the summed
 /// column is one `f32` per node. A table holds `12·d + 4` bytes per node
@@ -38,7 +38,7 @@ const NO_PARENT: u32 = u32::MAX;
 ///
 /// A table is immutable once built and independent of the query source, so
 /// one scan serves every query towards the same target (the `PrepCache` in
-/// this crate caches tables per target for exactly that reason).
+/// this module caches tables per target for exactly that reason).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PrepTable {
     target: NodeId,

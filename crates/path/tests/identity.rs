@@ -1,12 +1,12 @@
 //! Byte-identity of index-served answers against the direct algorithms on
 //! seeded synthetic networks.
 
-use mcn_alpha::{scalarized_path, Preference, ScalarStats};
 use mcn_gen::{generate_workload, CostDistribution, WorkloadSpec};
 use mcn_graph::{EdgeId, GraphBuilder, MultiCostGraph, NodeId, MAX_COST_TYPES};
-use mcn_index::{IndexConfig, RouteIndex};
-use mcn_mcpp::{pareto_paths, pareto_paths_prepped, ParetoLabel};
-use mcn_prep::PrepTable;
+use mcn_path::alpha::{scalarized_path, Preference, ScalarStats};
+use mcn_path::index::{IndexConfig, RouteIndex};
+use mcn_path::mcpp::{pareto_paths, pareto_paths_prepped, ParetoLabel};
+use mcn_path::prep::PrepTable;
 
 fn workload(nodes: usize, d: usize, seed: u64) -> MultiCostGraph {
     generate_workload(&WorkloadSpec {

@@ -3,11 +3,10 @@
 //! along edges, agreement with per-cost and summed-cost Dijkstra at every
 //! stride `d`).
 //! Admissibility against the exhaustive Pareto path set is cross-checked in
-//! the root `tests/prep.rs` (it needs `mcn-mcpp`, which depends on this
-//! crate).
+//! the root `tests/prep.rs`.
 
 use mcn_graph::{CostVec, GraphBuilder, MultiCostGraph, NodeId, MAX_COST_TYPES};
-use mcn_prep::PrepTable;
+use mcn_path::prep::PrepTable;
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -125,7 +124,7 @@ proptest! {
         for v in (0..nodes).map(NodeId::from) {
             let bound = table.bound(v);
             prop_assert!(bound.iter().all(|&c| c.is_finite() && c >= 0.0));
-            // The bounds are consistent, the fact `mcn-alpha`'s A* under
+            // The bounds are consistent, the fact the α tier's A* under
             // `HEURISTIC_DEFLATION` rests on: no edge out of `v` plus the
             // bound at its far end undercuts the bound at `v`.
             for neighbor in graph.neighbors(v) {

@@ -17,10 +17,10 @@ use crate::disk::DiskManager;
 use crate::page::{Page, PageId, PAGE_SIZE};
 
 /// Size in bytes of every value stored in a tree leaf.
-pub const VALUE_SIZE: usize = 12;
+pub(crate) const VALUE_SIZE: usize = 12;
 
 /// A fixed-size value stored in tree leaves.
-pub type Value = [u8; VALUE_SIZE];
+pub(crate) type Value = [u8; VALUE_SIZE];
 
 const LEAF: u8 = 0;
 const INTERNAL: u8 = 1;
@@ -32,7 +32,7 @@ const INTERNAL_CAPACITY: usize = (PAGE_SIZE - HEADER) / INTERNAL_ENTRY;
 
 /// Handle to a bulk-loaded static B+-tree.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StaticBTree {
+pub(crate) struct StaticBTree {
     /// Root page of the tree.
     pub root: PageId,
     /// Number of pages the tree occupies (leaves + internal nodes).
@@ -47,7 +47,7 @@ impl StaticBTree {
     ///
     /// # Panics
     /// Panics if `entries` is empty or not strictly sorted by key.
-    pub fn bulk_load(disk: &dyn DiskManager, entries: &[(u32, Value)]) -> Self {
+    pub(crate) fn bulk_load(disk: &dyn DiskManager, entries: &[(u32, Value)]) -> Self {
         assert!(!entries.is_empty(), "cannot bulk load an empty tree");
         assert!(
             entries.windows(2).all(|w| w[0].0 < w[1].0),
@@ -107,7 +107,7 @@ impl StaticBTree {
 
     /// Looks up `key`, reading pages through `pool`. Returns the stored value
     /// or `None` if the key is absent.
-    pub fn lookup(&self, pool: &BufferPool, key: u32) -> Option<Value> {
+    pub(crate) fn lookup(&self, pool: &BufferPool, key: u32) -> Option<Value> {
         let mut current = self.root;
         loop {
             let step = pool.with_page(current, |bytes| {
@@ -141,17 +141,6 @@ impl StaticBTree {
                 Step::Descend(child) => current = child,
             }
         }
-    }
-
-    /// Height of the tree (1 for a single leaf). Computed from the entry count.
-    pub fn height(&self) -> u32 {
-        let mut nodes = (self.num_entries as usize).div_ceil(LEAF_CAPACITY).max(1);
-        let mut h = 1;
-        while nodes > 1 {
-            nodes = nodes.div_ceil(INTERNAL_CAPACITY);
-            h += 1;
-        }
-        h
     }
 }
 
@@ -224,7 +213,7 @@ fn lower_bound<const ENTRY: usize>(entries: &[u8], key: u32) -> usize {
 
 /// Packs a `(u32, u16)` pair into a tree [`Value`] (used by the adjacency
 /// index: page id + in-page offset).
-pub fn pack_u32_u16(a: u32, b: u16) -> Value {
+pub(crate) fn pack_u32_u16(a: u32, b: u16) -> Value {
     let mut v = [0u8; VALUE_SIZE];
     v[..4].copy_from_slice(&a.to_le_bytes());
     v[4..6].copy_from_slice(&b.to_le_bytes());
@@ -232,7 +221,7 @@ pub fn pack_u32_u16(a: u32, b: u16) -> Value {
 }
 
 /// Unpacks a value created by [`pack_u32_u16`].
-pub fn unpack_u32_u16(v: &Value) -> (u32, u16) {
+pub(crate) fn unpack_u32_u16(v: &Value) -> (u32, u16) {
     (
         u32::from_le_bytes(v[..4].try_into().unwrap()),
         u16::from_le_bytes(v[4..6].try_into().unwrap()),
@@ -241,7 +230,7 @@ pub fn unpack_u32_u16(v: &Value) -> (u32, u16) {
 
 /// Packs a `(u32, f64)` pair into a tree [`Value`] (used by the facility tree:
 /// containing edge + fractional position).
-pub fn pack_u32_f64(a: u32, b: f64) -> Value {
+pub(crate) fn pack_u32_f64(a: u32, b: f64) -> Value {
     let mut v = [0u8; VALUE_SIZE];
     v[..4].copy_from_slice(&a.to_le_bytes());
     v[4..12].copy_from_slice(&b.to_le_bytes());
@@ -249,7 +238,7 @@ pub fn pack_u32_f64(a: u32, b: f64) -> Value {
 }
 
 /// Unpacks a value created by [`pack_u32_f64`].
-pub fn unpack_u32_f64(v: &Value) -> (u32, f64) {
+pub(crate) fn unpack_u32_f64(v: &Value) -> (u32, f64) {
     (
         u32::from_le_bytes(v[..4].try_into().unwrap()),
         f64::from_le_bytes(v[4..12].try_into().unwrap()),
@@ -258,7 +247,7 @@ pub fn unpack_u32_f64(v: &Value) -> (u32, f64) {
 
 /// Packs `(u32, u32, u8)` into a tree [`Value`] (used by the edge index:
 /// source node, target node, flags).
-pub fn pack_u32_u32_u8(a: u32, b: u32, c: u8) -> Value {
+pub(crate) fn pack_u32_u32_u8(a: u32, b: u32, c: u8) -> Value {
     let mut v = [0u8; VALUE_SIZE];
     v[..4].copy_from_slice(&a.to_le_bytes());
     v[4..8].copy_from_slice(&b.to_le_bytes());
@@ -267,7 +256,7 @@ pub fn pack_u32_u32_u8(a: u32, b: u32, c: u8) -> Value {
 }
 
 /// Unpacks a value created by [`pack_u32_u32_u8`].
-pub fn unpack_u32_u32_u8(v: &Value) -> (u32, u32, u8) {
+pub(crate) fn unpack_u32_u32_u8(v: &Value) -> (u32, u32, u8) {
     (
         u32::from_le_bytes(v[..4].try_into().unwrap()),
         u32::from_le_bytes(v[4..8].try_into().unwrap()),
@@ -278,6 +267,20 @@ pub fn unpack_u32_u32_u8(v: &Value) -> (u32, u32, u8) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl StaticBTree {
+        /// Height of the tree (1 for a single leaf). Computed from the entry
+        /// count.
+        fn height(&self) -> u32 {
+            let mut nodes = (self.num_entries as usize).div_ceil(LEAF_CAPACITY).max(1);
+            let mut h = 1;
+            while nodes > 1 {
+                nodes = nodes.div_ceil(INTERNAL_CAPACITY);
+                h += 1;
+            }
+            h
+        }
+    }
     use crate::disk::InMemoryDisk;
     use proptest::prelude::*;
     use std::sync::Arc;

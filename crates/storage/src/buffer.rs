@@ -78,12 +78,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, MutexGuard};
 
 /// Upper bound on the number of LRU shards.
-pub const MAX_SHARDS: usize = 8;
+pub(crate) const MAX_SHARDS: usize = 8;
 
 /// Minimum cached pages per shard before another shard is added; keeps tiny
 /// buffers (the paper's 0.5 %–2 % settings on small stores) from fragmenting
 /// into single-page segments.
-pub const MIN_PAGES_PER_SHARD: usize = 4;
+pub(crate) const MIN_PAGES_PER_SHARD: usize = 4;
 
 /// A fixed-capacity page cache with least-recently-used eviction, striped
 /// across independently locked shards.
@@ -253,16 +253,12 @@ impl Lru {
         self.head = NIL;
         self.tail = NIL;
     }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
 }
 
 impl BufferPool {
     /// Creates a pool over `disk` holding at most `capacity` pages, striped
     /// over the default shard count for that capacity.
-    pub fn new(disk: Arc<dyn DiskManager>, capacity: usize) -> Self {
+    pub(crate) fn new(disk: Arc<dyn DiskManager>, capacity: usize) -> Self {
         Self::striped(disk, capacity, None)
     }
 
@@ -278,7 +274,7 @@ impl BufferPool {
     ///
     /// # Panics
     /// Panics if `shards == 0`.
-    pub fn with_shards(disk: Arc<dyn DiskManager>, capacity: usize, shards: usize) -> Self {
+    pub(crate) fn with_shards(disk: Arc<dyn DiskManager>, capacity: usize, shards: usize) -> Self {
         assert!(shards >= 1, "a buffer pool needs at least one shard");
         Self::striped(disk, capacity, Some(shards))
     }
@@ -303,11 +299,6 @@ impl BufferPool {
         }
     }
 
-    /// The underlying disk manager.
-    pub fn disk(&self) -> &Arc<dyn DiskManager> {
-        &self.disk
-    }
-
     /// Maximum number of cached pages (summed over the shards).
     pub fn capacity(&self) -> usize {
         self.capacity.load(Ordering::Relaxed)
@@ -316,17 +307,6 @@ impl BufferPool {
     /// Number of LRU shards the capacity is striped over.
     pub fn shard_count(&self) -> usize {
         self.stripes.load(Ordering::Relaxed)
-    }
-
-    /// Number of pages currently cached.
-    pub fn cached_pages(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let shard = shard.lock();
-                shard.lru.len()
-            })
-            .sum()
     }
 
     /// Empties the cache and resets the hit/miss counters (the underlying
@@ -345,7 +325,7 @@ impl BufferPool {
     /// counters carry over, as they always have). A shard count pinned via
     /// [`BufferPool::with_shards`] is kept (still capped at the capacity);
     /// otherwise the default policy re-derives it from the new capacity.
-    pub fn set_capacity(&self, capacity: usize) {
+    pub(crate) fn set_capacity(&self, capacity: usize) {
         let stripes = stripes_for(capacity, self.pinned_shards);
         // Every shard lock, in index order — the one order in which more than
         // one of them is ever held, so two resizers cannot deadlock. While
@@ -379,7 +359,7 @@ impl BufferPool {
 
     /// Reads page `id` (from the cache if possible) and passes its bytes to
     /// `f`, returning `f`'s result.
-    pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> R {
+    pub(crate) fn with_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> R {
         let mut shard = self.lock_shard(id);
         shard.logical_reads += 1;
         if let Some(idx) = shard.lru.get(id) {
@@ -424,7 +404,7 @@ impl BufferPool {
     /// buffer_misses` always holds, even under concurrent readers); the
     /// physical counters are monotonic but may trail in-flight misses — see
     /// the module docs.
-    pub fn stats(&self) -> IoStats {
+    pub(crate) fn stats(&self) -> IoStats {
         // Read the physical counters *before* the pool counters: every
         // physical read is preceded by its miss being counted under the shard
         // lock, so sampling in this order keeps `physical_reads <=
@@ -463,6 +443,16 @@ fn stripes_for(capacity: usize, pinned_shards: Option<usize>) -> usize {
 mod tests {
     use super::*;
     use crate::disk::InMemoryDisk;
+
+    impl BufferPool {
+        /// Number of pages currently cached.
+        fn cached_pages(&self) -> usize {
+            self.shards
+                .iter()
+                .map(|shard| shard.lock().lru.map.len())
+                .sum()
+        }
+    }
 
     /// Appends `pages` pages to `disk`, page `i` holding the byte `i`
     /// throughout.

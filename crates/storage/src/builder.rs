@@ -88,7 +88,7 @@ fn next_page_id(disk: &dyn DiskManager) -> PageId {
 /// # Errors
 /// Fails if a node's adjacency record exceeds one page
 /// ([`StorageError::RecordTooLarge`]).
-pub fn build_store(
+pub(crate) fn build_store(
     graph: &MultiCostGraph,
     disk: &dyn DiskManager,
 ) -> Result<StorageMeta, StorageError> {
@@ -118,7 +118,7 @@ pub fn build_store(
 /// # Errors
 /// Fails if an owned node's adjacency record exceeds one page
 /// ([`StorageError::RecordTooLarge`]).
-pub fn build_region_store(
+pub(crate) fn build_region_store(
     graph: &MultiCostGraph,
     disk: &dyn DiskManager,
     owned: &dyn Fn(NodeId) -> bool,

@@ -2,25 +2,15 @@
 
 /// A cursor that appends fixed-width values to a byte buffer (typically a
 /// region of a page).
-pub struct RecordWriter<'a> {
+pub(crate) struct RecordWriter<'a> {
     buf: &'a mut [u8],
     pos: usize,
 }
 
 impl<'a> RecordWriter<'a> {
     /// Creates a writer over `buf` starting at offset 0.
-    pub fn new(buf: &'a mut [u8]) -> Self {
+    pub(crate) fn new(buf: &'a mut [u8]) -> Self {
         Self { buf, pos: 0 }
-    }
-
-    /// Bytes written so far.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Bytes still available.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
     }
 
     fn put(&mut self, bytes: &[u8]) {
@@ -31,28 +21,28 @@ impl<'a> RecordWriter<'a> {
     }
 
     /// Appends a `u8`.
-    pub fn put_u8(&mut self, v: u8) {
+    pub(crate) fn put_u8(&mut self, v: u8) {
         self.put(&[v]);
     }
 
     /// Appends a little-endian `u16`.
-    pub fn put_u16(&mut self, v: u16) {
+    pub(crate) fn put_u16(&mut self, v: u16) {
         self.put(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
+    pub(crate) fn put_u32(&mut self, v: u32) {
         self.put(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `f64`.
-    pub fn put_f64(&mut self, v: f64) {
+    pub(crate) fn put_f64(&mut self, v: f64) {
         self.put(&v.to_le_bytes());
     }
 }
 
 /// A cursor that reads fixed-width values from a byte buffer.
-pub struct RecordReader<'a> {
+pub(crate) struct RecordReader<'a> {
     buf: &'a [u8],
 }
 
@@ -61,16 +51,11 @@ impl<'a> RecordReader<'a> {
     ///
     /// # Panics
     /// Panics if `offset` is beyond the end of the buffer.
-    pub fn new(buf: &'a [u8], offset: usize) -> Self {
+    pub(crate) fn new(buf: &'a [u8], offset: usize) -> Self {
         assert!(offset <= buf.len(), "record offset out of range");
         Self {
             buf: &buf[offset..],
         }
-    }
-
-    /// Bytes still available.
-    pub fn remaining(&self) -> usize {
-        self.buf.len()
     }
 
     /// Consumes the next `N` bytes.
@@ -85,22 +70,22 @@ impl<'a> RecordReader<'a> {
     }
 
     /// Reads a `u8`.
-    pub fn get_u8(&mut self) -> u8 {
+    pub(crate) fn get_u8(&mut self) -> u8 {
         self.take::<1>()[0]
     }
 
     /// Reads a little-endian `u16`.
-    pub fn get_u16(&mut self) -> u16 {
+    pub(crate) fn get_u16(&mut self) -> u16 {
         u16::from_le_bytes(self.take())
     }
 
     /// Reads a little-endian `u32`.
-    pub fn get_u32(&mut self) -> u32 {
+    pub(crate) fn get_u32(&mut self) -> u32 {
         u32::from_le_bytes(self.take())
     }
 
     /// Reads a little-endian `f64`.
-    pub fn get_f64(&mut self) -> f64 {
+    pub(crate) fn get_f64(&mut self) -> f64 {
         f64::from_le_bytes(self.take())
     }
 }
@@ -118,9 +103,10 @@ mod tests {
             w.put_u16(65535);
             w.put_u32(123_456_789);
             w.put_f64(3.5);
-            assert_eq!(w.position(), 1 + 2 + 4 + 8);
-            assert_eq!(w.remaining(), 64 - 15);
         }
+        // The four writes fill exactly the first 1 + 2 + 4 + 8 bytes.
+        assert_ne!(buf[14], 0);
+        assert!(buf[15..].iter().all(|&b| b == 0));
         let mut r = RecordReader::new(&buf, 0);
         assert_eq!(r.get_u8(), 7);
         assert_eq!(r.get_u16(), 65535);
@@ -137,7 +123,8 @@ mod tests {
         }
         let mut r = RecordReader::new(&buf, 4);
         assert_eq!(r.get_u32(), 42);
-        assert_eq!(r.remaining(), 8);
+        // The eight bytes after the record are still readable.
+        assert_eq!(r.get_f64(), 0.0);
     }
 
     #[test]

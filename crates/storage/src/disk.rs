@@ -25,9 +25,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// The store is write-once/read-many, and the trait leans on it twice:
 ///
-/// * [`DiskManager::read_page`] overwrites **all** [`PAGE_SIZE`] bytes of
-///   `out`, so a caller may pass a page that is not zeroed (the buffer pool
-///   reads into recycled pages).
+/// * [`DiskManager::read_page`] overwrites **all** bytes of `out`, so a
+///   caller may pass a page that is not zeroed (the buffer pool reads into
+///   recycled pages).
 /// * A page is written before its id is handed to any reader. Reads of one
 ///   page may overlap each other, and reads may overlap writes and
 ///   allocations of *other* pages, but nothing orders a read against a

@@ -23,33 +23,28 @@
 //! evaluation is I/O-bound and the LSA-vs-CEA comparison is fundamentally
 //! about how often the same page is fetched.
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
+mod btree;
+mod buffer;
+mod builder;
+mod codec;
+mod disk;
+mod error;
+mod idhash;
+mod meta;
+mod page;
+mod partitioned;
+mod records;
+mod stats;
+mod store;
+mod view;
 
-pub mod btree;
-pub mod buffer;
-pub mod builder;
-pub mod codec;
-pub mod disk;
-pub mod error;
-pub mod idhash;
-pub mod meta;
-pub mod page;
-pub mod partitioned;
-pub mod records;
-pub mod stats;
-pub mod store;
-pub mod view;
-
-pub use btree::StaticBTree;
 pub use buffer::BufferPool;
-pub use builder::{build_region_store, build_store};
 pub use disk::{DiskManager, FileDisk, InMemoryDisk};
 pub use error::StorageError;
-pub use idhash::IdMap;
+pub use idhash::{IdHasher, IdMap};
 pub use meta::StorageMeta;
-pub use page::{Page, PageId, PAGE_SIZE};
-pub use partitioned::{current_seed_region, with_seed_region, PartitionedStore, RegionTraffic};
+pub use page::{Page, PageId};
+pub use partitioned::{with_seed_region, PartitionedStore, RegionTraffic};
 pub use records::{AdjacencyEntry, AdjacencyList, FacilityRun, RecordPtr};
 pub use stats::IoStats;
 pub use store::{BufferConfig, EdgeEndpoints, FacilityInfo, MCNStore};

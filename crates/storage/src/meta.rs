@@ -9,7 +9,7 @@ const MAGIC: u32 = 0x4D_43_4E_31; // "MCN1"
 
 /// Bytes occupied by the fixed header layout: magic, four counts, three
 /// tree handles of three `u32`s each, and three page counts.
-pub const HEADER_SIZE: usize = 4 * (1 + 4 + 3 * 3 + 3);
+pub(crate) const HEADER_SIZE: usize = 4 * (1 + 4 + 3 * 3 + 3);
 
 /// Global metadata of a disk-resident MCN store.
 ///
@@ -20,31 +20,31 @@ pub const HEADER_SIZE: usize = 4 * (1 + 4 + 3 * 3 + 3);
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StorageMeta {
     /// Number of cost types `d`.
-    pub num_cost_types: u32,
+    pub(crate) num_cost_types: u32,
     /// Number of nodes.
-    pub num_nodes: u32,
+    pub(crate) num_nodes: u32,
     /// Number of edges.
-    pub num_edges: u32,
+    pub(crate) num_edges: u32,
     /// Number of facilities.
-    pub num_facilities: u32,
+    pub(crate) num_facilities: u32,
     /// The adjacency tree (node id → adjacency record position).
-    pub adjacency_tree: StaticBTree,
+    pub(crate) adjacency_tree: StaticBTree,
     /// The facility tree (facility id → containing edge + position).
-    pub facility_tree: StaticBTree,
+    pub(crate) facility_tree: StaticBTree,
     /// The edge index (edge id → end nodes + direction flag).
-    pub edge_index: StaticBTree,
+    pub(crate) edge_index: StaticBTree,
     /// Pages of the adjacency file.
-    pub adjacency_file_pages: u32,
+    pub(crate) adjacency_file_pages: u32,
     /// Pages of the facility file.
-    pub facility_file_pages: u32,
+    pub(crate) facility_file_pages: u32,
     /// Total number of pages occupied by MCN information (files + trees),
     /// excluding the header page.
-    pub data_pages: u32,
+    pub(crate) data_pages: u32,
 }
 
 impl StorageMeta {
     /// Serialises the header into a page image.
-    pub fn encode(&self) -> Page {
+    pub(crate) fn encode(&self) -> Page {
         let mut page = Page::zeroed();
         let mut w = RecordWriter::new(page.bytes_mut());
         w.put_u32(MAGIC);
@@ -68,7 +68,7 @@ impl StorageMeta {
     /// # Errors
     /// Returns [`StorageError::InvalidHeader`] if the magic number or the
     /// page accounting is wrong.
-    pub fn decode(page: &Page) -> Result<Self, StorageError> {
+    pub(crate) fn decode(page: &Page) -> Result<Self, StorageError> {
         Self::decode_bytes(page.bytes())
     }
 
@@ -80,7 +80,7 @@ impl StorageMeta {
     /// * [`StorageError::InvalidHeader`] if the magic number is wrong (which
     ///   also catches byte-swapped headers written on the wrong endianness)
     ///   or the recorded page counts cannot describe a real store.
-    pub fn decode_bytes(bytes: &[u8]) -> Result<Self, StorageError> {
+    pub(crate) fn decode_bytes(bytes: &[u8]) -> Result<Self, StorageError> {
         if bytes.len() < HEADER_SIZE {
             return Err(StorageError::TruncatedHeader {
                 required: HEADER_SIZE,

@@ -6,7 +6,7 @@ use std::fmt;
 ///
 /// 4 KiB matches the typical filesystem block size used by the storage scheme
 /// of Yiu & Mamoulis (SIGMOD'04) that the paper adopts (its Figure 2).
-pub const PAGE_SIZE: usize = 4096;
+pub(crate) const PAGE_SIZE: usize = 4096;
 
 /// Identifier of a disk page (zero-based position within the database file).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -55,7 +55,7 @@ pub struct Page {
 
 impl Page {
     /// Creates a zero-filled page.
-    pub fn zeroed() -> Self {
+    pub(crate) fn zeroed() -> Self {
         Self {
             // Of the query path only the buffer pool's miss makes a page, and
             // only until its stripe has evicted once: from then on a miss
@@ -72,7 +72,7 @@ impl Page {
 
     /// Mutable view of the page contents.
     #[inline]
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
         &mut self.data[..]
     }
 
@@ -80,7 +80,7 @@ impl Page {
     ///
     /// # Panics
     /// Panics if `src` is not exactly [`PAGE_SIZE`] bytes long.
-    pub fn copy_from(&mut self, src: &[u8]) {
+    pub(crate) fn copy_from(&mut self, src: &[u8]) {
         assert_eq!(
             src.len(),
             PAGE_SIZE,

@@ -66,7 +66,7 @@ pub fn with_seed_region<R>(region: RegionId, f: impl FnOnce() -> R) -> R {
 
 /// The seed region recorded for the current thread, if inside a
 /// [`with_seed_region`] scope.
-pub fn current_seed_region() -> Option<RegionId> {
+pub(crate) fn current_seed_region() -> Option<RegionId> {
     SEED_REGION.with(|c| c.get().map(RegionId::new))
 }
 
@@ -184,23 +184,8 @@ impl PartitionedStore {
         })
     }
 
-    /// The partition map the shards were built from.
-    pub fn partition(&self) -> &PartitionMap {
-        &self.map
-    }
-
-    /// Number of regions.
-    pub fn num_regions(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// The region owning `node`.
-    pub fn region_of(&self, node: NodeId) -> RegionId {
-        self.map.region_of(node)
-    }
-
     /// Per-region I/O counter snapshots, in region order.
-    pub fn per_region_stats(&self) -> Vec<IoStats> {
+    pub(crate) fn per_region_stats(&self) -> Vec<IoStats> {
         self.regions.iter().map(|s| s.io_stats()).collect()
     }
 
@@ -398,7 +383,7 @@ mod tests {
         let mono = MCNStore::build_in_memory(&g, BufferConfig::Pages(64)).unwrap();
         for regions in [1, 2, 4, 8] {
             let part = build(&g, regions);
-            assert_eq!(part.num_regions(), regions);
+            assert_eq!(part.regions.len(), regions);
             for node in g.nodes() {
                 let a = StoreView::adjacency(&mono, node.id);
                 let b = StoreView::adjacency(&part, node.id);
@@ -462,7 +447,7 @@ mod tests {
         // Every rebased run pointer must land inside its owning region's
         // global slice.
         for node in g.nodes() {
-            let r = part.region_of(node.id).index();
+            let r = part.map.region_of(node.id).index();
             let adjacency = StoreView::adjacency(&part, node.id);
             for entry in adjacency.entries {
                 if let Some(run) = entry.facilities {
@@ -508,7 +493,7 @@ mod tests {
         StoreView::clear_buffers(&part);
         let home_node = g
             .nodes()
-            .find(|n| part.region_of(n.id) == RegionId::new(0))
+            .find(|n| part.map.region_of(n.id) == RegionId::new(0))
             .unwrap()
             .id;
         with_seed_region(RegionId::new(0), || {
@@ -570,12 +555,12 @@ mod tests {
         // Scoped reads split by the owning region.
         let home_node = g
             .nodes()
-            .find(|n| part.region_of(n.id) == RegionId::new(0))
+            .find(|n| part.map.region_of(n.id) == RegionId::new(0))
             .unwrap()
             .id;
         let away_node = g
             .nodes()
-            .find(|n| part.region_of(n.id) == RegionId::new(1))
+            .find(|n| part.map.region_of(n.id) == RegionId::new(1))
             .unwrap()
             .id;
         with_seed_region(RegionId::new(0), || {

@@ -63,16 +63,16 @@ pub struct AdjacencyList {
 const _: () = crate::assert_send_sync::<AdjacencyList>();
 
 /// Size in bytes of one facility entry (facility id + position).
-pub const FACILITY_ENTRY_SIZE: usize = 4 + 8;
+pub(crate) const FACILITY_ENTRY_SIZE: usize = 4 + 8;
 
 /// Size in bytes of one adjacency entry for a graph with `d` cost types.
-pub const fn adjacency_entry_size(d: usize) -> usize {
+pub(crate) const fn adjacency_entry_size(d: usize) -> usize {
     // neighbor + edge + flags + facility (page, offset, count) + d costs
     4 + 4 + 1 + 4 + 2 + 2 + 8 * d
 }
 
 /// Size in bytes of a whole adjacency record with the given degree.
-pub const fn adjacency_record_size(degree: usize, d: usize) -> usize {
+pub(crate) const fn adjacency_record_size(degree: usize, d: usize) -> usize {
     2 + degree * adjacency_entry_size(d)
 }
 
@@ -81,7 +81,7 @@ const FLAG_HAS_FACILITIES: u8 = 0b0000_0010;
 
 /// Encodes an adjacency record into `buf` (which must be large enough; see
 /// [`adjacency_record_size`]).
-pub fn encode_adjacency_record(buf: &mut [u8], entries: &[AdjacencyEntry]) {
+pub(crate) fn encode_adjacency_record(buf: &mut [u8], entries: &[AdjacencyEntry]) {
     let mut w = RecordWriter::new(buf);
     w.put_u16(entries.len() as u16);
     for e in entries {
@@ -117,7 +117,7 @@ pub fn encode_adjacency_record(buf: &mut [u8], entries: &[AdjacencyEntry]) {
 ///
 /// `d` is the number of cost types of the store (needed to know the entry
 /// width).
-pub fn decode_adjacency_record(
+pub(crate) fn decode_adjacency_record(
     bytes: &[u8],
     offset: usize,
     d: usize,
@@ -159,14 +159,14 @@ pub fn decode_adjacency_record(
 }
 
 /// Encodes one facility entry at the start of `buf`.
-pub fn encode_facility_entry(buf: &mut [u8], facility: FacilityId, position: f64) {
+pub(crate) fn encode_facility_entry(buf: &mut [u8], facility: FacilityId, position: f64) {
     let mut w = RecordWriter::new(buf);
     w.put_u32(facility.raw());
     w.put_f64(position);
 }
 
 /// Decodes one facility entry from `bytes` at `offset`.
-pub fn decode_facility_entry(bytes: &[u8], offset: usize) -> (FacilityId, f64) {
+pub(crate) fn decode_facility_entry(bytes: &[u8], offset: usize) -> (FacilityId, f64) {
     let mut r = RecordReader::new(bytes, offset);
     let id = FacilityId::new(r.get_u32());
     let position = r.get_f64();

@@ -90,7 +90,7 @@ impl MCNStore {
     }
 
     /// Like [`MCNStore::build_on`], but pins the buffer pool's shard count
-    /// (see [`BufferPool::with_shards`]). The pinned count survives every
+    /// (see `BufferPool::with_shards`). The pinned count survives every
     /// later [`MCNStore::set_buffer`] call; `shards == 1` gives the strict
     /// global-LRU order of an unsharded pool.
     ///

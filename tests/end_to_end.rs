@@ -148,7 +148,7 @@ fn cea_io_advantage_holds_on_generated_workloads() {
 fn pareto_paths_bound_facility_costs() {
     // The component-wise minimum of the Pareto path set to a facility's edge
     // end-node lower-bounds the facility's cost vector (path skyline vs
-    // facility skyline sanity link between mcn-mcpp and mcn-core).
+    // facility skyline sanity link between mcn::mcpp and mcn-core).
     let (store, w) = workload(61, CostDistribution::Independent, 2);
     let q = w.queries[0];
     let q_node = match q {

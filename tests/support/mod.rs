@@ -9,7 +9,11 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// `pairs` seeded source/target pairs with distinct endpoints.
-pub fn seeded_pairs(graph: &MultiCostGraph, pairs: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
+pub(crate) fn seeded_pairs(
+    graph: &MultiCostGraph,
+    pairs: usize,
+    seed: u64,
+) -> Vec<(NodeId, NodeId)> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let n = graph.num_nodes();
     (0..pairs)
@@ -25,24 +29,24 @@ pub fn seeded_pairs(graph: &MultiCostGraph, pairs: usize, seed: u64) -> Vec<(Nod
 }
 
 /// The engine fingerprint of a path skyline: cost bits and edge lists.
-pub fn paths_fingerprint(paths: Vec<ParetoLabel>) -> String {
+pub(crate) fn paths_fingerprint(paths: Vec<ParetoLabel>) -> String {
     QueryOutput::Paths(paths).fingerprint()
 }
 
 /// Folds `bytes` into the 64-bit FNV-1a `hash`.
-pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
 
 /// The FNV-1a 64 offset basis, where every pinned fold starts.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// A network full of exact ties: integer costs 0–2 per component, every
 /// seventh edge all-zero (zero-cost cycles), every fifth a parallel copy of
 /// the one before, a quarter one-way.
-pub fn tie_network(d: usize, nodes: usize, seed: u64) -> MultiCostGraph {
+pub(crate) fn tie_network(d: usize, nodes: usize, seed: u64) -> MultiCostGraph {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut b = GraphBuilder::new(d);
     let ids: Vec<NodeId> = (0..nodes).map(|i| b.add_node(i as f64, 0.0)).collect();
