@@ -12,6 +12,16 @@
 //! one width `D` runs them as straight-line code; [`lex_cmp`] orders such
 //! arrays as [`CostVec::lex_cmp`] orders vectors, and [`lanes`] turns a
 //! cost slice into one.
+//!
+//! On top of them sit the two operations of a Pareto front, a
+//! lexicographically sorted `Vec<(point, payload)>` whose points are
+//! mutually non-dominated: [`front_dominates_weak`] asks whether a member
+//! weakly dominates a point, and [`front_insert`] adds the point unless one
+//! does, evicting the members it strictly dominates. Both take either
+//! point form through [`FrontPoint`], which compares [`CostVec`]s with the
+//! first family of tests and arrays with the second. The path search's
+//! target-skyline mirror, the route index's shortcut bundles, upward label
+//! sets and meeting-node merge are such fronts.
 
 use crate::cost::CostVec;
 use std::cmp::Ordering;
@@ -109,6 +119,104 @@ pub fn lex_cmp<const D: usize>(a: &[f64; D], b: &[f64; D]) -> Ordering {
 #[inline(always)]
 pub fn lanes<const D: usize>(costs: &[f64]) -> [f64; D] {
     costs.try_into().expect("one cost per cost type")
+}
+
+/// A point of a Pareto front: a cost vector in either form the code keeps,
+/// with that form's dominance tests and lexicographic order. Costs are
+/// never NaN.
+pub trait FrontPoint {
+    /// The costs, one per cost type.
+    fn costs(&self) -> &[f64];
+    /// No cost of `self` is larger than `other`'s.
+    fn weakly_dominates(&self, other: &Self) -> bool;
+    /// No cost of `self` is larger than `other`'s and one is smaller.
+    fn strictly_dominates(&self, other: &Self) -> bool;
+    /// Lexicographic order, IEEE total order per cost.
+    fn lex_cmp(&self, other: &Self) -> Ordering;
+}
+
+/// Any width, with the early-exit tests.
+impl FrontPoint for CostVec {
+    #[inline(always)]
+    fn costs(&self) -> &[f64] {
+        self.as_slice()
+    }
+    #[inline(always)]
+    fn weakly_dominates(&self, other: &Self) -> bool {
+        dominates_weak(self, other)
+    }
+    #[inline(always)]
+    fn strictly_dominates(&self, other: &Self) -> bool {
+        dominates(self, other)
+    }
+    #[inline(always)]
+    fn lex_cmp(&self, other: &Self) -> Ordering {
+        CostVec::lex_cmp(self, other)
+    }
+}
+
+/// One width fixed at compile time, with the branch-free tests.
+impl<const D: usize> FrontPoint for [f64; D] {
+    #[inline(always)]
+    fn costs(&self) -> &[f64] {
+        self
+    }
+    #[inline(always)]
+    fn weakly_dominates(&self, other: &Self) -> bool {
+        weakly_dominates(self, other)
+    }
+    #[inline(always)]
+    fn strictly_dominates(&self, other: &Self) -> bool {
+        dominates_strictly(self, other)
+    }
+    #[inline(always)]
+    fn lex_cmp(&self, other: &Self) -> Ordering {
+        lex_cmp(self, other)
+    }
+}
+
+/// True iff some member of `front` weakly dominates `p`.
+///
+/// `front` is sorted lexicographically and mutually non-dominated, as
+/// [`front_insert`] keeps it. At d = 2 its members' cost 1 then falls
+/// strictly as cost 0 grows, so the member with the largest cost 0 not
+/// above `p`'s decides alone, found by one binary search. At any other d
+/// the scan stops at the first member whose cost 0 exceeds `p`'s: no later
+/// member can weakly dominate `p`. The d = 2 search orders cost 0 by
+/// [`f64::total_cmp`], which puts `-0.0` before `0.0`; elsewhere `-0.0` and
+/// `0.0` are equal.
+#[inline(always)]
+pub fn front_dominates_weak<P: FrontPoint, T>(front: &[(P, T)], p: &P) -> bool {
+    let costs = p.costs();
+    if costs.len() == 2 {
+        let after = front.partition_point(|(m, _)| m.costs()[0].total_cmp(&costs[0]).is_le());
+        after > 0 && front[after - 1].0.costs()[1] <= costs[1]
+    } else {
+        front
+            .iter()
+            .take_while(|(m, _)| m.costs()[0] <= costs[0])
+            .any(|(m, _)| m.weakly_dominates(p))
+    }
+}
+
+/// Inserts `(p, payload)` into `front` unless a member weakly dominates
+/// `p`; otherwise evicts every member `p` strictly dominates and inserts
+/// `p` at its lexicographic position. Returns true iff `p` joined.
+#[inline(always)]
+pub fn front_insert<P: FrontPoint, T>(front: &mut Vec<(P, T)>, p: P, payload: T) -> bool {
+    if front_dominates_weak(front, &p) {
+        return false;
+    }
+    // Only the members whose cost 0 is not below `p`'s, the sorted
+    // front's tail, can be strictly dominated by `p`: scan them for one
+    // before paying for a `retain` over the whole front.
+    let tail = front.partition_point(|(m, _)| m.costs()[0] < p.costs()[0]);
+    if front[tail..].iter().any(|(m, _)| p.strictly_dominates(m)) {
+        front.retain(|(m, _)| !p.strictly_dominates(m));
+    }
+    let at = front.partition_point(|(m, _)| m.lex_cmp(&p).is_lt());
+    front.insert(at, (p, payload));
+    true
 }
 
 #[cfg(test)]
@@ -232,6 +340,76 @@ mod tests {
     #[should_panic(expected = "one cost per cost type")]
     fn lanes_rejects_a_slice_of_another_width() {
         let _ = lanes::<3>(&[1.0, 2.0]);
+    }
+
+    /// A pairwise reference model of a front: a member weakly dominating
+    /// the point rejects it, otherwise the members it strictly dominates
+    /// leave and it joins at the end. Returns true iff it was rejected.
+    fn model_insert(model: &mut Vec<(Vec<f64>, u32)>, p: &[f64], id: u32) -> bool {
+        let le = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x <= y);
+        let dominated = model.iter().any(|(m, _)| le(m, p));
+        if !dominated {
+            model.retain(|(m, _)| !(le(p, m) && p != m.as_slice()));
+            model.push((p.to_vec(), id));
+        }
+        dominated
+    }
+
+    /// Feeds one seeded stream into a `CostVec` front and a `[f64; D]`
+    /// front and checks, point by point, the probe verdict, the insert
+    /// verdict and the whole front against [`model_insert`]. A quarter of
+    /// the points repeat an earlier point and a quarter share cost 0 with
+    /// the point before.
+    fn front_matches_the_model_at<const D: usize>(seed: u64) {
+        const POOL: [f64; 7] = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0];
+        let mut lcg = seed;
+        let mut draw = move |n: usize| {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((lcg >> 33) % n as u64) as usize
+        };
+        let mut seen: Vec<[f64; D]> = Vec::new();
+        let mut fixed: Vec<([f64; D], u32)> = Vec::new();
+        let mut general: Vec<(CostVec, u32)> = Vec::new();
+        let mut model: Vec<(Vec<f64>, u32)> = Vec::new();
+        for id in 0..600u32 {
+            let mut p: [f64; D] = std::array::from_fn(|_| POOL[draw(POOL.len())]);
+            match (id % 4, seen.last()) {
+                (0, Some(_)) => p = seen[draw(seen.len())],
+                (1, Some(last)) => p[0] = last[0],
+                _ => {}
+            }
+            seen.push(p);
+            let label = format!("D = {D}, point {id}: {p:?}");
+            let dominated = model_insert(&mut model, &p, id);
+            assert_eq!(front_dominates_weak(&fixed, &p), dominated, "{label}");
+            assert_eq!(
+                front_dominates_weak(&general, &cv(&p)),
+                dominated,
+                "{label}"
+            );
+            assert_eq!(front_insert(&mut fixed, p, id), !dominated, "{label}");
+            assert_eq!(
+                front_insert(&mut general, cv(&p), id),
+                !dominated,
+                "{label}"
+            );
+            model.sort_by(|(a, _), (b, _)| cv(a).lex_cmp(&cv(b)));
+            let want: Vec<(CostVec, u32)> = model.iter().map(|(m, i)| (cv(m), *i)).collect();
+            let got: Vec<(CostVec, u32)> = fixed.iter().map(|(m, i)| (cv(m), *i)).collect();
+            assert_eq!(got, want, "{label}");
+            assert_eq!(general, want, "{label}");
+        }
+    }
+
+    #[test]
+    fn fronts_of_both_point_forms_match_the_pairwise_model() {
+        front_matches_the_model_at::<1>(21);
+        front_matches_the_model_at::<2>(22);
+        front_matches_the_model_at::<3>(23);
+        front_matches_the_model_at::<4>(24);
+        front_matches_the_model_at::<8>(28);
     }
 
     proptest! {

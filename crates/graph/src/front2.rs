@@ -1,93 +1,13 @@
-//! Sorted-sweep Pareto front for the bicriterion (d = 2) case.
-//!
-//! With exactly two cost types a Pareto front has a total structure the
-//! general pairwise dominance test cannot exploit: sorted by the first
-//! component ascending, the second component is **strictly descending**.
-//! Membership and dominance queries therefore reduce to one binary search
-//! instead of a scan over the whole front — the classic bicriterion
-//! fast path (ROADMAP item "Bicriterion d = 2 fast path").
-//!
-//! [`Front2`] is used as a *mirror* of a label set that the general-purpose
-//! code keeps anyway: `mcn_path::mcpp` mirrors the target skyline with one and
-//! answers its hot weak-dominance check in `O(log k)`, and `mcn_path::index`
-//! maintains shortcut bundles and assembled skylines through it. The boolean
-//! answers are defined to be *identical* to the pairwise test over the same
-//! multiset of points, so switching the fast path on cannot change a single
-//! label count.
+//! Tests of a [`crate::dominance`] front at d = 2, the width at which
+//! [`front_dominates_weak`](crate::dominance::front_dominates_weak)
+//! decides the probe with one binary search instead of a scan.
 
-/// A 2-dimensional Pareto front under *minimisation*, kept sorted by the
-/// first component ascending (and, as an invariant, the second component
-/// strictly descending).
-///
-/// Points on the front are mutually non-dominated in the **weak** sense:
-/// inserting a point weakly dominated by a member is a no-op, and inserting
-/// a new member evicts every member it strictly dominates. Duplicate points
-/// are kept once. This mirrors exactly how the label-correcting code treats
-/// its skylines (`dominates_weak` to reject, `dominates` to evict).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Front2 {
-    /// `(c0, c1)` pairs sorted by `c0` ascending, `c1` strictly descending.
-    points: Vec<(f64, f64)>,
-}
-
-impl Front2 {
-    /// An empty front.
-    pub fn new() -> Self {
-        Self { points: Vec::new() }
-    }
-
-    /// Number of points on the front.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True iff the front has no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// True iff some front member weakly dominates `(c0, c1)` — i.e. has
-    /// both components `≤`. Equivalent to
-    /// `members.iter().any(|m| dominates_weak(m, p))` over the same points,
-    /// in `O(log k)`: the best candidate is the member with the largest
-    /// first component still `≤ c0` (its second component is the smallest
-    /// among those), so one binary search decides.
-    pub fn dominates_weak(&self, c0: f64, c1: f64) -> bool {
-        // partition_point: first index whose member has points[i].0 > c0.
-        let idx = self.points.partition_point(|p| p.0.total_cmp(&c0).is_le());
-        if idx == 0 {
-            return false;
-        }
-        self.points[idx - 1].1 <= c1
-    }
-
-    /// Inserts `(c0, c1)` unless a member weakly dominates it; evicts every
-    /// member it strictly dominates. Returns `true` iff the point joined
-    /// the front.
-    pub fn insert(&mut self, c0: f64, c1: f64) -> bool {
-        if self.dominates_weak(c0, c1) {
-            return false;
-        }
-        // The new point survives. Members strictly dominated by it form a
-        // contiguous run starting at its insertion position: every member
-        // with a first component ≥ c0 and second component ≥ c1 (with one
-        // strict, guaranteed because no member weakly dominates the new
-        // point and members are pairwise non-dominated).
-        let start = self.points.partition_point(|p| p.0.total_cmp(&c0).is_lt());
-        let mut end = start;
-        while end < self.points.len() && self.points[end].1 >= c1 {
-            end += 1;
-        }
-        self.points.splice(start..end, [(c0, c1)]);
-        true
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
     use crate::cost::CostVec;
-    use crate::dominance::{dominates, dominates_weak};
+    use crate::dominance::{dominates, dominates_weak, front_dominates_weak, front_insert};
+
+    /// A front of two-cost points without payloads.
+    type TwoCostFront = Vec<([f64; 2], ())>;
 
     /// Pairwise reference model of the same weak/strict dominance protocol.
     #[derive(Default)]
@@ -110,47 +30,47 @@ mod tests {
         }
     }
 
-    fn vec2(a: f64, b: f64) -> CostVec {
-        CostVec::from_slice(&[a, b])
+    fn points(f: &TwoCostFront) -> Vec<[f64; 2]> {
+        f.iter().map(|(p, ())| *p).collect()
     }
 
     #[test]
     fn basic_insert_and_dominance() {
-        let mut f = Front2::new();
-        assert!(f.insert(3.0, 1.0));
-        assert!(f.insert(1.0, 3.0));
+        let mut f = TwoCostFront::new();
+        assert!(front_insert(&mut f, [3.0, 1.0], ()));
+        assert!(front_insert(&mut f, [1.0, 3.0], ()));
         assert_eq!(f.len(), 2);
         // Weakly dominated by (1, 3).
-        assert!(f.dominates_weak(1.5, 3.0));
-        assert!(!f.insert(1.0, 3.0)); // duplicate is weakly dominated
-        assert!(!f.dominates_weak(0.5, 2.0));
+        assert!(front_dominates_weak(&f, &[1.5, 3.0]));
+        assert!(!front_insert(&mut f, [1.0, 3.0], ())); // duplicate is weakly dominated
+        assert!(!front_dominates_weak(&f, &[0.5, 2.0]));
         // Dominates both members: evicts them.
-        assert!(f.insert(0.5, 0.5));
+        assert!(front_insert(&mut f, [0.5, 0.5], ()));
         assert_eq!(f.len(), 1);
-        assert_eq!(f.points, &[(0.5, 0.5)]);
+        assert_eq!(points(&f), [[0.5, 0.5]]);
     }
 
     #[test]
     fn incomparable_points_accumulate_sorted() {
-        let mut f = Front2::new();
+        let mut f = TwoCostFront::new();
         for &(a, b) in &[(5.0, 1.0), (1.0, 5.0), (3.0, 3.0), (2.0, 4.0), (4.0, 2.0)] {
-            assert!(f.insert(a, b));
+            assert!(front_insert(&mut f, [a, b], ()));
         }
-        let firsts: Vec<f64> = f.points.iter().map(|p| p.0).collect();
+        let firsts: Vec<f64> = f.iter().map(|(p, ())| p[0]).collect();
         assert_eq!(firsts, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
-        let seconds: Vec<f64> = f.points.iter().map(|p| p.1).collect();
+        let seconds: Vec<f64> = f.iter().map(|(p, ())| p[1]).collect();
         assert_eq!(seconds, vec![5.0, 4.0, 3.0, 2.0, 1.0]);
     }
 
     #[test]
     fn partial_eviction_keeps_survivors() {
-        let mut f = Front2::new();
-        f.insert(1.0, 5.0);
-        f.insert(3.0, 3.0);
-        f.insert(5.0, 1.0);
+        let mut f = TwoCostFront::new();
+        front_insert(&mut f, [1.0, 5.0], ());
+        front_insert(&mut f, [3.0, 3.0], ());
+        front_insert(&mut f, [5.0, 1.0], ());
         // Dominates (3,3) only.
-        assert!(f.insert(2.0, 2.0));
-        assert_eq!(f.points, &[(1.0, 5.0), (2.0, 2.0), (5.0, 1.0)]);
+        assert!(front_insert(&mut f, [2.0, 2.0], ()));
+        assert_eq!(points(&f), [[1.0, 5.0], [2.0, 2.0], [5.0, 1.0]]);
     }
 
     #[test]
@@ -162,29 +82,29 @@ mod tests {
             lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
             ((lcg >> 33) % 16) as f64 * 0.25
         };
-        let mut fast = Front2::new();
+        let mut fast = TwoCostFront::new();
         let mut reference = Reference::default();
         for _ in 0..2000 {
-            let p = vec2(next(), next());
+            let p = [next(), next()];
+            let v = CostVec::from_slice(&p);
             // The query answer must agree *before* mutation...
             assert_eq!(
-                fast.dominates_weak(p[0], p[1]),
-                reference.dominates_weak(&p),
+                front_dominates_weak(&fast, &p),
+                reference.dominates_weak(&v),
                 "query diverged at {p:?}"
             );
             // ...and the insertion outcome must agree too.
             assert_eq!(
-                fast.insert(p[0], p[1]),
-                reference.insert(p),
+                front_insert(&mut fast, p, ()),
+                reference.insert(v),
                 "insert diverged"
             );
             assert_eq!(fast.len(), reference.points.len());
         }
         // Final fronts hold the same point set.
         let mut got: Vec<(u64, u64)> = fast
-            .points
             .iter()
-            .map(|p| (p.0.to_bits(), p.1.to_bits()))
+            .map(|(p, ())| (p[0].to_bits(), p[1].to_bits()))
             .collect();
         let mut want: Vec<(u64, u64)> = reference
             .points

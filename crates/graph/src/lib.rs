@@ -40,6 +40,7 @@ pub mod dominance;
 mod edge;
 mod error;
 mod facility;
+#[cfg(test)]
 mod front2;
 mod graph;
 mod ids;
@@ -53,7 +54,6 @@ pub use dominance::{dominates, dominates_weak};
 pub use edge::Edge;
 pub use error::GraphError;
 pub use facility::Facility;
-pub use front2::Front2;
 pub use graph::{MultiCostGraph, Neighbor};
 pub use ids::{EdgeId, FacilityId, NodeId, RegionId};
 pub use location::{LocationAccess, NetworkLocation};

@@ -41,26 +41,17 @@ impl PartitionSpec {
     }
 }
 
-/// The result of partitioning a graph: one region per node, plus the
-/// boundary-edge accounting the partitioned store and the experiments report.
+/// The result of partitioning a graph: one region per node.
 ///
-/// Use the accessors, which uphold the documented invariants
-/// (`assignment[v] < num_regions` for every node, `region_sizes` summing to
-/// the node count, and per-region boundary counts summing to
-/// `2 × boundary_edges`).
+/// Use the accessors, which uphold the documented invariant
+/// (`assignment[v] < num_regions` for every node, with at least one
+/// region); [`PartitionMap::validate`] checks it on a map built elsewhere.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartitionMap {
     /// Number of regions (≥ 1).
     pub num_regions: u32,
     /// Region of each node, indexed by `NodeId::index()`.
     pub assignment: Vec<u32>,
-    /// Number of nodes per region.
-    pub region_sizes: Vec<u32>,
-    /// Edges whose end-nodes lie in different regions.
-    pub boundary_edges: u64,
-    /// Boundary edges incident to each region (each boundary edge is counted
-    /// once from each side, so these sum to `2 × boundary_edges`).
-    pub region_boundary: Vec<u64>,
     /// The seed the map was grown from (provenance only).
     pub seed: u64,
 }
@@ -71,9 +62,6 @@ impl PartitionMap {
         Self {
             num_regions: 1,
             assignment: vec![0; num_nodes],
-            region_sizes: vec![num_nodes as u32],
-            boundary_edges: 0,
-            region_boundary: vec![0],
             seed: 0,
         }
     }
@@ -109,7 +97,7 @@ impl PartitionMap {
         }
     }
 
-    /// Checks the documented invariants.
+    /// Checks the documented invariant.
     ///
     /// # Errors
     /// Returns a human-readable description of the first violation.
@@ -117,34 +105,10 @@ impl PartitionMap {
         if self.num_regions == 0 {
             return Err("a partition needs at least one region".into());
         }
-        if self.region_sizes.len() != self.num_regions as usize
-            || self.region_boundary.len() != self.num_regions as usize
-        {
-            return Err(format!(
-                "per-region vectors ({} sizes, {} boundary counts) do not match {} regions",
-                self.region_sizes.len(),
-                self.region_boundary.len(),
-                self.num_regions
-            ));
-        }
         if let Some(bad) = self.assignment.iter().find(|&&r| r >= self.num_regions) {
             return Err(format!(
                 "node assigned to region {bad} outside the {} regions",
                 self.num_regions
-            ));
-        }
-        let total: u64 = self.region_sizes.iter().map(|&s| s as u64).sum();
-        if total != self.assignment.len() as u64 {
-            return Err(format!(
-                "region sizes sum to {total}, but {} nodes are assigned",
-                self.assignment.len()
-            ));
-        }
-        let sides: u64 = self.region_boundary.iter().sum();
-        if sides != 2 * self.boundary_edges {
-            return Err(format!(
-                "per-region boundary counts sum to {sides}, expected 2 × {}",
-                self.boundary_edges
             ));
         }
         Ok(())
@@ -244,25 +208,9 @@ pub fn partition_graph(graph: &MultiCostGraph, spec: &PartitionSpec) -> Partitio
         }
     }
 
-    // Boundary accounting, counted once per edge and once per incident side.
-    let mut boundary_edges = 0u64;
-    let mut region_boundary = vec![0u64; regions];
-    for e in graph.edges() {
-        let a = assignment[e.source.index()];
-        let b = assignment[e.target.index()];
-        if a != b {
-            boundary_edges += 1;
-            region_boundary[a as usize] += 1;
-            region_boundary[b as usize] += 1;
-        }
-    }
-
     let map = PartitionMap {
         num_regions: regions as u32,
         assignment,
-        region_sizes: sizes,
-        boundary_edges,
-        region_boundary,
         seed: spec.seed,
     };
     debug_assert!(map.validate().is_ok());
@@ -310,9 +258,14 @@ mod tests {
             assert_eq!(map.num_regions(), regions);
             assert_eq!(map.num_nodes(), g.num_nodes());
             map.validate().expect("map is consistent");
-            let total: u32 = map.region_sizes.iter().sum();
-            assert_eq!(total as usize, g.num_nodes());
         }
+        // One region is the monolithic layout.
+        let map = partition_graph(&g, &PartitionSpec::new(1));
+        let single = PartitionMap {
+            seed: map.seed,
+            ..PartitionMap::single(g.num_nodes())
+        };
+        assert_eq!(map, single);
     }
 
     #[test]
@@ -337,51 +290,17 @@ mod tests {
     }
 
     #[test]
-    fn boundary_counts_are_consistent_from_both_sides() {
-        let g = grid(10, 10);
-        let map = partition_graph(&g, &PartitionSpec::new(4));
-        // Recount from scratch and compare with the stored accounting.
-        let mut expected = 0u64;
-        let mut sides = vec![0u64; map.num_regions()];
-        for e in g.edges() {
-            let a = map.region_of(e.source);
-            let b = map.region_of(e.target);
-            if a != b {
-                expected += 1;
-                sides[a.index()] += 1;
-                sides[b.index()] += 1;
-            }
-        }
-        assert_eq!(map.boundary_edges, expected);
-        assert_eq!(map.region_boundary, sides.as_slice());
-        assert!(expected > 0, "4 regions on a grid must cut some edges");
-    }
-
-    #[test]
-    fn one_region_has_no_boundary() {
-        let g = grid(6, 6);
-        let map = partition_graph(&g, &PartitionSpec::new(1));
-        assert_eq!(map.boundary_edges, 0);
-        assert_eq!(map.region_sizes, &[36]);
-        assert_eq!(map, {
-            let mut single = PartitionMap::single(36);
-            single.seed = map.seed;
-            single
-        });
-    }
-
-    #[test]
     fn regions_grow_balanced_on_a_grid() {
         let g = grid(20, 20);
         let map = partition_graph(&g, &PartitionSpec::new(4));
-        let min = *map.region_sizes.iter().min().unwrap() as f64;
-        let max = *map.region_sizes.iter().max().unwrap() as f64;
+        let mut sizes = vec![0u32; map.num_regions()];
+        for &r in &map.assignment {
+            sizes[r as usize] += 1;
+        }
+        let min = *sizes.iter().min().unwrap() as f64;
+        let max = *sizes.iter().max().unwrap() as f64;
         // Round-robin BFS keeps regions within a reasonable factor.
-        assert!(
-            max / min <= 2.5,
-            "unbalanced regions: {:?}",
-            map.region_sizes
-        );
+        assert!(max / min <= 2.5, "unbalanced regions: {sizes:?}");
     }
 
     #[test]
@@ -433,8 +352,11 @@ mod tests {
         let g = grid(8, 8);
         let map = partition_graph(&g, &PartitionSpec::new(4));
         let mut broken = map.clone();
-        broken.region_sizes[0] += 1;
-        assert!(broken.validate().unwrap_err().contains("sum"));
+        broken.num_regions = 0;
+        assert!(broken
+            .validate()
+            .unwrap_err()
+            .contains("at least one region"));
         let mut broken = map.clone();
         broken.assignment[0] = 99;
         assert!(broken.validate().unwrap_err().contains("region 99"));

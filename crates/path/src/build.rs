@@ -2,9 +2,8 @@
 //! witness search and shortcut insertion.
 
 use crate::config::IndexConfig;
-use crate::structure::{
-    pareto_dominates_weak, pareto_merge, ArcEntry, Fragment, RouteIndex, UpArc,
-};
+use crate::structure::{ArcEntry, Fragment, RouteIndex, UpArc};
+use mcn_graph::dominance::front_insert;
 use mcn_graph::{dominates_weak, CostVec, MultiCostGraph};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -78,7 +77,7 @@ impl<'a> Contractor<'a> {
     /// existing bundle (parallel edges collapse here).
     fn seed_arc(&mut self, tail: u32, head: u32, costs: CostVec, frag: u32) {
         let bundle = self.out[tail as usize].entry(head).or_default();
-        if pareto_merge(bundle, costs, frag) {
+        if front_insert(bundle, costs, frag) {
             if bundle.len() > self.cfg.max_bundle {
                 bundle.truncate(self.cfg.max_bundle);
                 self.exact = false;
@@ -142,12 +141,11 @@ impl<'a> Contractor<'a> {
     /// fragment only now (rejected candidates never pollute the arena).
     fn insert_shortcut(&mut self, u: u32, w: u32, costs: CostVec, f1: u32, f2: u32) {
         let bundle = self.out[u as usize].entry(w).or_default();
-        if pareto_dominates_weak(bundle, &costs) {
+        let frag = self.fragments.len() as u32;
+        if !front_insert(bundle, costs, frag) {
             return;
         }
-        let frag = self.fragments.len() as u32;
         self.fragments.push(Fragment::Concat(f1, f2));
-        pareto_merge(bundle, costs, frag);
         self.shortcuts += 1;
         if bundle.len() > self.cfg.max_bundle {
             bundle.truncate(self.cfg.max_bundle);
@@ -179,7 +177,7 @@ impl<'a> Contractor<'a> {
                 let mut cands: Vec<(CostVec, (u32, u32))> = Vec::new();
                 for (c1, f1) in ub {
                     for (c2, f2) in wb {
-                        pareto_merge(&mut cands, *c1 + *c2, (*f1, *f2));
+                        front_insert(&mut cands, *c1 + *c2, (*f1, *f2));
                     }
                 }
                 for (c, (f1, f2)) in cands {
@@ -297,24 +295,8 @@ fn seed_edges(c: &mut Contractor<'_>, graph: &MultiCostGraph) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::diamond;
     use mcn_graph::{GraphBuilder, NodeId};
-
-    fn diamond() -> (MultiCostGraph, NodeId, NodeId) {
-        let mut b = GraphBuilder::new(2);
-        let s = b.add_node(0.0, 0.0);
-        let up = b.add_node(1.0, 1.0);
-        let down = b.add_node(1.0, -1.0);
-        let t = b.add_node(2.0, 0.0);
-        b.add_edge(s, up, CostVec::from_slice(&[1.0, 10.0]))
-            .unwrap();
-        b.add_edge(up, t, CostVec::from_slice(&[1.0, 10.0]))
-            .unwrap();
-        b.add_edge(s, down, CostVec::from_slice(&[10.0, 1.0]))
-            .unwrap();
-        b.add_edge(down, t, CostVec::from_slice(&[10.0, 1.0]))
-            .unwrap();
-        (b.build().unwrap(), s, t)
-    }
 
     #[test]
     fn diamond_builds_an_exact_hierarchy() {

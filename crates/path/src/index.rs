@@ -53,10 +53,10 @@
 //! cost vectors the surviving *representative* path may differ; the
 //! continuous float costs of every seeded workload have no such ties.
 //!
-//! Bicriterion (`d == 2`) dominance checks use the sorted-sweep structure
-//! of [`mcn_graph::Front2`] — bundles and label sets are kept
-//! lexicographically sorted, which at `d == 2` makes weak dominance a
-//! binary search instead of a scan.
+//! Shortcut bundles, upward label sets and the meeting-node merge are the
+//! Pareto fronts of [`mcn_graph::dominance`]: kept lexicographically
+//! sorted, which at `d == 2` makes weak dominance a binary search instead
+//! of a scan.
 
 pub use crate::config::IndexConfig;
 pub use crate::query::IndexSkylineResult;

@@ -2,9 +2,11 @@
 
 use crate::prep::PrepTable;
 use crate::stats::PathStats;
-use mcn_graph::dominance::{dominates_strictly, lanes, weakly_dominates};
-use mcn_graph::{CostVec, EdgeId, Front2, MultiCostGraph, NodeId, MAX_COST_TYPES};
-use std::cmp::Ordering;
+use crate::HeapEntry;
+use mcn_graph::dominance::{
+    dominates_strictly, front_dominates_weak, front_insert, lanes, weakly_dominates,
+};
+use mcn_graph::{CostVec, EdgeId, MultiCostGraph, NodeId, MAX_COST_TYPES};
 use std::collections::BinaryHeap;
 
 /// One Pareto-optimal label: a non-dominated way of reaching a node.
@@ -216,37 +218,6 @@ struct Label<const D: usize> {
 /// every parent chain ends (its own `parent` and `edge` are never read).
 const ROOT: u32 = 0;
 
-/// A queued label: its id and its key, the sum of its bound vector. Ordered
-/// so the smallest key pops first and equal keys in id (creation) order,
-/// which makes the pop order, and every counter, a pure function of the
-/// input.
-#[derive(Clone, Copy)]
-struct Queued {
-    key: f64,
-    id: u32,
-}
-
-impl PartialEq for Queued {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for Queued {}
-impl PartialOrd for Queued {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Queued {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the smallest key.
-        other
-            .key
-            .total_cmp(&self.key)
-            .then_with(|| other.id.cmp(&self.id))
-    }
-}
-
 /// One scan of a head node's bag for a candidate: `None` if an entry weakly
 /// dominates it, otherwise whether it strictly dominates some entry (which
 /// must then be evicted). Same answer as `any` then `retain`, with one scan
@@ -261,57 +232,6 @@ fn admission<const D: usize>(bag: &[BagEntry<D>], costs: &[f64; D]) -> Option<bo
         evicts |= dominates_strictly(costs, &entry.costs);
     }
     Some(evicts)
-}
-
-/// A mirror of the target's bag for the target-dominance check, answering
-/// exactly as the pairwise test over the bag would. At d = 2 a [`Front2`]
-/// decides in `O(log k)`; at any other d a copy sorted by cost 0 lets the
-/// scan stop at the first member whose cost 0 exceeds the probe's, since no
-/// later member can weakly dominate it.
-struct TargetFront<const D: usize> {
-    /// The mirror at d = 2.
-    pair: Front2,
-    /// The mirror at d ≠ 2, sorted by cost 0 ascending.
-    sorted: Vec<[f64; D]>,
-}
-
-impl<const D: usize> TargetFront<D> {
-    fn new() -> Self {
-        Self {
-            pair: Front2::new(),
-            sorted: Vec::new(),
-        }
-    }
-
-    /// True iff some member weakly dominates `p`.
-    #[inline(always)]
-    fn dominates_weak(&self, p: &[f64; D]) -> bool {
-        if D == 2 {
-            // `D - 1` is 1 here, spelled so the index is in range at every D.
-            self.pair.dominates_weak(p[0], p[D - 1])
-        } else {
-            self.sorted
-                .iter()
-                .take_while(|m| m[0] <= p[0])
-                .any(|m| weakly_dominates(m, p))
-        }
-    }
-
-    /// Mirrors an admission to the target's bag: `p` joins and, when
-    /// `evicts`, the members it strictly dominates leave.
-    fn admit(&mut self, p: &[f64; D], evicts: bool) {
-        if D == 2 {
-            // Front2's insert protocol evicts the same strictly dominated
-            // points the bag's `retain` just dropped.
-            self.pair.insert(p[0], p[D - 1]);
-        } else {
-            if evicts {
-                self.sorted.retain(|m| !dominates_strictly(p, m));
-            }
-            let at = self.sorted.partition_point(|m| m[0] <= p[0]);
-            self.sorted.insert(at, *p);
-        }
-    }
 }
 
 /// The shared search: checks the endpoints and hands the graph to
@@ -395,13 +315,15 @@ fn search_d<const D: usize>(
         id: ROOT,
     });
 
-    // The target skyline's mirror, kept in step with the target's bag on
-    // every admission there (and seeded with the zero label when the
-    // source is the target).
-    let mut target_front = (target_prune || prep.is_some()).then(TargetFront::<D>::new);
+    // The target skyline's mirror: a front of the target bag's costs,
+    // sorted for the shared probe and fed every admission there (and the
+    // zero label when the source is the target). It answers the
+    // target-dominance check exactly as a scan of the bag would.
+    let mut target_front: Option<Vec<([f64; D], ())>> =
+        (target_prune || prep.is_some()).then(Vec::new);
     if source == target {
         if let Some(front) = target_front.as_mut() {
-            front.admit(&[0.0; D], false);
+            front_insert(front, [0.0; D], ());
         }
     }
 
@@ -429,11 +351,11 @@ fn search_d<const D: usize>(
     };
 
     let mut queue = BinaryHeap::with_capacity(graph.num_nodes());
-    queue.push(Queued {
+    queue.push(HeapEntry {
         key: bound_at(source, &[0.0; D]).iter().sum(),
         id: ROOT,
     });
-    while let Some(Queued { id: parent, .. }) = queue.pop() {
+    while let Some(HeapEntry { id: parent, .. }) = queue.pop() {
         let label = &labels[parent as usize];
         if label.evicted {
             continue;
@@ -441,7 +363,7 @@ fn search_d<const D: usize>(
         let (node, label_costs) = (label.node, label.costs);
         // The target skyline may have grown since the label was queued.
         if let Some(front) = &target_front {
-            if front.dominates_weak(&bound_at(node, &label_costs)) {
+            if front_dominates_weak(front, &bound_at(node, &label_costs)) {
                 continue;
             }
         }
@@ -461,7 +383,7 @@ fn search_d<const D: usize>(
             // upper-bound cuts.
             let bound = bound_at(head, &costs);
             if let Some(front) = &target_front {
-                if front.dominates_weak(&bound) {
+                if front_dominates_weak(front, &bound) {
                     stats.labels_pruned += 1;
                     continue;
                 }
@@ -501,13 +423,13 @@ fn search_d<const D: usize>(
             stats.labels_inserted += 1;
             if head == target {
                 if let Some(front) = target_front.as_mut() {
-                    front.admit(&costs, evicts);
+                    front_insert(front, costs, ());
                 }
             }
             // A label at the target would be dropped when popped, the
             // front holding it; only the exhaustive run extends it.
             if head != target || target_front.is_none() {
-                queue.push(Queued {
+                queue.push(HeapEntry {
                     key: bound.iter().sum(),
                     id,
                 });
@@ -561,27 +483,10 @@ pub fn componentwise_minimum(paths: &[ParetoLabel]) -> Option<CostVec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::diamond;
     use mcn_graph::{dominates, GraphBuilder};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
-
-    /// Diamond network with a cheap-slow and an expensive-fast side.
-    fn diamond() -> (MultiCostGraph, NodeId, NodeId) {
-        let mut b = GraphBuilder::new(2);
-        let s = b.add_node(0.0, 0.0);
-        let up = b.add_node(1.0, 1.0);
-        let down = b.add_node(1.0, -1.0);
-        let t = b.add_node(2.0, 0.0);
-        b.add_edge(s, up, CostVec::from_slice(&[1.0, 10.0]))
-            .unwrap();
-        b.add_edge(up, t, CostVec::from_slice(&[1.0, 10.0]))
-            .unwrap();
-        b.add_edge(s, down, CostVec::from_slice(&[10.0, 1.0]))
-            .unwrap();
-        b.add_edge(down, t, CostVec::from_slice(&[10.0, 1.0]))
-            .unwrap();
-        (b.build().unwrap(), s, t)
-    }
 
     /// A seeded random network of `n` nodes: a connected line plus random
     /// extra edges, `d` cost types drawn from `1.0..5.0`.
@@ -763,9 +668,10 @@ mod tests {
 
     #[test]
     fn bicriterion_fast_path_matches_exhaustive_output() {
-        // d == 2 engages the Front2 mirror of the target skyline; the
-        // output (and, because the mirror's booleans equal the pairwise
-        // test, every counter) must match the exhaustive baseline exactly.
+        // d == 2 engages the binary-search probe of the target skyline's
+        // mirror; the output (and, because the probe's booleans equal the
+        // pairwise test, every counter) must match the exhaustive baseline
+        // exactly.
         for seed in [7u64, 21, 63] {
             let (g, nodes) = seeded_network(60, 2, seed);
             let (s, t) = (nodes[1], nodes[55]);

@@ -35,15 +35,67 @@ mod stats;
 mod structure;
 mod table;
 
+use std::cmp::Ordering;
+
 /// Compile-time thread-safety proof: instantiated in a `const _` next to
 /// each shared type, so the build fails the moment a field change makes the
 /// type lose `Send`/`Sync`.
 const fn assert_send_sync<T: Send + Sync>() {}
 
+/// A binary-heap entry of the path searches: `id` (a node or a label)
+/// queued at `key`. Ordered so the smallest key pops first (IEEE total
+/// order) and equal keys by the smallest id, which makes every pop order,
+/// and with it every counter, a pure function of the input.
+#[derive(Clone, Copy, Debug)]
+struct HeapEntry {
+    key: f64,
+    id: u32,
+}
+
+impl PartialEq for HeapEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for HeapEntry {}
+impl PartialOrd for HeapEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for HeapEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: BinaryHeap is a max-heap, we want the smallest key.
+        other
+            .key
+            .total_cmp(&self.key)
+            .then_with(|| other.id.cmp(&self.id))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use crate::mcpp::pareto_paths;
-    use mcn_graph::{CostVec, GraphBuilder, NodeId};
+    use mcn_graph::{CostVec, GraphBuilder, MultiCostGraph, NodeId};
+
+    /// Diamond network `(graph, s, t)`: `s → t` over a side cheap in cost
+    /// 0 and a side cheap in cost 1, each of two edges.
+    pub(crate) fn diamond() -> (MultiCostGraph, NodeId, NodeId) {
+        let mut b = GraphBuilder::new(2);
+        let s = b.add_node(0.0, 0.0);
+        let up = b.add_node(1.0, 1.0);
+        let down = b.add_node(1.0, -1.0);
+        let t = b.add_node(2.0, 0.0);
+        b.add_edge(s, up, CostVec::from_slice(&[1.0, 10.0]))
+            .unwrap();
+        b.add_edge(up, t, CostVec::from_slice(&[1.0, 10.0]))
+            .unwrap();
+        b.add_edge(s, down, CostVec::from_slice(&[10.0, 1.0]))
+            .unwrap();
+        b.add_edge(down, t, CostVec::from_slice(&[10.0, 1.0]))
+            .unwrap();
+        (b.build().unwrap(), s, t)
+    }
 
     #[test]
     fn crate_level_smoke_test() {

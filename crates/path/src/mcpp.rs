@@ -39,12 +39,12 @@
 //! dominance tests of `mcn_graph::dominance`; only the target's survivors
 //! become [`CostVec`]s again). A
 //! candidate is admitted in one scan of its head node's bag, and the
-//! target-dominance check reads a mirror of the target's bag — a
-//! [`Front2`] at d = 2, elsewhere a copy sorted by cost 0 whose scan stops
-//! at the first member costlier on cost 0 than the candidate's bound.
+//! target-dominance check reads a mirror of the target's bag kept as a
+//! Pareto front of [`mcn_graph::dominance`]: at d = 2 one binary search
+//! decides, elsewhere the scan stops at the first member costlier on cost
+//! 0 than the candidate's bound.
 //!
 //! [`CostVec`]: mcn_graph::CostVec
-//! [`Front2`]: mcn_graph::Front2
 
 pub use crate::label::{
     componentwise_minimum, pareto_paths, pareto_paths_exhaustive, pareto_paths_prepped,

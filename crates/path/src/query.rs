@@ -3,10 +3,10 @@
 
 use crate::alpha::{Preference, ScalarPath, ScalarResult, ScalarStats};
 use crate::mcpp::ParetoLabel;
-use crate::structure::{pareto_merge, pareto_merge_d, RouteIndex, UpArc};
-use mcn_graph::dominance::{lanes, lex_cmp};
+use crate::structure::{RouteIndex, UpArc};
+use crate::HeapEntry;
+use mcn_graph::dominance::{front_insert, lanes, lex_cmp};
 use mcn_graph::{CostVec, EdgeId, MultiCostGraph, NodeId, MAX_COST_TYPES};
-use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// Outcome of [`RouteIndex::skyline_paths`]: the full path skyline plus the
@@ -21,35 +21,6 @@ pub struct IndexSkylineResult {
     /// queues, `pushed` labels inserted, `relaxed` upward-arc bundle
     /// entries examined, `pruned` stale pops and dominance rejections.
     pub stats: ScalarStats,
-}
-
-/// Heap entry of the scalarized upward Dijkstra — the same reversed
-/// `total_cmp` ordering with node-id tie-break as the α search, so the pop
-/// order (hence the surviving parent on ties) is deterministic.
-#[derive(Clone, Copy, Debug)]
-struct HeapEntry {
-    key: f64,
-    node: u32,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .key
-            .total_cmp(&self.key)
-            .then_with(|| other.node.cmp(&self.node))
-    }
 }
 
 /// One direction of the bidirectional scalarized search.
@@ -75,7 +46,7 @@ impl Side {
         side.dist[start as usize] = 0.0;
         side.heap.push(HeapEntry {
             key: 0.0,
-            node: start,
+            id: start,
         });
         side
     }
@@ -118,7 +89,7 @@ fn alpha_step(
         return;
     }
     side.heap.pop();
-    let v = top.node as usize;
+    let v = top.id as usize;
     if side.settled[v] {
         stats.pruned += 1;
         return;
@@ -148,7 +119,7 @@ fn alpha_step(
         let through = side.dist[v] + other.dist[v];
         if through < *best {
             *best = through;
-            *meet = Some(top.node);
+            *meet = Some(top.id);
         }
     }
     let dv = side.dist[v];
@@ -173,11 +144,11 @@ fn alpha_step(
         let cand = dv + best_w;
         if cand < side.dist[head] {
             side.dist[head] = cand;
-            side.parent_node[head] = top.node;
+            side.parent_node[head] = top.id;
             side.parent_frag[head] = best_frag;
             side.heap.push(HeapEntry {
                 key: cand,
-                node: arc.head,
+                id: arc.head,
             });
             stats.pushed += 1;
         } else {
@@ -418,14 +389,14 @@ impl RouteIndex {
             for (cf, f) in fs {
                 for (cb, b) in bs {
                     let sum = std::array::from_fn(|i| cf[i] + cb[i]);
-                    if !pareto_merge_d(&mut combos, sum, (*f, *b)) {
+                    if !front_insert(&mut combos, sum, (*f, *b)) {
                         stats.pruned += 1;
                     }
                 }
             }
         }
 
-        let mut skyline: Vec<(CostVec, ParetoLabel)> = Vec::new();
+        let mut skyline: Vec<([f64; D], ParetoLabel)> = Vec::new();
         let mut frags: Vec<u32> = Vec::new();
         for (_, (f, b)) in combos {
             // A forward chain runs meet → source, so it is reversed; a
@@ -447,7 +418,7 @@ impl RouteIndex {
                 costs,
                 edges,
             };
-            if !pareto_merge(&mut skyline, costs, label) {
+            if !front_insert(&mut skyline, lanes(costs.as_slice()), label) {
                 stats.pruned += 1;
             }
         }
@@ -464,7 +435,7 @@ impl RouteIndex {
     /// the order `CostVec + CostVec` adds them.
     ///
     /// Same output and counters as storing each label's fragment list:
-    /// queue order and every [`pareto_merge_d`] verdict depend on costs
+    /// queue order and every [`front_insert`] verdict depend on costs
     /// only, and a set never holds two equal cost vectors, so the
     /// stale-pop test by costs still finds exactly the label that was
     /// queued.
@@ -500,7 +471,7 @@ impl RouteIndex {
                         .ok()
                         .filter(|&next| next != ROOT)
                         .expect("label arena holds fewer than u32::MAX labels");
-                    if pareto_merge_d(head, nc, next) {
+                    if front_insert(head, nc, next) {
                         arena.push(Link {
                             parent: id,
                             frag: *frag,
@@ -521,24 +492,8 @@ impl RouteIndex {
 mod tests {
     use super::*;
     use crate::config::IndexConfig;
+    use crate::tests::diamond;
     use mcn_graph::GraphBuilder;
-
-    fn diamond() -> (MultiCostGraph, NodeId, NodeId) {
-        let mut b = GraphBuilder::new(2);
-        let s = b.add_node(0.0, 0.0);
-        let up = b.add_node(1.0, 1.0);
-        let down = b.add_node(1.0, -1.0);
-        let t = b.add_node(2.0, 0.0);
-        b.add_edge(s, up, CostVec::from_slice(&[1.0, 10.0]))
-            .unwrap();
-        b.add_edge(up, t, CostVec::from_slice(&[1.0, 10.0]))
-            .unwrap();
-        b.add_edge(s, down, CostVec::from_slice(&[10.0, 1.0]))
-            .unwrap();
-        b.add_edge(down, t, CostVec::from_slice(&[10.0, 1.0]))
-            .unwrap();
-        (b.build().unwrap(), s, t)
-    }
 
     #[test]
     fn diamond_alpha_and_skyline_match_the_direct_algorithms() {

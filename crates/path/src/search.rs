@@ -3,8 +3,8 @@
 
 use crate::preference::Preference;
 use crate::prep::PrepTable;
+use crate::HeapEntry;
 use mcn_graph::{CostVec, EdgeId, MultiCostGraph, NodeId, MAX_COST_TYPES};
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Relative deflation applied to every A* heuristic.
@@ -98,37 +98,6 @@ pub struct ScalarResult {
     pub path: Option<ScalarPath>,
     /// Search-effort counters.
     pub stats: ScalarStats,
-}
-
-/// Max-heap entry ordered so the *smallest* key pops first, tie-broken on
-/// the smaller node id — the tie-break makes the pop order (and therefore
-/// every counter) a pure function of the input.
-#[derive(Clone, Copy, Debug)]
-struct HeapEntry {
-    /// Priority: g(v) for Dijkstra, g(v) + h(v) for A*.
-    key: f64,
-    node: u32,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the smallest key.
-        other
-            .key
-            .total_cmp(&self.key)
-            .then_with(|| other.node.cmp(&self.node))
-    }
 }
 
 /// α-optimal path by plain binary-heap Dijkstra over the scalarized edge
@@ -396,13 +365,13 @@ fn search(
     dist[source.index()] = 0.0;
     heap.push(HeapEntry {
         key: h0,
-        node: source.raw(),
+        id: source.raw(),
     });
     stats.pushed += 1;
 
     let mut found = false;
     while let Some(entry) = heap.pop() {
-        let u = NodeId::from(entry.node);
+        let u = NodeId::from(entry.id);
         // Duplicate pushes stand in for decrease-key; every improvement
         // strictly lowers the key, so a pop of a settled node is stale.
         if settled[u.index()] {
@@ -441,7 +410,7 @@ fn search(
             parent[nb.node.index()] = nb.edge.raw();
             heap.push(HeapEntry {
                 key: cand + hn,
-                node: nb.node.raw(),
+                id: nb.node.raw(),
             });
             stats.pushed += 1;
         }
@@ -479,25 +448,8 @@ fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::diamond;
     use mcn_graph::GraphBuilder;
-
-    /// Diamond: s → t via top (cheap in cost 0) or bottom (cheap in cost 1).
-    fn diamond() -> (MultiCostGraph, NodeId, NodeId) {
-        let mut b = GraphBuilder::new(2);
-        let s = b.add_node(0.0, 0.0);
-        let top = b.add_node(1.0, 1.0);
-        let bot = b.add_node(1.0, -1.0);
-        let t = b.add_node(2.0, 0.0);
-        b.add_edge(s, top, CostVec::from_slice(&[1.0, 10.0]))
-            .unwrap();
-        b.add_edge(top, t, CostVec::from_slice(&[1.0, 10.0]))
-            .unwrap();
-        b.add_edge(s, bot, CostVec::from_slice(&[10.0, 1.0]))
-            .unwrap();
-        b.add_edge(bot, t, CostVec::from_slice(&[10.0, 1.0]))
-            .unwrap();
-        (b.build().unwrap(), s, t)
-    }
 
     #[test]
     fn preference_steers_the_route() {

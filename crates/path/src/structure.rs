@@ -1,7 +1,6 @@
 //! The index data model: ranks, upward arcs, shortcut bundles and the
 //! append-only fragment arena.
 
-use mcn_graph::dominance::{dominates_strictly, lex_cmp, weakly_dominates};
 use mcn_graph::{CostVec, EdgeId, MultiCostGraph};
 
 /// One partial path stored in the fragment arena: either an original graph
@@ -29,10 +28,8 @@ pub(crate) type ArcEntry = (CostVec, u32);
 ///
 /// In `up_out[v]` the arc travels `v → head`; in `up_in[v]` it travels
 /// `head → v`. Either way `rank(head) > rank(v)`, and either way the
-/// fragments unpack in *travel* order. Entries are kept sorted
-/// lexicographically by cost vector — which at `d == 2` doubles as the
-/// sorted-sweep Pareto-front order (first component ascending, second
-/// strictly descending).
+/// fragments unpack in *travel* order. The entries are a Pareto front of
+/// [`mcn_graph::dominance`], sorted lexicographically by cost vector.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct UpArc {
     /// The higher-ranked endpoint (raw node id).
@@ -118,74 +115,21 @@ impl RouteIndex {
     }
 }
 
-/// True iff some member of the (lexicographically sorted) Pareto `set`
-/// weakly dominates `costs`. At `d == 2` the sorted order doubles as the
-/// sorted-sweep front of [`mcn_graph::Front2`], so one binary search
-/// decides; general `d` scans.
-pub(crate) fn pareto_dominates_weak<T>(set: &[(CostVec, T)], costs: &CostVec) -> bool {
-    if costs.len() == 2 {
-        let idx = set.partition_point(|(c, _)| c[0].total_cmp(&costs[0]).is_le());
-        idx > 0 && set[idx - 1].0[1] <= costs[1]
-    } else {
-        set.iter().any(|(c, _)| mcn_graph::dominates_weak(c, costs))
-    }
-}
-
-/// Merges `(costs, payload)` into the sorted Pareto `set`: rejected when
-/// weakly dominated, otherwise evicts what it strictly dominates and keeps
-/// the set lexicographically sorted. Shortcut bundles are such sets, with
-/// a fragment id as payload. Returns true iff inserted.
-pub(crate) fn pareto_merge<T>(set: &mut Vec<(CostVec, T)>, costs: CostVec, payload: T) -> bool {
-    if pareto_dominates_weak(set, &costs) {
-        return false;
-    }
-    set.retain(|(c, _)| !mcn_graph::dominates(&costs, c));
-    let pos = set.partition_point(|(c, _)| c.lex_cmp(&costs).is_lt());
-    set.insert(pos, (costs, payload));
-    true
-}
-
-/// [`pareto_merge`] over `D` fixed-width costs, with the same verdict,
-/// evictions and insertion point. The weak-dominance probe is the same
-/// binary search at `D == 2` and a scan elsewhere; eviction compares lanes
-/// without an early exit, and insertion goes at the lexicographic
-/// `total_cmp` position (see [`mcn_graph::dominance`]). Returns true iff
-/// inserted.
-#[inline(always)]
-pub(crate) fn pareto_merge_d<const D: usize, T>(
-    set: &mut Vec<([f64; D], T)>,
-    costs: [f64; D],
-    payload: T,
-) -> bool {
-    let dominated = if D == 2 {
-        // `D - 1` is 1 here, spelled so the index is in range at every D.
-        let idx = set.partition_point(|(c, _)| c[0].total_cmp(&costs[0]).is_le());
-        idx > 0 && set[idx - 1].0[D - 1] <= costs[D - 1]
-    } else {
-        set.iter().any(|(c, _)| weakly_dominates(c, &costs))
-    };
-    if dominated {
-        return false;
-    }
-    set.retain(|(c, _)| !dominates_strictly(&costs, c));
-    let pos = set.partition_point(|(c, _)| lex_cmp(c, &costs).is_lt());
-    set.insert(pos, (costs, payload));
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcn_graph::Front2;
+    use mcn_graph::dominance::{front_dominates_weak, front_insert};
 
     fn v2(a: f64, b: f64) -> CostVec {
         CostVec::from_slice(&[a, b])
     }
 
+    /// A `CostVec` bundle and a `[f64; 2]` front fed the same stream give
+    /// the same verdicts and sizes.
     #[test]
     fn bundle_merge_matches_front2_at_d2() {
         let mut bundle: Vec<ArcEntry> = Vec::new();
-        let mut front = Front2::new();
+        let mut front: Vec<([f64; 2], ())> = Vec::new();
         let mut lcg = 77u64;
         for i in 0..500u32 {
             lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -194,11 +138,14 @@ mod tests {
             let b = ((lcg >> 33) % 32) as f64 * 0.5;
             let p = v2(a, b);
             assert_eq!(
-                pareto_dominates_weak(&bundle, &p),
-                front.dominates_weak(a, b),
+                front_dominates_weak(&bundle, &p),
+                front_dominates_weak(&front, &[a, b]),
                 "query diverged at ({a}, {b})"
             );
-            assert_eq!(pareto_merge(&mut bundle, p, i), front.insert(a, b));
+            assert_eq!(
+                front_insert(&mut bundle, p, i),
+                front_insert(&mut front, [a, b], ())
+            );
             assert_eq!(bundle.len(), front.len());
         }
     }
@@ -206,7 +153,7 @@ mod tests {
     /// Merges the same seeded stream, with many ties on every lane, into a
     /// `CostVec` set and a `[f64; D]` set: every verdict and every set
     /// state must agree.
-    fn pareto_merge_d_agrees_at<const D: usize>(seed: u64) {
+    fn point_forms_agree_at<const D: usize>(seed: u64) {
         let mut fixed: Vec<([f64; D], u32)> = Vec::new();
         let mut general: Vec<(CostVec, u32)> = Vec::new();
         let mut lcg = seed;
@@ -216,8 +163,8 @@ mod tests {
                 ((lcg >> 33) % 6) as f64 * 0.5
             });
             assert_eq!(
-                pareto_merge_d(&mut fixed, p, i),
-                pareto_merge(&mut general, CostVec::from_slice(&p), i),
+                front_insert(&mut fixed, p, i),
+                front_insert(&mut general, CostVec::from_slice(&p), i),
                 "D = {D}: verdict diverged at {p:?}"
             );
             let as_general: Vec<(CostVec, u32)> = fixed
@@ -228,35 +175,37 @@ mod tests {
         }
     }
 
+    /// The index keeps upward label sets as `[f64; D]` fronts and bundles
+    /// as `CostVec` fronts: the two forms agree at every width.
     #[test]
     fn pareto_merge_d_matches_pareto_merge() {
-        pareto_merge_d_agrees_at::<1>(5);
-        pareto_merge_d_agrees_at::<2>(6);
-        pareto_merge_d_agrees_at::<3>(7);
-        pareto_merge_d_agrees_at::<4>(8);
+        point_forms_agree_at::<1>(5);
+        point_forms_agree_at::<2>(6);
+        point_forms_agree_at::<3>(7);
+        point_forms_agree_at::<4>(8);
     }
 
     #[test]
     fn bundle_merge_scans_at_d3() {
         let mut bundle: Vec<ArcEntry> = Vec::new();
-        assert!(pareto_merge(
+        assert!(front_insert(
             &mut bundle,
             CostVec::from_slice(&[1.0, 2.0, 3.0]),
             0
         ));
-        assert!(pareto_merge(
+        assert!(front_insert(
             &mut bundle,
             CostVec::from_slice(&[2.0, 3.0, 1.0]),
             1
         ));
         // Weakly dominated by the first entry.
-        assert!(!pareto_merge(
+        assert!(!front_insert(
             &mut bundle,
             CostVec::from_slice(&[1.0, 2.0, 3.0]),
             2
         ));
         // Dominates both: evicts them.
-        assert!(pareto_merge(
+        assert!(front_insert(
             &mut bundle,
             CostVec::from_slice(&[0.5, 1.0, 0.5]),
             3

@@ -278,25 +278,8 @@ fn round_down_to_f32(x: f64) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::diamond;
     use mcn_graph::GraphBuilder;
-
-    /// Diamond network with a cheap-slow and an expensive-fast side.
-    fn diamond() -> (MultiCostGraph, NodeId, NodeId) {
-        let mut b = GraphBuilder::new(2);
-        let s = b.add_node(0.0, 0.0);
-        let up = b.add_node(1.0, 1.0);
-        let down = b.add_node(1.0, -1.0);
-        let t = b.add_node(2.0, 0.0);
-        b.add_edge(s, up, CostVec::from_slice(&[1.0, 10.0]))
-            .unwrap();
-        b.add_edge(up, t, CostVec::from_slice(&[1.0, 10.0]))
-            .unwrap();
-        b.add_edge(s, down, CostVec::from_slice(&[10.0, 1.0]))
-            .unwrap();
-        b.add_edge(down, t, CostVec::from_slice(&[10.0, 1.0]))
-            .unwrap();
-        (b.build().unwrap(), s, t)
-    }
 
     #[test]
     fn diamond_bounds_are_per_component_shortest_distances() {
