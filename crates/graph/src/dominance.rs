@@ -19,9 +19,9 @@
 //! weakly dominates a point, and [`front_insert`] adds the point unless one
 //! does, evicting the members it strictly dominates. Both take either
 //! point form through [`FrontPoint`], which compares [`CostVec`]s with the
-//! first family of tests and arrays with the second. The path search's
-//! target-skyline mirror, the route index's shortcut bundles, upward label
-//! sets and meeting-node merge are such fronts.
+//! first family of tests and arrays with the second. The route index's
+//! shortcut bundles, upward label sets and meeting-node merge are such
+//! fronts.
 
 use crate::cost::CostVec;
 use std::cmp::Ordering;

@@ -1,12 +1,10 @@
-//! Best-first multi-criteria Pareto path search.
+//! Label-setting multi-criteria Pareto path search.
 
 use crate::prep::PrepTable;
 use crate::stats::PathStats;
-use crate::HeapEntry;
-use mcn_graph::dominance::{
-    dominates_strictly, front_dominates_weak, front_insert, lanes, weakly_dominates,
-};
+use mcn_graph::dominance::{dominates_strictly, lanes, lex_cmp, weakly_dominates};
 use mcn_graph::{CostVec, EdgeId, MultiCostGraph, NodeId, MAX_COST_TYPES};
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// One Pareto-optimal label: a non-dominated way of reaching a node.
@@ -32,22 +30,28 @@ pub struct PathSkylineResult {
 }
 
 /// Computes the Pareto-optimal (skyline) paths from `source` to `target` with
-/// a best-first label search (the multi-criteria path problem of Section
-/// II-D of the paper, solved as multi-objective A* with a zero heuristic).
+/// a label-setting search (the multi-criteria path problem of Section II-D
+/// of the paper, solved as multi-objective A* with a zero heuristic).
 ///
-/// Every node keeps a set of mutually non-dominated labels; a label is
-/// inserted only if not (weakly) dominated by an existing label at its node,
-/// evicting the labels it strictly dominates. Stored labels wait in one
-/// priority queue keyed by the sum of their costs (plus the prep lower
-/// bounds, in [`pareto_paths_prepped`]); each pop extends its label over
-/// the node's outgoing edges once, unless the label was evicted while it
-/// waited. In addition, a label that is weakly dominated by the **current
-/// target skyline** is discarded wherever it surfaces — as a candidate, or
-/// when it is popped: edge costs are non-negative, so every completion of
-/// such a path is weakly dominated at the target too (target-dominance
-/// early termination — same output, far fewer labels; see
-/// [`pareto_paths_exhaustive`] for the unpruned baseline). The returned
-/// labels at `target` are sorted lexicographically by cost vector.
+/// Labels wait in one priority queue and pop in lexicographic order of
+/// their cost vectors (plus the prep lower bounds, in
+/// [`pareto_paths_prepped`]). A popped label that no **closed** label of
+/// its node — one popped and extended before it — weakly dominates is
+/// closed and extended over the node's outgoing edges; a new label is
+/// dropped at once if a closed label of its head node weakly dominates it.
+/// In addition, a label that is weakly dominated by the **current target
+/// skyline** is discarded wherever it surfaces — as a candidate, or when it
+/// is popped: edge costs are non-negative, so every completion of such a
+/// path is weakly dominated at the target too (target-dominance early
+/// termination — same output, far fewer labels; see
+/// [`pareto_paths_exhaustive`] for the unpruned baseline). A label at the
+/// target joins the skyline when it pops, and the returned labels at
+/// `target` are sorted lexicographically by cost vector.
+///
+/// Every dominance check is exact whatever the float rounding: the checks
+/// read only lanes 1..d of the closed labels (lane 0 is the pop order's),
+/// and a hit there prunes nothing until the hit member's full cost vector
+/// is confirmed to weakly dominate the label.
 ///
 /// **Exact ties caveat** (applies to every variant in this module): the
 /// returned *cost-vector* skyline always equals the exhaustive baseline's.
@@ -84,10 +88,11 @@ pub fn pareto_paths_with_stats(
 
 /// The exhaustive baseline: **no** pruning beyond node-level dominance, so
 /// labels for every node are kept until termination. Like every variant it
-/// pops labels by the sum of their costs and extends each stored label at
-/// most once, skipping the labels evicted while they waited. Identical
-/// output to [`pareto_paths`]; exists as the measurement baseline the label
-/// gate (and the early-termination fix) quantify label reductions against.
+/// pops labels in lexicographic cost order and extends each label at most
+/// once, checking new and popped labels against the closed labels of their
+/// node. Identical output to [`pareto_paths`]; exists as the measurement
+/// baseline the label gate (and the early-termination fix) quantify label
+/// reductions against.
 pub fn pareto_paths_exhaustive(
     graph: &MultiCostGraph,
     source: NodeId,
@@ -119,10 +124,10 @@ pub fn pareto_paths_exhaustive(
 ///   representatives of exactly tied cost vectors; see the ties caveat on
 ///   [`pareto_paths`].)
 ///
-/// The bound vector also orders the search: the queue pops the stored label
-/// with the smallest `Σ_i (a_i + δ·L_i(v))` first, and re-checks its bound
-/// against the target skyline, grown since the label was stored, before
-/// extending it.
+/// The bound vector also orders the search: the queue pops the label with
+/// the lexicographically smallest `a + δ·L(v)` first, and re-checks that
+/// bound against the target skyline, grown since the label was queued,
+/// before extending it.
 ///
 /// # Panics
 /// Panics if `prep` was built for a different target or a different graph
@@ -158,7 +163,7 @@ pub fn pareto_paths_prepped(
 }
 
 /// Relative deflation `δ` of the prep lower bounds: a label with cost `a`
-/// at `v` has the bound vector `a + δ·L(v)`, which the pruning tests and
+/// at `v` has the bound vector `a + δ·L(v)`, which the bound pruning and
 /// the queue key read.
 ///
 /// **Admissibility is all correctness needs**: the bound, as the search
@@ -174,64 +179,148 @@ pub fn pareto_paths_prepped(
 /// path costs at least `1.5·10⁻⁷·(k + 1)` times the label's cost so far, or
 /// nothing at all (`P = 0` gives `L(v) = 0` and `F = a` exactly). Below
 /// that the bound can overshoot `F` by at most `k + 1` ulps of `a`, and a
-/// pruning decision can then go wrong only against a target label within
-/// those ulps of the completion: a near-tie the seeded workloads (edge
-/// costs of one order, paths of tens of edges) do not have. Without the
-/// deflation (`δ = 1`) one ulp of backward rounding in `L`, on any path,
-/// lets the path's own upper-bound cut "dominate" its prefix and silently
-/// drop a skyline member.
+/// bound-pruning decision can then go wrong only against a target label
+/// within those ulps of the completion: a near-tie the seeded workloads
+/// (edge costs of one order, paths of tens of edges) do not have. Without
+/// the deflation (`δ = 1`) one ulp of backward rounding in `L`, on any
+/// path, lets the path's own upper-bound cut "dominate" its prefix and
+/// silently drop a skyline member.
 ///
-/// **The pop order needs consistency, and only for speed.** The queue key
-/// is the sum of the bound vector. `δ·L` is consistent — `δ·L(v) ≤ c +
-/// δ·L(w)` along every edge — wherever `L`'s fixed point leaves slack
-/// `(1 − δ)·c` above the scan's rounding, i.e. for every edge costing more
-/// than about `1.1·10⁻⁷·L(w)`. Then no key falls along an extension (up to
-/// the rounding of the key's own sums), every label stored after a pop keys
-/// at least the popped label's, and an extended label can be evicted only
-/// by one of an equal key — a strict difference lost to rounding. Where a
-/// key does fall, a later label may evict an already extended one, whose
-/// children then compete in their own bags as in any label-correcting
-/// order: the cost-vector skyline is the same, only the work grows.
+/// **Node-level dominance is exact whatever the rounding, and consistency
+/// buys only speed.** Labels pop in lexicographic order of the bound
+/// vector. `δ·L` is consistent — `δ·L(v) ≤ c + δ·L(w)` along every edge —
+/// wherever `L`'s fixed point leaves slack `(1 − δ)·c` above the scan's
+/// rounding, i.e. for every edge costing more than about `1.1·10⁻⁷·L(w)`.
+/// Then no key falls along an extension (up to the rounding of the key's
+/// own sums), pops come in non-decreasing key order, every closed label of
+/// a node has a lane 0 no larger than a later label's there, and the
+/// staircases' test on lanes 1..d alone would decide dominance. It is
+/// never trusted alone: a hit prunes only once the hit member's full cost
+/// vector weakly dominates the label, and a skyline admission whose hit
+/// fails that falls back to a scan of the whole skyline, which also evicts
+/// any member the new label strictly dominates. Where a key falls (or key
+/// rounding ties two lane-0 costs), a confirmation can fail; the label is
+/// then kept and extended, and only the work grows.
 const BOUND_DEFLATION: f64 = 1.0 - 1e-9;
 
-/// One stored label in a node's bag: its `D` costs and its id in the
-/// search's arena. Bags hold these inline (32 B at d = 3), so a dominance
-/// scan walks one contiguous slice.
-#[derive(Clone, Copy)]
-struct BagEntry<const D: usize> {
-    costs: [f64; D],
-    id: u32,
-}
-
-/// An admitted label: its costs and node, how it was reached (the label it
-/// extends and the edge), and whether a strict dominator has evicted it
-/// from its node's bag since it was queued.
+/// An admitted label: its costs and node, and how it was reached (the label
+/// it extends and the edge).
 struct Label<const D: usize> {
     costs: [f64; D],
     node: NodeId,
     parent: u32,
     edge: EdgeId,
-    evicted: bool,
 }
 
 /// The id of the source's empty-path label, the arena's first entry, where
 /// every parent chain ends (its own `parent` and `edge` are never read).
 const ROOT: u32 = 0;
 
-/// One scan of a head node's bag for a candidate: `None` if an entry weakly
-/// dominates it, otherwise whether it strictly dominates some entry (which
-/// must then be evicted). Same answer as `any` then `retain`, with one scan
-/// for an admitted label that evicts nothing.
-#[inline(always)]
-fn admission<const D: usize>(bag: &[BagEntry<D>], costs: &[f64; D]) -> Option<bool> {
-    let mut evicts = false;
-    for entry in bag {
-        if weakly_dominates(&entry.costs, costs) {
-            return None;
-        }
-        evicts |= dominates_strictly(costs, &entry.costs);
+/// A queued label: its bound vector, whether it is at the target, and its
+/// id. Ordered so the lexicographically smallest key pops first (IEEE total
+/// order per lane), equal keys with target labels first and then by the
+/// smallest id, which makes every pop order, and with it every counter, a
+/// pure function of the input. Target labels first: a label whose bound
+/// equals a target label's cost vector is then dropped when it pops, as it
+/// would be had the target label joined the skyline when it was created.
+#[derive(Clone, Copy)]
+struct Queued<const D: usize> {
+    key: [f64; D],
+    at_target: bool,
+    id: u32,
+}
+
+impl<const D: usize> PartialEq for Queued<D> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
     }
-    Some(evicts)
+}
+impl<const D: usize> Eq for Queued<D> {}
+impl<const D: usize> PartialOrd for Queued<D> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<const D: usize> Ord for Queued<D> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed where smaller pops first: BinaryHeap is a max-heap.
+        lex_cmp(&other.key, &self.key)
+            .then_with(|| self.at_target.cmp(&other.at_target))
+            .then_with(|| other.id.cmp(&self.id))
+    }
+}
+
+/// No lane of `a` past lane 0 is larger than `b`'s: the staircases'
+/// truncated weak-dominance test, every lane compared.
+#[inline(always)]
+fn tail_dominates<const D: usize>(a: &[f64; D], b: &[f64; D]) -> bool {
+    a.iter()
+        .zip(b)
+        .skip(1)
+        .fold(true, |le, (x, y)| le & (x <= y))
+}
+
+/// What the closed labels of a node say of a cost vector `q`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Probe {
+    /// No member's lanes 1..D weakly dominate `q`'s.
+    Miss,
+    /// The hit member's full cost vector weakly dominates `q`.
+    Covered,
+    /// The hit member's lanes 1..D weakly dominate `q`'s, but its lane 0
+    /// is larger: the label is kept, which costs only work.
+    Unconfirmed,
+}
+
+/// Probes `stairs`, the closed labels of one node as a staircase over
+/// lanes 1..D: full cost vectors whose lanes 1..D are mutually
+/// non-dominated, sorted lexicographically on those lanes. One member
+/// decides, and its full vector confirms the hit. At D = 1 any member
+/// decides, and at D = 2 the one member (the running minimum of lane 1);
+/// at D = 3 lane 1 rises and lane 2 falls along the staircase, so the
+/// member with the largest lane 1 not above `q`'s decides, found by one
+/// binary search; at D ≥ 4 the scan stops at the first member above `q` on
+/// lane 1.
+#[inline(always)]
+fn probe<const D: usize>(stairs: &[[f64; D]], q: &[f64; D]) -> Probe {
+    let hit = match D {
+        1 => stairs.first(),
+        2 => stairs.first().filter(|m| m[1] <= q[1]),
+        3 => {
+            let after = stairs.partition_point(|m| m[1] <= q[1]);
+            stairs[..after].last().filter(|m| m[2] <= q[2])
+        }
+        _ => stairs
+            .iter()
+            .take_while(|m| m[1] <= q[1])
+            .find(|m| tail_dominates(m, q)),
+    };
+    match hit {
+        None => Probe::Miss,
+        Some(m) if m[0] <= q[0] => Probe::Covered,
+        Some(_) => {
+            #[cfg(test)]
+            tests::note_unconfirmed();
+            Probe::Unconfirmed
+        }
+    }
+}
+
+/// A member of `stairs` weakly dominates `q`, confirmed on its full vector.
+#[inline(always)]
+fn covers<const D: usize>(stairs: &[[f64; D]], q: &[f64; D]) -> bool {
+    probe(stairs, q) == Probe::Covered
+}
+
+/// Adds `p` to `stairs`, dropping the members whose lanes 1..D it weakly
+/// dominates. `p` must have probed [`Probe::Miss`].
+fn stair_insert<const D: usize>(stairs: &mut Vec<[f64; D]>, p: [f64; D]) {
+    stairs.retain(|m| !tail_dominates(&p, m));
+    let at = stairs.partition_point(|m| {
+        let lanes = m.iter().zip(&p).skip(1);
+        lanes.map(|(x, y)| x.total_cmp(y)).find(|o| o.is_ne()) == Some(Ordering::Less)
+    });
+    stairs.insert(at, p);
 }
 
 /// The shared search: checks the endpoints and hands the graph to
@@ -272,18 +361,24 @@ fn search(
     }
 }
 
-/// [`search`] at `D` cost types: bags, labels and the upper-bound cuts hold
-/// `[f64; D]`, and only the target's survivors become [`CostVec`]s again.
+/// [`search`] at `D` cost types: staircases, labels, keys and the
+/// upper-bound cuts hold `[f64; D]`, and only the target's skyline becomes
+/// [`CostVec`]s again.
 ///
 /// * **Arena:** an admitted label is one [`Label`], its id its index; paths
 ///   stay `(parent, edge)` links until the loop ends, when only the
-///   target's survivors are walked back into edge lists.
-/// * **Best first:** one binary heap of label ids keyed by the sum of the
-///   bound vector (`costs + δ·L(v)` with a table, the costs without), equal
-///   keys in id order. A label is queued once, when it is admitted. A
-///   popped label is skipped if it was evicted while queued, dropped if the
-///   target skyline has grown to weakly dominate its bound vector, and
-///   otherwise extended over its node's edges.
+///   skyline's labels are walked back into edge lists.
+/// * **Label setting:** one binary heap of [`Queued`] labels, keyed by the
+///   bound vector (`costs + δ·L(v)` with a table, the costs without) in
+///   lexicographic order. A label is queued once, when it is admitted. A
+///   popped label is dropped if a closed label of its node, or, with
+///   pruning, the target skyline covers it; otherwise it is closed (joins
+///   its node's staircase) and extended. Each node keeps only its closed
+///   labels, so a new label is checked against those alone.
+/// * **The target:** its labels join the skyline when they pop, checked
+///   against the target's staircase; `skyline` lists them in
+///   lexicographic order, so no sort follows the loop. With pruning they
+///   are not extended: every completion through them is dominated.
 /// * **Same output:** admission, target dominance, reachability and the
 ///   cuts are the rules of any label-correcting order, so the cost-vector
 ///   skyline is the exhaustive one; [`BOUND_DEFLATION`] states what the
@@ -296,36 +391,22 @@ fn search_d<const D: usize>(
     target_prune: bool,
 ) -> PathSkylineResult {
     let mut stats = PathStats::default();
-    let mut bags: Vec<Vec<BagEntry<D>>> = vec![Vec::new(); graph.num_nodes()];
-    // The arena and the queue start at one entry per node, as the bags do:
-    // most searches then never regrow them, which on `path_explore` is a
-    // tenth of a small query's time.
+    let prunes = target_prune || prep.is_some();
+    let mut stairs: Vec<Vec<[f64; D]>> = vec![Vec::new(); graph.num_nodes()];
+    // The arena and the queue start at one entry per node: most searches
+    // then never regrow them, which on `path_explore` is a tenth of a small
+    // query's time.
     let mut labels: Vec<Label<D>> = Vec::with_capacity(graph.num_nodes());
     labels.push(Label {
         costs: [0.0; D],
         node: source,
         parent: ROOT,
         edge: EdgeId::new(0),
-        evicted: false,
     });
     stats.labels_created += 1;
     stats.labels_inserted += 1;
-    bags[source.index()].push(BagEntry {
-        costs: [0.0; D],
-        id: ROOT,
-    });
-
-    // The target skyline's mirror: a front of the target bag's costs,
-    // sorted for the shared probe and fed every admission there (and the
-    // zero label when the source is the target). It answers the
-    // target-dominance check exactly as a scan of the bag would.
-    let mut target_front: Option<Vec<([f64; D], ())>> =
-        (target_prune || prep.is_some()).then(Vec::new);
-    if source == target {
-        if let Some(front) = target_front.as_mut() {
-            front_insert(front, [0.0; D], ());
-        }
-    }
+    // The target's admitted labels, lexicographic by cost vector.
+    let mut skyline: Vec<u32> = Vec::new();
 
     // Real source → target path costs reconstructed from the prep scan: cut
     // lines available before the first label reaches the target.
@@ -339,7 +420,7 @@ fn search_d<const D: usize>(
     };
 
     // The bound vector of costs `costs` at `v`: `costs + δ·L(v)` with a
-    // table, the costs themselves without.
+    // table, the costs themselves without. At the target it is the costs.
     let bound_at = |v: NodeId, costs: &[f64; D]| -> [f64; D] {
         match prep {
             Some(prep) => {
@@ -351,21 +432,39 @@ fn search_d<const D: usize>(
     };
 
     let mut queue = BinaryHeap::with_capacity(graph.num_nodes());
-    queue.push(HeapEntry {
-        key: bound_at(source, &[0.0; D]).iter().sum(),
+    queue.push(Queued {
+        key: bound_at(source, &[0.0; D]),
+        at_target: source == target,
         id: ROOT,
     });
-    while let Some(HeapEntry { id: parent, .. }) = queue.pop() {
-        let label = &labels[parent as usize];
-        if label.evicted {
+    while let Some(Queued {
+        key, id: parent, ..
+    }) = queue.pop()
+    {
+        let Label {
+            costs: label_costs,
+            node,
+            ..
+        } = labels[parent as usize];
+        let admitted = if node == target {
+            admit(&mut skyline, &mut stairs[target.index()], &labels, parent)
+        } else {
+            let own = probe(&stairs[node.index()], &label_costs);
+            let admitted =
+                own != Probe::Covered && !(prunes && covers(&stairs[target.index()], &key));
+            if admitted && own == Probe::Miss {
+                stair_insert(&mut stairs[node.index()], label_costs);
+            }
+            admitted
+        };
+        if !admitted {
+            stats.labels_evicted += 1;
             continue;
         }
-        let (node, label_costs) = (label.node, label.costs);
-        // The target skyline may have grown since the label was queued.
-        if let Some(front) = &target_front {
-            if front_dominates_weak(front, &bound_at(node, &label_costs)) {
-                continue;
-            }
+        // With pruning, every completion through a target label is
+        // dominated by the label itself.
+        if node == target && prunes {
+            continue;
         }
         stats.nodes_settled += 1;
         for neighbor in graph.neighbors(node) {
@@ -382,33 +481,20 @@ fn search_d<const D: usize>(
             // The bound vector against the target skyline and the
             // upper-bound cuts.
             let bound = bound_at(head, &costs);
-            if let Some(front) = &target_front {
-                if front_dominates_weak(front, &bound) {
-                    stats.labels_pruned += 1;
-                    continue;
-                }
+            if prunes && covers(&stairs[target.index()], &bound) {
+                stats.labels_pruned += 1;
+                continue;
             }
             if cuts.iter().any(|cut| dominates_strictly(cut, &bound)) {
                 stats.labels_pruned += 1;
                 continue;
             }
 
-            // Classic node-level dominance at the head node.
-            let bag = &mut bags[head.index()];
-            let Some(evicts) = admission(bag, &costs) else {
+            // Node-level dominance by the head's closed labels; with
+            // pruning, at the target that is the check just made.
+            if !(prunes && head == target) && covers(&stairs[head.index()], &costs) {
                 stats.labels_dominated += 1;
                 continue;
-            };
-            if evicts {
-                let before = bag.len();
-                bag.retain(|l| {
-                    let keep = !dominates_strictly(&costs, &l.costs);
-                    if !keep {
-                        labels[l.id as usize].evicted = true;
-                    }
-                    keep
-                });
-                stats.labels_evicted += (before - bag.len()) as u64;
             }
             let id =
                 u32::try_from(labels.len()).expect("label arena holds at most u32::MAX labels");
@@ -417,36 +503,67 @@ fn search_d<const D: usize>(
                 node: head,
                 parent,
                 edge: neighbor.edge,
-                evicted: false,
             });
-            bag.push(BagEntry { costs, id });
             stats.labels_inserted += 1;
-            if head == target {
-                if let Some(front) = target_front.as_mut() {
-                    front_insert(front, costs, ());
-                }
-            }
-            // A label at the target would be dropped when popped, the
-            // front holding it; only the exhaustive run extends it.
-            if head != target || target_front.is_none() {
-                queue.push(HeapEntry {
-                    key: bound.iter().sum(),
-                    id,
-                });
-            }
+            queue.push(Queued {
+                key: bound,
+                at_target: head == target,
+                id,
+            });
         }
     }
 
-    let mut paths: Vec<ParetoLabel> = bags[target.index()]
+    let paths = skyline
         .iter()
-        .map(|entry| ParetoLabel {
+        .map(|&id| ParetoLabel {
             node: target,
-            costs: CostVec::from_slice(&entry.costs),
-            edges: path_edges(&labels, entry.id),
+            costs: CostVec::from_slice(&labels[id as usize].costs),
+            edges: path_edges(&labels, id),
         })
         .collect();
-    paths.sort_by(|a, b| a.costs.lex_cmp(&b.costs));
     PathSkylineResult { paths, stats }
+}
+
+/// Admits the popped target label `id` to `skyline` (the target's labels,
+/// lexicographic by cost vector) and to the target's staircase `stairs`,
+/// unless a member weakly dominates it. A staircase hit whose member fails
+/// the full-vector confirmation falls back to a scan of the skyline, so
+/// the skyline is exact whatever the rounding. Returns true iff admitted.
+fn admit<const D: usize>(
+    skyline: &mut Vec<u32>,
+    stairs: &mut Vec<[f64; D]>,
+    labels: &[Label<D>],
+    id: u32,
+) -> bool {
+    let costs_of = |id: u32| &labels[id as usize].costs;
+    let costs = *costs_of(id);
+    let probed = probe(stairs, &costs);
+    let dominated = match probed {
+        Probe::Miss => false,
+        Probe::Covered => true,
+        Probe::Unconfirmed => skyline
+            .iter()
+            .any(|&member| weakly_dominates(costs_of(member), &costs)),
+    };
+    if dominated {
+        return false;
+    }
+    // Pops come in key order, so the label goes last and dominates no
+    // member, unless a key fell on the way here: then it may dominate some
+    // of the members after its place (no earlier member is lexicographically
+    // larger).
+    let at = skyline.partition_point(|&member| lex_cmp(costs_of(member), &costs).is_le());
+    if skyline[at..]
+        .iter()
+        .any(|&member| dominates_strictly(&costs, costs_of(member)))
+    {
+        skyline.retain(|&member| !dominates_strictly(&costs, costs_of(member)));
+    }
+    skyline.insert(at, id);
+    if probed == Probe::Miss {
+        stair_insert(stairs, costs);
+    }
+    true
 }
 
 /// The edges of label `id`'s path, in order, in a `Vec` of exactly their
@@ -487,6 +604,18 @@ mod tests {
     use mcn_graph::{dominates, GraphBuilder};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Staircase hits whose member failed the full-vector confirmation
+        /// on this thread (each test runs on its own thread).
+        static UNCONFIRMED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Counts one [`Probe::Unconfirmed`].
+    pub(super) fn note_unconfirmed() {
+        UNCONFIRMED.with(|n| n.set(n.get() + 1));
+    }
 
     /// A seeded random network of `n` nodes: a connected line plus random
     /// extra edges, `d` cost types drawn from `1.0..5.0`.
@@ -668,10 +797,8 @@ mod tests {
 
     #[test]
     fn bicriterion_fast_path_matches_exhaustive_output() {
-        // d == 2 engages the binary-search probe of the target skyline's
-        // mirror; the output (and, because the probe's booleans equal the
-        // pairwise test, every counter) must match the exhaustive baseline
-        // exactly.
+        // d == 2 reduces every staircase to a running minimum of cost 1;
+        // the output must match the exhaustive baseline exactly.
         for seed in [7u64, 21, 63] {
             let (g, nodes) = seeded_network(60, 2, seed);
             let (s, t) = (nodes[1], nodes[55]);
@@ -777,15 +904,16 @@ mod tests {
 
     #[test]
     fn a_label_evicted_while_queued_is_never_extended() {
-        // `s` reaches `a` directly at [10, 10] and through `via` at
-        // [2, 2]; `a` reaches `t` over two edges, [1, 50] and [50, 1], so
-        // `L(a)` = [1, 1] and neither target label covers the bound
-        // [11, 11] of [10, 10]. Node-FIFO settles `a` (queued before `via`)
-        // and extends [10, 10] to `t`; the arrival through `via` then
-        // evicts it, and its two target labels with it. Best first pops
-        // `via` (key ≈ 6) before [10, 10] (key ≈ 22), which is evicted
-        // while queued and, though no bound or cut covers it, never
-        // extended.
+        // A label dominated while it waits is dropped when it pops
+        // (`labels_evicted`) and never extended. `s` reaches `a` directly
+        // at [10, 10] and through `via` at [2, 2]; `a` reaches `t` over two
+        // edges, [1, 50] and [50, 1], so `L(a)` = [1, 1] and neither target
+        // label covers the bound [11, 11] of [10, 10], nor does a cut. Both
+        // labels at `a` are queued when they are created, since `a` has no
+        // closed label yet. The pops go by bound: `via` (≈ [3, 3]), then
+        // `a`'s [2, 2] (≈ [3, 3]), which is closed and extended, and the
+        // target's [3, 52], before [10, 10] (≈ [11, 11]): `a`'s closed
+        // [2, 2] then covers it.
         let mut b = GraphBuilder::new(2);
         let [s, via, a, t] = [0.0, 1.0, 2.0, 3.0].map(|x| b.add_node(x, 0.0));
         for (from, to, costs) in [
@@ -807,34 +935,91 @@ mod tests {
         );
         let costs: Vec<&[f64]> = run.paths.iter().map(|p| p.costs.as_slice()).collect();
         assert_eq!(costs, [[3.0, 52.0], [52.0, 3.0]]);
-        // Extended: `s`, `via` and `a`'s [2, 2]; the target's labels are
-        // never queued, the front holding each of them.
-        assert_eq!((run.stats.nodes_settled, run.stats.labels_evicted), (3, 1));
+        // Extended: `s`, `via` and `a`'s [2, 2], which create 2 + 1 + 2
+        // candidates after the source's; every one is queued. Dropped at
+        // its pop: [10, 10] alone. The target's labels join the skyline
+        // and are not extended.
+        let st = run.stats;
+        assert_eq!((st.nodes_settled, st.labels_evicted), (3, 1));
+        assert_eq!((st.labels_created, st.labels_inserted), (6, 6));
+    }
+
+    #[test]
+    fn a_truncated_hit_prunes_only_once_the_full_vector_confirms_it() {
+        // Two labels reach `v` from `s` over parallel edges: X = [2⁵³ + 4,
+        // 1] and Y = [2⁵³ + 2, 2], neither dominating the other. In this
+        // binade an ulp is 2, and `v`'s deflated bound on lane 0 is exactly
+        // 1, so both keys round (ties to even) to 2⁵³ + 4 on lane 0, and X,
+        // smaller on lane 1, pops first and closes. Y's lane 1 is then
+        // weakly dominated by X's: the staircase hits, and only X's lane 0
+        // tells that X does not dominate Y. At the target the sums keep
+        // them apart, and Y's completion is a skyline member.
+        let rest = 1.0 / BOUND_DEFLATION;
+        assert_eq!(rest * BOUND_DEFLATION, 1.0);
+        let big = 2f64.powi(53);
+        let (x, y) = ([big + 4.0, 1.0], [big + 2.0, 2.0]);
+        let mut b = GraphBuilder::new(2);
+        let [s, v, t] = [0.0, 1.0, 2.0].map(|at| b.add_node(at, 0.0));
+        let to_v = [x, y].map(|c| b.add_directed_edge(s, v, CostVec::from_slice(&c)).unwrap());
+        let last = b
+            .add_directed_edge(v, t, CostVec::from_slice(&[rest, 1.0]))
+            .unwrap();
+        let g = b.build().unwrap();
+        let prep = PrepTable::build(&g, t);
+        let key = |c: [f64; 2]| bound_vector(&prep, v, c);
+        assert_eq!(key(x)[0], key(y)[0]);
+        assert!(key(x)[1] < key(y)[1]);
+
+        UNCONFIRMED.with(|n| n.set(0));
+        let prepped = pareto_paths_prepped(&g, s, t, &prep);
+        assert!(
+            UNCONFIRMED.with(Cell::get) > 0,
+            "no staircase hit failed its confirmation"
+        );
+        let exhaustive = pareto_paths_exhaustive(&g, s, t);
+        assert_eq!(bits(&prepped.paths), bits(&exhaustive.paths));
+        assert_eq!(prepped.paths.len(), 2);
+
+        // Pruning on lanes 1.. alone would drop Y at `v`, and with it the
+        // skyline member that only Y's label reaches.
+        assert_eq!(probe(&[x], &y), Probe::Unconfirmed);
+        assert!(tail_dominates(&x, &y) && !weakly_dominates(&x, &y));
+        assert!(prepped.paths.iter().any(|p| p.edges == [to_v[1], last]));
+    }
+
+    /// `costs + δ·L(v)` as the search rounds it.
+    fn bound_vector(prep: &PrepTable, v: NodeId, costs: [f64; 2]) -> [f64; 2] {
+        let lower = prep.bound(v);
+        std::array::from_fn(|i| costs[i] + lower[i] * BOUND_DEFLATION)
     }
 
     #[test]
     fn counters_are_pinned_on_fixed_pairs() {
-        // Every counter of every variant under the best-first order: rows
-        // go d = 2, 3, 4; per d two pairs; per pair exhaustive, early,
-        // prepped.
+        // Every counter of every variant under the label-setting order:
+        // rows go d = 2, 3, 4; per d two pairs; per pair exhaustive, early,
+        // prepped. `created` and `settled` are the sum-ordered best-first
+        // search's: with a consistent key both orders extend the same
+        // labels. A candidate dominated only by open labels, or covered
+        // only by target labels not yet popped, is queued and dropped at
+        // its pop (`evicted`).
         const PINNED: [[u64; 6]; 18] = [
-            [726, 0, 539, 187, 6, 181],
-            [306, 179, 49, 78, 2, 73],
+            [726, 0, 426, 300, 119, 181],
+            [306, 130, 61, 115, 39, 73],
             [47, 34, 0, 13, 0, 10],
-            [799, 0, 587, 212, 10, 202],
-            [331, 185, 68, 78, 0, 77],
+            [799, 0, 473, 326, 124, 202],
+            [331, 4, 127, 200, 122, 77],
             [19, 15, 0, 4, 0, 3],
-            [918, 0, 677, 241, 4, 237],
-            [876, 240, 407, 229, 4, 223],
+            [918, 0, 587, 331, 94, 237],
+            [876, 109, 447, 320, 96, 223],
             [25, 19, 0, 6, 0, 5],
-            [1485, 0, 1097, 388, 3, 385],
-            [123, 76, 13, 34, 0, 28],
+            [1485, 0, 986, 499, 114, 385],
+            [123, 60, 16, 47, 17, 28],
             [24, 18, 0, 6, 0, 4],
-            [1201, 0, 902, 299, 0, 299],
-            [352, 220, 46, 86, 0, 84],
+            [1201, 0, 795, 406, 107, 299],
+            [352, 187, 51, 114, 28, 84],
             [28, 18, 0, 10, 0, 8],
-            [1435, 0, 1073, 362, 1, 361],
-            [680, 396, 123, 161, 0, 157],
+            [1435, 0, 948, 487, 126, 361],
+            [680, 273, 159, 248, 87, 157],
             [67, 49, 0, 18, 0, 14],
         ];
         // `labels_created` of each prepped run under the node-FIFO order

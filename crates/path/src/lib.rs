@@ -5,7 +5,7 @@
 //! multi-criteria Pareto path computation the paper contrasts with its MCN
 //! skyline (Section II-D), and its accelerations from the related work:
 //!
-//! * [`mcpp`] — path skylines by best-first multi-criteria label search;
+//! * [`mcpp`] — path skylines by label-setting multi-criteria search;
 //! * [`prep`] — ParetoPrep per-cost lower bounds from one backward scan
 //!   per target, and the bounded cache of those tables;
 //! * [`alpha`] — the scalarized serving tier: α-weighted fastest paths by

@@ -19,30 +19,37 @@
 //!   Shekelyan et al.), producing byte-identical skylines with a fraction of
 //!   the labels; [`PathStats`] makes the reduction measurable.
 //!
-//! Every variant runs one best-first label search (multi-objective A*):
-//! stored labels wait in one priority queue keyed by `Σ_i (c_i + δ·L_i(v))`
-//! — the label's costs plus the deflated ParetoPrep lower bounds of its
-//! node, `L ≡ 0` without a table — and equal keys pop in creation order. A
-//! popped label is skipped if a strict dominator evicted it while it
-//! waited, dropped if the target skyline has grown to weakly dominate its
-//! bound vector, and otherwise extended once. The lower bounds thus order
-//! the search as well as prune it: a label that a later arrival would
-//! evict, or that the growing target skyline would cover, is rarely
-//! extended first. Paths stay implicit until the search ends: a node's bag
-//! holds only cost vectors and label ids, each admitted label is one entry
-//! of a per-search arena (costs, node, parent, edge), and only the target's
-//! surviving labels are walked back into edge lists.
+//! Every variant runs one label-setting search (multi-objective A*):
+//! labels wait in one priority queue and pop in lexicographic order of
+//! `c + δ·L(v)` — the label's costs plus the deflated ParetoPrep lower
+//! bounds of its node, `L ≡ 0` without a table — with equal keys popping
+//! target labels first, then in creation order. Each node keeps only its
+//! **closed** labels, those popped and extended, and a label is checked
+//! against them twice: when it is created, and when it pops. A popped
+//! label that survives both checks and the target skyline's is closed and
+//! extended once; a label at the target joins the skyline when it pops,
+//! so the skyline grows in lexicographic order. Paths stay implicit until
+//! the search ends: each queued label is one entry of a per-search arena
+//! (costs, node, parent, edge), and only the skyline's labels are walked
+//! back into edge lists.
+//!
+//! Lexicographic pops make the checks cheap (BOA*, EMOA*/LTMOA*): when no
+//! key falls along an extension, every closed label at a node is no larger
+//! on cost 0 than a later label there, so dominance is decided by costs
+//! 1..d alone. A node's closed labels therefore form a staircase over
+//! those costs: a running minimum at d = 2, a 2-D staircase probed by one
+//! binary search at d = 3, a lexicographically sorted front scanned up to
+//! the first member larger on cost 1 at d ≥ 4; the target skyline is probed
+//! the same way. A staircase hit names one member, and nothing is pruned
+//! unless that member's full cost vector weakly dominates the label, so
+//! the answer is exact whatever the float rounding; a key that falls only
+//! costs work.
 //!
 //! The search is specialised by width: it matches once on the graph's
-//! number of cost types `d` and runs a kernel whose bags, labels and
-//! upper-bound cuts hold `[f64; d]` (the fixed-width, branch-free
-//! dominance tests of `mcn_graph::dominance`; only the target's survivors
-//! become [`CostVec`]s again). A
-//! candidate is admitted in one scan of its head node's bag, and the
-//! target-dominance check reads a mirror of the target's bag kept as a
-//! Pareto front of [`mcn_graph::dominance`]: at d = 2 one binary search
-//! decides, elsewhere the scan stops at the first member costlier on cost
-//! 0 than the candidate's bound.
+//! number of cost types `d` and runs a kernel whose staircases, labels,
+//! keys and upper-bound cuts hold `[f64; d]` (the fixed-width, branch-free
+//! dominance tests of [`mcn_graph::dominance`]; only the skyline's labels
+//! become [`CostVec`]s again).
 //!
 //! [`CostVec`]: mcn_graph::CostVec
 

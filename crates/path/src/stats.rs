@@ -6,9 +6,9 @@
 /// non-dominated way of reaching a node. Every optimisation in the `mcpp`
 /// search shows up here: target-dominance early termination and ParetoPrep
 /// bound pruning as candidate labels discarded before they are stored and
-/// propagated, the best-first order as fewer labels extended and created. The
-/// search is deterministic, so the counters are exactly reproducible (the bench
-/// regression gate compares them run-over-run).
+/// propagated, the label-setting order as fewer labels extended and
+/// created. The search is deterministic, so the counters are exactly
+/// reproducible (the bench regression gate compares them run-over-run).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PathStats {
     /// Candidate labels generated: the initial source label, plus one per
@@ -20,20 +20,24 @@ pub struct PathStats {
     /// without prep) was weakly dominated by the current target skyline or
     /// strictly dominated by an upper-bound cut.
     pub labels_pruned: u64,
-    /// Candidates discarded by classic node-level dominance (an existing
-    /// label at the node weakly dominates the candidate), among the
-    /// candidates `labels_created` counts.
+    /// Candidates discarded by classic node-level dominance (a closed label
+    /// at the node — one already popped and extended — weakly dominates the
+    /// candidate), among the candidates `labels_created` counts.
     pub labels_dominated: u64,
-    /// Labels actually stored at a node (created − pruned − dominated).
+    /// Labels stored and queued (created − pruned − dominated).
     pub labels_inserted: u64,
-    /// Labels evicted from a node's set by a newly inserted dominating
-    /// label (whether or not they were extended before).
+    /// Stored labels dropped when they pop: a label closed at the node
+    /// since this one was stored weakly dominates it, or the target
+    /// skyline has grown to weakly dominate its bound (at the target: a
+    /// skyline member weakly dominates it). (The name is the
+    /// label-correcting searches', whose bags evicted the labels a new
+    /// arrival strictly dominated.)
     pub labels_evicted: u64,
-    /// Labels extended: popped from the best-first queue and neither
-    /// evicted while queued nor dropped because the target skyline had
-    /// grown to dominate their bound. Each stored label is extended at most
-    /// once. (The name is the node-FIFO search's, whose pops settled a node
-    /// and extended all of its new labels at once.)
+    /// Labels extended: popped from the label-setting queue and not
+    /// dropped (see `labels_evicted`); labels at the target are extended
+    /// only by the exhaustive baseline. Each stored label is extended at
+    /// most once. (The name is the node-FIFO search's, whose pops settled a
+    /// node and extended all of its new labels at once.)
     pub nodes_settled: u64,
 }
 
