@@ -1,7 +1,6 @@
 //! Command-line experiment runner.
 //!
-//! Reproduces the paper's Section VI figures as text tables, and runs the
-//! count regression gates:
+//! Reproduces the paper's Section VI figures as text tables:
 //!
 //! ```text
 //! experiments all                    # every figure at the default 1/50 scale
@@ -9,11 +8,9 @@
 //! experiments all --scale 10         # closer to the paper's full size
 //! experiments all --queries 50       # more query locations per data point
 //! experiments all --latency-ms 10    # charge 10 ms per physical page read
-//! experiments gate --baseline FILE   # re-measure and compare the counts
 //! ```
 
-use mcn_bench::{render_table, run_gate, Experiment, ExperimentConfig, GATES, GATE_TOLERANCE};
-use std::path::PathBuf;
+use mcn_bench::{render_table, Experiment, ExperimentConfig};
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -23,15 +20,10 @@ fn main() -> ExitCode {
         print_usage();
         return ExitCode::SUCCESS;
     }
-    let result = if args[0] == "gate" {
-        run_gate_command(&args[1..])
-    } else {
-        run_experiments(&args)
-    };
-    result.err().unwrap_or(ExitCode::SUCCESS)
+    run_experiments(&args)
 }
 
-fn run_experiments(args: &[String]) -> Result<(), ExitCode> {
+fn run_experiments(args: &[String]) -> ExitCode {
     let mut config = ExperimentConfig::default();
     let mut selected: Vec<Experiment> = Vec::new();
     let mut run_all = false;
@@ -57,7 +49,7 @@ fn run_experiments(args: &[String]) -> Result<(), ExitCode> {
                 None => {
                     eprintln!("unknown experiment or flag: {other}");
                     print_usage();
-                    return Err(ExitCode::from(2));
+                    return ExitCode::from(2);
                 }
             },
         }
@@ -69,7 +61,7 @@ fn run_experiments(args: &[String]) -> Result<(), ExitCode> {
     if selected.is_empty() {
         eprintln!("nothing to run");
         print_usage();
-        return Err(ExitCode::from(2));
+        return ExitCode::from(2);
     }
 
     println!(
@@ -88,67 +80,7 @@ fn run_experiments(args: &[String]) -> Result<(), ExitCode> {
     for experiment in selected {
         println!("{}", render_table(&experiment.run(&config)));
     }
-    Ok(())
-}
-
-/// `experiments gate --baseline FILE [--labels FILE] [--alpha FILE]
-/// [--index FILE] [--update]`: re-measure the deterministic mean logical
-/// reads of every figure point (and, with `--labels`, the path skyline's
-/// mean label counts with and without prep; with `--alpha`, the scalarized
-/// tier's mean settled nodes; with `--index`, the route index's
-/// settled-node and arc-entry counters) and fail on a > 2 % regression
-/// against the checked-in baselines (`--update` rewrites them instead).
-fn run_gate_command(args: &[String]) -> Result<(), ExitCode> {
-    let mut paths: [Option<PathBuf>; GATES.len()] = Default::default();
-    let mut update = false;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        if flag == "--update" {
-            update = true;
-        } else if let Some(g) = GATES.iter().position(|gate| gate.flag == flag) {
-            paths[g] = Some(expect_value(args, &mut i, "a file path", |_| true));
-        } else {
-            eprintln!("unknown gate flag: {flag}");
-            return Err(ExitCode::from(2));
-        }
-        i += 1;
-    }
-    if paths.iter().all(Option::is_none) {
-        eprintln!("gate requires --baseline FILE, --labels FILE, --alpha FILE and/or --index FILE");
-        return Err(ExitCode::from(2));
-    }
-
-    let mut violations: Vec<String> = Vec::new();
-    let mut points = 0usize;
-    for (gate, path) in GATES.iter().zip(&paths) {
-        let Some(path) = path else { continue };
-        let (rows, found) = run_gate(gate, path, update).map_err(|e| {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        })?;
-        if update {
-            eprintln!("wrote {} baseline {}", gate.name, path.display());
-        }
-        points += rows;
-        violations.extend(found);
-    }
-    if update {
-        return Ok(());
-    }
-    if violations.is_empty() {
-        println!(
-            "gate passed: {points} points within {:.0}% of the baselines",
-            GATE_TOLERANCE * 100.0
-        );
-        Ok(())
-    } else {
-        for violation in &violations {
-            eprintln!("gate: {violation}");
-        }
-        eprintln!("{} gate violation(s)", violations.len());
-        Err(ExitCode::FAILURE)
-    }
+    ExitCode::SUCCESS
 }
 
 /// Parses the value after the flag at `args[*i]`, advancing `i`; exits 2
@@ -175,27 +107,17 @@ fn expect_value<T: FromStr>(
 fn print_usage() {
     eprintln!(
         "usage: experiments [all | <ids>...] [--scale N] [--queries N] [--latency-ms MS] [--seed S]\n\
-         \x20      experiments gate --baseline FILE [--labels FILE] [--alpha FILE]\n\
-         \x20                [--index FILE] [--update]\n\
          experiment ids: {}\n\
          --scale N       divide the paper's network, facility and query sizes by N >= 1\n\
          \x20               (default 50; 1 is the full size)\n\
          --queries N     query locations per data point, N >= 1 (default: the scaled\n\
          \x20               paper value)\n\
          --latency-ms MS charge MS >= 0 milliseconds per physical page read (default 5)\n\
-         --seed S        master seed (default 2010)\n\
-         gate            re-measure mean logical page reads of every figure point\n\
-         \x20               (--baseline), the path skyline's mean labels with and without\n\
-         \x20               prep (--labels), the alpha tier's mean settled nodes (--alpha)\n\
-         \x20               and/or the route index's settled-node and arc-entry counters\n\
-         \x20               (--index); fail on >{:.0}% regression vs the checked-in JSON or\n\
-         \x20               on a tier missing its acceptance bar (--update rewrites the\n\
-         \x20               files)",
+         --seed S        master seed (default 2010)",
         Experiment::all()
             .iter()
             .map(|e| e.id())
             .collect::<Vec<_>>()
-            .join(", "),
-        GATE_TOLERANCE * 100.0
+            .join(", ")
     );
 }

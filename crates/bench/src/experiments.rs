@@ -137,8 +137,9 @@ impl Experiment {
     }
 
     /// Runs the experiment sweep and returns the raw per-point measurements
-    /// (the table's rows keep only the charged-time view; the regression
-    /// gate needs the deterministic logical-read means).
+    /// (the table's rows keep only the charged-time view; the test
+    /// `pinned_logical_reads_at_every_figure_point` pins the deterministic
+    /// logical-read means).
     pub(crate) fn run_points(&self, config: &ExperimentConfig) -> Vec<PointMeasurement> {
         let base = config.base_spec();
         let default_buffer = 0.01;
@@ -274,5 +275,92 @@ mod tests {
         assert!(table.rows.iter().all(|r| r.lsa_reads > 0.0));
         let table = Experiment::TopKK.run(&config);
         assert_eq!(table.rows.len(), 5); // k = 1, 2, 4, 8, 16
+    }
+
+    /// The mean logical page reads of LSA and CEA at all 39 points of the
+    /// nine figure sweeps, at scale 1/2000 with two queries per point and
+    /// seed 2010, pinned exactly: workloads, queries and algorithms are all
+    /// deterministic, and a mean of two integer counts is exact in `f64`.
+    /// Every point also keeps the paper's headline I/O claim, CEA reading
+    /// no more pages than LSA. On a mismatch the panic prints the measured
+    /// table, ready to paste.
+    #[test]
+    fn pinned_logical_reads_at_every_figure_point() {
+        /// `(figure id, point label, LSA mean, CEA mean)`, in sweep order.
+        const PINNED: &[(&str, &str, f64, f64)] = &[
+            ("sky-p", "|P| = 12", 180.5, 69.5),
+            ("sky-p", "|P| = 25", 96.5, 46.0),
+            ("sky-p", "|P| = 50", 61.0, 30.5),
+            ("sky-p", "|P| = 75", 25.0, 14.0),
+            ("sky-p", "|P| = 100", 25.5, 14.5),
+            ("sky-d", "d = 2", 35.5, 25.0),
+            ("sky-d", "d = 3", 49.5, 27.0),
+            ("sky-d", "d = 4", 61.0, 30.5),
+            ("sky-d", "d = 5", 107.0, 48.5),
+            ("sky-dist", "ANTI", 61.0, 30.5),
+            ("sky-dist", "IND", 55.0, 28.5),
+            ("sky-dist", "CORR", 26.5, 12.0),
+            ("sky-buf", "buffer = 0.0%", 61.0, 30.5),
+            ("sky-buf", "buffer = 0.5%", 61.0, 30.5),
+            ("sky-buf", "buffer = 1.0%", 61.0, 30.5),
+            ("sky-buf", "buffer = 1.5%", 61.0, 30.5),
+            ("sky-buf", "buffer = 2.0%", 61.0, 30.5),
+            ("topk-p", "|P| = 12", 372.0, 144.0),
+            ("topk-p", "|P| = 25", 220.0, 99.5),
+            ("topk-p", "|P| = 50", 221.5, 106.5),
+            ("topk-p", "|P| = 75", 150.0, 77.0),
+            ("topk-p", "|P| = 100", 125.5, 68.5),
+            ("topk-d", "d = 2", 72.5, 48.0),
+            ("topk-d", "d = 3", 148.0, 81.0),
+            ("topk-d", "d = 4", 221.5, 106.5),
+            ("topk-d", "d = 5", 253.5, 113.0),
+            ("topk-dist", "ANTI", 221.5, 106.5),
+            ("topk-dist", "IND", 127.5, 56.5),
+            ("topk-dist", "CORR", 132.5, 54.5),
+            ("topk-buf", "buffer = 0.0%", 221.5, 106.5),
+            ("topk-buf", "buffer = 0.5%", 221.5, 106.5),
+            ("topk-buf", "buffer = 1.0%", 221.5, 106.5),
+            ("topk-buf", "buffer = 1.5%", 221.5, 106.5),
+            ("topk-buf", "buffer = 2.0%", 221.5, 106.5),
+            ("topk-k", "k = 1", 50.5, 26.0),
+            ("topk-k", "k = 2", 89.0, 41.5),
+            ("topk-k", "k = 4", 221.5, 106.5),
+            ("topk-k", "k = 8", 376.5, 183.5),
+            ("topk-k", "k = 16", 604.0, 275.5),
+        ];
+        let config = ExperimentConfig {
+            scale: 2000,
+            queries: Some(2),
+            seed: 2010,
+            ..Default::default()
+        };
+        let measured: Vec<(&str, String, f64, f64)> = Experiment::all()
+            .into_iter()
+            .flat_map(|e| {
+                e.run_points(&config)
+                    .into_iter()
+                    .map(move |p| (e.id(), p.label, p.lsa.logical_reads, p.cea.logical_reads))
+            })
+            .collect();
+        let matches = measured.len() == PINNED.len()
+            && measured
+                .iter()
+                .zip(PINNED)
+                .all(|(m, p)| (m.0, m.1.as_str(), m.2, m.3) == *p);
+        if !matches {
+            let rows: String = measured
+                .iter()
+                .map(|(id, label, lsa, cea)| {
+                    format!("    (\"{id}\", \"{label}\", {lsa:?}, {cea:?}),\n")
+                })
+                .collect();
+            panic!("figure logical reads moved; measured\n{rows}");
+        }
+        for (id, label, lsa, cea) in &measured {
+            assert!(
+                cea <= lsa,
+                "CEA read more pages than LSA at {id} [{label}]: {cea} > {lsa}"
+            );
+        }
     }
 }

@@ -45,7 +45,7 @@ impl Candidate {
 ///
 /// Ordered by facility id on purpose: [`CandidateSet::iter`] feeds the
 /// shrinking-stage facility index, so iteration order must be identical run-to-run for the fingerprints
-/// and gate baselines to stay byte-stable. Candidate sets are small, so
+/// and pinned counts to stay byte-stable. Candidate sets are small, so
 /// the `BTreeMap` costs nothing measurable over a hash map.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct CandidateSet {

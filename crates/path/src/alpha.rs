@@ -34,3 +34,49 @@ pub use crate::search::{
     landmark_bound, scalarized_path, scalarized_path_astar, scalarized_path_landmarks, table_bound,
     ScalarPath, ScalarResult, ScalarStats, HEURISTIC_DEFLATION,
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mcpp::pareto_paths_prepped;
+    use crate::prep::PrepTable;
+    use crate::tests::seeded_queries;
+
+    /// Summed (Dijkstra settled, A* settled, skyline labels created) over
+    /// every (pair, α) query, each A* route asserted byte-identical to
+    /// plain Dijkstra's.
+    fn scalar_metrics(nodes: usize, d: usize, seed: u64) -> (u64, u64, u64) {
+        let (graph, pairs, pool) = seeded_queries(nodes, d, 3, 3, seed);
+        let (mut dijkstra, mut astar, mut labels) = (0, 0, 0);
+        for &(s, t) in &pairs {
+            let prep = PrepTable::build(&graph, t);
+            for alpha in &pool {
+                let plain = scalarized_path(&graph, s, t, alpha);
+                let guided = scalarized_path_astar(&graph, s, t, alpha, &prep);
+                dijkstra += plain.stats.settled;
+                astar += guided.stats.settled;
+                let route = |r: &ScalarResult| {
+                    r.path
+                        .as_ref()
+                        .map(|p| (p.edges.clone(), p.total.to_bits()))
+                };
+                assert_eq!(
+                    route(&plain),
+                    route(&guided),
+                    "A* changed the {s} → {t} route"
+                );
+            }
+            labels += pareto_paths_prepped(&graph, s, t, &prep)
+                .stats
+                .labels_created;
+        }
+        (dijkstra, astar, labels)
+    }
+
+    #[test]
+    fn scalar_metrics_are_deterministic() {
+        let a = scalar_metrics(120, 3, 2010);
+        assert_eq!(a, scalar_metrics(120, 3, 2010));
+        assert!(a.1 < a.0, "A* must settle fewer nodes than Dijkstra: {a:?}");
+    }
+}

@@ -61,3 +61,54 @@
 pub use crate::config::IndexConfig;
 pub use crate::query::IndexSkylineResult;
 pub use crate::structure::RouteIndex;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::alpha::{scalarized_path_astar, ScalarResult};
+    use crate::mcpp::pareto_paths_prepped;
+    use crate::prep::PrepTable;
+    use crate::tests::seeded_queries;
+
+    /// Summed (α settled, skyline labels settled) of the index over every
+    /// (pair, α) query, each answer asserted byte-identical to the
+    /// prep-backed tier's.
+    fn index_metrics(nodes: usize, d: usize, seed: u64) -> (u64, u64) {
+        let (graph, pairs, pool) = seeded_queries(nodes, d, 3, 3, seed);
+        let index = RouteIndex::build(&graph, &IndexConfig::default());
+        let (mut settled, mut sky_settled) = (0, 0);
+        for &(s, t) in &pairs {
+            let prep = PrepTable::build(&graph, t);
+            for alpha in &pool {
+                let tier = scalarized_path_astar(&graph, s, t, alpha, &prep);
+                let via = index.alpha_path(&graph, s, t, alpha);
+                settled += via.stats.settled;
+                let route = |r: &ScalarResult| {
+                    r.path
+                        .as_ref()
+                        .map(|p| (p.edges.clone(), p.total.to_bits()))
+                };
+                assert_eq!(
+                    route(&tier),
+                    route(&via),
+                    "the index changed the {s} → {t} route"
+                );
+            }
+            let via_sky = index.skyline_paths(&graph, s, t);
+            assert_eq!(
+                pareto_paths_prepped(&graph, s, t, &prep).paths,
+                via_sky.paths,
+                "the index changed the {s} → {t} path skyline"
+            );
+            sky_settled += via_sky.stats.settled;
+        }
+        (settled, sky_settled)
+    }
+
+    #[test]
+    fn index_metrics_are_deterministic() {
+        let a = index_metrics(100, 2, 2010);
+        assert_eq!(a, index_metrics(100, 2, 2010));
+        assert!(a.0 > 0, "the index must settle nodes: {a:?}");
+    }
+}

@@ -62,7 +62,7 @@ pub struct PathSkylineResult {
 /// *edge sequence* may differ between variants. Workloads with continuous
 /// float costs — everything seeded in this repository — have no exact ties,
 /// which is what the byte-identical fingerprint assertions in
-/// `tests/prep.rs` and the label gate rely on; on the tie-heavy inputs there
+/// `tests/prep.rs` relies on; on the tie-heavy inputs there
 /// the tests compare cost-vector bits with the exhaustive run's.
 ///
 /// Complexity is output-sensitive and exponential in the worst case (the
@@ -91,7 +91,7 @@ pub fn pareto_paths_with_stats(
 /// pops labels in lexicographic cost order and extends each label at most
 /// once, checking new and popped labels against the closed labels of their
 /// node. Identical output to [`pareto_paths`]; exists as the measurement
-/// baseline the label gate (and the early-termination fix) quantify label
+/// baseline the label pins (and the early-termination fix) quantify label
 /// reductions against.
 pub fn pareto_paths_exhaustive(
     graph: &MultiCostGraph,

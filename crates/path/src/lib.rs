@@ -75,8 +75,53 @@ impl Ord for HeapEntry {
 
 #[cfg(test)]
 mod tests {
+    use crate::alpha::Preference;
     use crate::mcpp::pareto_paths;
+    use mcn_gen::WorkloadSpec;
+    use mcn_gen::{generate_preferences, generate_workload, CostDistribution, PreferenceSpec};
     use mcn_graph::{CostVec, GraphBuilder, MultiCostGraph, NodeId};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// A seeded anti-correlated road network of `nodes` nodes and `d` costs,
+    /// with `pairs` seeded source/target pairs (distinct endpoints) and
+    /// `users` seeded preference vectors α: the inputs of the per-tier
+    /// determinism tests.
+    pub(crate) fn seeded_queries(
+        nodes: usize,
+        d: usize,
+        pairs: usize,
+        users: usize,
+        seed: u64,
+    ) -> (MultiCostGraph, Vec<(NodeId, NodeId)>, Vec<Preference>) {
+        let graph = generate_workload(&WorkloadSpec {
+            nodes,
+            facilities: (nodes / 5).max(10),
+            cost_types: d,
+            distribution: CostDistribution::AntiCorrelated,
+            clusters: 4,
+            queries: 0,
+            seed,
+        })
+        .graph;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let n = graph.num_nodes();
+        let pair_list = (0..pairs)
+            .map(|_| {
+                let s = rng.gen_range(0..n);
+                let mut t = rng.gen_range(0..n);
+                if t == s {
+                    t = (t + 1) % n;
+                }
+                (NodeId::from(s), NodeId::from(t))
+            })
+            .collect();
+        let pool = generate_preferences(&PreferenceSpec::uniform(users, d, seed))
+            .iter()
+            .map(|w| Preference::new(w).expect("generated weights are valid"))
+            .collect();
+        (graph, pair_list, pool)
+    }
 
     /// Diamond network `(graph, s, t)`: `s → t` over a side cheap in cost
     /// 0 and a side cheap in cost 1, each of two edges.

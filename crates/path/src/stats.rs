@@ -8,7 +8,7 @@
 /// bound pruning as candidate labels discarded before they are stored and
 /// propagated, the label-setting order as fewer labels extended and
 /// created. The search is deterministic, so the counters are exactly
-/// reproducible (the bench regression gate compares them run-over-run).
+/// reproducible (`tests/prep.rs` pins them exactly).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PathStats {
     /// Candidate labels generated: the initial source label, plus one per

@@ -81,7 +81,7 @@ impl RouteIndex {
     }
 
     /// Total upward-arc entries (original + shortcut) over both
-    /// directions — the index's size metric, pinned by the index gate.
+    /// directions — the index's size metric, pinned by `tests/index.rs`.
     pub fn arc_entries(&self) -> u64 {
         let count = |side: &[Vec<UpArc>]| -> u64 {
             side.iter()

@@ -4,9 +4,12 @@
 //! skylines — over random graphs at every dimension, and engine batches
 //! mixing index-served and prep-backed contexts must stay fingerprint-equal
 //! serial vs concurrent. The index skyline's outputs and search counters
-//! are pinned exactly on three fixed input sets.
+//! are pinned exactly on three fixed input sets, and on the gate inputs the
+//! index's α settled nodes and size too, with every build exact and every
+//! answer byte-identical to the prep tier's. Each pinned table is printed,
+//! ready to paste, when it moves.
 
-use mcn::alpha::{scalarized_path, Preference, ScalarStats};
+use mcn::alpha::{scalarized_path, scalarized_path_astar, Preference, ScalarStats};
 use mcn::engine::{PathContext, QueryEngine, QueryOutput, QueryRequest};
 use mcn::gen::{generate_workload, CostDistribution, WorkloadSpec};
 use mcn::graph::{CostVec, GraphBuilder, MultiCostGraph, NodeId};
@@ -20,7 +23,10 @@ use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
 mod support;
-use support::{fnv1a, paths_fingerprint, seeded_pairs, tie_network, FNV_OFFSET};
+use support::{
+    assert_same_route, fnv1a, gate_graph, paths_fingerprint, seeded_pairs, tie_network, user_pool,
+    FNV_OFFSET,
+};
 
 /// Builds a small connected network: a backbone line plus random extra
 /// edges, with deterministic LCG-drawn positive costs.
@@ -252,8 +258,8 @@ fn check_pinned(name: &str, measured: &[Row], pinned: &[(&str, u64, u64, u64, u6
     }
 }
 
-/// The index gate's inputs (`crates/bench` `gate::INDEX`):
-/// 150 nodes, d = 2/3/4, three seeded pairs, seed 2010.
+/// The index gate's inputs: [`gate_graph`] with 150 nodes, d = 2/3/4,
+/// three seeded pairs, seed 2010.
 #[test]
 fn pinned_index_skylines_on_the_index_gate_inputs() {
     const PINNED: &[(&str, u64, u64, u64, u64, u64)] = &[
@@ -265,12 +271,56 @@ fn pinned_index_skylines_on_the_index_gate_inputs() {
     let cases: Vec<Case> = [2usize, 3, 4]
         .into_iter()
         .map(|d| {
-            let graph = mcn_bench::gate_graph(150, d, seed);
+            let graph = gate_graph(150, d, seed);
             let pairs = seeded_pairs(&graph, 3, seed ^ 0x1DE8_CAFE);
             (d, graph, pairs)
         })
         .collect();
     check_pinned("index gate", &measure_skylines(&cases), PINNED);
+}
+
+/// The index gate's inputs again, now with three seeded users (α vectors)
+/// per pair: every build is exact, every index route byte-identical to
+/// prep-backed A* and every index skyline equal to the prepped skyline,
+/// and the nodes the index settles over the nine (pair, α) queries and its
+/// `arc_entries()` are pinned per d.
+#[test]
+fn pinned_index_alpha_counts_on_the_index_gate_inputs() {
+    /// `(d, index α settled, arc entries)`.
+    const PINNED: &[(usize, u64, u64)] = &[(2, 240, 1968), (3, 245, 3088), (4, 250, 3406)];
+    let seed = 2010;
+    let measured: Vec<(usize, u64, u64)> = [2usize, 3, 4]
+        .into_iter()
+        .map(|d| {
+            let graph = gate_graph(150, d, seed);
+            let index = RouteIndex::build(&graph, &IndexConfig::default());
+            assert!(index.exact(), "index gate: the d = {d} build went inexact");
+            let users = user_pool(d, 3, seed ^ 0x1DE8);
+            let mut settled = 0;
+            for (s, t) in seeded_pairs(&graph, 3, seed ^ 0x1DE8_CAFE) {
+                let prep = PrepTable::build(&graph, t);
+                for alpha in &users {
+                    let tier = scalarized_path_astar(&graph, s, t, alpha, &prep);
+                    let via = index.alpha_path(&graph, s, t, alpha);
+                    assert_same_route(&format!("d = {d}: the index"), (s, t), &tier, &via);
+                    settled += via.stats.settled;
+                }
+                assert_eq!(
+                    pareto_paths_prepped(&graph, s, t, &prep).paths,
+                    index.skyline_paths(&graph, s, t).paths,
+                    "d = {d}: the index changed the {s} → {t} path skyline"
+                );
+            }
+            (d, settled, index.arc_entries())
+        })
+        .collect();
+    if measured != PINNED {
+        let rows: String = measured
+            .iter()
+            .map(|m| format!("        ({}, {}, {}),\n", m.0, m.1, m.2))
+            .collect();
+        panic!("index gate: pinned α counts moved; measured\n{rows}");
+    }
 }
 
 /// The `index_serve` benchmark network (its d = 2 graph, generated exactly

@@ -1,7 +1,8 @@
 //! Exact I/O counts of LSA, CEA and top-k processing behind a small buffer.
 //!
-//! The count gates in `mcn-bench` watch logical reads only, to a 2 %
-//! tolerance. The paper's cost driver is the *physical* read, and physical
+//! `mcn-bench`'s figure pin (`pinned_logical_reads_at_every_figure_point`)
+//! holds the mean logical reads of every figure point exactly, but logical
+//! reads only. The paper's cost driver is the *physical* read, and physical
 //! reads are also the only witness of the pool's eviction order: two pools
 //! that evict differently answer the same page-request sequence with
 //! different hit/miss verdicts. This test pins all four counters, as

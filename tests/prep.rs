@@ -7,6 +7,13 @@
 //! Fingerprints ([`QueryOutput::fingerprint`]) encode the raw IEEE-754 bits
 //! of every path cost plus the full edge sequences, so equality here is
 //! bit-exact result equality, not approximate agreement.
+//!
+//! The deterministic counts are pinned exactly, each table printed ready
+//! to paste when it moves: the path skyline's labels and settled nodes per
+//! variant (the gate inputs and a tie-heavy set), and the α tier's settled
+//! nodes against the skyline's labels on the same pairs. Each pin asserts
+//! its tier's acceptance bar next to it: [`MIN_LABEL_REDUCTION`],
+//! [`MIN_SETTLED_REDUCTION`] and [`MIN_SKYLINE_ADVANTAGE`].
 
 use mcn::alpha::{
     landmark_bound, scalarized_path, scalarized_path_astar, scalarized_path_landmarks, table_bound,
@@ -27,7 +34,10 @@ use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
 mod support;
-use support::{fnv1a, paths_fingerprint, seeded_pairs, tie_network, FNV_OFFSET};
+use support::{
+    assert_same_route, fnv1a, gate_graph, paths_fingerprint, seeded_pairs, tie_network, user_pool,
+    FNV_OFFSET,
+};
 
 /// A seeded workload graph small enough for the exhaustive baseline to
 /// stay fast in debug builds (anti-correlated Pareto sets grow steeply
@@ -228,11 +238,11 @@ fn check_pinned(
     }
 }
 
-/// The label gate's inputs (`crates/bench` `gate::LABELS`):
-/// 150 nodes, d = 2/3/4, three seeded pairs, seed 2010.
+/// The label gate's inputs: [`gate_graph`] with 150 nodes, d = 2/3/4,
+/// three seeded pairs, seed 2010.
 fn label_gate_case(d: usize) -> (MultiCostGraph, Vec<(NodeId, NodeId)>) {
     let seed = 2010;
-    let graph = mcn_bench::gate_graph(150, d, seed);
+    let graph = gate_graph(150, d, seed);
     let pairs = seeded_pairs(&graph, 3, seed ^ 0x9E37_79B9);
     (graph, pairs)
 }
@@ -271,11 +281,16 @@ fn measure_pinned(cases: &[Case]) -> Vec<(String, Pinned)> {
     rows
 }
 
+/// Minimum factor by which prep must shrink the labels created at d = 3:
+/// the acceptance bar of the precomputation subsystem.
+const MIN_LABEL_REDUCTION: f64 = 2.0;
+
 /// The label gate's inputs, all three variants under the label-setting
 /// order: the fingerprints (cost bits and edges) are the node-FIFO
 /// search's, `settled` and `created` the sum-ordered best-first search's,
 /// and no prepped row creates more labels than the node-FIFO search did.
-/// `evicted` counts the labels dropped when they pop.
+/// `evicted` counts the labels dropped when they pop. Prep shrinks the
+/// d = 3 labels created by at least [`MIN_LABEL_REDUCTION`].
 #[test]
 fn pinned_counts_on_the_label_gate_inputs() {
     const PINNED: &[(&str, u64, u64, u64, u64, u64)] = &[
@@ -316,6 +331,86 @@ fn pinned_counts_on_the_label_gate_inputs() {
         PINNED,
         [4391, 8176, 10334],
     );
+    let created = |case: &str| PINNED.iter().find(|p| p.0 == case).unwrap().5 as f64;
+    let reduction = created("d3 exhaustive") / created("d3 prepped");
+    assert!(
+        reduction >= MIN_LABEL_REDUCTION,
+        "label gate: prep reduced the d = 3 labels only {reduction:.2}× (< {MIN_LABEL_REDUCTION}×)"
+    );
+}
+
+/// Minimum factor by which prep-backed A* must shrink the nodes settled
+/// against heuristic-free Dijkstra: the acceptance bar of the serving
+/// tier's heuristic.
+const MIN_SETTLED_REDUCTION: f64 = 2.0;
+
+/// Minimum factor between the labels the prepped skyline creates per pair
+/// and the nodes A* settles per (pair, α) query on the same pairs: the
+/// scalarized tier's "orders of magnitude cheaper" claim, held at 10×.
+const MIN_SKYLINE_ADVANTAGE: f64 = 10.0;
+
+/// The alpha gate's inputs: [`gate_graph`] with 150 nodes, d = 2/3/4, three
+/// seeded pairs and three seeded users (α vectors), seed 2010. Every
+/// (pair, α) route of prep-backed A* is byte-identical to Dijkstra's; the
+/// summed nodes settled by each (nine queries) and the labels the prepped
+/// skyline creates on the same pairs (three searches) are pinned, and
+/// every d keeps [`MIN_SETTLED_REDUCTION`] and [`MIN_SKYLINE_ADVANTAGE`].
+#[test]
+fn pinned_alpha_settled_on_the_alpha_gate_inputs() {
+    /// `(d, Dijkstra settled, A* settled, skyline labels created)`.
+    const PINNED: &[(usize, u64, u64, u64)] = &[
+        (2, 1091, 172, 2639),
+        (3, 1089, 166, 8121),
+        (4, 1092, 235, 18365),
+    ];
+    const PAIRS: usize = 3;
+    const USERS: usize = 3;
+    let seed = 2010;
+    let measured: Vec<(usize, u64, u64, u64)> = [2usize, 3, 4]
+        .into_iter()
+        .map(|d| {
+            let graph = gate_graph(150, d, seed);
+            let users = user_pool(d, USERS, seed);
+            let (mut dijkstra, mut astar, mut labels) = (0, 0, 0);
+            for (s, t) in seeded_pairs(&graph, PAIRS, seed ^ 0xA1FA_97B1) {
+                let prep = PrepTable::build(&graph, t);
+                for alpha in &users {
+                    let plain = scalarized_path(&graph, s, t, alpha);
+                    let fast = scalarized_path_astar(&graph, s, t, alpha, &prep);
+                    assert_same_route(&format!("d = {d}: A*"), (s, t), &plain, &fast);
+                    dijkstra += plain.stats.settled;
+                    astar += fast.stats.settled;
+                }
+                labels += pareto_paths_prepped(&graph, s, t, &prep)
+                    .stats
+                    .labels_created;
+            }
+            (d, dijkstra, astar, labels)
+        })
+        .collect();
+    if measured != PINNED {
+        let rows: String = measured
+            .iter()
+            .map(|m| format!("        ({}, {}, {}, {}),\n", m.0, m.1, m.2, m.3))
+            .collect();
+        panic!("alpha gate: pinned settled nodes moved; measured\n{rows}");
+    }
+    for &(d, dijkstra, astar, labels) in PINNED {
+        let reduction = dijkstra as f64 / astar as f64;
+        assert!(
+            reduction >= MIN_SETTLED_REDUCTION,
+            "alpha gate: A* settled only {reduction:.2}× fewer nodes than Dijkstra at d = {d} \
+             (< {MIN_SETTLED_REDUCTION}×)"
+        );
+        let per_pair = labels as f64 / PAIRS as f64;
+        let per_query = astar as f64 / (PAIRS * USERS) as f64;
+        let advantage = per_pair / per_query;
+        assert!(
+            advantage >= MIN_SKYLINE_ADVANTAGE,
+            "alpha gate: the skyline created only {advantage:.2}× more labels per pair than A* \
+             settled nodes per query at d = {d} (< {MIN_SKYLINE_ADVANTAGE}×)"
+        );
+    }
 }
 
 /// The tie-heavy set, all three variants: with exact ties, zero-cost

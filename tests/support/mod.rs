@@ -1,12 +1,33 @@
 //! Helpers shared by the pinned-count suites in `tests/prep.rs` and
-//! `tests/index.rs`: seeded endpoint pairs, the tie-heavy network and the
-//! FNV-1a fold over result fingerprints.
+//! `tests/index.rs`: the seeded gate network, seeded endpoint pairs and
+//! per-user preference vectors, the tie-heavy network, the route
+//! comparison and the FNV-1a fold over result fingerprints.
 
+use mcn::alpha::{Preference, ScalarResult};
 use mcn::engine::QueryOutput;
+use mcn::gen::{
+    generate_preferences, generate_workload, CostDistribution, PreferenceSpec, WorkloadSpec,
+};
 use mcn::graph::{CostVec, GraphBuilder, MultiCostGraph, NodeId};
 use mcn::mcpp::ParetoLabel;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+/// The seeded network of the pinned path-tier counts on the gate inputs:
+/// `nodes` nodes with `d` anti-correlated costs (facility and query counts
+/// do not touch the path tiers, so they stay small).
+pub(crate) fn gate_graph(nodes: usize, d: usize, seed: u64) -> MultiCostGraph {
+    generate_workload(&WorkloadSpec {
+        nodes,
+        facilities: (nodes / 5).max(10),
+        cost_types: d,
+        distribution: CostDistribution::AntiCorrelated,
+        clusters: 4,
+        queries: 4,
+        seed,
+    })
+    .graph
+}
 
 /// `pairs` seeded source/target pairs with distinct endpoints.
 pub(crate) fn seeded_pairs(
@@ -26,6 +47,38 @@ pub(crate) fn seeded_pairs(
             (s, t)
         })
         .collect()
+}
+
+/// `users` seeded per-user preference vectors α of arity `d`
+/// (`generate_preferences`, Dirichlet-style on the simplex).
+pub(crate) fn user_pool(d: usize, users: usize, seed: u64) -> Vec<Preference> {
+    generate_preferences(&PreferenceSpec::uniform(users, d, seed))
+        .iter()
+        .map(|w| Preference::new(w).expect("generated weights are valid"))
+        .collect()
+}
+
+/// Asserts that two α searches of `s → t` found the same route: the same
+/// reachability verdict and, when reachable, the same edges and the same
+/// bits of the scalarized total. `what` names the search under test.
+pub(crate) fn assert_same_route(
+    what: &str,
+    (s, t): (NodeId, NodeId),
+    expected: &ScalarResult,
+    got: &ScalarResult,
+) {
+    match (&expected.path, &got.path) {
+        (Some(e), Some(g)) => {
+            assert_eq!(e.edges, g.edges, "{what} changed the {s} → {t} route");
+            assert_eq!(
+                e.total.to_bits(),
+                g.total.to_bits(),
+                "{what} changed the {s} → {t} scalarized total"
+            );
+        }
+        (None, None) => {}
+        other => panic!("{what} changed the {s} → {t} reachability: {other:?}"),
+    }
 }
 
 /// The engine fingerprint of a path skyline: cost bits and edge lists.
